@@ -329,8 +329,8 @@ bool Harness::write_json() const {
      << "\",\n";
   os << "  \"threads\": " << options_.run.threads << ",\n";
   // Registry-driven toggle states (keys are the snake_case registry
-  // spellings), so a suite's JSON records exactly which A/B switches
-  // shaped its numbers.
+  // spellings), so a suite's JSON records exactly which switches shaped
+  // its numbers.
   os << "  \"toggles\": {";
   bool first_toggle = true;
   hpfc::runtime::for_each_toggle(

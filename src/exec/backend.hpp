@@ -60,13 +60,6 @@ struct ProcConfig {
   /// long a dead or wedged worker can stall an exchange before the run
   /// fails with a diagnostic instead of hanging.
   int timeout_ms = 10000;
-  /// Ship controller frames through the historical serial encode-copy
-  /// path (encode_frame staging buffers, one control channel at a time)
-  /// instead of the pooled scatter-gather wire path. The bytes on the
-  /// wire — and so NetStats, WireStats, and inbox order — are identical
-  /// either way; only wall-clock time moves. Set from
-  /// RunOptions::no_pipeline; the A/B oracle of the pipelined path.
-  bool phased = false;
 };
 
 /// Real-socket traffic counters, filled by ProcBackend and zero for the
@@ -215,11 +208,10 @@ class Backend {
   /// (see docs/kernels.md): `kernels` specialized pack/unpack kernels
   /// installed (once per SegmentProgram when a plan slot compiles; rising
   /// again after an evicted slot recompiles) and `dispatches` transfers
-  /// executed through an installed kernel instead of the interpreted
-  /// SegmentProgram walker.  Dispatches are counted once per transfer at
-  /// the producing site — the pack or local-copy step; the matching
-  /// unpack is not re-counted — so the counter is invariant across
-  /// force_message_path, unfuse_copy_groups and the execution backends.
+  /// executed through an installed kernel.  Dispatches are counted once
+  /// per transfer at the producing site — the pack or local-copy step;
+  /// the matching unpack is not re-counted — so the counter is invariant
+  /// across the execution backends.
   /// Purely counters (no clock): call from the controlling thread between
   /// steps, after reducing the per-rank tallies.
   void account_specialization(std::uint64_t kernels,
@@ -232,10 +224,9 @@ class Backend {
   /// one two-level lookup per plan-slot compile (symbolic family id →
   /// bound (N, P) instance), counted at the producing site on the
   /// controlling thread between steps, so the counters are invariant
-  /// across force_message_path, unfuse_copy_groups, interpret_kernels
-  /// and the execution backends. `instantiations` counts the concrete
+  /// across the execution backends. `instantiations` counts the concrete
   /// plans built on misses (rising again when an evicted instance is
-  /// re-bound). All three stay 0 under RunOptions::concrete_plans.
+  /// re-bound).
   void account_plan_cache(std::uint64_t hits, std::uint64_t misses,
                           std::uint64_t instantiations) {
     stats_.plan_cache_hits += hits;

@@ -32,7 +32,8 @@
 namespace hpfc::exec {
 
 /// Thrown when the proc backend's wire fails: a worker died mid-superstep,
-/// a socket operation exceeded its deadline, or a frame arrived corrupted.
+/// a socket operation exceeded its deadline, or a frame arrived corrupted;
+/// and at construction when the open-file limit cannot hold the mesh.
 class ProcError : public std::runtime_error {
  public:
   explicit ProcError(const std::string& what) : std::runtime_error(what) {}

@@ -213,9 +213,4 @@ RedistPlanV2 intersect_ownerships(
   return plan;
 }
 
-RedistPlan build_periodic(const ConcreteLayout& from,
-                          const ConcreteLayout& to) {
-  return build_runs(from, to).materialize();
-}
-
 }  // namespace hpfc::redist

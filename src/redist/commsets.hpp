@@ -4,16 +4,14 @@
 // product of per-array-dimension index sets under both layouts, each
 // pairwise set is the product of per-dimension intersections.
 //
-// Three implementations are provided:
+// Two implementations are provided:
 //  - build(): sorted-list intersections (the oracle; O(P_s * P_d * N)),
 //  - build_runs(): closed-form interval-run intersections per dimension
 //    in O(runs) via lcm-window arithmetic (the efficient method of the
 //    paper's reference [19]) — the hot path, producing a RedistPlanV2
-//    whose transfers stay symbolic,
-//  - build_periodic(): the historical materialized form, now a thin
-//    wrapper that materializes build_runs().
-// Tests assert all three produce identical element sets in identical
-// pack order.
+//    whose transfers stay symbolic (materialize() lists them explicitly).
+// Tests assert both produce identical element sets in identical pack
+// order.
 #pragma once
 
 #include <cstdint>
@@ -99,9 +97,5 @@ RedistPlanV2 build_runs(const ConcreteLayout& from, const ConcreteLayout& to);
 RedistPlanV2 intersect_ownerships(
     const std::vector<std::vector<IndexRuns>>& src_runs,
     const std::vector<std::vector<IndexRuns>>& dst_runs, int dims);
-
-/// The materialized form of build_runs (kept for differential tests and
-/// callers that want explicit index lists).
-RedistPlan build_periodic(const ConcreteLayout& from, const ConcreteLayout& to);
 
 }  // namespace hpfc::redist

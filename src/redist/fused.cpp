@@ -8,8 +8,7 @@
 namespace hpfc::redist {
 
 FusedExchange build_fused_exchange(
-    int ranks, std::span<const std::span<const SegmentProgram>> members,
-    bool include_local) {
+    int ranks, std::span<const std::span<const SegmentProgram>> members) {
   FusedExchange fused;
   fused.by_src.resize(static_cast<std::size_t>(ranks));
   fused.local_by_rank.resize(static_cast<std::size_t>(ranks));
@@ -33,16 +32,8 @@ FusedExchange build_fused_exchange(
                           tp.dst < ranks,
                       "fused member program outside the machine");
       if (tp.src == tp.dst) {
-        if (!include_local) {
-          fused.local_by_rank[static_cast<std::size_t>(tp.src)].push_back(
-              {static_cast<int>(m), static_cast<int>(p)});
-          continue;
-        }
-        // One self-message per program — the exact unit account_local
-        // books on the fast path, so local_copies agree either way.
-        fused.messages.push_back({tp.src, tp.dst, 0, 0, {}});
-        append_frame(fused.messages.size() - 1, static_cast<int>(m),
-                     static_cast<int>(p), tp);
+        fused.local_by_rank[static_cast<std::size_t>(tp.src)].push_back(
+            {static_cast<int>(m), static_cast<int>(p)});
         continue;
       }
       const auto [it, inserted] = pair_message.try_emplace(

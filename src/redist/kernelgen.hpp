@@ -14,10 +14,9 @@
 // is the fragment's precompiled body — which keeps the scheme portable
 // while removing the interpreter's per-segment dispatch from the hot loop.
 //
-// The interpreted walkers in redist/segments.hpp remain the differential
-// oracle (see docs/kernels.md): a specialized kernel must move exactly the
-// bytes pack/unpack/copy_local would, and the runtime keeps both paths
-// selectable via RunOptions::interpret_kernels.
+// The interpreted walkers in redist/segments.hpp remain the test
+// reference (see docs/kernels.md): a specialized kernel must move exactly
+// the bytes pack/unpack/copy_local would.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +70,7 @@ struct KernelSpan {
 /// span list. Equivalent by construction to interpreting the source
 /// SegmentProgram — pack/unpack/copy produce byte-identical results to
 /// redist::pack_into / redist::unpack / redist::copy_local (asserted by
-/// the property tests and by the runtime's interpret_kernels A/B toggle).
+/// the property tests).
 class Kernel {
  public:
   /// Packs the program's elements from `src_local` into the caller-sized

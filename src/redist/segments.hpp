@@ -12,12 +12,10 @@
 // per-element indices are never materialized or cached.
 //
 // The pack/unpack/copy_local walkers below interpret a SegmentProgram
-// segment by segment. On the runtime's hot path they are superseded by
-// the specialized kernels of redist/kernelgen.hpp (redist::specialize
-// lowers a program to precompiled constant-stride fragments), but they
-// remain authoritative: a kernel must reproduce their results byte for
-// byte, and RunOptions::interpret_kernels routes every transfer back
-// through them as the differential oracle (see docs/kernels.md).
+// segment by segment. The runtime executes the specialized kernels of
+// redist/kernelgen.hpp instead (redist::specialize lowers a program to
+// precompiled constant-stride fragments); the walkers remain the test
+// reference a kernel must reproduce byte for byte (see docs/kernels.md).
 #pragma once
 
 #include <cstdint>

@@ -70,27 +70,20 @@ struct OwnershipProgram {
   std::vector<RankOwnership> per_rank;  ///< indexed by layout rank
 };
 
-/// Per copy-site compiled transfer programs plus pooled buffers: the
-/// segment programs are compiled once per codegen plan slot; payload and
-/// mailbox buffers are recycled across executions so steady-state
-/// remapping loops re-run with no per-copy payload allocation.
+/// Per copy-site compiled transfer programs: the segment programs and
+/// their kernels are compiled once per codegen plan slot and borrowed by
+/// every fused round the slot's copy joins.
 struct PlanSlot {
   bool compiled = false;
   std::vector<redist::SegmentProgram> programs;
   /// Specialized pack/unpack kernels, one per program (same indexing),
-  /// installed at compile time unless RunOptions::interpret_kernels; the
-  /// vector never reallocates afterwards, so FusedSlot may point into it.
+  /// installed at compile time; the vector never reallocates afterwards,
+  /// so FusedSlot may point into it.
   std::vector<redist::Kernel> kernels;
-  /// Payload buffer per program (tag); moved into the message on pack and
-  /// reclaimed from the inbox after unpack.
-  std::vector<std::vector<double>> payload_pool;
-  /// Recycled outbox/inbox skeleton (outer and inner vector capacities).
-  std::vector<std::vector<net::Message>> mailbox_pool;
   /// The symbolic plan instance this slot compiled from (nullptr for
-  /// unabstractable pairs and under RunOptions::concrete_plans). Instances
-  /// are shared across slots; the machine refcounts their footprint so a
-  /// shared instance is charged once and survives until its last slot is
-  /// evicted.
+  /// unabstractable pairs). Instances are shared across slots; the
+  /// machine refcounts their footprint so a shared instance is charged
+  /// once and survives until its last slot is evicted.
   std::shared_ptr<const redist::PlanInstance> instance;
   /// Heap footprint of the compiled programs + kernels, charged against
   /// the memory limit (plan slots are evictable like array copies). The
@@ -111,14 +104,14 @@ struct PendingCopy {
 
 /// One cached fused communication round (per distinct fired-member set):
 /// combined-message framing over the member plan slots' SegmentPrograms,
-/// plus pooled per-message payloads and a recycled mailbox skeleton —
-/// the group-level analogue of PlanSlot.
+/// plus pooled per-message payloads and a recycled mailbox skeleton, so
+/// steady-state remapping loops re-run with no per-copy payload
+/// allocation.
 struct FusedSlot {
   std::vector<PendingCopy> members;
   /// members[m]'s compiled programs (borrowed from its PlanSlot).
   std::vector<const std::vector<redist::SegmentProgram>*> programs;
-  /// members[m]'s specialized kernels (borrowed from its PlanSlot; the
-  /// pointed-to vector is empty under RunOptions::interpret_kernels).
+  /// members[m]'s specialized kernels (borrowed from its PlanSlot).
   /// Cached fused slots are invalidated whenever a member plan slot is
   /// evicted, so these pointers never dangle.
   std::vector<const std::vector<redist::Kernel>*> kernels;
@@ -161,8 +154,7 @@ class Machine {
         backend_(exec::make_backend(
             code != nullptr ? options.backend : exec::BackendKind::Seq,
             machine_ranks(program, options), options.cost, options.threads,
-            exec::ProcConfig{options.proc_tcp, options.proc_timeout_ms,
-                             options.no_pipeline})) {
+            exec::ProcConfig{options.proc_tcp, options.proc_timeout_ms})) {
     const std::size_t num_arrays = program_.arrays.size();
     status_.assign(num_arrays, 0);
     storage_.resize(num_arrays);
@@ -496,8 +488,8 @@ class Machine {
     ++report_.plan_evictions;
   }
 
-  /// Heap footprint of a compiled slot's patched tables: the interpreted
-  /// segment list plus (when installed) the specialized kernels.
+  /// Heap footprint of a compiled slot's patched tables: the segment list
+  /// plus the specialized kernels.
   static std::uint64_t plan_slot_bytes(const PlanSlot& slot) {
     std::uint64_t bytes = 0;
     for (const auto& tp : slot.programs)
@@ -538,10 +530,7 @@ class Machine {
         allocate(op.array, op.version);
         break;
       case OpKind::Copy:
-        if (op.copy_group >= 0 && !options_.unfuse_copy_groups)
-          defer_copy(op);
-        else
-          copy(op.array, op.src_version, op.version, op.region, op.plan_slot);
+        defer_copy(op);
         break;
       case OpKind::SetLive:
         versions[static_cast<std::size_t>(op.version)].live = op.flag;
@@ -666,34 +655,24 @@ class Machine {
     }
   }
 
-  /// The shared superstep skeleton of all remap communication (per-copy
-  /// and fused): recycled mailboxes and per-rank tallies around ONE
-  /// exchange. `pack_rank(r, outbox, tally)` emits rank r's messages
-  /// (payloads drawn from `payload_pool` by tag) and runs its local
-  /// fast-path copies; `unpack_msg(r, msg)` scatters one routed message.
-  /// Everything else — tally reduction, account_local, unpacked-element
-  /// accounting, payload reclamation by tag, mailbox-skeleton recycling —
-  /// lives here exactly once so the fused and unfused paths cannot drift
-  /// apart in their NetStats arithmetic.
   /// Runs one phase's rank loop through the backend (per-rank concurrency
-  /// on thread/proc) or, under RunOptions::no_pipeline, as a plain serial
-  /// loop on the controller thread — the phased differential oracle. Both
-  /// visit every rank exactly once over rank-owned state, so results and
-  /// counters are identical by construction. Returns the phase's
-  /// wall-clock in milliseconds.
+  /// on thread/proc) and returns the phase's wall-clock in milliseconds.
   template <typename Fn>
   double phase_step(const Fn& fn) {
     const auto start = std::chrono::steady_clock::now();
-    if (options_.no_pipeline) {
-      for (int r = 0; r < backend_->ranks(); ++r) fn(r);
-    } else {
-      backend_->step(fn);
-    }
+    backend_->step(fn);
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
         .count();
   }
 
+  /// The superstep skeleton of remap communication: recycled mailboxes
+  /// and per-rank tallies around ONE exchange. `pack_rank(r, outbox,
+  /// tally)` emits rank r's messages (payloads drawn from `payload_pool`
+  /// by tag) and runs its local fast-path copies; `unpack_msg(r, msg)`
+  /// scatters one routed message. Everything else — tally reduction,
+  /// account_local, unpacked-element accounting, payload reclamation by
+  /// tag, mailbox-skeleton recycling — lives here.
   template <typename PackRank, typename UnpackMsg>
   void copy_superstep(std::vector<std::vector<double>>& payload_pool,
                       std::vector<std::vector<net::Message>>& mailbox_pool,
@@ -759,85 +738,6 @@ class Machine {
     tally.local_elements += static_cast<std::uint64_t>(tp.elements);
   }
 
-  /// The remapping communication: redistribute src version into dst,
-  /// optionally restricted to a live region. Remote transfers pack into
-  /// pooled payload buffers and go through the exchange; src == dst
-  /// transfers run as direct strided local copies (no message is ever
-  /// materialized) unless RunOptions::force_message_path is set. The
-  /// NetStats are byte-identical either way: local copies are accounted
-  /// through Backend::account_local with the exact counters a
-  /// self-message would have produced.
-  void copy(ArrayId a, int src, int dst, const ir::Region& region,
-            int plan_slot) {
-    allocate(a, src);  // an untouched source is all zeros, like canonical
-    allocate(a, dst);
-    PlanSlot& slot = transfer_plan(a, src, dst, region, plan_slot);
-    const auto& programs = slot.programs;
-    const auto& kernels = slot.kernels;
-    // Empty under RunOptions::interpret_kernels: fall back to the
-    // interpreted segment walker (the differential oracle of the kernels).
-    const bool use_kernels = !kernels.empty();
-    const bool fast_local = !options_.force_message_path;
-
-    auto& from = storage_[static_cast<std::size_t>(a)]
-                         [static_cast<std::size_t>(src)];
-    auto& to =
-        storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(dst)];
-    // Each source rank packs its own transfers, in program (tag) order so
-    // emission order — and with it the inbox order — is backend-invariant.
-    copy_superstep(
-        slot.payload_pool, slot.mailbox_pool,
-        [&](int r, std::vector<net::Message>& outbox, CopyTally& tally) {
-          for (std::size_t t = 0; t < programs.size(); ++t) {
-            const redist::SegmentProgram& tp = programs[t];
-            if (tp.src != r) continue;
-            if (fast_local && tp.dst == r) {
-              if (use_kernels) {
-                kernels[t].copy(from.locals[static_cast<std::size_t>(r)],
-                                to.locals[static_cast<std::size_t>(r)]);
-                ++tally.specialized;
-              } else {
-                redist::copy_local(tp, from.locals[static_cast<std::size_t>(r)],
-                                   to.locals[static_cast<std::size_t>(r)]);
-              }
-              tally_local(tally, tp);
-              continue;
-            }
-            net::Message msg;
-            msg.src = tp.src;
-            msg.dst = tp.dst;
-            msg.tag = static_cast<int>(t);
-            msg.segments = static_cast<int>(tp.segments.size());
-            msg.payload = std::move(slot.payload_pool[t]);
-            if (use_kernels) {
-              msg.payload.resize(static_cast<std::size_t>(tp.elements));
-              kernels[t].pack(from.locals[static_cast<std::size_t>(tp.src)],
-                              msg.payload);
-              ++tally.specialized;
-            } else {
-              redist::pack(tp, from.locals[static_cast<std::size_t>(tp.src)],
-                           msg.payload);
-            }
-            tally.packed_bytes += msg.bytes();
-            outbox.push_back(std::move(msg));
-          }
-        },
-        [&](int, const net::Message& msg) {
-          const redist::SegmentProgram& tp =
-              programs[static_cast<std::size_t>(msg.tag)];
-          // Unpacks are not re-counted in tally.specialized: a transfer's
-          // dispatch is booked once, at the producing site.
-          if (use_kernels)
-            kernels[static_cast<std::size_t>(msg.tag)].unpack(
-                msg.payload, to.locals[static_cast<std::size_t>(tp.dst)]);
-          else
-            redist::unpack(tp, msg.payload,
-                           to.locals[static_cast<std::size_t>(tp.dst)]);
-        });
-    to.dirty = true;
-    ++report_.copies_performed;
-  }
-
   PlanSlot& transfer_plan(ArrayId a, int src, int dst,
                           const ir::Region& region, int plan_slot) {
     HPFC_ASSERT_MSG(plan_slot >= 0 &&
@@ -850,12 +750,10 @@ class Machine {
     const ConcreteLayout& to = layout(a, dst);
     // Two-level plan cache: serve the slot from its symbolic family's
     // bound (N, P) instance when codegen assigned one, falling back to
-    // the concrete builder — the differential oracle — for unabstractable
-    // pairs and under the concrete_plans A/B toggle. Both paths intersect
-    // the same ownership run sets, so the plan is byte-identical.
+    // the concrete builder for unabstractable pairs.
     const int family = family_of_slot(plan_slot);
     redist::RedistPlanV2 local_plan;
-    if (family >= 0 && !options_.concrete_plans)
+    if (family >= 0)
       slot.instance = acquire_instance(family, from, to);
     else
       local_plan = redist::build_runs(from, to);
@@ -883,17 +781,13 @@ class Machine {
       slot.programs.push_back(
           redist::compile_transfer(*t, sit->second, dit->second));
     }
-    slot.payload_pool.resize(slot.programs.size());
-    // Specialize each compiled program into a pack/unpack kernel unless
-    // the A/B toggle keeps the interpreter (the kernels' differential
-    // oracle) in charge. Installed once per compile; an evicted slot
-    // re-installs on recompilation, so specialized_kernels counts both.
-    if (!options_.interpret_kernels) {
-      slot.kernels.reserve(slot.programs.size());
-      for (const auto& tp : slot.programs)
-        slot.kernels.push_back(redist::specialize(tp));
-      backend_->account_specialization(slot.kernels.size(), 0);
-    }
+    // Specialize each compiled program into a pack/unpack kernel.
+    // Installed once per compile; an evicted slot re-installs on
+    // recompilation, so specialized_kernels counts both.
+    slot.kernels.reserve(slot.programs.size());
+    for (const auto& tp : slot.programs)
+      slot.kernels.push_back(redist::specialize(tp));
+    backend_->account_specialization(slot.kernels.size(), 0);
     slot.compiled = true;
     // The compiled tables are memory like any copy: charge them against
     // the budget and fall back to evicting *other* plan slots when the
@@ -919,7 +813,7 @@ class Machine {
   /// SymbolicPlan (compiled lazily on first use; its descriptor is charged
   /// once per machine and never dropped), then the bound (N, P) instance
   /// for the slot's shapes. One hit-or-miss is accounted per call — the
-  /// producing site — so the counters are backend- and toggle-invariant.
+  /// producing site — so the counters are backend-invariant.
   /// The instance's run sets are charged against the memory limit once
   /// however many slots share them (refcounted; see release_instance).
   std::shared_ptr<const redist::PlanInstance> acquire_instance(
@@ -979,6 +873,7 @@ class Machine {
   /// transfer program compiled, but the data movement is deferred so all
   /// the copies the vertex fires share one exchange superstep.
   void defer_copy(const codegen::Op& op) {
+    HPFC_ASSERT_MSG(op.copy_group >= 0, "Copy op without a copy group");
     // Defensive: groups never interleave (one vertex per CFG node), but a
     // group change mid-list must still flush the previous round first.
     if (pending_group_ >= 0 && pending_group_ != op.copy_group)
@@ -1030,18 +925,17 @@ class Machine {
            &storage_[static_cast<std::size_t>(m.array)]
                     [static_cast<std::size_t>(m.dst)]});
     }
-    slot.exchange = redist::build_fused_exchange(
-        backend_->ranks(), spans, options_.force_message_path);
+    slot.exchange = redist::build_fused_exchange(backend_->ranks(), spans);
     slot.payload_pool.resize(slot.exchange.messages.size());
     return slot;
   }
 
-  /// The fused analogue of copy(): one pack step over combined messages,
-  /// ONE exchange for the whole member set, one unpack step by frame. The
-  /// local fast path and force_message_path behave per member program
-  /// exactly as in the unfused path, so every data-volume counter
-  /// (elements, bytes, segments, local copies) is byte-identical to
-  /// running the members one superstep each.
+  /// The remapping communication of one vertex: one pack step over
+  /// combined messages, ONE exchange for the whole member set, one unpack
+  /// step by frame, every transfer through its specialized kernel.
+  /// src == dst transfers run as direct strided local copies (no message
+  /// is ever materialized), accounted through Backend::account_local with
+  /// the exact counters a self-message would have produced.
   void run_fused() {
     FusedSlot& slot = fused_slot();
     const redist::FusedExchange& fx = slot.exchange;
@@ -1050,13 +944,10 @@ class Machine {
       const auto& programs = *slot.programs[static_cast<std::size_t>(member)];
       return programs[static_cast<std::size_t>(program)];
     };
-    // nullptr when the member's plan slot carries no kernels (the
-    // interpret_kernels toggle): the caller falls back to the walker.
     const auto member_kernel =
-        [&slot](int member, int program) -> const redist::Kernel* {
+        [&slot](int member, int program) -> const redist::Kernel& {
       const auto& kernels = *slot.kernels[static_cast<std::size_t>(member)];
-      if (kernels.empty()) return nullptr;
-      return &kernels[static_cast<std::size_t>(program)];
+      return kernels[static_cast<std::size_t>(program)];
     };
 
     copy_superstep(
@@ -1064,19 +955,13 @@ class Machine {
         [&](int r, std::vector<net::Message>& outbox, CopyTally& tally) {
           for (const redist::FusedLocal& u :
                fx.local_by_rank[static_cast<std::size_t>(r)]) {
-            const redist::SegmentProgram& tp =
-                member_program(u.member, u.program);
             const auto& [from, to] =
                 slot.endpoints[static_cast<std::size_t>(u.member)];
-            if (const redist::Kernel* k = member_kernel(u.member, u.program)) {
-              k->copy(from->locals[static_cast<std::size_t>(r)],
-                      to->locals[static_cast<std::size_t>(r)]);
-              ++tally.specialized;
-            } else {
-              redist::copy_local(tp, from->locals[static_cast<std::size_t>(r)],
-                                 to->locals[static_cast<std::size_t>(r)]);
-            }
-            tally_local(tally, tp);
+            const redist::Kernel& k = member_kernel(u.member, u.program);
+            k.copy(from->locals[static_cast<std::size_t>(r)],
+                   to->locals[static_cast<std::size_t>(r)]);
+            ++tally.specialized;
+            tally_local(tally, member_program(u.member, u.program));
           }
           for (const int mi : fx.by_src[static_cast<std::size_t>(r)]) {
             const redist::FusedMessage& fm =
@@ -1095,15 +980,9 @@ class Machine {
               const std::span<double> window(
                   msg.payload.data() + fr.offset,
                   static_cast<std::size_t>(fr.len));
-              if (const redist::Kernel* k =
-                      member_kernel(fr.member, fr.program)) {
-                k->pack(from->locals[static_cast<std::size_t>(r)], window);
-                ++tally.specialized;
-              } else {
-                redist::pack_into(member_program(fr.member, fr.program),
-                                  from->locals[static_cast<std::size_t>(r)],
-                                  window);
-              }
+              const redist::Kernel& k = member_kernel(fr.member, fr.program);
+              k.pack(from->locals[static_cast<std::size_t>(r)], window);
+              ++tally.specialized;
             }
             tally.packed_bytes += msg.bytes();
             outbox.push_back(std::move(msg));
@@ -1118,11 +997,10 @@ class Machine {
             const std::span<const double> window(
                 msg.payload.data() + fr.offset,
                 static_cast<std::size_t>(fr.len));
-            if (const redist::Kernel* k = member_kernel(fr.member, fr.program))
-              k->unpack(window, to->locals[static_cast<std::size_t>(r)]);
-            else
-              redist::unpack(member_program(fr.member, fr.program), window,
-                             to->locals[static_cast<std::size_t>(r)]);
+            // Unpacks are not re-counted in tally.specialized: a
+            // transfer's dispatch is booked once, at the producing site.
+            const redist::Kernel& k = member_kernel(fr.member, fr.program);
+            k.unpack(window, to->locals[static_cast<std::size_t>(r)]);
           }
         });
     for (const auto& [from, to] : slot.endpoints) to->dirty = true;

@@ -1,11 +1,11 @@
-// The toggle registry: one table describing every boolean A/B switch on
+// The toggle registry: one table describing every boolean switch on
 // runtime::RunOptions, so the CLI, the bench harness, run_benches, and
 // the docs all consume a single source of truth instead of each
-// hand-rolling its own flag list (the sprawl this replaces).
+// hand-rolling its own flag list.
 //
 // Each toggle has two spellings: `name` is the kebab-case CLI surface
-// ("force-message-path", yielding --force-message-path) and `key` is the
-// snake_case member / JSON spelling ("force_message_path").
+// ("proc-tcp", yielding --proc-tcp) and `key` is the snake_case member /
+// JSON spelling ("proc_tcp").
 // find_toggle() resolves either. Adding a toggle here is the whole job:
 // RunOptions::set picks it up, support::cli::RunFlags grows the flag,
 // `hpfc --list-toggles` and the bench harness print it, and
@@ -21,8 +21,8 @@ namespace hpfc::runtime {
 
 /// One registered boolean switch on RunOptions.
 struct Toggle {
-  std::string_view name;  ///< kebab-case CLI spelling ("force-message-path")
-  std::string_view key;   ///< snake_case member spelling ("force_message_path")
+  std::string_view name;  ///< kebab-case CLI spelling ("proc-tcp")
+  std::string_view key;   ///< snake_case member spelling ("proc_tcp")
   bool RunOptions::* flag;  ///< the member the toggle flips
   std::string_view help;  ///< one-line description for --help output
 };

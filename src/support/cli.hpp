@@ -1,7 +1,7 @@
 // Shared command-line surface for every tool that executes the runtime
 // (tools/hpfc.cpp and the bench harness): one parser for the machine
 // flags (--backend/--threads/--ranks/--seed/--proc-timeout-ms) plus every
-// registered A/B toggle, built on the runtime::Toggle registry so a new
+// registered toggle, built on the runtime::Toggle registry so a new
 // toggle becomes a new flag everywhere without touching a parser.
 //
 // Usage: construct a RunFlags, feed it each argv element; Consumed means

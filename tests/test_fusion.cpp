@@ -1,12 +1,11 @@
 // Fused remap supersteps (cross-array message aggregation): all Copy ops
 // codegen emits for one remapping vertex share a codegen copy group, and
 // the runtime flushes each group as ONE exchange superstep with combined
-// per-(src, dst) messages. These tests pin the equivalence contract:
-// across {fused, unfused} x {seq, thread} x {fast path, forced messages}
-// the results and every data-volume counter (elements, bytes, segments,
-// local copies, checksums) are byte-identical; only messages, supersteps,
-// fused_copies and sim_time may move — and supersteps must drop by the
-// vertex fan-out.
+// per-(src, dst) messages. These tests pin the superstep and message
+// counts a vertex's fan-out implies, and that results and every
+// data-volume counter (elements, bytes, segments, local copies,
+// checksums) match the sequential oracle and stay identical across the
+// execution backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,8 +66,7 @@ Compiled compile_multi(mapping::Extent n, int procs, int arrays,
   return compiled;
 }
 
-/// The counters that must not move whichever way the communication is
-/// physically organized (fusion on/off, fast path on/off, any backend).
+/// The counters that must not move whichever backend runs the ranks.
 struct InvariantCounters {
   std::uint64_t signature = 0;
   int copies_performed = 0;
@@ -98,15 +96,12 @@ InvariantCounters invariants(const runtime::RunReport& r) {
   return c;
 }
 
-runtime::RunReport run_with(const Compiled& compiled, bool unfuse,
-                            exec::BackendKind backend, bool force_messages,
+runtime::RunReport run_with(const Compiled& compiled, exec::BackendKind backend,
                             unsigned seed = 11) {
   runtime::RunOptions options;
   options.seed = seed;
   options.backend = backend;
   options.threads = 3;
-  options.unfuse_copy_groups = unfuse;
-  options.force_message_path = force_messages;
   return driver::run(compiled, options);
 }
 
@@ -143,74 +138,57 @@ TEST(CopyGroups, CodegenAssignsOneGroupPerVertex) {
   }
 }
 
-// A vertex moving k arrays costs one superstep fused, k unfused, with all
-// data-volume counters byte-identical across the 2x2x2 toggle matrix.
+// A vertex moving k arrays costs one superstep, and its off-rank traffic
+// merges into one message per (src, dst) pair carrying k frames; every
+// data-volume counter is identical across backends.
 TEST(CopyGroups, MultiArrayVertexFusesKIntoOneSuperstep) {
+  const mapping::Extent n = 64;
+  const int procs = 4;
   const int arrays = 4;
   const mapping::Extent trips = 3;
-  const Compiled c = compile_multi(64, 4, arrays, trips, OptLevel::O0);
+  const Compiled c = compile_multi(n, procs, arrays, trips, OptLevel::O0);
 
   runtime::RunOptions oracle_options;
   oracle_options.seed = 11;
   const auto oracle = driver::run_oracle(c, oracle_options);
-
-  const auto fused = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq,
-                              /*force_messages=*/false);
-  const auto unfused = run_with(c, /*unfuse=*/true, exec::BackendKind::Seq,
-                                /*force_messages=*/false);
+  const auto fused = run_with(c, exec::BackendKind::Seq);
   EXPECT_EQ(fused.signature, oracle.signature);
-  EXPECT_EQ(invariants(fused), invariants(unfused));
 
-  // Every flush collapses its members into one superstep: the unfused run
-  // pays one superstep per copy, the fused one per remap vertex visit.
-  ASSERT_GT(fused.copies_performed, 0);
-  EXPECT_EQ(unfused.net.supersteps,
-            static_cast<std::uint64_t>(unfused.copies_performed));
-  EXPECT_EQ(fused.net.supersteps,
-            static_cast<std::uint64_t>(fused.copies_performed / arrays));
+  // Each trip remaps every array twice (block -> cyclic -> block), each
+  // remap moving the whole array: one vertex visit per remap.
+  const auto visits = static_cast<std::uint64_t>(2 * trips);
+  ASSERT_EQ(fused.copies_performed, static_cast<int>(visits) * arrays);
+  EXPECT_EQ(fused.elements_copied,
+            static_cast<std::uint64_t>(fused.copies_performed) *
+                static_cast<std::uint64_t>(n));
+  // Every flush collapses its k members into one superstep, and every
+  // member shares it.
+  EXPECT_EQ(fused.net.supersteps, visits);
   EXPECT_EQ(fused.net.fused_copies,
             static_cast<std::uint64_t>(fused.copies_performed));
-  EXPECT_EQ(unfused.net.fused_copies, 0u);
-  // Off-rank messages merge per (src, dst) pair: k-fold fewer.
-  EXPECT_EQ(unfused.net.messages,
-            fused.net.messages * static_cast<std::uint64_t>(arrays));
-  // Fewer message latencies -> the alpha term shrinks.
-  EXPECT_LT(fused.net.sim_time, unfused.net.sim_time);
+  // block <-> cyclic on P ranks is all-to-all: P(P-1) off-rank pairs per
+  // visit, each one combined message whatever k is (unfused, every
+  // array would pay its own P(P-1) messages).
+  const auto pairs = static_cast<std::uint64_t>(procs * (procs - 1));
+  EXPECT_EQ(fused.net.messages, visits * pairs);
+  // Each rank keeps n/P^2 elements of every array local per visit.
+  EXPECT_EQ(fused.net.local_copies,
+            static_cast<std::uint64_t>(fused.copies_performed * procs));
+  EXPECT_EQ(fused.net.bytes + fused.net.local_bytes,
+            fused.elements_copied * sizeof(double));
 
-  for (const bool unfuse : {false, true}) {
-    for (const auto backend :
-         {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
-      for (const bool force : {false, true}) {
-        const auto report = run_with(c, unfuse, backend, force);
-        EXPECT_EQ(invariants(report), invariants(fused))
-            << (unfuse ? "unfused" : "fused") << " "
-            << exec::to_string(backend) << (force ? " forced" : " fastpath");
-        EXPECT_TRUE(report.exported_values_ok);
-        EXPECT_EQ(report.net.supersteps,
-                  unfuse ? unfused.net.supersteps : fused.net.supersteps);
-      }
-    }
+  for (const auto backend :
+       {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
+    const auto report = run_with(c, backend);
+    EXPECT_EQ(invariants(report), invariants(fused))
+        << exec::to_string(backend);
+    EXPECT_TRUE(report.exported_values_ok);
+    EXPECT_EQ(report.net, fused.net) << exec::to_string(backend);
   }
 }
 
-// The local fast path and the forced message path stay NetStats-identical
-// under fusion (self-messages are framed per member program, the exact
-// unit account_local books).
-TEST(CopyGroups, FusedFastPathMatchesForcedMessages) {
-  const Compiled c = compile_multi(96, 4, 3, 2, OptLevel::O2);
-  const auto fast = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq,
-                             /*force_messages=*/false);
-  const auto forced = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq,
-                               /*force_messages=*/true);
-  EXPECT_EQ(fast.net, forced.net);
-  EXPECT_EQ(fast.signature, forced.signature);
-  EXPECT_GT(fast.local_fastpath_copies, 0u);
-  EXPECT_EQ(forced.local_fastpath_copies, 0u);
-  EXPECT_LT(fast.packed_bytes, forced.packed_bytes);
-}
-
 // Randomized programs: fusion must preserve results and data volumes at
-// every level, backend, and fast-path setting, and never add supersteps.
+// every level and backend, and a superstep always carries a copy.
 TEST(CopyGroups, RandomProgramsFuseWithoutChangingResults) {
   for (unsigned seed = 1; seed <= 12; ++seed) {
     testing::GenConfig config;
@@ -227,24 +205,21 @@ TEST(CopyGroups, RandomProgramsFuseWithoutChangingResults) {
                                           options, diags);
       ASSERT_TRUE(compiled.ok) << diags.to_string();
 
-      const auto fused = run_with(compiled, false, exec::BackendKind::Seq,
-                                  false, 100 + seed);
-      const auto unfused = run_with(compiled, true, exec::BackendKind::Seq,
-                                    false, 100 + seed);
-      EXPECT_EQ(invariants(fused), invariants(unfused)) << "seed " << seed;
-      EXPECT_LE(fused.net.supersteps, unfused.net.supersteps);
-      EXPECT_EQ(unfused.net.fused_copies, 0u);
+      runtime::RunOptions oracle_options;
+      oracle_options.seed = 100 + seed;
+      const auto oracle = driver::run_oracle(compiled, oracle_options);
+      const auto fused = run_with(compiled, exec::BackendKind::Seq, 100 + seed);
+      EXPECT_EQ(fused.signature, oracle.signature) << "seed " << seed;
+      EXPECT_TRUE(fused.exported_values_ok) << "seed " << seed;
+      EXPECT_LE(fused.net.supersteps,
+                static_cast<std::uint64_t>(fused.copies_performed));
+      EXPECT_LE(fused.net.fused_copies,
+                static_cast<std::uint64_t>(fused.copies_performed));
 
-      const auto threaded = run_with(compiled, false,
-                                     exec::BackendKind::Thread, false,
-                                     100 + seed);
+      const auto threaded =
+          run_with(compiled, exec::BackendKind::Thread, 100 + seed);
+      EXPECT_EQ(invariants(threaded), invariants(fused)) << "seed " << seed;
       EXPECT_EQ(threaded.net, fused.net) << "seed " << seed;
-      EXPECT_EQ(threaded.signature, fused.signature);
-
-      const auto forced = run_with(compiled, false, exec::BackendKind::Seq,
-                                   true, 100 + seed);
-      EXPECT_EQ(forced.net, fused.net) << "seed " << seed;
-      EXPECT_EQ(forced.signature, fused.signature);
     }
   }
 }

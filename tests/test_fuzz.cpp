@@ -1,9 +1,10 @@
 // Seeded differential fuzzing: random generated programs swept through
 // every optimization level and execution backend. For each accepted
-// program the parallel signature must equal the sequential oracle's, and
-// every NetStats counter must be byte-identical across backends at the
-// same level. Failures print a self-contained reproducer line (generator
-// seed + run seed + flags) so a divergence can be replayed — and then
+// program Theorem 1 must hold after optimization, the parallel signature
+// must equal the sequential oracle's, and every NetStats counter must be
+// byte-identical across backends at the same level. Failures print a
+// self-contained reproducer line (generator seed + run seed + flags) so
+// a divergence can be replayed — and then
 // minimized into tests/test_differential.cpp — without rerunning the
 // sweep. Seeds start at 2000 to stay disjoint from test_differential's.
 #include <gtest/gtest.h>
@@ -62,6 +63,9 @@ TEST_P(FuzzPrograms, BackendsMatchTheOracleAtEveryLevel) {
         driver::compile(regenerate(gen_seed, config), options, diags);
     ASSERT_TRUE(compiled.ok) << driver::to_string(level) << "\n"
                              << diags.to_string();
+    EXPECT_TRUE(compiled.opt_report.theorem1_holds)
+        << "Theorem 1 violated: gen-seed=" << gen_seed << " --opt="
+        << driver::to_string(level);
 
     runtime::RunOptions run_options;
     run_options.seed = run_seed;
@@ -71,7 +75,8 @@ TEST_P(FuzzPrograms, BackendsMatchTheOracleAtEveryLevel) {
     net::NetStats reference_net;
     std::uint64_t reference_elements = 0;
     for (const exec::BackendKind backend :
-         {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
+         {exec::BackendKind::Seq, exec::BackendKind::Thread,
+          exec::BackendKind::Proc}) {
       SCOPED_TRACE(reproducer(gen_seed, run_seed, level, backend));
       runtime::RunOptions backend_options = run_options;
       backend_options.backend = backend;
@@ -93,7 +98,7 @@ TEST_P(FuzzPrograms, BackendsMatchTheOracleAtEveryLevel) {
   }
 }
 
-// A bounded sweep (20 programs x 3 levels x 2 backends) keeps the suite
+// A bounded sweep (20 programs x 3 levels x 3 backends) keeps the suite
 // CI-sized; run_benches-independent, so widening the range locally is a
 // one-line change.
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPrograms,

@@ -1,12 +1,10 @@
 // Specialized pack/unpack kernel codegen (copy-and-patch): specialize()
 // lowers a compiled SegmentProgram to fragment-stitched kernels whose
 // pack/unpack/copy must be byte-identical to the interpreted segment
-// walker — the kernels' differential oracle (see docs/kernels.md). These
+// walker — the kernels' test reference (see docs/kernels.md). These
 // tests pin (1) the fragment classification and span stitching, (2) the
 // byte-equality property over random_layout redistribution programs,
-// (3) the end-to-end interpret_kernels A/B contract across the full
-// {seq, thread} x {fused, unfused} x {fast path, forced} toggle matrix,
-// and (4) plan-slot eviction under memory pressure with lazy
+// and (3) plan-slot eviction under memory pressure with lazy
 // re-specialization (and fused-slot invalidation) behind it.
 #include <gtest/gtest.h>
 
@@ -189,64 +187,6 @@ Compiled compile_multi(Extent n, int procs, int arrays, Extent trips) {
   return compiled;
 }
 
-/// NetStats with the specialization pair zeroed: everything that must be
-/// byte-identical across the interpret_kernels toggle.
-net::NetStats strip_specialization(net::NetStats stats) {
-  stats.specialized_kernels = 0;
-  stats.specialized_dispatches = 0;
-  return stats;
-}
-
-// The A/B contract: across the full toggle matrix, an interpreted run and
-// a specialized run differ in NOTHING but the specialization counters —
-// and those are themselves invariant across backends and the fusion /
-// fast-path toggles (dispatches are counted once per transfer at the
-// producing site).
-TEST(InterpretKernelsToggle, OnlySpecializationCountersMove) {
-  const Compiled compiled = compile_multi(96, 4, 3, 2);
-  const runtime::RunReport oracle = driver::run_oracle(compiled, {});
-
-  std::uint64_t expected_kernels = 0;
-  std::uint64_t expected_dispatches = 0;
-  for (const auto backend :
-       {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
-    for (const bool unfuse : {false, true}) {
-      for (const bool force : {false, true}) {
-        runtime::RunOptions options;
-        options.seed = 11;
-        options.backend = backend;
-        options.threads = 3;
-        options.unfuse_copy_groups = unfuse;
-        options.force_message_path = force;
-        const runtime::RunReport spec = driver::run(compiled, options);
-        options.interpret_kernels = true;
-        const runtime::RunReport interp = driver::run(compiled, options);
-
-        EXPECT_EQ(spec.signature, oracle.signature);
-        EXPECT_EQ(interp.signature, oracle.signature);
-        EXPECT_EQ(strip_specialization(spec.net),
-                  strip_specialization(interp.net));
-        EXPECT_EQ(spec.elements_copied, interp.elements_copied);
-        EXPECT_EQ(spec.packed_bytes, interp.packed_bytes);
-        EXPECT_EQ(spec.local_fastpath_copies, interp.local_fastpath_copies);
-
-        EXPECT_EQ(interp.net.specialized_kernels, 0u);
-        EXPECT_EQ(interp.net.specialized_dispatches, 0u);
-        EXPECT_GT(spec.net.specialized_kernels, 0u);
-        EXPECT_GT(spec.net.specialized_dispatches, 0u);
-        // Invariance across the matrix: every leg installs the same
-        // kernels and dispatches the same transfer count through them.
-        if (expected_kernels == 0) {
-          expected_kernels = spec.net.specialized_kernels;
-          expected_dispatches = spec.net.specialized_dispatches;
-        }
-        EXPECT_EQ(spec.net.specialized_kernels, expected_kernels);
-        EXPECT_EQ(spec.net.specialized_dispatches, expected_dispatches);
-      }
-    }
-  }
-}
-
 // Under memory pressure the runtime falls back to evicting compiled plan
 // slots (programs + kernels); the evicted slots recompile and
 // re-specialize on their next use, so specialized_kernels rises past the
@@ -280,7 +220,7 @@ TEST(PlanEviction, EvictedSlotsReSpecializeLazily) {
 
   // The fused path survives member-plan eviction (cached fused rounds are
   // invalidated, not left dangling): re-running the same squeezed limit
-  // with fusion off must agree on every data-volume counter it shares.
+  // reproduces the run exactly.
   const runtime::RunReport squeezed_again = driver::run(compiled, options);
   EXPECT_EQ(squeezed_again.signature, oracle.signature);
   EXPECT_EQ(squeezed_again.plan_evictions, squeezed.plan_evictions);

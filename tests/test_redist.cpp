@@ -113,7 +113,7 @@ TEST_P(RedistSweep, OracleAndPeriodicAgree) {
   const auto from = one_dim(p.n, p.p_from, p.from);
   const auto to = one_dim(p.n, p.p_to, p.to);
   const RedistPlan oracle = build(from, to);
-  const RedistPlan fast = build_periodic(from, to);
+  const RedistPlan fast = build_runs(from, to).materialize();
   ASSERT_EQ(oracle.transfers.size(), fast.transfers.size());
   for (std::size_t i = 0; i < oracle.transfers.size(); ++i) {
     EXPECT_EQ(oracle.transfers[i].src, fast.transfers[i].src);
@@ -127,7 +127,7 @@ TEST_P(RedistSweep, TransfersPartitionTheArray) {
   const auto from = one_dim(p.n, p.p_from, p.from);
   const auto to = one_dim(p.n, p.p_to, p.to);
   expect_partition(build(from, to), to);
-  expect_partition(build_periodic(from, to), to);
+  expect_partition(build_runs(from, to).materialize(), to);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -175,7 +175,7 @@ TEST(Redist2D, TransposeRedistribution) {
   const auto to = ConcreteLayout::make(Shape{8, 8}, Shape{4}, {cols});
 
   const RedistPlan oracle = build(from, to);
-  const RedistPlan fast = build_periodic(from, to);
+  const RedistPlan fast = build_runs(from, to).materialize();
   expect_partition(oracle, to);
   ASSERT_EQ(oracle.transfers.size(), fast.transfers.size());
   // All-to-all: 4x4 = 16 transfers of a 2x2 tile each.

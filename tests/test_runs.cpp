@@ -1,9 +1,8 @@
 // Interval runs: the closed-form ownership/communication representation
 // must agree exactly — same element sets, same pack order — with the
 // materialized oracles at every layer: IndexRuns vs brute-force sets,
-// owned_index_runs vs owned_index_lists, build_runs vs build() vs
-// build_periodic(), and the compiled segment programs vs a per-element
-// position walk.
+// owned_index_runs vs owned_index_lists, build_runs vs build(), and the
+// compiled segment programs vs a per-element position walk.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -246,8 +245,6 @@ TEST(PlanRuns, RandomLayoutPairsAgreeWithOracleIncludingSegments) {
     const redist::RedistPlan oracle = redist::build(from, to);
     const redist::RedistPlanV2 v2 = redist::build_runs(from, to);
     expect_plans_identical(oracle, v2.materialize(), what + " [runs]");
-    expect_plans_identical(oracle, redist::build_periodic(from, to),
-                           what + " [periodic]");
 
     // Segment programs replay the oracle's exact (src, dst) local pairs in
     // the exact payload order.

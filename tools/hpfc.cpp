@@ -11,16 +11,14 @@
 //   --compare           execute at all three levels and tabulate
 //   --validate          run the Theorem 1 validator
 //   --report-json=PATH  dump the per-level RunReport counters as JSON
-//   --list-toggles      print the registered A/B toggle table and exit
+//   --list-toggles      print the registered toggle table and exit
 //   --calibrate         fit the cost model's alpha/beta from measured
 //                       proc-backend round-trips before running, and
 //                       record the constants in the report JSON
 //
 // The machine flags (--backend/--threads/--ranks/--seed/
-// --proc-timeout-ms/--snapshot-dir/--snapshot-every) and every A/B
-// toggle (--force-message-path, --unfuse-copy-groups,
-// --interpret-kernels, --concrete-plans, --no-pipeline, --paranoid,
-// --proc-tcp) come from the shared support::cli surface —
+// --proc-timeout-ms/--snapshot-dir/--snapshot-every) and every toggle
+// (--paranoid, --proc-tcp) come from the shared support::cli surface —
 // see `hpfc --list-toggles` and src/runtime/toggles.hpp. With
 // --snapshot-dir the run seals crash-consistent snapshots and the
 // report's restore_ms times persist::restore() of the final store.
@@ -297,16 +295,23 @@ int main(int argc, char** argv) {
 
   std::vector<LevelReport> reports;
   int status = 0;
-  if (options.compare) {
-    bool verbose = true;
-    for (const auto level : {driver::OptLevel::O0, driver::OptLevel::O1,
-                             driver::OptLevel::O2}) {
-      status |= run_level(source, options, level, verbose, reports);
-      verbose = false;  // dumps once, at the first level
+  try {
+    if (options.compare) {
+      bool verbose = true;
+      for (const auto level : {driver::OptLevel::O0, driver::OptLevel::O1,
+                               driver::OptLevel::O2}) {
+        status |= run_level(source, options, level, verbose, reports);
+        verbose = false;  // dumps once, at the first level
+      }
+    } else {
+      status = run_level(source, options, options.level, /*verbose=*/true,
+                         reports);
     }
-  } else {
-    status = run_level(source, options, options.level, /*verbose=*/true,
-                       reports);
+  } catch (const std::exception& err) {
+    // A run that cannot start or finish (e.g. a proc mesh beyond the
+    // open-file limit) is a diagnosed failure, not an abort.
+    std::cerr << "hpfc: " << err.what() << "\n";
+    return 1;
   }
   if (!options.report_json.empty() && !write_report_json(options, reports))
     status = 1;
