@@ -414,8 +414,7 @@ int bench_main(int argc, char** argv, const std::string& bench_name,
   if (options.calibrate) {
     try {
       options.calibration = hpfc::exec::calibrate_wire(
-          /*ranks=*/4, hpfc::exec::ProcConfig{options.run.proc_tcp,
-                                              options.run.proc_timeout_ms});
+          /*ranks=*/4, hpfc::exec::ProcConfig{options.run.proc_timeout_ms});
     } catch (const std::exception& err) {
       std::fprintf(stderr, "bench: calibration failed: %s\n", err.what());
       return 1;

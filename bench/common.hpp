@@ -142,10 +142,10 @@ hpfc::runtime::RunOptions default_run_options();
 /// removed from argv so the remainder can still go to Google Benchmark.
 ///
 /// The machine flags (--backend=seq|thread|proc, --threads, --ranks,
-/// --seed, --proc-timeout-ms) and every registered toggle (--paranoid,
-/// --proc-tcp) come from the shared support::cli surface and land in
-/// `run`; `--list-toggles` prints the
-/// registry table and exits.  Harness-specific flags:
+/// --seed, --proc-timeout-ms) and every registered toggle (--paranoid)
+/// come from the shared support::cli surface and land in `run`;
+/// `--list-toggles` prints the registry table and exits.
+/// Harness-specific flags:
 ///
 ///   --json=PATH   write the collected metrics as JSON to PATH
 ///   --reps=N      timed repetitions per measurement (default 3)

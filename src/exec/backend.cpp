@@ -99,11 +99,6 @@ Backend::Backend(int ranks, net::CostModel cost) : ranks_(ranks), cost_(cost) {
 
 Backend::~Backend() = default;
 
-void Backend::barrier() {
-  stats_.supersteps += 1;
-  stats_.sim_time += cost_.latency;
-}
-
 namespace {
 
 /// The original sequential BSP engine: ranks execute one after another on

@@ -53,9 +53,6 @@ enum class BackendKind {
 
 /// Configuration for BackendKind::Proc; ignored by the other backends.
 struct ProcConfig {
-  /// Use TCP loopback connections instead of AF_UNIX socketpairs (the
-  /// same frames flow either way; an environment A/B knob).
-  bool tcp = false;
   /// Deadline for every socket operation, in milliseconds: bounds how
   /// long a dead or wedged worker can stall an exchange before the run
   /// fails with a diagnostic instead of hanging.
@@ -165,7 +162,6 @@ class Backend {
   /// Real-socket traffic (zero for every backend but Proc).
   [[nodiscard]] const WireStats& wire() const { return wire_; }
   [[nodiscard]] const net::CostModel& cost_model() const { return cost_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Runs fn(r) for every rank r inside the backend's rank execution
   /// context and returns once all ranks finished (a superstep barrier).
@@ -180,10 +176,6 @@ class Backend {
   /// clock by the busiest rank's alpha-beta cost.
   virtual std::vector<std::vector<net::Message>> exchange(
       std::vector<std::vector<net::Message>> outboxes) = 0;
-
-  /// A synchronization-only superstep (advances the step counter and
-  /// charges one latency).
-  void barrier();
 
   /// Accounts rank-local bulk copies that bypassed message materialization
   /// (the runtime's src == dst fast path). Byte-identical to routing the
@@ -244,7 +236,7 @@ class Backend {
 /// Creates a backend. `threads` applies to BackendKind::Thread only:
 /// the worker count, clamped to [1, ranks]; 0 picks
 /// min(ranks, hardware_concurrency). `proc` applies to BackendKind::Proc
-/// only (socket flavour and operation deadline).
+/// only (the socket operation deadline).
 std::unique_ptr<Backend> make_backend(BackendKind kind, int ranks,
                                       net::CostModel cost = {},
                                       int threads = 0, ProcConfig proc = {});

@@ -305,13 +305,13 @@ ProcBackend::ProcBackend(int ranks, net::CostModel cost, ProcConfig config)
   std::vector<std::pair<wire::Socket, wire::Socket>> ctrl;  // {ours, theirs}
   ctrl.reserve(n);
   for (int r = 0; r < ranks; ++r)
-    ctrl.push_back(wire::make_stream_pair(config_.tcp));
+    ctrl.push_back(wire::make_stream_pair());
   // mesh[a][b]: worker a's end of the {a, b} channel (invalid on diagonal).
   std::vector<std::vector<wire::Socket>> mesh(n);
   for (auto& row : mesh) row.resize(n);
   for (int a = 0; a < ranks; ++a) {
     for (int b = a + 1; b < ranks; ++b) {
-      auto pair = wire::make_stream_pair(config_.tcp);
+      auto pair = wire::make_stream_pair();
       mesh[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
           std::move(pair.first);
       mesh[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] =

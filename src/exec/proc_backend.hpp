@@ -6,10 +6,10 @@
 // Rank *compute* still runs in the controlling process (the runtime's
 // ranks share one Machine address space — only the communication is
 // real); what the workers add is a genuine wire: payload bytes leave the
-// controller, hop src-worker -> dst-worker over AF_UNIX socketpairs (or
-// TCP loopback under ProcConfig::tcp), and come back assembled in the
-// same deterministic (src, emission) inbox order route_superstep would
-// produce — so NetStats and checksums stay byte-identical to seq/thread.
+// controller, hop src-worker -> dst-worker over AF_UNIX socketpairs, and
+// come back assembled in the same deterministic (src, emission) inbox
+// order route_superstep would produce — so NetStats and checksums stay
+// byte-identical to seq/thread.
 //
 // Robustness is part of the contract: every socket operation carries a
 // deadline (ProcConfig::timeout_ms), a worker that dies mid-superstep

@@ -8,40 +8,6 @@
 
 namespace hpfc::net {
 
-NetStats& NetStats::operator+=(const NetStats& other) {
-  messages += other.messages;
-  bytes += other.bytes;
-  local_copies += other.local_copies;
-  local_bytes += other.local_bytes;
-  segments += other.segments;
-  supersteps += other.supersteps;
-  fused_copies += other.fused_copies;
-  specialized_kernels += other.specialized_kernels;
-  specialized_dispatches += other.specialized_dispatches;
-  plan_cache_hits += other.plan_cache_hits;
-  plan_cache_misses += other.plan_cache_misses;
-  symbolic_instantiations += other.symbolic_instantiations;
-  sim_time += other.sim_time;
-  return *this;
-}
-
-NetStats operator-(NetStats a, const NetStats& b) {
-  a.messages -= b.messages;
-  a.bytes -= b.bytes;
-  a.local_copies -= b.local_copies;
-  a.local_bytes -= b.local_bytes;
-  a.segments -= b.segments;
-  a.supersteps -= b.supersteps;
-  a.fused_copies -= b.fused_copies;
-  a.specialized_kernels -= b.specialized_kernels;
-  a.specialized_dispatches -= b.specialized_dispatches;
-  a.plan_cache_hits -= b.plan_cache_hits;
-  a.plan_cache_misses -= b.plan_cache_misses;
-  a.symbolic_instantiations -= b.symbolic_instantiations;
-  a.sim_time -= b.sim_time;
-  return a;
-}
-
 std::string NetStats::summary() const {
   std::ostringstream os;
   os << messages << " msgs, " << format_bytes(bytes) << ", "
@@ -50,10 +16,6 @@ std::string NetStats::summary() const {
      << fused_copies << " fused, " << specialized_dispatches << " spec, "
      << sim_time * 1e3 << " ms";
   return os.str();
-}
-
-SimNetwork::SimNetwork(int ranks, CostModel cost) : ranks_(ranks), cost_(cost) {
-  HPFC_ASSERT_MSG(ranks > 0, "a machine needs at least one rank");
 }
 
 std::vector<std::vector<Message>> route_superstep(
@@ -119,18 +81,6 @@ void account_superstep(NetStats& stats, const CostModel& cost,
   }
   stats.sim_time += step_time;
   stats.supersteps += 1;
-}
-
-std::vector<std::vector<Message>> SimNetwork::exchange(
-    std::vector<std::vector<Message>> outboxes) {
-  auto inboxes = route_superstep(std::move(outboxes), ranks_);
-  account_superstep(stats_, cost_, inboxes);
-  return inboxes;
-}
-
-void SimNetwork::barrier() {
-  stats_.supersteps += 1;
-  stats_.sim_time += cost_.latency;
 }
 
 }  // namespace hpfc::net

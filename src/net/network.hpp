@@ -1,13 +1,14 @@
-// SimNetwork: a deterministic in-process stand-in for an MPI communicator.
+// Superstep routing and accounting for the simulated machine.
 //
 // The paper's runtime executes remapping communication on a distributed-
 // memory machine; no such machine (nor MPI) is available here, so the
 // machine is simulated: P ranks with per-rank memories exchange messages in
-// BSP supersteps. The network is *exact* about which bytes move where (the
-// redistribution communication sets are executed for real) and charges an
-// alpha-beta cost model for time, so benchmark comparisons (naive vs
-// optimized remappings) reproduce the communication-volume shape the paper
-// argues about.
+// BSP supersteps through an exec::Backend. Every backend routes with
+// route_superstep's order and charges account_superstep's counters, so the
+// network is *exact* about which bytes move where (the redistribution
+// communication sets are executed for real) and charges an alpha-beta cost
+// model for time; benchmark comparisons (naive vs optimized remappings)
+// reproduce the communication-volume shape the paper argues about.
 //
 // Self-messages (src == dst) model local copies: they are delivered but are
 // counted separately and cost no network time.
@@ -58,8 +59,6 @@ struct NetStats {
   std::uint64_t symbolic_instantiations = 0;
   double sim_time = 0.0;  ///< seconds under the cost model
 
-  NetStats& operator+=(const NetStats& other);
-  friend NetStats operator-(NetStats a, const NetStats& b);
   friend bool operator==(const NetStats&, const NetStats&) = default;
   [[nodiscard]] std::string summary() const;
 };
@@ -71,35 +70,9 @@ std::vector<std::vector<Message>> route_superstep(
 
 /// Accounts one already-routed superstep into `stats`: counters plus one
 /// BSP step of the alpha-beta clock (the busiest rank's send+receive
-/// cost).  Shared by SimNetwork and every exec::Backend so their NetStats
-/// stay byte-identical however the messages were physically moved.
+/// cost).  Shared by every exec::Backend so their NetStats stay
+/// byte-identical however the messages were physically moved.
 void account_superstep(NetStats& stats, const CostModel& cost,
                        const std::vector<std::vector<Message>>& inboxes);
-
-class SimNetwork {
- public:
-  explicit SimNetwork(int ranks, CostModel cost = {});
-
-  [[nodiscard]] int ranks() const { return ranks_; }
-  [[nodiscard]] const NetStats& stats() const { return stats_; }
-  [[nodiscard]] const CostModel& cost_model() const { return cost_; }
-  void reset_stats() { stats_ = {}; }
-
-  /// Performs one superstep of all-to-all personalized communication:
-  /// `outboxes[r]` holds the messages rank r sends (each message's `src`
-  /// must equal r). Returns `inboxes[r]` = messages received by rank r, in
-  /// deterministic (src, emission) order. Advances the simulated clock.
-  std::vector<std::vector<Message>> exchange(
-      std::vector<std::vector<Message>> outboxes);
-
-  /// A synchronization-only superstep (advances the step counter and
-  /// charges one latency).
-  void barrier();
-
- private:
-  int ranks_;
-  CostModel cost_;
-  NetStats stats_;
-};
 
 }  // namespace hpfc::net

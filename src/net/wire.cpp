@@ -1,8 +1,6 @@
 #include "net/wire.hpp"
 
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -74,43 +72,6 @@ void set_nonblocking(int fd) {
                   "cannot make socket non-blocking");
 }
 
-std::pair<Socket, Socket> make_unix_pair() {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-    wire_fail("socketpair", std::strerror(errno));
-  return {Socket(fds[0]), Socket(fds[1])};
-}
-
-std::pair<Socket, Socket> make_tcp_pair() {
-  Socket listener(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!listener.valid()) wire_fail("socket", std::strerror(errno));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(listener.fd(), reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0)
-    wire_fail("bind", std::strerror(errno));
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listener.fd(), reinterpret_cast<sockaddr*>(&addr),
-                    &len) != 0)
-    wire_fail("getsockname", std::strerror(errno));
-  if (::listen(listener.fd(), 1) != 0)
-    wire_fail("listen", std::strerror(errno));
-
-  Socket client(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!client.valid()) wire_fail("socket", std::strerror(errno));
-  if (::connect(client.fd(), reinterpret_cast<sockaddr*>(&addr),
-                sizeof(addr)) != 0)
-    wire_fail("connect", std::strerror(errno));
-  Socket server(::accept(listener.fd(), nullptr, nullptr));
-  if (!server.valid()) wire_fail("accept", std::strerror(errno));
-  const int one = 1;
-  (void)::setsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  (void)::setsockopt(server.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return {std::move(client), std::move(server)};
-}
-
 }  // namespace
 
 Socket& Socket::operator=(Socket&& other) noexcept {
@@ -128,8 +89,11 @@ void Socket::close() {
   }
 }
 
-std::pair<Socket, Socket> make_stream_pair(bool tcp) {
-  auto pair = tcp ? make_tcp_pair() : make_unix_pair();
+std::pair<Socket, Socket> make_stream_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+    wire_fail("socketpair", std::strerror(errno));
+  std::pair<Socket, Socket> pair{Socket(fds[0]), Socket(fds[1])};
   set_nonblocking(pair.first.fd());
   set_nonblocking(pair.second.fd());
   return pair;

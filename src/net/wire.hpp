@@ -1,6 +1,6 @@
 // Wire framing for the real-process execution backend: net::Message
 // vectors serialized into checksummed frames and moved over byte-stream
-// sockets (AF_UNIX socketpairs or TCP loopback connections).
+// sockets (AF_UNIX socketpairs).
 //
 // The layer is deliberately dumb: it knows how to create a connected
 // stream pair, how to encode/decode a frame, and how to move exact byte
@@ -50,10 +50,9 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Creates a connected bidirectional byte-stream pair: an AF_UNIX
-/// socketpair, or — with `tcp` — a loopback TCP connection (same frames,
-/// real network stack). Both ends are non-blocking.
-std::pair<Socket, Socket> make_stream_pair(bool tcp);
+/// Creates a connected bidirectional byte-stream pair (an AF_UNIX
+/// socketpair). Both ends are non-blocking.
+std::pair<Socket, Socket> make_stream_pair();
 
 enum class FrameKind : std::uint16_t {
   Outbox = 1,    ///< controller -> worker: the rank's outgoing messages

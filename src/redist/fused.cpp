@@ -8,7 +8,7 @@
 namespace hpfc::redist {
 
 FusedExchange build_fused_exchange(
-    int ranks, std::span<const std::span<const SegmentProgram>> members) {
+    int ranks, std::span<const std::span<const Kernel>> members) {
   FusedExchange fused;
   fused.by_src.resize(static_cast<std::size_t>(ranks));
   fused.local_by_rank.resize(static_cast<std::size_t>(ranks));
@@ -27,10 +27,10 @@ FusedExchange build_fused_exchange(
 
   for (std::size_t m = 0; m < members.size(); ++m) {
     for (std::size_t p = 0; p < members[m].size(); ++p) {
-      const SegmentProgram& tp = members[m][p];
+      const SegmentProgram& tp = members[m][p].program();
       HPFC_ASSERT_MSG(tp.src >= 0 && tp.src < ranks && tp.dst >= 0 &&
                           tp.dst < ranks,
-                      "fused member program outside the machine");
+                      "fused member transfer outside the machine");
       if (tp.src == tp.dst) {
         fused.local_by_rank[static_cast<std::size_t>(tp.src)].push_back(
             {static_cast<int>(m), static_cast<int>(p)});

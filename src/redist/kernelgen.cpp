@@ -15,7 +15,7 @@ namespace {
 //
 // Each strided body is instantiated over a (src_stride, dst_stride) pair
 // of compile-time constants; the sentinel 0 means "read the stride from
-// the step" (the runtime fallback). A constant unit stride compiles to
+// the segment" (the runtime fallback). A constant unit stride compiles to
 // memcpy; other constant strides compile to a 4-wide unrolled loop the
 // compiler can keep branch-free and vectorize.
 
@@ -26,10 +26,10 @@ inline Extent stride_of(Extent runtime_stride) {
 }
 
 template <Extent SS, Extent DS>
-void pack_body(const KernelStep* steps, std::size_t count, const double* src,
+void pack_body(const CopySegment* segs, std::size_t count, const double* src,
                double* out) {
   for (std::size_t i = 0; i < count; ++i) {
-    const KernelStep& s = steps[i];
+    const CopySegment& s = segs[i];
     const double* in = src + s.src_base;
     const Extent len = s.len;
     if constexpr (SS == 1) {
@@ -50,10 +50,10 @@ void pack_body(const KernelStep* steps, std::size_t count, const double* src,
 }
 
 template <Extent SS, Extent DS>
-void unpack_body(const KernelStep* steps, std::size_t count, const double* in,
+void unpack_body(const CopySegment* segs, std::size_t count, const double* in,
                  double* dst) {
   for (std::size_t i = 0; i < count; ++i) {
-    const KernelStep& s = steps[i];
+    const CopySegment& s = segs[i];
     double* out = dst + s.dst_base;
     const Extent len = s.len;
     if constexpr (DS == 1) {
@@ -74,10 +74,10 @@ void unpack_body(const KernelStep* steps, std::size_t count, const double* in,
 }
 
 template <Extent SS, Extent DS>
-void copy_body(const KernelStep* steps, std::size_t count, const double* src,
+void copy_body(const CopySegment* segs, std::size_t count, const double* src,
                double* dst) {
   for (std::size_t i = 0; i < count; ++i) {
-    const KernelStep& s = steps[i];
+    const CopySegment& s = segs[i];
     const double* in = src + s.src_base;
     double* out = dst + s.dst_base;
     const Extent len = s.len;
@@ -98,28 +98,28 @@ void copy_body(const KernelStep* steps, std::size_t count, const double* src,
   }
 }
 
-// Singleton steps (len == 1): the strides are irrelevant, so the whole
-// span is one fully unrolled gather/scatter over the step table.
-void pack_singleton(const KernelStep* steps, std::size_t count,
+// Singleton segments (len == 1): the strides are irrelevant, so the whole
+// span is one fully unrolled gather/scatter over the segment table.
+void pack_singleton(const CopySegment* segs, std::size_t count,
                     const double* src, double* out) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = src[steps[i].src_base];
+  for (std::size_t i = 0; i < count; ++i) out[i] = src[segs[i].src_base];
 }
-void unpack_singleton(const KernelStep* steps, std::size_t count,
+void unpack_singleton(const CopySegment* segs, std::size_t count,
                       const double* in, double* dst) {
-  for (std::size_t i = 0; i < count; ++i) dst[steps[i].dst_base] = in[i];
+  for (std::size_t i = 0; i < count; ++i) dst[segs[i].dst_base] = in[i];
 }
-void copy_singleton(const KernelStep* steps, std::size_t count,
+void copy_singleton(const CopySegment* segs, std::size_t count,
                     const double* src, double* dst) {
   for (std::size_t i = 0; i < count; ++i)
-    dst[steps[i].dst_base] = src[steps[i].src_base];
+    dst[segs[i].dst_base] = src[segs[i].src_base];
 }
 
-// Small-count steps (2 <= len <= 4): a fully unrolled fallthrough switch
-// per step — no inner loop to set up for a handful of elements.
-void pack_unrolled(const KernelStep* steps, std::size_t count,
+// Small-count segments (2 <= len <= 4): a fully unrolled fallthrough
+// switch per segment — no inner loop to set up for a handful of elements.
+void pack_unrolled(const CopySegment* segs, std::size_t count,
                    const double* src, double* out) {
   for (std::size_t i = 0; i < count; ++i) {
-    const KernelStep& s = steps[i];
+    const CopySegment& s = segs[i];
     const double* in = src + s.src_base;
     const Extent st = s.src_stride;
     switch (s.len) {
@@ -130,10 +130,10 @@ void pack_unrolled(const KernelStep* steps, std::size_t count,
     out += s.len;
   }
 }
-void unpack_unrolled(const KernelStep* steps, std::size_t count,
+void unpack_unrolled(const CopySegment* segs, std::size_t count,
                      const double* in, double* dst) {
   for (std::size_t i = 0; i < count; ++i) {
-    const KernelStep& s = steps[i];
+    const CopySegment& s = segs[i];
     double* out = dst + s.dst_base;
     const Extent st = s.dst_stride;
     switch (s.len) {
@@ -144,10 +144,10 @@ void unpack_unrolled(const KernelStep* steps, std::size_t count,
     in += s.len;
   }
 }
-void copy_unrolled(const KernelStep* steps, std::size_t count,
+void copy_unrolled(const CopySegment* segs, std::size_t count,
                    const double* src, double* dst) {
   for (std::size_t i = 0; i < count; ++i) {
-    const KernelStep& s = steps[i];
+    const CopySegment& s = segs[i];
     const double* in = src + s.src_base;
     double* out = dst + s.dst_base;
     const Extent sst = s.src_stride;
@@ -165,7 +165,7 @@ void copy_unrolled(const KernelStep* steps, std::size_t count,
 /// Stride values with dedicated template instantiations; index 6 (value 0)
 /// is the runtime-stride fallback. {2, 3, 4, 8, 16} cover the block <->
 /// cyclic(k) remapping shapes of the paper's workloads at common machine
-/// sizes; anything else reads its strides from the step table.
+/// sizes; anything else reads its strides from the segment table.
 constexpr std::array<Extent, 7> kStrideValues = {1, 2, 3, 4, 8, 16, 0};
 
 constexpr const char* fragment_name(Extent ss, Extent ds) {
@@ -226,18 +226,18 @@ constexpr std::array<std::string_view, 7> kCatalog = {
 
 void Kernel::pack(std::span<const double> src_local,
                   std::span<double> out) const {
-  HPFC_ASSERT(static_cast<Extent>(out.size()) == elements_);
+  HPFC_ASSERT(static_cast<Extent>(out.size()) == program_.elements);
   for (const KernelSpan& span : spans_) {
-    span.fragment->pack(steps_.data() + span.first, span.count,
+    span.fragment->pack(program_.segments.data() + span.first, span.count,
                         src_local.data(), out.data() + span.out_offset);
   }
 }
 
 void Kernel::unpack(std::span<const double> payload,
                     std::span<double> dst_local) const {
-  HPFC_ASSERT(static_cast<Extent>(payload.size()) == elements_);
+  HPFC_ASSERT(static_cast<Extent>(payload.size()) == program_.elements);
   for (const KernelSpan& span : spans_) {
-    span.fragment->unpack(steps_.data() + span.first, span.count,
+    span.fragment->unpack(program_.segments.data() + span.first, span.count,
                           payload.data() + span.out_offset, dst_local.data());
   }
 }
@@ -245,13 +245,14 @@ void Kernel::unpack(std::span<const double> payload,
 void Kernel::copy(std::span<const double> src_local,
                   std::span<double> dst_local) const {
   for (const KernelSpan& span : spans_) {
-    span.fragment->copy(steps_.data() + span.first, span.count,
+    span.fragment->copy(program_.segments.data() + span.first, span.count,
                         src_local.data(), dst_local.data());
   }
 }
 
 std::uint64_t Kernel::footprint_bytes() const {
-  return static_cast<std::uint64_t>(steps_.capacity()) * sizeof(KernelStep) +
+  return static_cast<std::uint64_t>(program_.segments.capacity()) *
+             sizeof(CopySegment) +
          static_cast<std::uint64_t>(spans_.capacity()) * sizeof(KernelSpan);
 }
 
@@ -262,25 +263,22 @@ std::string Kernel::describe() const {
   return os.str();
 }
 
-Kernel specialize(const SegmentProgram& program) {
+Kernel specialize(SegmentProgram program) {
   Kernel kernel;
-  kernel.elements_ = program.elements;
-  kernel.steps_.reserve(program.segments.size());
+  kernel.program_ = std::move(program);
+  const std::vector<CopySegment>& segments = kernel.program_.segments;
   Extent offset = 0;
-  for (const CopySegment& seg : program.segments) {
-    const Fragment* fragment = classify(seg);
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const Fragment* fragment = classify(segments[i]);
     if (kernel.spans_.empty() ||
         kernel.spans_.back().fragment != fragment) {
       kernel.spans_.push_back(
-          {fragment, static_cast<std::uint32_t>(kernel.steps_.size()), 0,
-           offset});
+          {fragment, static_cast<std::uint32_t>(i), 0, offset});
     }
     ++kernel.spans_.back().count;
-    kernel.steps_.push_back(
-        {seg.src_base, seg.dst_base, seg.src_stride, seg.dst_stride, seg.len});
-    offset += seg.len;
+    offset += segments[i].len;
   }
-  HPFC_ASSERT(offset == program.elements);
+  HPFC_ASSERT(offset == kernel.program_.elements);
   return kernel;
 }
 

@@ -37,7 +37,8 @@ struct CopySegment {
   Extent len = 0;
 };
 
-/// The compiled form of one transfer (the runtime's cached unit).
+/// The compiled form of one transfer. The runtime caches it inside the
+/// redist::Kernel specialized from it (redist/kernelgen.hpp).
 struct SegmentProgram {
   int src = 0;
   int dst = 0;

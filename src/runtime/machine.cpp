@@ -70,14 +70,12 @@ struct OwnershipProgram {
   std::vector<RankOwnership> per_rank;  ///< indexed by layout rank
 };
 
-/// Per copy-site compiled transfer programs: the segment programs and
-/// their kernels are compiled once per codegen plan slot and borrowed by
-/// every fused round the slot's copy joins.
+/// Per copy-site compiled transfers: one specialized kernel per transfer,
+/// each owning its compiled SegmentProgram, built once per codegen plan
+/// slot and borrowed by every fused round the slot's copy joins.
 struct PlanSlot {
   bool compiled = false;
-  std::vector<redist::SegmentProgram> programs;
-  /// Specialized pack/unpack kernels, one per program (same indexing),
-  /// installed at compile time; the vector never reallocates afterwards,
+  /// Installed at compile time; the vector never reallocates afterwards,
   /// so FusedSlot may point into it.
   std::vector<redist::Kernel> kernels;
   /// The symbolic plan instance this slot compiled from (nullptr for
@@ -85,8 +83,8 @@ struct PlanSlot {
   /// machine refcounts their footprint so a shared instance is charged
   /// once and survives until its last slot is evicted.
   std::shared_ptr<const redist::PlanInstance> instance;
-  /// Heap footprint of the compiled programs + kernels, charged against
-  /// the memory limit (plan slots are evictable like array copies). The
+  /// Heap footprint of the kernels (segment tables + spans), charged
+  /// against the memory limit (plan slots are evictable like array copies). The
   /// shared instance's bytes are accounted separately (refcounted).
   std::uint64_t plan_bytes = 0;
 };
@@ -103,41 +101,38 @@ struct PendingCopy {
 };
 
 /// One cached fused communication round (per distinct fired-member set):
-/// combined-message framing over the member plan slots' SegmentPrograms,
-/// plus pooled per-message payloads and a recycled mailbox skeleton, so
-/// steady-state remapping loops re-run with no per-copy payload
-/// allocation.
+/// combined-message framing over the member plan slots' kernels, the
+/// round's counters, plus pooled per-message payloads and a recycled
+/// mailbox skeleton, so steady-state remapping loops re-run with no
+/// per-copy payload allocation.
 struct FusedSlot {
   std::vector<PendingCopy> members;
-  /// members[m]'s compiled programs (borrowed from its PlanSlot).
-  std::vector<const std::vector<redist::SegmentProgram>*> programs;
-  /// members[m]'s specialized kernels (borrowed from its PlanSlot).
-  /// Cached fused slots are invalidated whenever a member plan slot is
-  /// evicted, so these pointers never dangle.
+  /// members[m]'s kernels (borrowed from its PlanSlot). Cached fused slots
+  /// are invalidated whenever a member plan slot is evicted, so these
+  /// pointers never dangle.
   std::vector<const std::vector<redist::Kernel>*> kernels;
   /// members[m]'s (source, destination) version storage. VersionStorage
   /// objects are allocated once at machine construction, so the pointers
   /// are stable for the whole run.
   std::vector<std::pair<VersionStorage*, VersionStorage*>> endpoints;
   redist::FusedExchange exchange;
-  std::vector<std::vector<double>> payload_pool;  ///< per message table entry
-  std::vector<std::vector<net::Message>> mailbox_pool;
-};
-
-/// Per-rank counters written inside a copy superstep (each rank owns its
-/// slot) and reduced on the controlling thread after the barrier.
-struct CopyTally {
+  /// The round's counters, fixed by its framing and counted once when the
+  /// round is built: the local fast-path units with their segments and
+  /// elements, the remote payload elements, and the kernel dispatches
+  /// (one per local unit or frame: a transfer's dispatch is booked at its
+  /// producing site, never again at its unpack).
   std::uint64_t local_copies = 0;
-  std::uint64_t local_bytes = 0;
   std::uint64_t local_segments = 0;
   std::uint64_t local_elements = 0;
-  std::uint64_t packed_bytes = 0;
-  std::uint64_t unpacked = 0;
-  /// Transfers this rank executed through a specialized kernel at the
-  /// producing site (pack or local copy; unpacks are not re-counted).
-  std::uint64_t specialized = 0;
+  std::uint64_t remote_elements = 0;
+  std::uint64_t dispatches = 0;
+  std::vector<std::vector<double>> payload_pool;  ///< per message table entry
+  std::vector<std::vector<net::Message>> mailbox_pool;
 
-  friend bool operator==(const CopyTally&, const CopyTally&) = default;
+  [[nodiscard]] const redist::Kernel& kernel(int member, int k) const {
+    return (*kernels[static_cast<std::size_t>(member)])
+        [static_cast<std::size_t>(k)];
+  }
 };
 
 class Machine {
@@ -154,7 +149,7 @@ class Machine {
         backend_(exec::make_backend(
             code != nullptr ? options.backend : exec::BackendKind::Seq,
             machine_ranks(program, options), options.cost, options.threads,
-            exec::ProcConfig{options.proc_tcp, options.proc_timeout_ms})) {
+            exec::ProcConfig{options.proc_timeout_ms})) {
     const std::size_t num_arrays = program_.arrays.size();
     status_.assign(num_arrays, 0);
     storage_.resize(num_arrays);
@@ -178,8 +173,6 @@ class Machine {
                          ? static_cast<std::size_t>(code_->plan_family_count)
                          : 0);
     partials_.assign(static_cast<std::size_t>(backend_->ranks()), 0);
-    copy_tallies_.assign(static_cast<std::size_t>(backend_->ranks()),
-                         CopyTally{});
     if (parallel() && !options_.snapshot_dir.empty())
       snapshot_writer_ =
           std::make_unique<persist::SnapshotWriter>(options_.snapshot_dir);
@@ -239,7 +232,7 @@ class Machine {
       switch (n.kind) {
         case CfgKind::Exit: {
           if (parallel()) {
-            check_exported(n);
+            check_exported();
             // Seal the final store before the exit cleanup frees it, so
             // the last sealed epoch always captures the program's result.
             take_snapshot();
@@ -438,8 +431,8 @@ class Machine {
   }
 
   /// Second-phase eviction (the plan-cache analogue of §5.2): drops
-  /// compiled plan slots — segment programs, specialized kernels, pooled
-  /// buffers — largest first until the budget fits. An evicted slot is
+  /// compiled plan slots — their kernels and segment tables — largest
+  /// first until the budget fits. An evicted slot is
   /// recompiled on its next use, so specialized_kernels rises while every
   /// data-volume counter stays put.
   void evict_plan_slots(int keep_slot) {
@@ -463,8 +456,8 @@ class Machine {
   }
 
   /// A plan slot referenced by the open fused round must survive until its
-  /// flush: pending_ members' compiled programs are already borrowed by
-  /// the round being assembled.
+  /// flush: pending_ members' kernels are already borrowed by the round
+  /// being assembled.
   [[nodiscard]] bool plan_pinned(int slot) const {
     for (const PendingCopy& m : pending_)
       if (m.plan_slot == slot) return true;
@@ -478,9 +471,9 @@ class Machine {
     // is dropped (release_instance refcounts).
     release_instance(plan_slots_[s].instance);
     plan_slots_[s] = PlanSlot{};
-    // Cached fused rounds borrow pointers into their member plan slots'
-    // programs and kernels; invalidate every round that references this
-    // slot so the pointers can never dangle.
+    // Cached fused rounds borrow pointers to their member plan slots'
+    // kernels; invalidate every round that references this slot so the
+    // pointers can never dangle.
     std::erase_if(fused_slots_, [&](const auto& kv) {
       return std::find(kv.first.begin(), kv.first.end(),
                        static_cast<int>(s)) != kv.first.end();
@@ -488,12 +481,10 @@ class Machine {
     ++report_.plan_evictions;
   }
 
-  /// Heap footprint of a compiled slot's patched tables: the segment list
-  /// plus the specialized kernels.
+  /// Heap footprint of a compiled slot: its kernels' segment tables and
+  /// span lists.
   static std::uint64_t plan_slot_bytes(const PlanSlot& slot) {
     std::uint64_t bytes = 0;
-    for (const auto& tp : slot.programs)
-      bytes += tp.segments.capacity() * sizeof(redist::CopySegment);
     for (const auto& kernel : slot.kernels) bytes += kernel.footprint_bytes();
     return bytes;
   }
@@ -666,78 +657,6 @@ class Machine {
         .count();
   }
 
-  /// The superstep skeleton of remap communication: recycled mailboxes
-  /// and per-rank tallies around ONE exchange. `pack_rank(r, outbox,
-  /// tally)` emits rank r's messages (payloads drawn from `payload_pool`
-  /// by tag) and runs its local fast-path copies; `unpack_msg(r, msg)`
-  /// scatters one routed message. Everything else — tally reduction,
-  /// account_local, unpacked-element accounting, payload reclamation by
-  /// tag, mailbox-skeleton recycling — lives here.
-  template <typename PackRank, typename UnpackMsg>
-  void copy_superstep(std::vector<std::vector<double>>& payload_pool,
-                      std::vector<std::vector<net::Message>>& mailbox_pool,
-                      const PackRank& pack_rank, const UnpackMsg& unpack_msg) {
-    auto outboxes = std::move(mailbox_pool);
-    outboxes.resize(static_cast<std::size_t>(backend_->ranks()));
-    for (auto& box : outboxes) box.clear();
-    std::fill(copy_tallies_.begin(), copy_tallies_.end(), CopyTally{});
-    report_.pack_ms += phase_step([&](int r) {
-      pack_rank(r, outboxes[static_cast<std::size_t>(r)],
-                copy_tallies_[static_cast<std::size_t>(r)]);
-    });
-    std::uint64_t local_copies = 0;
-    std::uint64_t local_bytes = 0;
-    std::uint64_t local_segments = 0;
-    std::uint64_t specialized = 0;
-    for (const CopyTally& tally : copy_tallies_) {
-      local_copies += tally.local_copies;
-      local_bytes += tally.local_bytes;
-      local_segments += tally.local_segments;
-      specialized += tally.specialized;
-      report_.elements_copied += tally.local_elements;
-      report_.packed_bytes += tally.packed_bytes;
-    }
-    backend_->account_local(local_copies, local_bytes, local_segments);
-    if (specialized != 0) backend_->account_specialization(0, specialized);
-    report_.local_fastpath_copies += local_copies;
-
-    const auto exchange_start = std::chrono::steady_clock::now();
-    auto inboxes = backend_->exchange(std::move(outboxes));
-    report_.exchange_ms += std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() -
-                               exchange_start)
-                               .count();
-    std::fill(copy_tallies_.begin(), copy_tallies_.end(), CopyTally{});
-    report_.unpack_ms += phase_step([&](int r) {
-      CopyTally& tally = copy_tallies_[static_cast<std::size_t>(r)];
-      for (const auto& msg : inboxes[static_cast<std::size_t>(r)]) {
-        unpack_msg(r, msg);
-        tally.unpacked += msg.payload.size();
-      }
-    });
-    for (const CopyTally& tally : copy_tallies_)
-      report_.elements_copied += tally.unpacked;
-    // Recycle: payload buffers go back to their tag's pool slot, and the
-    // routed mailbox skeleton (outer + inner vector capacities) becomes
-    // the next execution's outboxes.
-    for (auto& inbox : inboxes)
-      for (auto& msg : inbox)
-        payload_pool[static_cast<std::size_t>(msg.tag)] =
-            std::move(msg.payload);
-    for (auto& inbox : inboxes) inbox.clear();
-    mailbox_pool = std::move(inboxes);
-  }
-
-  /// Books one executed local fast-path program into a rank's tally.
-  static void tally_local(CopyTally& tally,
-                          const redist::SegmentProgram& tp) {
-    tally.local_copies += 1;
-    tally.local_bytes +=
-        static_cast<std::uint64_t>(tp.elements) * sizeof(double);
-    tally.local_segments += tp.segments.size();
-    tally.local_elements += static_cast<std::uint64_t>(tp.elements);
-  }
-
   PlanSlot& transfer_plan(ArrayId a, int src, int dst,
                           const ir::Region& region, int plan_slot) {
     HPFC_ASSERT_MSG(plan_slot >= 0 &&
@@ -759,7 +678,7 @@ class Machine {
       local_plan = redist::build_runs(from, to);
     const redist::RedistPlanV2& plan =
         slot.instance != nullptr ? slot.instance->plan : local_plan;
-    slot.programs.reserve(plan.transfers.size());
+    slot.kernels.reserve(plan.transfers.size());
     // Owned run sets are shared across a rank's transfers: one per
     // endpoint rank, never per element.
     std::map<int, std::vector<mapping::IndexRuns>> src_owned;
@@ -778,15 +697,12 @@ class Machine {
           src_owned.try_emplace(t->src, from.owned_index_runs(t->src)).first;
       const auto dit =
           dst_owned.try_emplace(t->dst, to.owned_index_runs(t->dst)).first;
-      slot.programs.push_back(
-          redist::compile_transfer(*t, sit->second, dit->second));
+      // Each compiled program moves into the kernel specialized from it.
+      // Installed once per compile; an evicted slot re-installs on
+      // recompilation, so specialized_kernels counts both.
+      slot.kernels.push_back(redist::specialize(
+          redist::compile_transfer(*t, sit->second, dit->second)));
     }
-    // Specialize each compiled program into a pack/unpack kernel.
-    // Installed once per compile; an evicted slot re-installs on
-    // recompilation, so specialized_kernels counts both.
-    slot.kernels.reserve(slot.programs.size());
-    for (const auto& tp : slot.programs)
-      slot.kernels.push_back(redist::specialize(tp));
     backend_->account_specialization(slot.kernels.size(), 0);
     slot.compiled = true;
     // The compiled tables are memory like any copy: charge them against
@@ -908,17 +824,15 @@ class Machine {
     FusedSlot& slot = it->second;
     if (!inserted) return slot;
     slot.members = pending_;
-    slot.programs.reserve(pending_.size());
-    slot.endpoints.reserve(pending_.size());
-    std::vector<std::span<const redist::SegmentProgram>> spans;
-    spans.reserve(pending_.size());
     slot.kernels.reserve(pending_.size());
+    slot.endpoints.reserve(pending_.size());
+    std::vector<std::span<const redist::Kernel>> spans;
+    spans.reserve(pending_.size());
     for (const PendingCopy& m : pending_) {
-      const PlanSlot& plan = plan_slots_[static_cast<std::size_t>(m.plan_slot)];
-      const auto& programs = plan.programs;
-      slot.programs.push_back(&programs);
-      slot.kernels.push_back(&plan.kernels);
-      spans.emplace_back(programs);
+      const auto& kernels =
+          plan_slots_[static_cast<std::size_t>(m.plan_slot)].kernels;
+      slot.kernels.push_back(&kernels);
+      spans.emplace_back(kernels);
       slot.endpoints.push_back(
           {&storage_[static_cast<std::size_t>(m.array)]
                     [static_cast<std::size_t>(m.src)],
@@ -926,6 +840,20 @@ class Machine {
                     [static_cast<std::size_t>(m.dst)]});
     }
     slot.exchange = redist::build_fused_exchange(backend_->ranks(), spans);
+    for (const auto& units : slot.exchange.local_by_rank) {
+      for (const redist::FusedLocal& u : units) {
+        const redist::SegmentProgram& tp =
+            slot.kernel(u.member, u.kernel).program();
+        ++slot.local_copies;
+        slot.local_segments += tp.segments.size();
+        slot.local_elements += static_cast<std::uint64_t>(tp.elements);
+      }
+    }
+    slot.dispatches = slot.local_copies;
+    for (const redist::FusedMessage& fm : slot.exchange.messages) {
+      slot.remote_elements += static_cast<std::uint64_t>(fm.elements);
+      slot.dispatches += fm.frames.size();
+    }
     slot.payload_pool.resize(slot.exchange.messages.size());
     return slot;
   }
@@ -935,74 +863,88 @@ class Machine {
   /// step by frame, every transfer through its specialized kernel.
   /// src == dst transfers run as direct strided local copies (no message
   /// is ever materialized), accounted through Backend::account_local with
-  /// the exact counters a self-message would have produced.
+  /// the exact counters a self-message would have produced. The counters
+  /// come from the round's totals, counted once when fused_slot() built it.
   void run_fused() {
     FusedSlot& slot = fused_slot();
     const redist::FusedExchange& fx = slot.exchange;
-    const auto member_program =
-        [&slot](int member, int program) -> const redist::SegmentProgram& {
-      const auto& programs = *slot.programs[static_cast<std::size_t>(member)];
-      return programs[static_cast<std::size_t>(program)];
-    };
-    const auto member_kernel =
-        [&slot](int member, int program) -> const redist::Kernel& {
-      const auto& kernels = *slot.kernels[static_cast<std::size_t>(member)];
-      return kernels[static_cast<std::size_t>(program)];
-    };
 
-    copy_superstep(
-        slot.payload_pool, slot.mailbox_pool,
-        [&](int r, std::vector<net::Message>& outbox, CopyTally& tally) {
-          for (const redist::FusedLocal& u :
-               fx.local_by_rank[static_cast<std::size_t>(r)]) {
-            const auto& [from, to] =
-                slot.endpoints[static_cast<std::size_t>(u.member)];
-            const redist::Kernel& k = member_kernel(u.member, u.program);
-            k.copy(from->locals[static_cast<std::size_t>(r)],
-                   to->locals[static_cast<std::size_t>(r)]);
-            ++tally.specialized;
-            tally_local(tally, member_program(u.member, u.program));
-          }
-          for (const int mi : fx.by_src[static_cast<std::size_t>(r)]) {
-            const redist::FusedMessage& fm =
-                fx.messages[static_cast<std::size_t>(mi)];
-            net::Message msg;
-            msg.src = fm.src;
-            msg.dst = fm.dst;
-            msg.tag = mi;
-            msg.segments = fm.segments;
-            msg.payload =
-                std::move(slot.payload_pool[static_cast<std::size_t>(mi)]);
-            msg.payload.resize(static_cast<std::size_t>(fm.elements));
-            for (const redist::FusedFrame& fr : fm.frames) {
-              const auto& [from, to] =
-                  slot.endpoints[static_cast<std::size_t>(fr.member)];
-              const std::span<double> window(
-                  msg.payload.data() + fr.offset,
-                  static_cast<std::size_t>(fr.len));
-              const redist::Kernel& k = member_kernel(fr.member, fr.program);
-              k.pack(from->locals[static_cast<std::size_t>(r)], window);
-              ++tally.specialized;
-            }
-            tally.packed_bytes += msg.bytes();
-            outbox.push_back(std::move(msg));
-          }
-        },
-        [&](int r, const net::Message& msg) {
-          const redist::FusedMessage& fm =
-              fx.messages[static_cast<std::size_t>(msg.tag)];
-          for (const redist::FusedFrame& fr : fm.frames) {
-            const auto& [from, to] =
-                slot.endpoints[static_cast<std::size_t>(fr.member)];
-            const std::span<const double> window(
-                msg.payload.data() + fr.offset,
-                static_cast<std::size_t>(fr.len));
-            // Unpacks are not re-counted in tally.specialized: a
-            // transfer's dispatch is booked once, at the producing site.
-            const redist::Kernel& k = member_kernel(fr.member, fr.program);
-            k.unpack(window, to->locals[static_cast<std::size_t>(r)]);
-          }
-        });
+    // The recycled mailbox skeleton becomes this round's outboxes.
+    auto outboxes = std::move(slot.mailbox_pool);
+    outboxes.resize(static_cast<std::size_t>(backend_->ranks()));
+    for (auto& box : outboxes) box.clear();
+    report_.pack_ms += phase_step([&](int r) {
+      for (const redist::FusedLocal& u :
+           fx.local_by_rank[static_cast<std::size_t>(r)]) {
+        const auto& [from, to] =
+            slot.endpoints[static_cast<std::size_t>(u.member)];
+        slot.kernel(u.member, u.kernel)
+            .copy(from->locals[static_cast<std::size_t>(r)],
+                  to->locals[static_cast<std::size_t>(r)]);
+      }
+      for (const int mi : fx.by_src[static_cast<std::size_t>(r)]) {
+        const redist::FusedMessage& fm =
+            fx.messages[static_cast<std::size_t>(mi)];
+        net::Message msg;
+        msg.src = fm.src;
+        msg.dst = fm.dst;
+        msg.tag = mi;
+        msg.segments = fm.segments;
+        // Payload buffers are drawn from (and returned to) their tag's
+        // pool slot.
+        msg.payload =
+            std::move(slot.payload_pool[static_cast<std::size_t>(mi)]);
+        msg.payload.resize(static_cast<std::size_t>(fm.elements));
+        for (const redist::FusedFrame& fr : fm.frames) {
+          const auto& [from, to] =
+              slot.endpoints[static_cast<std::size_t>(fr.member)];
+          const std::span<double> window(msg.payload.data() + fr.offset,
+                                         static_cast<std::size_t>(fr.len));
+          slot.kernel(fr.member, fr.kernel)
+              .pack(from->locals[static_cast<std::size_t>(r)], window);
+        }
+        outboxes[static_cast<std::size_t>(r)].push_back(std::move(msg));
+      }
+    });
+    backend_->account_local(slot.local_copies,
+                            slot.local_elements * sizeof(double),
+                            slot.local_segments);
+    backend_->account_specialization(0, slot.dispatches);
+    report_.local_fastpath_copies += slot.local_copies;
+    report_.elements_copied += slot.local_elements + slot.remote_elements;
+    report_.packed_bytes += slot.remote_elements * sizeof(double);
+
+    const auto exchange_start = std::chrono::steady_clock::now();
+    auto inboxes = backend_->exchange(std::move(outboxes));
+    report_.exchange_ms += std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() -
+                               exchange_start)
+                               .count();
+    report_.unpack_ms += phase_step([&](int r) {
+      for (const auto& msg : inboxes[static_cast<std::size_t>(r)]) {
+        const redist::FusedMessage& fm =
+            fx.messages[static_cast<std::size_t>(msg.tag)];
+        for (const redist::FusedFrame& fr : fm.frames) {
+          const auto& [from, to] =
+              slot.endpoints[static_cast<std::size_t>(fr.member)];
+          const std::span<const double> window(
+              msg.payload.data() + fr.offset,
+              static_cast<std::size_t>(fr.len));
+          slot.kernel(fr.member, fr.kernel)
+              .unpack(window, to->locals[static_cast<std::size_t>(r)]);
+        }
+      }
+    });
+    // Recycle: payload buffers go back to their tag's pool slot, and the
+    // routed mailbox skeleton (outer + inner vector capacities) becomes
+    // the next execution's outboxes.
+    for (auto& inbox : inboxes)
+      for (auto& msg : inbox)
+        slot.payload_pool[static_cast<std::size_t>(msg.tag)] =
+            std::move(msg.payload);
+    for (auto& inbox : inboxes) inbox.clear();
+    slot.mailbox_pool = std::move(inboxes);
+
     for (const auto& [from, to] : slot.endpoints) to->dirty = true;
     report_.copies_performed += static_cast<int>(slot.members.size());
     if (slot.members.size() >= 2) backend_->account_fused(slot.members.size());
@@ -1194,12 +1136,17 @@ class Machine {
         const auto& vs = storage_[a][v];
         if (!vs.live || !vs.allocated) continue;
         if (static_cast<int>(v) == status_[a]) continue;
-        verify_copy(static_cast<ArrayId>(a), static_cast<int>(v));
+        HPFC_ASSERT_MSG(
+            matches_canonical(static_cast<ArrayId>(a), static_cast<int>(v)),
+            "live copy " + program_.arrays[a].name + "_" + std::to_string(v) +
+                " diverged from canonical values");
       }
     }
   }
 
-  void verify_copy(ArrayId a, int version) const {
+  /// Whether every rank's owned elements of (a, version) hold the
+  /// canonical values.
+  [[nodiscard]] bool matches_canonical(ArrayId a, int version) const {
     const auto& vs =
         storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(version)];
     const ConcreteLayout& lay = layout(a, version);
@@ -1213,47 +1160,22 @@ class Machine {
         Index global = run.global_base;
         for (mapping::Extent j = 0; j < run.len;
              ++j, global += run.global_stride) {
-          const double expect = canonical[static_cast<std::size_t>(global)];
-          HPFC_ASSERT_MSG(vals[j] == expect,
-                          "live copy " + program_.array(a).name + "_" +
-                              std::to_string(version) +
-                              " diverged from canonical values");
+          if (vals[j] != canonical[static_cast<std::size_t>(global)])
+            return false;
         }
       }
     }
+    return true;
   }
 
-  void check_exported(const ir::CfgNode& exit_node) {
-    (void)exit_node;
-    // The exit copy-back code has already run via at_node[exit]... it runs
-    // before this check in run() because Exit executes node ops first.
+  /// Exported dummy arguments must hold the canonical values at exit.
+  void check_exported() {
     for (const ArrayId a : program_.mapped_arrays()) {
       const auto& decl = program_.array(a);
       if (!decl.is_dummy || decl.intent == ir::Intent::In) continue;
-      const auto& vs = storage_[static_cast<std::size_t>(a)][0];
-      if (!vs.allocated) {
+      if (!storage_[static_cast<std::size_t>(a)][0].allocated ||
+          !matches_canonical(a, 0))
         report_.exported_values_ok = false;
-        continue;
-      }
-      const ConcreteLayout& lay = layout(a, 0);
-      const OwnershipProgram& own = ownership(a, 0);
-      const auto& canonical = canonical_[static_cast<std::size_t>(a)];
-      bool ok = true;
-      for (int r = 0; r < lay.ranks() && ok; ++r) {
-        const auto& local = vs.locals[static_cast<std::size_t>(r)];
-        for (const mapping::OwnedRun& run :
-             own.per_rank[static_cast<std::size_t>(r)].runs) {
-          const double* vals = local.data() + run.local_base;
-          Index global = run.global_base;
-          for (mapping::Extent j = 0; j < run.len && ok;
-               ++j, global += run.global_stride) {
-            if (vals[j] != canonical[static_cast<std::size_t>(global)])
-              ok = false;
-          }
-          if (!ok) break;
-        }
-      }
-      if (!ok) report_.exported_values_ok = false;
     }
   }
 
@@ -1274,8 +1196,7 @@ class Machine {
   std::vector<int> saved_;
   std::uint64_t write_counter_ = 0;
   std::uint64_t bytes_in_use_ = 0;
-  /// Compiled transfer programs + pooled buffers per static copy site
-  /// (codegen plan slot).
+  /// Compiled transfer kernels per static copy site (codegen plan slot).
   std::vector<PlanSlot> plan_slots_;
   /// Level 1 of the two-level plan cache: one lazily compiled SymbolicPlan
   /// per codegen family id (see RuntimeProgram::plan_families). Descriptors
@@ -1304,7 +1225,6 @@ class Machine {
   /// Pre-sized per-rank scratch (one slot per rank, reset per use) so the
   /// hot supersteps allocate nothing.
   std::vector<std::uint64_t> partials_;
-  std::vector<CopyTally> copy_tallies_;
   /// Crash-consistent snapshotting (nullptr unless
   /// RunOptions::snapshot_dir is set on a parallel run).
   std::unique_ptr<persist::SnapshotWriter> snapshot_writer_;

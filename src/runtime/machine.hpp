@@ -48,10 +48,6 @@ struct RunOptions {
   /// Worker threads for the thread backend (clamped to [1, ranks];
   /// 0 = min(ranks, hardware threads)). Ignored by the seq backend.
   int threads = 0;
-  /// Proc backend only: route the socket mesh over TCP loopback
-  /// connections instead of AF_UNIX socketpairs (same frames, real
-  /// network stack). An environment A/B knob.
-  bool proc_tcp = false;
   /// Proc backend only: deadline for every socket operation in
   /// milliseconds. Bounds how long a dead or wedged worker can stall an
   /// exchange before the run fails with a diagnostic instead of hanging.
@@ -66,9 +62,9 @@ struct RunOptions {
   /// Ignored without snapshot_dir.
   int snapshot_every = 1;
 
-  /// Sets a boolean toggle by registry name ("proc-tcp" / "proc_tcp" —
-  /// both spellings resolve; see runtime/toggles.hpp). Returns false
-  /// when no such toggle exists.
+  /// Sets a boolean toggle by registry name (kebab-case or snake_case
+  /// spelling; see runtime/toggles.hpp). Returns false when no such
+  /// toggle exists.
   bool set(std::string_view toggle, bool value = true);
 };
 
@@ -88,10 +84,10 @@ struct RunReport {
   int allocations = 0;
   int frees = 0;
   int evictions = 0;
-  /// Compiled plan slots (segment programs + specialized kernels) dropped
-  /// under memory pressure after storage eviction alone could not satisfy
-  /// the limit; each one is re-compiled — and re-specialized — on its
-  /// next use.
+  /// Compiled plan slots (specialized kernels with their segment tables)
+  /// dropped under memory pressure after storage eviction alone could not
+  /// satisfy the limit; each one is re-compiled — and re-specialized — on
+  /// its next use.
   int plan_evictions = 0;
   std::uint64_t peak_bytes = 0;
   /// Payload bytes actually materialized into message buffers while

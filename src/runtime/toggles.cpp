@@ -7,9 +7,6 @@ namespace {
 constexpr Toggle kToggles[] = {
     {"paranoid", "paranoid", &RunOptions::paranoid,
      "validate the liveness invariant after every step (slow; for tests)"},
-    {"proc-tcp", "proc_tcp", &RunOptions::proc_tcp,
-     "proc backend: socket mesh over TCP loopback instead of AF_UNIX "
-     "socketpairs"},
 };
 
 }  // namespace

@@ -4,8 +4,7 @@
 // hand-rolling its own flag list.
 //
 // Each toggle has two spellings: `name` is the kebab-case CLI surface
-// ("proc-tcp", yielding --proc-tcp) and `key` is the snake_case member /
-// JSON spelling ("proc_tcp").
+// (yielding --name) and `key` is the snake_case member / JSON spelling.
 // find_toggle() resolves either. Adding a toggle here is the whole job:
 // RunOptions::set picks it up, support::cli::RunFlags grows the flag,
 // `hpfc --list-toggles` and the bench harness print it, and
@@ -21,8 +20,8 @@ namespace hpfc::runtime {
 
 /// One registered boolean switch on RunOptions.
 struct Toggle {
-  std::string_view name;  ///< kebab-case CLI spelling ("proc-tcp")
-  std::string_view key;   ///< snake_case member spelling ("proc_tcp")
+  std::string_view name;  ///< kebab-case CLI spelling
+  std::string_view key;   ///< snake_case member spelling
   bool RunOptions::* flag;  ///< the member the toggle flips
   std::string_view help;  ///< one-line description for --help output
 };

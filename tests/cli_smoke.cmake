@@ -239,8 +239,7 @@ if(NOT toggles_status EQUAL 0)
   message(FATAL_ERROR "cli_smoke: hpfc --list-toggles exited with "
     "${toggles_status}\nstderr:\n${toggles_err}")
 endif()
-set(expected_flags paranoid proc-tcp proc-timeout-ms= snapshot-dir=
-    snapshot-every=)
+set(expected_flags paranoid proc-timeout-ms= snapshot-dir= snapshot-every=)
 foreach(flag IN LISTS expected_flags)
   if(NOT toggles_out MATCHES "--${flag}\t")
     message(FATAL_ERROR

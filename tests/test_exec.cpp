@@ -75,23 +75,6 @@ TEST(Backend, FactoryReportsKindRanksWorkers) {
   EXPECT_EQ(seq->wire(), exec::WireStats{});
 }
 
-TEST(Backend, BarrierAccountingMatchesAcrossBackends) {
-  net::CostModel cost;
-  cost.latency = 3e-6;
-  const auto seq = exec::make_backend(exec::BackendKind::Seq, 4, cost);
-  const auto thr =
-      exec::make_backend(exec::BackendKind::Thread, 4, cost, /*threads=*/2);
-  for (int i = 0; i < 3; ++i) {
-    seq->barrier();
-    thr->barrier();
-  }
-  EXPECT_EQ(seq->stats().supersteps, 3u);
-  EXPECT_EQ(seq->stats().sim_time, 3 * cost.latency);
-  EXPECT_EQ(seq->stats(), thr->stats());
-  seq->reset_stats();
-  EXPECT_EQ(seq->stats(), net::NetStats{});
-}
-
 TEST(Backend, StepRunsEveryRankExactlyOnce) {
   for (const int threads : {1, 2, 8}) {
     const auto backend =
@@ -179,40 +162,6 @@ TEST(Backend, ExchangeIsDeterministicAcrossBackends) {
       }
     }
   }
-}
-
-/// The same framed superstep flows over TCP loopback when ProcConfig::tcp
-/// is set: identical inboxes, identical NetStats, live wire counters.
-TEST(Backend, ProcBackendTcpMatchesUnixSocketpairs) {
-  std::mt19937 rng(11);
-  const int ranks = 3;
-  std::vector<std::vector<net::Message>> outboxes(
-      static_cast<std::size_t>(ranks));
-  for (int src = 0; src < ranks; ++src) {
-    for (int m = 0; m < 3; ++m) {
-      net::Message msg;
-      msg.src = src;
-      msg.dst = static_cast<int>(rng() % static_cast<unsigned>(ranks));
-      msg.tag = m;
-      msg.segments = 1;
-      msg.payload.assign(64 + rng() % 64, static_cast<double>(rng() % 100));
-      outboxes[static_cast<std::size_t>(src)].push_back(std::move(msg));
-    }
-  }
-  exec::ProcBackend unix_mesh(ranks, {}, exec::ProcConfig{});
-  exec::ProcBackend tcp_mesh(ranks, {},
-                             exec::ProcConfig{.tcp = true});
-  const auto unix_in = unix_mesh.exchange(outboxes);
-  const auto tcp_in = tcp_mesh.exchange(outboxes);
-  ASSERT_EQ(unix_in.size(), tcp_in.size());
-  for (std::size_t r = 0; r < unix_in.size(); ++r) {
-    ASSERT_EQ(unix_in[r].size(), tcp_in[r].size());
-    for (std::size_t i = 0; i < unix_in[r].size(); ++i)
-      EXPECT_EQ(unix_in[r][i].payload, tcp_in[r][i].payload);
-  }
-  EXPECT_EQ(unix_mesh.stats(), tcp_mesh.stats());
-  EXPECT_EQ(unix_mesh.wire().wire_bytes, tcp_mesh.wire().wire_bytes);
-  EXPECT_EQ(unix_mesh.wire().wire_msgs, tcp_mesh.wire().wire_msgs);
 }
 
 /// Robustness contract: a worker killed mid-flight surfaces as a
@@ -309,7 +258,7 @@ TEST(Wire, GatherEncodeMatchesEncodeFrameByteForByte) {
 /// every payload straight in its destination buffer and still verifying
 /// the checksum.
 TEST(Wire, ScatterReceiveReassemblesOneByteChunks) {
-  auto [ours, theirs] = wire::make_stream_pair(false);
+  auto [ours, theirs] = wire::make_stream_pair();
   const auto messages = wire_test_messages(23, 4);
   const auto encoded =
       wire::encode_frame(wire::FrameKind::Peer, 1, messages);
@@ -344,7 +293,7 @@ TEST(Wire, ScatterReceiveReassemblesOneByteChunks) {
 /// A truncated frame (the sender stops mid-body) must surface as a
 /// WireError within the deadline — never a hang.
 TEST(Wire, ScatterReceiveTimesOutOnTruncatedFrame) {
-  auto [ours, theirs] = wire::make_stream_pair(false);
+  auto [ours, theirs] = wire::make_stream_pair();
   const auto messages = wire_test_messages(29, 3);
   const auto encoded =
       wire::encode_frame(wire::FrameKind::Peer, 0, messages);
@@ -365,7 +314,7 @@ TEST(Wire, ScatterReceiveTimesOutOnTruncatedFrame) {
 /// A corrupted payload byte must fail the streaming checksum exactly as
 /// it fails the staging decoder's.
 TEST(Wire, ScatterReceiveRejectsCorruptedBody) {
-  auto [ours, theirs] = wire::make_stream_pair(false);
+  auto [ours, theirs] = wire::make_stream_pair();
   const auto messages = wire_test_messages(31, 3);
   auto encoded = wire::encode_frame(wire::FrameKind::Peer, 0, messages);
   encoded.back() ^= 0x40;  // flip one payload bit past the header
@@ -379,7 +328,7 @@ TEST(Wire, ScatterReceiveRejectsCorruptedBody) {
 /// smaller than the frame (many partial sendmsg calls) and deliver the
 /// same bytes; the tally must account the whole frame exactly once.
 TEST(Wire, GatherSendDrainsThroughTinySendBuffer) {
-  auto [ours, theirs] = wire::make_stream_pair(false);
+  auto [ours, theirs] = wire::make_stream_pair();
   const int small = 4096;
   ASSERT_EQ(::setsockopt(ours.fd(), SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),

@@ -70,6 +70,7 @@ TEST(FragmentClassification, StitchesSameFragmentRunsIntoOneSpan) {
       ;
   program.segments.push_back({32, 2, 32, 1, 8});  // gather_const
   const redist::Kernel kernel = redist::specialize(program);
+  EXPECT_EQ(kernel.program().segments.size(), 3u);
   ASSERT_EQ(kernel.spans().size(), 2u);
   EXPECT_EQ(kernel.spans()[0].count, 2u);
   EXPECT_EQ(kernel.spans()[1].count, 1u);
@@ -90,7 +91,8 @@ TEST(FragmentClassification, EveryCatalogNameIsReachable) {
 
 // Property: over random_layout redistribution programs, the specialized
 // kernel's pack/unpack/copy write exactly the bytes the interpreted
-// walker writes (pack_into / unpack / copy_local are the oracle).
+// walker writes (pack_into / unpack / copy_local are the oracle). Both
+// run over the same segment table: the one the kernel owns.
 TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
   std::mt19937 rng(4242);
   const Shape shapes[] = {Shape{32}, Shape{21}, Shape{10, 12}, Shape{8, 8}};
@@ -101,18 +103,22 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
     const auto to = testing::random_layout(rng, shape);
     const redist::RedistPlanV2 plan = redist::build_runs(from, to);
     for (const auto& t : plan.transfers) {
-      const SegmentProgram program = redist::compile_transfer(
-          t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst));
-      const redist::Kernel kernel = redist::specialize(program);
+      const redist::Kernel kernel =
+          redist::specialize(redist::compile_transfer(
+              t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
+      const SegmentProgram& program = kernel.program();
       ASSERT_EQ(kernel.elements(), program.elements);
-      ASSERT_EQ(kernel.steps().size(), program.segments.size());
+      std::uint32_t covered = 0;
       for (const auto& span : kernel.spans()) {
         const std::string_view name = span.fragment->name;
         const auto catalog = redist::fragment_catalog();
         EXPECT_NE(std::find(catalog.begin(), catalog.end(), name),
                   catalog.end())
             << "span uses a fragment outside the catalog: " << name;
+        EXPECT_EQ(span.first, covered);
+        covered += span.count;
       }
+      ASSERT_EQ(covered, program.segments.size());
 
       std::vector<double> src_local(
           static_cast<std::size_t>(from.local_count(t.src)));
@@ -188,7 +194,7 @@ Compiled compile_multi(Extent n, int procs, int arrays, Extent trips) {
 }
 
 // Under memory pressure the runtime falls back to evicting compiled plan
-// slots (programs + kernels); the evicted slots recompile and
+// slots (their kernels and segment tables); the evicted slots recompile and
 // re-specialize on their next use, so specialized_kernels rises past the
 // unlimited run's install count while the results stay exact.
 TEST(PlanEviction, EvictedSlotsReSpecializeLazily) {

@@ -1,6 +1,8 @@
-// SimNetwork delivery/accounting and the use-qualifier lattice of §3.1.
+// Sequential-backend delivery/accounting and the use-qualifier lattice
+// of §3.1.
 #include <gtest/gtest.h>
 
+#include "exec/backend.hpp"
 #include "ir/effects.hpp"
 #include "net/network.hpp"
 #include "support/check.hpp"
@@ -8,12 +10,17 @@
 namespace hpfc {
 namespace {
 
-TEST(SimNetwork, DeliversMessagesToDestinations) {
-  net::SimNetwork netw(4);
+std::unique_ptr<exec::Backend> seq_backend(int ranks,
+                                           net::CostModel cost = {}) {
+  return exec::make_backend(exec::BackendKind::Seq, ranks, cost);
+}
+
+TEST(SeqExchange, DeliversMessagesToDestinations) {
+  const auto netw = seq_backend(4);
   std::vector<std::vector<net::Message>> out(4);
   out[0].push_back({0, 3, 7, {1.0, 2.0}});
   out[2].push_back({2, 0, 1, {5.0}});
-  const auto in = netw.exchange(std::move(out));
+  const auto in = netw->exchange(std::move(out));
   ASSERT_EQ(in[3].size(), 1u);
   EXPECT_EQ(in[3][0].payload, (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(in[3][0].tag, 7);
@@ -22,47 +29,47 @@ TEST(SimNetwork, DeliversMessagesToDestinations) {
   EXPECT_TRUE(in[1].empty());
 }
 
-TEST(SimNetwork, CountsRemoteAndLocalSeparately) {
-  net::SimNetwork netw(2);
+TEST(SeqExchange, CountsRemoteAndLocalSeparately) {
+  const auto netw = seq_backend(2);
   std::vector<std::vector<net::Message>> out(2);
   out[0].push_back({0, 1, 0, {1.0, 2.0, 3.0}});
   out[1].push_back({1, 1, 0, {4.0}});
-  netw.exchange(std::move(out));
-  EXPECT_EQ(netw.stats().messages, 1u);
-  EXPECT_EQ(netw.stats().bytes, 3 * sizeof(double));
-  EXPECT_EQ(netw.stats().local_copies, 1u);
-  EXPECT_EQ(netw.stats().local_bytes, sizeof(double));
-  EXPECT_EQ(netw.stats().supersteps, 1u);
+  netw->exchange(std::move(out));
+  EXPECT_EQ(netw->stats().messages, 1u);
+  EXPECT_EQ(netw->stats().bytes, 3 * sizeof(double));
+  EXPECT_EQ(netw->stats().local_copies, 1u);
+  EXPECT_EQ(netw->stats().local_bytes, sizeof(double));
+  EXPECT_EQ(netw->stats().supersteps, 1u);
 }
 
-TEST(SimNetwork, ClockChargesBusiestRank) {
+TEST(SeqExchange, ClockChargesBusiestRank) {
   net::CostModel cost{1.0, 0.0};  // 1 second per message, free bytes
-  net::SimNetwork netw(3, cost);
+  const auto netw = seq_backend(3, cost);
   std::vector<std::vector<net::Message>> out(3);
   // Rank 0 sends 2 messages; rank 1 receives 1; rank 2 receives 1.
   out[0].push_back({0, 1, 0, {1.0}});
   out[0].push_back({0, 2, 0, {1.0}});
-  netw.exchange(std::move(out));
+  netw->exchange(std::move(out));
   // Rank 0 is busiest: 2 messages.
-  EXPECT_DOUBLE_EQ(netw.stats().sim_time, 2.0);
+  EXPECT_DOUBLE_EQ(netw->stats().sim_time, 2.0);
 }
 
-TEST(SimNetwork, DeterministicReceiveOrder) {
-  net::SimNetwork netw(3);
+TEST(SeqExchange, DeterministicReceiveOrder) {
+  const auto netw = seq_backend(3);
   std::vector<std::vector<net::Message>> out(3);
   out[2].push_back({2, 0, 20, {1.0}});
   out[1].push_back({1, 0, 10, {1.0}});
-  const auto in = netw.exchange(std::move(out));
+  const auto in = netw->exchange(std::move(out));
   ASSERT_EQ(in[0].size(), 2u);
   EXPECT_EQ(in[0][0].src, 1);  // by source rank
   EXPECT_EQ(in[0][1].src, 2);
 }
 
-TEST(SimNetwork, RejectsMismatchedSource) {
-  net::SimNetwork netw(2);
+TEST(SeqExchange, RejectsMismatchedSource) {
+  const auto netw = seq_backend(2);
   std::vector<std::vector<net::Message>> out(2);
   out[0].push_back({1, 0, 0, {}});
-  EXPECT_THROW(netw.exchange(std::move(out)), InternalError);
+  EXPECT_THROW(netw->exchange(std::move(out)), InternalError);
 }
 
 // ---- use-qualifier lattice --------------------------------------------

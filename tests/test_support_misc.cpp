@@ -157,35 +157,17 @@ TEST(Toggles, RegistryResolvesBothSpellingsAndCoversAllFlags) {
     EXPECT_FALSE(options.*(toggle.flag)) << toggle.name
                                          << " should default to off";
   }
-  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(count, 1u);
   EXPECT_EQ(runtime::find_toggle("no-such-toggle"), nullptr);
-}
-
-TEST(Toggles, ProcTcpRoundTripsThroughTheRegistry) {
-  // A toggle resolves under both spellings and drives the RunOptions
-  // flag the registry row points at.
-  const runtime::Toggle* kebab = runtime::find_toggle("proc-tcp");
-  const runtime::Toggle* snake = runtime::find_toggle("proc_tcp");
-  ASSERT_NE(kebab, nullptr);
-  EXPECT_EQ(kebab, snake);
-  EXPECT_EQ(kebab->flag, &runtime::RunOptions::proc_tcp);
-
-  runtime::RunOptions options;
-  EXPECT_FALSE(options.proc_tcp) << "AF_UNIX socketpairs are the default";
-  EXPECT_TRUE(options.set("proc-tcp"));
-  EXPECT_TRUE(options.proc_tcp);
-  EXPECT_TRUE(options.set("proc_tcp", false));
-  EXPECT_FALSE(options.proc_tcp);
 }
 
 TEST(Toggles, RunOptionsSetAndForEach) {
   runtime::RunOptions options;
   EXPECT_TRUE(options.set("paranoid"));
   EXPECT_TRUE(options.paranoid);
-  EXPECT_TRUE(options.set("proc_tcp"));  // snake_case spelling works too
-  EXPECT_TRUE(options.proc_tcp);
-  EXPECT_TRUE(options.set("proc-tcp", false));
-  EXPECT_FALSE(options.proc_tcp);
+  EXPECT_TRUE(options.set("paranoid", false));
+  EXPECT_FALSE(options.paranoid);
+  EXPECT_TRUE(options.set("paranoid"));
   EXPECT_FALSE(options.set("not-a-toggle"));
 
   std::size_t seen = 0;
@@ -196,7 +178,7 @@ TEST(Toggles, RunOptionsSetAndForEach) {
                              if (value) ++on;
                            });
   EXPECT_EQ(seen, runtime::toggles().size());
-  EXPECT_EQ(on, 1u);  // only paranoid is still set
+  EXPECT_EQ(on, 1u);  // paranoid is set again
 }
 
 TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
@@ -214,8 +196,6 @@ TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
   EXPECT_EQ(flags.options.proc_timeout_ms, 250);
   EXPECT_EQ(flags.consume("--paranoid"), support::cli::Parsed::Consumed);
   EXPECT_TRUE(flags.options.paranoid);
-  EXPECT_EQ(flags.consume("--proc-tcp"), support::cli::Parsed::Consumed);
-  EXPECT_TRUE(flags.options.proc_tcp);
   // Flags the shared surface does not own pass through untouched.
   EXPECT_EQ(flags.consume("--json=x.json"),
             support::cli::Parsed::Unrecognized);
@@ -256,22 +236,12 @@ TEST(Cli, ToggleTableIsMachineParsable) {
   EXPECT_NE(table.find("--paranoid\tparanoid\t"), std::string::npos);
 }
 
-TEST(NetStats, ArithmeticAndSummary) {
+TEST(NetStats, Summary) {
   net::NetStats a;
   a.messages = 10;
   a.bytes = 1000;
   a.sim_time = 1.0;
-  net::NetStats b;
-  b.messages = 4;
-  b.bytes = 400;
-  b.sim_time = 0.25;
-  net::NetStats sum = a;
-  sum += b;
-  EXPECT_EQ(sum.messages, 14u);
-  const net::NetStats diff = sum - b;
-  EXPECT_EQ(diff.messages, 10u);
-  EXPECT_EQ(diff.bytes, 1000u);
-  EXPECT_NE(a.summary().find("msgs"), std::string::npos);
+  EXPECT_NE(a.summary().find("10 msgs"), std::string::npos);
 }
 
 TEST(CostModel, LinearInMessagesAndBytes) {

@@ -18,7 +18,7 @@
 //
 // The machine flags (--backend/--threads/--ranks/--seed/
 // --proc-timeout-ms/--snapshot-dir/--snapshot-every) and every toggle
-// (--paranoid, --proc-tcp) come from the shared support::cli surface —
+// (--paranoid) come from the shared support::cli surface —
 // see `hpfc --list-toggles` and src/runtime/toggles.hpp. With
 // --snapshot-dir the run seals crash-consistent snapshots and the
 // report's restore_ms times persist::restore() of the final store.
@@ -280,8 +280,7 @@ int main(int argc, char** argv) {
     runtime::RunOptions& run = options.flags.options;
     try {
       options.calibration = exec::calibrate_wire(
-          /*ranks=*/4,
-          exec::ProcConfig{run.proc_tcp, run.proc_timeout_ms});
+          /*ranks=*/4, exec::ProcConfig{run.proc_timeout_ms});
     } catch (const std::exception& err) {
       std::cerr << "hpfc: calibration failed: " << err.what() << "\n";
       return 1;
