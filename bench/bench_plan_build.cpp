@@ -3,25 +3,22 @@
 // the array extent; the run-based build_runs() works on closed-form
 // interval runs, so for fixed P its cost is independent of N. The pack
 // stage measures segment-program compilation plus bulk pack/unpack
-// throughput on a real redistribution. The symbolic sweep compiles each
-// layout pair ONCE into a SymbolicPlan and then binds it across an
-// (N, P) grid: the cold binding is O(runs), and the warm binding is one
-// cache lookup, flat in N — "compile once, instantiate anywhere".
+// throughput on a real redistribution. The `symbolic_sweep` figure runs the
+// runtime's PlanCache across an (N, P) grid: a cold lookup builds the
+// plan with build_runs, and a warm lookup is one map find, flat in N.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "mapping/layout.hpp"
-#include "mapping/symbolic.hpp"
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
-#include "redist/symbolic_plan.hpp"
+#include "redist/plan_cache.hpp"
 
 namespace {
 
@@ -102,11 +99,11 @@ void measure_plan_build(bench_common::Harness& harness) {
   }
 }
 
-// One SymbolicPlan per layout pair, bound across the whole (N, P) grid:
-// `build_runs` rebuilds the plan concretely at every shape (the oracle
-// cost), `instantiate_cold` binds the symbolic family at a new shape key
-// (O(runs), flat in N), and `instantiate` is the warm path — the cache
-// hit every later plan slot of the same family and shape pays.
+// One PlanCache per layout pair, looked up across the whole (N, P) grid
+// (the figure keeps its historical name): `build_runs` builds the plan
+// directly, `instantiate_cold` is a release-then-acquire — a miss that
+// rebuilds the cached plan — and `instantiate` is the warm path, the cache
+// hit every later plan slot with the same layout pair pays.
 void measure_symbolic_sweep(bench_common::Harness& harness) {
   const int reps = std::max(1, harness.options().reps);
   constexpr int kWarmCalls = 4096;  // inner average; one call is ~a map find
@@ -116,19 +113,7 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
       {"cyclic2-cyclic5", DistFormat::cyclic(2), DistFormat::cyclic(5)},
   };
   for (const LayoutPair& pair : pairs) {
-    // Compile the family once, from a small reference shape; every grid
-    // point below reuses this one symbolic plan.
-    const auto sym_from =
-        hpfc::mapping::SymbolicLayout::abstract(one_dim(1024, 4, pair.from));
-    const auto sym_to =
-        hpfc::mapping::SymbolicLayout::abstract(one_dim(1024, 4, pair.to));
-    if (!sym_from.has_value() || !sym_to.has_value()) {
-      std::fprintf(stderr, "bench_plan_build: %s is not abstractable\n",
-                   pair.name.c_str());
-      std::exit(1);
-    }
-    hpfc::redist::SymbolicPlan plan(*sym_from, *sym_to);
-
+    hpfc::redist::PlanCache cache;
     double warm_min_ms = 1e9;
     double warm_max_ms = 0.0;
     for (const Extent n : {Extent{1} << 16, Extent{1} << 18, Extent{1} << 20,
@@ -144,18 +129,18 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
         const double concrete_ms = median_ms(
             reps, [&] { concrete = hpfc::redist::build_runs(from, to); });
 
-        const auto key = hpfc::redist::SymbolicPlan::key(
-            from.array_shape(), from.proc_shape(), to.proc_shape());
-        std::shared_ptr<const hpfc::redist::PlanInstance> instance;
+        // The grid point keeps one reference across the sweep; each cold
+        // sample drops it (erasing the entry) and re-acquires it.
+        const hpfc::redist::PlanInstance* instance =
+            cache.acquire(from, to).instance;
         const double cold_ms = median_ms(reps, [&] {
-          plan.drop(key);
-          instance = plan.instantiate(from.array_shape(), from.proc_shape(),
-                                      to.proc_shape());
+          cache.release(from, to);
+          instance = cache.acquire(from, to).instance;
         });
         if (instance->plan.total_elements() != concrete.total_elements()) {
           std::fprintf(
               stderr,
-              "bench_plan_build: symbolic/concrete mismatch on %s (%lld vs "
+              "bench_plan_build: cached/concrete mismatch on %s (%lld vs "
               "%lld)\n",
               config.c_str(),
               static_cast<long long>(instance->plan.total_elements()),
@@ -167,11 +152,11 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
             median_ms(reps,
                       [&] {
                         for (int i = 0; i < kWarmCalls; ++i)
-                          instance = plan.instantiate(from.array_shape(),
-                                                      from.proc_shape(),
-                                                      to.proc_shape());
+                          instance = cache.acquire(from, to).instance;
                       }) /
             kWarmCalls;
+        for (int r = 0; r < reps; ++r)
+          for (int i = 0; i < kWarmCalls; ++i) cache.release(from, to);
         warm_min_ms = std::min(warm_min_ms, warm_ms);
         warm_max_ms = std::max(warm_max_ms, warm_ms);
 
@@ -183,9 +168,8 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
                               warm_ms);
       }
     }
-    bench_common::note(pair.name + ": one symbolic compile, " +
-                       std::to_string(plan.instances()) +
-                       " live instances; warm bind " +
+    bench_common::note(pair.name + ": " + std::to_string(cache.size()) +
+                       " cached plans; warm lookup " +
                        std::to_string(warm_min_ms * 1e6) + "-" +
                        std::to_string(warm_max_ms * 1e6) +
                        " ns across the (N, P) grid");

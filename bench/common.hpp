@@ -71,14 +71,14 @@ struct LevelMetrics {
   /// Transfers dispatched through a specialized kernel, counted once per
   /// transfer at the producing site — invariant across backends.
   std::uint64_t specialized_dispatches = 0;
-  /// Warm lookups the symbolic plan cache served without instantiating
-  /// (the (N, P) instance already existed).
+  /// Lookups the plan cache served from a plan already built for the
+  /// same (from, to) layout pair.
   std::uint64_t plan_cache_hits = 0;
-  /// Cold lookups that had to instantiate a symbolic plan for a new
-  /// (N, P) key; always equal to symbolic_instantiations.
+  /// Lookups that had to build a plan for a new layout pair; always
+  /// equal to symbolic_instantiations.
   std::uint64_t plan_cache_misses = 0;
-  /// Symbolic-plan instantiations performed (O(runs), not O(N)); counted
-  /// at the producing site, so invariant across backends.
+  /// Plan instances built by build_runs (O(runs), not O(N)); counted at
+  /// the producing site, so invariant across backends.
   std::uint64_t symbolic_instantiations = 0;
   /// Host heap allocations during the measured run (0 when the bench does
   /// not count them; only bespoke benches overriding operator new fill it).

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
 #include <tuple>
 
-#include "mapping/symbolic.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::codegen {
@@ -53,8 +51,6 @@ class Generator {
     }
     emit_exit_cleanup(code);
     code.plan_slots = static_cast<int>(plan_slot_ids_.size());
-    code.plan_families = plan_families_;
-    code.plan_family_count = static_cast<int>(family_ids_.size());
     code.copy_groups = next_group_;
     return code;
   }
@@ -242,23 +238,6 @@ class Generator {
     const auto [it, inserted] = plan_slot_ids_.try_emplace(
         std::make_tuple(a, src, dst, region),
         static_cast<int>(plan_slot_ids_.size()));
-    if (inserted) plan_families_.push_back(family_of(a, src, dst));
-    return it->second;
-  }
-
-  /// Symbolic plan family of a copy site's layout pair: slots whose
-  /// (from, to) layouts abstract to the same parametric form — across
-  /// arrays, versions and live regions — share one id, so the runtime
-  /// serves them all from a single compiled SymbolicPlan (regions are
-  /// applied per slot when segments are compiled, not in the plan).
-  int family_of(ArrayId a, int src, int dst) {
-    const auto& table = analysis_.versions[static_cast<std::size_t>(a)];
-    const auto from = mapping::SymbolicLayout::abstract(table.layout(src));
-    const auto to = mapping::SymbolicLayout::abstract(table.layout(dst));
-    if (!from || !to) return -1;
-    const auto [it, inserted] = family_ids_.try_emplace(
-        from->signature() + "->" + to->signature(),
-        static_cast<int>(family_ids_.size()));
     return it->second;
   }
 
@@ -267,8 +246,6 @@ class Generator {
   const CodegenOptions& options_;
   std::map<std::pair<int, ArrayId>, int> save_slot_;
   std::map<std::tuple<ArrayId, int, int, ir::Region>, int> plan_slot_ids_;
-  std::map<std::string, int> family_ids_;
-  std::vector<int> plan_families_;
   int vertex_group_ = -1;
   int next_group_ = 0;
 };

@@ -58,14 +58,6 @@ struct RuntimeProgram {
   int save_slots = 0;
   int plan_slots = 0;   ///< number of distinct Copy plan-cache slots
   int copy_groups = 0;  ///< number of per-vertex fused communication rounds
-  /// Per plan slot: the symbolic plan family serving it — level 1 of the
-  /// runtime plan cache's two-level key (level 2 is the (N, P) instance
-  /// bound at run time). Slots whose (from, to) layout pairs abstract to
-  /// the same parametric form (mapping::SymbolicLayout::signature) share
-  /// an id and therefore one compiled SymbolicPlan; -1 marks a pair the
-  /// symbolic layer cannot abstract (built concretely every compile).
-  std::vector<int> plan_families;
-  int plan_family_count = 0;  ///< number of distinct symbolic families
 
   [[nodiscard]] std::string to_text(const ir::Program& program) const;
 

@@ -212,13 +212,12 @@ class Backend {
     stats_.specialized_dispatches += dispatches;
   }
 
-  /// Accounts symbolic plan-cache traffic from the runtime's plan slots:
-  /// one two-level lookup per plan-slot compile (symbolic family id →
-  /// bound (N, P) instance), counted at the producing site on the
-  /// controlling thread between steps, so the counters are invariant
-  /// across the execution backends. `instantiations` counts the concrete
-  /// plans built on misses (rising again when an evicted instance is
-  /// re-bound).
+  /// Accounts plan-cache traffic from the runtime's plan slots: one
+  /// lookup per plan-slot compile, keyed by the slot's (from, to) layout
+  /// pair and counted at the producing site on the controlling thread
+  /// between steps, so the counters are invariant across the execution
+  /// backends. `instantiations` counts the plans build_runs built on
+  /// misses (rising again when an evicted instance is rebuilt).
   void account_plan_cache(std::uint64_t hits, std::uint64_t misses,
                           std::uint64_t instantiations) {
     stats_.plan_cache_hits += hits;

@@ -41,7 +41,7 @@ struct AlignTarget {
   [[nodiscard]] Extent apply(Extent i) const;
 
   [[nodiscard]] std::string to_string() const;
-  friend bool operator==(const AlignTarget&, const AlignTarget&) = default;
+  friend auto operator<=>(const AlignTarget&, const AlignTarget&) = default;
 };
 
 struct Alignment {

@@ -38,7 +38,7 @@ struct DistFormat {
                                       Extent procs) const;
 
   [[nodiscard]] std::string to_string() const;
-  friend bool operator==(const DistFormat&, const DistFormat&) = default;
+  friend auto operator<=>(const DistFormat&, const DistFormat&) = default;
 };
 
 struct Distribution {

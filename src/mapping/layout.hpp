@@ -36,7 +36,7 @@ struct DimOwner {
   DistFormat format;       ///< Block or Cyclic with resolved (>0) parameter
   Extent template_extent;  ///< extent of the underlying template dimension
 
-  friend bool operator==(const DimOwner&, const DimOwner&) = default;
+  friend auto operator<=>(const DimOwner&, const DimOwner&) = default;
 };
 
 /// One maximal strided stretch of a rank's owned product set, in local
@@ -197,7 +197,8 @@ class ConcreteLayout {
   }
 
   [[nodiscard]] std::string to_string() const;
-  friend bool operator==(const ConcreteLayout&, const ConcreteLayout&) = default;
+  friend auto operator<=>(const ConcreteLayout&, const ConcreteLayout&) =
+      default;
 
  private:
   /// Sorted array indices along `array_dim` constrained by grid dim p at

@@ -3,6 +3,7 @@
 // the HPF model after lower-bound normalization.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -37,7 +38,7 @@ class Shape {
   void for_each(const std::function<void(std::span<const Index>)>& fn) const;
 
   [[nodiscard]] std::string to_string() const;
-  friend bool operator==(const Shape&, const Shape&) = default;
+  friend auto operator<=>(const Shape&, const Shape&) = default;
 
  private:
   std::vector<Extent> extents_;

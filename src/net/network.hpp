@@ -45,17 +45,17 @@ struct NetStats {
   /// transfer at the producing site (pack or local copy), so the count
   /// is invariant across the execution backends.
   std::uint64_t specialized_dispatches = 0;
-  /// Plan-slot compilations that found their symbolic plan's (N, P)
-  /// instance already bound in the runtime's two-level plan cache (one
-  /// lookup per plan-slot compile, counted at the producing site on the
-  /// controlling thread, so the count is invariant across backends).
+  /// Plan-slot compilations that found their (from, to) layout pair's
+  /// plan already in the runtime's plan cache (one lookup per plan-slot
+  /// compile, counted at the producing site on the controlling thread,
+  /// so the count is invariant across backends).
   std::uint64_t plan_cache_hits = 0;
-  /// Plan-slot compilations that found no bound instance for their
-  /// shapes (each is followed by a symbolic instantiation).
+  /// Plan-slot compilations that found no cached plan for their layout
+  /// pair (each is followed by one build_runs).
   std::uint64_t plan_cache_misses = 0;
-  /// Concrete RedistPlanV2 instances built by binding a symbolic plan at
-  /// (N, P) — one per cache miss; rises again when a dropped instance is
-  /// re-bound after plan-slot eviction.
+  /// Plan instances built by build_runs — one per cache miss; rises again
+  /// when a dropped instance is rebuilt after plan-slot eviction. (The
+  /// name predates the single-level cache; reports keep it.)
   std::uint64_t symbolic_instantiations = 0;
   double sim_time = 0.0;  ///< seconds under the cost model
 

@@ -163,33 +163,25 @@ RedistPlan build(const ConcreteLayout& from, const ConcreteLayout& to) {
 RedistPlanV2 build_runs(const ConcreteLayout& from, const ConcreteLayout& to) {
   HPFC_ASSERT_MSG(from.array_shape() == to.array_shape(),
                   "redistribution requires identical array shapes");
-  std::vector<std::vector<IndexRuns>> src_runs;
-  src_runs.reserve(static_cast<std::size_t>(from.ranks()));
-  for (int src = 0; src < from.ranks(); ++src)
-    src_runs.push_back(from.owned_index_runs(src, /*for_sending=*/true));
+  RedistPlanV2 plan;
+  const int dims = from.array_shape().rank();
+
+  // Ownership run sets are O(runs) to compute: one per endpoint rank, not
+  // one per (src, dst) pair.
   std::vector<std::vector<IndexRuns>> dst_runs;
   dst_runs.reserve(static_cast<std::size_t>(to.ranks()));
-  for (int dst = 0; dst < to.ranks(); ++dst)
-    dst_runs.push_back(to.owned_index_runs(dst));
-  return intersect_ownerships(src_runs, dst_runs, from.array_shape().rank());
-}
-
-RedistPlanV2 intersect_ownerships(
-    const std::vector<std::vector<IndexRuns>>& src_runs,
-    const std::vector<std::vector<IndexRuns>>& dst_runs, int dims) {
-  RedistPlanV2 plan;
-  const int src_ranks = static_cast<int>(src_runs.size());
-  const int dst_ranks = static_cast<int>(dst_runs.size());
   int alive_dsts = 0;
-  for (const auto& dr : dst_runs)
-    if (alive(dr)) ++alive_dsts;
-  plan.transfers.reserve(static_cast<std::size_t>(src_ranks) *
+  for (int dst = 0; dst < to.ranks(); ++dst) {
+    dst_runs.push_back(to.owned_index_runs(dst));
+    if (alive(dst_runs.back())) ++alive_dsts;
+  }
+  plan.transfers.reserve(static_cast<std::size_t>(from.ranks()) *
                          static_cast<std::size_t>(alive_dsts));
 
-  for (int src = 0; src < src_ranks; ++src) {
-    const auto& sr = src_runs[static_cast<std::size_t>(src)];
+  for (int src = 0; src < from.ranks(); ++src) {
+    const auto sr = from.owned_index_runs(src, /*for_sending=*/true);
     if (!alive(sr)) continue;
-    for (int dst = 0; dst < dst_ranks; ++dst) {
+    for (int dst = 0; dst < to.ranks(); ++dst) {
       const auto& dr = dst_runs[static_cast<std::size_t>(dst)];
       if (!alive(dr)) continue;
       TransferV2 transfer;

@@ -88,14 +88,4 @@ RedistPlan build(const ConcreteLayout& from, const ConcreteLayout& to);
 /// extent for block/cyclic layouts.
 RedistPlanV2 build_runs(const ConcreteLayout& from, const ConcreteLayout& to);
 
-/// The pair-intersection core of build_runs, shared with the symbolic
-/// plan layer (symbolic_plan.hpp): given the per-rank sending ownership
-/// of the source layout and the per-rank ownership of the destination
-/// layout (one IndexRuns per array dimension, `dims` of them), intersects
-/// every (src, dst) pair into a transfer. Both builders produce
-/// byte-identical plans because they run this exact loop.
-RedistPlanV2 intersect_ownerships(
-    const std::vector<std::vector<IndexRuns>>& src_runs,
-    const std::vector<std::vector<IndexRuns>>& dst_runs, int dims);
-
 }  // namespace hpfc::redist

@@ -9,13 +9,12 @@
 #include <sstream>
 
 #include "exec/backend.hpp"
-#include "mapping/symbolic.hpp"
 #include "persist/snapshot.hpp"
 #include "redist/commsets.hpp"
 #include "redist/fused.hpp"
 #include "redist/kernelgen.hpp"
+#include "redist/plan_cache.hpp"
 #include "redist/segments.hpp"
-#include "redist/symbolic_plan.hpp"
 #include "support/check.hpp"
 #include "support/strings.hpp"
 
@@ -78,11 +77,13 @@ struct PlanSlot {
   /// Installed at compile time; the vector never reallocates afterwards,
   /// so FusedSlot may point into it.
   std::vector<redist::Kernel> kernels;
-  /// The symbolic plan instance this slot compiled from (nullptr for
-  /// unabstractable pairs). Instances are shared across slots; the
-  /// machine refcounts their footprint so a shared instance is charged
-  /// once and survives until its last slot is evicted.
-  std::shared_ptr<const redist::PlanInstance> instance;
+  /// The cached plan this slot compiled from and its (from, to) layout
+  /// pair, the cache key. Instances are shared across slots; the machine
+  /// charges a shared instance once and it survives until its last slot
+  /// is evicted.
+  const redist::PlanInstance* instance = nullptr;
+  const ConcreteLayout* from = nullptr;
+  const ConcreteLayout* to = nullptr;
   /// Heap footprint of the kernels (segment tables + spans), charged
   /// against the memory limit (plan slots are evictable like array copies). The
   /// shared instance's bytes are accounted separately (refcounted).
@@ -169,9 +170,6 @@ class Machine {
                   -1);
     plan_slots_.resize(
         code_ != nullptr ? static_cast<std::size_t>(code_->plan_slots) : 0);
-    families_.resize(code_ != nullptr
-                         ? static_cast<std::size_t>(code_->plan_family_count)
-                         : 0);
     partials_.assign(static_cast<std::size_t>(backend_->ranks()), 0);
     if (parallel() && !options_.snapshot_dir.empty())
       snapshot_writer_ =
@@ -466,10 +464,10 @@ class Machine {
 
   void drop_plan_slot(std::size_t s) {
     bytes_in_use_ -= plan_slots_[s].plan_bytes;
-    // The slot's reference on its shared symbolic instance goes with it;
-    // the instance itself is only un-charged when the last slot using it
-    // is dropped (release_instance refcounts).
-    release_instance(plan_slots_[s].instance);
+    // The slot's reference on its shared plan instance goes with it; the
+    // instance itself is only un-charged when the last slot using it is
+    // dropped (release_instance refcounts).
+    release_instance(plan_slots_[s]);
     plan_slots_[s] = PlanSlot{};
     // Cached fused rounds borrow pointers to their member plan slots'
     // kernels; invalidate every round that references this slot so the
@@ -667,17 +665,8 @@ class Machine {
 
     const ConcreteLayout& from = layout(a, src);
     const ConcreteLayout& to = layout(a, dst);
-    // Two-level plan cache: serve the slot from its symbolic family's
-    // bound (N, P) instance when codegen assigned one, falling back to
-    // the concrete builder for unabstractable pairs.
-    const int family = family_of_slot(plan_slot);
-    redist::RedistPlanV2 local_plan;
-    if (family >= 0)
-      slot.instance = acquire_instance(family, from, to);
-    else
-      local_plan = redist::build_runs(from, to);
-    const redist::RedistPlanV2& plan =
-        slot.instance != nullptr ? slot.instance->plan : local_plan;
+    acquire_instance(slot, from, to);
+    const redist::RedistPlanV2& plan = slot.instance->plan;
     slot.kernels.reserve(plan.transfers.size());
     // Owned run sets are shared across a rank's transfers: one per
     // endpoint rank, never per element.
@@ -716,70 +705,32 @@ class Machine {
     return slot;
   }
 
-  /// The symbolic plan family serving a plan slot (codegen-assigned; -1
-  /// when the slot's layout pair does not abstract).
-  [[nodiscard]] int family_of_slot(int plan_slot) const {
-    if (code_ == nullptr ||
-        plan_slot >= static_cast<int>(code_->plan_families.size()))
-      return -1;
-    return code_->plan_families[static_cast<std::size_t>(plan_slot)];
-  }
-
-  /// Two-level plan-cache lookup for a compiling plan slot: the family's
-  /// SymbolicPlan (compiled lazily on first use; its descriptor is charged
-  /// once per machine and never dropped), then the bound (N, P) instance
-  /// for the slot's shapes. One hit-or-miss is accounted per call — the
-  /// producing site — so the counters are backend-invariant.
-  /// The instance's run sets are charged against the memory limit once
-  /// however many slots share them (refcounted; see release_instance).
-  std::shared_ptr<const redist::PlanInstance> acquire_instance(
-      int family, const ConcreteLayout& from, const ConcreteLayout& to) {
-    auto& sym = families_[static_cast<std::size_t>(family)];
-    if (sym == nullptr) {
-      auto sym_from = mapping::SymbolicLayout::abstract(from);
-      auto sym_to = mapping::SymbolicLayout::abstract(to);
-      HPFC_ASSERT_MSG(sym_from.has_value() && sym_to.has_value(),
-                      "codegen assigned a family to an unabstractable pair");
-      sym = std::make_unique<redist::SymbolicPlan>(std::move(*sym_from),
-                                                   std::move(*sym_to));
-      bytes_in_use_ += sym->footprint_bytes();
-    }
-    const auto key = redist::SymbolicPlan::key(
-        from.array_shape(), from.proc_shape(), to.proc_shape());
-    auto instance = sym->find(key);
-    const bool hit = instance != nullptr;
-    if (!hit)
-      instance =
-          sym->instantiate(from.array_shape(), from.proc_shape(),
-                           to.proc_shape());
+  /// Plan-cache lookup for a compiling plan slot, keyed by its (from, to)
+  /// layout pair. One hit-or-miss is accounted per call — the producing
+  /// site — so the counters are backend-invariant. The instance's run
+  /// sets are charged against the memory limit once however many slots
+  /// share them: on the miss that builds it, until the release that
+  /// drops it.
+  void acquire_instance(PlanSlot& slot, const ConcreteLayout& from,
+                        const ConcreteLayout& to) {
+    const auto [instance, hit] = plans_.acquire(from, to);
     backend_->account_plan_cache(hit ? 1 : 0, hit ? 0 : 1, hit ? 0 : 1);
-    InstanceCharge& charge = instance_charges_[instance.get()];
-    if (charge.refs++ == 0) {
-      charge.family = family;
-      charge.key = key;
-      bytes_in_use_ += instance->bytes;
-    }
-    return instance;
+    if (!hit) bytes_in_use_ += instance->bytes;
+    slot.instance = instance;
+    slot.from = &from;
+    slot.to = &to;
   }
 
-  /// Releases one plan slot's reference on a shared instance. The last
-  /// release un-charges the instance and drops it from its family's cache
-  /// so its memory is actually reclaimable; a later compile at the same
-  /// shapes re-instantiates (and re-counts a miss). Slots evicted while
-  /// other referencing slots live leave the instance bound — their
-  /// recompile is a cache hit.
-  void release_instance(
-      const std::shared_ptr<const redist::PlanInstance>& instance) {
-    if (instance == nullptr) return;
-    const auto it = instance_charges_.find(instance.get());
-    HPFC_ASSERT_MSG(it != instance_charges_.end(),
-                    "released an instance that was never charged");
-    if (--it->second.refs == 0) {
-      bytes_in_use_ -= instance->bytes;
-      families_[static_cast<std::size_t>(it->second.family)]->drop(
-          it->second.key);
-      instance_charges_.erase(it);
-    }
+  /// Releases one plan slot's reference on its shared instance. The last
+  /// release un-charges the instance and drops it from the cache so its
+  /// memory is actually reclaimable; a later compile of the same pair
+  /// rebuilds it (and re-counts a miss). Slots evicted while other
+  /// referencing slots live leave the instance cached — their recompile
+  /// is a cache hit.
+  void release_instance(const PlanSlot& slot) {
+    if (slot.instance == nullptr) return;
+    const std::uint64_t bytes = slot.instance->bytes;
+    if (plans_.release(*slot.from, *slot.to)) bytes_in_use_ -= bytes;
   }
 
   // ---- fused copy groups -------------------------------------------------
@@ -1198,21 +1149,8 @@ class Machine {
   std::uint64_t bytes_in_use_ = 0;
   /// Compiled transfer kernels per static copy site (codegen plan slot).
   std::vector<PlanSlot> plan_slots_;
-  /// Level 1 of the two-level plan cache: one lazily compiled SymbolicPlan
-  /// per codegen family id (see RuntimeProgram::plan_families). Descriptors
-  /// are charged once and never dropped; their (N, P) instances live in
-  /// each plan's own cache and are refcounted below.
-  std::vector<std::unique_ptr<redist::SymbolicPlan>> families_;
-  /// Footprint refcount per live shared instance (keyed by its address —
-  /// instances are uniquely owned by their family cache while bound): the
-  /// instance's bytes are charged on 0 -> 1 and released — and the
-  /// instance dropped from its family — on the last release.
-  struct InstanceCharge {
-    int refs = 0;
-    int family = -1;
-    redist::SymbolicPlan::InstanceKey key;
-  };
-  std::map<const void*, InstanceCharge> instance_charges_;
+  /// Plans shared by the plan slots, one per (from, to) layout pair.
+  redist::PlanCache plans_;
   /// Copy-group deferral state: the open round's id and members, the
   /// frees held until its flush, and the cached fused rounds keyed by
   /// fired plan-slot sequence (key_scratch_ avoids a per-flush rebuild

@@ -56,14 +56,14 @@ Parsed RunFlags::consume(std::string_view arg) {
     return Parsed::Consumed;
   }
   if (value_flag(arg, "--threads=", value)) {
-    if (!parse_int(value, options.threads)) {
+    if (!parse_int(value, options.threads) || options.threads < 0) {
       error = "bad --threads value '" + std::string(value) + "'";
       return Parsed::Error;
     }
     return Parsed::Consumed;
   }
   if (value_flag(arg, "--ranks=", value)) {
-    if (!parse_int(value, options.ranks)) {
+    if (!parse_int(value, options.ranks) || options.ranks < 0) {
       error = "bad --ranks value '" + std::string(value) + "'";
       return Parsed::Error;
     }

@@ -115,11 +115,11 @@ if(report MATCHES "\"specialized_kernels\": 0[,}]")
   message(FATAL_ERROR
     "cli_smoke: default run installed no specialized kernels:\n${report}")
 endif()
-# The default path serves plan slots from the symbolic plan cache: every
-# executed level binds at least one (N, P) instance.
+# The default path serves plan slots from the plan cache: every executed
+# level builds at least one plan for a (from, to) layout pair.
 if(report MATCHES "\"plan_cache_misses\": 0[,}]")
   message(FATAL_ERROR
-    "cli_smoke: default run never touched the symbolic plan cache:\n${report}")
+    "cli_smoke: default run never touched the plan cache:\n${report}")
 endif()
 if(report MATCHES "\"oracle_match\": false")
   message(FATAL_ERROR "cli_smoke: report JSON records an oracle mismatch:\n${report}")

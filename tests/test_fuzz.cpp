@@ -3,7 +3,7 @@
 // program Theorem 1 must hold after optimization, the parallel signature
 // must equal the sequential oracle's, and every NetStats counter must be
 // byte-identical across backends at the same level. A second sweep
-// reruns every program and level on the seq backend under half its
+// reruns every program, level and backend under half the seq backend's
 // unlimited peak memory, where copies and plan slots get evicted.
 // Failures print a self-contained reproducer line (generator seed + run
 // seed + flags) so a divergence can be replayed — and then minimized
@@ -130,10 +130,12 @@ TEST_P(FuzzPrograms, BackendsMatchTheOracleAtEveryLevel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPrograms,
                          ::testing::Range(kFirstSeed, kEndSeed, 1u));
 
-// Memory pressure: the same programs on the seq backend with a budget of
-// half the unlimited peak (test_differential's squeeze rule). Evicted
-// copies regenerate and evicted plan slots recompile, so the results
-// must still equal the oracle's, and the budget must really evict
+// Memory pressure: the same programs on every backend with a budget of
+// half the seq backend's unlimited peak (test_differential's squeeze
+// rule). Evicted copies regenerate and evicted plan slots recompile, so
+// the results must still equal the oracle's; memory accounting happens
+// on the controlling thread, so every backend must evict exactly what seq
+// evicts and report identical NetStats. The budget must really evict
 // somewhere in the sweep.
 TEST(FuzzMemoryPressure, HalvedBudgetMatchesTheOracleAtEveryLevel) {
   int evicting_runs = 0;
@@ -147,13 +149,27 @@ TEST(FuzzMemoryPressure, HalvedBudgetMatchesTheOracleAtEveryLevel) {
       const auto oracle = driver::run_oracle(compiled, run_options);
       const auto unlimited = driver::run(compiled, run_options);
       run_options.memory_limit = unlimited.peak_bytes / 2 + 1024;
-      SCOPED_TRACE(reproducer(c.gen_seed, c.run_seed, level,
-                              exec::BackendKind::Seq) +
-                   " memory_limit=" + std::to_string(run_options.memory_limit));
-      const auto squeezed = driver::run(compiled, run_options);
-      EXPECT_EQ(squeezed.signature, oracle.signature);
-      EXPECT_TRUE(squeezed.exported_values_ok);
-      if (squeezed.evictions + squeezed.plan_evictions > 0) ++evicting_runs;
+      runtime::RunReport reference;
+      for (const exec::BackendKind backend :
+           {exec::BackendKind::Seq, exec::BackendKind::Thread,
+            exec::BackendKind::Proc}) {
+        SCOPED_TRACE(reproducer(c.gen_seed, c.run_seed, level, backend) +
+                     " memory_limit=" +
+                     std::to_string(run_options.memory_limit));
+        run_options.backend = backend;
+        const auto squeezed = driver::run(compiled, run_options);
+        EXPECT_EQ(squeezed.signature, oracle.signature);
+        EXPECT_TRUE(squeezed.exported_values_ok);
+        if (backend == exec::BackendKind::Seq) {
+          if (squeezed.evictions + squeezed.plan_evictions > 0)
+            ++evicting_runs;
+          reference = squeezed;
+        } else {
+          EXPECT_EQ(squeezed.net, reference.net);
+          EXPECT_EQ(squeezed.evictions, reference.evictions);
+          EXPECT_EQ(squeezed.plan_evictions, reference.plan_evictions);
+        }
+      }
     }
   }
   EXPECT_GT(evicting_runs, 0) << "no run of the sweep evicted anything";

@@ -207,6 +207,12 @@ TEST(Cli, RunFlagsReportsErrors) {
   EXPECT_EQ(flags.consume("--backend=mpi"), support::cli::Parsed::Error);
   EXPECT_NE(flags.error.find("mpi"), std::string::npos);
   EXPECT_EQ(flags.consume("--threads=banana"), support::cli::Parsed::Error);
+  // 0 means auto; a negative count is an error, not a silent auto.
+  EXPECT_EQ(flags.consume("--threads=-2"), support::cli::Parsed::Error);
+  EXPECT_EQ(flags.consume("--ranks=-1"), support::cli::Parsed::Error);
+  EXPECT_NE(flags.error.find("-1"), std::string::npos);
+  EXPECT_EQ(flags.consume("--threads=0"), support::cli::Parsed::Consumed);
+  EXPECT_EQ(flags.consume("--ranks=0"), support::cli::Parsed::Consumed);
   EXPECT_EQ(flags.consume("--proc-timeout-ms=0"),
             support::cli::Parsed::Error);
   EXPECT_EQ(flags.consume("--proc-timeout-ms=-5"),
