@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "runtime/toggles.hpp"
@@ -328,6 +329,9 @@ bool Harness::write_json() const {
   os << "  \"backend\": \"" << hpfc::exec::to_string(options_.run.backend)
      << "\",\n";
   os << "  \"threads\": " << options_.run.threads << ",\n";
+  // The host's core count, so thread and proc rows read against it.
+  os << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+     << ",\n";
   // Registry-driven toggle states (keys are the snake_case registry
   // spellings), so a suite's JSON records exactly which switches shaped
   // its numbers.

@@ -147,7 +147,9 @@ class ConcreteLayout {
   /// per-element ownership walks become bulk strided traversals. The
   /// stretches tile the local index space exactly (local_base advances by
   /// len) and cover the same elements as for_each_owned in the same order;
-  /// a rank-0 array yields one singleton stretch.
+  /// a rank-0 array yields one singleton stretch. Within one outer row no
+  /// two consecutive stretches form one progression, so a CYCLIC(1)
+  /// dimension gives one stretch per row, not one per element.
   template <typename Fn>
   void for_each_owned_run(int rank, Fn&& fn) const {
     const int dims = array_shape_.rank();
@@ -168,7 +170,9 @@ class ConcreteLayout {
           array_shape_.extent(d + 1);
 
     // Outer dimensions are enumerated member-by-member (their member count
-    // is the local extent); the innermost dimension stays in run form.
+    // is the local extent); the innermost dimension stays in run form, as
+    // its maximal progressions. Coalescing stops at the row's end, so a
+    // stretch varies only the innermost dimension.
     std::vector<std::vector<Index>> outer;
     outer.reserve(static_cast<std::size_t>(dims - 1));
     for (int d = 0; d + 1 < dims; ++d)
@@ -181,9 +185,9 @@ class ConcreteLayout {
       Index base = 0;
       for (std::size_t d = 0; d < outer.size(); ++d)
         base += outer[d][pos[d]] * shape_stride[d];
-      inner.for_each_instance([&](Index start, Extent stride, Extent count) {
-        fn(OwnedRun{local, base + start, stride, count});
-        local += count;
+      inner.for_each_stretch([&](const IndexRun& s) {
+        fn(OwnedRun{local, base + s.offset, s.stride, s.count});
+        local += s.count;
       });
       int d = static_cast<int>(outer.size()) - 1;
       for (; d >= 0; --d) {

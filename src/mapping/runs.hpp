@@ -104,6 +104,35 @@ class IndexRuns {
       const std::function<void(Index, Extent, Extent)>& fn) const;
   [[nodiscard]] std::vector<Index> materialize() const;
 
+  /// Calls fn(IndexRun) for the member set as maximal arithmetic
+  /// progressions, in ascending order: consecutive run instances of
+  /// for_each_instance that continue one progression (a single member, or
+  /// the same stride) come out as one run, whose `offset` is the absolute
+  /// first member here, not a window offset. No two consecutive results
+  /// together form one progression. O(windows), like for_each_instance.
+  template <typename Fn>
+  void for_each_stretch(Fn&& fn) const {
+    IndexRun open{0, 1, 0};  // the progression being grown; empty at first
+    // A single member's stride is free: it takes the gap to whatever
+    // follows.
+    for_each_instance([&](Index start, Extent stride, Extent count) {
+      const Extent gap = start - open.last();
+      if (open.count == 1 && (count == 1 || stride == gap)) {
+        open.stride = gap;
+        open.count += count;
+        return;
+      }
+      if (open.count > 1 && gap == open.stride &&
+          (count == 1 || stride == open.stride)) {
+        open.count += count;
+        return;
+      }
+      if (open.count > 0) fn(open);
+      open = {start, count == 1 ? 1 : stride, count};
+    });
+    if (open.count > 0) fn(open);
+  }
+
   [[nodiscard]] std::string to_string() const;
   friend bool operator==(const IndexRuns&, const IndexRuns&) = default;
 

@@ -64,7 +64,10 @@ struct RankOwnership {
 /// Per-(array, version) ownership program, cached like plan slots: every
 /// per-element runtime loop (checksums, write stamping, live-region
 /// clears, copy verification) executes these precompiled stretches
-/// instead of re-deriving ownership per element.
+/// instead of re-deriving ownership per element. Its size is
+/// O(stretches), one per CYCLIC(1) row but one per window for
+/// CYCLIC(k>1). Unlike plan slots it is not charged against
+/// memory_limit, so it is neither counted in peak_bytes nor evicted.
 struct OwnershipProgram {
   std::vector<RankOwnership> per_rank;  ///< indexed by layout rank
 };

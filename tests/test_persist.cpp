@@ -253,6 +253,62 @@ TEST(PersistSnapshot, RanksWithoutRunsRoundTrip) {
             persist::sealed_epochs(mirror_dir).back().roots);
 }
 
+TEST(PersistSnapshot, CyclicVersionIsOneLeafPerRank) {
+  // A(64) CYCLIC on 4: each rank's ownership is one stretch {r, +4 x 16},
+  // so each rank hashes and journals one leaf.
+  const auto lay = mapping::ConcreteLayout::make(
+      Shape{64}, Shape{4},
+      {{mapping::AlignTarget::axis(0), DistFormat::cyclic(1), 64}});
+  std::vector<std::vector<mapping::OwnedRun>> runs(4);
+  std::vector<std::vector<double>> locals(4);
+  for (int r = 0; r < 4; ++r) {
+    lay.for_each_owned_run(r, [&](const mapping::OwnedRun& run) {
+      runs[static_cast<std::size_t>(r)].push_back(run);
+    });
+    ASSERT_EQ(runs[static_cast<std::size_t>(r)],
+              (std::vector<mapping::OwnedRun>{{0, r, 4, 16}}));
+    for (int j = 0; j < 16; ++j)
+      locals[static_cast<std::size_t>(r)].push_back(r + 4.0 * j);
+  }
+  const std::string dir = fresh_dir("cyclic_leaf");
+  persist::SnapshotWriter writer(dir);
+  std::vector<int> status{0};
+  std::vector<int> saved;
+  persist::StoreView view;
+  view.status = &status;
+  view.saved = &saved;
+  view.write_counter = 1;
+  persist::VersionView vv;
+  vv.allocated = true;
+  vv.live = true;
+  vv.locals = &locals;
+  for (const auto& rank_runs : runs) vv.runs.push_back(&rank_runs);
+  view.versions.push_back(vv);
+
+  const auto expect_restores = [&] {
+    const auto restored = persist::restore(dir);
+    ASSERT_TRUE(restored.valid);
+    ASSERT_EQ(restored.versions.size(), 1u);
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(restored.versions[0].locals.at(r),
+                locals[static_cast<std::size_t>(r)]);
+      ASSERT_EQ(restored.versions[0].runs.at(r).size(), 1u);
+      EXPECT_EQ(restored.versions[0].runs.at(r)[0].geometry,
+                runs[static_cast<std::size_t>(r)][0]);
+    }
+  };
+
+  writer.snapshot(view);
+  EXPECT_EQ(writer.stats().runs_written, 4u);
+  expect_restores();
+  writer.snapshot(view);  // dirty but unchanged: re-hash, no record
+  EXPECT_EQ(writer.stats().runs_written, 4u);
+  for (auto& local : locals) local[5] += 1.0;  // one write touches every rank
+  writer.snapshot(view);  // the whole stretch is re-journaled, once per rank
+  EXPECT_EQ(writer.stats().runs_written, 8u);
+  expect_restores();
+}
+
 // ---- machine-level round trip ------------------------------------------
 
 TEST(PersistRestore, RebuildsTheSealedStoreBitIdentically) {
@@ -278,6 +334,19 @@ TEST(PersistRestore, RebuildsTheSealedStoreBitIdentically) {
   const auto sealed = persist::sealed_epochs(dir);
   ASSERT_EQ(sealed.size(), restored.epoch);
   EXPECT_EQ(sealed.back().roots, restored.roots);
+  // B(64) is CYCLIC on 4 throughout: one strided leaf per rank.
+  const int b = compiled.program.find_array("B");
+  int cyclic_ranks = 0;
+  for (const auto& v : restored.versions) {
+    if (v.array != b || !v.allocated) continue;
+    for (const auto& [rank, runs] : v.runs) {
+      ASSERT_EQ(runs.size(), 1u) << "rank " << rank;
+      EXPECT_EQ(runs[0].geometry.global_stride, 4);
+      EXPECT_EQ(runs[0].geometry.len, 16);
+      ++cyclic_ranks;
+    }
+  }
+  EXPECT_EQ(cyclic_ranks, 4);
 
   // Snapshot cadence: --snapshot-every=2 seals fewer epochs but the same
   // final store.

@@ -3,6 +3,8 @@
 // zero; the must-analysis drops regions at writes and path disagreements.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
 #include "hpf/parser.hpp"
@@ -25,9 +27,12 @@ Compiled compile_builder(ProgramBuilder& b, OptLevel level) {
   return c;
 }
 
-runtime::RunReport run_checked(const Compiled& c, unsigned seed = 7) {
+runtime::RunReport run_checked(
+    const Compiled& c, unsigned seed = 7,
+    exec::BackendKind backend = exec::BackendKind::Seq) {
   runtime::RunOptions options;
   options.seed = seed;
+  options.backend = backend;
   options.paranoid = true;
   const auto oracle = driver::run_oracle(c, options);
   const auto parallel = driver::run(c, options);
@@ -212,6 +217,59 @@ TEST(LiveRegion, LoopBackEdgeDropsDisagreeingRegion) {
   // first iteration; later ones may reuse live copies at O2).
   EXPECT_GT(report.elements_copied, 0u);
   run_checked(c, 3);
+}
+
+/// Runs `build` at every level on the seq and thread backends; the live
+/// region clips strided stretches (one per CYCLIC(1) rank row) at bounds
+/// that no multiple of P lines up with. Both backends must match the
+/// oracle and copy the same elements.
+void expect_strided_region_runs(
+    const std::function<void(ProgramBuilder&)>& build) {
+  for (const OptLevel level : {OptLevel::O0, OptLevel::O1, OptLevel::O2}) {
+    ProgramBuilder b("strided");
+    build(b);
+    const Compiled c = compile_builder(b, level);
+    const auto seq = run_checked(c, 7, exec::BackendKind::Seq);
+    const auto thread = run_checked(c, 7, exec::BackendKind::Thread);
+    EXPECT_EQ(seq.signature, thread.signature);
+    EXPECT_EQ(seq.elements_copied, thread.elements_copied);
+    EXPECT_GT(seq.elements_copied, 0u);
+  }
+}
+
+TEST(LiveRegion, ClipsCyclicStretchesOneDimensional) {
+  // A(64) CYCLIC on 4: each rank owns one stretch {r, +4 x 16}; the live
+  // window [5, 37) cuts every one of them inside.
+  expect_strided_region_runs([](ProgramBuilder& b) {
+    b.procs("P", Shape{4});
+    b.array("A", Shape{64});
+    b.distribute_array("A", {DistFormat::cyclic()}, "P");
+    b.def({"A"});
+    b.live_region("A", {{5, 37}});
+    b.redistribute("A", {DistFormat::block()}, "", "1");
+    b.use({"A"});
+    b.redistribute("A", {DistFormat::cyclic()}, "", "2");
+    b.use({"A"});
+  });
+}
+
+TEST(LiveRegion, ClipsCyclicStretchesPerRow) {
+  // (16, 16) as (*, CYCLIC) on 4: one stretch per row and rank; the
+  // region clips rows outside [2, 9) whole and columns to [5, 14).
+  expect_strided_region_runs([](ProgramBuilder& b) {
+    b.procs("P", Shape{4});
+    b.array("A", Shape{16, 16});
+    b.distribute_array("A", {DistFormat::collapsed(), DistFormat::cyclic()},
+                       "P");
+    b.def({"A"});
+    b.live_region("A", {{2, 9}, {5, 14}});
+    b.redistribute("A", {DistFormat::block(), DistFormat::collapsed()}, "",
+                   "1");
+    b.use({"A"});
+    b.redistribute("A", {DistFormat::collapsed(), DistFormat::cyclic()}, "",
+                   "2");
+    b.use({"A"});
+  });
 }
 
 }  // namespace

@@ -82,6 +82,60 @@ IndexRuns random_pattern(std::mt19937& rng, Extent span) {
   return IndexRuns(base, period, in_period.runs(), span - base);
 }
 
+/// Whether members a then b, in that order, form one arithmetic
+/// progression (all steps equal).
+bool one_progression(Index a_base, Extent a_stride, Extent a_len,
+                     Index b_base, Extent b_stride, Extent b_len) {
+  std::vector<Index> members;
+  for (Extent j = 0; j < a_len; ++j) members.push_back(a_base + j * a_stride);
+  for (Extent j = 0; j < b_len; ++j) members.push_back(b_base + j * b_stride);
+  for (std::size_t i = 2; i < members.size(); ++i)
+    if (members[i] - members[i - 1] != members[1] - members[0]) return false;
+  return true;
+}
+
+std::vector<IndexRun> stretches_of(const IndexRuns& r) {
+  std::vector<IndexRun> out;
+  r.for_each_stretch([&](const IndexRun& s) { out.push_back(s); });
+  return out;
+}
+
+TEST(IndexRuns, StretchesAreMaximalProgressionsOfTheMembers) {
+  std::mt19937 rng(11);
+  std::vector<IndexRuns> cases = {
+      IndexRuns(0, 8, {IndexRun{3, 1, 1}}, 64),   // CYCLIC(1)
+      IndexRuns(0, 8, {IndexRun{2, 1, 2}}, 64),   // CYCLIC(2)
+      IndexRuns(5, 10, {IndexRun{1, 3, 3}}, 25),  // strided windows
+      IndexRuns(0, 6, {IndexRun{0, 2, 3}}, 20),   // one long step-2 run
+      IndexRuns(0, 6, {IndexRun{1, 1, 1}, IndexRun{4, 1, 1}}, 30),
+      IndexRuns(2, 4, {IndexRun{1, 1, 1}}, 3),  // a single member
+      IndexRuns::interval(3, 9)};
+  for (int trial = 0; trial < 300; ++trial)
+    cases.push_back(random_pattern(rng, 20 + static_cast<Extent>(rng() % 40)));
+  for (const IndexRuns& r : cases) {
+    const auto stretches = stretches_of(r);
+    std::vector<Index> members;
+    for (std::size_t i = 0; i < stretches.size(); ++i) {
+      const IndexRun& s = stretches[i];
+      EXPECT_GE(s.stride, 1) << r.to_string();
+      EXPECT_GE(s.count, 1) << r.to_string();
+      for (Extent j = 0; j < s.count; ++j)
+        members.push_back(s.offset + j * s.stride);
+      if (i > 0) {
+        const IndexRun& p = stretches[i - 1];
+        EXPECT_FALSE(one_progression(p.offset, p.stride, p.count, s.offset,
+                                     s.stride, s.count))
+            << r.to_string() << " stretch " << i;
+      }
+    }
+    EXPECT_EQ(members, r.materialize()) << r.to_string();
+  }
+  // A CYCLIC(1) pattern is one progression, found without walking every
+  // window.
+  EXPECT_EQ(stretches_of(IndexRuns(0, 8, {IndexRun{3, 1, 1}}, 1 << 20)),
+            (std::vector<IndexRun>{{3, 8, 1 << 17}}));
+}
+
 TEST(IndexRuns, IntersectMatchesBruteForce) {
   std::mt19937 rng(42);
   for (int trial = 0; trial < 300; ++trial) {
@@ -162,18 +216,90 @@ TEST(LayoutRuns, ForEachOwnedRunTilesForEachOwnedExactly) {
         expected.emplace_back(pos, shape.linearize(global));
       });
       std::vector<std::pair<Index, Index>> got;
+      std::vector<mapping::OwnedRun> runs;
       Index next_local = 0;
       lay.for_each_owned_run(r, [&](const mapping::OwnedRun& run) {
         EXPECT_EQ(run.local_base, next_local) << lay.to_string();
         EXPECT_GE(run.len, 1);
         next_local += run.len;
+        runs.push_back(run);
         for (Extent j = 0; j < run.len; ++j)
           got.emplace_back(run.local_base + j,
                            run.global_base + j * run.global_stride);
       });
       EXPECT_EQ(got, expected) << lay.to_string() << " rank " << r;
       EXPECT_EQ(next_local, lay.local_count(r)) << lay.to_string();
+
+      // Row confinement: every member shares the outer coordinates of
+      // global_base. Maximality: within one outer row, no two consecutive
+      // stretches together form one progression.
+      const auto outer_of = [&](Index linear) {
+        auto coord = shape.delinearize(linear);
+        coord.pop_back();
+        return coord;
+      };
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        const mapping::OwnedRun& run = runs[i];
+        const auto row = outer_of(run.global_base);
+        for (Extent j = 1; j < run.len; ++j)
+          EXPECT_EQ(outer_of(run.global_base + j * run.global_stride), row)
+              << lay.to_string() << " rank " << r << " stretch " << i;
+        if (i == 0 || outer_of(runs[i - 1].global_base) != row) continue;
+        const mapping::OwnedRun& prev = runs[i - 1];
+        EXPECT_FALSE(one_progression(prev.global_base, prev.global_stride,
+                                     prev.len, run.global_base,
+                                     run.global_stride, run.len))
+            << lay.to_string() << " rank " << r << " stretch " << i;
+      }
     }
+  }
+}
+
+std::vector<mapping::OwnedRun> owned_runs(const ConcreteLayout& lay, int r) {
+  std::vector<mapping::OwnedRun> runs;
+  lay.for_each_owned_run(
+      r, [&](const mapping::OwnedRun& run) { runs.push_back(run); });
+  return runs;
+}
+
+mapping::DimOwner cyclic_owner(int array_dim, Extent k, Extent extent) {
+  return {mapping::AlignTarget::axis(array_dim), mapping::DistFormat::cyclic(k),
+          extent};
+}
+
+TEST(LayoutRuns, CyclicOneRankIsOneStretch) {
+  const Extent n = 1048576;
+  const auto lay =
+      ConcreteLayout::make(Shape{n}, Shape{8}, {cyclic_owner(0, 1, n)});
+  for (int r = 0; r < 8; ++r)
+    EXPECT_EQ(owned_runs(lay, r),
+              (std::vector<mapping::OwnedRun>{{0, r, 8, n / 8}}))
+        << "rank " << r;
+}
+
+TEST(LayoutRuns, StarCyclicGivesOneStretchPerRow) {
+  // (12, 10) as (*, CYCLIC) on 4: ranks 0-1 own 3 columns, ranks 2-3 own 2.
+  const auto lay =
+      ConcreteLayout::make(Shape{12, 10}, Shape{4}, {cyclic_owner(1, 1, 10)});
+  for (int r = 0; r < 4; ++r) {
+    const Extent cols = r < 2 ? 3 : 2;
+    std::vector<mapping::OwnedRun> expected;
+    for (Index row = 0; row < 12; ++row)
+      expected.push_back({row * cols, row * 10 + r, 4, cols});
+    EXPECT_EQ(owned_runs(lay, r), expected) << "rank " << r;
+  }
+}
+
+TEST(LayoutRuns, CyclicTwoKeepsOneStretchPerWindow) {
+  // CYCLIC(2) on 4: the pairs {8w + 2r, 8w + 2r + 1} sit 7 apart, so no
+  // two windows continue one progression.
+  const auto lay =
+      ConcreteLayout::make(Shape{64}, Shape{4}, {cyclic_owner(0, 2, 64)});
+  for (int r = 0; r < 4; ++r) {
+    std::vector<mapping::OwnedRun> expected;
+    for (Index w = 0; w < 8; ++w)
+      expected.push_back({2 * w, 8 * w + 2 * r, 1, 2});
+    EXPECT_EQ(owned_runs(lay, r), expected) << "rank " << r;
   }
 }
 
