@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/toggles.hpp"
 #include "support/cli.hpp"
 
 namespace bench_common {
@@ -174,6 +173,16 @@ hpfc::runtime::RunOptions default_run_options() {
   return run;
 }
 
+namespace {
+
+/// Reports a bad command line and exits with status 2.
+[[noreturn]] void reject(const std::string& message) {
+  std::fprintf(stderr, "bench: %s\n", message.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 HarnessOptions HarnessOptions::parse(int& argc, char** argv) {
   HarnessOptions options;
   hpfc::support::cli::RunFlags flags;
@@ -185,20 +194,20 @@ HarnessOptions HarnessOptions::parse(int& argc, char** argv) {
       case hpfc::support::cli::Parsed::Consumed:
         continue;
       case hpfc::support::cli::Parsed::Error:
-        std::fprintf(stderr, "bench: %s\n", flags.error.c_str());
-        std::abort();
+        reject(flags.error);
       case hpfc::support::cli::Parsed::Unrecognized:
         break;
     }
-    if (arg == "--list-toggles") {
-      std::fputs(hpfc::support::cli::toggle_table().c_str(), stdout);
-      std::exit(0);
-    } else if (arg.rfind("--json=", 0) == 0) {
+    if (arg.rfind("--json=", 0) == 0) {
       options.json_path = arg.substr(7);
     } else if (arg.rfind("--reps=", 0) == 0) {
-      options.reps = std::max(1, std::atoi(arg.c_str() + 7));
+      if (!hpfc::support::cli::parse_int(arg.substr(7), options.reps) ||
+          options.reps < 1)
+        reject("bad --reps value '" + arg.substr(7) + "'");
     } else if (arg.rfind("--warmup=", 0) == 0) {
-      options.warmup = std::max(0, std::atoi(arg.c_str() + 9));
+      if (!hpfc::support::cli::parse_int(arg.substr(9), options.warmup) ||
+          options.warmup < 0)
+        reject("bad --warmup value '" + arg.substr(9) + "'");
     } else if (arg == "--calibrate") {
       options.calibrate = true;
     } else if (arg == "--no-gbench") {
@@ -209,6 +218,11 @@ HarnessOptions HarnessOptions::parse(int& argc, char** argv) {
   }
   argc = out;
   argv[argc] = nullptr;
+  // Without Google Benchmark nothing else reads argv, so a leftover
+  // argument is a typo; bench_main checks the gbench case after
+  // benchmark::Initialize has taken its own flags.
+  if (!options.run_google_benchmarks && argc > 1)
+    reject("unrecognized argument '" + std::string(argv[1]) + "'");
   options.run = flags.options;
   return options;
 }
@@ -332,18 +346,6 @@ bool Harness::write_json() const {
   // The host's core count, so thread and proc rows read against it.
   os << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
      << ",\n";
-  // Registry-driven toggle states (keys are the snake_case registry
-  // spellings), so a suite's JSON records exactly which switches shaped
-  // its numbers.
-  os << "  \"toggles\": {";
-  bool first_toggle = true;
-  hpfc::runtime::for_each_toggle(
-      options_.run, [&](const hpfc::runtime::Toggle& toggle, bool value) {
-        os << (first_toggle ? "" : ", ") << '"' << toggle.key
-           << "\": " << (value ? "true" : "false");
-        first_toggle = false;
-      });
-  os << "},\n";
   if (options_.calibration.samples > 0) {
     os << "  \"calibration\": {\"latency_s\": " << options_.calibration.latency
        << ", \"inv_bandwidth_s_per_byte\": "
@@ -415,6 +417,10 @@ bool Harness::write_json() const {
 int bench_main(int argc, char** argv, const std::string& bench_name,
                const std::function<void(Harness&)>& body) {
   HarnessOptions options = HarnessOptions::parse(argc, argv);
+  if (options.run_google_benchmarks) {
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  }
   if (options.calibrate) {
     try {
       options.calibration = hpfc::exec::calibrate_wire(
@@ -433,10 +439,7 @@ int bench_main(int argc, char** argv, const std::string& bench_name,
   Harness harness(bench_name, options);
   body(harness);
   if (!harness.write_json()) return 1;
-  if (options.run_google_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
+  if (options.run_google_benchmarks) benchmark::RunSpecifiedBenchmarks();
   return 0;
 }
 

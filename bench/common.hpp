@@ -142,9 +142,10 @@ hpfc::runtime::RunOptions default_run_options();
 /// removed from argv so the remainder can still go to Google Benchmark.
 ///
 /// The machine flags (--backend=seq|thread|proc, --threads, --ranks,
-/// --seed, --proc-timeout-ms) and every registered toggle (--paranoid)
-/// come from the shared support::cli surface and land in `run`;
-/// `--list-toggles` prints the registry table and exits.
+/// --seed, --proc-timeout-ms, --snapshot-dir, --snapshot-every) and
+/// --paranoid come from the shared support::cli parser and land in `run`.
+/// A malformed value, or an argument neither this parser nor Google
+/// Benchmark recognizes, exits with status 2.
 /// Harness-specific flags:
 ///
 ///   --json=PATH   write the collected metrics as JSON to PATH
@@ -158,7 +159,7 @@ struct HarnessOptions {
   int reps = 3;
   int warmup = 1;
   /// The simulated-run configuration every measurement uses (seed,
-  /// backend, threads, ranks, and all registered toggles).
+  /// backend, threads, ranks, paranoid, snapshots).
   hpfc::runtime::RunOptions run = default_run_options();
   bool calibrate = false;
   /// Fitted constants when --calibrate ran (samples > 0 marks validity).

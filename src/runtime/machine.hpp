@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "codegen/runtime_ops.hpp"
 #include "exec/backend.hpp"
@@ -61,11 +60,6 @@ struct RunOptions {
   /// ran). The final store is always sealed at exit regardless.
   /// Ignored without snapshot_dir.
   int snapshot_every = 1;
-
-  /// Sets a boolean toggle by registry name (kebab-case or snake_case
-  /// spelling; see runtime/toggles.hpp). Returns false when no such
-  /// toggle exists.
-  bool set(std::string_view toggle, bool value = true);
 };
 
 struct RunReport {

@@ -4,18 +4,16 @@
 #include <sstream>
 
 #include "exec/backend.hpp"
-#include "runtime/toggles.hpp"
 
 namespace hpfc::support::cli {
 
-namespace {
-
-/// Parses "--name=value" into the integer out-param; false on garbage.
 bool parse_int(std::string_view value, int& out) {
   const auto* end = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), end, out);
   return ec == std::errc{} && ptr == end;
 }
+
+namespace {
 
 bool parse_unsigned(std::string_view value, unsigned& out) {
   const auto* end = value.data() + value.size();
@@ -35,13 +33,9 @@ bool value_flag(std::string_view arg, std::string_view flag,
 }  // namespace
 
 Parsed RunFlags::consume(std::string_view arg) {
-  // Registry toggles: "--<kebab-name>" sets the flag.
-  if (arg.starts_with("--")) {
-    if (const auto* toggle = runtime::find_toggle(arg.substr(2));
-        toggle != nullptr) {
-      options.*(toggle->flag) = true;
-      return Parsed::Consumed;
-    }
+  if (arg == "--paranoid") {
+    options.paranoid = true;
+    return Parsed::Consumed;
   }
 
   std::string_view value;
@@ -112,24 +106,9 @@ std::string usage() {
      << "  --seed=N             branch-decision seed\n"
      << "  --proc-timeout-ms=N  socket deadline for --backend=proc\n"
      << "  --snapshot-dir=DIR   crash-consistent store snapshots into DIR\n"
-     << "  --snapshot-every=N   snapshot every Nth remap boundary\n";
-  for (const auto& toggle : runtime::toggles())
-    os << "  --" << toggle.name << "\n                       " << toggle.help
-       << "\n";
-  return os.str();
-}
-
-std::string toggle_table() {
-  std::ostringstream os;
-  for (const auto& toggle : runtime::toggles())
-    os << "--" << toggle.name << "\t" << toggle.key << "\t" << toggle.help
-       << "\n";
-  os << "--proc-timeout-ms=\tproc_timeout_ms\t"
-     << "proc backend: socket operation deadline in milliseconds\n";
-  os << "--snapshot-dir=\tsnapshot_dir\t"
-     << "crash-consistent store snapshots into this directory\n";
-  os << "--snapshot-every=\tsnapshot_every\t"
-     << "snapshot every Nth remap boundary (default 1)\n";
+     << "  --snapshot-every=N   snapshot every Nth remap boundary\n"
+     << "  --paranoid           validate the liveness invariant after every\n"
+     << "                       step (slow; for tests)\n";
   return os.str();
 }
 

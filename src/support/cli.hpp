@@ -1,8 +1,7 @@
 // Shared command-line surface for every tool that executes the runtime
 // (tools/hpfc.cpp and the bench harness): one parser for the machine
-// flags (--backend/--threads/--ranks/--seed/--proc-timeout-ms) plus every
-// registered toggle, built on the runtime::Toggle registry so a new
-// toggle becomes a new flag everywhere without touching a parser.
+// flags (--backend/--threads/--ranks/--seed/--proc-timeout-ms/
+// --snapshot-dir/--snapshot-every) and the --paranoid validation switch.
 //
 // Usage: construct a RunFlags, feed it each argv element; Consumed means
 // the flag was recognized and applied to `options`, Unrecognized means
@@ -30,15 +29,12 @@ struct RunFlags {
   Parsed consume(std::string_view arg);
 };
 
+/// Parses a flag's value into `out`; false unless the whole of `value`
+/// is one base-10 integer.
+[[nodiscard]] bool parse_int(std::string_view value, int& out);
+
 /// Help text for every shared flag (one indented line each), for
 /// embedding into a tool's usage message.
 [[nodiscard]] std::string usage();
-
-/// Machine-parsable flag table, one line per toggle/knob:
-///   <cli-flag>\t<snake_key>\t<help>
-/// Value-taking knobs keep their trailing '=' in the flag column.
-/// tools/run_benches validates generic passthrough flags against this
-/// (via `bench --list-toggles`), so the table is the single contract.
-[[nodiscard]] std::string toggle_table();
 
 }  // namespace hpfc::support::cli

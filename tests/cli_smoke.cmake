@@ -1,5 +1,6 @@
 # Smoke test for the hpfc CLI, run as a ctest script test:
-#   cmake -DHPFC_BIN=<path-to-hpfc> -DHPFC_SOURCE_DIR=<repo-root> -P cli_smoke.cmake
+#   cmake -DHPFC_BIN=<path-to-hpfc> -DHPFC_SOURCE_DIR=<repo-root>
+#         [-DBENCH_BIN=<path-to-bench_fig02_useless>] -P cli_smoke.cmake
 #
 # Compiles examples/quickstart.hpf (the HPF-lite form of
 # examples/quickstart.cpp) at all three levels via --run --compare and
@@ -228,31 +229,73 @@ if(proc_report MATCHES "\"wire_bytes\": 0[,}]")
     "cli_smoke: proc run moved no bytes over the wire:\n${proc_report}")
 endif()
 
-# --list-toggles: the machine-parsable registry table run_benches
-# validates passthrough flags against.
+# Flag contract: each tool's own parser is the only definition of its
+# flags. --paranoid (validate the liveness invariant after every step)
+# runs through hpfc, and a misspelled flag is rejected with exit code 2.
 execute_process(
-  COMMAND "${HPFC_BIN}" --list-toggles
-  OUTPUT_VARIABLE toggles_out
-  ERROR_VARIABLE toggles_err
-  RESULT_VARIABLE toggles_status)
-if(NOT toggles_status EQUAL 0)
-  message(FATAL_ERROR "cli_smoke: hpfc --list-toggles exited with "
-    "${toggles_status}\nstderr:\n${toggles_err}")
+  COMMAND "${HPFC_BIN}" "${HPFC_SOURCE_DIR}/examples/quickstart.hpf"
+          --run --paranoid
+  OUTPUT_VARIABLE paranoid_out
+  ERROR_VARIABLE paranoid_err
+  RESULT_VARIABLE paranoid_status)
+if(NOT paranoid_status EQUAL 0 OR NOT paranoid_out MATCHES "\\[oracle-match\\]")
+  message(FATAL_ERROR "cli_smoke: hpfc --paranoid exited with "
+    "${paranoid_status}\nstdout:\n${paranoid_out}\nstderr:\n${paranoid_err}")
 endif()
-set(expected_flags paranoid proc-timeout-ms= snapshot-dir= snapshot-every=)
-foreach(flag IN LISTS expected_flags)
-  if(NOT toggles_out MATCHES "--${flag}\t")
-    message(FATAL_ERROR
-      "cli_smoke: --list-toggles is missing --${flag}:\n${toggles_out}")
+execute_process(
+  COMMAND "${HPFC_BIN}" "${HPFC_SOURCE_DIR}/examples/quickstart.hpf"
+          --paranoidd
+  OUTPUT_VARIABLE typo_out
+  ERROR_VARIABLE typo_err
+  RESULT_VARIABLE typo_status)
+if(NOT typo_status EQUAL 2)
+  message(FATAL_ERROR "cli_smoke: hpfc --paranoidd exited with "
+    "${typo_status}, expected 2\nstderr:\n${typo_err}")
+endif()
+
+# The bench harness and tools/run_benches reject unknown flags too, and
+# pass --paranoid and the snapshot flags through (the CI paranoid and
+# snapshot legs depend on it). Only when the benches are built.
+if(DEFINED BENCH_BIN)
+  get_filename_component(bench_dir "${BENCH_BIN}" DIRECTORY)
+  set(run_benches "${HPFC_SOURCE_DIR}/tools/run_benches")
+  set(bench_json "${_bin_dir}/cli_smoke_bench.json")
+  # With Google Benchmark on, --bogus must fail the gbench flag check.
+  foreach(bad_args "--no-gbench;--bogus" "--no-gbench;--reps=banana"
+                   "--bogus")
+    execute_process(
+      COMMAND "${BENCH_BIN}" --reps=1 --warmup=0 ${bad_args}
+      OUTPUT_VARIABLE bench_out
+      ERROR_VARIABLE bench_err
+      RESULT_VARIABLE bench_status)
+    if(bench_status EQUAL 0)
+      message(FATAL_ERROR "cli_smoke: bench_fig02_useless accepted "
+        "${bad_args}\nstdout:\n${bench_out}")
+    endif()
+  endforeach()
+  execute_process(
+    COMMAND "${run_benches}" "${bench_dir}" "${bench_json}"
+            --quick --only=fig02 --bogus
+    OUTPUT_VARIABLE rb_out
+    ERROR_VARIABLE rb_err
+    RESULT_VARIABLE rb_status)
+  if(rb_status EQUAL 0)
+    message(FATAL_ERROR "cli_smoke: run_benches accepted --bogus\n"
+      "stdout:\n${rb_out}\nstderr:\n${rb_err}")
   endif()
-endforeach()
-# Exactly those flags: one table line each, nothing else.
-string(REGEX MATCHALL "(^|\n)--" toggle_lines "${toggles_out}")
-list(LENGTH toggle_lines toggle_count)
-list(LENGTH expected_flags expected_count)
-if(NOT toggle_count EQUAL expected_count)
-  message(FATAL_ERROR "cli_smoke: --list-toggles lists ${toggle_count} "
-    "flags, expected ${expected_count}:\n${toggles_out}")
+  set(bench_snap_dir "${_bin_dir}/cli_smoke_bench_snapshots")
+  file(REMOVE_RECURSE "${bench_snap_dir}")
+  execute_process(
+    COMMAND "${run_benches}" "${bench_dir}" "${bench_json}"
+            --quick --only=fig02 --paranoid
+            --snapshot-dir=${bench_snap_dir} --snapshot-every=1
+    OUTPUT_VARIABLE rb_out
+    ERROR_VARIABLE rb_err
+    RESULT_VARIABLE rb_status)
+  if(NOT rb_status EQUAL 0)
+    message(FATAL_ERROR "cli_smoke: run_benches --paranoid --snapshot-dir "
+      "exited with ${rb_status}\nstdout:\n${rb_out}\nstderr:\n${rb_err}")
+  endif()
 endif()
 
 # --snapshot-dir: the run seals crash-consistent snapshots, the report's
@@ -314,5 +357,5 @@ endforeach()
 
 message(STATUS
   "cli_smoke: OK (O0 copied ${o0_elems} elems, O2 copied ${o2_elems}, "
-  "seq/thread/proc backends and the kernel and plan toggles agree, "
+  "seq/thread/proc backends agree, unknown flags are rejected, "
   "snapshots seal and restore, report at ${report_json})")

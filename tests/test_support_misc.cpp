@@ -1,12 +1,10 @@
 // Support utilities and miscellaneous library surfaces: diagnostics
-// collection, string helpers, the toggle registry and shared CLI parser,
-// version-table edge cases, graph rendering, and 2-D processor-grid
-// end-to-end runs.
+// collection, string helpers, the shared CLI parser, version-table edge
+// cases, graph rendering, and 2-D processor-grid end-to-end runs.
 #include <gtest/gtest.h>
 
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
-#include "runtime/toggles.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/diagnostics.hpp"
@@ -143,45 +141,7 @@ TEST(GraphRendering, RemovedAndRegionLabels) {
   EXPECT_NE(text.find("removed"), std::string::npos) << text;
 }
 
-TEST(Toggles, RegistryResolvesBothSpellingsAndCoversAllFlags) {
-  // Every registered toggle resolves under both its kebab-case flag
-  // spelling and its snake_case JSON key, and points at a live
-  // RunOptions member.
-  runtime::RunOptions options;
-  std::size_t count = 0;
-  for (const runtime::Toggle& toggle : runtime::toggles()) {
-    ++count;
-    EXPECT_EQ(runtime::find_toggle(toggle.name), &toggle);
-    EXPECT_EQ(runtime::find_toggle(toggle.key), &toggle);
-    EXPECT_FALSE(toggle.help.empty()) << toggle.name;
-    EXPECT_FALSE(options.*(toggle.flag)) << toggle.name
-                                         << " should default to off";
-  }
-  EXPECT_EQ(count, 1u);
-  EXPECT_EQ(runtime::find_toggle("no-such-toggle"), nullptr);
-}
-
-TEST(Toggles, RunOptionsSetAndForEach) {
-  runtime::RunOptions options;
-  EXPECT_TRUE(options.set("paranoid"));
-  EXPECT_TRUE(options.paranoid);
-  EXPECT_TRUE(options.set("paranoid", false));
-  EXPECT_FALSE(options.paranoid);
-  EXPECT_TRUE(options.set("paranoid"));
-  EXPECT_FALSE(options.set("not-a-toggle"));
-
-  std::size_t seen = 0;
-  std::size_t on = 0;
-  runtime::for_each_toggle(options,
-                           [&](const runtime::Toggle&, bool value) {
-                             ++seen;
-                             if (value) ++on;
-                           });
-  EXPECT_EQ(seen, runtime::toggles().size());
-  EXPECT_EQ(on, 1u);  // paranoid is set again
-}
-
-TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
+TEST(Cli, RunFlagsConsumesMachineFlags) {
   support::cli::RunFlags flags;
   EXPECT_EQ(flags.consume("--backend=proc"), support::cli::Parsed::Consumed);
   EXPECT_EQ(flags.options.backend, exec::BackendKind::Proc);
@@ -196,6 +156,9 @@ TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
   EXPECT_EQ(flags.options.proc_timeout_ms, 250);
   EXPECT_EQ(flags.consume("--paranoid"), support::cli::Parsed::Consumed);
   EXPECT_TRUE(flags.options.paranoid);
+  // --paranoid is one literal flag: near-misses are not it.
+  EXPECT_EQ(flags.consume("--paranoidd"), support::cli::Parsed::Unrecognized);
+  EXPECT_EQ(flags.consume("--paranoid=1"), support::cli::Parsed::Unrecognized);
   // Flags the shared surface does not own pass through untouched.
   EXPECT_EQ(flags.consume("--json=x.json"),
             support::cli::Parsed::Unrecognized);
@@ -217,29 +180,6 @@ TEST(Cli, RunFlagsReportsErrors) {
             support::cli::Parsed::Error);
   EXPECT_EQ(flags.consume("--proc-timeout-ms=-5"),
             support::cli::Parsed::Error);
-}
-
-TEST(Cli, ToggleTableIsMachineParsable) {
-  // tools/run_benches validates passthrough flags against this table:
-  // one "--flag\tkey\thelp" line per entry, registry toggles first, and
-  // the value-taking knobs (proc-timeout, snapshot dir/cadence) spelled
-  // with a trailing '='.
-  const std::string table = support::cli::toggle_table();
-  std::size_t lines = 0;
-  for (const std::string& line : split(table, '\n')) {
-    if (line.empty()) continue;
-    ++lines;
-    const auto columns = split(line, '\t');
-    ASSERT_EQ(columns.size(), 3u) << line;
-    EXPECT_TRUE(starts_with(columns[0], "--")) << line;
-    EXPECT_FALSE(columns[1].empty()) << line;
-    EXPECT_FALSE(columns[2].empty()) << line;
-  }
-  EXPECT_EQ(lines, runtime::toggles().size() + 3);
-  EXPECT_NE(table.find("--proc-timeout-ms=\t"), std::string::npos);
-  EXPECT_NE(table.find("--snapshot-dir=\t"), std::string::npos);
-  EXPECT_NE(table.find("--snapshot-every=\t"), std::string::npos);
-  EXPECT_NE(table.find("--paranoid\tparanoid\t"), std::string::npos);
 }
 
 TEST(NetStats, Summary) {

@@ -11,15 +11,14 @@
 //   --compare           execute at all three levels and tabulate
 //   --validate          run the Theorem 1 validator
 //   --report-json=PATH  dump the per-level RunReport counters as JSON
-//   --list-toggles      print the registered toggle table and exit
 //   --calibrate         fit the cost model's alpha/beta from measured
 //                       proc-backend round-trips before running, and
 //                       record the constants in the report JSON
 //
 // The machine flags (--backend/--threads/--ranks/--seed/
-// --proc-timeout-ms/--snapshot-dir/--snapshot-every) and every toggle
-// (--paranoid) come from the shared support::cli surface —
-// see `hpfc --list-toggles` and src/runtime/toggles.hpp. With
+// --proc-timeout-ms/--snapshot-dir/--snapshot-every) and --paranoid come
+// from the shared support::cli parser (src/support/cli.hpp); any other
+// flag is rejected with the usage text and exit code 2. With
 // --snapshot-dir the run seals crash-consistent snapshots and the
 // report's restore_ms times persist::restore() of the final store.
 #include <fstream>
@@ -67,7 +66,7 @@ int usage() {
       << "usage: hpfc <file.hpf> [--opt=O0|O1|O2] [--dump-program]\n"
          "            [--dump-graph] [--dump-dot] [--dump-code]\n"
          "            [--run] [--compare] [--validate] [--calibrate]\n"
-         "            [--report-json=PATH] [--list-toggles]\n"
+         "            [--report-json=PATH]\n"
       << support::cli::usage();
   return 2;
 }
@@ -103,6 +102,7 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (!arg.empty() && arg[0] != '-' && options.file.empty()) {
       options.file = arg;
     } else {
+      std::cerr << "hpfc: unrecognized argument '" << arg << "'\n";
       return false;
     }
   }
@@ -256,13 +256,6 @@ int run_level(const std::string& source, const Options& options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--list-toggles") {
-      std::cout << support::cli::toggle_table();
-      return 0;
-    }
-  }
-
   Options options;
   options.flags.options.seed = 7;  // the historical CLI default
   if (!parse_args(argc, argv, options)) return usage();
