@@ -218,7 +218,7 @@ void measure_pack_throughput(bench_common::Harness& harness) {
       hpfc::redist::unpack(p, payload,
                            dst_locals[static_cast<std::size_t>(p.dst)]);
       moved += static_cast<std::uint64_t>(p.elements);
-      segments += p.segments.size();
+      segments += p.segment_count();
     }
   });
   harness.record_timing("pack", config, "pack-unpack", xfer_ms);

@@ -1,12 +1,23 @@
 // Experiment K (substrate, the paper's reference [19]): block-cyclic
 // redistribution communication sets — exactness and plan-build throughput
-// of the periodic-pattern method vs the sorted-list oracle.
+// of the periodic-pattern method vs the sorted-list oracle — plus the
+// kernel-fragment microbench: pack+unpack ns/element of the specialized
+// kernel vs the interpreted segment walker, per segment shape (long
+// memcpy, 3-element unrolled, singleton, and the cyclic(2) -> cyclic(3)
+// P=8 pattern both as compiled, a periodic body, and as its flat
+// expansion).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <vector>
 
 #include "common.hpp"
 #include "redist/commsets.hpp"
+#include "redist/kernelgen.hpp"
+#include "redist/segments.hpp"
+#include "testing/oracles.hpp"
 
 using bench_common::Harness;
 using bench_common::bench_main;
@@ -82,6 +93,126 @@ void report(Harness& h) {
               "exactly and builds plans substantially faster at scale\n");
 }
 
+/// Median wall milliseconds of `reps` timed calls after `warmup` untimed
+/// ones.
+double median_ms(int warmup, int reps, const std::function<void()>& fn) {
+  for (int i = 0; i < warmup; ++i) fn();
+  std::vector<double> samples;
+  for (int i = 0; i < reps; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    samples.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+/// One shape of the fragment microbench: programs with their source and
+/// destination storage.
+struct ShapeCase {
+  std::vector<hpfc::redist::SegmentProgram> programs;
+  std::vector<std::vector<double>> src;
+  std::vector<std::vector<double>> dst;
+  Extent elements = 0;
+};
+
+/// A single hand-built flat program of `count` segments of `len`
+/// elements, spaced `src_gap`/`dst_gap` apart so none coalesce.
+ShapeCase flat_shape(Extent count, Extent len, Extent src_gap,
+                     Extent dst_gap) {
+  ShapeCase c;
+  std::vector<hpfc::redist::CopySegment> segments;
+  for (Extent i = 0; i < count; ++i)
+    segments.push_back({i * src_gap, 1, i * dst_gap, 1, len});
+  c.programs.push_back(
+      hpfc::redist::SegmentProgram::flat(0, 0, std::move(segments)));
+  c.src.assign(1, std::vector<double>(
+                      static_cast<std::size_t>(count * src_gap), 1.0));
+  c.dst.assign(1, std::vector<double>(
+                      static_cast<std::size_t>(count * dst_gap), 0.0));
+  c.elements = count * len;
+  return c;
+}
+
+/// Every transfer of cyclic(2) -> cyclic(3) at P=8, n=2^18: periodic
+/// (as compiled) or flat (the same segments, expanded).
+ShapeCase cyclic_shape(bool periodic) {
+  const Extent n = 1 << 18;
+  const auto from = one_dim(n, 8, DistFormat::cyclic(2));
+  const auto to = one_dim(n, 8, DistFormat::cyclic(3));
+  ShapeCase c;
+  for (const auto& t : hpfc::redist::build_runs(from, to).transfers) {
+    const auto src = from.owned_index_runs(t.src);
+    const auto dst = to.owned_index_runs(t.dst);
+    c.programs.push_back(
+        periodic ? hpfc::redist::compile_transfer(t, src, dst)
+                 : hpfc::redist::SegmentProgram::flat(
+                       t.src, t.dst, hpfc::testing::flat_segments(t, src, dst)));
+    c.elements += c.programs.back().elements;
+  }
+  for (int r = 0; r < 8; ++r) {
+    c.src.emplace_back(static_cast<std::size_t>(from.local_count(r)), 1.0);
+    c.dst.emplace_back(static_cast<std::size_t>(to.local_count(r)), 0.0);
+  }
+  return c;
+}
+
+/// ns/element of pack + unpack through the kernels and through the
+/// walker, over the same programs.
+void time_shape(Harness& h, const char* shape, ShapeCase c) {
+  std::vector<hpfc::redist::Kernel> kernels;
+  for (const auto& p : c.programs) kernels.push_back(hpfc::redist::specialize(p));
+  std::vector<double> payload;
+  const auto run = [&](bool kernel) {
+    for (std::size_t i = 0; i < c.programs.size(); ++i) {
+      const auto& p = c.programs[i];
+      payload.resize(static_cast<std::size_t>(p.elements));
+      auto& src = c.src[static_cast<std::size_t>(p.src)];
+      auto& dst = c.dst[static_cast<std::size_t>(p.dst)];
+      if (kernel) {
+        kernels[i].pack(src, payload);
+        kernels[i].unpack(payload, dst);
+      } else {
+        hpfc::redist::pack_into(p, src, payload);
+        hpfc::redist::unpack(p, payload, dst);
+      }
+    }
+  };
+  const int reps = std::max(3, h.options().reps);
+  const int warmup = h.options().warmup;
+  const double kernel_ms = median_ms(warmup, reps, [&] { run(true); });
+  const double walker_ms = median_ms(warmup, reps, [&] { run(false); });
+  const auto per_element = [&](double ms) {
+    return ms * 1e6 / static_cast<double>(c.elements);
+  };
+  std::uint64_t segments = 0;
+  std::size_t table = 0;
+  for (const auto& p : c.programs) {
+    segments += p.segment_count();
+    table += p.segments.size();
+  }
+  std::printf("%-30s %10llu %10zu %12.3f %12.3f %s\n", shape,
+              static_cast<unsigned long long>(segments), table,
+              per_element(kernel_ms), per_element(walker_ms),
+              kernels.front().describe().substr(0, 40).c_str());
+  h.record_timing("fragments", shape, "kernel", kernel_ms);
+  h.record_timing("fragments", shape, "walker", walker_ms);
+}
+
+void report_fragments(Harness& h) {
+  std::printf("\n=== kernel fragments vs walker by segment shape "
+              "(pack+unpack) ===\n");
+  std::printf("%-30s %10s %10s %12s %12s %s\n", "shape", "segments",
+              "table", "kernel-ns/el", "walker-ns/el", "first kernel");
+  time_shape(h, "memcpy len=4096", flat_shape(256, 4096, 4096, 4096));
+  time_shape(h, "unrolled len=3", flat_shape(1 << 18, 3, 4, 5));
+  time_shape(h, "singleton", flat_shape(1 << 19, 1, 2, 3));
+  time_shape(h, "cyclic(2)->cyclic(3) flat", cyclic_shape(false));
+  time_shape(h, "cyclic(2)->cyclic(3) periodic", cyclic_shape(true));
+}
+
 void BM_plan_oracle(benchmark::State& state) {
   const Extent n = state.range(0);
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
@@ -113,5 +244,8 @@ BENCHMARK(BM_plan_periodic)
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench_main(argc, argv, "redist_kernels", report);
+  return bench_main(argc, argv, "redist_kernels", [](Harness& h) {
+    report(h);
+    report_fragments(h);
+  });
 }

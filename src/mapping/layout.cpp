@@ -4,6 +4,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "mapping/periodic.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::mapping {
@@ -323,6 +324,115 @@ int ConcreteLayout::primary_owner(std::span<const Index> global) const {
 Index ConcreteLayout::local_position(int rank,
                                      std::span<const Index> global) const {
   return position_in_lists(owned_index_lists(rank), global);
+}
+
+OwnedProgram OwnedProgram::flat(std::vector<OwnedRun> runs) {
+  OwnedProgram program;
+  if (runs.empty()) return program;
+  program.blocks.push_back({0, narrow<std::uint32_t>(runs.size()), 1, 0, 0});
+  program.body = std::move(runs);
+  return program;
+}
+
+std::size_t OwnedProgram::stretch_count() const {
+  std::size_t count = 0;
+  for (const OwnedBlock& b : blocks)
+    count += static_cast<std::size_t>(b.reps) * b.count;
+  return count;
+}
+
+std::vector<OwnedRun> OwnedProgram::expand() const {
+  std::vector<OwnedRun> runs;
+  runs.reserve(stretch_count());
+  for_each_stretch([&](const OwnedRun& run) { runs.push_back(run); });
+  return runs;
+}
+
+OwnedProgram ConcreteLayout::owned_program(int rank) const {
+  const int dims = array_shape_.rank();
+  if (dims == 0) return OwnedProgram::flat({OwnedRun{0, 0, 1, 1}});
+  OwnedProgram program;
+  const auto runs = owned_index_runs(rank);
+  for (const auto& r : runs)
+    if (r.empty()) return program;
+
+  // Row-major linear strides of the global array shape; the innermost
+  // dimension's stride is 1, so a member stride there is a linear stride.
+  std::vector<Extent> shape_stride(static_cast<std::size_t>(dims), 1);
+  for (int d = dims - 2; d >= 0; --d)
+    shape_stride[static_cast<std::size_t>(d)] =
+        shape_stride[static_cast<std::size_t>(d + 1)] *
+        array_shape_.extent(d + 1);
+
+  // One row of the innermost dimension as (local -> global) segments,
+  // coalesced once: its first full window repeated full_windows() times
+  // one period apart, then the clipped last window. A single-member
+  // instance takes stride 1 until coalescing gives it its neighbour's.
+  const IndexRuns& inner = runs[static_cast<std::size_t>(dims - 1)];
+  const Extent full = inner.full_windows();
+  std::vector<CopySegment> window;
+  const auto window_runs = [&](Extent w) {
+    window.clear();
+    Index local = w * inner.count_in_period();
+    inner.for_each_window_instance(w, [&](Index start, Extent stride,
+                                          Extent count) {
+      window.push_back({local, 1, start, count == 1 ? 1 : stride, count});
+      local += count;
+    });
+  };
+  SegmentCoalescer coalescer;
+  if (full > 0) {
+    window_runs(0);
+    coalescer.push_windows(window, full, inner.count_in_period(),
+                           inner.period());
+  }
+  if (full * inner.period() < inner.span()) {
+    window_runs(full);
+    for (const CopySegment& r : window) coalescer.push(r);
+  }
+  const PeriodicSegments row = coalescer.finish();
+
+  // Outer dimensions are enumerated member by member (their member count
+  // is the local extent): one row per outer coordinate tuple, each the
+  // row program shifted by its local offset and global base. A stretch
+  // never crosses a row, so it varies only the innermost dimension.
+  std::vector<std::vector<Index>> outer;
+  outer.reserve(static_cast<std::size_t>(dims - 1));
+  for (int d = 0; d + 1 < dims; ++d)
+    outer.push_back(runs[static_cast<std::size_t>(d)].materialize());
+
+  Index local = 0;
+  std::vector<std::size_t> pos(outer.size(), 0);
+  while (true) {
+    Index base = 0;
+    for (std::size_t d = 0; d < outer.size(); ++d)
+      base += outer[d][pos[d]] * shape_stride[d];
+    const auto first = narrow<std::uint32_t>(program.body.size());
+    for (const CopySegment& r : row.segments)
+      program.body.push_back(
+          {r.src_base + local, r.dst_base + base, r.dst_stride, r.len});
+    for (const SegmentBlock& b : row.blocks) {
+      // Consecutive repetition-free blocks merge into one.
+      OwnedBlock* last = program.blocks.empty() ? nullptr
+                                                : &program.blocks.back();
+      if (b.reps == 1 && last != nullptr && last->reps == 1 &&
+          last->first + last->count == first + b.first)
+        last->count += b.count;
+      else
+        program.blocks.push_back(
+            {first + b.first, b.count, b.reps, b.src_step, b.dst_step});
+    }
+    local += inner.count();
+    int d = static_cast<int>(outer.size()) - 1;
+    for (; d >= 0; --d) {
+      if (++pos[static_cast<std::size_t>(d)] <
+          outer[static_cast<std::size_t>(d)].size())
+        break;
+      pos[static_cast<std::size_t>(d)] = 0;
+    }
+    if (d < 0) break;
+  }
+  return program;
 }
 
 Index ConcreteLayout::position_in_lists(

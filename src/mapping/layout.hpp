@@ -54,6 +54,54 @@ struct OwnedRun {
   friend bool operator==(const OwnedRun&, const OwnedRun&) = default;
 };
 
+/// One block of an ownership program: body stretches [first,
+/// first + count) executed `reps` times, repetition k shifted by
+/// k*local_step local positions and k*global_step global linear indices
+/// (mapping/periodic.hpp).
+struct OwnedBlock {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+  Extent reps = 1;
+  Index local_step = 0;
+  Index global_step = 0;
+
+  friend bool operator==(const OwnedBlock&, const OwnedBlock&) = default;
+};
+
+/// A rank's owned set as a periodic program of OwnedRun stretches: a
+/// short body table plus the blocks that repeat it. Every consumer loops
+/// over the two levels; expanding them yields the flat stretch list.
+struct OwnedProgram {
+  std::vector<OwnedRun> body;
+  std::vector<OwnedBlock> blocks;
+
+  /// The repetition-free program of `runs` (one reps == 1 block).
+  static OwnedProgram flat(std::vector<OwnedRun> runs);
+
+  /// Number of stretches in the expansion — closed form.
+  [[nodiscard]] std::size_t stretch_count() const;
+
+  /// Calls fn(OwnedRun) for every expanded stretch, in local order.
+  template <typename Fn>
+  void for_each_stretch(Fn&& fn) const {
+    for (const OwnedBlock& b : blocks) {
+      for (Extent k = 0; k < b.reps; ++k) {
+        for (std::uint32_t i = b.first; i < b.first + b.count; ++i) {
+          OwnedRun run = body[i];
+          run.local_base += k * b.local_step;
+          run.global_base += k * b.global_step;
+          fn(run);
+        }
+      }
+    }
+  }
+
+  /// The expanded stretch list (tests).
+  [[nodiscard]] std::vector<OwnedRun> expand() const;
+
+  friend bool operator==(const OwnedProgram&, const OwnedProgram&) = default;
+};
+
 class ConcreteLayout {
  public:
   ConcreteLayout() = default;
@@ -142,63 +190,16 @@ class ConcreteLayout {
     }
   }
 
-  /// The runs-cursor form of for_each_owned: calls fn(OwnedRun) for each
-  /// maximal strided stretch of the rank's owned set, in local order, so
-  /// per-element ownership walks become bulk strided traversals. The
-  /// stretches tile the local index space exactly (local_base advances by
-  /// len) and cover the same elements as for_each_owned in the same order;
-  /// a rank-0 array yields one singleton stretch. Within one outer row no
-  /// two consecutive stretches form one progression, so a CYCLIC(1)
-  /// dimension gives one stretch per row, not one per element.
-  template <typename Fn>
-  void for_each_owned_run(int rank, Fn&& fn) const {
-    const int dims = array_shape_.rank();
-    if (dims == 0) {
-      fn(OwnedRun{0, 0, 1, 1});
-      return;
-    }
-    const auto runs = owned_index_runs(rank);
-    for (const auto& r : runs)
-      if (r.empty()) return;
-
-    // Row-major linear strides of the global array shape; the innermost
-    // dimension's stride is 1, so a member stride there is a linear stride.
-    std::vector<Extent> shape_stride(static_cast<std::size_t>(dims), 1);
-    for (int d = dims - 2; d >= 0; --d)
-      shape_stride[static_cast<std::size_t>(d)] =
-          shape_stride[static_cast<std::size_t>(d + 1)] *
-          array_shape_.extent(d + 1);
-
-    // Outer dimensions are enumerated member-by-member (their member count
-    // is the local extent); the innermost dimension stays in run form, as
-    // its maximal progressions. Coalescing stops at the row's end, so a
-    // stretch varies only the innermost dimension.
-    std::vector<std::vector<Index>> outer;
-    outer.reserve(static_cast<std::size_t>(dims - 1));
-    for (int d = 0; d + 1 < dims; ++d)
-      outer.push_back(runs[static_cast<std::size_t>(d)].materialize());
-    const IndexRuns& inner = runs[static_cast<std::size_t>(dims - 1)];
-
-    Index local = 0;
-    std::vector<std::size_t> pos(outer.size(), 0);
-    while (true) {
-      Index base = 0;
-      for (std::size_t d = 0; d < outer.size(); ++d)
-        base += outer[d][pos[d]] * shape_stride[d];
-      inner.for_each_stretch([&](const IndexRun& s) {
-        fn(OwnedRun{local, base + s.offset, s.stride, s.count});
-        local += s.count;
-      });
-      int d = static_cast<int>(outer.size()) - 1;
-      for (; d >= 0; --d) {
-        if (++pos[static_cast<std::size_t>(d)] <
-            outer[static_cast<std::size_t>(d)].size())
-          break;
-        pos[static_cast<std::size_t>(d)] = 0;
-      }
-      if (d < 0) break;
-    }
-  }
+  /// The compiled form of for_each_owned: the rank's owned set as a
+  /// periodic program of maximal strided stretches, built in closed form
+  /// from the innermost dimension's period window. Its expansion tiles the
+  /// local index space exactly (local_base advances by len) and covers
+  /// the same elements as for_each_owned in the same order; a rank-0
+  /// array yields one singleton stretch. A stretch varies only the
+  /// innermost array dimension, and within one outer row no two
+  /// consecutive stretches form one progression. Its size is O(rows):
+  /// a CYCLIC(1) row is one stretch and a CYCLIC(k) row one block.
+  [[nodiscard]] OwnedProgram owned_program(int rank) const;
 
   [[nodiscard]] std::string to_string() const;
   friend auto operator<=>(const ConcreteLayout&, const ConcreteLayout&) =

@@ -121,16 +121,8 @@ void IndexRuns::for_each(const std::function<void(Index)>& fn) const {
 
 void IndexRuns::for_each_instance(
     const std::function<void(Index, Extent, Extent)>& fn) const {
-  for (Extent window = 0; window < span_; window += period_) {
-    for (const IndexRun& r : runs_) {
-      const Index start = window + r.offset;
-      if (start >= span_) return;  // later members only grow
-      const Extent clipped =
-          std::min<Extent>(r.count, (span_ - 1 - start) / r.stride + 1);
-      fn(base_ + start, r.stride, clipped);
-      if (clipped < r.count) return;
-    }
-  }
+  const Extent windows = (span_ + period_ - 1) / period_;
+  for (Extent w = 0; w < windows; ++w) for_each_window_instance(w, fn);
 }
 
 std::vector<Index> IndexRuns::materialize() const {

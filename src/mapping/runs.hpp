@@ -24,6 +24,7 @@
 // the shared pack order of the redistribution layers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -104,33 +105,24 @@ class IndexRuns {
       const std::function<void(Index, Extent, Extent)>& fn) const;
   [[nodiscard]] std::vector<Index> materialize() const;
 
-  /// Calls fn(IndexRun) for the member set as maximal arithmetic
-  /// progressions, in ascending order: consecutive run instances of
-  /// for_each_instance that continue one progression (a single member, or
-  /// the same stride) come out as one run, whose `offset` is the absolute
-  /// first member here, not a window offset. No two consecutive results
-  /// together form one progression. O(windows), like for_each_instance.
+  /// Number of complete period windows in the span: windows
+  /// 0 .. full_windows()-1 hold every run unclipped and are translates of
+  /// each other (by one period); a trailing partial window follows when
+  /// the span is not a multiple of the period.
+  [[nodiscard]] Extent full_windows() const { return span_ / period_; }
+  /// Calls fn(start, stride, count) for each run instance of window `w`
+  /// alone, clipped to the span, in ascending member order — O(runs).
   template <typename Fn>
-  void for_each_stretch(Fn&& fn) const {
-    IndexRun open{0, 1, 0};  // the progression being grown; empty at first
-    // A single member's stride is free: it takes the gap to whatever
-    // follows.
-    for_each_instance([&](Index start, Extent stride, Extent count) {
-      const Extent gap = start - open.last();
-      if (open.count == 1 && (count == 1 || stride == gap)) {
-        open.stride = gap;
-        open.count += count;
-        return;
-      }
-      if (open.count > 1 && gap == open.stride &&
-          (count == 1 || stride == open.stride)) {
-        open.count += count;
-        return;
-      }
-      if (open.count > 0) fn(open);
-      open = {start, count == 1 ? 1 : stride, count};
-    });
-    if (open.count > 0) fn(open);
+  void for_each_window_instance(Extent w, Fn&& fn) const {
+    const Index window = w * period_;
+    for (const IndexRun& r : runs_) {
+      const Index start = window + r.offset;
+      if (start >= span_) return;  // later members only grow
+      const Extent clipped =
+          std::min<Extent>(r.count, (span_ - 1 - start) / r.stride + 1);
+      fn(base_ + start, r.stride, clipped);
+      if (clipped < r.count) return;
+    }
   }
 
   [[nodiscard]] std::string to_string() const;

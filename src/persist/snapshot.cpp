@@ -180,23 +180,27 @@ void SnapshotWriter::snapshot(const StoreView& view) {
     const bool fresh = cached.size() != ranks;
     if (fresh) cached.assign(ranks, {});
     for (std::size_t rank = 0; rank < ranks; ++rank) {
-      const std::vector<mapping::OwnedRun>& runs = *v.runs[rank];
+      const mapping::OwnedProgram& runs = *v.runs[rank];
       auto& rank_cache = cached[rank];
-      const bool force = fresh || rank_cache.size() != runs.size();
-      if (force) rank_cache.assign(runs.size(), {});
+      const std::size_t leaves = runs.stretch_count();
+      const bool force = fresh || rank_cache.size() != leaves;
+      if (force) rank_cache.assign(leaves, {});
       if (!force && !v.dirty) continue;
       const std::vector<double>& local = (*v.locals)[rank];
-      for (std::size_t i = 0; i < runs.size(); ++i) {
-        const mapping::OwnedRun& run = runs[i];
+      // One leaf per expanded stretch, in local order: the journal sees
+      // the same runs a flat ownership walk would produce.
+      std::size_t i = 0;
+      runs.for_each_stretch([&](const mapping::OwnedRun& run) {
+        const std::size_t index = i++;
         const std::uint64_t leaf =
             leaf_hash(local.data() + run.local_base,
                       static_cast<std::size_t>(run.len));
-        if (!force && rank_cache[i].hash == leaf) continue;
+        if (!force && rank_cache[index].hash == leaf) return;
         ByteWriter w;
         w.u32(static_cast<std::uint32_t>(v.array));
         w.u32(static_cast<std::uint32_t>(v.version));
         w.u32(static_cast<std::uint32_t>(rank));
-        w.u32(static_cast<std::uint32_t>(i));
+        w.u32(static_cast<std::uint32_t>(index));
         w.i64(run.local_base);
         w.i64(run.global_base);
         w.i64(run.global_stride);
@@ -205,9 +209,9 @@ void SnapshotWriter::snapshot(const StoreView& view) {
                   static_cast<std::size_t>(run.len));
         const std::uint64_t offset = journal_.bytes_written();
         journal_.append(RecordType::kRunData, w.bytes());
-        rank_cache[i] = {leaf, offset, journal_.bytes_written() - offset};
+        rank_cache[index] = {leaf, offset, journal_.bytes_written() - offset};
         ++stats_.runs_written;
-      }
+      });
     }
   }
 

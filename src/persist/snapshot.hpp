@@ -32,7 +32,9 @@ namespace hpfc::persist {
 
 /// Borrowed view of one (array, version) slot of the store. For
 /// allocated versions, `locals` and `runs` are parallel per-rank borrows
-/// valid for the duration of the snapshot call.
+/// valid for the duration of the snapshot call. `runs` are the ranks'
+/// periodic ownership programs; the writer expands each into its
+/// stretches, and every expanded stretch is one leaf.
 struct VersionView {
   int array = 0;
   int version = 0;
@@ -42,7 +44,7 @@ struct VersionView {
   /// snapshot. Clean versions skip re-hashing entirely.
   bool dirty = true;
   const std::vector<std::vector<double>>* locals = nullptr;
-  std::vector<const std::vector<mapping::OwnedRun>*> runs;
+  std::vector<const mapping::OwnedProgram*> runs;
 };
 
 /// Borrowed view of the whole store at a snapshot boundary. `versions`

@@ -22,7 +22,8 @@ FusedExchange build_fused_exchange(
     FusedMessage& fm = fused.messages[msg];
     fm.frames.push_back({m, p, fm.elements, tp.elements});
     fm.elements += tp.elements;
-    fm.segments += static_cast<int>(tp.segments.size());
+    fm.segments = narrow<int>(static_cast<std::uint64_t>(fm.segments) +
+                              tp.segment_count());
   };
 
   for (std::size_t m = 0; m < members.size(); ++m) {

@@ -35,7 +35,9 @@ struct FusedMessage {
   int src = 0;
   int dst = 0;
   Extent elements = 0;  ///< combined payload length
-  int segments = 0;     ///< total bulk-copy segments across the frames
+  /// Total bulk-copy segments across the frames, expanded
+  /// (SegmentProgram::segment_count), narrowed with a checked cast.
+  int segments = 0;
   std::vector<FusedFrame> frames;
 };
 

@@ -160,6 +160,26 @@ void copy_unrolled(const CopySegment* segs, std::size_t count,
   }
 }
 
+// The periodic fragment: the outer loop over a block's repetitions,
+// wrapped around one flat body that is a template argument and inlined
+// (flatten), so a repetition costs no call and the body's segment loads
+// can stay in registers across repetitions. Repetition k moves both data
+// pointers by k steps; the payload order is the expansion order.
+template <Fragment::Body Body>
+[[gnu::flatten]] void periodic(const CopySegment* segs, std::size_t count,
+                               Extent reps, Extent in_step, Extent out_step,
+                               const double* in, double* out) {
+  for (Extent k = 0; k < reps; ++k)
+    Body(segs, count, in + k * in_step, out + k * out_step);
+}
+
+template <Fragment::Body Pack, Fragment::Body Unpack, Fragment::Body Copy>
+constexpr Fragment make_fragment(const char* name) {
+  return Fragment{name,           Pack,           Unpack,
+                  Copy,           &periodic<Pack>, &periodic<Unpack>,
+                  &periodic<Copy>};
+}
+
 // ---- the catalog --------------------------------------------------------
 
 /// Stride values with dedicated template instantiations; index 6 (value 0)
@@ -180,8 +200,8 @@ template <std::size_t I, std::size_t J>
 constexpr Fragment make_strided_fragment() {
   constexpr Extent SS = kStrideValues[I];
   constexpr Extent DS = kStrideValues[J];
-  return Fragment{fragment_name(SS, DS), &pack_body<SS, DS>,
-                  &unpack_body<SS, DS>, &copy_body<SS, DS>};
+  return make_fragment<&pack_body<SS, DS>, &unpack_body<SS, DS>,
+                       &copy_body<SS, DS>>(fragment_name(SS, DS));
 }
 
 template <std::size_t I, std::size_t... Js>
@@ -200,10 +220,12 @@ make_strided_table(std::index_sequence<Is...>) {
 constexpr auto kStridedTable =
     make_strided_table(std::make_index_sequence<kStrideValues.size()>{});
 
-constexpr Fragment kSingleton{"singleton", &pack_singleton, &unpack_singleton,
-                              &copy_singleton};
-constexpr Fragment kUnrolled{"unrolled", &pack_unrolled, &unpack_unrolled,
-                             &copy_unrolled};
+constexpr Fragment kSingleton =
+    make_fragment<&pack_singleton, &unpack_singleton, &copy_singleton>(
+        "singleton");
+constexpr Fragment kUnrolled =
+    make_fragment<&pack_unrolled, &unpack_unrolled, &copy_unrolled>(
+        "unrolled");
 
 constexpr std::size_t stride_index(Extent stride) {
   for (std::size_t i = 0; i + 1 < kStrideValues.size(); ++i)
@@ -218,9 +240,9 @@ const Fragment* classify(const CopySegment& seg) {
                        [stride_index(seg.dst_stride)];
 }
 
-constexpr std::array<std::string_view, 7> kCatalog = {
-    "singleton",   "unrolled",    "memcpy",     "gather_const",
-    "scatter_const", "strided_const", "strided_any"};
+constexpr std::array<std::string_view, 8> kCatalog = {
+    "singleton",     "unrolled",      "memcpy",      "gather_const",
+    "scatter_const", "strided_const", "strided_any", "periodic"};
 
 }  // namespace
 
@@ -228,8 +250,14 @@ void Kernel::pack(std::span<const double> src_local,
                   std::span<double> out) const {
   HPFC_ASSERT(static_cast<Extent>(out.size()) == program_.elements);
   for (const KernelSpan& span : spans_) {
-    span.fragment->pack(program_.segments.data() + span.first, span.count,
-                        src_local.data(), out.data() + span.out_offset);
+    const CopySegment* segs = program_.segments.data() + span.first;
+    double* window = out.data() + span.out_offset;
+    if (span.reps == 1)
+      span.fragment->pack(segs, span.count, src_local.data(), window);
+    else
+      span.fragment->periodic_pack(segs, span.count, span.reps,
+                                   span.src_step, span.out_step,
+                                   src_local.data(), window);
   }
 }
 
@@ -237,29 +265,48 @@ void Kernel::unpack(std::span<const double> payload,
                     std::span<double> dst_local) const {
   HPFC_ASSERT(static_cast<Extent>(payload.size()) == program_.elements);
   for (const KernelSpan& span : spans_) {
-    span.fragment->unpack(program_.segments.data() + span.first, span.count,
-                          payload.data() + span.out_offset, dst_local.data());
+    const CopySegment* segs = program_.segments.data() + span.first;
+    const double* window = payload.data() + span.out_offset;
+    if (span.reps == 1)
+      span.fragment->unpack(segs, span.count, window, dst_local.data());
+    else
+      span.fragment->periodic_unpack(segs, span.count, span.reps,
+                                     span.out_step, span.dst_step, window,
+                                     dst_local.data());
   }
 }
 
 void Kernel::copy(std::span<const double> src_local,
                   std::span<double> dst_local) const {
   for (const KernelSpan& span : spans_) {
-    span.fragment->copy(program_.segments.data() + span.first, span.count,
-                        src_local.data(), dst_local.data());
+    const CopySegment* segs = program_.segments.data() + span.first;
+    if (span.reps == 1)
+      span.fragment->copy(segs, span.count, src_local.data(),
+                          dst_local.data());
+    else
+      span.fragment->periodic_copy(segs, span.count, span.reps,
+                                   span.src_step, span.dst_step,
+                                   src_local.data(), dst_local.data());
   }
 }
 
 std::uint64_t Kernel::footprint_bytes() const {
   return static_cast<std::uint64_t>(program_.segments.capacity()) *
              sizeof(CopySegment) +
+         static_cast<std::uint64_t>(program_.blocks.capacity()) *
+             sizeof(SegmentBlock) +
          static_cast<std::uint64_t>(spans_.capacity()) * sizeof(KernelSpan);
 }
 
 std::string Kernel::describe() const {
   std::ostringstream os;
-  for (std::size_t i = 0; i < spans_.size(); ++i)
-    os << (i == 0 ? "" : "+") << spans_[i].fragment->name;
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    os << (i == 0 ? "" : "+");
+    if (spans_[i].reps == 1)
+      os << spans_[i].fragment->name;
+    else
+      os << "periodic(" << spans_[i].fragment->name << ")";
+  }
   return os.str();
 }
 
@@ -268,15 +315,32 @@ Kernel specialize(SegmentProgram program) {
   kernel.program_ = std::move(program);
   const std::vector<CopySegment>& segments = kernel.program_.segments;
   Extent offset = 0;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const Fragment* fragment = classify(segments[i]);
-    if (kernel.spans_.empty() ||
-        kernel.spans_.back().fragment != fragment) {
-      kernel.spans_.push_back(
-          {fragment, static_cast<std::uint32_t>(i), 0, offset});
+  for (const SegmentBlock& block : kernel.program_.blocks) {
+    Extent body_elements = 0;
+    for (std::uint32_t i = block.first; i < block.first + block.count; ++i)
+      body_elements += segments[i].len;
+    // A span continues the previous one when the fragment matches and the
+    // segments are adjacent: anywhere among consecutive reps == 1 blocks,
+    // only within one repeated block.
+    const std::size_t block_spans = kernel.spans_.size();
+    Extent inner = 0;
+    for (std::uint32_t i = block.first; i < block.first + block.count; ++i) {
+      const Fragment* fragment = classify(segments[i]);
+      bool stitch = false;
+      if (!kernel.spans_.empty()) {
+        const KernelSpan& last = kernel.spans_.back();
+        stitch = last.fragment == fragment && last.first + last.count == i &&
+                 (block.reps == 1 ? last.reps == 1
+                                  : kernel.spans_.size() > block_spans);
+      }
+      if (!stitch)
+        kernel.spans_.push_back({fragment, i, 0, offset + inner, block.reps,
+                                 block.src_step, block.dst_step,
+                                 body_elements});
+      ++kernel.spans_.back().count;
+      inner += segments[i].len;
     }
-    ++kernel.spans_.back().count;
-    offset += segments[i].len;
+    offset += body_elements * block.reps;
   }
   HPFC_ASSERT(offset == kernel.program_.elements);
   return kernel;

@@ -6,10 +6,13 @@
 //
 // The catalog of fragments is compiled ahead of time (template
 // instantiations over constant stride pairs, plus unrolled small-count and
-// singleton bodies and a runtime-stride fallback); specialize() only
-// *patches*: it takes ownership of the SegmentProgram, classifies each
-// CopySegment, and stitches maximal runs of same-fragment segments into
-// spans dispatched through one function pointer each. No machine code is
+// singleton bodies and a runtime-stride fallback, each also wrapped in
+// the periodic fragment's outer loop over a block's repetitions);
+// specialize() only *patches*: it takes ownership of the SegmentProgram,
+// classifies each body CopySegment, and stitches maximal runs of
+// same-fragment segments into spans dispatched through one function
+// pointer each — a span of a repeated block once for all its
+// repetitions. No machine code is
 // generated at runtime — the "patch" is the program's own segment table,
 // read in place as the fragments' operand table, and the "copy" is the
 // fragment's precompiled body — which keeps the scheme portable while
@@ -35,31 +38,47 @@ namespace hpfc::redist {
 /// window, unpack from a payload window, direct local copy) over a slice
 /// of the program's segments (the fragment bodies read their operands
 /// with constant strides folded in where the fragment's template
-/// parameters fix them). `name` identifies the catalog entry (documented
-/// in docs/kernels.md and cross-checked by tools/check_docs).
+/// parameters fix them), plus the same three bodies wrapped in the
+/// `periodic` fragment: an outer loop over a block's repetitions that
+/// advances both data pointers by one repetition's step per pass and
+/// runs the inlined body over the block's segments. `name` identifies the
+/// catalog entry (documented in docs/kernels.md and cross-checked by
+/// tools/check_docs).
 struct Fragment {
+  using Body = void (*)(const CopySegment* segs, std::size_t count,
+                        const double* in, double* out);
+  using Periodic = void (*)(const CopySegment* segs, std::size_t count,
+                            Extent reps, Extent in_step, Extent out_step,
+                            const double* in, double* out);
   const char* name;
-  void (*pack)(const CopySegment* segs, std::size_t count, const double* src,
-               double* out);
-  void (*unpack)(const CopySegment* segs, std::size_t count, const double* in,
-                 double* dst);
-  void (*copy)(const CopySegment* segs, std::size_t count, const double* src,
-               double* dst);
+  Body pack;    ///< in: source local storage, out: payload window
+  Body unpack;  ///< in: payload window, out: destination local storage
+  Body copy;    ///< in: source local storage, out: destination storage
+  Periodic periodic_pack;
+  Periodic periodic_unpack;
+  Periodic periodic_copy;
 };
 
-/// One stitched stretch of a kernel: `count` consecutive segments starting
-/// at segment index `first`, all executed by one fragment, whose payload
-/// window begins `out_offset` elements into the kernel's payload.
+/// One stitched stretch of a kernel: `count` consecutive body segments
+/// starting at segment index `first`, all executed by one fragment, whose
+/// payload window begins `out_offset` elements into the kernel's payload.
+/// A span of a repeated block (reps > 1) runs through the `periodic`
+/// fragment: repetition k reads and writes at k*src_step / k*dst_step
+/// local positions and k*out_step payload elements further on.
 struct KernelSpan {
   const Fragment* fragment = nullptr;
   std::uint32_t first = 0;
   std::uint32_t count = 0;
   Extent out_offset = 0;
+  Extent reps = 1;
+  Extent src_step = 0;
+  Extent dst_step = 0;
+  Extent out_step = 0;
 };
 
 /// A specialized transfer kernel: the SegmentProgram it was specialized
 /// from (the single compiled form of the transfer) plus the stitched span
-/// list over its segments. Equivalent by construction to interpreting
+/// list over its blocks. Equivalent by construction to interpreting
 /// that program — pack/unpack/copy produce byte-identical results to
 /// redist::pack_into / redist::unpack / redist::copy_local (asserted by
 /// the property tests).
@@ -81,11 +100,12 @@ class Kernel {
   /// The owned program: its segment table is the kernel's operand table.
   [[nodiscard]] const SegmentProgram& program() const { return program_; }
   [[nodiscard]] std::span<const KernelSpan> spans() const { return spans_; }
-  /// Heap footprint of the segment table plus the span list (the
-  /// plan-cache eviction unit).
+  /// Heap footprint of the segment table, the block list and the span
+  /// list (the plan-cache eviction unit). O(pattern), not O(n).
   [[nodiscard]] std::uint64_t footprint_bytes() const;
   /// "memcpy" for a single-span kernel, "memcpy+gather_const" style
-  /// summaries for stitched ones (tests and dumps).
+  /// summaries for stitched ones, "periodic(unrolled)" for a repeated
+  /// span (tests and dumps).
   [[nodiscard]] std::string describe() const;
 
  private:
@@ -96,14 +116,16 @@ class Kernel {
 };
 
 /// Lowers one compiled SegmentProgram to a specialized kernel that owns
-/// it: classifies every segment against the fragment catalog
+/// it: classifies every body segment against the fragment catalog
 /// (constant-stride template instantiation, unrolled small-count body,
 /// singleton body, or the runtime-stride fallback) and stitches
-/// same-fragment runs into spans.
+/// same-fragment runs into spans, within a repeated block (run by the
+/// periodic fragment) or across consecutive reps == 1 blocks.
 Kernel specialize(SegmentProgram program);
 
-/// The names of the precompiled fragments, in classification-priority
-/// order (documented one-for-one in docs/kernels.md).
+/// The names of the precompiled fragments: the segment classes in
+/// classification-priority order, then `periodic`, which wraps any of
+/// them (documented one-for-one in docs/kernels.md).
 std::span<const std::string_view> fragment_catalog();
 
 }  // namespace hpfc::redist

@@ -26,58 +26,130 @@ bool affine_over(const mapping::IndexRuns& owner, Extent st) {
   return owner.full() || st % owner.period() == 0;
 }
 
-std::vector<DimPiece> decompose(const mapping::IndexRuns& x,
-                                const mapping::IndexRuns& src,
-                                const mapping::IndexRuns& dst) {
-  std::vector<DimPiece> pieces;
-  const Extent cnt = x.count();
-  if (cnt == 0) return pieces;
+/// A dimension's piece sequence in periodic form: `window` repeated
+/// `reps` times, repetition k shifted by k*src_step / k*dst_step owner
+/// positions, then `tail`. Expanded, it is the reference decomposition:
+/// one arithmetic piece per run instance, window by window.
+struct DimPattern {
+  std::vector<DimPiece> window;
+  Extent reps = 1;
+  Extent src_step = 0;
+  Extent dst_step = 0;
+  std::vector<DimPiece> tail;
 
-  const auto piece_from = [&](Index start, Extent stride, Extent count) {
+  template <typename Fn>
+  void for_each_piece(Fn&& fn) const {
+    for (Extent k = 0; k < reps; ++k) {
+      for (DimPiece piece : window) {
+        piece.src_pos0 += k * src_step;
+        piece.dst_pos0 += k * dst_step;
+        fn(piece);
+      }
+    }
+    for (const DimPiece& piece : tail) fn(piece);
+  }
+};
+
+DimPattern decompose(const mapping::IndexRuns& x,
+                     const mapping::IndexRuns& src,
+                     const mapping::IndexRuns& dst) {
+  DimPattern pattern;
+  const Extent cnt = x.count();
+  if (cnt == 0) return pattern;
+
+  const auto piece_from = [&](std::vector<DimPiece>& out, Index start,
+                              Extent stride, Extent count) {
     const Index s0 = src.position_of(start);
     const Index d0 = dst.position_of(start);
     HPFC_ASSERT_MSG(s0 >= 0 && d0 >= 0,
                     "transfer element outside its owners' sets");
     if (count == 1) {
-      pieces.push_back({s0, d0, 0, 0, 1});
+      out.push_back({s0, d0, 0, 0, 1});
       return;
     }
     const Index s1 = src.position_of(start + stride);
     const Index d1 = dst.position_of(start + stride);
     HPFC_ASSERT(s1 >= 0 && d1 >= 0);
-    pieces.push_back({s0, d0, s1 - s0, d1 - d0, count});
+    out.push_back({s0, d0, s1 - s0, d1 - d0, count});
   };
 
   // One member per period with uniform owner stretches: the cross-period
   // repetition itself is a single arithmetic piece (e.g. block <-> cyclic,
   // where every period contributes one strided element).
-  if (cnt > 1 && x.count_in_period() == 1 && affine_over(src, x.period()) &&
-      affine_over(dst, x.period())) {
-    piece_from(x.first(), x.period(), cnt);
-    return pieces;
+  const Extent period = x.period();
+  if (cnt > 1 && x.count_in_period() == 1 && affine_over(src, period) &&
+      affine_over(dst, period)) {
+    piece_from(pattern.window, x.first(), period, cnt);
+    return pattern;
   }
 
-  x.for_each_instance([&](Index start, Extent stride, Extent count) {
-    if (count == 1 || stride == 1 ||
-        (affine_over(src, stride) && affine_over(dst, stride))) {
-      piece_from(start, stride, count);
-    } else {
-      // Irregular spacing against a finer owner period: fall back to
-      // per-member pieces for this instance only.
-      for (Extent j = 0; j < count; ++j)
-        piece_from(start + j * stride, 1, 1);
-    }
-  });
-  return pieces;
+  const auto window_pieces = [&](Extent w, std::vector<DimPiece>& out) {
+    x.for_each_window_instance(w, [&](Index start, Extent stride,
+                                      Extent count) {
+      if (count == 1 || stride == 1 ||
+          (affine_over(src, stride) && affine_over(dst, stride))) {
+        piece_from(out, start, stride, count);
+      } else {
+        // Irregular spacing against a finer owner period: fall back to
+        // per-member pieces for this instance only.
+        for (Extent j = 0; j < count; ++j)
+          piece_from(out, start + j * stride, 1, 1);
+      }
+    });
+  };
+
+  // Full windows are translates of each other; when a window spans whole
+  // owner periods on both sides, so are their owner positions.
+  const Extent full = x.full_windows();
+  if (full >= 2 && affine_over(src, period) && affine_over(dst, period)) {
+    window_pieces(0, pattern.window);
+    pattern.reps = full;
+    pattern.src_step = src.count_between(x.base(), x.base() + period);
+    pattern.dst_step = dst.count_between(x.base(), x.base() + period);
+    if (full * period < x.span()) window_pieces(full, pattern.tail);
+    return pattern;
+  }
+  const Extent windows = (x.span() + period - 1) / period;
+  for (Extent w = 0; w < windows; ++w) window_pieces(w, pattern.window);
+  return pattern;
 }
 
 }  // namespace
 
-std::size_t SegmentProgram::contiguous_segments() const {
-  return static_cast<std::size_t>(
-      std::count_if(segments.begin(), segments.end(), [](const CopySegment& s) {
-        return s.src_stride == 1 && s.dst_stride == 1;
-      }));
+SegmentProgram SegmentProgram::flat(int src, int dst,
+                                    std::vector<CopySegment> segments) {
+  SegmentProgram program;
+  program.src = src;
+  program.dst = dst;
+  for (const CopySegment& s : segments) program.elements += s.len;
+  if (!segments.empty())
+    program.blocks.push_back(
+        {0, narrow<std::uint32_t>(segments.size()), 1, 0, 0});
+  program.segments = std::move(segments);
+  return program;
+}
+
+std::uint64_t SegmentProgram::segment_count() const {
+  std::uint64_t count = 0;
+  for (const SegmentBlock& b : blocks)
+    count += static_cast<std::uint64_t>(b.reps) * b.count;
+  return count;
+}
+
+std::uint64_t SegmentProgram::contiguous_segments() const {
+  std::uint64_t count = 0;
+  for (const SegmentBlock& b : blocks)
+    for (std::uint32_t i = b.first; i < b.first + b.count; ++i)
+      if (segments[i].src_stride == 1 && segments[i].dst_stride == 1)
+        count += static_cast<std::uint64_t>(b.reps);
+  return count;
+}
+
+std::vector<CopySegment> SegmentProgram::expand() const {
+  std::vector<CopySegment> out;
+  out.reserve(static_cast<std::size_t>(segment_count()));
+  for_each_segment([&](const CopySegment& s) { out.push_back(s); });
+  return out;
 }
 
 SegmentProgram compile_transfer(const TransferV2& transfer,
@@ -86,20 +158,18 @@ SegmentProgram compile_transfer(const TransferV2& transfer,
   const int dims = static_cast<int>(transfer.dim_runs.size());
   HPFC_ASSERT(static_cast<int>(src_owned.size()) == dims &&
               static_cast<int>(dst_owned.size()) == dims);
+  if (dims == 0)
+    return SegmentProgram::flat(transfer.src, transfer.dst,
+                                {{0, 1, 0, 1, 1}});
   SegmentProgram program;
   program.src = transfer.src;
   program.dst = transfer.dst;
   program.elements = transfer.count();
-  if (dims == 0) {
-    program.elements = 1;
-    program.segments.push_back({0, 1, 0, 1, 1});
-    return program;
-  }
   if (program.elements == 0) return program;
 
-  std::vector<std::vector<DimPiece>> pieces(static_cast<std::size_t>(dims));
+  std::vector<DimPattern> patterns(static_cast<std::size_t>(dims));
   for (int d = 0; d < dims; ++d)
-    pieces[static_cast<std::size_t>(d)] =
+    patterns[static_cast<std::size_t>(d)] =
         decompose(transfer.dim_runs[static_cast<std::size_t>(d)],
                   src_owned[static_cast<std::size_t>(d)],
                   dst_owned[static_cast<std::size_t>(d)]);
@@ -116,63 +186,50 @@ SegmentProgram compile_transfer(const TransferV2& transfer,
         dst_owned[static_cast<std::size_t>(d + 1)].count();
   }
 
-  // Appends one emitted stretch, coalescing it into the trailing segment
-  // when it continues that segment with a uniform stride on both end
-  // points. A single-element segment has no stride of its own and adopts
-  // its neighbour's (two adjacent singletons define the merged stride),
-  // so cross-period singleton streams compress back into one strided
-  // segment. The element sequence — and with it the pack order — is
-  // exactly the emission order either way.
-  const auto push_segment = [&program](const CopySegment& next) {
-    if (!program.segments.empty()) {
-      CopySegment& prev = program.segments.back();
-      Extent ss = prev.len > 1 ? prev.src_stride : next.src_stride;
-      Extent ds = prev.len > 1 ? prev.dst_stride : next.dst_stride;
-      if (prev.len == 1 && next.len == 1) {
-        ss = next.src_base - prev.src_base;
-        ds = next.dst_base - prev.dst_base;
-      }
-      const bool strides_agree =
-          prev.len == 1 || next.len == 1 ||
-          (prev.src_stride == next.src_stride &&
-           prev.dst_stride == next.dst_stride);
-      if (strides_agree && ss >= 1 && ds >= 1 &&
-          next.src_base == prev.src_base + prev.len * ss &&
-          next.dst_base == prev.dst_base + prev.len * ds) {
-        prev.src_stride = ss;
-        prev.dst_stride = ds;
-        prev.len += next.len;
-        return;
-      }
-    }
-    program.segments.push_back(next);
+  // Outer dimensions are enumerated piece by piece and member by member,
+  // one row per outer coordinate tuple; the innermost dimension goes to
+  // the coalescer a whole window pattern at a time. Coalescing continues
+  // across rows, as in the flat emission order.
+  mapping::SegmentCoalescer coalescer;
+  const DimPattern& inner = patterns.back();
+  std::vector<CopySegment> row;
+  const auto segment = [](const DimPiece& piece, Index src_base,
+                          Index dst_base) {
+    return CopySegment{src_base + piece.src_pos0, piece.src_step,
+                       dst_base + piece.dst_pos0, piece.dst_step, piece.len};
   };
-
   const auto emit = [&](auto&& self, int d, Index src_base,
                         Index dst_base) -> void {
-    const Extent sl = src_stride[static_cast<std::size_t>(d)];
-    const Extent dl = dst_stride[static_cast<std::size_t>(d)];
     if (d == dims - 1) {
-      for (const DimPiece& piece : pieces[static_cast<std::size_t>(d)]) {
-        push_segment({src_base + piece.src_pos0 * sl, piece.src_step * sl,
-                      dst_base + piece.dst_pos0 * dl, piece.dst_step * dl,
-                      piece.len});
-      }
+      row.clear();
+      for (const DimPiece& piece : inner.window)
+        row.push_back(segment(piece, src_base, dst_base));
+      coalescer.push_windows(row, inner.reps, inner.src_step,
+                             inner.dst_step);
+      for (const DimPiece& piece : inner.tail)
+        coalescer.push(segment(piece, src_base, dst_base));
       return;
     }
-    for (const DimPiece& piece : pieces[static_cast<std::size_t>(d)]) {
-      for (Extent j = 0; j < piece.len; ++j) {
-        self(self, d + 1,
-             src_base + (piece.src_pos0 + j * piece.src_step) * sl,
-             dst_base + (piece.dst_pos0 + j * piece.dst_step) * dl);
-      }
-    }
+    const Extent sl = src_stride[static_cast<std::size_t>(d)];
+    const Extent dl = dst_stride[static_cast<std::size_t>(d)];
+    patterns[static_cast<std::size_t>(d)].for_each_piece(
+        [&](const DimPiece& piece) {
+          for (Extent j = 0; j < piece.len; ++j) {
+            self(self, d + 1,
+                 src_base + (piece.src_pos0 + j * piece.src_step) * sl,
+                 dst_base + (piece.dst_pos0 + j * piece.dst_step) * dl);
+          }
+        });
   };
   emit(emit, 0, 0, 0);
 
+  mapping::PeriodicSegments compiled = coalescer.finish();
+  program.segments = std::move(compiled.segments);
+  program.blocks = std::move(compiled.blocks);
+
 #ifndef NDEBUG
   Extent covered = 0;
-  for (const CopySegment& s : program.segments) covered += s.len;
+  program.for_each_segment([&](const CopySegment& s) { covered += s.len; });
   HPFC_ASSERT_MSG(covered == program.elements,
                   "segment program does not cover the transfer");
 #endif
@@ -189,7 +246,7 @@ void pack_into(const SegmentProgram& program, std::span<const double> src_local,
                std::span<double> window) {
   HPFC_ASSERT(static_cast<Extent>(window.size()) == program.elements);
   double* out = window.data();
-  for (const CopySegment& seg : program.segments) {
+  program.for_each_segment([&](const CopySegment& seg) {
     const double* in = src_local.data() + seg.src_base;
     if (seg.src_stride == 1) {
       std::copy_n(in, seg.len, out);
@@ -197,14 +254,14 @@ void pack_into(const SegmentProgram& program, std::span<const double> src_local,
       for (Extent j = 0; j < seg.len; ++j) out[j] = in[j * seg.src_stride];
     }
     out += seg.len;
-  }
+  });
 }
 
 void unpack(const SegmentProgram& program, std::span<const double> payload,
             std::span<double> dst_local) {
   HPFC_ASSERT(static_cast<Extent>(payload.size()) == program.elements);
   const double* in = payload.data();
-  for (const CopySegment& seg : program.segments) {
+  program.for_each_segment([&](const CopySegment& seg) {
     double* out = dst_local.data() + seg.dst_base;
     if (seg.dst_stride == 1) {
       std::copy_n(in, seg.len, out);
@@ -212,13 +269,13 @@ void unpack(const SegmentProgram& program, std::span<const double> payload,
       for (Extent j = 0; j < seg.len; ++j) out[j * seg.dst_stride] = in[j];
     }
     in += seg.len;
-  }
+  });
 }
 
 void copy_local(const SegmentProgram& program,
                 std::span<const double> src_local,
                 std::span<double> dst_local) {
-  for (const CopySegment& seg : program.segments) {
+  program.for_each_segment([&](const CopySegment& seg) {
     const double* in = src_local.data() + seg.src_base;
     double* out = dst_local.data() + seg.dst_base;
     if (seg.src_stride == 1 && seg.dst_stride == 1) {
@@ -227,7 +284,7 @@ void copy_local(const SegmentProgram& program,
       for (Extent j = 0; j < seg.len; ++j)
         out[j * seg.dst_stride] = in[j * seg.src_stride];
     }
-  }
+  });
 }
 
 }  // namespace hpfc::redist

@@ -1,41 +1,39 @@
-// Segment compilation: lowers a closed-form TransferV2 into a flat list
-// of bulk copies over the *local linear* index spaces of its two end
-// points, so pack/unpack run as memcpy-style block moves instead of
-// per-element indexed gathers.
+// Segment compilation: lowers a closed-form TransferV2 into bulk copies
+// over the *local linear* index spaces of its two end points, so
+// pack/unpack run as memcpy-style block moves instead of per-element
+// indexed gathers.
 //
 // Both end points store their owned cartesian product row-major, and both
 // enumerate transfer elements in the same ascending product order, so the
 // element stream decomposes into maximal stretches where the source and
 // destination local positions each advance with a constant stride. Each
 // stretch is one CopySegment; a segment with both strides 1 is a plain
-// contiguous copy. The program size is O(segments), never O(elements):
-// per-element indices are never materialized or cached.
+// contiguous copy. The stretches repeat from one lcm window of the two
+// owners to the next, so a program is periodic (mapping/periodic.hpp): a
+// short body table of segments plus blocks that run a body slice `reps`
+// times, each repetition shifted by a fixed (src_step, dst_step), with
+// the clipped first/last windows as reps == 1 blocks. The program size is
+// O(pattern) per row, never O(elements) nor O(windows).
 //
 // The pack/unpack/copy_local walkers below interpret a SegmentProgram
-// segment by segment. The runtime executes the specialized kernels of
-// redist/kernelgen.hpp instead (redist::specialize lowers a program to
-// precompiled constant-stride fragments); the walkers remain the test
-// reference a kernel must reproduce byte for byte (see docs/kernels.md).
+// segment by segment over its expansion. The runtime executes the
+// specialized kernels of redist/kernelgen.hpp instead (redist::specialize
+// lowers a program to precompiled constant-stride fragments); the walkers
+// remain the test reference a kernel must reproduce byte for byte (see
+// docs/kernels.md).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "mapping/periodic.hpp"
 #include "redist/commsets.hpp"
 
 namespace hpfc::redist {
 
-/// One bulk copy: `len` elements read from src_base, src_base+src_stride,
-/// ... and written at dst_base, dst_base+dst_stride, ... (local linear
-/// positions on the respective ranks; payload order is segment order).
-struct CopySegment {
-  Index src_base = 0;
-  Extent src_stride = 1;
-  Index dst_base = 0;
-  Extent dst_stride = 1;
-  Extent len = 0;
-};
+using mapping::CopySegment;
+using mapping::SegmentBlock;
 
 /// The compiled form of one transfer. The runtime caches it inside the
 /// redist::Kernel specialized from it (redist/kernelgen.hpp).
@@ -43,10 +41,32 @@ struct SegmentProgram {
   int src = 0;
   int dst = 0;
   Extent elements = 0;
+  /// The body table the blocks index (the kernels' operand table).
   std::vector<CopySegment> segments;
+  std::vector<SegmentBlock> blocks;
 
-  /// Segments whose source and destination are both contiguous.
-  [[nodiscard]] std::size_t contiguous_segments() const;
+  /// The repetition-free program of `segments` (one reps == 1 block).
+  static SegmentProgram flat(int src, int dst,
+                             std::vector<CopySegment> segments);
+
+  /// Number of segments in the expansion — closed form. This is what
+  /// the `pack_segments` counter sums.
+  [[nodiscard]] std::uint64_t segment_count() const;
+  /// Expanded segments whose source and destination are both contiguous.
+  [[nodiscard]] std::uint64_t contiguous_segments() const;
+
+  /// Calls fn(CopySegment) for every expanded segment, in payload order.
+  template <typename Fn>
+  void for_each_segment(Fn&& fn) const {
+    for (const SegmentBlock& b : blocks) {
+      for (Extent k = 0; k < b.reps; ++k)
+        for (std::uint32_t i = b.first; i < b.first + b.count; ++i)
+          fn(mapping::shifted(segments[i], k, b.src_step, b.dst_step));
+    }
+  }
+
+  /// The expanded segment list (tests).
+  [[nodiscard]] std::vector<CopySegment> expand() const;
 };
 
 /// Compiles `transfer` against the owned run sets of its two end-point
@@ -56,7 +76,11 @@ struct SegmentProgram {
 /// restriction only decides which rank sends, not where elements live).
 /// Adjacent emitted segments that continue each other with a uniform
 /// stride on both end points are coalesced into one segment; the element
-/// sequence (and with it the payload pack order) is unchanged.
+/// sequence (and with it the payload pack order) is unchanged. The
+/// innermost dimension is emitted one lcm window at a time only until the
+/// coalescing repeats; the remaining windows become one block. The
+/// expansion equals the flat reference (testing::flat_segments) segment
+/// for segment.
 SegmentProgram compile_transfer(const TransferV2& transfer,
                                 std::span<const IndexRuns> src_owned,
                                 std::span<const IndexRuns> dst_owned);

@@ -52,22 +52,26 @@ struct VersionStorage {
 };
 
 /// The compiled ownership of one rank under one layout: the rank's owned
-/// product set as bulk strided stretches over (local position, global
-/// row-major linear) space, plus whether the rank is a sending owner
-/// (under replication only coordinate-0 replicas send, so elements are
-/// read/packed exactly once; the sending set is full-or-empty per rank).
+/// product set as a periodic program of bulk strided stretches over
+/// (local position, global row-major linear) space, plus whether the rank
+/// is a sending owner (under replication only coordinate-0 replicas send,
+/// so elements are read/packed exactly once; the sending set is
+/// full-or-empty per rank).
 struct RankOwnership {
-  std::vector<mapping::OwnedRun> runs;
+  mapping::OwnedProgram runs;
   bool sends = true;
 };
 
 /// Per-(array, version) ownership program, cached like plan slots: every
 /// per-element runtime loop (checksums, write stamping, live-region
 /// clears, copy verification) executes these precompiled stretches
-/// instead of re-deriving ownership per element. Its size is
-/// O(stretches), one per CYCLIC(1) row but one per window for
-/// CYCLIC(k>1). Unlike plan slots it is not charged against
-/// memory_limit, so it is neither counted in peak_bytes nor evicted.
+/// instead of re-deriving ownership per element, looping over the
+/// program's two levels (block repetitions, then body stretches). Its
+/// size is O(rows): a CYCLIC(1) row is one stretch and a CYCLIC(k) row
+/// one block {reps, local_step, global_step} over a one-window body,
+/// however many windows the row spans. Unlike plan slots it is not
+/// charged against memory_limit, so it is neither counted in peak_bytes
+/// nor evicted.
 struct OwnershipProgram {
   std::vector<RankOwnership> per_rank;  ///< indexed by layout rank
 };
@@ -590,35 +594,39 @@ class Machine {
       backend_->step([&](int r) {
         if (r >= lay.ranks()) return;
         auto& local = vs.locals[static_cast<std::size_t>(r)];
-        for (const mapping::OwnedRun& run :
-             own.per_rank[static_cast<std::size_t>(r)].runs) {
-          double* vals = local.data() + run.local_base;
-          // A stretch varies only the innermost dimension: one outer
-          // bounds check, then closed-form inner clipping.
-          const mapping::IndexVec coord = shape.delinearize(run.global_base);
-          bool outer_inside = true;
-          for (int d = 0; d + 1 < dims; ++d) {
-            const Index c = coord[static_cast<std::size_t>(d)];
-            if (c < live.region[static_cast<std::size_t>(d)].first ||
-                c >= live.region[static_cast<std::size_t>(d)].second) {
-              outer_inside = false;
-              break;
-            }
-          }
-          if (!outer_inside) {
-            std::fill_n(vals, run.len, 0.0);
-            continue;
-          }
-          const Index c0 = coord[static_cast<std::size_t>(dims - 1)];
-          const mapping::Extent st = run.global_stride;
-          // First member inside and first member past the inner window.
-          const mapping::Extent j_lo = std::clamp<mapping::Extent>(
-              inner_lo <= c0 ? 0 : (inner_lo - c0 + st - 1) / st, 0, run.len);
-          const mapping::Extent j_hi = std::clamp<mapping::Extent>(
-              inner_hi <= c0 ? 0 : (inner_hi - c0 + st - 1) / st, 0, run.len);
-          std::fill_n(vals, j_lo, 0.0);
-          if (j_hi < run.len) std::fill_n(vals + j_hi, run.len - j_hi, 0.0);
-        }
+        own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
+            [&](const mapping::OwnedRun& run) {
+              double* vals = local.data() + run.local_base;
+              // A stretch varies only the innermost dimension: one outer
+              // bounds check, then closed-form inner clipping.
+              const mapping::IndexVec coord =
+                  shape.delinearize(run.global_base);
+              bool outer_inside = true;
+              for (int d = 0; d + 1 < dims; ++d) {
+                const Index c = coord[static_cast<std::size_t>(d)];
+                if (c < live.region[static_cast<std::size_t>(d)].first ||
+                    c >= live.region[static_cast<std::size_t>(d)].second) {
+                  outer_inside = false;
+                  break;
+                }
+              }
+              if (!outer_inside) {
+                std::fill_n(vals, run.len, 0.0);
+                return;
+              }
+              const Index c0 = coord[static_cast<std::size_t>(dims - 1)];
+              const mapping::Extent st = run.global_stride;
+              // First member inside and first member past the inner window.
+              const mapping::Extent j_lo = std::clamp<mapping::Extent>(
+                  inner_lo <= c0 ? 0 : (inner_lo - c0 + st - 1) / st, 0,
+                  run.len);
+              const mapping::Extent j_hi = std::clamp<mapping::Extent>(
+                  inner_hi <= c0 ? 0 : (inner_hi - c0 + st - 1) / st, 0,
+                  run.len);
+              std::fill_n(vals, j_lo, 0.0);
+              if (j_hi < run.len)
+                std::fill_n(vals + j_hi, run.len - j_hi, 0.0);
+            });
       });
       vs.dirty = true;
     }
@@ -799,7 +807,7 @@ class Machine {
         const redist::SegmentProgram& tp =
             slot.kernel(u.member, u.kernel).program();
         ++slot.local_copies;
-        slot.local_segments += tp.segments.size();
+        slot.local_segments += tp.segment_count();
         slot.local_elements += static_cast<std::uint64_t>(tp.elements);
       }
     }
@@ -959,8 +967,7 @@ class Machine {
     prog.per_rank.resize(static_cast<std::size_t>(lay.ranks()));
     for (int r = 0; r < lay.ranks(); ++r) {
       RankOwnership& ro = prog.per_rank[static_cast<std::size_t>(r)];
-      lay.for_each_owned_run(
-          r, [&](const mapping::OwnedRun& run) { ro.runs.push_back(run); });
+      ro.runs = lay.owned_program(r);
       if (lay.array_shape().rank() > 0) {
         // The sending set is full-or-empty per rank: for_sending only
         // excludes ranks sitting on a non-zero replicated coordinate.
@@ -1019,13 +1026,13 @@ class Machine {
       if (!ro.sends) return;  // primary owners only: replicas count once
       const auto& local = vs.locals[static_cast<std::size_t>(r)];
       std::uint64_t partial = 0;
-      for (const mapping::OwnedRun& run : ro.runs) {
+      ro.runs.for_each_stretch([&](const mapping::OwnedRun& run) {
         const double* vals = local.data() + run.local_base;
         Index global = run.global_base;
         for (mapping::Extent j = 0; j < run.len;
              ++j, global += run.global_stride)
           partial += static_cast<std::uint64_t>(vals[j]) * weight(global);
-      }
+      });
       partials_[static_cast<std::size_t>(r)] = partial;
     });
     for (const std::uint64_t partial : partials_) report_.signature += partial;
@@ -1059,14 +1066,14 @@ class Machine {
         values[i] = stamped(counter, static_cast<std::int64_t>(i));
       if (r >= lay.ranks()) return;
       auto& local = vs.locals[static_cast<std::size_t>(r)];
-      for (const mapping::OwnedRun& run :
-           own.per_rank[static_cast<std::size_t>(r)].runs) {
-        double* vals = local.data() + run.local_base;
-        Index global = run.global_base;
-        for (mapping::Extent j = 0; j < run.len;
-             ++j, global += run.global_stride)
-          vals[j] = stamped(counter, global);
-      }
+      own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
+          [&](const mapping::OwnedRun& run) {
+            double* vals = local.data() + run.local_base;
+            Index global = run.global_base;
+            for (mapping::Extent j = 0; j < run.len;
+                 ++j, global += run.global_stride)
+              vals[j] = stamped(counter, global);
+          });
     });
     vs.dirty = true;
   }
@@ -1106,20 +1113,19 @@ class Machine {
     const ConcreteLayout& lay = layout(a, version);
     const OwnershipProgram& own = ownership(a, version);
     const auto& canonical = canonical_[static_cast<std::size_t>(a)];
-    for (int r = 0; r < lay.ranks(); ++r) {
+    bool match = true;
+    for (int r = 0; r < lay.ranks() && match; ++r) {
       const auto& local = vs.locals[static_cast<std::size_t>(r)];
-      for (const mapping::OwnedRun& run :
-           own.per_rank[static_cast<std::size_t>(r)].runs) {
-        const double* vals = local.data() + run.local_base;
-        Index global = run.global_base;
-        for (mapping::Extent j = 0; j < run.len;
-             ++j, global += run.global_stride) {
-          if (vals[j] != canonical[static_cast<std::size_t>(global)])
-            return false;
-        }
-      }
+      own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
+          [&](const mapping::OwnedRun& run) {
+            const double* vals = local.data() + run.local_base;
+            Index global = run.global_base;
+            for (mapping::Extent j = 0; j < run.len && match;
+                 ++j, global += run.global_stride)
+              match = vals[j] == canonical[static_cast<std::size_t>(global)];
+          });
     }
-    return true;
+    return match;
   }
 
   /// Exported dummy arguments must hold the canonical values at exit.

@@ -41,10 +41,9 @@ class InternalError : public std::logic_error {
 template <class To, class From>
 constexpr To narrow(From value) {
   const To result = static_cast<To>(value);
-  if (static_cast<From>(result) != value ||
-      ((result < To{}) != (value < From{}))) {
-    throw InternalError("narrowing conversion lost information");
-  }
+  HPFC_ASSERT_MSG(static_cast<From>(result) == value &&
+                      ((result < To{}) == (value < From{})),
+                  "narrowing conversion lost information");
   return result;
 }
 

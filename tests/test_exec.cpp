@@ -400,7 +400,7 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
           msg.src = r;
           msg.dst = programs[t].dst;
           msg.tag = static_cast<int>(t);
-          msg.segments = static_cast<int>(programs[t].segments.size());
+          msg.segments = narrow<int>(programs[t].segment_count());
           redist::pack(programs[t], src_locals[static_cast<std::size_t>(r)],
                        msg.payload);
           outboxes[static_cast<std::size_t>(r)].push_back(std::move(msg));

@@ -2,10 +2,12 @@
 // lowers a compiled SegmentProgram to fragment-stitched kernels whose
 // pack/unpack/copy must be byte-identical to the interpreted segment
 // walker — the kernels' test reference (see docs/kernels.md). These
-// tests pin (1) the fragment classification and span stitching, (2) the
-// byte-equality property over random_layout redistribution programs,
-// and (3) plan-slot eviction under memory pressure with lazy
-// re-specialization (and fused-slot invalidation) behind it.
+// tests pin (1) the fragment classification and span stitching, the
+// periodic fragment included, (2) the byte-equality property over
+// random_layout redistribution programs, (3) plan and ownership sizes
+// that do not grow with the extent, and (4) plan-slot eviction under
+// memory pressure with lazy re-specialization (and fused-slot
+// invalidation) behind it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,11 +40,8 @@ using redist::SegmentProgram;
 /// A hand-built program over one `len`/stride pattern (src/dst ranks and
 /// bases are irrelevant to classification).
 SegmentProgram one_segment(Extent len, Extent src_stride, Extent dst_stride) {
-  SegmentProgram program;
-  program.elements = len;
-  program.segments.push_back({/*src_base=*/0, src_stride,
-                              /*dst_base=*/0, dst_stride, len});
-  return program;
+  return SegmentProgram::flat(0, 0, {{/*src_base=*/0, src_stride,
+                                      /*dst_base=*/0, dst_stride, len}});
 }
 
 TEST(FragmentClassification, PicksTheDocumentedFragmentPerSegmentShape) {
@@ -63,12 +62,11 @@ TEST(FragmentClassification, PicksTheDocumentedFragmentPerSegmentShape) {
 }
 
 TEST(FragmentClassification, StitchesSameFragmentRunsIntoOneSpan) {
-  SegmentProgram program;
-  program.elements = 16 + 16 + 8;
-  program.segments.push_back({0, 1, 0, 1, 16});   // memcpy
-  program.segments.push_back({16, 1, 16, 1, 16})  // memcpy, same fragment
-      ;
-  program.segments.push_back({32, 2, 32, 1, 8});  // gather_const
+  const SegmentProgram program =
+      SegmentProgram::flat(0, 0,
+                           {{0, 1, 0, 1, 16},     // memcpy
+                            {16, 1, 16, 1, 16},   // memcpy, same fragment
+                            {32, 2, 32, 1, 8}});  // gather_const
   const redist::Kernel kernel = redist::specialize(program);
   EXPECT_EQ(kernel.program().segments.size(), 3u);
   ASSERT_EQ(kernel.spans().size(), 2u);
@@ -80,11 +78,55 @@ TEST(FragmentClassification, StitchesSameFragmentRunsIntoOneSpan) {
   EXPECT_GT(kernel.footprint_bytes(), 0u);
 }
 
+TEST(FragmentClassification, RepeatedBlocksRunThroughThePeriodicFragment) {
+  // A flat singleton, then a body of [unrolled, unrolled, singleton]
+  // repeated 5 times 10/20 positions apart, then a flat memcpy.
+  SegmentProgram program;
+  program.segments = {{0, 1, 0, 1, 1},
+                      {1, 1, 1, 2, 3},
+                      {4, 2, 7, 1, 2},
+                      {9, 1, 9, 1, 1},
+                      {51, 1, 101, 1, 8}};
+  program.blocks = {{0, 1, 1, 0, 0}, {1, 3, 5, 10, 20}, {4, 1, 1, 0, 0}};
+  program.elements = 1 + 5 * (3 + 2 + 1) + 8;
+  EXPECT_EQ(program.segment_count(), 1u + 15u + 1u);
+  const redist::Kernel kernel = redist::specialize(program);
+  EXPECT_EQ(kernel.describe(),
+            "singleton+periodic(unrolled)+periodic(singleton)+memcpy");
+  ASSERT_EQ(kernel.spans().size(), 4u);
+  const redist::KernelSpan& body = kernel.spans()[1];
+  EXPECT_EQ(body.count, 2u);
+  EXPECT_EQ(body.reps, 5);
+  EXPECT_EQ(body.out_offset, 1);
+  EXPECT_EQ(body.out_step, 6);
+  EXPECT_EQ(kernel.spans()[2].out_offset, 1 + 5);
+  EXPECT_EQ(kernel.spans()[3].out_offset, 1 + 30);
+
+  // Byte-identical to the walker over the expansion.
+  std::vector<double> src(64);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<double>(i);
+  std::vector<double> via_walker(static_cast<std::size_t>(program.elements));
+  std::vector<double> via_kernel(via_walker.size());
+  redist::pack_into(program, src, via_walker);
+  kernel.pack(src, via_kernel);
+  EXPECT_EQ(via_kernel, via_walker);
+  std::vector<double> dst_walker(128, -1.0);
+  std::vector<double> dst_kernel(dst_walker);
+  redist::unpack(program, via_walker, dst_walker);
+  kernel.unpack(via_walker, dst_kernel);
+  EXPECT_EQ(dst_kernel, dst_walker);
+  std::vector<double> copy_walker(128, -1.0);
+  std::vector<double> copy_kernel(copy_walker);
+  redist::copy_local(program, src, copy_walker);
+  kernel.copy(src, copy_kernel);
+  EXPECT_EQ(copy_kernel, copy_walker);
+}
+
 TEST(FragmentClassification, EveryCatalogNameIsReachable) {
   const auto catalog = redist::fragment_catalog();
   const std::vector<std::string_view> expected = {
-      "singleton",     "unrolled",      "memcpy",     "gather_const",
-      "scatter_const", "strided_const", "strided_any"};
+      "singleton",     "unrolled",      "memcpy",      "gather_const",
+      "scatter_const", "strided_const", "strided_any", "periodic"};
   ASSERT_EQ(std::vector<std::string_view>(catalog.begin(), catalog.end()),
             expected);
 }
@@ -95,10 +137,12 @@ TEST(FragmentClassification, EveryCatalogNameIsReachable) {
 // run over the same segment table: the one the kernel owns.
 TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
   std::mt19937 rng(4242);
-  const Shape shapes[] = {Shape{32}, Shape{21}, Shape{10, 12}, Shape{8, 8}};
+  const Shape shapes[] = {Shape{32},  Shape{21},     Shape{10, 12},
+                          Shape{8, 8}, Shape{257},   Shape{6, 70}};
   int programs_checked = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    const Shape& shape = shapes[trial % 4];
+  int periodic_spans = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Shape& shape = shapes[trial % 6];
     const auto from = testing::random_layout(rng, shape);
     const auto to = testing::random_layout(rng, shape);
     const redist::RedistPlanV2 plan = redist::build_runs(from, to);
@@ -108,17 +152,18 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
               t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
       const SegmentProgram& program = kernel.program();
       ASSERT_EQ(kernel.elements(), program.elements);
-      std::uint32_t covered = 0;
+      std::uint64_t covered = 0;
       for (const auto& span : kernel.spans()) {
         const std::string_view name = span.fragment->name;
         const auto catalog = redist::fragment_catalog();
         EXPECT_NE(std::find(catalog.begin(), catalog.end(), name),
                   catalog.end())
             << "span uses a fragment outside the catalog: " << name;
-        EXPECT_EQ(span.first, covered);
-        covered += span.count;
+        covered += static_cast<std::uint64_t>(span.count) *
+                   static_cast<std::uint64_t>(span.reps);
+        periodic_spans += span.reps > 1 ? 1 : 0;
       }
-      ASSERT_EQ(covered, program.segments.size());
+      ASSERT_EQ(covered, program.segment_count());
 
       std::vector<double> src_local(
           static_cast<std::size_t>(from.local_count(t.src)));
@@ -155,6 +200,55 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
     }
   }
   EXPECT_GT(programs_checked, 50);
+  EXPECT_GT(periodic_spans, 20);
+}
+
+hpfc::mapping::ConcreteLayout cyclic_layout(Extent n, Extent k) {
+  return mapping::ConcreteLayout::make(
+      Shape{n}, Shape{8},
+      {{mapping::AlignTarget::axis(0), DistFormat::cyclic(k), n}});
+}
+
+// cyclic(2) -> cyclic(3) on 8 ranks: the plan tables (the kernels'
+// footprint) and the ownership programs are sized by the lcm window, not
+// by the extent, so 16x more elements cost no more plan or ownership
+// entries.
+TEST(PeriodicFootprint, CyclicTwoToThreeDoesNotGrowWithExtent) {
+  struct Size {
+    std::uint64_t kernel_bytes = 0;
+    std::uint64_t segments = 0;  // expanded: grows with n
+    std::size_t stretches = 0;   // stored ownership stretches
+    std::size_t blocks = 0;
+  };
+  const auto measure = [](Extent n) {
+    Size size;
+    const auto from = cyclic_layout(n, 2);
+    const auto to = cyclic_layout(n, 3);
+    for (const auto& t : redist::build_runs(from, to).transfers) {
+      const redist::Kernel kernel = redist::specialize(redist::compile_transfer(
+          t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
+      size.kernel_bytes += kernel.footprint_bytes();
+      size.segments += kernel.program().segment_count();
+    }
+    for (const auto* lay : {&from, &to}) {
+      for (int r = 0; r < lay->ranks(); ++r) {
+        const mapping::OwnedProgram own = lay->owned_program(r);
+        size.stretches += own.body.size();
+        size.blocks += own.blocks.size();
+      }
+    }
+    return size;
+  };
+  const Size small = measure(Extent{1} << 16);
+  const Size large = measure(Extent{1} << 20);
+  EXPECT_EQ(small.kernel_bytes, large.kernel_bytes);
+  EXPECT_EQ(small.stretches, large.stretches);
+  EXPECT_EQ(small.blocks, large.blocks);
+  // The expansion (what pack_segments counts) does grow with n.
+  EXPECT_GT(large.segments, 15 * small.segments);
+  // One block of one stretch per rank row, plus the clipped tail window
+  // that 2^16 and 2^20 share (both are 16 past a multiple of 24).
+  EXPECT_LE(small.stretches, 3u * 16u);
 }
 
 /// `arrays` aligned arrays remapped together per loop trip: exercises the

@@ -168,8 +168,8 @@ TEST(PersistSnapshot, DeltaWritesOnlyChangedRuns) {
   std::vector<int> status{0};
   std::vector<int> saved;
   std::vector<std::vector<double>> locals{{1.0, 2.0}, {3.0, 4.0}};
-  const std::vector<mapping::OwnedRun> runs0{{0, 0, 1, 2}};
-  const std::vector<mapping::OwnedRun> runs1{{0, 2, 1, 2}};
+  const auto runs0 = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
+  const auto runs1 = mapping::OwnedProgram::flat({{0, 2, 1, 2}});
   persist::StoreView view;
   view.status = &status;
   view.saved = &saved;
@@ -217,8 +217,8 @@ TEST(PersistSnapshot, RanksWithoutRunsRoundTrip) {
   std::vector<int> status{0};
   std::vector<int> saved;
   std::vector<std::vector<double>> locals{{1.0, 2.0}, {}, {3.0, 4.0}};
-  const std::vector<mapping::OwnedRun> runs{{0, 0, 1, 2}};
-  const std::vector<mapping::OwnedRun> none;
+  const auto runs = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
+  const mapping::OwnedProgram none;
   persist::StoreView view;
   view.status = &status;
   view.saved = &saved;
@@ -259,13 +259,11 @@ TEST(PersistSnapshot, CyclicVersionIsOneLeafPerRank) {
   const auto lay = mapping::ConcreteLayout::make(
       Shape{64}, Shape{4},
       {{mapping::AlignTarget::axis(0), DistFormat::cyclic(1), 64}});
-  std::vector<std::vector<mapping::OwnedRun>> runs(4);
+  std::vector<mapping::OwnedProgram> runs(4);
   std::vector<std::vector<double>> locals(4);
   for (int r = 0; r < 4; ++r) {
-    lay.for_each_owned_run(r, [&](const mapping::OwnedRun& run) {
-      runs[static_cast<std::size_t>(r)].push_back(run);
-    });
-    ASSERT_EQ(runs[static_cast<std::size_t>(r)],
+    runs[static_cast<std::size_t>(r)] = lay.owned_program(r);
+    ASSERT_EQ(runs[static_cast<std::size_t>(r)].expand(),
               (std::vector<mapping::OwnedRun>{{0, r, 4, 16}}));
     for (int j = 0; j < 16; ++j)
       locals[static_cast<std::size_t>(r)].push_back(r + 4.0 * j);
@@ -294,7 +292,7 @@ TEST(PersistSnapshot, CyclicVersionIsOneLeafPerRank) {
                 locals[static_cast<std::size_t>(r)]);
       ASSERT_EQ(restored.versions[0].runs.at(r).size(), 1u);
       EXPECT_EQ(restored.versions[0].runs.at(r)[0].geometry,
-                runs[static_cast<std::size_t>(r)][0]);
+                runs[static_cast<std::size_t>(r)].body[0]);
     }
   };
 
@@ -468,7 +466,7 @@ TEST(PersistFaultInjection, CorruptSealedByteIsDetected) {
     std::vector<int> status{0};
     std::vector<int> saved;
     std::vector<std::vector<double>> locals{{1.0, 2.0}, {3.0, 4.0}};
-    const std::vector<mapping::OwnedRun> runs{{0, 0, 1, 2}};
+    const auto runs = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
     persist::StoreView view;
     view.status = &status;
     view.saved = &saved;
@@ -577,7 +575,7 @@ TEST(PersistFaultInjection, KilledProcWorkerKeepsSealedSnapshots) {
   std::vector<int> status{0};
   std::vector<int> saved;
   std::vector<std::vector<double>> locals{{0, 0}, {0, 0}, {0, 0}, {0, 0}};
-  const std::vector<mapping::OwnedRun> run_geometry{{0, 0, 1, 2}};
+  const auto run_geometry = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
   persist::StoreView view;
   view.status = &status;
   view.saved = &saved;

@@ -221,7 +221,7 @@ TEST(SegmentCoalescing, MergesContiguousRowsIntoOneSegment) {
     const auto program = compile_transfer(t, from.owned_index_runs(t.src),
                                           to.owned_index_runs(t.dst));
     EXPECT_EQ(program.elements, 16);
-    EXPECT_EQ(program.segments.size(), 1u);
+    EXPECT_EQ(program.segment_count(), 1u);
     EXPECT_EQ(program.contiguous_segments(), 1u);
     checked = true;
   }
@@ -242,10 +242,10 @@ TEST(SegmentCoalescing, PreservesPackOrderAndCoverage) {
       const auto program = compile_transfer(t, from.owned_index_runs(t.src),
                                             to.owned_index_runs(t.dst));
       Extent covered = 0;
-      for (const auto& seg : program.segments) {
+      program.for_each_segment([&](const redist::CopySegment& seg) {
         EXPECT_GE(seg.len, 1);
         covered += seg.len;
-      }
+      });
       EXPECT_EQ(covered, program.elements);
 
       // The oracle pack order: enumerate the materialized transfer in

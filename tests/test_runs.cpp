@@ -1,8 +1,10 @@
 // Interval runs: the closed-form ownership/communication representation
 // must agree exactly — same element sets, same pack order — with the
 // materialized oracles at every layer: IndexRuns vs brute-force sets,
-// owned_index_runs vs owned_index_lists, build_runs vs build(), and the
-// compiled segment programs vs a per-element position walk.
+// owned_index_runs vs owned_index_lists, build_runs vs build(), the
+// compiled segment programs vs a per-element position walk, and the
+// periodic ownership/segment programs vs the flat window walks of
+// testing/oracles.hpp, stretch for stretch and segment for segment.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -12,6 +14,7 @@
 #include "mapping/runs.hpp"
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
+#include "testing/oracles.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
@@ -24,6 +27,7 @@ using mapping::IndexRun;
 using mapping::IndexRuns;
 using mapping::Shape;
 using testing::random_layout;
+using testing::stretches_of;
 
 TEST(IndexRuns, IntervalBasics) {
   const auto r = IndexRuns::interval(3, 9);
@@ -92,12 +96,6 @@ bool one_progression(Index a_base, Extent a_stride, Extent a_len,
   for (std::size_t i = 2; i < members.size(); ++i)
     if (members[i] - members[i - 1] != members[1] - members[0]) return false;
   return true;
-}
-
-std::vector<IndexRun> stretches_of(const IndexRuns& r) {
-  std::vector<IndexRun> out;
-  r.for_each_stretch([&](const IndexRun& s) { out.push_back(s); });
-  return out;
 }
 
 TEST(IndexRuns, StretchesAreMaximalProgressionsOfTheMembers) {
@@ -201,10 +199,10 @@ TEST(LayoutRuns, RandomLayoutsMatchListsAcrossMachineSizes) {
   }
 }
 
-TEST(LayoutRuns, ForEachOwnedRunTilesForEachOwnedExactly) {
-  // The runs-cursor API must visit the identical (local, global linear)
-  // pairs as the per-element visitor, in the identical order, with
-  // stretches tiling the local index space exactly.
+TEST(LayoutRuns, OwnedProgramTilesForEachOwnedExactly) {
+  // The expanded ownership program must visit the identical (local,
+  // global linear) pairs as the per-element visitor, in the identical
+  // order, with stretches tiling the local index space exactly.
   std::mt19937 rng(31);
   const Shape shapes[] = {Shape{17}, Shape{24}, Shape{12, 10}, Shape{7, 9}};
   for (int trial = 0; trial < 120; ++trial) {
@@ -218,7 +216,7 @@ TEST(LayoutRuns, ForEachOwnedRunTilesForEachOwnedExactly) {
       std::vector<std::pair<Index, Index>> got;
       std::vector<mapping::OwnedRun> runs;
       Index next_local = 0;
-      lay.for_each_owned_run(r, [&](const mapping::OwnedRun& run) {
+      lay.owned_program(r).for_each_stretch([&](const mapping::OwnedRun& run) {
         EXPECT_EQ(run.local_base, next_local) << lay.to_string();
         EXPECT_GE(run.len, 1);
         next_local += run.len;
@@ -256,10 +254,7 @@ TEST(LayoutRuns, ForEachOwnedRunTilesForEachOwnedExactly) {
 }
 
 std::vector<mapping::OwnedRun> owned_runs(const ConcreteLayout& lay, int r) {
-  std::vector<mapping::OwnedRun> runs;
-  lay.for_each_owned_run(
-      r, [&](const mapping::OwnedRun& run) { runs.push_back(run); });
-  return runs;
+  return lay.owned_program(r).expand();
 }
 
 mapping::DimOwner cyclic_owner(int array_dim, Extent k, Extent extent) {
@@ -290,9 +285,10 @@ TEST(LayoutRuns, StarCyclicGivesOneStretchPerRow) {
   }
 }
 
-TEST(LayoutRuns, CyclicTwoKeepsOneStretchPerWindow) {
+TEST(LayoutRuns, CyclicTwoIsOneBlockOfOneStretchPerWindow) {
   // CYCLIC(2) on 4: the pairs {8w + 2r, 8w + 2r + 1} sit 7 apart, so no
-  // two windows continue one progression.
+  // two windows continue one progression. The expansion keeps one stretch
+  // per window; the program stores one stretch repeated 8 times.
   const auto lay =
       ConcreteLayout::make(Shape{64}, Shape{4}, {cyclic_owner(0, 2, 64)});
   for (int r = 0; r < 4; ++r) {
@@ -300,6 +296,128 @@ TEST(LayoutRuns, CyclicTwoKeepsOneStretchPerWindow) {
     for (Index w = 0; w < 8; ++w)
       expected.push_back({2 * w, 8 * w + 2 * r, 1, 2});
     EXPECT_EQ(owned_runs(lay, r), expected) << "rank " << r;
+    const mapping::OwnedProgram program = lay.owned_program(r);
+    EXPECT_EQ(program.body,
+              (std::vector<mapping::OwnedRun>{{0, 2 * r, 1, 2}}));
+    EXPECT_EQ(program.blocks,
+              (std::vector<mapping::OwnedBlock>{{0, 1, 8, 2, 8}}));
+  }
+}
+
+// ---- periodic programs vs the flat window walks --------------------------
+
+TEST(PeriodicOwnership, ExpansionMatchesTheWindowWalkOnRandomLayouts) {
+  // Extents well past the owners' periods, so rows span many windows and
+  // end in clipped ones.
+  std::mt19937 rng(77);
+  const Shape shapes[] = {Shape{17},     Shape{24},    Shape{257},
+                          Shape{1000},   Shape{12, 10}, Shape{7, 90}};
+  int repeated = 0;   // programs with a reps > 1 block
+  int multi_body = 0;  // ... whose repeated body holds several stretches
+  for (int trial = 0; trial < 600; ++trial) {
+    const Shape& shape = shapes[trial % 6];
+    const ConcreteLayout lay = random_layout(rng, shape);
+    for (int r = 0; r < lay.ranks(); ++r) {
+      const mapping::OwnedProgram program = lay.owned_program(r);
+      const auto flat = testing::owned_stretches(lay, r);
+      EXPECT_EQ(program.expand(), flat) << lay.to_string() << " rank " << r;
+      EXPECT_EQ(program.stretch_count(), flat.size()) << lay.to_string();
+      bool rep = false;
+      bool multi = false;
+      for (const auto& b : program.blocks) {
+        rep = rep || b.reps > 1;
+        multi = multi || (b.reps > 1 && b.count > 1);
+      }
+      repeated += rep ? 1 : 0;
+      multi_body += multi ? 1 : 0;
+    }
+  }
+  // The corpus reaches both block shapes.
+  EXPECT_GT(repeated, 100);
+  EXPECT_GT(multi_body, 5);
+}
+
+/// Repeated (reps > 1) blocks seen by expect_segments_match_flat, and
+/// those among them whose body holds several segments.
+int g_repeated_blocks = 0;
+int g_multi_body_blocks = 0;
+
+/// Asserts that each transfer's periodic program expands to the flat
+/// reference, segment for segment.
+void expect_segments_match_flat(const ConcreteLayout& from,
+                                const ConcreteLayout& to,
+                                const std::vector<redist::TransferV2>& ts,
+                                const std::string& what) {
+  for (const auto& t : ts) {
+    const auto src = from.owned_index_runs(t.src);
+    const auto dst = to.owned_index_runs(t.dst);
+    const redist::SegmentProgram program =
+        redist::compile_transfer(t, src, dst);
+    const auto flat = testing::flat_segments(t, src, dst);
+    for (const auto& b : program.blocks) {
+      g_repeated_blocks += b.reps > 1 ? 1 : 0;
+      g_multi_body_blocks += b.reps > 1 && b.count > 1 ? 1 : 0;
+    }
+    ASSERT_EQ(program.expand(), flat)
+        << what << " transfer " << t.src << "->" << t.dst;
+    EXPECT_EQ(program.segment_count(), flat.size()) << what;
+    Extent elements = 0;
+    for (const auto& seg : flat) elements += seg.len;
+    EXPECT_EQ(program.elements, elements) << what;
+  }
+}
+
+TEST(PeriodicSegments, ExpansionMatchesFlatReferenceOnRandomLayouts) {
+  std::mt19937 rng(515);
+  const Shape shapes[] = {Shape{16},   Shape{23},   Shape{257},
+                          Shape{1000}, Shape{9, 14}, Shape{6, 70}};
+  for (int trial = 0; trial < 180; ++trial) {
+    const Shape& shape = shapes[trial % 6];
+    const ConcreteLayout from = random_layout(rng, shape);
+    const ConcreteLayout to = random_layout(rng, shape);
+    const std::string what = from.to_string() + " -> " + to.to_string();
+    const redist::RedistPlanV2 plan = redist::build_runs(from, to);
+    expect_segments_match_flat(from, to, plan.transfers, what);
+
+    // The same pair restricted to a random live region.
+    std::vector<std::pair<Index, Index>> region;
+    for (int d = 0; d < shape.rank(); ++d) {
+      const Extent n = shape.extent(d);
+      const Index lo = static_cast<Index>(rng() % static_cast<unsigned>(n));
+      const Index hi =
+          lo + 1 + static_cast<Index>(rng() % static_cast<unsigned>(n - lo));
+      region.emplace_back(lo, hi);
+    }
+    std::vector<redist::TransferV2> kept;
+    for (auto t : plan.transfers)
+      if (t.restrict_to(region)) kept.push_back(std::move(t));
+    expect_segments_match_flat(from, to, kept, what + " [region]");
+  }
+  // The corpus reaches both block shapes.
+  EXPECT_GT(g_repeated_blocks, 200);
+  EXPECT_GT(g_multi_body_blocks, 30);
+}
+
+TEST(PeriodicSegments, CyclicTwoToThreeMatchesFlatAtUnevenExtents) {
+  // cyclic(2) <-> cyclic(3) on 8: the lcm window is 48 elements, and
+  // 262,147 is not a multiple of it, so every row ends in a clipped
+  // window.
+  for (const Extent n : {Extent{262144}, Extent{262147}}) {
+    const auto c2 =
+        ConcreteLayout::make(Shape{n}, Shape{8}, {cyclic_owner(0, 2, n)});
+    const auto c3 =
+        ConcreteLayout::make(Shape{n}, Shape{8}, {cyclic_owner(0, 3, n)});
+    for (const auto& [from, to] : {std::pair{c2, c3}, std::pair{c3, c2}}) {
+      const redist::RedistPlanV2 plan = redist::build_runs(from, to);
+      expect_segments_match_flat(from, to, plan.transfers,
+                                 "n=" + std::to_string(n));
+      // O(pattern): each program's body table stays a few windows' worth.
+      for (const auto& t : plan.transfers) {
+        const auto program = redist::compile_transfer(
+            t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst));
+        EXPECT_LE(program.segments.size(), 16u) << "n=" << n;
+      }
+    }
   }
 }
 
@@ -352,10 +470,11 @@ std::vector<std::pair<Index, Index>> oracle_locals(
 std::vector<std::pair<Index, Index>> segment_locals(
     const redist::SegmentProgram& program) {
   std::vector<std::pair<Index, Index>> locals;
-  for (const auto& seg : program.segments)
+  program.for_each_segment([&](const redist::CopySegment& seg) {
     for (Extent j = 0; j < seg.len; ++j)
       locals.emplace_back(seg.src_base + j * seg.src_stride,
                           seg.dst_base + j * seg.dst_stride);
+  });
   return locals;
 }
 
