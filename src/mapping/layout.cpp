@@ -328,24 +328,9 @@ Index ConcreteLayout::local_position(int rank,
 
 OwnedProgram OwnedProgram::flat(std::vector<OwnedRun> runs) {
   OwnedProgram program;
-  if (runs.empty()) return program;
-  program.blocks.push_back({0, narrow<std::uint32_t>(runs.size()), 1, 0, 0});
+  program.blocks = flat_blocks(runs.size());
   program.body = std::move(runs);
   return program;
-}
-
-std::size_t OwnedProgram::stretch_count() const {
-  std::size_t count = 0;
-  for (const OwnedBlock& b : blocks)
-    count += static_cast<std::size_t>(b.reps) * b.count;
-  return count;
-}
-
-std::vector<OwnedRun> OwnedProgram::expand() const {
-  std::vector<OwnedRun> runs;
-  runs.reserve(stretch_count());
-  for_each_stretch([&](const OwnedRun& run) { runs.push_back(run); });
-  return runs;
 }
 
 OwnedProgram ConcreteLayout::owned_program(int rank) const {
@@ -411,16 +396,16 @@ OwnedProgram ConcreteLayout::owned_program(int rank) const {
     for (const CopySegment& r : row.segments)
       program.body.push_back(
           {r.src_base + local, r.dst_base + base, r.dst_stride, r.len});
-    for (const SegmentBlock& b : row.blocks) {
+    for (SegmentBlock b : row.blocks) {
+      b.first += first;
       // Consecutive repetition-free blocks merge into one.
-      OwnedBlock* last = program.blocks.empty() ? nullptr
-                                                : &program.blocks.back();
+      SegmentBlock* last = program.blocks.empty() ? nullptr
+                                                  : &program.blocks.back();
       if (b.reps == 1 && last != nullptr && last->reps == 1 &&
-          last->first + last->count == first + b.first)
+          last->first + last->count == b.first)
         last->count += b.count;
       else
-        program.blocks.push_back(
-            {first + b.first, b.count, b.reps, b.src_step, b.dst_step});
+        program.blocks.push_back(b);
     }
     local += inner.count();
     int d = static_cast<int>(outer.size()) - 1;

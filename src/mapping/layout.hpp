@@ -25,6 +25,7 @@
 
 #include "mapping/align.hpp"
 #include "mapping/dist.hpp"
+#include "mapping/periodic.hpp"
 #include "mapping/runs.hpp"
 #include "mapping/shape.hpp"
 
@@ -54,50 +55,42 @@ struct OwnedRun {
   friend bool operator==(const OwnedRun&, const OwnedRun&) = default;
 };
 
-/// One block of an ownership program: body stretches [first,
-/// first + count) executed `reps` times, repetition k shifted by
-/// k*local_step local positions and k*global_step global linear indices
-/// (mapping/periodic.hpp).
-struct OwnedBlock {
-  std::uint32_t first = 0;
-  std::uint32_t count = 0;
-  Extent reps = 1;
-  Index local_step = 0;
-  Index global_step = 0;
-
-  friend bool operator==(const OwnedBlock&, const OwnedBlock&) = default;
-};
+/// `run` shifted by k repetitions of an ownership block: the block's
+/// src_step moves local positions, its dst_step global linear indices.
+[[nodiscard]] inline OwnedRun shifted(OwnedRun run, Extent k, Index local_step,
+                                      Index global_step) {
+  run.local_base += k * local_step;
+  run.global_base += k * global_step;
+  return run;
+}
 
 /// A rank's owned set as a periodic program of OwnedRun stretches: a
-/// short body table plus the blocks that repeat it. Every consumer loops
-/// over the two levels; expanding them yields the flat stretch list.
+/// short body table plus the blocks that repeat it (mapping/periodic.hpp;
+/// a block's src_step is its local step, its dst_step its global step).
+/// Every consumer loops over the two levels; expanding them yields the
+/// flat stretch list.
 struct OwnedProgram {
   std::vector<OwnedRun> body;
-  std::vector<OwnedBlock> blocks;
+  std::vector<SegmentBlock> blocks;
 
   /// The repetition-free program of `runs` (one reps == 1 block).
   static OwnedProgram flat(std::vector<OwnedRun> runs);
 
   /// Number of stretches in the expansion — closed form.
-  [[nodiscard]] std::size_t stretch_count() const;
+  [[nodiscard]] std::size_t stretch_count() const {
+    return static_cast<std::size_t>(expanded_count(blocks));
+  }
 
   /// Calls fn(OwnedRun) for every expanded stretch, in local order.
   template <typename Fn>
   void for_each_stretch(Fn&& fn) const {
-    for (const OwnedBlock& b : blocks) {
-      for (Extent k = 0; k < b.reps; ++k) {
-        for (std::uint32_t i = b.first; i < b.first + b.count; ++i) {
-          OwnedRun run = body[i];
-          run.local_base += k * b.local_step;
-          run.global_base += k * b.global_step;
-          fn(run);
-        }
-      }
-    }
+    for_each_expanded(body, blocks, fn);
   }
 
   /// The expanded stretch list (tests).
-  [[nodiscard]] std::vector<OwnedRun> expand() const;
+  [[nodiscard]] std::vector<OwnedRun> expand() const {
+    return expanded(body, blocks);
+  }
 
   friend bool operator==(const OwnedProgram&, const OwnedProgram&) = default;
 };

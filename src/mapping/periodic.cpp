@@ -37,6 +37,18 @@ constexpr Extent kMaxCycle = 4;
 
 }  // namespace
 
+std::vector<SegmentBlock> flat_blocks(std::size_t n) {
+  if (n == 0) return {};
+  return {{0, narrow<std::uint32_t>(n), 1, 0, 0}};
+}
+
+std::uint64_t expanded_count(std::span<const SegmentBlock> blocks) {
+  std::uint64_t count = 0;
+  for (const SegmentBlock& b : blocks)
+    count += static_cast<std::uint64_t>(b.reps) * b.count;
+  return count;
+}
+
 void SegmentCoalescer::push(const CopySegment& next) {
   HPFC_ASSERT(next.len >= 1);
   if (!pending_.empty() && coalesce(pending_.back(), next)) return;

@@ -59,6 +59,44 @@ struct SegmentBlock {
   friend bool operator==(const SegmentBlock&, const SegmentBlock&) = default;
 };
 
+/// `seg` shifted by k repetitions of a (src_step, dst_step) block.
+[[nodiscard]] inline CopySegment shifted(CopySegment seg, Extent k,
+                                         Extent src_step, Extent dst_step) {
+  seg.src_base += k * src_step;
+  seg.dst_base += k * dst_step;
+  return seg;
+}
+
+/// The repetition-free block list over a body of `n` entries.
+[[nodiscard]] std::vector<SegmentBlock> flat_blocks(std::size_t n);
+
+/// Number of entries in the expansion of `blocks` — closed form.
+[[nodiscard]] std::uint64_t expanded_count(std::span<const SegmentBlock> blocks);
+
+/// The two-level walk every periodic program shares (transfers and
+/// ownership): calls fn(entry) for each entry of the expansion of
+/// `blocks` over `body` — block by block, repetition by repetition, body
+/// entry by body entry — repetition k moved by
+/// `shifted(entry, k, src_step, dst_step)`.
+template <typename Entry, typename Fn>
+void for_each_expanded(const std::vector<Entry>& body,
+                       std::span<const SegmentBlock> blocks, Fn&& fn) {
+  for (const SegmentBlock& b : blocks)
+    for (Extent k = 0; k < b.reps; ++k)
+      for (std::uint32_t i = b.first; i < b.first + b.count; ++i)
+        fn(shifted(body[i], k, b.src_step, b.dst_step));
+}
+
+/// The expansion of `blocks` over `body` as a flat list (tests).
+template <typename Entry>
+[[nodiscard]] std::vector<Entry> expanded(
+    const std::vector<Entry>& body, std::span<const SegmentBlock> blocks) {
+  std::vector<Entry> out;
+  out.reserve(static_cast<std::size_t>(expanded_count(blocks)));
+  for_each_expanded(body, blocks, [&](const Entry& e) { out.push_back(e); });
+  return out;
+}
+
 /// A periodic program: the body table and the blocks that expand it.
 struct PeriodicSegments {
   std::vector<CopySegment> segments;
@@ -99,13 +137,5 @@ class SegmentCoalescer {
   std::vector<CopySegment> body_;
   std::vector<SegmentBlock> blocks_;
 };
-
-/// `seg` shifted by k repetitions of a (src_step, dst_step) block.
-[[nodiscard]] inline CopySegment shifted(CopySegment seg, Extent k,
-                                         Extent src_step, Extent dst_step) {
-  seg.src_base += k * src_step;
-  seg.dst_base += k * dst_step;
-  return seg;
-}
 
 }  // namespace hpfc::mapping

@@ -164,8 +164,10 @@ void copy_unrolled(const CopySegment* segs, std::size_t count,
 // wrapped around one flat body that is a template argument and inlined
 // (flatten), so a repetition costs no call and the body's segment loads
 // can stay in registers across repetitions. Repetition k moves both data
-// pointers by k steps; the payload order is the expansion order.
-template <Fragment::Body Body>
+// pointers by k steps; the payload order is the expansion order. Every
+// span runs through it; a span of repetition-free blocks is one pass.
+template <void (*Body)(const CopySegment*, std::size_t, const double*,
+                       double*)>
 [[gnu::flatten]] void periodic(const CopySegment* segs, std::size_t count,
                                Extent reps, Extent in_step, Extent out_step,
                                const double* in, double* out) {
@@ -173,11 +175,9 @@ template <Fragment::Body Body>
     Body(segs, count, in + k * in_step, out + k * out_step);
 }
 
-template <Fragment::Body Pack, Fragment::Body Unpack, Fragment::Body Copy>
+template <auto Pack, auto Unpack, auto Copy>
 constexpr Fragment make_fragment(const char* name) {
-  return Fragment{name,           Pack,           Unpack,
-                  Copy,           &periodic<Pack>, &periodic<Unpack>,
-                  &periodic<Copy>};
+  return Fragment{name, &periodic<Pack>, &periodic<Unpack>, &periodic<Copy>};
 }
 
 // ---- the catalog --------------------------------------------------------
@@ -249,45 +249,27 @@ constexpr std::array<std::string_view, 8> kCatalog = {
 void Kernel::pack(std::span<const double> src_local,
                   std::span<double> out) const {
   HPFC_ASSERT(static_cast<Extent>(out.size()) == program_.elements);
-  for (const KernelSpan& span : spans_) {
-    const CopySegment* segs = program_.segments.data() + span.first;
-    double* window = out.data() + span.out_offset;
-    if (span.reps == 1)
-      span.fragment->pack(segs, span.count, src_local.data(), window);
-    else
-      span.fragment->periodic_pack(segs, span.count, span.reps,
-                                   span.src_step, span.out_step,
-                                   src_local.data(), window);
-  }
+  for (const KernelSpan& span : spans_)
+    span.fragment->pack(program_.segments.data() + span.first, span.count,
+                        span.reps, span.src_step, span.out_step,
+                        src_local.data(), out.data() + span.out_offset);
 }
 
 void Kernel::unpack(std::span<const double> payload,
                     std::span<double> dst_local) const {
   HPFC_ASSERT(static_cast<Extent>(payload.size()) == program_.elements);
-  for (const KernelSpan& span : spans_) {
-    const CopySegment* segs = program_.segments.data() + span.first;
-    const double* window = payload.data() + span.out_offset;
-    if (span.reps == 1)
-      span.fragment->unpack(segs, span.count, window, dst_local.data());
-    else
-      span.fragment->periodic_unpack(segs, span.count, span.reps,
-                                     span.out_step, span.dst_step, window,
-                                     dst_local.data());
-  }
+  for (const KernelSpan& span : spans_)
+    span.fragment->unpack(program_.segments.data() + span.first, span.count,
+                          span.reps, span.out_step, span.dst_step,
+                          payload.data() + span.out_offset, dst_local.data());
 }
 
 void Kernel::copy(std::span<const double> src_local,
                   std::span<double> dst_local) const {
-  for (const KernelSpan& span : spans_) {
-    const CopySegment* segs = program_.segments.data() + span.first;
-    if (span.reps == 1)
-      span.fragment->copy(segs, span.count, src_local.data(),
-                          dst_local.data());
-    else
-      span.fragment->periodic_copy(segs, span.count, span.reps,
-                                   span.src_step, span.dst_step,
-                                   src_local.data(), dst_local.data());
-  }
+  for (const KernelSpan& span : spans_)
+    span.fragment->copy(program_.segments.data() + span.first, span.count,
+                        span.reps, span.src_step, span.dst_step,
+                        src_local.data(), dst_local.data());
 }
 
 std::uint64_t Kernel::footprint_bytes() const {

@@ -38,33 +38,29 @@ namespace hpfc::redist {
 /// window, unpack from a payload window, direct local copy) over a slice
 /// of the program's segments (the fragment bodies read their operands
 /// with constant strides folded in where the fragment's template
-/// parameters fix them), plus the same three bodies wrapped in the
-/// `periodic` fragment: an outer loop over a block's repetitions that
-/// advances both data pointers by one repetition's step per pass and
-/// runs the inlined body over the block's segments. `name` identifies the
-/// catalog entry (documented in docs/kernels.md and cross-checked by
-/// tools/check_docs).
+/// parameters fix them), each wrapped in the `periodic` fragment: an
+/// outer loop over a span's repetitions that advances both data pointers
+/// by one repetition's step per pass and runs the inlined body over the
+/// span's segments. A span of repetition-free blocks is one pass.
+/// `name` identifies the catalog entry (documented in docs/kernels.md and
+/// cross-checked by tools/check_docs).
 struct Fragment {
-  using Body = void (*)(const CopySegment* segs, std::size_t count,
-                        const double* in, double* out);
-  using Periodic = void (*)(const CopySegment* segs, std::size_t count,
-                            Extent reps, Extent in_step, Extent out_step,
-                            const double* in, double* out);
+  using Op = void (*)(const CopySegment* segs, std::size_t count, Extent reps,
+                      Extent in_step, Extent out_step, const double* in,
+                      double* out);
   const char* name;
-  Body pack;    ///< in: source local storage, out: payload window
-  Body unpack;  ///< in: payload window, out: destination local storage
-  Body copy;    ///< in: source local storage, out: destination storage
-  Periodic periodic_pack;
-  Periodic periodic_unpack;
-  Periodic periodic_copy;
+  Op pack;    ///< in: source local storage, out: payload window
+  Op unpack;  ///< in: payload window, out: destination local storage
+  Op copy;    ///< in: source local storage, out: destination storage
 };
 
 /// One stitched stretch of a kernel: `count` consecutive body segments
 /// starting at segment index `first`, all executed by one fragment, whose
 /// payload window begins `out_offset` elements into the kernel's payload.
-/// A span of a repeated block (reps > 1) runs through the `periodic`
-/// fragment: repetition k reads and writes at k*src_step / k*dst_step
-/// local positions and k*out_step payload elements further on.
+/// The fragment's periodic loop runs the span `reps` times: repetition k
+/// reads and writes at k*src_step / k*dst_step local positions and
+/// k*out_step payload elements further on (reps == 1 outside a repeated
+/// block).
 struct KernelSpan {
   const Fragment* fragment = nullptr;
   std::uint32_t first = 0;

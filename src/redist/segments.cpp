@@ -122,18 +122,13 @@ SegmentProgram SegmentProgram::flat(int src, int dst,
   program.src = src;
   program.dst = dst;
   for (const CopySegment& s : segments) program.elements += s.len;
-  if (!segments.empty())
-    program.blocks.push_back(
-        {0, narrow<std::uint32_t>(segments.size()), 1, 0, 0});
+  program.blocks = mapping::flat_blocks(segments.size());
   program.segments = std::move(segments);
   return program;
 }
 
 std::uint64_t SegmentProgram::segment_count() const {
-  std::uint64_t count = 0;
-  for (const SegmentBlock& b : blocks)
-    count += static_cast<std::uint64_t>(b.reps) * b.count;
-  return count;
+  return mapping::expanded_count(blocks);
 }
 
 std::uint64_t SegmentProgram::contiguous_segments() const {
@@ -146,10 +141,7 @@ std::uint64_t SegmentProgram::contiguous_segments() const {
 }
 
 std::vector<CopySegment> SegmentProgram::expand() const {
-  std::vector<CopySegment> out;
-  out.reserve(static_cast<std::size_t>(segment_count()));
-  for_each_segment([&](const CopySegment& s) { out.push_back(s); });
-  return out;
+  return mapping::expanded(segments, blocks);
 }
 
 SegmentProgram compile_transfer(const TransferV2& transfer,

@@ -58,11 +58,7 @@ struct SegmentProgram {
   /// Calls fn(CopySegment) for every expanded segment, in payload order.
   template <typename Fn>
   void for_each_segment(Fn&& fn) const {
-    for (const SegmentBlock& b : blocks) {
-      for (Extent k = 0; k < b.reps; ++k)
-        for (std::uint32_t i = b.first; i < b.first + b.count; ++i)
-          fn(mapping::shifted(segments[i], k, b.src_step, b.dst_step));
-    }
+    mapping::for_each_expanded(segments, blocks, fn);
   }
 
   /// The expanded segment list (tests).

@@ -68,7 +68,7 @@ struct RankOwnership {
 /// instead of re-deriving ownership per element, looping over the
 /// program's two levels (block repetitions, then body stretches). Its
 /// size is O(rows): a CYCLIC(1) row is one stretch and a CYCLIC(k) row
-/// one block {reps, local_step, global_step} over a one-window body,
+/// one block (repetitions one window apart) over a one-window body,
 /// however many windows the row spans. Unlike plan slots it is not
 /// charged against memory_limit, so it is neither counted in peak_bytes
 /// nor evicted.

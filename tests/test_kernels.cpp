@@ -152,6 +152,9 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
               t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
       const SegmentProgram& program = kernel.program();
       ASSERT_EQ(kernel.elements(), program.elements);
+      // The spans tile the body table in order, no gaps or overlaps, and
+      // their repetitions cover the expansion.
+      std::size_t body_covered = 0;
       std::uint64_t covered = 0;
       for (const auto& span : kernel.spans()) {
         const std::string_view name = span.fragment->name;
@@ -159,10 +162,13 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
         EXPECT_NE(std::find(catalog.begin(), catalog.end(), name),
                   catalog.end())
             << "span uses a fragment outside the catalog: " << name;
+        EXPECT_EQ(span.first, body_covered);
+        body_covered += span.count;
         covered += static_cast<std::uint64_t>(span.count) *
                    static_cast<std::uint64_t>(span.reps);
         periodic_spans += span.reps > 1 ? 1 : 0;
       }
+      ASSERT_EQ(body_covered, program.segments.size());
       ASSERT_EQ(covered, program.segment_count());
 
       std::vector<double> src_local(

@@ -300,7 +300,7 @@ TEST(LayoutRuns, CyclicTwoIsOneBlockOfOneStretchPerWindow) {
     EXPECT_EQ(program.body,
               (std::vector<mapping::OwnedRun>{{0, 2 * r, 1, 2}}));
     EXPECT_EQ(program.blocks,
-              (std::vector<mapping::OwnedBlock>{{0, 1, 8, 2, 8}}));
+              (std::vector<mapping::SegmentBlock>{{0, 1, 8, 2, 8}}));
   }
 }
 
