@@ -73,7 +73,7 @@ void report(Harness& h) {
         const auto run = run_checked(compiled, h.run_options(seed));
         row("fig6 seed=" + std::to_string(seed), run);
         // compile_source above used the default CompileOptions level, O2.
-        h.record("fig06", "seed=" + std::to_string(seed), "O2", run);
+        h.record("fig06", "seed=" + std::to_string(seed), {"O2", run});
       }
       note("on the then-path the final redistribute is a status no-op; on "
            "the other it performs the copy — same results either way");

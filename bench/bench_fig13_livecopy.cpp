@@ -37,7 +37,7 @@ void report(Harness& h) {
     row("seed=" + std::to_string(seed) +
             (run.skipped_live_copy > 0 ? " (read path)" : " (write path)"),
         run);
-    h.record("fig13-paths", "seed=" + std::to_string(seed), "O2", run);
+    h.record("fig13-paths", "seed=" + std::to_string(seed), {"O2", run});
     if (run.skipped_live_copy > 0)
       ++live_hits;
     else
@@ -51,7 +51,7 @@ void report(Harness& h) {
   for (const unsigned seed : {1u, 2u}) {
     const auto run = run_checked(naive, h.run_options(seed));
     row("O0 seed=" + std::to_string(seed), run);
-    h.record("fig13-paths", "seed=" + std::to_string(seed), "O0", run);
+    h.record("fig13-paths", "seed=" + std::to_string(seed), {"O0", run});
   }
   note("the naive translation always copies back");
 }

@@ -42,7 +42,7 @@ void report_snapshot(Harness& h) {
   const auto compiled = compile(fig18(262144, 4), OptLevel::O2);
   auto snapshot_options = h.run_options(1);
   snapshot_options.snapshot_dir = dir.string();
-  const auto snapshot_run = run_checked(compiled, snapshot_options);
+  auto snapshot_run = run_checked(compiled, snapshot_options);
   row("O2 snapshot seed=1", snapshot_run);
 
   std::vector<double> restore_samples;
@@ -59,15 +59,17 @@ void report_snapshot(Harness& h) {
             std::chrono::steady_clock::now() - start)
             .count());
   }
-  auto metrics = metrics_from("O2", snapshot_run, /*compile_wall_ms=*/0.0,
-                              median(recompute_samples));
-  metrics.restore_ms = median(restore_samples);
-  h.record_metrics("fig18_snapshot", "restore-vs-recompute", metrics);
+  snapshot_run.restore_ms = median(restore_samples);
+  const double recompute_ms = median(recompute_samples);
   std::printf("restore %.3f ms vs recompute %.3f ms (%llu journal bytes, "
               "%llu runs written)\n",
-              metrics.restore_ms, metrics.run_wall_ms,
-              static_cast<unsigned long long>(metrics.snapshot_bytes),
-              static_cast<unsigned long long>(metrics.snapshot_runs_written));
+              snapshot_run.restore_ms, recompute_ms,
+              static_cast<unsigned long long>(snapshot_run.snapshot_bytes),
+              static_cast<unsigned long long>(
+                  snapshot_run.snapshot_runs_written));
+  h.record("fig18_snapshot", "restore-vs-recompute",
+           {"O2", snapshot_run, /*host_allocs=*/0, /*compile_wall_ms=*/0.0,
+            recompute_ms});
   note("restore replays O(changed runs) journal deltas and verifies the "
        "hash tree; recomputation re-executes every superstep");
   fs::remove_all(dir);
@@ -85,7 +87,7 @@ void report(Harness& h) {
   for (unsigned seed = 1; seed <= 6; ++seed) {
     const auto run = run_checked(naive, h.run_options(seed));
     row("O0 seed=" + std::to_string(seed), run);
-    h.record("fig18", "seed=" + std::to_string(seed), "O0", run);
+    h.record("fig18", "seed=" + std::to_string(seed), {"O0", run});
   }
   const auto opt = compile(fig18(4096, 4), OptLevel::O2);
   std::printf("after O2: restore dispatches=%d (the unused restore is "
@@ -94,7 +96,7 @@ void report(Harness& h) {
   for (unsigned seed = 1; seed <= 6; ++seed) {
     const auto run = run_checked(opt, h.run_options(seed));
     row("O2 seed=" + std::to_string(seed), run);
-    h.record("fig18", "seed=" + std::to_string(seed), "O2", run);
+    h.record("fig18", "seed=" + std::to_string(seed), {"O2", run});
   }
   note("both paths and both levels agree with the oracle; O2 moves the "
        "argument directly to the next required mapping");

@@ -47,7 +47,7 @@ void report(Harness& h) {
               compiled.code.count(hpfc::codegen::OpKind::Free));
   const auto run = run_checked(compiled, h.run_options());
   row("fig20 run", run);
-  h.record("fig19", "fig20 run", "O2", run);
+  h.record("fig19", "fig20 run", {"O2", run});
   note("the Figure 20 vertex dispatches on {1,2} and skips the copy when "
        "the status already matches");
 }

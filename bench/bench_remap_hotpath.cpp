@@ -121,19 +121,17 @@ int main(int argc, char** argv) {
         if (rep == 0 || allocs < best_allocs) best_allocs = allocs;
       }
 
-      LevelMetrics metrics = metrics_from("O0", best);
-      metrics.host_allocs = best_allocs;
       const std::string config = std::string("P=8 n=1048576 trips=6 ") +
                                  hpfc::exec::to_string(backend);
-      row(config, metrics);
-      note(config + ": exec_ms=" + std::to_string(metrics.exec_ms) +
-           " pack_ms=" + std::to_string(metrics.pack_ms) +
-           " exchange_ms=" + std::to_string(metrics.exchange_ms) +
-           " unpack_ms=" + std::to_string(metrics.unpack_ms) +
+      row(config, best);
+      note(config + ": exec_ms=" + std::to_string(best.exec_ms) +
+           " pack_ms=" + std::to_string(best.pack_ms) +
+           " exchange_ms=" + std::to_string(best.exchange_ms) +
+           " unpack_ms=" + std::to_string(best.unpack_ms) +
            " host_allocs=" + std::to_string(best_allocs) +
            " local_fastpath_copies=" +
            std::to_string(best.local_fastpath_copies));
-      harness.record_metrics("remap_hotpath", config, std::move(metrics));
+      harness.record("remap_hotpath", config, {"O0", best, best_allocs});
     }
 
     // Cross-array aggregation: one remap vertex moving 4 arrays at once.
@@ -169,17 +167,16 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "remap_hotpath multi diverged from oracle\n");
         std::abort();
       }
-      LevelMetrics metrics = metrics_from("O0", report);
-      metrics.exec_ms = best_exec_ms;
+      report.exec_ms = best_exec_ms;
       const std::string config =
           std::string("P=8 n=262144 arrays=4 trips=6 fused ") +
           hpfc::exec::to_string(backend);
-      row(config, metrics);
-      note(config + ": supersteps=" + std::to_string(metrics.supersteps) +
-           " fused_copies=" + std::to_string(metrics.fused_copies) +
-           " messages=" + std::to_string(metrics.remote_messages) +
-           " sim_time_ms=" + std::to_string(metrics.sim_time_ms));
-      harness.record_metrics("remap_hotpath", config, std::move(metrics));
+      row(config, report);
+      note(config + ": supersteps=" + std::to_string(report.net.supersteps) +
+           " fused_copies=" + std::to_string(report.net.fused_copies) +
+           " messages=" + std::to_string(report.net.messages) +
+           " sim_time_ms=" + std::to_string(report.net.sim_time * 1e3));
+      harness.record("remap_hotpath", config, {"O0", report});
     }
 
     banner("remap_hotpath: cyclic(2) <-> cyclic(3) rebalance (O0)",
@@ -202,14 +199,13 @@ int main(int argc, char** argv) {
       }
       if (rep == 0 || report.exec_ms < best.exec_ms) best = report;
     }
-    LevelMetrics metrics = metrics_from("O0", best);
     const std::string config = "cyclic(2)<->cyclic(3) P=8 n=262144 trips=6";
-    row(config, metrics);
-    note(config + ": exec_ms=" + std::to_string(metrics.exec_ms) +
-         " pack_ms=" + std::to_string(metrics.pack_ms) +
-         " unpack_ms=" + std::to_string(metrics.unpack_ms) +
-         " pack_segments=" + std::to_string(metrics.pack_segments) +
+    row(config, best);
+    note(config + ": exec_ms=" + std::to_string(best.exec_ms) +
+         " pack_ms=" + std::to_string(best.pack_ms) +
+         " unpack_ms=" + std::to_string(best.unpack_ms) +
+         " pack_segments=" + std::to_string(best.net.segments) +
          " peak_bytes=" + std::to_string(best.peak_bytes));
-    harness.record_metrics("remap_hotpath", config, std::move(metrics));
+    harness.record("remap_hotpath", config, {"O0", best});
   });
 }

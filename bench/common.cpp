@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 
 namespace bench_common {
 
@@ -75,7 +76,19 @@ void banner(const std::string& experiment, const std::string& paper_claim) {
 }
 
 void row(const std::string& label, const RunReport& report) {
-  row(label, metrics_from(/*level=*/"", report));
+  std::printf("%-28s %8d %12llu %12llu %10llu %10d %12.3f\n", label.c_str(),
+              report.copies_performed,
+              static_cast<unsigned long long>(report.elements_copied),
+              static_cast<unsigned long long>(report.net.messages),
+              static_cast<unsigned long long>(report.net.bytes),
+              report.skipped_already_mapped + report.skipped_live_copy,
+              report.net.sim_time * 1e3);
+  // Phase-timer snapshot: flushed per level so a wedged later phase still
+  // leaves the last completed level's split in the captured output
+  // (run_benches quotes it in its timeout diagnostic).
+  std::printf("    phases: pack %.3f ms / exchange %.3f ms / unpack %.3f ms\n",
+              report.pack_ms, report.exchange_ms, report.unpack_ms);
+  std::fflush(stdout);
 }
 
 void note(const std::string& text) {
@@ -101,71 +114,7 @@ double wall_ms(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
-void json_escape(std::ostream& os, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c; break;
-    }
-  }
-}
-
 }  // namespace
-
-LevelMetrics metrics_from(const std::string& level, const RunReport& report,
-                          double compile_wall_ms, double run_wall_ms) {
-  LevelMetrics metrics;
-  metrics.level = level;
-  metrics.copies_performed = report.copies_performed;
-  metrics.elements_copied = report.elements_copied;
-  metrics.remote_messages = report.net.messages;
-  metrics.remote_bytes = report.net.bytes;
-  metrics.pack_segments = report.net.segments;
-  metrics.packed_bytes = report.packed_bytes;
-  metrics.local_fastpath_copies = report.local_fastpath_copies;
-  metrics.supersteps = report.net.supersteps;
-  metrics.fused_copies = report.net.fused_copies;
-  metrics.specialized_kernels = report.net.specialized_kernels;
-  metrics.specialized_dispatches = report.net.specialized_dispatches;
-  metrics.plan_cache_hits = report.net.plan_cache_hits;
-  metrics.plan_cache_misses = report.net.plan_cache_misses;
-  metrics.symbolic_instantiations = report.net.symbolic_instantiations;
-  metrics.skipped_status_guard = report.skipped_already_mapped;
-  metrics.skipped_live_copy = report.skipped_live_copy;
-  metrics.wire_bytes = report.wire_bytes;
-  metrics.wire_msgs = report.wire_msgs;
-  metrics.proc_spawns = report.proc_spawns;
-  metrics.snapshot_bytes = report.snapshot_bytes;
-  metrics.snapshot_runs_written = report.snapshot_runs_written;
-  metrics.snapshot_ms = report.snapshot_ms;
-  metrics.restore_ms = report.restore_ms;
-  metrics.sim_time_ms = report.net.sim_time * 1e3;
-  metrics.exec_ms = report.exec_ms;
-  metrics.pack_ms = report.pack_ms;
-  metrics.exchange_ms = report.exchange_ms;
-  metrics.unpack_ms = report.unpack_ms;
-  metrics.compile_wall_ms = compile_wall_ms;
-  metrics.run_wall_ms = run_wall_ms;
-  return metrics;
-}
-
-void row(const std::string& label, const LevelMetrics& m) {
-  std::printf("%-28s %8d %12llu %12llu %10llu %10d %12.3f\n", label.c_str(),
-              m.copies_performed,
-              static_cast<unsigned long long>(m.elements_copied),
-              static_cast<unsigned long long>(m.remote_messages),
-              static_cast<unsigned long long>(m.remote_bytes),
-              m.skipped_status_guard + m.skipped_live_copy, m.sim_time_ms);
-  // Phase-timer snapshot: flushed per level so a wedged later phase still
-  // leaves the last completed level's split in the captured output
-  // (run_benches quotes it in its timeout diagnostic).
-  std::printf("    phases: pack %.3f ms / exchange %.3f ms / unpack %.3f ms\n",
-              m.pack_ms, m.exchange_ms, m.unpack_ms);
-  std::fflush(stdout);
-}
 
 hpfc::runtime::RunOptions default_run_options() {
   hpfc::runtime::RunOptions run;
@@ -244,8 +193,8 @@ hpfc::runtime::RunOptions Harness::run_options(unsigned seed) const {
   return run_options;
 }
 
-LevelMetrics Harness::measure_level(const Factory& factory, OptLevel level,
-                                    unsigned seed) {
+LevelRecord Harness::measure_level(const Factory& factory, OptLevel level,
+                                   unsigned seed) {
   std::vector<double> compile_samples;
   std::vector<double> run_samples;
   std::vector<double> exec_samples;
@@ -284,15 +233,13 @@ LevelMetrics Harness::measure_level(const Factory& factory, OptLevel level,
     }
   }
 
-  LevelMetrics metrics =
-      metrics_from(hpfc::driver::to_string(level), report,
-                   median(std::move(compile_samples)),
-                   median(std::move(run_samples)));
-  metrics.exec_ms = median(std::move(exec_samples));
-  metrics.pack_ms = median(std::move(pack_samples));
-  metrics.exchange_ms = median(std::move(exchange_samples));
-  metrics.unpack_ms = median(std::move(unpack_samples));
-  return metrics;
+  report.exec_ms = median(std::move(exec_samples));
+  report.pack_ms = median(std::move(pack_samples));
+  report.exchange_ms = median(std::move(exchange_samples));
+  report.unpack_ms = median(std::move(unpack_samples));
+  return LevelRecord{hpfc::driver::to_string(level), std::move(report),
+                     /*host_allocs=*/0, median(std::move(compile_samples)),
+                     median(std::move(run_samples))};
 }
 
 void Harness::measure(const std::string& figure, const std::string& config,
@@ -301,32 +248,21 @@ void Harness::measure(const std::string& figure, const std::string& config,
   if (seed == 0) seed = options_.run.seed;
   FigureRecord& record = entry(figure, config);
   for (const OptLevel level : levels) {
-    LevelMetrics metrics = measure_level(factory, level, seed);
-    row(config + " " + metrics.level, metrics);
-    record.levels.push_back(std::move(metrics));
+    LevelRecord measured = measure_level(factory, level, seed);
+    row(config + " " + measured.level, measured.report);
+    record.levels.push_back(std::move(measured));
   }
 }
 
 void Harness::record(const std::string& figure, const std::string& config,
-                     const std::string& level, const RunReport& report,
-                     double compile_wall_ms, double run_wall_ms) {
-  entry(figure, config)
-      .levels.push_back(
-          metrics_from(level, report, compile_wall_ms, run_wall_ms));
-}
-
-void Harness::record_metrics(const std::string& figure,
-                             const std::string& config, LevelMetrics metrics) {
-  entry(figure, config).levels.push_back(std::move(metrics));
+                     LevelRecord level) {
+  entry(figure, config).levels.push_back(std::move(level));
 }
 
 void Harness::record_timing(const std::string& figure,
                             const std::string& config,
                             const std::string& level, double wall_ms) {
-  LevelMetrics metrics;
-  metrics.level = level;
-  metrics.compile_wall_ms = wall_ms;
-  entry(figure, config).levels.push_back(std::move(metrics));
+  record(figure, config, LevelRecord{level, {}, 0, wall_ms, 0.0});
 }
 
 bool Harness::write_json() const {
@@ -334,9 +270,7 @@ bool Harness::write_json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"hpfc-bench-v1\",\n";
-  os << "  \"bench\": \"";
-  json_escape(os, bench_name_);
-  os << "\",\n";
+  os << "  \"bench\": \"" << hpfc::json_escape(bench_name_) << "\",\n";
   os << "  \"reps\": " << options_.reps << ",\n";
   os << "  \"warmup\": " << options_.warmup << ",\n";
   os << "  \"seed\": " << options_.run.seed << ",\n";
@@ -347,58 +281,27 @@ bool Harness::write_json() const {
   os << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
      << ",\n";
   if (options_.calibration.samples > 0) {
-    os << "  \"calibration\": {\"latency_s\": " << options_.calibration.latency
-       << ", \"inv_bandwidth_s_per_byte\": "
-       << options_.calibration.inv_bandwidth
-       << ", \"samples\": " << options_.calibration.samples << "},\n";
+    os << "  ";
+    hpfc::runtime::write_json_calibration(os, options_.calibration);
+    os << ",\n";
   }
   os << "  \"figures\": [";
   bool first_figure = true;
   for (const auto& record : records_) {
     os << (first_figure ? "\n" : ",\n");
     first_figure = false;
-    os << "    {\"figure\": \"";
-    json_escape(os, record.figure);
-    os << "\", \"config\": \"";
-    json_escape(os, record.config);
-    os << "\", \"levels\": [";
+    os << "    {\"figure\": \"" << hpfc::json_escape(record.figure)
+       << "\", \"config\": \"" << hpfc::json_escape(record.config)
+       << "\", \"levels\": [";
     bool first_level = true;
-    for (const auto& m : record.levels) {
+    for (const auto& l : record.levels) {
       os << (first_level ? "\n" : ",\n");
       first_level = false;
-      os << "      {\"level\": \"";
-      json_escape(os, m.level);
-      os << "\", \"copies_performed\": " << m.copies_performed
-         << ", \"elements_copied\": " << m.elements_copied
-         << ", \"remote_messages\": " << m.remote_messages
-         << ", \"remote_bytes\": " << m.remote_bytes
-         << ", \"pack_segments\": " << m.pack_segments
-         << ", \"packed_bytes\": " << m.packed_bytes
-         << ", \"local_fastpath_copies\": " << m.local_fastpath_copies
-         << ", \"supersteps\": " << m.supersteps
-         << ", \"fused_copies\": " << m.fused_copies
-         << ", \"specialized_kernels\": " << m.specialized_kernels
-         << ", \"specialized_dispatches\": " << m.specialized_dispatches
-         << ", \"plan_cache_hits\": " << m.plan_cache_hits
-         << ", \"plan_cache_misses\": " << m.plan_cache_misses
-         << ", \"symbolic_instantiations\": " << m.symbolic_instantiations
-         << ", \"host_allocs\": " << m.host_allocs
-         << ", \"skipped_status_guard\": " << m.skipped_status_guard
-         << ", \"skipped_live_copy\": " << m.skipped_live_copy
-         << ", \"wire_bytes\": " << m.wire_bytes
-         << ", \"wire_msgs\": " << m.wire_msgs
-         << ", \"proc_spawns\": " << m.proc_spawns
-         << ", \"snapshot_bytes\": " << m.snapshot_bytes
-         << ", \"snapshot_runs_written\": " << m.snapshot_runs_written
-         << ", \"snapshot_ms\": " << m.snapshot_ms
-         << ", \"restore_ms\": " << m.restore_ms
-         << ", \"sim_time_ms\": " << m.sim_time_ms
-         << ", \"exec_ms\": " << m.exec_ms
-         << ", \"pack_ms\": " << m.pack_ms
-         << ", \"exchange_ms\": " << m.exchange_ms
-         << ", \"unpack_ms\": " << m.unpack_ms
-         << ", \"compile_wall_ms\": " << m.compile_wall_ms
-         << ", \"run_wall_ms\": " << m.run_wall_ms << "}";
+      os << "      {\"level\": \"" << hpfc::json_escape(l.level) << "\", ";
+      hpfc::runtime::write_json_fields(os, l.report);
+      os << ", \"host_allocs\": " << l.host_allocs
+         << ", \"compile_wall_ms\": " << l.compile_wall_ms
+         << ", \"run_wall_ms\": " << l.run_wall_ms << "}";
     }
     os << "\n    ]}";
   }

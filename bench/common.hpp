@@ -40,98 +40,27 @@ void note(const std::string& text);
 
 // ---- measurement harness ------------------------------------------------
 
-/// Per-optimization-level metrics for one figure configuration: the
-/// communication counters from the simulated run plus host wall times for
-/// the compile and the run (medians over the timed repetitions).
-struct LevelMetrics {
-  std::string level;                     ///< "O0" | "O1" | "O2"
-  int copies_performed = 0;              ///< remapping copies that happened
-  std::uint64_t elements_copied = 0;
-  std::uint64_t remote_messages = 0;
-  std::uint64_t remote_bytes = 0;
-  /// Bulk-copy segments across all payloads: pack granularity
-  /// (elements_copied / pack_segments is the mean copy length).
-  std::uint64_t pack_segments = 0;
-  /// Payload bytes materialized into message buffers (remote transfers
-  /// only when the local fast path is active).
-  std::uint64_t packed_bytes = 0;
-  /// src == dst transfers executed as direct local copies, bypassing
-  /// message materialization.
-  std::uint64_t local_fastpath_copies = 0;
-  /// Exchange supersteps the run performed (one per copy group flush) —
-  /// the alpha-term unit of the cost model.
-  std::uint64_t supersteps = 0;
-  /// Copies whose communication shared a superstep with at least one
-  /// other copy (cross-array message aggregation); 0 when every remap
-  /// vertex moves a single array.
-  std::uint64_t fused_copies = 0;
-  /// Specialized pack/unpack kernels installed by the plan cache (one per
-  /// SegmentProgram at compile).
-  std::uint64_t specialized_kernels = 0;
-  /// Transfers dispatched through a specialized kernel, counted once per
-  /// transfer at the producing site — invariant across backends.
-  std::uint64_t specialized_dispatches = 0;
-  /// Lookups the plan cache served from a plan already built for the
-  /// same (from, to) layout pair.
-  std::uint64_t plan_cache_hits = 0;
-  /// Lookups that had to build a plan for a new layout pair; always
-  /// equal to symbolic_instantiations.
-  std::uint64_t plan_cache_misses = 0;
-  /// Plan instances built by build_runs (O(runs), not O(N)); counted at
-  /// the producing site, so invariant across backends.
-  std::uint64_t symbolic_instantiations = 0;
-  /// Host heap allocations during the measured run (0 when the bench does
-  /// not count them; only bespoke benches overriding operator new fill it).
+/// One measured level of a figure configuration: the simulated run's
+/// report, whose timing fields hold the harness's medians or best-of
+/// values, plus what only the harness measures. Timing-only rows leave
+/// `report` zero.
+struct LevelRecord {
+  std::string level;  ///< "O0" | "O1" | "O2", or a timing row's label
+  RunReport report;
+  /// Host heap allocations during the measured run (0 unless the bench
+  /// overrides operator new; only bench_remap_hotpath does).
   std::uint64_t host_allocs = 0;
-  int skipped_status_guard = 0;          ///< guard found array well-mapped
-  int skipped_live_copy = 0;             ///< guard reused a live copy
-  /// Real-socket traffic (proc backend only; zero otherwise). Outside
-  /// the `--identical` comparison set: NetStats are byte-identical
-  /// across backends, wire traffic exists only when payloads physically
-  /// cross a process boundary.
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t wire_msgs = 0;
-  std::uint64_t proc_spawns = 0;
-  /// Crash-consistent snapshot work (zero unless the bench sets
-  /// RunOptions::snapshot_dir). Bytes and runs count the journal deltas
-  /// and are byte-identical across execution backends — they ARE in the
-  /// `--identical` comparison set; the two timings are host wall-clock.
-  std::uint64_t snapshot_bytes = 0;
-  std::uint64_t snapshot_runs_written = 0;
-  double snapshot_ms = 0.0;
-  /// Host time of persist::restore() rebuilding the sealed store; filled
-  /// by benches that time a restore against the run (bench_fig18_restore).
-  double restore_ms = 0.0;
-  double sim_time_ms = 0.0;              ///< simulated machine time
-  /// Host wall-clock time of the machine execution itself, as measured
-  /// inside the runtime (median over repetitions): the number that drops
-  /// when --backend=thread spreads rank work over real cores.
-  double exec_ms = 0.0;
-  /// Superstep phase timers (medians over repetitions): wall-clock spent
-  /// inside every exchange superstep's pack / exchange / unpack window.
-  /// They sum to less than exec_ms (guard evaluation, plan compilation
-  /// and local fast-path copies run outside the windows).
-  double pack_ms = 0.0;
-  double exchange_ms = 0.0;
-  double unpack_ms = 0.0;
-  double compile_wall_ms = 0.0;          ///< median host compile time
+  double compile_wall_ms = 0.0;  ///< median host compile time
   /// Median host time of the simulated run alone (the sequential oracle
   /// used for cross-checking is executed outside the timed region).
   double run_wall_ms = 0.0;
 };
 
-/// Converts a simulated-run report into per-level metrics.
-LevelMetrics metrics_from(const std::string& level, const RunReport& report,
-                          double compile_wall_ms = 0.0,
-                          double run_wall_ms = 0.0);
-/// The classic text row, from already-converted metrics.
-void row(const std::string& label, const LevelMetrics& metrics);
-
 /// One measured configuration of a paper figure ("fig02", "P=4 n=64").
 struct FigureRecord {
   std::string figure;
   std::string config;
-  std::vector<LevelMetrics> levels;
+  std::vector<LevelRecord> levels;
 };
 
 /// RunOptions with the bench harness defaults (seed 7, the historical
@@ -188,16 +117,10 @@ class Harness {
                                                OptLevel::O2},
                unsigned seed = 0);
 
-  /// Records an externally produced run (for benches with bespoke
-  /// measurement loops, e.g. per-seed live-copy paths).
+  /// Records an externally measured level (benches with bespoke
+  /// measurement loops, e.g. per-seed live-copy paths or host_allocs).
   void record(const std::string& figure, const std::string& config,
-              const std::string& level, const RunReport& report,
-              double compile_wall_ms = 0.0, double run_wall_ms = 0.0);
-
-  /// Records fully pre-built metrics (benches that fill fields the
-  /// harness cannot measure itself, e.g. host_allocs).
-  void record_metrics(const std::string& figure, const std::string& config,
-                      LevelMetrics metrics);
+              LevelRecord level);
 
   /// Records a timing-only entry (analysis/optimization scaling rows
   /// that have no simulated run attached).
@@ -219,8 +142,8 @@ class Harness {
   [[nodiscard]] bool write_json() const;
 
  private:
-  LevelMetrics measure_level(const Factory& factory, OptLevel level,
-                             unsigned seed);
+  LevelRecord measure_level(const Factory& factory, OptLevel level,
+                            unsigned seed);
   FigureRecord& entry(const std::string& figure, const std::string& config);
 
   std::string bench_name_;

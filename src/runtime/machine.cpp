@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "exec/backend.hpp"
+#include "exec/proc_backend.hpp"
 #include "persist/snapshot.hpp"
 #include "redist/commsets.hpp"
 #include "redist/fused.hpp"
@@ -1191,6 +1192,47 @@ std::string RunReport::summary() const {
        << " ms wall (pack " << pack_ms << " / exchange " << exchange_ms
        << " / unpack " << unpack_ms << ")]";
   return os.str();
+}
+
+void write_json_fields(std::ostream& os, const RunReport& report) {
+  const net::NetStats& net = report.net;
+  os << "\"copies_performed\": " << report.copies_performed
+     << ", \"elements_copied\": " << report.elements_copied
+     << ", \"remote_messages\": " << net.messages
+     << ", \"remote_bytes\": " << net.bytes
+     << ", \"local_copies\": " << net.local_copies
+     << ", \"pack_segments\": " << net.segments
+     << ", \"packed_bytes\": " << report.packed_bytes
+     << ", \"local_fastpath_copies\": " << report.local_fastpath_copies
+     << ", \"supersteps\": " << net.supersteps
+     << ", \"fused_copies\": " << net.fused_copies
+     << ", \"specialized_kernels\": " << net.specialized_kernels
+     << ", \"specialized_dispatches\": " << net.specialized_dispatches
+     << ", \"plan_cache_hits\": " << net.plan_cache_hits
+     << ", \"plan_cache_misses\": " << net.plan_cache_misses
+     << ", \"symbolic_instantiations\": " << net.symbolic_instantiations
+     << ", \"plan_evictions\": " << report.plan_evictions
+     << ", \"skipped_status_guard\": " << report.skipped_already_mapped
+     << ", \"skipped_live_copy\": " << report.skipped_live_copy
+     << ", \"wire_bytes\": " << report.wire_bytes
+     << ", \"wire_msgs\": " << report.wire_msgs
+     << ", \"proc_spawns\": " << report.proc_spawns
+     << ", \"snapshot_bytes\": " << report.snapshot_bytes
+     << ", \"snapshot_runs_written\": " << report.snapshot_runs_written
+     << ", \"snapshot_ms\": " << report.snapshot_ms
+     << ", \"restore_ms\": " << report.restore_ms
+     << ", \"sim_time_ms\": " << net.sim_time * 1e3
+     << ", \"exec_ms\": " << report.exec_ms
+     << ", \"pack_ms\": " << report.pack_ms
+     << ", \"exchange_ms\": " << report.exchange_ms
+     << ", \"unpack_ms\": " << report.unpack_ms;
+}
+
+void write_json_calibration(std::ostream& os,
+                            const exec::Calibration& calibration) {
+  os << "\"calibration\": {\"latency_s\": " << calibration.latency
+     << ", \"inv_bandwidth_s_per_byte\": " << calibration.inv_bandwidth
+     << ", \"samples\": " << calibration.samples << "}";
 }
 
 RunReport run_parallel(const ir::Program& program,

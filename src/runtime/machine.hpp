@@ -17,12 +17,17 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "codegen/runtime_ops.hpp"
 #include "exec/backend.hpp"
 #include "net/network.hpp"
 #include "remap/build.hpp"
+
+namespace hpfc::exec {
+struct Calibration;
+}
 
 namespace hpfc::runtime {
 
@@ -137,6 +142,17 @@ struct RunReport {
 
   [[nodiscard]] std::string summary() const;
 };
+
+/// The one JSON writer of a run report (docs/metrics.md): every per-level
+/// key, as comma-separated members without braces, so each surface wraps
+/// them in its own level object after its `"level"` key and appends its
+/// own keys.
+void write_json_fields(std::ostream& os, const RunReport& report);
+
+/// `"calibration": {...}`: the fitted cost-model constants, as every
+/// report surface writes them under --calibrate.
+void write_json_calibration(std::ostream& os,
+                            const exec::Calibration& calibration);
 
 /// Runs the compiled routine on the simulated machine.
 RunReport run_parallel(const ir::Program& program,

@@ -29,4 +29,9 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// Renders a byte count as a human-friendly string ("1.5 KiB").
 std::string format_bytes(std::uint64_t bytes);
 
+/// Escapes `text` for the inside of a JSON string literal: `"` and `\`,
+/// the short forms for \n, \t, \r, \b and \f, and \u00XX for every other
+/// byte below 0x20.
+std::string json_escape(std::string_view text);
+
 }  // namespace hpfc

@@ -5,9 +5,11 @@
 # Compiles examples/quickstart.hpf (the HPF-lite form of
 # examples/quickstart.cpp) at all three levels via --run --compare and
 # asserts:
-#   1. exit code 0 with every level matching the sequential oracle, and
+#   1. exit code 0 with every level matching the sequential oracle,
 #   2. O2 copies strictly fewer elements than O0 (the final
-#      mapping-restoring redistribution is removed as useless).
+#      mapping-restoring redistribution is removed as useless), and
+#   3. the --report-json level objects carry the run-report keys, agree
+#      across backends, and list the shared keys in the bench JSON's order.
 if(NOT DEFINED HPFC_BIN)
   message(FATAL_ERROR "cli_smoke: pass -DHPFC_BIN=<path to hpfc>")
 endif()
@@ -16,6 +18,30 @@ if(NOT DEFINED HPFC_SOURCE_DIR)
 endif()
 
 get_filename_component(_bin_dir "${HPFC_BIN}" DIRECTORY)
+
+# The backend-invariant counters of a level object (runtime::
+# write_json_fields): every report must carry them, and the thread and
+# proc reruns must reproduce them exactly. The wire counters must exist
+# too, but are live only on proc.
+set(counters copies_performed elements_copied remote_messages remote_bytes
+    local_copies pack_segments packed_bytes local_fastpath_copies supersteps
+    fused_copies specialized_kernels specialized_dispatches plan_cache_hits
+    plan_cache_misses symbolic_instantiations plan_evictions
+    skipped_status_guard skipped_live_copy snapshot_bytes
+    snapshot_runs_written)
+set(wire_counters wire_bytes wire_msgs proc_spawns)
+
+# Member names, in order, of the JSON object at path ARGN in `json`.
+function(json_members out json)
+  string(JSON count LENGTH "${json}" ${ARGN})
+  math(EXPR last "${count} - 1")
+  set(names)
+  foreach(i RANGE ${last})
+    string(JSON name MEMBER "${json}" ${ARGN} ${i})
+    list(APPEND names ${name})
+  endforeach()
+  set(${out} ${names} PARENT_SCOPE)
+endfunction()
 set(report_json "${_bin_dir}/cli_smoke_report.json")
 file(REMOVE "${report_json}")
 
@@ -62,7 +88,7 @@ if(NOT EXISTS "${report_json}")
 endif()
 file(READ "${report_json}" report)
 
-if(NOT report MATCHES "\"schema\": \"hpfc-report-v1\"")
+if(NOT report MATCHES "\"schema\": \"hpfc-report-v2\"")
   message(FATAL_ERROR "cli_smoke: report JSON missing schema marker:\n${report}")
 endif()
 # Machine configuration: resolved rank count, execution backend, threads.
@@ -91,13 +117,7 @@ foreach(level O0 O1 O2)
     message(FATAL_ERROR "cli_smoke: report JSON missing ${level} entry:\n${report}")
   endif()
 endforeach()
-foreach(field copies_performed elements_copied messages bytes segments
-        supersteps fused_copies specialized_kernels specialized_dispatches
-        plan_cache_hits plan_cache_misses symbolic_instantiations
-        plan_evictions packed_bytes local_fastpath_copies
-        skipped_already_mapped skipped_live_copy
-        wire_bytes wire_msgs proc_spawns
-        snapshot_bytes snapshot_runs_written)
+foreach(field ${counters} ${wire_counters})
   if(NOT report MATCHES "\"${field}\": [0-9]+")
     message(FATAL_ERROR "cli_smoke: report JSON missing ${field}:\n${report}")
   endif()
@@ -164,11 +184,7 @@ if(NOT thread_report MATCHES "\"backend\": \"thread\"")
   message(FATAL_ERROR
     "cli_smoke: thread report JSON missing backend key:\n${thread_report}")
 endif()
-foreach(field copies_performed elements_copied messages bytes local_copies
-        segments supersteps fused_copies specialized_kernels
-        specialized_dispatches plan_cache_hits plan_cache_misses
-        symbolic_instantiations plan_evictions packed_bytes
-        local_fastpath_copies skipped_already_mapped skipped_live_copy)
+foreach(field ${counters})
   string(REGEX MATCHALL "\"${field}\": [0-9]+" seq_counts "${report}")
   string(REGEX MATCHALL "\"${field}\": [0-9]+" thread_counts "${thread_report}")
   if(NOT seq_counts STREQUAL thread_counts)
@@ -205,11 +221,7 @@ if(NOT proc_report MATCHES "\"backend\": \"proc\"")
   message(FATAL_ERROR
     "cli_smoke: proc report JSON missing backend key:\n${proc_report}")
 endif()
-foreach(field copies_performed elements_copied messages bytes local_copies
-        segments supersteps fused_copies specialized_kernels
-        specialized_dispatches plan_cache_hits plan_cache_misses
-        symbolic_instantiations plan_evictions packed_bytes
-        local_fastpath_copies skipped_already_mapped skipped_live_copy)
+foreach(field ${counters})
   string(REGEX MATCHALL "\"${field}\": [0-9]+" seq_counts "${report}")
   string(REGEX MATCHALL "\"${field}\": [0-9]+" proc_counts "${proc_report}")
   if(NOT seq_counts STREQUAL proc_counts)
@@ -283,6 +295,31 @@ if(DEFINED BENCH_BIN)
     message(FATAL_ERROR "cli_smoke: run_benches accepted --bogus\n"
       "stdout:\n${rb_out}\nstderr:\n${rb_err}")
   endif()
+  # One run-report writer: hpfc's level object and a bench level object
+  # list the shared RunReport keys in the same order; each surface adds
+  # only its own keys.
+  set(bench_level_json "${_bin_dir}/cli_smoke_bench_level.json")
+  file(REMOVE "${bench_level_json}")
+  execute_process(
+    COMMAND "${BENCH_BIN}" --no-gbench --reps=1 --warmup=0
+            --json=${bench_level_json}
+    OUTPUT_VARIABLE bench_out
+    ERROR_VARIABLE bench_err
+    RESULT_VARIABLE bench_status)
+  if(NOT bench_status EQUAL 0)
+    message(FATAL_ERROR "cli_smoke: bench_fig02_useless --json exited with "
+      "${bench_status}\nstderr:\n${bench_err}")
+  endif()
+  file(READ "${bench_level_json}" bench_report)
+  json_members(bench_keys "${bench_report}" figures 0 levels 0)
+  list(REMOVE_ITEM bench_keys level host_allocs compile_wall_ms run_wall_ms)
+  json_members(hpfc_keys "${report}" levels 0)
+  list(REMOVE_ITEM hpfc_keys level oracle_match)
+  if(NOT hpfc_keys STREQUAL bench_keys)
+    message(FATAL_ERROR "cli_smoke: hpfc and bench level keys differ\n"
+      "hpfc:  ${hpfc_keys}\nbench: ${bench_keys}")
+  endif()
+
   set(bench_snap_dir "${_bin_dir}/cli_smoke_bench_snapshots")
   file(REMOVE_RECURSE "${bench_snap_dir}")
   execute_process(
@@ -297,6 +334,37 @@ if(DEFINED BENCH_BIN)
       "exited with ${rb_status}\nstdout:\n${rb_out}\nstderr:\n${rb_err}")
   endif()
 endif()
+
+# A control character in a path must not break the report JSON: run on
+# a copy of the example whose name holds a tab. The raw report must hold
+# no tab byte (JSON forbids control characters in strings), and the
+# parsed "source" must round-trip the path.
+set(tab_source "${_bin_dir}/cli_smoke_q\tx.hpf")
+file(COPY_FILE "${HPFC_SOURCE_DIR}/examples/quickstart.hpf" "${tab_source}")
+set(tab_report_json "${_bin_dir}/cli_smoke_report_tab.json")
+file(REMOVE "${tab_report_json}")
+execute_process(
+  COMMAND "${HPFC_BIN}" "${tab_source}" --run
+          --report-json=${tab_report_json}
+  OUTPUT_VARIABLE tab_out
+  ERROR_VARIABLE tab_err
+  RESULT_VARIABLE tab_status)
+if(NOT tab_status EQUAL 0)
+  message(FATAL_ERROR "cli_smoke: hpfc on a tab-named source exited with "
+    "${tab_status}\nstdout:\n${tab_out}\nstderr:\n${tab_err}")
+endif()
+file(READ "${tab_report_json}" tab_report)
+if(tab_report MATCHES "\t")
+  message(FATAL_ERROR
+    "cli_smoke: report JSON holds a raw tab:\n${tab_report}")
+endif()
+string(JSON tab_parsed ERROR_VARIABLE tab_json_error
+       GET "${tab_report}" source)
+if(tab_json_error OR NOT tab_parsed STREQUAL tab_source)
+  message(FATAL_ERROR "cli_smoke: report JSON source '${tab_parsed}' does "
+    "not round-trip '${tab_source}' (${tab_json_error}):\n${tab_report}")
+endif()
+file(REMOVE "${tab_source}")
 
 # --snapshot-dir: the run seals crash-consistent snapshots, the report's
 # snapshot counters come alive, and the CLI's own post-run restore fills
@@ -358,4 +426,5 @@ endforeach()
 message(STATUS
   "cli_smoke: OK (O0 copied ${o0_elems} elems, O2 copied ${o2_elems}, "
   "seq/thread/proc backends agree, unknown flags are rejected, "
+  "control characters in paths are escaped, "
   "snapshots seal and restore, report at ${report_json})")

@@ -1,7 +1,10 @@
 // Support utilities and miscellaneous library surfaces: diagnostics
-// collection, string helpers, the shared CLI parser, version-table edge
-// cases, graph rendering, and 2-D processor-grid end-to-end runs.
+// collection, string helpers (JSON escaping included), the run-report
+// JSON writer, the shared CLI parser, version-table edge cases, graph
+// rendering, and 2-D processor-grid end-to-end runs.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
@@ -51,6 +54,41 @@ TEST(Strings, FormatBytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(1536), "1.5 KiB");
   EXPECT_EQ(format_bytes(3u << 20), "3.0 MiB");
+}
+
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(json_escape("dir/quickstart.hpf"), "dir/quickstart.hpf");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("q\tx\n\r\b\f"), "q\\tx\\n\\r\\b\\f");
+  EXPECT_EQ(json_escape(std::string_view("\0\x01\x1b\x1f", 4)),
+            "\\u0000\\u0001\\u001b\\u001f");
+  // DEL and multi-byte UTF-8 are legal inside a JSON string.
+  EXPECT_EQ(json_escape("\x7f caf\xc3\xa9"), "\x7f caf\xc3\xa9");
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  for (const char c : json_escape(controls))
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+}
+
+TEST(RunReportJson, WritesBenchKeyNamesInOrder) {
+  runtime::RunReport report;
+  report.copies_performed = 2;
+  report.net.messages = 3;
+  report.net.bytes = 48;
+  report.net.segments = 5;
+  report.skipped_already_mapped = 4;
+  report.net.sim_time = 0.0025;
+  report.unpack_ms = 1.5;
+  std::ostringstream os;
+  runtime::write_json_fields(os, report);
+  const std::string json = os.str();
+  EXPECT_TRUE(json.starts_with(
+      "\"copies_performed\": 2, \"elements_copied\": 0, "
+      "\"remote_messages\": 3, \"remote_bytes\": 48, "
+      "\"local_copies\": 0, \"pack_segments\": 5, "));
+  EXPECT_NE(json.find(", \"skipped_status_guard\": 4, "), std::string::npos);
+  EXPECT_NE(json.find(", \"sim_time_ms\": 2.5, "), std::string::npos);
+  EXPECT_TRUE(json.ends_with(", \"unpack_ms\": 1.5"));
 }
 
 TEST(TwoDGrid, EndToEndOnProcessorMatrix) {

@@ -10,7 +10,7 @@
 //   --run               execute on the simulated machine vs the oracle
 //   --compare           execute at all three levels and tabulate
 //   --validate          run the Theorem 1 validator
-//   --report-json=PATH  dump the per-level RunReport counters as JSON
+//   --report-json=PATH  dump each level's RunReport as JSON
 //   --calibrate         fit the cost model's alpha/beta from measured
 //                       proc-backend round-trips before running, and
 //                       record the constants in the report JSON
@@ -32,6 +32,7 @@
 #include "exec/proc_backend.hpp"
 #include "persist/snapshot.hpp"
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -115,16 +116,6 @@ void print_run(const char* tag, const runtime::RunReport& report,
             << (matches ? "  [oracle-match]" : "  [MISMATCH]") << "\n";
 }
 
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') escaped.push_back('\\');
-    escaped.push_back(c);
-  }
-  return escaped;
-}
-
 bool write_report_json(const Options& options,
                        const std::vector<LevelReport>& levels) {
   std::ofstream out(options.report_json);
@@ -141,57 +132,24 @@ bool write_report_json(const Options& options,
                                   : levels.front().report.backend;
   const int threads =
       levels.empty() ? run.threads : levels.front().report.threads;
-  out << "{\n  \"schema\": \"hpfc-report-v1\",\n";
+  out << "{\n  \"schema\": \"hpfc-report-v2\",\n";
   out << "  \"source\": \"" << json_escape(options.file) << "\",\n";
   out << "  \"seed\": " << run.seed << ",\n";
   out << "  \"ranks\": " << ranks << ",\n";
   out << "  \"backend\": \"" << json_escape(backend) << "\",\n";
   out << "  \"threads\": " << threads << ",\n";
   if (options.calibrate) {
-    out << "  \"calibration\": {\"latency_s\": "
-        << options.calibration.latency << ", \"inv_bandwidth_s_per_byte\": "
-        << options.calibration.inv_bandwidth
-        << ", \"samples\": " << options.calibration.samples << "},\n";
+    out << "  ";
+    runtime::write_json_calibration(out, options.calibration);
+    out << ",\n";
   }
   out << "  \"levels\": [";
   for (std::size_t i = 0; i < levels.size(); ++i) {
     const auto& l = levels[i];
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"level\": \"" << l.level << "\""
-        << ", \"copies_performed\": " << l.report.copies_performed
-        << ", \"elements_copied\": " << l.report.elements_copied
-        << ", \"messages\": " << l.report.net.messages
-        << ", \"bytes\": " << l.report.net.bytes
-        << ", \"local_copies\": " << l.report.net.local_copies
-        << ", \"segments\": " << l.report.net.segments
-        << ", \"supersteps\": " << l.report.net.supersteps
-        << ", \"fused_copies\": " << l.report.net.fused_copies
-        << ", \"specialized_kernels\": " << l.report.net.specialized_kernels
-        << ", \"specialized_dispatches\": "
-        << l.report.net.specialized_dispatches
-        << ", \"plan_cache_hits\": " << l.report.net.plan_cache_hits
-        << ", \"plan_cache_misses\": " << l.report.net.plan_cache_misses
-        << ", \"symbolic_instantiations\": "
-        << l.report.net.symbolic_instantiations
-        << ", \"plan_evictions\": " << l.report.plan_evictions
-        << ", \"packed_bytes\": " << l.report.packed_bytes
-        << ", \"local_fastpath_copies\": " << l.report.local_fastpath_copies
-        << ", \"skipped_already_mapped\": "
-        << l.report.skipped_already_mapped
-        << ", \"skipped_live_copy\": " << l.report.skipped_live_copy
-        << ", \"sim_time_ms\": " << l.report.net.sim_time * 1e3
-        << ", \"wire_bytes\": " << l.report.wire_bytes
-        << ", \"wire_msgs\": " << l.report.wire_msgs
-        << ", \"proc_spawns\": " << l.report.proc_spawns
-        << ", \"snapshot_bytes\": " << l.report.snapshot_bytes
-        << ", \"snapshot_runs_written\": " << l.report.snapshot_runs_written
-        << ", \"snapshot_ms\": " << l.report.snapshot_ms
-        << ", \"restore_ms\": " << l.report.restore_ms
-        << ", \"exec_ms\": " << l.report.exec_ms
-        << ", \"pack_ms\": " << l.report.pack_ms
-        << ", \"exchange_ms\": " << l.report.exchange_ms
-        << ", \"unpack_ms\": " << l.report.unpack_ms
-        << ", \"oracle_match\": " << (l.oracle_match ? "true" : "false")
+    out << "    {\"level\": \"" << l.level << "\", ";
+    runtime::write_json_fields(out, l.report);
+    out << ", \"oracle_match\": " << (l.oracle_match ? "true" : "false")
         << "}";
   }
   out << "\n  ]\n}\n";
