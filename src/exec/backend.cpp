@@ -101,16 +101,31 @@ Backend::~Backend() = default;
 
 namespace {
 
-/// The original sequential BSP engine: ranks execute one after another on
-/// the calling thread; routing and accounting happen inline.
-class SeqBackend final : public Backend {
+/// The in-process engine behind BackendKind::Seq and BackendKind::Thread.
+/// A Seq step runs the ranks in turn on the calling thread; a Thread step
+/// runs them on a StepPool (one persistent worker per rank, or
+/// min(threads, ranks) striped workers). Either way an exchange is
+/// net::route_superstep plus net::account_superstep on the controlling
+/// thread, so both kinds deliver the same inboxes and NetStats.
+class InProcessBackend final : public Backend {
  public:
-  using Backend::Backend;
+  InProcessBackend(BackendKind kind, int ranks, net::CostModel cost,
+                   int threads)
+      : Backend(ranks, cost), kind_(kind) {
+    if (kind == BackendKind::Thread)
+      pool_ = std::make_unique<StepPool>(ranks, threads);
+  }
 
-  [[nodiscard]] BackendKind kind() const override { return BackendKind::Seq; }
-  [[nodiscard]] int workers() const override { return 1; }
+  [[nodiscard]] BackendKind kind() const override { return kind_; }
+  [[nodiscard]] int workers() const override {
+    return pool_ != nullptr ? pool_->threads() : 1;
+  }
 
   void step(const RankFn& fn) override {
+    if (pool_ != nullptr) {
+      pool_->run(fn);
+      return;
+    }
     for (int r = 0; r < ranks_; ++r) fn(r);
   }
 
@@ -120,12 +135,14 @@ class SeqBackend final : public Backend {
     net::account_superstep(stats_, cost_, inboxes);
     return inboxes;
   }
+
+ private:
+  BackendKind kind_;
+  std::unique_ptr<StepPool> pool_;  ///< Thread only; null for Seq
 };
 
 }  // namespace
 
-std::unique_ptr<Backend> make_thread_backend(int ranks, net::CostModel cost,
-                                             int threads);
 std::unique_ptr<Backend> make_proc_backend(int ranks, net::CostModel cost,
                                            ProcConfig config);
 
@@ -134,9 +151,8 @@ std::unique_ptr<Backend> make_backend(BackendKind kind, int ranks,
                                       ProcConfig proc) {
   switch (kind) {
     case BackendKind::Seq:
-      return std::make_unique<SeqBackend>(ranks, cost);
     case BackendKind::Thread:
-      return make_thread_backend(ranks, cost, threads);
+      return std::make_unique<InProcessBackend>(kind, ranks, cost, threads);
     case BackendKind::Proc:
       return make_proc_backend(ranks, cost, proc);
   }

@@ -9,11 +9,12 @@
 // performs one superstep of all-to-all personalized communication with
 // deterministic (src, emission-order) inbox ordering.
 //
-// Three implementations exist:
-//   SeqBackend    the original sequential BSP loop (rank 0..P-1 in turn).
-//   ThreadBackend one persistent worker per rank (a pool of
-//                 min(threads, ranks) workers when P exceeds the host),
-//                 rank-owned mailboxes, and a fork-join barrier protocol.
+// Two implementations serve the three BackendKinds:
+//   in-process    (backend.cpp) Seq runs rank 0..P-1 in turn on the
+//                 calling thread; Thread runs ranks on a StepPool of
+//                 persistent workers (min(threads, ranks) of them when P
+//                 exceeds the host). Both exchange through
+//                 net::route_superstep.
 //   ProcBackend   one forked worker process per rank; exchange() ships
 //                 the framed payloads through a real socket mesh
 //                 (exec/proc_backend.hpp).
@@ -110,9 +111,9 @@ class RankFn {
 /// run() provides the happens-before edges between consecutive runs that
 /// make rank-owned data safely visible across workers.
 ///
-/// Extracted from ThreadBackend so ProcBackend can drive its per-rank
-/// wire phases (gather-sends, scatter-receives) through the same engine
-/// that runs pack/unpack rank work.
+/// Runs the Thread kind's rank work, and lets ProcBackend drive its
+/// per-rank wire phases (gather-sends, scatter-receives) through the same
+/// engine that runs pack/unpack rank work.
 class StepPool {
  public:
   /// `threads <= 0` picks min(ranks, hardware_concurrency).
@@ -156,7 +157,7 @@ class Backend {
   [[nodiscard]] virtual BackendKind kind() const = 0;
   [[nodiscard]] const char* name() const { return to_string(kind()); }
   [[nodiscard]] int ranks() const { return ranks_; }
-  /// Host threads executing rank work (1 for SeqBackend).
+  /// Host threads executing rank work (1 for BackendKind::Seq).
   [[nodiscard]] virtual int workers() const = 0;
   [[nodiscard]] const net::NetStats& stats() const { return stats_; }
   /// Real-socket traffic (zero for every backend but Proc).

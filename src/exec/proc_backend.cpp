@@ -38,6 +38,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -265,12 +266,6 @@ void ProcBackend::worker_main(int rank, int ranks, int ctrl_fd,
       switch (frame.kind) {
         case wire::FrameKind::Shutdown:
           ::_exit(0);
-        case wire::FrameKind::Ping: {
-          const auto pong = wire::encode_blob_frame(wire::FrameKind::Pong,
-                                                    rank, frame.blob);
-          wire::send_frame(ctrl_fd, pong, 0, timeout_ms, "pong", nullptr);
-          break;
-        }
         case wire::FrameKind::Outbox: {
           wire::Tally tally;
           auto inbox = mesh_exchange(rank, ranks, peer_fds,
@@ -379,17 +374,11 @@ void ProcBackend::wire_failed(int rank, const std::string& why) {
 
 std::vector<std::vector<net::Message>> ProcBackend::exchange(
     std::vector<std::vector<net::Message>> outboxes) {
-  HPFC_ASSERT(static_cast<int>(outboxes.size()) == ranks_);
+  const auto counts = net::check_outboxes(outboxes, ranks_);
   if (broken_)
     throw ProcError("proc backend: wire already failed; backend is dead");
-  for (int src = 0; src < ranks_; ++src) {
-    for (const auto& msg : outboxes[static_cast<std::size_t>(src)]) {
-      HPFC_ASSERT_MSG(msg.src == src, "message src must match its outbox");
-      HPFC_ASSERT_MSG(msg.dst >= 0 && msg.dst < ranks_, "bad destination");
-    }
-  }
-  std::size_t sent_msgs = 0;
-  for (const auto& outbox : outboxes) sent_msgs += outbox.size();
+  const std::size_t sent_msgs =
+      std::accumulate(counts.begin(), counts.end(), std::size_t{0});
   const auto n = static_cast<std::size_t>(ranks_);
 
   // Phase 1: every worker gets its full outbox. Workers drain the frame
@@ -468,28 +457,6 @@ std::vector<std::vector<net::Message>> ProcBackend::exchange(
   return inboxes;
 }
 
-double ProcBackend::ping(int rank, std::size_t payload_doubles) {
-  HPFC_ASSERT(rank >= 0 && rank < ranks_);
-  if (broken_)
-    throw ProcError("proc backend: wire already failed; backend is dead");
-  std::vector<std::uint8_t> blob(payload_doubles * sizeof(double), 0x5a);
-  const auto frame =
-      wire::encode_blob_frame(wire::FrameKind::Ping, wire::kControllerRank,
-                              blob);
-  const int fd = workers_[static_cast<std::size_t>(rank)].ctrl.fd();
-  const auto start = Clock::now();
-  try {
-    wire::send_frame(fd, frame, 0, config_.timeout_ms, "ping", nullptr);
-    const wire::Frame pong = wire::recv_frame(fd, config_.timeout_ms, "pong");
-    if (pong.kind != wire::FrameKind::Pong || pong.blob != blob)
-      wire_failed(rank, "corrupted pong echo");
-    wire_.wire_bytes += frame.size() + pong.frame_bytes;
-  } catch (const wire::WireError& err) {
-    wire_failed(rank, err.what());
-  }
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 void ProcBackend::kill_worker(int rank) {
   HPFC_ASSERT(rank >= 0 && rank < ranks_);
   Worker& worker = workers_[static_cast<std::size_t>(rank)];
@@ -509,13 +476,13 @@ void ProcBackend::shutdown_workers() noexcept {
   // wire already failed (the protocol state is unknown; frames could
   // block on full buffers).
   if (!broken_) {
+    const auto frame = wire::encode_frame_gather(
+        wire::FrameKind::Shutdown, wire::kControllerRank, {});
     for (auto& worker : workers_) {
       if (worker.pid <= 0 || !worker.ctrl.valid()) continue;
       try {
-        const auto frame = wire::encode_blob_frame(
-            wire::FrameKind::Shutdown, wire::kControllerRank, {});
-        wire::send_frame(worker.ctrl.fd(), frame, 0, 200, "shutdown",
-                         nullptr);
+        wire::send_gather_frame(worker.ctrl.fd(), frame, 200, "shutdown",
+                                nullptr);
       } catch (...) {
         // Already dying; SIGKILL below.
       }

@@ -53,19 +53,14 @@ class ProcBackend final : public Backend {
     return pool_ != nullptr ? pool_->threads() : 1;
   }
 
-  /// Rank work runs through the shared StepPool — the same fork-join
-  /// engine ThreadBackend uses — so pack/unpack phases routed through
+  /// Rank work runs through a StepPool — the same fork-join engine the
+  /// Thread kind uses — so pack/unpack phases routed through
   /// step() execute concurrently even though the payload bytes later
   /// cross real process boundaries.
   void step(const RankFn& fn) override;
 
   std::vector<std::vector<net::Message>> exchange(
       std::vector<std::vector<net::Message>> outboxes) override;
-
-  /// Round-trips `payload_doubles` doubles controller -> worker `rank` ->
-  /// back (a Ping/Pong echo) and returns the wall-clock seconds. The
-  /// calibration probe behind calibrate_wire().
-  double ping(int rank, std::size_t payload_doubles);
 
   /// Fault injection for tests: SIGKILLs the worker for `rank`. The next
   /// exchange must fail with a ProcError within the configured timeout.

@@ -18,12 +18,9 @@ std::string NetStats::summary() const {
   return os.str();
 }
 
-std::vector<std::vector<Message>> route_superstep(
-    std::vector<std::vector<Message>> outboxes, int ranks) {
+std::vector<std::size_t> check_outboxes(
+    const std::vector<std::vector<Message>>& outboxes, int ranks) {
   HPFC_ASSERT(static_cast<int>(outboxes.size()) == ranks);
-  std::vector<std::vector<Message>> inboxes(static_cast<std::size_t>(ranks));
-  // Count first so every inbox is reserved exactly once (no growth
-  // reallocations while routing).
   std::vector<std::size_t> counts(static_cast<std::size_t>(ranks), 0);
   for (int src = 0; src < ranks; ++src) {
     for (const auto& msg : outboxes[static_cast<std::size_t>(src)]) {
@@ -32,6 +29,15 @@ std::vector<std::vector<Message>> route_superstep(
       ++counts[static_cast<std::size_t>(msg.dst)];
     }
   }
+  return counts;
+}
+
+std::vector<std::vector<Message>> route_superstep(
+    std::vector<std::vector<Message>> outboxes, int ranks) {
+  // Count first so every inbox is reserved exactly once (no growth
+  // reallocations while routing).
+  const auto counts = check_outboxes(outboxes, ranks);
+  std::vector<std::vector<Message>> inboxes(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r)
     inboxes[static_cast<std::size_t>(r)].reserve(
         counts[static_cast<std::size_t>(r)]);

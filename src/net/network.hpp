@@ -14,6 +14,7 @@
 // counted separately and cost no network time.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,8 +64,14 @@ struct NetStats {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Validates and routes one superstep of outboxes into per-rank inboxes,
-/// in deterministic (src, emission) order.
+/// Validates one superstep's outboxes — one per rank, every message's src
+/// equal to its outbox's rank and its dst in [0, ranks) — and returns how
+/// many messages each rank receives. Every exchange path runs this check.
+std::vector<std::size_t> check_outboxes(
+    const std::vector<std::vector<Message>>& outboxes, int ranks);
+
+/// Validates (check_outboxes) and routes one superstep of outboxes into
+/// per-rank inboxes, in deterministic (src, emission) order.
 std::vector<std::vector<Message>> route_superstep(
     std::vector<std::vector<Message>> outboxes, int ranks);
 

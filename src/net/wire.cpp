@@ -119,12 +119,12 @@ std::uint64_t checksum_bytes(std::span<const std::uint8_t> data) {
 namespace {
 
 void append_header(std::vector<std::uint8_t>& out, FrameKind kind, int src,
-                   std::span<const std::uint8_t> body) {
+                   std::uint64_t body_bytes, std::uint64_t checksum) {
   append_value<std::uint32_t>(out, kMagic);
   append_value<std::uint16_t>(out, static_cast<std::uint16_t>(kind));
   append_value<std::uint16_t>(out, static_cast<std::uint16_t>(src));
-  append_value<std::uint64_t>(out, body.size());
-  append_value<std::uint64_t>(out, checksum_bytes(body));
+  append_value<std::uint64_t>(out, body_bytes);
+  append_value<std::uint64_t>(out, checksum);
 }
 
 }  // namespace
@@ -148,17 +148,8 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, int src,
   }
   std::vector<std::uint8_t> frame;
   frame.reserve(kHeaderBytes + body.size());
-  append_header(frame, kind, src, body);
+  append_header(frame, kind, src, body.size(), checksum_bytes(body));
   append_bytes(frame, body.data(), body.size());
-  return frame;
-}
-
-std::vector<std::uint8_t> encode_blob_frame(
-    FrameKind kind, int src, std::span<const std::uint8_t> blob) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderBytes + blob.size());
-  append_header(frame, kind, src, blob);
-  append_bytes(frame, blob.data(), blob.size());
   return frame;
 }
 
@@ -226,11 +217,7 @@ GatherFrame encode_frame_gather(FrameKind kind, int src,
 
   std::vector<std::uint8_t> header;
   header.reserve(kHeaderBytes);
-  append_value<std::uint32_t>(header, kMagic);
-  append_value<std::uint16_t>(header, static_cast<std::uint16_t>(kind));
-  append_value<std::uint16_t>(header, static_cast<std::uint16_t>(src));
-  append_value<std::uint64_t>(header, body_bytes);
-  append_value<std::uint64_t>(header, hash);
+  append_header(header, kind, src, body_bytes, hash);
   std::memcpy(meta.data(), header.data(), kHeaderBytes);
 
   // On-wire chunks: [header + prefix + msg 0 meta], payload 0,
@@ -319,39 +306,6 @@ void decode_header(std::span<const std::uint8_t> header, FrameKind& kind,
   checksum = read_value<std::uint64_t>(in, "header");
 }
 
-Frame decode_body(FrameKind kind, int src,
-                  std::span<const std::uint8_t> body) {
-  Frame frame;
-  frame.kind = kind;
-  frame.src = src;
-  if (kind == FrameKind::Ping || kind == FrameKind::Pong ||
-      kind == FrameKind::Shutdown) {
-    frame.blob.assign(body.begin(), body.end());
-    return frame;
-  }
-  std::span<const std::uint8_t> in = body;
-  frame.reported.bytes = read_value<std::uint64_t>(in, "frame");
-  frame.reported.msgs = read_value<std::uint64_t>(in, "frame");
-  const auto count = read_value<std::uint32_t>(in, "frame");
-  frame.messages.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Message msg;
-    msg.src = read_value<std::int32_t>(in, "frame");
-    msg.dst = read_value<std::int32_t>(in, "frame");
-    msg.tag = read_value<std::int32_t>(in, "frame");
-    msg.segments = read_value<std::int32_t>(in, "frame");
-    const auto doubles = read_value<std::uint64_t>(in, "frame");
-    if (in.size() < doubles * sizeof(double))
-      throw WireError("wire: truncated message payload");
-    msg.payload.resize(doubles);
-    std::memcpy(msg.payload.data(), in.data(), doubles * sizeof(double));
-    in = in.subspan(doubles * sizeof(double));
-    frame.messages.push_back(std::move(msg));
-  }
-  if (!in.empty()) throw WireError("wire: trailing bytes after frame body");
-  return frame;
-}
-
 void send_all(int fd, const void* data, std::size_t size, int timeout_ms,
               const std::string& what) {
   const bool bounded = timeout_ms >= 0;
@@ -396,34 +350,6 @@ void recv_all(int fd, void* data, std::size_t size, int timeout_ms,
   }
 }
 
-void send_frame(int fd, std::span<const std::uint8_t> encoded,
-                std::uint64_t msgs, int timeout_ms, const std::string& what,
-                Tally* tally) {
-  send_all(fd, encoded.data(), encoded.size(), timeout_ms, what);
-  if (tally != nullptr) {
-    tally->bytes += encoded.size();
-    tally->msgs += msgs;
-  }
-}
-
-Frame recv_frame(int fd, int timeout_ms, const std::string& what) {
-  std::uint8_t header[kHeaderBytes];
-  recv_all(fd, header, kHeaderBytes, timeout_ms, what);
-  FrameKind kind;
-  int src;
-  std::uint64_t body_bytes;
-  std::uint64_t expected;
-  decode_header(std::span<const std::uint8_t>(header, kHeaderBytes), kind,
-                src, body_bytes, expected);
-  std::vector<std::uint8_t> body(body_bytes);
-  recv_all(fd, body.data(), body.size(), timeout_ms, what);
-  if (checksum_bytes(body) != expected)
-    throw WireError("wire: " + what + ": frame checksum mismatch");
-  Frame frame = decode_body(kind, src, body);
-  frame.frame_bytes = kHeaderBytes + body.size();
-  return frame;
-}
-
 void BodyScatterDecoder::reset(FrameKind kind, int src,
                                std::uint64_t body_bytes,
                                std::uint64_t expected_checksum) {
@@ -437,12 +363,6 @@ void BodyScatterDecoder::reset(FrameKind kind, int src,
   msgs_left_ = 0;
   scratch_pos_ = 0;
   payload_pos_ = 0;
-  if (kind == FrameKind::Ping || kind == FrameKind::Pong ||
-      kind == FrameKind::Shutdown) {
-    frame_.blob.resize(body_bytes);
-    state_ = body_bytes == 0 ? State::Done : State::Blob;
-    return;
-  }
   if (body_bytes < kBodyPrefixBytes)
     throw WireError("wire: truncated frame body");
   scratch_need_ = kBodyPrefixBytes;
@@ -459,9 +379,6 @@ std::span<std::uint8_t> BodyScatterDecoder::window() {
       return {reinterpret_cast<std::uint8_t*>(payload.data()) + payload_pos_,
               payload.size() * sizeof(double) - payload_pos_};
     }
-    case State::Blob:
-      return {frame_.blob.data() + payload_pos_,
-              frame_.blob.size() - payload_pos_};
     case State::Done:
       return {};
   }
@@ -480,7 +397,6 @@ void BodyScatterDecoder::advance(std::size_t n) {
       if (scratch_pos_ < scratch_need_) return;
       break;
     case State::Payload:
-    case State::Blob:
       payload_pos_ += n;  // completeness is decided below
       break;
     case State::Done:
@@ -494,6 +410,10 @@ void BodyScatterDecoder::advance(std::size_t n) {
         frame_.reported.bytes = read_value<std::uint64_t>(in, "frame");
         frame_.reported.msgs = read_value<std::uint64_t>(in, "frame");
         msgs_left_ = read_value<std::uint32_t>(in, "frame");
+        // Unverified until the checksum: bound it by the body before
+        // reserving anything.
+        if (msgs_left_ > body_left_ / kMessageMetaBytes)
+          throw WireError("wire: message count exceeds frame body");
         frame_.messages.reserve(msgs_left_);
         state_ = State::Meta;
         break;
@@ -509,7 +429,8 @@ void BodyScatterDecoder::advance(std::size_t n) {
           msg.tag = read_value<std::int32_t>(in, "frame");
           msg.segments = read_value<std::int32_t>(in, "frame");
           const auto doubles = read_value<std::uint64_t>(in, "frame");
-          if (body_left_ < doubles * sizeof(double))
+          // Divide, not multiply: a corrupted length must not overflow.
+          if (doubles > body_left_ / sizeof(double))
             throw WireError("wire: truncated message payload");
           msg.payload.resize(doubles);
           payload_pos_ = 0;
@@ -538,10 +459,6 @@ void BodyScatterDecoder::advance(std::size_t n) {
         state_ = State::Meta;  // next message (or the end of the body)
         break;
       }
-      case State::Blob:
-        if (payload_pos_ < frame_.blob.size()) return;
-        state_ = State::Done;
-        return;
       case State::Done:
         return;
     }

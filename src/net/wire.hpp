@@ -3,11 +3,13 @@
 // sockets (AF_UNIX socketpairs).
 //
 // The layer is deliberately dumb: it knows how to create a connected
-// stream pair, how to encode/decode a frame, and how to move exact byte
-// counts with a bounded deadline. Everything protocol-shaped (which rank
-// sends what when) lives in exec::ProcBackend. All sockets are
-// non-blocking; send_all/recv_all poll with a deadline so a dead or
-// wedged peer surfaces as a WireError diagnostic instead of a hang.
+// stream pair, how to gather-send and scatter-receive a frame (one
+// encoder, one decoder; every frame kind has the same message body), and
+// how to move exact byte counts with a bounded deadline. Everything
+// protocol-shaped (which rank sends what when) lives in exec::ProcBackend.
+// All sockets are non-blocking; send_all/recv_all poll with a deadline so
+// a dead or wedged peer surfaces as a WireError diagnostic instead of a
+// hang.
 #pragma once
 
 #include <sys/uio.h>
@@ -58,9 +60,7 @@ enum class FrameKind : std::uint16_t {
   Outbox = 1,    ///< controller -> worker: the rank's outgoing messages
   Peer = 2,      ///< worker -> worker: one (src, dst) hop of a superstep
   Inbox = 3,     ///< worker -> controller: the rank's assembled inbox
-  Ping = 4,      ///< calibration probe (echoed back as Pong)
-  Pong = 5,      ///< calibration echo
-  Shutdown = 6,  ///< controller -> worker: exit cleanly
+  Shutdown = 6,  ///< controller -> worker: exit cleanly (no messages)
 };
 
 /// Sender rank placed in frame headers by the controlling process.
@@ -86,27 +86,22 @@ struct Tally {
 struct Frame {
   FrameKind kind = FrameKind::Shutdown;
   int src = -1;
-  std::vector<Message> messages;   ///< Outbox / Peer / Inbox bodies
-  std::vector<std::uint8_t> blob;  ///< Ping / Pong payload
-  Tally reported;                  ///< Inbox only: the worker's own tally
-  std::uint64_t frame_bytes = 0;   ///< on-wire size (header + body)
+  std::vector<Message> messages;
+  Tally reported;                 ///< Inbox only: the worker's own tally
+  std::uint64_t frame_bytes = 0;  ///< on-wire size (header + body)
 };
 
-/// Encodes a complete message frame (header + body) ready for the wire.
+/// Encodes a complete frame (header + body) into one flat buffer.
 /// `reported` rides along in Inbox frames so workers can surface their
-/// mesh-phase traffic to the controller.
+/// mesh-phase traffic to the controller. The wire sends with
+/// encode_frame_gather; this flat form is its test reference.
 std::vector<std::uint8_t> encode_frame(FrameKind kind, int src,
                                        std::span<const Message> messages,
                                        const Tally& reported = {});
-/// Encodes a raw-byte frame (Ping / Pong / Shutdown).
-std::vector<std::uint8_t> encode_blob_frame(FrameKind kind, int src,
-                                            std::span<const std::uint8_t> blob);
 /// Decodes a header; throws WireError on a bad magic.
 void decode_header(std::span<const std::uint8_t> header, FrameKind& kind,
                    int& src, std::uint64_t& body_bytes,
                    std::uint64_t& checksum);
-/// Decodes a frame body (checksum already verified by the caller).
-Frame decode_body(FrameKind kind, int src, std::span<const std::uint8_t> body);
 
 /// FNV-1a over a byte span (frame-body integrity checksum).
 std::uint64_t checksum_bytes(std::span<const std::uint8_t> data);
@@ -114,9 +109,9 @@ std::uint64_t checksum_bytes(std::span<const std::uint8_t> data);
 /// Streaming form of checksum_bytes: fold `data` into a running hash.
 /// checksum_bytes(b) == checksum_feed(checksum_init(), b), and feeding a
 /// body in pieces (in order) yields the same value as one contiguous
-/// pass — which is what lets the scatter-gather paths below keep the
-/// exact frame checksums of encode_frame/decode_body without ever
-/// materializing the body.
+/// pass — which is what lets the scatter-gather paths below keep
+/// encode_frame's exact frame checksum without ever materializing the
+/// body.
 std::uint64_t checksum_init();
 std::uint64_t checksum_feed(std::uint64_t hash,
                             std::span<const std::uint8_t> data);
@@ -163,13 +158,13 @@ bool pump_gather_send(int fd, const GatherFrame& frame, GatherCursor& cursor,
 void send_gather_frame(int fd, const GatherFrame& frame, int timeout_ms,
                        const std::string& what, Tally* tally);
 
-/// Incremental scatter decoder for one frame body: bytes are landed
-/// where window() points — message payloads go STRAIGHT into their
-/// destination Message::payload buffer, metadata into a tiny internal
-/// scratch — and advance() folds them into the running checksum and
-/// steps the parse. No staging buffer, no decode copy; the accepted
-/// byte stream and the resulting Frame are exactly decode_body's.
-/// Blob bodies (Ping/Pong/Shutdown) land in Frame::blob.
+/// Incremental scatter decoder for one frame body — the only frame
+/// decoder: bytes are landed where window() points — message payloads go
+/// STRAIGHT into their destination Message::payload buffer, metadata
+/// into a tiny internal scratch — and advance() folds them into the
+/// running checksum and steps the parse. No staging buffer, no decode
+/// copy. The checksum is only known at the end of the body, so every
+/// length read before then is bounded by the bytes the body has left.
 class BodyScatterDecoder {
  public:
   /// Arms the decoder for a frame whose header was just decoded.
@@ -179,7 +174,8 @@ class BodyScatterDecoder {
   /// The next landing area; non-empty while !done().
   [[nodiscard]] std::span<std::uint8_t> window();
   /// Commits `n` bytes written at window().data(). Throws WireError on a
-  /// malformed body (truncated payload, trailing bytes).
+  /// malformed body (a message count or payload length larger than the
+  /// rest of the body, trailing bytes).
   void advance(std::size_t n);
   /// Valid once done(): the accumulated FNV-1a matched the header's.
   [[nodiscard]] bool checksum_ok() const;
@@ -187,7 +183,7 @@ class BodyScatterDecoder {
   Frame take(const std::string& what);
 
  private:
-  enum class State { Prefix, Meta, Payload, Blob, Done };
+  enum class State { Prefix, Meta, Payload, Done };
 
   State state_ = State::Done;
   Frame frame_;
@@ -209,18 +205,11 @@ void send_all(int fd, const void* data, std::size_t size, int timeout_ms,
 void recv_all(int fd, void* data, std::size_t size, int timeout_ms,
               const std::string& what);
 
-/// Sends one encoded frame and accounts it into `tally` (when non-null).
-void send_frame(int fd, std::span<const std::uint8_t> encoded,
-                std::uint64_t msgs, int timeout_ms, const std::string& what,
-                Tally* tally);
-/// Receives and decodes one frame, verifying the body checksum.
-Frame recv_frame(int fd, int timeout_ms, const std::string& what);
-
 /// Receives one frame with zero-copy payload landing: the body is parsed
 /// as it arrives (BodyScatterDecoder), so each message's payload bytes
 /// go straight from the socket into its destination Message::payload.
-/// Same accepted byte stream, same checksum and timeout behavior as
-/// recv_frame — only the staging buffer and the decode copy are gone.
+/// recv_all's deadline rules; throws WireError on a malformed body or a
+/// checksum mismatch.
 Frame recv_frame_scatter(int fd, int timeout_ms, const std::string& what);
 
 }  // namespace hpfc::net::wire

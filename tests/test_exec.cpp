@@ -16,6 +16,7 @@
 #include <cstring>
 #include <random>
 #include <thread>
+#include <utility>
 
 #include "driver/compiler.hpp"
 #include "exec/backend.hpp"
@@ -192,13 +193,8 @@ TEST(Backend, ProcBackendKilledWorkerFailsFastWithDiagnostic) {
   EXPECT_THROW((void)backend.exchange(outboxes), exec::ProcError);
 }
 
-/// Ping round-trips echo the payload and feed the calibration fit.
-TEST(Backend, ProcBackendPingAndCalibration) {
-  exec::ProcBackend backend(2, {}, exec::ProcConfig{});
-  const double rtt = backend.ping(1, 256);
-  EXPECT_GT(rtt, 0.0);
-  EXPECT_GT(backend.wire().wire_bytes, 256 * sizeof(double));
-
+/// Timed exchange supersteps on a live proc backend feed the fit.
+TEST(Backend, ProcBackendCalibration) {
   const exec::Calibration fit =
       exec::calibrate_wire(2, exec::ProcConfig{}, /*rounds=*/3);
   EXPECT_GT(fit.latency, 0.0);
@@ -256,37 +252,44 @@ TEST(Wire, GatherEncodeMatchesEncodeFrameByteForByte) {
 /// recv_all / recv_frame_scatter must reassemble a frame that dribbles in
 /// one byte at a time (worst-case short reads on a byte stream), landing
 /// every payload straight in its destination buffer and still verifying
-/// the checksum.
+/// the checksum. Inputs are (kind, message count); the Shutdown case is
+/// the zero-message frame the controller sends a worker on teardown.
 TEST(Wire, ScatterReceiveReassemblesOneByteChunks) {
-  auto [ours, theirs] = wire::make_stream_pair();
-  const auto messages = wire_test_messages(23, 4);
-  const auto encoded =
-      wire::encode_frame(wire::FrameKind::Peer, 1, messages);
+  const std::pair<wire::FrameKind, int> cases[] = {
+      {wire::FrameKind::Peer, 4},
+      {wire::FrameKind::Shutdown, 0},
+  };
+  for (const auto& [kind, count] : cases) {
+    SCOPED_TRACE(count);
+    auto [ours, theirs] = wire::make_stream_pair();
+    const auto messages = wire_test_messages(23, count);
+    const auto encoded = wire::encode_frame(kind, 1, messages);
 
-  std::thread sender([&, fd = ours.fd()] {
-    for (std::size_t i = 0; i < encoded.size(); ++i) {
-      // One byte per send; sockets are non-blocking, so spin on EAGAIN.
-      for (;;) {
-        const ssize_t n = ::send(fd, encoded.data() + i, 1, MSG_NOSIGNAL);
-        if (n == 1) break;
-        ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                              errno == EINTR));
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    std::thread sender([&, fd = ours.fd()] {
+      for (std::size_t i = 0; i < encoded.size(); ++i) {
+        // One byte per send; sockets are non-blocking, so spin on EAGAIN.
+        for (;;) {
+          const ssize_t n = ::send(fd, encoded.data() + i, 1, MSG_NOSIGNAL);
+          if (n == 1) break;
+          ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                                errno == EINTR));
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
       }
-    }
-  });
-  const wire::Frame frame =
-      wire::recv_frame_scatter(theirs.fd(), 10000, "chunk test");
-  sender.join();
+    });
+    const wire::Frame frame =
+        wire::recv_frame_scatter(theirs.fd(), 10000, "chunk test");
+    sender.join();
 
-  EXPECT_EQ(frame.kind, wire::FrameKind::Peer);
-  EXPECT_EQ(frame.src, 1);
-  EXPECT_EQ(frame.frame_bytes, encoded.size());
-  ASSERT_EQ(frame.messages.size(), messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    EXPECT_EQ(frame.messages[i].tag, messages[i].tag);
-    EXPECT_EQ(frame.messages[i].segments, messages[i].segments);
-    EXPECT_EQ(frame.messages[i].payload, messages[i].payload);
+    EXPECT_EQ(frame.kind, kind);
+    EXPECT_EQ(frame.src, 1);
+    EXPECT_EQ(frame.frame_bytes, encoded.size());
+    ASSERT_EQ(frame.messages.size(), messages.size());
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      EXPECT_EQ(frame.messages[i].tag, messages[i].tag);
+      EXPECT_EQ(frame.messages[i].segments, messages[i].segments);
+      EXPECT_EQ(frame.messages[i].payload, messages[i].payload);
+    }
   }
 }
 
@@ -311,17 +314,34 @@ TEST(Wire, ScatterReceiveTimesOutOnTruncatedFrame) {
   EXPECT_LT(elapsed, 5.0) << "deadline did not bound the short read";
 }
 
-/// A corrupted payload byte must fail the streaming checksum exactly as
-/// it fails the staging decoder's.
+/// A corrupted body must surface as a WireError. A flipped payload bit
+/// fails the checksum at the end of the body; a corrupted message count
+/// or payload length is read before the checksum is known, so the
+/// decoder must bound it by the bytes left instead of allocating it.
 TEST(Wire, ScatterReceiveRejectsCorruptedBody) {
-  auto [ours, theirs] = wire::make_stream_pair();
   const auto messages = wire_test_messages(31, 3);
-  auto encoded = wire::encode_frame(wire::FrameKind::Peer, 0, messages);
-  encoded.back() ^= 0x40;  // flip one payload bit past the header
-  wire::send_all(ours.fd(), encoded.data(), encoded.size(), 1000, "send");
-  EXPECT_THROW(
-      (void)wire::recv_frame_scatter(theirs.fd(), 1000, "corrupt test"),
-      wire::WireError);
+  const auto clean = wire::encode_frame(wire::FrameKind::Peer, 0, messages);
+  // Body layout: reported bytes (8), reported msgs (8), count (4), then
+  // per message src/dst/tag/segments (4 each) and the payload length (8).
+  const std::size_t count_at = wire::kHeaderBytes + 16;
+  const std::size_t length_at = count_at + 4 + 16;
+  const auto overwrite = [](std::vector<std::uint8_t>& frame,
+                            std::size_t at, auto value) {
+    std::memcpy(frame.data() + at, &value, sizeof(value));
+  };
+  std::vector<std::vector<std::uint8_t>> corrupted(3, clean);
+  corrupted[0].back() ^= 0x40;  // flip one payload bit past the header
+  overwrite(corrupted[1], count_at, std::uint32_t{0xFFFFFFFF});
+  overwrite(corrupted[2], length_at, std::uint64_t{1} << 61);
+  for (std::size_t i = 0; i < corrupted.size(); ++i) {
+    SCOPED_TRACE(i);
+    auto [ours, theirs] = wire::make_stream_pair();
+    wire::send_all(ours.fd(), corrupted[i].data(), corrupted[i].size(), 1000,
+                   "send");
+    EXPECT_THROW(
+        (void)wire::recv_frame_scatter(theirs.fd(), 1000, "corrupt test"),
+        wire::WireError);
+  }
 }
 
 /// The gather send path must survive a socket whose send buffer is far
