@@ -38,6 +38,15 @@ std::uint64_t leaf_hash(const double* values, std::size_t len) {
   return fnv1a_words(values, len);
 }
 
+std::uint64_t leaf_hash(const double* values, std::size_t len,
+                        std::size_t reps, std::size_t step) {
+  if (step == len) return fnv1a_words(values, len * reps);
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t k = 0; k < reps; ++k)
+    h = fnv1a_words(values + k * step, len, h);
+  return h;
+}
+
 std::uint64_t rank_hash(const std::vector<std::uint64_t>& leaves) {
   std::uint64_t h = kFnvOffset;
   for (const std::uint64_t leaf : leaves) h = fnv1a_u64(leaf, h);

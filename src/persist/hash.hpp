@@ -1,9 +1,13 @@
 // FNV-1a hashing and the snapshot hash tree over the versioned array
 // store. The tree mirrors the store's structure:
 //
-//   leaf                 one owned run's element bytes (mapping::OwnedRun
-//                        geometry: the run is a contiguous local stretch)
-//   rank hash            fold over the rank's run leaves, in run order
+//   leaf                 one body entry of one block of a rank's periodic
+//                        ownership program (mapping::OwnedProgram): the
+//                        entry's OwnedRun stretch repeated `reps` times,
+//                        `local_step` apart — its reps × len element
+//                        bytes in expansion order
+//   rank hash            fold over the rank's leaf hashes, in program
+//                        order (block by block, body entry by entry)
 //   version hash         the (allocated, live) flags, then — when
 //                        allocated — a fold over the rank hashes
 //   array root           the array's runtime status, then a fold over its
@@ -38,11 +42,17 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 [[nodiscard]] std::uint64_t fnv1a_words(const void* data, std::size_t n_words,
                                         std::uint64_t h = kFnvOffset);
 
-/// Leaf hash of one owned run: a word-wise FNV-1a fold over the bit
-/// patterns of its `len` doubles.
+/// Leaf hash of `len` contiguous doubles: a word-wise FNV-1a fold over
+/// their bit patterns.
 [[nodiscard]] std::uint64_t leaf_hash(const double* values, std::size_t len);
 
-/// Rank hash: fold over the rank's run leaves in run order.
+/// Leaf hash of a periodic leaf read in place: repetition k is the `len`
+/// doubles at `values + k * step`, folded in repetition order. Equals
+/// leaf_hash() of the same reps × len values laid out contiguously.
+[[nodiscard]] std::uint64_t leaf_hash(const double* values, std::size_t len,
+                                      std::size_t reps, std::size_t step);
+
+/// Rank hash: fold over the rank's leaf hashes in program order.
 [[nodiscard]] std::uint64_t rank_hash(const std::vector<std::uint64_t>& leaves);
 
 /// Version hash: the storage flags, then each rank's hash in rank order.

@@ -15,16 +15,53 @@ namespace {
 constexpr std::uint32_t kRecordMagic = 0x4850'4a31;  // "HPJ1"
 constexpr std::uint32_t kManifestMagic = 0x4850'4d31;  // "HPM1"
 
+/// Streaming form of the payload fold: whole 64-bit words fold
+/// word-wise (one multiply per 8 bytes) across span boundaries, and the
+/// sub-word tail folds byte-wise at finish(), so a payload handed over
+/// in pieces checksums exactly like the same bytes in one piece.
+class PayloadFold {
+ public:
+  PayloadFold(RecordType type, std::uint64_t len)
+      : h_(fnv1a_u64(len, fnv1a_u64(static_cast<std::uint64_t>(type)))) {}
+
+  void update(const std::uint8_t* data, std::size_t len) {
+    if (len == 0) return;  // `data` may be null then
+    if (pending_len_ > 0) {
+      const std::size_t take = std::min(len, 8 - pending_len_);
+      std::memcpy(pending_ + pending_len_, data, take);
+      pending_len_ += take;
+      data += take;
+      len -= take;
+      if (pending_len_ < 8) return;
+      h_ = fnv1a_words(pending_, 1, h_);
+      pending_len_ = 0;
+    }
+    const std::size_t words = len / 8;
+    h_ = fnv1a_words(data, words, h_);
+    pending_len_ = len - words * 8;
+    std::memcpy(pending_, data + words * 8, pending_len_);
+  }
+
+  [[nodiscard]] std::uint64_t finish() const {
+    return fnv1a(pending_, pending_len_, h_);
+  }
+
+ private:
+  std::uint64_t h_;
+  std::uint8_t pending_[8] = {};
+  std::size_t pending_len_ = 0;
+};
+
 std::uint64_t record_checksum(RecordType type, const std::uint8_t* payload,
                               std::size_t len) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_u64(static_cast<std::uint64_t>(type), h);
-  h = fnv1a_u64(len, h);
-  // Bulk of the payload folds word-wise (one multiply per 8 bytes);
-  // the sub-word tail folds byte-wise so every byte is covered.
-  const std::size_t words = len / 8;
-  h = fnv1a_words(payload, words, h);
-  return fnv1a(payload + words * 8, len - words * 8, h);
+  PayloadFold fold(type, len);
+  fold.update(payload, len);
+  return fold.finish();
+}
+
+/// Writes the low `bytes` bytes of `v` little-endian at `out`.
+void put_le(std::uint8_t* out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out[i] = (v >> (8 * i)) & 0xffu;
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -72,12 +109,6 @@ void ByteWriter::i64(std::int64_t v) {
   put_u64(bytes_, static_cast<std::uint64_t>(v));
 }
 
-void ByteWriter::doubles(const double* values, std::size_t len) {
-  const std::size_t at = bytes_.size();
-  bytes_.resize(at + len * sizeof(double));
-  std::memcpy(bytes_.data() + at, values, len * sizeof(double));
-}
-
 void ByteReader::need(std::size_t n) const {
   if (len_ - pos_ < n)
     throw PersistError("persist: record payload underflow");
@@ -103,10 +134,11 @@ std::uint64_t ByteReader::u64() {
 
 std::int64_t ByteReader::i64() { return static_cast<std::int64_t>(u64()); }
 
-void ByteReader::doubles(double* values, std::size_t len) {
-  need(len * sizeof(double));
-  std::memcpy(values, data_ + pos_, len * sizeof(double));
-  pos_ += len * sizeof(double);
+std::size_t ByteReader::count(std::size_t entry_bytes) {
+  const std::uint64_t n = u64();
+  if (n > (len_ - pos_) / entry_bytes)
+    throw PersistError("persist: record count exceeds its payload");
+  return static_cast<std::size_t>(n);
 }
 
 // ---- scan --------------------------------------------------------------
@@ -128,7 +160,9 @@ std::optional<FrameView> parse_frame(const std::uint8_t* data,
   for (int i = 0; i < 8; ++i)
     len |= static_cast<std::uint64_t>(data[at + i]) << (8 * i);
   at += 8;
-  if (avail - at < len + 8) return std::nullopt;  // truncated payload/checksum
+  // Truncated payload/checksum. Checked without `len + 8`, which wraps
+  // for a length field near 2^64.
+  if (avail - at < 8 || len > avail - at - 8) return std::nullopt;
   FrameView frame;
   frame.type = static_cast<RecordType>(type);
   frame.payload = data + at;
@@ -218,17 +252,30 @@ JournalWriter::~JournalWriter() {
 }
 
 void JournalWriter::append(RecordType type,
-                           const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(24 + payload.size());
-  put_u32(frame, kRecordMagic);
-  put_u32(frame, static_cast<std::uint32_t>(type));
-  put_u64(frame, payload.size());
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  put_u64(frame, record_checksum(type, payload.data(), payload.size()));
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size())
-    throw PersistError("persist: journal write failed in " + dir_);
-  bytes_written_ += frame.size();
+                           std::span<const std::uint8_t> header,
+                           std::span<const double> values) {
+  const auto* value_bytes = reinterpret_cast<const std::uint8_t*>(
+      values.data());
+  const std::size_t value_len = values.size_bytes();
+  const std::uint64_t payload_len = header.size() + value_len;
+  PayloadFold fold(type, payload_len);
+  fold.update(header.data(), header.size());
+  fold.update(value_bytes, value_len);
+  std::uint8_t prefix[16];
+  std::uint8_t suffix[8];
+  put_le(prefix, kRecordMagic, 4);
+  put_le(prefix + 4, static_cast<std::uint32_t>(type), 4);
+  put_le(prefix + 8, payload_len, 8);
+  put_le(suffix, fold.finish(), 8);
+  const auto write = [&](const void* data, std::size_t len) {
+    if (len > 0 && std::fwrite(data, 1, len, file_) != len)
+      throw PersistError("persist: journal write failed in " + dir_);
+  };
+  write(prefix, sizeof(prefix));
+  write(header.data(), header.size());
+  write(value_bytes, value_len);
+  write(suffix, sizeof(suffix));
+  bytes_written_ += sizeof(prefix) + payload_len + sizeof(suffix);
 }
 
 void JournalWriter::seal(std::uint64_t epoch, std::uint64_t commit_offset) {

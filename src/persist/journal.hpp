@@ -9,6 +9,12 @@
 //   u64  checksum  FNV-1a over (type, payload_len, payload); the payload
 //                  folds 64-bit word at a time with a byte-wise tail
 //
+// The writer frames each record in place: the payload arrives as a
+// header byte span plus a span of doubles (a leaf's values, borrowed
+// from rank storage), the checksum folds across both, and each piece
+// goes to the buffered journal with one write — no per-record frame
+// copy. The frame bytes are those of the concatenated payload.
+//
 // A reader scans records sequentially; a record whose header, payload,
 // or checksum is truncated or corrupt terminates the scan (torn tail).
 // The sidecar manifest records the byte length of the journal at the
@@ -19,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,8 +41,11 @@ class PersistError : public std::runtime_error {
 };
 
 enum class RecordType : std::uint32_t {
-  kRunData = 1,  ///< one owned run's geometry + element bytes
-  kCommit = 2,   ///< seals an epoch: store metadata + hash-tree roots
+  /// Retired leaf record of the first journal format (one record per
+  /// expanded ownership stretch). Never written; restore rejects it.
+  kRunData = 1,
+  kCommit = 2,    ///< seals an epoch: store metadata + hash-tree roots
+  kRunBlock = 3,  ///< one periodic leaf: geometry, repetition, values
 };
 
 /// Little-endian serializer for record payloads.
@@ -44,7 +54,9 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v);
-  void doubles(const double* values, std::size_t len);
+  /// Empties the buffer, keeping its capacity (one writer per record
+  /// header reuses one allocation).
+  void clear() { bytes_.clear(); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
     return bytes_;
   }
@@ -63,7 +75,11 @@ class ByteReader {
   std::uint32_t u32();
   std::uint64_t u64();
   std::int64_t i64();
-  void doubles(double* values, std::size_t len);
+  /// Reads a u64 element count and checks that `count` entries of at
+  /// least `entry_bytes` each fit in the bytes left, so a hostile count
+  /// fails here instead of sizing a container.
+  std::size_t count(std::size_t entry_bytes);
+  [[nodiscard]] std::size_t remaining() const { return len_ - pos_; }
   [[nodiscard]] bool done() const { return pos_ == len_; }
 
  private:
@@ -74,10 +90,9 @@ class ByteReader {
 };
 
 /// One intact record. The payload is a borrowed window into the owning
-/// ScanResult's journal image (no per-record copy — restore replays
-/// hundreds of thousands of records).
+/// ScanResult's journal image (no per-record copy).
 struct Record {
-  RecordType type = RecordType::kRunData;
+  RecordType type = RecordType::kRunBlock;
   std::uint64_t payload_offset = 0;  ///< into ScanResult::bytes
   std::uint64_t payload_len = 0;
   std::uint64_t end_offset = 0;  ///< journal byte offset just past this record
@@ -104,7 +119,7 @@ struct ScanResult {
 
 /// One framed record parsed in place from a byte window.
 struct FrameView {
-  RecordType type = RecordType::kRunData;
+  RecordType type = RecordType::kRunBlock;
   const std::uint8_t* payload = nullptr;
   std::size_t payload_len = 0;
   std::size_t frame_len = 0;  ///< header + payload + checksum
@@ -112,7 +127,8 @@ struct FrameView {
 
 /// Parses and checksum-verifies one record at `data` (`avail` readable
 /// bytes). Returns nullopt on truncation, bad magic, or bad checksum —
-/// the torn-tail conditions.
+/// the torn-tail conditions. A length field larger than the bytes left
+/// is truncation, whatever its value.
 [[nodiscard]] std::optional<FrameView> parse_frame(const std::uint8_t* data,
                                                    std::size_t avail);
 
@@ -138,8 +154,10 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Appends one framed record (buffered until seal()).
-  void append(RecordType type, const std::vector<std::uint8_t>& payload);
+  /// Appends one framed record whose payload is `header` followed by the
+  /// bit patterns of `values` (buffered until seal()).
+  void append(RecordType type, std::span<const std::uint8_t> header,
+              std::span<const double> values = {});
 
   /// Flushes the journal to disk, then publishes {epoch, length, commit
   /// offset} by writing manifest.tmp and renaming it over the manifest.

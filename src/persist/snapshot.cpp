@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <span>
+#include <tuple>
 
 #include "persist/hash.hpp"
 
@@ -32,10 +35,10 @@ struct CommitBody {
   };
   std::vector<VersionEntry> versions;
   std::vector<std::pair<int, std::uint64_t>> roots;
-  /// Replay directory: for every rank owning runs of a live version, the
-  /// journal location of each run's winning RunData record, in run-index
-  /// order. Restore with an intact manifest reads exactly these windows
-  /// instead of scanning the whole journal.
+  /// Replay directory: for every rank owning leaves of an allocated
+  /// version, the journal location of each leaf's winning RunBlock
+  /// record, in leaf-index order. Restore with an intact manifest reads
+  /// exactly these windows instead of scanning the whole journal.
   struct DirRank {
     int array = 0;
     int version = 0;
@@ -83,11 +86,11 @@ CommitBody decode_commit(ByteReader r) {
   CommitBody body;
   body.epoch = r.u64();
   body.write_counter = r.u64();
-  body.status.resize(r.u64());
+  body.status.resize(r.count(8));
   for (auto& s : body.status) s = r.i64();
-  body.saved.resize(r.u64());
+  body.saved.resize(r.count(8));
   for (auto& s : body.saved) s = r.i64();
-  body.versions.resize(r.u64());
+  body.versions.resize(r.count(20));
   for (auto& v : body.versions) {
     v.array = static_cast<int>(r.u32());
     v.version = static_cast<int>(r.u32());
@@ -96,17 +99,17 @@ CommitBody decode_commit(ByteReader r) {
     v.live = (flags & 2u) != 0;
     v.hash = r.u64();
   }
-  body.roots.resize(r.u64());
+  body.roots.resize(r.count(12));
   for (auto& [array, root] : body.roots) {
     array = static_cast<int>(r.u32());
     root = r.u64();
   }
-  body.directory.resize(r.u64());
+  body.directory.resize(r.count(20));
   for (auto& e : body.directory) {
     e.array = static_cast<int>(r.u32());
     e.version = static_cast<int>(r.u32());
     e.rank = static_cast<int>(r.u32());
-    e.records.resize(r.u64());
+    e.records.resize(r.count(16));
     for (auto& [offset, len] : e.records) {
       offset = r.u64();
       len = r.u64();
@@ -116,11 +119,12 @@ CommitBody decode_commit(ByteReader r) {
   return body;
 }
 
-/// RunData header size: array, version, rank, run_index (u32 each) plus
-/// the four i64 geometry fields; the values follow in place.
-constexpr std::size_t kRunHeaderBytes = 4 * 4 + 4 * 8;
+/// RunBlock header size: array, version, rank, leaf_index (u32 each),
+/// the stretch's four i64 OwnedRun fields, then reps, local_step and
+/// global_step (i64 each); the values follow in place.
+constexpr std::size_t kRunHeaderBytes = 4 * 4 + 7 * 8;
 
-/// Borrowed view of one RunData record — the values stay in the read
+/// Borrowed view of one RunBlock record — the values stay in the read
 /// journal window until (and unless) the record wins its slot.
 struct RunRef {
   int array = 0;
@@ -128,8 +132,27 @@ struct RunRef {
   int rank = 0;
   std::uint32_t run_index = 0;
   mapping::OwnedRun geometry;
-  const std::uint8_t* values = nullptr;  ///< geometry.len raw doubles
+  mapping::Extent reps = 1;
+  mapping::Index local_step = 0;
+  mapping::Index global_step = 0;
+  /// One past the last local position the leaf covers.
+  mapping::Index local_end = 0;
+  const std::uint8_t* values = nullptr;  ///< reps × geometry.len doubles
+
+  [[nodiscard]] std::size_t value_count() const {
+    return static_cast<std::size_t>(reps * geometry.len);
+  }
 };
+
+/// Throws for a leaf record of the retired journal format.
+void reject_retired(RecordType type, const std::string& dir) {
+  if (type == RecordType::kRunData)
+    throw PersistError(
+        "persist: journal in " + dir +
+        " holds RunData leaves (record type 1, the retired format with one "
+        "record per expanded stretch); this build restores RunBlock "
+        "journals only");
+}
 
 RunRef decode_run(const std::uint8_t* payload, std::size_t len) {
   ByteReader r(payload, len);
@@ -142,13 +165,40 @@ RunRef decode_run(const std::uint8_t* payload, std::size_t len) {
   body.geometry.global_base = static_cast<mapping::Index>(r.i64());
   body.geometry.global_stride = static_cast<mapping::Extent>(r.i64());
   body.geometry.len = static_cast<mapping::Extent>(r.i64());
-  if (body.geometry.len < 0 || body.geometry.local_base < 0)
-    throw PersistError("persist: negative run geometry");
-  if (len != kRunHeaderBytes +
-                 static_cast<std::size_t>(body.geometry.len) * sizeof(double))
-    throw PersistError("persist: trailing bytes in run record");
+  body.reps = static_cast<mapping::Extent>(r.i64());
+  body.local_step = static_cast<mapping::Index>(r.i64());
+  body.global_step = static_cast<mapping::Index>(r.i64());
+  const mapping::Index base = body.geometry.local_base;
+  const mapping::Extent n = body.geometry.len;
+  if (base < 0 || n < 1 || body.reps < 1 || body.local_step < 0)
+    throw PersistError("persist: invalid run block geometry");
+  // len and reps are bounded by the values the payload holds before they
+  // are multiplied, so a hostile count cannot wrap to a small size.
+  const std::size_t bytes = r.remaining();
+  const std::size_t values = bytes / sizeof(double);
+  if (bytes % sizeof(double) != 0 || static_cast<std::uint64_t>(n) > values ||
+      static_cast<std::uint64_t>(body.reps) >
+          values / static_cast<std::uint64_t>(n) ||
+      body.value_count() != values)
+    throw PersistError("persist: run block values do not fill its payload");
+  // The last repetition ends at base + (reps-1)*local_step + len, which
+  // must be representable.
+  constexpr mapping::Index kMaxIndex =
+      std::numeric_limits<mapping::Index>::max();
+  if (n > kMaxIndex - base ||
+      (body.local_step > 0 &&
+       body.reps - 1 > (kMaxIndex - base - n) / body.local_step))
+    throw PersistError("persist: run block local extent overflows");
+  body.local_end = base + (body.reps - 1) * body.local_step + n;
   body.values = payload + kRunHeaderBytes;
   return body;
+}
+
+/// Number of leaves of a rank's program: one per body entry per block.
+std::size_t leaf_count(const mapping::OwnedProgram& program) {
+  std::size_t n = 0;
+  for (const mapping::SegmentBlock& b : program.blocks) n += b.count;
+  return n;
 }
 
 }  // namespace
@@ -168,7 +218,7 @@ void SnapshotWriter::snapshot(const StoreView& view) {
   commit.status.assign(view.status->begin(), view.status->end());
   commit.saved.assign(view.saved->begin(), view.saved->end());
 
-  // Delta phase: write runs whose leaf hash changed since the last seal.
+  // Delta phase: write leaves whose hash changed since the last seal.
   for (const VersionView& v : view.versions) {
     const std::pair<int, int> key{v.array, v.version};
     if (!v.allocated) {
@@ -180,38 +230,54 @@ void SnapshotWriter::snapshot(const StoreView& view) {
     const bool fresh = cached.size() != ranks;
     if (fresh) cached.assign(ranks, {});
     for (std::size_t rank = 0; rank < ranks; ++rank) {
-      const mapping::OwnedProgram& runs = *v.runs[rank];
+      const mapping::OwnedProgram& program = *v.runs[rank];
       auto& rank_cache = cached[rank];
-      const std::size_t leaves = runs.stretch_count();
+      const std::size_t leaves = leaf_count(program);
       const bool force = fresh || rank_cache.size() != leaves;
       if (force) rank_cache.assign(leaves, {});
       if (!force && !v.dirty) continue;
       const std::vector<double>& local = (*v.locals)[rank];
-      // One leaf per expanded stretch, in local order: the journal sees
-      // the same runs a flat ownership walk would produce.
-      std::size_t i = 0;
-      runs.for_each_stretch([&](const mapping::OwnedRun& run) {
-        const std::size_t index = i++;
-        const std::uint64_t leaf =
-            leaf_hash(local.data() + run.local_base,
-                      static_cast<std::size_t>(run.len));
-        if (!force && rank_cache[index].hash == leaf) return;
-        ByteWriter w;
-        w.u32(static_cast<std::uint32_t>(v.array));
-        w.u32(static_cast<std::uint32_t>(v.version));
-        w.u32(static_cast<std::uint32_t>(rank));
-        w.u32(static_cast<std::uint32_t>(index));
-        w.i64(run.local_base);
-        w.i64(run.global_base);
-        w.i64(run.global_stride);
-        w.i64(run.len);
-        w.doubles(local.data() + run.local_base,
-                  static_cast<std::size_t>(run.len));
-        const std::uint64_t offset = journal_.bytes_written();
-        journal_.append(RecordType::kRunData, w.bytes());
-        rank_cache[index] = {leaf, offset, journal_.bytes_written() - offset};
-        ++stats_.runs_written;
-      });
+      // One leaf per body entry per block, in program order: the block's
+      // repetitions of that entry, hashed and journaled unexpanded.
+      std::size_t index = 0;
+      for (const mapping::SegmentBlock& block : program.blocks) {
+        for (std::uint32_t i = block.first; i < block.first + block.count;
+             ++i, ++index) {
+          const mapping::OwnedRun& run = program.body[i];
+          const auto len = static_cast<std::size_t>(run.len);
+          const auto reps = static_cast<std::size_t>(block.reps);
+          const auto step = static_cast<std::size_t>(block.src_step);
+          const double* first = local.data() + run.local_base;
+          const std::uint64_t leaf = leaf_hash(first, len, reps, step);
+          if (!force && rank_cache[index].hash == leaf) continue;
+          header_.clear();
+          header_.u32(static_cast<std::uint32_t>(v.array));
+          header_.u32(static_cast<std::uint32_t>(v.version));
+          header_.u32(static_cast<std::uint32_t>(rank));
+          header_.u32(static_cast<std::uint32_t>(index));
+          header_.i64(run.local_base);
+          header_.i64(run.global_base);
+          header_.i64(run.global_stride);
+          header_.i64(run.len);
+          header_.i64(block.reps);
+          header_.i64(block.src_step);
+          header_.i64(block.dst_step);
+          // A contiguous leaf is framed straight from rank storage; one
+          // whose repetitions leave gaps is gathered into gather_ first.
+          std::span<const double> values(first, len * reps);
+          if (reps > 1 && step != len) {
+            gather_.resize(len * reps);
+            for (std::size_t k = 0; k < reps; ++k)
+              std::copy_n(first + k * step, len, gather_.data() + k * len);
+            values = gather_;
+          }
+          const std::uint64_t offset = journal_.bytes_written();
+          journal_.append(RecordType::kRunBlock, header_.bytes(), values);
+          rank_cache[index] = {leaf, offset,
+                               journal_.bytes_written() - offset};
+          ++stats_.runs_written;
+        }
+      }
     }
   }
 
@@ -233,10 +299,10 @@ void SnapshotWriter::snapshot(const StoreView& view) {
     }
     std::uint64_t vh = 0;
     if (v.allocated) {
-      // Ranks owning no run of this version are skipped (they journal
+      // Ranks owning no leaf of this version are skipped (they journal
       // nothing, so restore cannot see them); each kept hash is bound to
       // its rank index so rank identity survives the gaps. The same walk
-      // emits the replay directory: each live run's winning record.
+      // emits the replay directory: each live leaf's winning record.
       std::vector<std::uint64_t> rank_hashes;
       const auto& cached = leaves_.at({v.array, v.version});
       for (std::size_t rank = 0; rank < cached.size(); ++rank) {
@@ -328,23 +394,42 @@ RestoredStore rebuild_store(const CommitBody& commit, const Replay& replay,
       if (found != replay.runs.end()) {
         std::vector<std::uint64_t> rank_leaves;
         for (const auto& [rank, winning] : found->second) {
+          // A rank's leaves tile its local vector, so the values they
+          // carry fix its size; a leaf reaching past it is corrupt.
+          std::size_t extent = 0;
+          for (const RunRef& run : winning) extent += run.value_count();
           rank_leaves.clear();
           auto& local = version.locals[static_cast<int>(rank)];
+          local.assign(extent, 0.0);
           auto& runs = version.runs[static_cast<int>(rank)];
           runs.reserve(winning.size());
           for (const RunRef& run : winning) {
-            const auto n = static_cast<std::size_t>(run.geometry.len);
+            if (static_cast<std::uint64_t>(run.local_end) > extent)
+              throw PersistError(
+                  "persist: run block reaches past its rank's local extent "
+                  "(sealed data corrupted)");
+            const auto n = run.value_count();
             RestoredRun restored;
             restored.geometry = run.geometry;
+            restored.reps = run.reps;
+            restored.local_step = run.local_step;
+            restored.global_step = run.global_step;
             restored.values.resize(n);
             std::memcpy(restored.values.data(), run.values,
                         n * sizeof(double));
             rank_leaves.push_back(leaf_hash(restored.values.data(), n));
-            const auto end =
-                static_cast<std::size_t>(run.geometry.local_base) + n;
-            if (local.size() < end) local.resize(end, 0.0);
-            std::copy(restored.values.begin(), restored.values.end(),
-                      local.begin() + run.geometry.local_base);
+            // Repetition k goes back to local_base + k * local_step; a
+            // contiguous leaf (local_step == len) is one copy.
+            const double* from = restored.values.data();
+            const auto to = local.begin() + run.geometry.local_base;
+            if (run.reps == 1 || run.local_step == run.geometry.len) {
+              std::copy_n(from, n, to);
+            } else {
+              const auto len = static_cast<std::size_t>(run.geometry.len);
+              for (mapping::Extent k = 0; k < run.reps; ++k)
+                std::copy_n(from + static_cast<std::size_t>(k) * len, len,
+                            to + k * run.local_step);
+            }
             runs.push_back(std::move(restored));
           }
           rank_hashes.push_back(fnv1a_u64(rank, rank_hash(rank_leaves)));
@@ -432,7 +517,8 @@ Replay replay_directory(std::ifstream& in, const CommitBody& commit,
       const Pending& p = pending[i];
       const auto frame = parse_frame(
           window.data() + (p.offset - begin), static_cast<std::size_t>(p.len));
-      if (!frame || frame->type != RecordType::kRunData ||
+      if (frame) reject_retired(frame->type, dir);
+      if (!frame || frame->type != RecordType::kRunBlock ||
           frame->frame_len != p.len)
         throw PersistError(
             "persist: replay directory record is corrupt in " + dir);
@@ -536,9 +622,11 @@ RestoredStore fast_restore(const std::string& dir, const Manifest& manifest) {
 
 /// Manifest-less restore (a crash can hit before the very first seal's
 /// rename): scan the whole journal, keep the consistent prefix, and
-/// replay every RunData record before the last commit, latest record
-/// per (array, version, rank, run index) slot winning. Only each slot's
-/// winner is decoded, hashed, and copied.
+/// replay every RunBlock record before the last commit, latest record
+/// per (array, version, rank, leaf index) slot winning. The slots are
+/// the last commit's directory: a record naming a slot it does not list
+/// is dead history and is skipped. Only each slot's winner is decoded,
+/// hashed, and copied.
 RestoredStore scan_restore(const std::string& dir) {
   ScanResult scan = scan_journal(JournalWriter::journal_path(dir));
   std::size_t last_commit = scan.records.size();
@@ -560,43 +648,41 @@ RestoredStore scan_restore(const std::string& dir) {
       scan.records[last_commit].end_offset < scan.consistent_bytes;
 
   constexpr std::uint32_t kNoWinner = 0xffff'ffffu;
-  std::map<std::pair<int, int>, std::vector<std::vector<std::uint32_t>>>
-      winners;
+  std::map<std::tuple<int, int, int>, std::vector<std::uint32_t>> winners;
+  for (const auto& e : commit.directory)
+    winners.try_emplace({e.array, e.version, e.rank}, e.records.size(),
+                        kNoWinner);
   for (std::size_t i = 0; i < last_commit; ++i) {
     const Record& record = scan.records[i];
-    if (record.type != RecordType::kRunData) continue;
+    reject_retired(record.type, dir);
+    if (record.type != RecordType::kRunBlock) continue;
     ByteReader r = scan.reader(record);
     const int array = static_cast<int>(r.u32());
     const int version = static_cast<int>(r.u32());
-    const auto rank = static_cast<std::size_t>(r.u32());
+    const int rank = static_cast<int>(r.u32());
     const std::uint32_t run_index = r.u32();
-    auto& ranks = winners[{array, version}];
-    if (ranks.size() <= rank) ranks.resize(rank + 1);
-    auto& slots = ranks[rank];
-    if (slots.size() <= run_index) slots.resize(run_index + 1, kNoWinner);
-    slots[run_index] = static_cast<std::uint32_t>(i);
+    const auto found = winners.find({array, version, rank});
+    if (found == winners.end() || run_index >= found->second.size()) continue;
+    found->second[run_index] = static_cast<std::uint32_t>(i);
   }
 
   Replay replay;
   replay.buffers.push_back(std::move(scan.bytes));
   const auto& bytes = replay.buffers.back();
-  for (const auto& [key, ranks] : winners) {
-    auto& dest = replay.runs[key];
-    for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
-      const auto& slots = ranks[rank];
-      if (slots.empty()) continue;  // run-less ranks journal nothing
-      std::vector<RunRef> winning;
-      winning.reserve(slots.size());
-      for (const std::uint32_t rec : slots) {
-        if (rec == kNoWinner)
-          throw PersistError("persist: sealed run sequence has a gap");
-        const Record& record = scan.records[rec];
-        winning.push_back(
-            decode_run(bytes.data() + record.payload_offset,
-                       static_cast<std::size_t>(record.payload_len)));
-      }
-      dest.emplace_back(rank, std::move(winning));
+  for (const auto& e : commit.directory) {
+    const auto& slots = winners.at({e.array, e.version, e.rank});
+    std::vector<RunRef> winning;
+    winning.reserve(slots.size());
+    for (const std::uint32_t rec : slots) {
+      if (rec == kNoWinner)
+        throw PersistError("persist: sealed run sequence has a gap");
+      const Record& record = scan.records[rec];
+      winning.push_back(
+          decode_run(bytes.data() + record.payload_offset,
+                     static_cast<std::size_t>(record.payload_len)));
     }
+    replay.runs[{e.array, e.version}].emplace_back(
+        static_cast<std::size_t>(e.rank), std::move(winning));
   }
   return rebuild_store(commit, replay, torn_tail);
 }

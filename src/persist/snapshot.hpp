@@ -1,14 +1,17 @@
 // Crash-consistent snapshots of the runtime's versioned array store.
 //
 // The runtime hands the writer a borrowed StoreView at every snapshot
-// boundary. The writer keeps the previous epoch's leaf hashes per
-// (array, version, rank, run) and appends RunData records only for runs
-// whose leaf hash changed — an O(changed-runs) delta — then seals the
-// epoch with a Commit record carrying the store metadata and the full
-// hash tree, followed by the atomic manifest rename (journal.hpp).
+// boundary. A leaf is one body entry of one block of a rank's periodic
+// ownership program: the entry's stretch repeated over the block's
+// reps, so a CYCLIC(k>1) rank is a handful of leaves whatever n is. The
+// writer keeps the previous epoch's leaf hashes per (array, version,
+// rank, leaf) and appends a RunBlock record only for leaves whose hash
+// changed — an O(changed-leaves) delta — then seals the epoch with a
+// Commit record carrying the store metadata and the full hash tree,
+// followed by the atomic manifest rename (journal.hpp).
 //
 // Each Commit also carries a replay directory — the journal location of
-// every live run's winning record — and the manifest points at the
+// every live leaf's winning record — and the manifest points at the
 // sealing Commit, so restore with an intact manifest reads O(live data):
 // it parses the commit, checks the short unsealed suffix for a newer
 // seal, and replays exactly the directory's records. Without a manifest
@@ -33,8 +36,8 @@ namespace hpfc::persist {
 /// Borrowed view of one (array, version) slot of the store. For
 /// allocated versions, `locals` and `runs` are parallel per-rank borrows
 /// valid for the duration of the snapshot call. `runs` are the ranks'
-/// periodic ownership programs; the writer expands each into its
-/// stretches, and every expanded stretch is one leaf.
+/// periodic ownership programs; every body entry of every block is one
+/// leaf, journaled without expanding the block.
 struct VersionView {
   int array = 0;
   int version = 0;
@@ -77,8 +80,8 @@ class SnapshotWriter {
   [[nodiscard]] const SnapshotStats& stats() const { return stats_; }
 
  private:
-  /// Last sealed state of one run: its leaf hash plus where its current
-  /// winning RunData record lives in the journal — the Commit's replay
+  /// Last sealed state of one leaf: its hash plus where its current
+  /// winning RunBlock record lives in the journal — the Commit's replay
   /// directory is built from these, so restore can read O(live) bytes.
   struct CachedLeaf {
     std::uint64_t hash = 0;
@@ -88,15 +91,24 @@ class SnapshotWriter {
 
   JournalWriter journal_;
   std::uint64_t epoch_ = 0;
-  /// Last sealed leaves: (array, version) -> per rank -> per run.
+  /// Last sealed leaves: (array, version) -> per rank -> per leaf.
   std::map<std::pair<int, int>, std::vector<std::vector<CachedLeaf>>> leaves_;
+  /// Reused record header, and the gather buffer of leaves whose
+  /// repetitions are not adjacent in rank storage.
+  ByteWriter header_;
+  std::vector<double> gather_;
   SnapshotStats stats_;
 };
 
-/// One owned run rebuilt from a RunData record.
+/// One leaf rebuilt from a RunBlock record: the stretch `geometry`
+/// repeated `reps` times, repetition k moved `k * local_step` local and
+/// `k * global_step` global positions.
 struct RestoredRun {
   mapping::OwnedRun geometry;
-  std::vector<double> values;
+  mapping::Extent reps = 1;
+  mapping::Index local_step = 0;
+  mapping::Index global_step = 0;
+  std::vector<double> values;  ///< reps × geometry.len, expansion order
 };
 
 struct RestoredVersion {
@@ -105,7 +117,7 @@ struct RestoredVersion {
   bool allocated = false;
   bool live = false;
   std::uint64_t hash = 0;  ///< recomputed, verified against the seal
-  std::map<int, std::vector<RestoredRun>> runs;     ///< rank -> runs in order
+  std::map<int, std::vector<RestoredRun>> runs;     ///< rank -> leaves in order
   std::map<int, std::vector<double>> locals;        ///< rank -> local vector
 };
 

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -61,7 +62,9 @@ void write_bytes(const std::string& path, const std::vector<std::uint8_t>& b) {
 
 /// A loop of remappings over two arrays: several snapshot boundaries per
 /// trip at O0, with writes between them so successive epochs differ.
-ir::Program loop_program(Extent n, int procs, Extent trips) {
+/// Inside the loop A is redistributed to `cyclic_format`.
+ir::Program loop_program(Extent n, int procs, Extent trips,
+                         DistFormat cyclic_format = DistFormat::cyclic()) {
   ProgramBuilder b("persist_loop");
   b.procs("P", Shape{procs});
   b.array("A", Shape{n});
@@ -71,7 +74,7 @@ ir::Program loop_program(Extent n, int procs, Extent trips) {
   b.def({"A"});
   b.use({"A"});
   b.begin_loop(trips, /*may_zero_trip=*/false);
-  b.redistribute("A", {DistFormat::cyclic()});
+  b.redistribute("A", {cyclic_format});
   b.def({"B"});
   b.use({"A", "B"});
   b.redistribute("A", {DistFormat::block()});
@@ -82,12 +85,13 @@ ir::Program loop_program(Extent n, int procs, Extent trips) {
   return b.finish(diags);
 }
 
-Compiled compile_loop(OptLevel level, Extent n, int procs, Extent trips) {
+Compiled compile_loop(OptLevel level, Extent n, int procs, Extent trips,
+                      DistFormat cyclic_format = DistFormat::cyclic()) {
   DiagnosticEngine diags;
   CompileOptions options;
   options.level = level;
-  Compiled compiled =
-      driver::compile(loop_program(n, procs, trips), options, diags);
+  Compiled compiled = driver::compile(
+      loop_program(n, procs, trips, cyclic_format), options, diags);
   EXPECT_TRUE(compiled.ok) << diags.to_string();
   return compiled;
 }
@@ -115,22 +119,24 @@ TEST(PersistHash, TreeIsDeterministicAndPositionSensitive) {
 TEST(PersistJournal, RoundTripsRecordsAndSealsManifest) {
   const std::string dir = fresh_dir("journal");
   std::uint64_t commit_offset = 0;
+  const std::vector<std::uint8_t> leaf{1, 2, 3};
+  const std::vector<std::uint8_t> commit{4, 5};
   {
     persist::JournalWriter writer(dir);
-    writer.append(persist::RecordType::kRunData, {1, 2, 3});
+    writer.append(persist::RecordType::kRunBlock, leaf);
     commit_offset = writer.bytes_written();
-    writer.append(persist::RecordType::kCommit, {4, 5});
+    writer.append(persist::RecordType::kCommit, commit);
     writer.seal(1, commit_offset);
   }
   const auto scan =
       persist::scan_journal(persist::JournalWriter::journal_path(dir));
   ASSERT_EQ(scan.records.size(), 2u);
   EXPECT_FALSE(scan.torn_tail);
-  EXPECT_EQ(scan.records[0].type, persist::RecordType::kRunData);
+  EXPECT_EQ(scan.records[0].type, persist::RecordType::kRunBlock);
   const auto* payload = scan.payload(scan.records[0]);
   EXPECT_EQ(std::vector<std::uint8_t>(
                 payload, payload + scan.records[0].payload_len),
-            (std::vector<std::uint8_t>{1, 2, 3}));
+            leaf);
   EXPECT_EQ(scan.records[1].type, persist::RecordType::kCommit);
   EXPECT_EQ(scan.records[1].end_offset, scan.consistent_bytes);
   const auto manifest = persist::read_manifest(dir);
@@ -140,24 +146,83 @@ TEST(PersistJournal, RoundTripsRecordsAndSealsManifest) {
   EXPECT_EQ(manifest->commit_offset, commit_offset);
 }
 
-TEST(PersistJournal, CorruptRecordTerminatesTheScan) {
-  const std::string dir = fresh_dir("corrupt");
-  {
-    persist::JournalWriter writer(dir);
-    writer.append(persist::RecordType::kRunData, {1, 2, 3});
-    writer.append(persist::RecordType::kRunData, {4, 5, 6});
-    writer.seal(1, 0);
+TEST(PersistJournal, HeaderAndValuesFrameLikeOneConcatenatedPayload) {
+  // append(type, header, values) frames in place; its bytes must equal
+  // the frame of the concatenated payload handed over in one span — also
+  // when the header is not a whole number of words, so the checksum's
+  // word fold straddles the header/values boundary.
+  const std::vector<double> values{1.5, -2.25, 3.0};
+  for (const std::size_t header_len : {0u, 3u, 8u, 13u, 72u}) {
+    std::vector<std::uint8_t> header(header_len);
+    for (std::size_t i = 0; i < header_len; ++i)
+      header[i] = static_cast<std::uint8_t>(7 * i + 1);
+    std::vector<std::uint8_t> joined = header;
+    const auto* value_bytes =
+        reinterpret_cast<const std::uint8_t*>(values.data());
+    joined.insert(joined.end(), value_bytes,
+                  value_bytes + values.size() * sizeof(double));
+    const std::string split_dir = fresh_dir("split");
+    const std::string joined_dir = fresh_dir("joined");
+    {
+      persist::JournalWriter split(split_dir);
+      split.append(persist::RecordType::kRunBlock, header, values);
+      persist::JournalWriter whole(joined_dir);
+      whole.append(persist::RecordType::kRunBlock, joined);
+      EXPECT_EQ(split.bytes_written(), whole.bytes_written());
+    }
+    const std::string path = persist::JournalWriter::journal_path(split_dir);
+    EXPECT_EQ(read_bytes(path),
+              read_bytes(persist::JournalWriter::journal_path(joined_dir)))
+        << "header of " << header_len << " bytes";
+    const auto scan = persist::scan_journal(path);
+    ASSERT_EQ(scan.records.size(), 1u);
+    EXPECT_FALSE(scan.torn_tail);
+    EXPECT_EQ(scan.records[0].payload_len, joined.size());
   }
-  const std::string path = persist::JournalWriter::journal_path(dir);
-  auto bytes = read_bytes(path);
-  const auto first_end =
-      persist::scan_journal(path).records[0].end_offset;
-  bytes[first_end + 17] ^= 0x40;  // a payload byte of record 2
-  write_bytes(path, bytes);
-  const auto scan = persist::scan_journal(path);
-  ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_TRUE(scan.torn_tail);
-  EXPECT_EQ(scan.consistent_bytes, first_end);
+}
+
+TEST(PersistJournal, CorruptRecordTerminatesTheScan) {
+  // Each corruption of record 2 ends the scan there as a torn tail: a
+  // flipped payload byte fails the checksum, and a length field near
+  // 2^64 (which once wrapped the bounds check) is truncation.
+  struct Corruption {
+    const char* name;
+    std::size_t at;  ///< offset into record 2's frame
+    std::uint64_t value;
+    int bytes;
+  };
+  for (const Corruption c :
+       {Corruption{"payload bit", 17, 0x40, 0},
+        Corruption{"length 2^64-4", 8, ~std::uint64_t{3}, 8},
+        Corruption{"length 2^64-8", 8, ~std::uint64_t{7}, 8},
+        Corruption{"length 2^64-1", 8, ~std::uint64_t{0}, 8}}) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = fresh_dir("corrupt");
+    {
+      persist::JournalWriter writer(dir);
+      const std::vector<std::uint8_t> first{1, 2, 3};
+      const std::vector<std::uint8_t> second{4, 5, 6};
+      writer.append(persist::RecordType::kRunBlock, first);
+      writer.append(persist::RecordType::kRunBlock, second);
+      writer.seal(1, 0);
+    }
+    const std::string path = persist::JournalWriter::journal_path(dir);
+    auto bytes = read_bytes(path);
+    const auto first_end =
+        persist::scan_journal(path).records[0].end_offset;
+    if (c.bytes == 0) {
+      bytes[first_end + c.at] ^= static_cast<std::uint8_t>(c.value);
+    } else {
+      for (int i = 0; i < c.bytes; ++i)
+        bytes[first_end + c.at + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(c.value >> (8 * i));
+    }
+    write_bytes(path, bytes);
+    const auto scan = persist::scan_journal(path);
+    ASSERT_EQ(scan.records.size(), 1u);
+    EXPECT_TRUE(scan.torn_tail);
+    EXPECT_EQ(scan.consistent_bytes, first_end);
+  }
 }
 
 // ---- delta snapshots ---------------------------------------------------
@@ -253,22 +318,32 @@ TEST(PersistSnapshot, RanksWithoutRunsRoundTrip) {
             persist::sealed_epochs(mirror_dir).back().roots);
 }
 
-TEST(PersistSnapshot, CyclicVersionIsOneLeafPerRank) {
-  // A(64) CYCLIC on 4: each rank's ownership is one stretch {r, +4 x 16},
-  // so each rank hashes and journals one leaf.
-  const auto lay = mapping::ConcreteLayout::make(
-      Shape{64}, Shape{4},
-      {{mapping::AlignTarget::axis(0), DistFormat::cyclic(1), 64}});
-  std::vector<mapping::OwnedProgram> runs(4);
-  std::vector<std::vector<double>> locals(4);
-  for (int r = 0; r < 4; ++r) {
-    runs[static_cast<std::size_t>(r)] = lay.owned_program(r);
-    ASSERT_EQ(runs[static_cast<std::size_t>(r)].expand(),
-              (std::vector<mapping::OwnedRun>{{0, r, 4, 16}}));
-    for (int j = 0; j < 16; ++j)
-      locals[static_cast<std::size_t>(r)].push_back(r + 4.0 * j);
+/// Snapshots one allocated version of `lay` (locals filled with each
+/// element's global index) into a fresh journal and checks the leaf
+/// structure: one RunBlock record per body entry per block, restore
+/// rebuilding `locals` bit-identically with each leaf's geometry the
+/// block's, no record for an unchanged re-snapshot, and a one-element
+/// write re-journaling exactly one leaf per touched rank. Returns the
+/// per-rank leaf counts.
+std::vector<std::size_t> check_leaves_of(const mapping::ConcreteLayout& lay,
+                                         const std::string& tag) {
+  const auto ranks = static_cast<std::size_t>(lay.ranks());
+  std::vector<mapping::OwnedProgram> programs(ranks);
+  std::vector<std::vector<double>> locals(ranks);
+  std::vector<std::size_t> leaves(ranks, 0);
+  std::uint64_t total_leaves = 0;
+  for (std::size_t r = 0; r < ranks; ++r) {
+    programs[r] = lay.owned_program(static_cast<int>(r));
+    for (const auto& run : programs[r].expand()) {
+      locals[r].resize(static_cast<std::size_t>(run.local_base + run.len));
+      for (Extent j = 0; j < run.len; ++j)
+        locals[r][static_cast<std::size_t>(run.local_base + j)] =
+            static_cast<double>(run.global_base + j * run.global_stride);
+    }
+    for (const auto& block : programs[r].blocks) leaves[r] += block.count;
+    total_leaves += leaves[r];
   }
-  const std::string dir = fresh_dir("cyclic_leaf");
+  const std::string dir = fresh_dir(tag);
   persist::SnapshotWriter writer(dir);
   std::vector<int> status{0};
   std::vector<int> saved;
@@ -280,31 +355,123 @@ TEST(PersistSnapshot, CyclicVersionIsOneLeafPerRank) {
   vv.allocated = true;
   vv.live = true;
   vv.locals = &locals;
-  for (const auto& rank_runs : runs) vv.runs.push_back(&rank_runs);
+  for (const auto& program : programs) vv.runs.push_back(&program);
   view.versions.push_back(vv);
 
   const auto expect_restores = [&] {
     const auto restored = persist::restore(dir);
     ASSERT_TRUE(restored.valid);
     ASSERT_EQ(restored.versions.size(), 1u);
-    for (int r = 0; r < 4; ++r) {
-      EXPECT_EQ(restored.versions[0].locals.at(r),
-                locals[static_cast<std::size_t>(r)]);
-      ASSERT_EQ(restored.versions[0].runs.at(r).size(), 1u);
-      EXPECT_EQ(restored.versions[0].runs.at(r)[0].geometry,
-                runs[static_cast<std::size_t>(r)].body[0]);
+    for (std::size_t r = 0; r < ranks; ++r) {
+      const int rank = static_cast<int>(r);
+      const auto& local = restored.versions[0].locals.at(rank);
+      ASSERT_EQ(local.size(), locals[r].size());
+      EXPECT_EQ(std::memcmp(local.data(), locals[r].data(),
+                            local.size() * sizeof(double)),
+                0)
+          << "rank " << r;
+      const auto& runs = restored.versions[0].runs.at(rank);
+      ASSERT_EQ(runs.size(), leaves[r]) << "rank " << r;
+      std::size_t index = 0;
+      for (const auto& block : programs[r].blocks)
+        for (std::uint32_t i = block.first; i < block.first + block.count;
+             ++i, ++index) {
+          EXPECT_EQ(runs[index].geometry, programs[r].body[i]);
+          EXPECT_EQ(runs[index].reps, block.reps);
+          EXPECT_EQ(runs[index].local_step, block.src_step);
+          EXPECT_EQ(runs[index].global_step, block.dst_step);
+          EXPECT_EQ(runs[index].values.size(),
+                    static_cast<std::size_t>(block.reps *
+                                             programs[r].body[i].len));
+        }
     }
   };
 
   writer.snapshot(view);
-  EXPECT_EQ(writer.stats().runs_written, 4u);
+  EXPECT_EQ(writer.stats().runs_written, total_leaves);
   expect_restores();
   writer.snapshot(view);  // dirty but unchanged: re-hash, no record
-  EXPECT_EQ(writer.stats().runs_written, 4u);
-  for (auto& local : locals) local[5] += 1.0;  // one write touches every rank
-  writer.snapshot(view);  // the whole stretch is re-journaled, once per rank
-  EXPECT_EQ(writer.stats().runs_written, 8u);
+  EXPECT_EQ(writer.stats().runs_written, total_leaves);
+
+  // One write per rank at local position 5 re-journals exactly the leaf
+  // holding it, whole: its frame is 16 bytes of record header, 72 of leaf
+  // header, reps × len values and an 8-byte checksum.
+  const std::string path = persist::JournalWriter::journal_path(dir);
+  const std::uint64_t before = persist::scan_journal(path).consistent_bytes;
+  std::vector<std::uint64_t> expected_frames;
+  for (std::size_t r = 0; r < ranks; ++r) {
+    if (locals[r].size() <= 5) continue;
+    locals[r][5] += 1.0;
+    for (const auto& block : programs[r].blocks)
+      for (std::uint32_t i = block.first; i < block.first + block.count; ++i) {
+        const auto& run = programs[r].body[i];
+        for (Extent k = 0; k < block.reps; ++k)
+          if (run.local_base + k * block.src_step <= 5 &&
+              5 < run.local_base + k * block.src_step + run.len)
+            expected_frames.push_back(
+                96 + 8 * static_cast<std::uint64_t>(block.reps * run.len));
+      }
+  }
+  writer.snapshot(view);
+  EXPECT_EQ(writer.stats().runs_written,
+            total_leaves + expected_frames.size());
+  std::vector<std::uint64_t> frames;
+  const auto scan = persist::scan_journal(path);
+  for (const auto& record : scan.records)
+    if (record.payload_offset > before &&
+        record.type == persist::RecordType::kRunBlock)
+      frames.push_back(record.end_offset - (record.payload_offset - 16));
+  EXPECT_EQ(frames, expected_frames);
   expect_restores();
+  return leaves;
+}
+
+TEST(PersistSnapshot, CyclicVersionIsOneLeafPerRank) {
+  // A(n) CYCLIC(k) on 4. CYCLIC(1) is one strided stretch {r, +4 x n/4}
+  // per rank; CYCLIC(k>1) is one k-element stretch repeated window by
+  // window, plus a clipped last window where n is not a whole number of
+  // periods. Either way a rank journals one leaf per body entry per
+  // block, so its record count is set by the pattern, not by n.
+  for (const Extent k : {1, 2, 3}) {
+    std::vector<std::vector<std::size_t>> per_n;
+    for (const Extent n : {64, 4096}) {
+      SCOPED_TRACE("cyclic(" + std::to_string(k) + ") n=" +
+                   std::to_string(n));
+      const auto lay = mapping::ConcreteLayout::make(
+          Shape{n}, Shape{4},
+          {{mapping::AlignTarget::axis(0), DistFormat::cyclic(k), n}});
+      per_n.push_back(check_leaves_of(lay, "cyclic_leaf"));
+    }
+    EXPECT_EQ(per_n[0], per_n[1]) << "cyclic(" << k << ")";
+    // n is a whole number of CYCLIC(1) and CYCLIC(2) periods, so each rank
+    // is one leaf; CYCLIC(3) adds a clipped-window leaf to one rank.
+    for (const std::size_t rank_leaves : per_n[0])
+      EXPECT_LE(rank_leaves, k == 3 ? 2u : 1u) << "cyclic(" << k << ")";
+  }
+  // Write amplification, written down: at n = 4096 a CYCLIC(2) rank owns
+  // 1024 elements in one leaf, so a one-element write re-journals 8288
+  // bytes per rank (asserted frame by frame in check_leaves_of).
+
+  // 2-D: A(4, 64), rows BLOCK(2), columns aligned with stride 3 to a
+  // CYCLIC(4) template. Each row window of a rank holds two stretches
+  // that do not coalesce, so the program has count == 2, reps == 7
+  // blocks whose leaves are not contiguous in rank storage (local_step 4
+  // > len 2): the writer gathers them, restore scatters them back.
+  const auto lay = mapping::ConcreteLayout::make(
+      Shape{4, 64}, Shape{2, 2},
+      {{mapping::AlignTarget::axis(0), DistFormat::block(2), 4},
+       {mapping::AlignTarget::axis(1, 3, 0), DistFormat::cyclic(4), 192}});
+  bool gapped = false;
+  for (int r = 0; r < lay.ranks(); ++r) {
+    const auto program = lay.owned_program(r);
+    for (const auto& block : program.blocks)
+      if (block.count > 1 && block.reps > 1 &&
+          block.src_step != program.body[block.first].len)
+        gapped = true;
+  }
+  ASSERT_TRUE(gapped);
+  SCOPED_TRACE("2-D block-cyclic");
+  (void)check_leaves_of(lay, "block_cyclic_leaf");
 }
 
 // ---- machine-level round trip ------------------------------------------
@@ -399,41 +566,47 @@ TEST(PersistRestore, RootsAndCountersAreBackendInvariant) {
 // ---- fault injection ---------------------------------------------------
 
 TEST(PersistFaultInjection, EveryPrefixRestoresTheLastSealedEpoch) {
-  const Compiled compiled = compile_loop(OptLevel::O0, 16, 4, 2);
-  const std::string dir = fresh_dir("sweep_src");
-  runtime::RunOptions options;
-  options.seed = 9;
-  options.snapshot_dir = dir;
-  (void)driver::run(compiled, options);
-  const auto journal =
-      read_bytes(persist::JournalWriter::journal_path(dir));
-  const auto sealed = persist::sealed_epochs(dir);
-  ASSERT_GE(sealed.size(), 3u);
-  ASSERT_EQ(sealed.back().end_offset, journal.size());
+  // Over the CYCLIC(1) loop and a CYCLIC(2) variant, whose leaves are
+  // periodic blocks (reps > 1).
+  for (const DistFormat format :
+       {DistFormat::cyclic(), DistFormat::cyclic(2)}) {
+    SCOPED_TRACE(format.to_string());
+    const Compiled compiled = compile_loop(OptLevel::O0, 16, 4, 2, format);
+    const std::string dir = fresh_dir("sweep_src");
+    runtime::RunOptions options;
+    options.seed = 9;
+    options.snapshot_dir = dir;
+    (void)driver::run(compiled, options);
+    const auto journal =
+        read_bytes(persist::JournalWriter::journal_path(dir));
+    const auto sealed = persist::sealed_epochs(dir);
+    ASSERT_GE(sealed.size(), 3u);
+    ASSERT_EQ(sealed.back().end_offset, journal.size());
 
-  // Simulate kill -9 after every possible journal byte count (the
-  // manifest is absent, as after a crash before the first seal — restore
-  // is scan-based and must recover the last fully committed epoch).
-  const std::string work = fresh_dir("sweep_work");
-  const std::string work_journal = persist::JournalWriter::journal_path(work);
-  for (std::size_t len = 0; len <= journal.size(); ++len) {
-    write_bytes(work_journal,
-                {journal.begin(),
-                 journal.begin() + static_cast<std::ptrdiff_t>(len)});
-    const persist::SealedEpoch* expected = nullptr;
-    for (const auto& epoch : sealed)
-      if (epoch.end_offset <= len) expected = &epoch;
-    const auto restored = persist::restore(work);
-    if (expected == nullptr) {
-      EXPECT_FALSE(restored.valid) << "prefix " << len;
-      EXPECT_EQ(restored.torn_tail, len != 0) << "prefix " << len;
-      continue;
+    // Simulate kill -9 after every possible journal byte count (the
+    // manifest is absent, as after a crash before the first seal — restore
+    // is scan-based and must recover the last fully committed epoch).
+    const std::string work = fresh_dir("sweep_work");
+    const std::string work_journal = persist::JournalWriter::journal_path(work);
+    for (std::size_t len = 0; len <= journal.size(); ++len) {
+      write_bytes(work_journal,
+                  {journal.begin(),
+                   journal.begin() + static_cast<std::ptrdiff_t>(len)});
+      const persist::SealedEpoch* expected = nullptr;
+      for (const auto& epoch : sealed)
+        if (epoch.end_offset <= len) expected = &epoch;
+      const auto restored = persist::restore(work);
+      if (expected == nullptr) {
+        EXPECT_FALSE(restored.valid) << "prefix " << len;
+        EXPECT_EQ(restored.torn_tail, len != 0) << "prefix " << len;
+        continue;
+      }
+      ASSERT_TRUE(restored.valid) << "prefix " << len;
+      EXPECT_EQ(restored.epoch, expected->epoch) << "prefix " << len;
+      EXPECT_EQ(restored.roots, expected->roots) << "prefix " << len;
+      EXPECT_EQ(restored.torn_tail, len != expected->end_offset)
+          << "prefix " << len;
     }
-    ASSERT_TRUE(restored.valid) << "prefix " << len;
-    EXPECT_EQ(restored.epoch, expected->epoch) << "prefix " << len;
-    EXPECT_EQ(restored.roots, expected->roots) << "prefix " << len;
-    EXPECT_EQ(restored.torn_tail, len != expected->end_offset)
-        << "prefix " << len;
   }
 }
 
@@ -517,49 +690,183 @@ TEST(PersistFaultInjection, CorruptSealedByteIsDetected) {
   }
 }
 
+/// RunBlock payload header: identity, stretch geometry, repetition.
+std::vector<std::uint8_t> leaf_header(std::uint32_t rank, std::uint32_t index,
+                                      std::int64_t local_base,
+                                      std::int64_t len, std::int64_t reps,
+                                      std::int64_t local_step) {
+  persist::ByteWriter w;
+  w.u32(0);  // array
+  w.u32(0);  // version
+  w.u32(rank);
+  w.u32(index);
+  w.i64(local_base);
+  w.i64(0);  // global_base
+  w.i64(1);  // global_stride
+  w.i64(len);
+  w.i64(reps);
+  w.i64(local_step);
+  w.i64(0);  // global_step
+  return w.bytes();
+}
+
+TEST(PersistFaultInjection, HostileLeafRecordsArePersistErrors) {
+  // Hand-built journals with valid checksums and no manifest (the scan
+  // path): the seal of a one-rank, one-leaf store {1.0, 2.0}, preceded
+  // by a crafted leaf record in that leaf's slot, or the valid leaf
+  // sealed by a crafted Commit. Every malformed field
+  // must surface as PersistError — not as a wrapped size, an allocation
+  // failure or an out-of-bounds write.
+  const std::string source = fresh_dir("hostile_src");
+  {
+    persist::SnapshotWriter writer(source);
+    std::vector<int> status{0};
+    std::vector<int> saved;
+    std::vector<std::vector<double>> locals{{1.0, 2.0}};
+    const auto runs = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
+    persist::StoreView view;
+    view.status = &status;
+    view.saved = &saved;
+    view.write_counter = 1;
+    persist::VersionView vv;
+    vv.allocated = true;
+    vv.live = true;
+    vv.locals = &locals;
+    vv.runs = {&runs};
+    view.versions.push_back(vv);
+    writer.snapshot(view);
+  }
+  const auto sealed =
+      persist::scan_journal(persist::JournalWriter::journal_path(source));
+  ASSERT_EQ(sealed.records.size(), 2u);
+  const auto payload_of = [&](std::size_t i) {
+    const auto* p = sealed.payload(sealed.records[i]);
+    return std::vector<std::uint8_t>(p, p + sealed.records[i].payload_len);
+  };
+  const auto valid_leaf = payload_of(0);
+  const auto commit = payload_of(1);
+  const std::vector<double> two{1.0, 2.0};
+  constexpr std::int64_t kHuge = std::int64_t{1} << 61;
+
+  struct Hostile {
+    const char* name;
+    persist::RecordType type;
+    std::vector<std::uint8_t> header;
+    std::vector<double> values;
+  };
+  persist::ByteWriter status_count;  // a Commit claiming 2^60 statuses
+  status_count.u64(1);
+  status_count.u64(1);
+  status_count.u64(std::uint64_t{1} << 60);
+  const std::vector<Hostile> cases{
+      {"len 2^61 (len * 8 wraps to 0)", persist::RecordType::kRunBlock,
+       leaf_header(0, 0, 0, kHuge, 1, 0), {}},
+      {"reps 2^61", persist::RecordType::kRunBlock,
+       leaf_header(0, 0, 0, 1, kHuge, 1), {}},
+      {"reps * len * 8 wraps to 16 bytes", persist::RecordType::kRunBlock,
+       leaf_header(0, 0, 0, 2, (std::int64_t{1} << 60) + 1, 2), two},
+      {"zero reps", persist::RecordType::kRunBlock,
+       leaf_header(0, 0, 0, 2, 0, 2), {}},
+      {"negative local_step", persist::RecordType::kRunBlock,
+       leaf_header(0, 0, 0, 1, 2, -1), two},
+      {"local extent overflows", persist::RecordType::kRunBlock,
+       leaf_header(0, 0, 0, 1, 2, INT64_MAX), two},
+      {"leaf past the rank's extent", persist::RecordType::kRunBlock,
+       leaf_header(0, 0, kHuge, 2, 1, 0), two},
+      {"retired RunData leaf", persist::RecordType::kRunData, valid_leaf,
+       {}},
+      {"commit count 2^60", persist::RecordType::kCommit,
+       status_count.bytes(), {}},
+  };
+  for (const Hostile& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = fresh_dir("hostile");
+    {
+      persist::JournalWriter writer(dir);
+      if (c.type == persist::RecordType::kCommit) {
+        writer.append(persist::RecordType::kRunBlock, valid_leaf);
+        writer.append(c.type, c.header);
+      } else {
+        writer.append(c.type, c.header, c.values);
+        writer.append(persist::RecordType::kCommit, commit);
+      }
+    }
+    ASSERT_FALSE(persist::read_manifest(dir).has_value());
+    try {
+      (void)persist::restore(dir);
+      ADD_FAILURE() << "restore accepted the record";
+    } catch (const persist::PersistError& e) {
+      if (c.type == persist::RecordType::kRunData) {
+        EXPECT_NE(std::string(e.what()).find("RunData"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  // Slot identity is bounded by the last Commit's directory: a record for
+  // rank and leaf 2^32 - 1 is dead history the seal never named, so it is
+  // skipped rather than sizing a table — and the valid winner restores.
+  const std::string dir = fresh_dir("hostile_identity");
+  {
+    persist::JournalWriter writer(dir);
+    writer.append(persist::RecordType::kRunBlock, valid_leaf);
+    writer.append(persist::RecordType::kRunBlock,
+                  leaf_header(0xffff'ffffu, 0xffff'ffffu, 0, 2, 1, 0), two);
+    writer.append(persist::RecordType::kCommit, commit);
+  }
+  const auto restored = persist::restore(dir);
+  ASSERT_TRUE(restored.valid);
+  EXPECT_EQ(restored.versions.at(0).locals.at(0),
+            (std::vector<double>{1.0, 2.0}));
+}
+
 TEST(PersistFaultInjection, SigkilledWriterLeavesARecoverableStore) {
-  const Compiled compiled = compile_loop(OptLevel::O0, 128, 4, 6);
-  // Reference: the same run, uninterrupted. Snapshots are deterministic,
-  // so a killed run's sealed epochs must be a prefix of these.
-  const std::string ref_dir = fresh_dir("kill_ref");
-  runtime::RunOptions options;
-  options.seed = 11;
-  options.snapshot_dir = ref_dir;
-  (void)driver::run(compiled, options);
-  const auto reference = persist::sealed_epochs(ref_dir);
-  ASSERT_GE(reference.size(), 3u);
+  for (const DistFormat format :
+       {DistFormat::cyclic(), DistFormat::cyclic(2)}) {
+    SCOPED_TRACE(format.to_string());
+    const Compiled compiled = compile_loop(OptLevel::O0, 128, 4, 6, format);
+    // Reference: the same run, uninterrupted. Snapshots are deterministic,
+    // so a killed run's sealed epochs must be a prefix of these.
+    const std::string ref_dir = fresh_dir("kill_ref");
+    runtime::RunOptions options;
+    options.seed = 11;
+    options.snapshot_dir = ref_dir;
+    (void)driver::run(compiled, options);
+    const auto reference = persist::sealed_epochs(ref_dir);
+    ASSERT_GE(reference.size(), 3u);
 
-  for (int round = 0; round < 5; ++round) {
-    const std::string dir = fresh_dir("kill" + std::to_string(round));
-    runtime::RunOptions child_options = options;
-    child_options.snapshot_dir = dir;
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      (void)driver::run(compiled, child_options);
-      ::_exit(0);
-    }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(100 << (2 * round)));
-    ::kill(pid, SIGKILL);
-    int wstatus = 0;
-    ::waitpid(pid, &wstatus, 0);
+    for (int round = 0; round < 5; ++round) {
+      const std::string dir = fresh_dir("kill" + std::to_string(round));
+      runtime::RunOptions child_options = options;
+      child_options.snapshot_dir = dir;
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        (void)driver::run(compiled, child_options);
+        ::_exit(0);
+      }
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(100 << (2 * round)));
+      ::kill(pid, SIGKILL);
+      int wstatus = 0;
+      ::waitpid(pid, &wstatus, 0);
 
-    // Restore must never throw — any torn tail is an expected crash
-    // artifact — and the rebuilt store must hash to the last seal.
-    const auto restored = persist::restore(dir);
-    const auto sealed = persist::sealed_epochs(dir);
-    if (!restored.valid) {
-      EXPECT_TRUE(sealed.empty());
-      continue;
+      // Restore must never throw — any torn tail is an expected crash
+      // artifact — and the rebuilt store must hash to the last seal.
+      const auto restored = persist::restore(dir);
+      const auto sealed = persist::sealed_epochs(dir);
+      if (!restored.valid) {
+        EXPECT_TRUE(sealed.empty());
+        continue;
+      }
+      ASSERT_LE(sealed.size(), reference.size());
+      for (std::size_t i = 0; i < sealed.size(); ++i) {
+        EXPECT_EQ(sealed[i].epoch, reference[i].epoch);
+        EXPECT_EQ(sealed[i].roots, reference[i].roots) << "epoch " << i + 1;
+      }
+      EXPECT_EQ(restored.epoch, sealed.back().epoch);
+      EXPECT_EQ(restored.roots, sealed.back().roots);
     }
-    ASSERT_LE(sealed.size(), reference.size());
-    for (std::size_t i = 0; i < sealed.size(); ++i) {
-      EXPECT_EQ(sealed[i].epoch, reference[i].epoch);
-      EXPECT_EQ(sealed[i].roots, reference[i].roots) << "epoch " << i + 1;
-    }
-    EXPECT_EQ(restored.epoch, sealed.back().epoch);
-    EXPECT_EQ(restored.roots, sealed.back().roots);
   }
 }
 
