@@ -1,5 +1,7 @@
 #include "driver/compiler.hpp"
 
+#include "testing/reference.hpp"
+
 namespace hpfc::driver {
 
 const char* to_string(OptLevel level) {
@@ -71,7 +73,7 @@ runtime::RunReport run(const Compiled& compiled,
 
 runtime::RunReport run_oracle(const Compiled& compiled,
                               const runtime::RunOptions& options) {
-  return runtime::run_oracle(compiled.program, compiled.analysis, options);
+  return testing::run_reference(compiled.program, compiled.analysis, options);
 }
 
 }  // namespace hpfc::driver

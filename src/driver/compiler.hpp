@@ -51,9 +51,11 @@ Compiled compile(ir::Program program, const CompileOptions& options,
 Compiled compile_source(std::string_view source, const CompileOptions& options,
                         DiagnosticEngine& diags);
 
-/// Convenience wrappers.
+/// Runs the compiled routine on the runtime machine.
 runtime::RunReport run(const Compiled& compiled,
                        const runtime::RunOptions& options = {});
+/// Runs the sequential reference interpreter (testing/reference.hpp) on
+/// the same routine and path: the signature every run must reproduce.
 runtime::RunReport run_oracle(const Compiled& compiled,
                               const runtime::RunOptions& options = {});
 

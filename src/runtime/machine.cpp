@@ -16,6 +16,7 @@
 #include "redist/kernelgen.hpp"
 #include "redist/plan_cache.hpp"
 #include "redist/segments.hpp"
+#include "runtime/expected.hpp"
 #include "support/check.hpp"
 #include "support/strings.hpp"
 
@@ -27,17 +28,6 @@ using ir::ArrayId;
 using ir::CfgKind;
 using mapping::ConcreteLayout;
 using mapping::Index;
-
-/// Deterministic, order-independent read-checksum weight.
-constexpr std::uint64_t weight(std::int64_t linear) {
-  return (static_cast<std::uint64_t>(linear) * 2654435761ULL) % 1000003ULL + 1;
-}
-
-/// Value stamped by the `counter`-th write event at element `linear`.
-constexpr double stamped(std::uint64_t counter, std::int64_t linear) {
-  return static_cast<double>(counter * 1009ULL +
-                             static_cast<std::uint64_t>(linear % 997));
-}
 
 /// One statically mapped version of one array: a local piece per rank.
 struct VersionStorage {
@@ -147,47 +137,38 @@ struct FusedSlot {
 class Machine {
  public:
   Machine(const ir::Program& program, const remap::Analysis& analysis,
-          const codegen::RuntimeProgram* code, const RunOptions& options)
+          const codegen::RuntimeProgram& code, const RunOptions& options)
       : program_(program),
         analysis_(analysis),
         code_(code),
         options_(options),
         rng_(options.seed),
-        // The oracle has no per-rank work worth threading; it always runs
-        // on the sequential backend regardless of the requested one.
         backend_(exec::make_backend(
-            code != nullptr ? options.backend : exec::BackendKind::Seq,
-            machine_ranks(program, options), options.cost, options.threads,
-            exec::ProcConfig{options.proc_timeout_ms})) {
+            options.backend, machine_ranks(program, options), options.cost,
+            options.threads, exec::ProcConfig{options.proc_timeout_ms})) {
     const std::size_t num_arrays = program_.arrays.size();
     status_.assign(num_arrays, 0);
     storage_.resize(num_arrays);
     ownership_.resize(num_arrays);
-    canonical_.resize(num_arrays);
+    expected_.reserve(num_arrays);
     for (std::size_t a = 0; a < num_arrays; ++a) {
+      expected_.emplace_back(program_.arrays[a].shape);
       if (!program_.arrays[a].has_mapping) continue;
-      canonical_[a].assign(
-          static_cast<std::size_t>(program_.arrays[a].shape.total()), 0.0);
       const auto versions = static_cast<std::size_t>(
           analysis_.version_count(static_cast<ArrayId>(a)));
       storage_[a].resize(versions);
       ownership_[a].resize(versions);
     }
-    saved_.assign(code_ != nullptr ? static_cast<std::size_t>(code_->save_slots)
-                                   : 0,
-                  -1);
-    plan_slots_.resize(
-        code_ != nullptr ? static_cast<std::size_t>(code_->plan_slots) : 0);
+    saved_.assign(static_cast<std::size_t>(code_.save_slots), -1);
+    plan_slots_.resize(static_cast<std::size_t>(code_.plan_slots));
     partials_.assign(static_cast<std::size_t>(backend_->ranks()), 0);
-    if (parallel() && !options_.snapshot_dir.empty())
+    if (!options_.snapshot_dir.empty())
       snapshot_writer_ =
           std::make_unique<persist::SnapshotWriter>(options_.snapshot_dir);
-    if (parallel()) {
-      // Dummy arguments arrive allocated by the caller with the imported
-      // values (zeros initially, like the canonical array).
-      for (const ArrayId a : program_.mapped_arrays())
-        if (program_.array(a).is_dummy) allocate(a, 0);
-    }
+    // Dummy arguments arrive allocated by the caller with the imported
+    // values: zeros initially, matching their dead expected values.
+    for (const ArrayId a : program_.mapped_arrays())
+      if (program_.array(a).is_dummy) allocate(a, 0);
   }
 
   RunReport run() {
@@ -214,36 +195,23 @@ class Machine {
 
  private:
   void run_program() {
-    if (parallel())
-      for (const auto& op : code_->at_entry) execute(op);
+    for (const auto& op : code_.at_entry) execute(op);
 
     int node = analysis_.cfg.entry();
     std::map<int, mapping::Extent> loop_trips;
     while (true) {
       const ir::CfgNode& n = analysis_.cfg.node(node);
-      if (n.kind != CfgKind::CallPost && parallel()) {
-        for (const auto& op : code_->at_node[static_cast<std::size_t>(node)])
-          execute(op);
-        // The node's guard code is done: run its vertex's fused
-        // communication round before the node semantics read anything.
-        flush_pending();
-        // The store is quiescent between the vertex's communication and
-        // the node semantics: a crash-consistent snapshot boundary.
-        if (!code_->at_node[static_cast<std::size_t>(node)].empty())
-          maybe_snapshot();
-      }
+      if (n.kind != CfgKind::CallPost) run_guard_code(node);
 
       bool done = false;
       int next = n.succs.empty() ? -1 : n.succs[0];
       switch (n.kind) {
         case CfgKind::Exit: {
-          if (parallel()) {
-            check_exported();
-            // Seal the final store before the exit cleanup frees it, so
-            // the last sealed epoch always captures the program's result.
-            take_snapshot();
-            for (const auto& op : code_->at_exit) execute(op);
-          }
+          check_exported();
+          // Seal the final store before the exit cleanup frees it, so
+          // the last sealed epoch always captures the program's result.
+          take_snapshot();
+          for (const auto& op : code_.at_exit) execute(op);
           done = true;
           break;
         }
@@ -319,29 +287,22 @@ class Machine {
         default:
           break;
       }
-      if (n.kind == CfgKind::CallPost && parallel()) {
-        for (const auto& op : code_->at_node[static_cast<std::size_t>(node)])
-          execute(op);
-        flush_pending();
-        if (!code_->at_node[static_cast<std::size_t>(node)].empty())
-          maybe_snapshot();
-      }
+      if (n.kind == CfgKind::CallPost) run_guard_code(node);
       if (done) break;
       HPFC_ASSERT_MSG(next >= 0, "control fell off the CFG");
       node = next;
-      if (options_.paranoid && parallel()) check_liveness_invariant();
+      if (options_.paranoid) check_liveness_invariant();
     }
   }
 
-  [[nodiscard]] bool parallel() const { return code_ != nullptr; }
-
-  static int machine_ranks(const ir::Program& program,
-                           const RunOptions& options) {
-    if (options.ranks > 0) return options.ranks;
-    mapping::Extent max_ranks = 1;
-    for (const auto& p : program.procs)
-      max_ranks = std::max(max_ranks, p.shape.total());
-    return static_cast<int>(max_ranks);
+  /// Runs a node's guard code, then its vertex's fused communication
+  /// round, so the node semantics read only moved data. The store is then
+  /// quiescent: a crash-consistent snapshot boundary.
+  void run_guard_code(int node) {
+    const auto& ops = code_.at_node[static_cast<std::size_t>(node)];
+    for (const auto& op : ops) execute(op);
+    flush_pending();
+    if (!ops.empty()) maybe_snapshot();
   }
 
   const ConcreteLayout& layout(ArrayId a, int version) const {
@@ -556,36 +517,13 @@ class Machine {
   }
 
   /// §4.3 live-region semantics: elements outside the region are dead and
-  /// read as zero from here on — in the canonical values and in every
-  /// live copy (a purely local operation).
+  /// read as zero from here on — in the expected values (an O(dims) box
+  /// intersection) and in every live copy (a purely local operation).
   void execute_live_region(const ir::LiveRegionStmt& live) {
     if (!program_.array(live.array).has_mapping) return;
     const auto& shape = program_.array(live.array).shape;
-    const int dims = shape.rank();
-    if (dims == 0) return;  // a scalar has no region to clip
-    auto& canonical = canonical_[static_cast<std::size_t>(live.array)];
-    // Canonical values: one incremental row-major coordinate walk.
-    {
-      mapping::IndexVec coord(static_cast<std::size_t>(dims), 0);
-      const mapping::Extent total = shape.total();
-      for (Index lin = 0; lin < total; ++lin) {
-        for (int d = 0; d < dims; ++d) {
-          const Index c = coord[static_cast<std::size_t>(d)];
-          if (c < live.region[static_cast<std::size_t>(d)].first ||
-              c >= live.region[static_cast<std::size_t>(d)].second) {
-            canonical[static_cast<std::size_t>(lin)] = 0.0;
-            break;
-          }
-        }
-        for (int d = dims - 1; d >= 0; --d) {
-          if (++coord[static_cast<std::size_t>(d)] < shape.extent(d)) break;
-          coord[static_cast<std::size_t>(d)] = 0;
-        }
-      }
-    }
-    if (!parallel()) return;
-    const auto [inner_lo, inner_hi] =
-        live.region[static_cast<std::size_t>(dims - 1)];
+    if (shape.rank() == 0) return;  // a scalar has no region to clip
+    expected_[static_cast<std::size_t>(live.array)].live(live.region);
     auto& versions = storage_[static_cast<std::size_t>(live.array)];
     for (std::size_t v = 0; v < versions.size(); ++v) {
       auto& vs = versions[v];
@@ -598,32 +536,8 @@ class Machine {
         own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
             [&](const mapping::OwnedRun& run) {
               double* vals = local.data() + run.local_base;
-              // A stretch varies only the innermost dimension: one outer
-              // bounds check, then closed-form inner clipping.
-              const mapping::IndexVec coord =
-                  shape.delinearize(run.global_base);
-              bool outer_inside = true;
-              for (int d = 0; d + 1 < dims; ++d) {
-                const Index c = coord[static_cast<std::size_t>(d)];
-                if (c < live.region[static_cast<std::size_t>(d)].first ||
-                    c >= live.region[static_cast<std::size_t>(d)].second) {
-                  outer_inside = false;
-                  break;
-                }
-              }
-              if (!outer_inside) {
-                std::fill_n(vals, run.len, 0.0);
-                return;
-              }
-              const Index c0 = coord[static_cast<std::size_t>(dims - 1)];
-              const mapping::Extent st = run.global_stride;
-              // First member inside and first member past the inner window.
-              const mapping::Extent j_lo = std::clamp<mapping::Extent>(
-                  inner_lo <= c0 ? 0 : (inner_lo - c0 + st - 1) / st, 0,
-                  run.len);
-              const mapping::Extent j_hi = std::clamp<mapping::Extent>(
-                  inner_hi <= c0 ? 0 : (inner_hi - c0 + st - 1) / st, 0,
-                  run.len);
+              const auto [j_lo, j_hi] =
+                  clip_stretch(shape, live.region, run);
               std::fill_n(vals, j_lo, 0.0);
               if (j_hi < run.len)
                 std::fill_n(vals + j_hi, run.len - j_hi, 0.0);
@@ -641,9 +555,7 @@ class Machine {
   /// oracle-identical across levels if every dead element reads as zero.
   void execute_kill(const ir::KillStmt& kill) {
     if (!program_.array(kill.array).has_mapping) return;
-    auto& canonical = canonical_[static_cast<std::size_t>(kill.array)];
-    std::fill(canonical.begin(), canonical.end(), 0.0);
-    if (!parallel()) return;
+    expected_[static_cast<std::size_t>(kill.array)].kill();
     auto& versions = storage_[static_cast<std::size_t>(kill.array)];
     for (auto& vs : versions) {
       if (!vs.allocated) continue;
@@ -1000,14 +912,6 @@ class Machine {
   void touch_read(int node, ArrayId a) {
     if (!program_.array(a).has_mapping) return;
     ++report_.reads;
-    if (!parallel()) {
-      const auto& values = canonical_[static_cast<std::size_t>(a)];
-      for (std::size_t i = 0; i < values.size(); ++i)
-        report_.signature +=
-            static_cast<std::uint64_t>(values[i]) *
-            weight(static_cast<std::int64_t>(i));
-      return;
-    }
     const int version = ref_version(node, a);
     HPFC_ASSERT_MSG(status_[static_cast<std::size_t>(a)] == version,
                     "runtime status disagrees with the static version");
@@ -1043,13 +947,8 @@ class Machine {
     if (!program_.array(a).has_mapping) return;
     ++report_.writes;
     const std::uint64_t counter = ++write_counter_;
-    auto& values = canonical_[static_cast<std::size_t>(a)];
-    if (!parallel()) {
-      for (std::size_t i = 0; i < values.size(); ++i)
-        values[i] = stamped(counter, static_cast<std::int64_t>(i));
-      return;
-    }
-
+    expected_[static_cast<std::size_t>(a)].write(counter,
+                                                 program_.array(a).shape);
     const int version = ref_version(node, a);
     HPFC_ASSERT_MSG(status_[static_cast<std::size_t>(a)] == version,
                     "runtime status disagrees with the static version");
@@ -1059,12 +958,8 @@ class Machine {
     vs.live = true;
     const ConcreteLayout& lay = layout(a, version);
     const OwnershipProgram& own = ownership(a, version);
-    // One superstep stamps both the canonical values (disjoint linear
-    // slices, one per rank) and each rank's own local piece.
+    // One superstep: each rank stamps its own local piece.
     backend_->step([&](int r) {
-      const auto [begin, end] = rank_slice(values.size(), r);
-      for (std::size_t i = begin; i < end; ++i)
-        values[i] = stamped(counter, static_cast<std::int64_t>(i));
       if (r >= lay.ranks()) return;
       auto& local = vs.locals[static_cast<std::size_t>(r)];
       own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
@@ -1079,18 +974,9 @@ class Machine {
     vs.dirty = true;
   }
 
-  /// The contiguous slice of [0, n) that rank r stamps when shared
-  /// canonical values are updated cooperatively.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> rank_slice(
-      std::size_t n, int r) const {
-    const auto ranks = static_cast<std::size_t>(backend_->ranks());
-    const auto rank = static_cast<std::size_t>(r);
-    return {n * rank / ranks, n * (rank + 1) / ranks};
-  }
-
   // ---- validation -------------------------------------------------------
 
-  /// Every live copy other than the current one must hold the canonical
+  /// Every live copy other than the current one must hold the expected
   /// values (the liveness invariant the optimizations rely on).
   void check_liveness_invariant() const {
     for (std::size_t a = 0; a < storage_.size(); ++a) {
@@ -1099,50 +985,58 @@ class Machine {
         if (!vs.live || !vs.allocated) continue;
         if (static_cast<int>(v) == status_[a]) continue;
         HPFC_ASSERT_MSG(
-            matches_canonical(static_cast<ArrayId>(a), static_cast<int>(v)),
+            matches_expected(static_cast<ArrayId>(a), static_cast<int>(v)),
             "live copy " + program_.arrays[a].name + "_" + std::to_string(v) +
-                " diverged from canonical values");
+                " diverged from the expected values");
       }
     }
   }
 
   /// Whether every rank's owned elements of (a, version) hold the
-  /// canonical values.
-  [[nodiscard]] bool matches_canonical(ArrayId a, int version) const {
+  /// expected values: each stretch's stamped members, clipped in closed
+  /// form from the array's descriptor, and zeros around them.
+  [[nodiscard]] bool matches_expected(ArrayId a, int version) const {
     const auto& vs =
         storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(version)];
     const ConcreteLayout& lay = layout(a, version);
     const OwnershipProgram& own = ownership(a, version);
-    const auto& canonical = canonical_[static_cast<std::size_t>(a)];
+    const ExpectedValues& expected = expected_[static_cast<std::size_t>(a)];
+    const mapping::Shape& shape = program_.array(a).shape;
     bool match = true;
     for (int r = 0; r < lay.ranks() && match; ++r) {
       const auto& local = vs.locals[static_cast<std::size_t>(r)];
       own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
           [&](const mapping::OwnedRun& run) {
+            if (!match) return;
             const double* vals = local.data() + run.local_base;
-            Index global = run.global_base;
-            for (mapping::Extent j = 0; j < run.len && match;
-                 ++j, global += run.global_stride)
-              match = vals[j] == canonical[static_cast<std::size_t>(global)];
+            const auto [j_lo, j_hi] = expected.stamped_members(shape, run);
+            for (mapping::Extent j = 0; j < run.len && match; ++j) {
+              const double want =
+                  j >= j_lo && j < j_hi
+                      ? stamped(expected.counter,
+                                run.global_base + j * run.global_stride)
+                      : 0.0;
+              match = vals[j] == want;
+            }
           });
     }
     return match;
   }
 
-  /// Exported dummy arguments must hold the canonical values at exit.
+  /// Exported dummy arguments must hold the expected values at exit.
   void check_exported() {
     for (const ArrayId a : program_.mapped_arrays()) {
       const auto& decl = program_.array(a);
       if (!decl.is_dummy || decl.intent == ir::Intent::In) continue;
       if (!storage_[static_cast<std::size_t>(a)][0].allocated ||
-          !matches_canonical(a, 0))
+          !matches_expected(a, 0))
         report_.exported_values_ok = false;
     }
   }
 
   const ir::Program& program_;
   const remap::Analysis& analysis_;
-  const codegen::RuntimeProgram* code_;
+  const codegen::RuntimeProgram& code_;
   RunOptions options_;
   std::mt19937 rng_;
   std::unique_ptr<exec::Backend> backend_;
@@ -1153,7 +1047,9 @@ class Machine {
   /// Cached ownership programs per (array, version); lazily built, mutable
   /// because the const validation paths share the cache.
   mutable std::vector<std::vector<std::optional<OwnershipProgram>>> ownership_;
-  std::vector<std::vector<double>> canonical_;
+  /// Per-array closed-form expected values (indexed by ArrayId; only
+  /// mapped arrays' descriptors are ever updated).
+  std::vector<ExpectedValues> expected_;
   std::vector<int> saved_;
   std::uint64_t write_counter_ = 0;
   std::uint64_t bytes_in_use_ = 0;
@@ -1180,6 +1076,14 @@ class Machine {
 };
 
 }  // namespace
+
+int machine_ranks(const ir::Program& program, const RunOptions& options) {
+  if (options.ranks > 0) return options.ranks;
+  mapping::Extent max_ranks = 1;
+  for (const auto& p : program.procs)
+    max_ranks = std::max(max_ranks, p.shape.total());
+  return static_cast<int>(max_ranks);
+}
 
 std::string RunReport::summary() const {
   std::ostringstream os;
@@ -1239,14 +1143,7 @@ RunReport run_parallel(const ir::Program& program,
                        const remap::Analysis& analysis,
                        const codegen::RuntimeProgram& code,
                        const RunOptions& options) {
-  Machine machine(program, analysis, &code, options);
-  return machine.run();
-}
-
-RunReport run_oracle(const ir::Program& program,
-                     const remap::Analysis& analysis,
-                     const RunOptions& options) {
-  Machine machine(program, analysis, nullptr, options);
+  Machine machine(program, analysis, code, options);
   return machine.run();
 }
 

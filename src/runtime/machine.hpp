@@ -4,16 +4,21 @@
 // code (codegen::RuntimeProgram) manages the per-array status descriptor
 // and per-copy live flags; Copy ops run real redistribution communication
 // through an exec::Backend (the sequential BSP loop or the thread-per-rank
-// engine — both yield identical results, inbox order, and NetStats).
+// engine, or forked worker processes over sockets — all yield identical
+// results, inbox order, and NetStats).
 // Copies sharing a codegen copy group (one remapping vertex) are deferred
 // and flushed as ONE fused exchange superstep with per-(src,dst) combined
 // messages (see redist/fused.hpp).
 //
-// Execution is differential-testable: a sequential oracle executes the
-// same control-flow path against one canonical value array per abstract
-// array; read checksums (exact integer arithmetic, order-independent) must
-// be identical. Writes stamp deterministic values derived from a write
-// counter shared by construction between the two executions.
+// Execution is differential-testable: writes stamp deterministic values
+// derived from a global write counter, and reads fold order-independent
+// checksums (runtime/expected.hpp). The sequential reference interpreter
+// (testing/reference.hpp, behind driver::run_oracle) walks the same
+// control-flow path over plain n-element arrays, so read checksums must
+// be identical. The machine itself keeps no such shadow: each array's
+// expected values are a closed-form descriptor (last write's counter,
+// live box or dead), against which exported dummies and, under
+// RunOptions::paranoid, live copies are checked stretch by stretch.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +48,9 @@ struct RunOptions {
   /// copies (they are regenerated later with communication, §5.2).
   std::uint64_t memory_limit = 0;
   /// Validate, after every step, that every live non-current copy holds
-  /// the canonical values (the liveness invariant). Slow; for tests.
+  /// its array's expected values — the closed form of the last write and
+  /// the live regions and kills since (the liveness invariant). Slow; for
+  /// tests.
   bool paranoid = false;
   /// How rank work executes on the host: the sequential BSP loop or the
   /// thread-per-rank engine. Both produce identical results and NetStats;
@@ -96,7 +103,9 @@ struct RunReport {
   /// src == dst transfers executed as direct strided local copies,
   /// bypassing message materialization entirely.
   std::uint64_t local_fastpath_copies = 0;
-  /// Exported dummy arguments held the canonical values at exit.
+  /// Every exported (out / inout) dummy argument's origin copy held its
+  /// array's expected values at exit, checked per owned stretch against
+  /// the closed-form descriptor.
   bool exported_values_ok = true;
   net::NetStats net;
 
@@ -154,15 +163,14 @@ void write_json_fields(std::ostream& os, const RunReport& report);
 void write_json_calibration(std::ostream& os,
                             const exec::Calibration& calibration);
 
+/// The machine size a run resolves to: RunOptions::ranks, or the largest
+/// processor arrangement the program declares.
+int machine_ranks(const ir::Program& program, const RunOptions& options);
+
 /// Runs the compiled routine on the simulated machine.
 RunReport run_parallel(const ir::Program& program,
                        const remap::Analysis& analysis,
                        const codegen::RuntimeProgram& code,
                        const RunOptions& options = {});
-
-/// Runs the sequential reference semantics (no distribution, no copies).
-RunReport run_oracle(const ir::Program& program,
-                     const remap::Analysis& analysis,
-                     const RunOptions& options = {});
 
 }  // namespace hpfc::runtime

@@ -2,7 +2,8 @@
 // every optimization level and execution backend. For each accepted
 // program Theorem 1 must hold after optimization, the parallel signature
 // must equal the sequential oracle's, and every NetStats counter must be
-// byte-identical across backends at the same level. A second sweep
+// byte-identical across backends at the same level; the seq run also
+// checks the liveness invariant after every step. A second sweep
 // reruns every program, level and backend under half the seq backend's
 // unlimited peak memory, where copies and plan slots get evicted.
 // Failures print a self-contained reproducer line (generator seed + run
@@ -106,6 +107,10 @@ TEST_P(FuzzPrograms, BackendsMatchTheOracleAtEveryLevel) {
       SCOPED_TRACE(reproducer(gen_seed, run_seed, level, backend));
       runtime::RunOptions backend_options = run_options;
       backend_options.backend = backend;
+      // The seq leg checks every live copy against the expected values
+      // after every step, so each generated live region and kill is
+      // validated where it happens, not only at the next read.
+      backend_options.paranoid = backend == exec::BackendKind::Seq;
       const auto parallel = driver::run(compiled, backend_options);
       EXPECT_EQ(parallel.signature, oracle.signature);
       EXPECT_TRUE(parallel.exported_values_ok);

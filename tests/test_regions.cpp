@@ -1,13 +1,22 @@
 // The §4.3 array-region extension: live-region assertions restrict
 // remapping communication to the live rectangle; dead elements read as
 // zero; the must-analysis drops regions at writes and path disagreements.
+// Exported dummies must carry a kill's or a live region's zeros out of
+// the routine, and the runtime's closed-form expected values must agree
+// with a per-element shadow array over random layouts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
 #include "hpf/parser.hpp"
+#include "runtime/expected.hpp"
+#include "testing/program_gen.hpp"
 
 namespace hpfc {
 namespace {
@@ -270,6 +279,193 @@ TEST(LiveRegion, ClipsCyclicStretchesPerRow) {
                    "2");
     b.use({"A"});
   });
+}
+
+/// Compiles `source` at every level and runs it on every backend with the
+/// liveness invariant checked after each step: the signature must equal
+/// the oracle's and every exported dummy must hold its expected values.
+void expect_exported_runs(const char* source) {
+  for (const OptLevel level : {OptLevel::O0, OptLevel::O1, OptLevel::O2}) {
+    DiagnosticEngine diags;
+    driver::CompileOptions options;
+    options.level = level;
+    const Compiled c = driver::compile_source(source, options, diags);
+    ASSERT_TRUE(c.ok) << diags.to_string();
+    for (const exec::BackendKind backend :
+         {exec::BackendKind::Seq, exec::BackendKind::Thread,
+          exec::BackendKind::Proc}) {
+      SCOPED_TRACE(std::string(driver::to_string(level)) + " " +
+                   exec::to_string(backend));
+      run_checked(c, 7, backend);
+    }
+  }
+}
+
+TEST(ExportedDummy, KillBeforeExitExportsZeros) {
+  // The kill leaves every element of the exported dummy dead: the copy
+  // the caller receives must read as zeros, not as the def's values.
+  expect_exported_runs(R"(
+routine killdummy
+processors P(4)
+dummy A(64) intent(inout)
+distribute A(block) onto P
+begin
+  def(A)
+  redistribute A(cyclic)
+  use(A)
+  kill(A)
+end
+)");
+}
+
+TEST(ExportedDummy, LiveRegionBeforeExitExportsTheRectangle) {
+  // Only rows [2, 9) x columns [3, 12) stay live; the remap back to the
+  // dummy's (block, *) origin carries them, the rest must read as zeros.
+  expect_exported_runs(R"(
+routine liveexit
+processors P(4)
+dummy A(16,16) intent(inout)
+distribute A(block,*) onto P
+begin
+  def(A)
+  redistribute A(*,block)
+  use(A)
+  live A(2:9, 3:12)
+end
+)");
+}
+
+// ---- closed-form expected values ----------------------------------------
+
+/// The per-element model the closed form replaces: a plain vector over
+/// the whole array, stamped on a write, zeroed outside a live region's
+/// rectangle and zeroed entirely by a kill.
+struct ShadowValues {
+  Shape shape;
+  std::vector<double> values;
+
+  explicit ShadowValues(Shape s)
+      : shape(std::move(s)),
+        values(static_cast<std::size_t>(shape.total()), 0.0) {}
+
+  void write(std::uint64_t counter) {
+    for (std::size_t i = 0; i < values.size(); ++i)
+      values[i] = runtime::stamped(counter, static_cast<std::int64_t>(i));
+  }
+  void live(const ir::Region& region) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const auto coord = shape.delinearize(static_cast<mapping::Index>(i));
+      for (std::size_t d = 0; d < coord.size(); ++d)
+        if (coord[d] < region[d].first || coord[d] >= region[d].second)
+          values[i] = 0.0;
+    }
+  }
+  void kill() { std::fill(values.begin(), values.end(), 0.0); }
+};
+
+/// Every owned element of every rank of `layout`, expected in closed form
+/// (descriptor + clip_stretch per stretch), equals the shadow's value;
+/// the clipped window holds exactly the stretch members inside the box.
+void expect_closed_form_matches(const mapping::ConcreteLayout& layout,
+                                const runtime::ExpectedValues& expected,
+                                const ShadowValues& shadow,
+                                const std::string& what) {
+  const Shape& shape = shadow.shape;
+  for (int r = 0; r < layout.ranks(); ++r) {
+    layout.owned_program(r).for_each_stretch(
+        [&](const mapping::OwnedRun& run) {
+          const auto [j_lo, j_hi] = expected.stamped_members(shape, run);
+          ASSERT_LE(0, j_lo) << what;
+          ASSERT_LE(j_lo, j_hi) << what;
+          ASSERT_LE(j_hi, run.len) << what;
+          for (mapping::Extent j = 0; j < run.len; ++j) {
+            const mapping::Index global =
+                run.global_base + j * run.global_stride;
+            const bool stamped_member = j >= j_lo && j < j_hi;
+            const double closed =
+                stamped_member ? runtime::stamped(expected.counter, global)
+                               : 0.0;
+            ASSERT_EQ(closed, shadow.values[static_cast<std::size_t>(global)])
+                << what << " rank " << r << " element " << global;
+            if (!expected.dead) {
+              const auto coord = shape.delinearize(global);
+              bool inside = true;
+              for (std::size_t d = 0; d < coord.size(); ++d)
+                inside = inside && coord[d] >= expected.box[d].first &&
+                         coord[d] < expected.box[d].second;
+              ASSERT_EQ(stamped_member, inside)
+                  << what << " rank " << r << " element " << global;
+            }
+          }
+        });
+  }
+}
+
+/// A random non-empty sub-rectangle of `shape`. Successive ones often
+/// miss each other, so some intersections come out empty.
+ir::Region random_region(std::mt19937& rng, const Shape& shape) {
+  ir::Region region;
+  for (int d = 0; d < shape.rank(); ++d) {
+    const mapping::Extent n = shape.extent(d);
+    const mapping::Extent lo = static_cast<mapping::Extent>(rng() % n);
+    const mapping::Extent hi =
+        lo + 1 + static_cast<mapping::Extent>(rng() % (n - lo));
+    region.emplace_back(lo, hi);
+  }
+  return region;
+}
+
+TEST(ExpectedValues, ClosedFormMatchesThePerElementShadow) {
+  std::mt19937 rng(20261017);
+  const std::vector<Shape> shapes = {Shape{},        Shape{1},
+                                     Shape{37},      Shape{64},
+                                     Shape{7, 9},    Shape{16, 16},
+                                     Shape{5, 4, 6}, Shape{3, 8, 5}};
+  int empty_intersections = 0;
+  int live_after_kill = 0;
+  int write_after_live = 0;
+  for (const Shape& shape : shapes) {
+    for (int trial = 0; trial < 25; ++trial) {
+      const mapping::ConcreteLayout layout =
+          testing::random_layout(rng, shape);
+      runtime::ExpectedValues expected(shape);
+      ShadowValues shadow(shape);
+      std::uint64_t counter = 0;
+      char last = 'n';
+      expect_closed_form_matches(layout, expected, shadow, "initial");
+      for (int step = 0; step < 12; ++step) {
+        const int op = static_cast<int>(rng() % 5);
+        std::string what = shape.to_string() + " " + layout.to_string() +
+                           " step " + std::to_string(step);
+        if (op <= 1) {
+          ++counter;
+          if (last == 'l') ++write_after_live;
+          expected.write(counter, shape);
+          shadow.write(counter);
+          last = 'w';
+          what += " write";
+        } else if (op <= 3) {
+          const ir::Region region = random_region(rng, shape);
+          const bool was_dead = expected.dead;
+          if (last == 'k') ++live_after_kill;
+          expected.live(region);
+          shadow.live(region);
+          if (!was_dead && expected.dead) ++empty_intersections;
+          last = 'l';
+          what += " live";
+        } else {
+          expected.kill();
+          shadow.kill();
+          last = 'k';
+          what += " kill";
+        }
+        expect_closed_form_matches(layout, expected, shadow, what);
+      }
+    }
+  }
+  EXPECT_GT(empty_intersections, 0);
+  EXPECT_GT(live_after_kill, 0);
+  EXPECT_GT(write_after_live, 0);
 }
 
 }  // namespace
