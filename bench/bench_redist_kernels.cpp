@@ -3,14 +3,16 @@
 // of the periodic-pattern method vs the sorted-list oracle — plus the
 // kernel-fragment microbench: pack+unpack ns/element of the specialized
 // kernel vs the interpreted segment walker, per segment shape (long
-// memcpy, 3-element unrolled, singleton, and the cyclic(2) -> cyclic(3)
+// memcpy, 3-element unrolled, singleton, the cyclic(2) -> cyclic(3)
 // P=8 pattern both as compiled, a periodic body, and as its flat
-// expansion).
+// expansion, and gather/scatter/strided segments of non-unit stride at
+// lengths 64 and 4096).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -119,13 +121,16 @@ struct ShapeCase {
 };
 
 /// A single hand-built flat program of `count` segments of `len`
-/// elements, spaced `src_gap`/`dst_gap` apart so none coalesce.
+/// elements with strides `src_stride`/`dst_stride`, spaced
+/// `src_gap`/`dst_gap` apart so none coalesce.
 ShapeCase flat_shape(Extent count, Extent len, Extent src_gap,
-                     Extent dst_gap) {
+                     Extent dst_gap, Extent src_stride = 1,
+                     Extent dst_stride = 1) {
   ShapeCase c;
   std::vector<hpfc::redist::CopySegment> segments;
   for (Extent i = 0; i < count; ++i)
-    segments.push_back({i * src_gap, 1, i * dst_gap, 1, len});
+    segments.push_back(
+        {i * src_gap, src_stride, i * dst_gap, dst_stride, len});
   c.programs.push_back(
       hpfc::redist::SegmentProgram::flat(0, 0, std::move(segments)));
   c.src.assign(1, std::vector<double>(
@@ -211,6 +216,25 @@ void report_fragments(Harness& h) {
   time_shape(h, "singleton", flat_shape(1 << 19, 1, 2, 3));
   time_shape(h, "cyclic(2)->cyclic(3) flat", cyclic_shape(false));
   time_shape(h, "cyclic(2)->cyclic(3) periodic", cyclic_shape(true));
+  // Non-unit strides over 2^18 elements, each segment's elements
+  // interleaved `stride` apart; stride 5 is the runtime-stride control.
+  struct Strided {
+    const char* kind;
+    Extent src_stride;
+    Extent dst_stride;
+  };
+  const Strided strided[] = {{"gather s=2", 2, 1},  {"gather s=3", 3, 1},
+                             {"gather s=16", 16, 1}, {"gather s=5", 5, 1},
+                             {"scatter s=4", 1, 4},  {"strided s=3x2", 3, 2}};
+  for (const Extent len : {64, 4096}) {
+    for (const Strided& s : strided) {
+      const std::string shape =
+          std::string(s.kind) + " len=" + std::to_string(len);
+      time_shape(h, shape.c_str(),
+                 flat_shape((1 << 18) / len, len, len * s.src_stride,
+                            len * s.dst_stride, s.src_stride, s.dst_stride));
+    }
+  }
 }
 
 void BM_plan_oracle(benchmark::State& state) {

@@ -13,29 +13,23 @@ namespace {
 
 // ---- fragment bodies ----------------------------------------------------
 //
-// Each strided body is instantiated over a (src_stride, dst_stride) pair
-// of compile-time constants; the sentinel 0 means "read the stride from
-// the segment" (the runtime fallback). A constant unit stride compiles to
-// memcpy; other constant strides compile to a 4-wide unrolled loop the
-// compiler can keep branch-free and vectorize.
+// Each strided body is instantiated for a unit or a runtime stride per
+// side: a unit stride compiles to memcpy; a runtime stride, read from the
+// segment, compiles to a 4-wide unrolled loop the compiler can keep
+// branch-free. A pack reads only the source stride and an unpack only the
+// destination stride (the payload side is always contiguous).
 
-template <Extent S>
-inline Extent stride_of(Extent runtime_stride) {
-  if constexpr (S == 0) return runtime_stride;
-  return S;
-}
-
-template <Extent SS, Extent DS>
+template <bool UnitSrc>
 void pack_body(const CopySegment* segs, std::size_t count, const double* src,
                double* out) {
   for (std::size_t i = 0; i < count; ++i) {
     const CopySegment& s = segs[i];
     const double* in = src + s.src_base;
     const Extent len = s.len;
-    if constexpr (SS == 1) {
+    if constexpr (UnitSrc) {
       std::memcpy(out, in, static_cast<std::size_t>(len) * sizeof(double));
     } else {
-      const Extent st = stride_of<SS>(s.src_stride);
+      const Extent st = s.src_stride;
       Extent j = 0;
       for (; j + 4 <= len; j += 4) {
         out[j] = in[j * st];
@@ -49,17 +43,17 @@ void pack_body(const CopySegment* segs, std::size_t count, const double* src,
   }
 }
 
-template <Extent SS, Extent DS>
+template <bool UnitDst>
 void unpack_body(const CopySegment* segs, std::size_t count, const double* in,
                  double* dst) {
   for (std::size_t i = 0; i < count; ++i) {
     const CopySegment& s = segs[i];
     double* out = dst + s.dst_base;
     const Extent len = s.len;
-    if constexpr (DS == 1) {
+    if constexpr (UnitDst) {
       std::memcpy(out, in, static_cast<std::size_t>(len) * sizeof(double));
     } else {
-      const Extent st = stride_of<DS>(s.dst_stride);
+      const Extent st = s.dst_stride;
       Extent j = 0;
       for (; j + 4 <= len; j += 4) {
         out[j * st] = in[j];
@@ -73,7 +67,7 @@ void unpack_body(const CopySegment* segs, std::size_t count, const double* in,
   }
 }
 
-template <Extent SS, Extent DS>
+template <bool UnitSrc, bool UnitDst>
 void copy_body(const CopySegment* segs, std::size_t count, const double* src,
                double* dst) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -81,11 +75,11 @@ void copy_body(const CopySegment* segs, std::size_t count, const double* src,
     const double* in = src + s.src_base;
     double* out = dst + s.dst_base;
     const Extent len = s.len;
-    if constexpr (SS == 1 && DS == 1) {
+    if constexpr (UnitSrc && UnitDst) {
       std::memcpy(out, in, static_cast<std::size_t>(len) * sizeof(double));
     } else {
-      const Extent sst = stride_of<SS>(s.src_stride);
-      const Extent dst_st = stride_of<DS>(s.dst_stride);
+      const Extent sst = UnitSrc ? 1 : s.src_stride;
+      const Extent dst_st = UnitDst ? 1 : s.dst_stride;
       Extent j = 0;
       for (; j + 4 <= len; j += 4) {
         out[j * dst_st] = in[j * sst];
@@ -181,44 +175,10 @@ constexpr Fragment make_fragment(const char* name) {
 }
 
 // ---- the catalog --------------------------------------------------------
-
-/// Stride values with dedicated template instantiations; index 6 (value 0)
-/// is the runtime-stride fallback. {2, 3, 4, 8, 16} cover the block <->
-/// cyclic(k) remapping shapes of the paper's workloads at common machine
-/// sizes; anything else reads its strides from the segment table.
-constexpr std::array<Extent, 7> kStrideValues = {1, 2, 3, 4, 8, 16, 0};
-
-constexpr const char* fragment_name(Extent ss, Extent ds) {
-  if (ss == 1 && ds == 1) return "memcpy";
-  if (ss == 0 || ds == 0) return "strided_any";
-  if (ds == 1) return "gather_const";
-  if (ss == 1) return "scatter_const";
-  return "strided_const";
-}
-
-template <std::size_t I, std::size_t J>
-constexpr Fragment make_strided_fragment() {
-  constexpr Extent SS = kStrideValues[I];
-  constexpr Extent DS = kStrideValues[J];
-  return make_fragment<&pack_body<SS, DS>, &unpack_body<SS, DS>,
-                       &copy_body<SS, DS>>(fragment_name(SS, DS));
-}
-
-template <std::size_t I, std::size_t... Js>
-constexpr std::array<Fragment, sizeof...(Js)> make_strided_row(
-    std::index_sequence<Js...>) {
-  return {make_strided_fragment<I, Js>()...};
-}
-
-template <std::size_t... Is>
-constexpr std::array<std::array<Fragment, kStrideValues.size()>, sizeof...(Is)>
-make_strided_table(std::index_sequence<Is...>) {
-  return {make_strided_row<Is>(
-      std::make_index_sequence<kStrideValues.size()>{})...};
-}
-
-constexpr auto kStridedTable =
-    make_strided_table(std::make_index_sequence<kStrideValues.size()>{});
+//
+// The strided cells are the {unit, runtime}^2 stride pairs: the A/B rows
+// of bench_redist_kernels' `fragments` figure show no constant non-unit
+// stride beating the runtime-stride body (docs/kernels.md).
 
 constexpr Fragment kSingleton =
     make_fragment<&pack_singleton, &unpack_singleton, &copy_singleton>(
@@ -226,23 +186,29 @@ constexpr Fragment kSingleton =
 constexpr Fragment kUnrolled =
     make_fragment<&pack_unrolled, &unpack_unrolled, &copy_unrolled>(
         "unrolled");
-
-constexpr std::size_t stride_index(Extent stride) {
-  for (std::size_t i = 0; i + 1 < kStrideValues.size(); ++i)
-    if (kStrideValues[i] == stride) return i;
-  return kStrideValues.size() - 1;  // runtime fallback
-}
+constexpr Fragment kMemcpy =
+    make_fragment<&pack_body<true>, &unpack_body<true>,
+                  &copy_body<true, true>>("memcpy");
+constexpr Fragment kGather =
+    make_fragment<&pack_body<false>, &unpack_body<true>,
+                  &copy_body<false, true>>("gather");
+constexpr Fragment kScatter =
+    make_fragment<&pack_body<true>, &unpack_body<false>,
+                  &copy_body<true, false>>("scatter");
+constexpr Fragment kStrided =
+    make_fragment<&pack_body<false>, &unpack_body<false>,
+                  &copy_body<false, false>>("strided");
 
 const Fragment* classify(const CopySegment& seg) {
   if (seg.len == 1) return &kSingleton;
   if (seg.len <= 4) return &kUnrolled;
-  return &kStridedTable[stride_index(seg.src_stride)]
-                       [stride_index(seg.dst_stride)];
+  if (seg.src_stride == 1) return seg.dst_stride == 1 ? &kMemcpy : &kScatter;
+  return seg.dst_stride == 1 ? &kGather : &kStrided;
 }
 
-constexpr std::array<std::string_view, 8> kCatalog = {
-    "singleton",     "unrolled",      "memcpy",      "gather_const",
-    "scatter_const", "strided_const", "strided_any", "periodic"};
+constexpr std::array<std::string_view, 7> kCatalog = {
+    "singleton", "unrolled", "memcpy",  "gather",
+    "scatter",   "strided",  "periodic"};
 
 }  // namespace
 

@@ -4,10 +4,11 @@
 // executes straight-line bulk moves instead of the interpreted segment
 // walker's per-segment stride branches.
 //
-// The catalog of fragments is compiled ahead of time (template
-// instantiations over constant stride pairs, plus unrolled small-count and
-// singleton bodies and a runtime-stride fallback, each also wrapped in
-// the periodic fragment's outer loop over a block's repetitions);
+// The catalog of fragments is compiled ahead of time (memcpy, gather,
+// scatter and strided bodies over the {unit, runtime} stride pairs — a
+// unit stride compiles to memcpy, any other is read from the segment —
+// plus unrolled small-count and singleton bodies, each wrapped in the
+// periodic fragment's outer loop over a block's repetitions);
 // specialize() only *patches*: it takes ownership of the SegmentProgram,
 // classifies each body CopySegment, and stitches maximal runs of
 // same-fragment segments into spans dispatched through one function
@@ -37,8 +38,8 @@ namespace hpfc::redist {
 /// One precompiled fragment: three operation bodies (pack into a payload
 /// window, unpack from a payload window, direct local copy) over a slice
 /// of the program's segments (the fragment bodies read their operands
-/// with constant strides folded in where the fragment's template
-/// parameters fix them), each wrapped in the `periodic` fragment: an
+/// in place; a unit stride compiles to memcpy, any other stride is read
+/// from the segment), each wrapped in the `periodic` fragment: an
 /// outer loop over a span's repetitions that advances both data pointers
 /// by one repetition's step per pass and runs the inlined body over the
 /// span's segments. A span of repetition-free blocks is one pass.
@@ -99,7 +100,7 @@ class Kernel {
   /// Heap footprint of the segment table, the block list and the span
   /// list (the plan-cache eviction unit). O(pattern), not O(n).
   [[nodiscard]] std::uint64_t footprint_bytes() const;
-  /// "memcpy" for a single-span kernel, "memcpy+gather_const" style
+  /// "memcpy" for a single-span kernel, "memcpy+gather" style
   /// summaries for stitched ones, "periodic(unrolled)" for a repeated
   /// span (tests and dumps).
   [[nodiscard]] std::string describe() const;
@@ -113,10 +114,10 @@ class Kernel {
 
 /// Lowers one compiled SegmentProgram to a specialized kernel that owns
 /// it: classifies every body segment against the fragment catalog
-/// (constant-stride template instantiation, unrolled small-count body,
-/// singleton body, or the runtime-stride fallback) and stitches
-/// same-fragment runs into spans, within a repeated block (run by the
-/// periodic fragment) or across consecutive reps == 1 blocks.
+/// (singleton body, unrolled small-count body, or one of the memcpy /
+/// gather / scatter / strided cells by unit-ness of the two strides) and
+/// stitches same-fragment runs into spans, within a repeated block (run
+/// by the periodic fragment) or across consecutive reps == 1 blocks.
 Kernel specialize(SegmentProgram program);
 
 /// The names of the precompiled fragments: the segment classes in

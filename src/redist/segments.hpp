@@ -18,9 +18,9 @@
 // The pack/unpack/copy_local walkers below interpret a SegmentProgram
 // segment by segment over its expansion. The runtime executes the
 // specialized kernels of redist/kernelgen.hpp instead (redist::specialize
-// lowers a program to precompiled constant-stride fragments); the walkers
-// remain the test reference a kernel must reproduce byte for byte (see
-// docs/kernels.md).
+// lowers a program to precompiled unit- and runtime-stride fragments); the
+// walkers remain the test reference a kernel must reproduce byte for byte
+// (see docs/kernels.md).
 #pragma once
 
 #include <cstdint>
