@@ -217,7 +217,9 @@ void report_fragments(Harness& h) {
   time_shape(h, "cyclic(2)->cyclic(3) flat", cyclic_shape(false));
   time_shape(h, "cyclic(2)->cyclic(3) periodic", cyclic_shape(true));
   // Non-unit strides over 2^18 elements, each segment's elements
-  // interleaved `stride` apart; stride 5 is the runtime-stride control.
+  // interleaved `stride` apart: the A/B of the runtime-stride bodies
+  // against constant-stride ones (docs/kernels.md), where stride 5 is the
+  // control that no constant-stride set covered.
   struct Strided {
     const char* kind;
     Extent src_stride;
