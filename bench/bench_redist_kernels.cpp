@@ -6,7 +6,11 @@
 // memcpy, 3-element unrolled, singleton, the cyclic(2) -> cyclic(3)
 // P=8 pattern both as compiled, a periodic body, and as its flat
 // expansion, and gather/scatter/strided segments of non-unit stride at
-// lengths 64 and 4096).
+// lengths 64 and 4096) — and the value-kernel microbench: ns/element of
+// the read checksum's fold, the write stamp and the expected-value
+// comparison (runtime/expected.hpp), each as the per-element loop over
+// weight()/stamped() and as the residue-stepping kernel, over one long
+// stretch at strides 1 and 8 and over cyclic(2)/cyclic(3) P=8 ownership.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +23,7 @@
 #include "redist/commsets.hpp"
 #include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
+#include "runtime/expected.hpp"
 #include "testing/oracles.hpp"
 
 using bench_common::Harness;
@@ -28,6 +33,8 @@ using hpfc::mapping::ConcreteLayout;
 using hpfc::mapping::DimOwner;
 using hpfc::mapping::DistFormat;
 using hpfc::mapping::Extent;
+using hpfc::mapping::OwnedProgram;
+using hpfc::mapping::OwnedRun;
 using hpfc::mapping::Shape;
 
 namespace {
@@ -239,6 +246,85 @@ void report_fragments(Harness& h) {
   }
 }
 
+// ---- value kernels ------------------------------------------------------
+
+using hpfc::testing::fold_per_element;
+using hpfc::testing::matches_per_element;
+using hpfc::testing::stamp_per_element;
+
+/// ns/element of fold, stamp and matches over `prog`, per-element loop
+/// and kernel, on storage of `storage` elements of a `shape` array;
+/// aborts unless both forms agree.
+void time_values(Harness& h, const std::string& name, const OwnedProgram& prog,
+                 Extent storage, const Shape& shape) {
+  constexpr std::uint64_t kCounter = 12345;
+  Extent elements = 0;
+  prog.for_each_stretch([&](const OwnedRun& run) { elements += run.len; });
+  std::vector<double> local(static_cast<std::size_t>(storage), 0.0);
+  std::vector<double> reference(local.size(), 0.0);
+  hpfc::runtime::stamp(prog, local.data(), kCounter);
+  stamp_per_element(prog, reference.data(), kCounter);
+  hpfc::runtime::ExpectedValues expected(shape);
+  expected.write(kCounter, shape);
+  if (local != reference ||
+      hpfc::runtime::fold(prog, local.data()) !=
+          fold_per_element(prog, local.data()) ||
+      !hpfc::runtime::matches(prog, local.data(), shape, expected) ||
+      !matches_per_element(prog, local.data(), shape, expected))
+    std::abort();
+
+  const int reps = std::max(11, h.options().reps);
+  const int warmup = std::max(1, h.options().warmup);
+  const auto ns_per_element = [&](double ms) {
+    return ms * 1e6 / static_cast<double>(elements);
+  };
+  const auto row = [&](const char* op, const std::function<void()>& per,
+                       const std::function<void()>& kernel) {
+    const double per_ms = median_ms(warmup, reps, per);
+    const double kernel_ms = median_ms(warmup, reps, kernel);
+    std::printf("%-34s %-8s %14.3f %12.3f\n", name.c_str(), op,
+                ns_per_element(per_ms), ns_per_element(kernel_ms));
+    const std::string config = std::string(op) + " " + name;
+    h.record_timing("value_kernels", config, "per-element", per_ms);
+    h.record_timing("value_kernels", config, "kernel", kernel_ms);
+  };
+  std::uint64_t sink = 0;
+  row("fold", [&] { sink += fold_per_element(prog, local.data()); },
+      [&] { sink += hpfc::runtime::fold(prog, local.data()); });
+  row("stamp", [&] { stamp_per_element(prog, reference.data(), kCounter); },
+      [&] { hpfc::runtime::stamp(prog, local.data(), kCounter); });
+  row("matches",
+      [&] { sink += matches_per_element(prog, local.data(), shape, expected); },
+      [&] {
+        sink += hpfc::runtime::matches(prog, local.data(), shape, expected);
+      });
+  benchmark::DoNotOptimize(sink);
+  benchmark::DoNotOptimize(local.data());
+  benchmark::DoNotOptimize(reference.data());
+}
+
+void report_values(Harness& h) {
+  std::printf("\n=== value kernels vs per-element loops (ns/element) ===\n");
+  std::printf("%-34s %-8s %14s %12s\n", "shape", "op", "per-element",
+              "kernel");
+  constexpr Extent kLen = 131072;
+  time_values(h, "stretch len=131072 stride=1",
+              OwnedProgram::flat({OwnedRun{0, 0, 1, kLen}}), kLen,
+              Shape{kLen});
+  time_values(h, "stretch len=131072 stride=8",
+              OwnedProgram::flat({OwnedRun{0, 3, 8, kLen}}), kLen,
+              Shape{8 * kLen});
+  // Rank 3's ownership under cyclic(2) and cyclic(3) on 8 ranks, the
+  // cyclic_fine pattern: one len-2 (len-3) body entry repeated per window.
+  const Extent n = 1 << 18;
+  for (const Extent k : {2, 3}) {
+    const auto layout = one_dim(n, 8, DistFormat::cyclic(k));
+    time_values(h, "periodic len=" + std::to_string(k) + " cyclic(" +
+                       std::to_string(k) + ") P=8",
+                layout.owned_program(3), layout.local_count(3), Shape{n});
+  }
+}
+
 void BM_plan_oracle(benchmark::State& state) {
   const Extent n = state.range(0);
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
@@ -273,5 +359,6 @@ int main(int argc, char** argv) {
   return bench_main(argc, argv, "redist_kernels", [](Harness& h) {
     report(h);
     report_fragments(h);
+    report_values(h);
   });
 }

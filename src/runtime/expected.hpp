@@ -8,28 +8,69 @@
 // ExpectedValues is that descriptor: O(dims) state per array instead of
 // a shadow copy of its elements, in the spirit of symbolic loop
 // compilation's describe-by-bounds iteration sets.
+//
+// weight() and stamped() define the values one element at a time. The
+// value kernels (fold, stamp, matches) compute the same sums, stores and
+// comparisons over a rank's owned stretches without a division in any
+// loop: along a stretch of stride s the weight's residue linear*K mod P
+// moves by s*K mod P and the stamp's residue linear mod 997 by s mod 997,
+// so each element costs an add and a conditional subtract. A kernel walks
+// an OwnedProgram two levels deep, body entry then block repetition,
+// setting up each body entry's steps once per block. fold and stamp are
+// order-independent, so they walk a body entry along its longer axis:
+// its stretch, or one member across the block's repetitions. Lines of
+// four or more elements run four independent lanes. The stepping is
+// exact while linear*K does not wrap 64 bits, i.e. for linear <=
+// kMaxSteppedLinear; the runtime and the reference interpreter check
+// every mapped array against that bound when they are constructed
+// (require_stepped_weights).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mapping/layout.hpp"
 #include "mapping/shape.hpp"
+#include "support/check.hpp"
 
 namespace hpfc::runtime {
 
+/// The read-checksum weight's multiplier and modulus, and the stamp's
+/// counter multiplier and modulus.
+inline constexpr std::uint64_t kWeightMul = 2654435761ULL;
+inline constexpr std::uint64_t kWeightMod = 1000003ULL;
+inline constexpr std::uint64_t kStampMul = 1009ULL;
+inline constexpr std::uint64_t kStampMod = 997ULL;
+
 /// Deterministic, order-independent read-checksum weight.
 constexpr std::uint64_t weight(std::int64_t linear) {
-  return (static_cast<std::uint64_t>(linear) * 2654435761ULL) % 1000003ULL + 1;
+  return (static_cast<std::uint64_t>(linear) * kWeightMul) % kWeightMod + 1;
 }
 
 /// Value stamped by the `counter`-th write event at element `linear`.
 constexpr double stamped(std::uint64_t counter, std::int64_t linear) {
-  return static_cast<double>(counter * 1009ULL +
-                             static_cast<std::uint64_t>(linear % 997));
+  const auto mod = static_cast<std::int64_t>(kStampMod);
+  return static_cast<double>(counter * kStampMul +
+                             static_cast<std::uint64_t>(linear % mod));
+}
+
+/// The largest linear index whose weight the kernels step exactly:
+/// weight() multiplies in wrapping 64-bit arithmetic, the kernels step
+/// the exact residue, and the two agree while linear*K < 2^64.
+inline constexpr std::int64_t kMaxSteppedLinear =
+    static_cast<std::int64_t>(~std::uint64_t{0} / kWeightMul);
+
+/// Fails loudly unless every element of `shape` has a linear index the
+/// kernels fold exactly.
+inline void require_stepped_weights(const mapping::Shape& shape) {
+  HPFC_ASSERT_MSG(shape.total() - 1 <= kMaxSteppedLinear,
+                  "array of " + std::to_string(shape.total()) +
+                      " elements exceeds the checksum's exact range");
 }
 
 /// One [lo, hi) interval per array dimension (the shape of ir::Region).
@@ -100,6 +141,16 @@ struct ExpectedValues {
 
   void kill() { dead = true; }
 
+  /// Whether every element holds its stamped value: alive, and no live
+  /// region has narrowed the box below the whole shape.
+  [[nodiscard]] bool whole(const mapping::Shape& shape) const {
+    if (dead) return false;
+    for (std::size_t d = 0; d < box.size(); ++d)
+      if (box[d].first != 0 || box[d].second != shape.extents()[d])
+        return false;
+    return true;
+  }
+
   /// The members of `run` that hold stamped values; the rest read 0.
   [[nodiscard]] std::pair<mapping::Extent, mapping::Extent> stamped_members(
       const mapping::Shape& shape, const mapping::OwnedRun& run) const {
@@ -107,5 +158,234 @@ struct ExpectedValues {
     return clip_stretch(shape, box, run);
   }
 };
+
+// ---- value kernels -------------------------------------------------------
+
+namespace detail {
+
+/// x*mul mod m in exact arithmetic, for any sign of x.
+constexpr std::uint64_t residue(std::int64_t x, std::uint64_t mul,
+                                std::uint64_t m) {
+  const auto mod = static_cast<std::int64_t>(m);
+  return static_cast<std::uint64_t>(floor_mod(x, mod)) * (mul % m) % m;
+}
+
+/// r + d mod M for r, d in [0, M): the add and conditional subtract that
+/// is every kernel's per-element step.
+template <std::uint64_t M>
+constexpr std::uint64_t add_mod(std::uint64_t r, std::uint64_t d) {
+  r += d;
+  return r >= M ? r - M : r;
+}
+
+/// How a residue mod M moves along a line of one stride: by one element,
+/// and by two, three and four (the lane offsets and the lane step).
+template <std::uint64_t M>
+struct ResidueStep {
+  std::uint64_t one;
+  std::uint64_t two;
+  std::uint64_t three;
+  std::uint64_t four;
+
+  constexpr ResidueStep(mapping::Extent stride, std::uint64_t mul)
+      : one(residue(stride, mul, M)),
+        two(add_mod<M>(one, one)),
+        three(add_mod<M>(two, one)),
+        four(add_mod<M>(three, one)) {}
+};
+
+/// Calls fn(lane, j, r_j) for j in [0, count), where r_j = r + j*step
+/// mod M: four independent lanes (lane = j mod 4, a std::integral_constant,
+/// each stepped by `four`) while four elements remain, then lane 0 one
+/// element at a time. The steps are copied to locals so that stores in fn
+/// cannot force reloads.
+template <std::uint64_t M, typename Fn>
+inline void for_each_residue(mapping::Extent count, std::uint64_t r,
+                             const ResidueStep<M>& step, Fn&& fn) {
+  using Lane0 = std::integral_constant<int, 0>;
+  const std::uint64_t one = step.one;
+  const std::uint64_t four = step.four;
+  mapping::Extent j = 0;
+  if (count >= 4) {
+    std::uint64_t r1 = add_mod<M>(r, one);
+    std::uint64_t r2 = add_mod<M>(r, step.two);
+    std::uint64_t r3 = add_mod<M>(r, step.three);
+    for (; j + 4 <= count; j += 4) {
+      fn(Lane0{}, j, r);
+      fn(std::integral_constant<int, 1>{}, j + 1, r1);
+      fn(std::integral_constant<int, 2>{}, j + 2, r2);
+      fn(std::integral_constant<int, 3>{}, j + 3, r3);
+      r = add_mod<M>(r, four);
+      r1 = add_mod<M>(r1, four);
+      r2 = add_mod<M>(r2, four);
+      r3 = add_mod<M>(r3, four);
+    }
+  }
+  for (; j < count; ++j) {
+    fn(Lane0{}, j, r);
+    r = add_mod<M>(r, one);
+  }
+}
+
+/// Walks `prog` body entry by body entry. A body entry of a block is a
+/// grid of reps x len elements, arithmetic in local position and in
+/// residue along both axes: a row is one repetition's stretch, a column
+/// one member across the repetitions. Calls fn(local, local_stride,
+/// count, r, step) for every line along the longer axis, so short
+/// stretches repeated many times (cyclic(2)'s two members per window)
+/// still run long lanes; r is the line's first residue of linear*mul
+/// mod M. The residues and steps are set up once per body entry per
+/// block. Only order-independent kernels may walk columns.
+template <std::uint64_t M, typename Fn>
+inline void for_each_line(const mapping::OwnedProgram& prog,
+                          std::uint64_t mul, Fn&& fn) {
+  for (const mapping::SegmentBlock& b : prog.blocks) {
+    const ResidueStep<M> rep(b.dst_step, mul);
+    for (std::uint32_t i = b.first; i < b.first + b.count; ++i) {
+      const mapping::OwnedRun& run = prog.body[i];
+      const ResidueStep<M> step(run.global_stride, mul);
+      std::uint64_t r = residue(run.global_base, mul, M);
+      mapping::Index local = run.local_base;
+      if (b.reps > run.len) {
+        for (mapping::Extent j = 0; j < run.len; ++j, ++local) {
+          fn(local, b.src_step, b.reps, r, rep);
+          r = add_mod<M>(r, step.one);
+        }
+      } else {
+        for (mapping::Extent k = 0; k < b.reps; ++k, local += b.src_step) {
+          fn(local, mapping::Extent{1}, run.len, r, step);
+          r = add_mod<M>(r, rep.one);
+        }
+      }
+    }
+  }
+}
+
+/// A stored value as the checksum multiplies it. Stored values are
+/// stamped integers in [0, 2^53), where the int64 conversion (one
+/// instruction) equals the uint64 one weight() is defined with.
+inline std::uint64_t checksum_value(double v) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+}
+
+/// The value stamped at an element whose stamp residue is s.
+inline double stamp_value(std::uint64_t counter_base, std::uint64_t s) {
+  return static_cast<double>(static_cast<std::int64_t>(counter_base + s));
+}
+
+/// Σ vals[j*stride]·(r_j + 1) over a line: weight = residue + 1.
+inline std::uint64_t fold_line(const double* vals, mapping::Extent stride,
+                               mapping::Extent count, std::uint64_t r,
+                               const ResidueStep<kWeightMod>& step) {
+  std::uint64_t lane_sum[4] = {0, 0, 0, 0};
+  for_each_residue<kWeightMod>(
+      count, r, step, [&](auto lane, mapping::Extent j, std::uint64_t rj) {
+        lane_sum[lane] += checksum_value(vals[j * stride]) * (rj + 1);
+      });
+  return lane_sum[0] + lane_sum[1] + lane_sum[2] + lane_sum[3];
+}
+
+inline void stamp_line(double* vals, mapping::Extent stride,
+                       mapping::Extent count, std::uint64_t s,
+                       const ResidueStep<kStampMod>& step,
+                       std::uint64_t counter_base) {
+  for_each_residue<kStampMod>(
+      count, s, step, [&](auto, mapping::Extent j, std::uint64_t sj) {
+        vals[j * stride] = stamp_value(counter_base, sj);
+      });
+}
+
+}  // namespace detail
+
+/// Σ vals[j]·weight(global_base + j·stride) over j in [0, len): the flat
+/// form over one stretch.
+[[nodiscard, gnu::flatten]] inline std::uint64_t fold(
+    const double* vals, mapping::Index global_base, mapping::Extent stride,
+    mapping::Extent len) {
+  return detail::fold_line(
+      vals, 1, len, detail::residue(global_base, kWeightMul, kWeightMod),
+      detail::ResidueStep<kWeightMod>(stride, kWeightMul));
+}
+
+/// Σ value·weight(global) over every stretch of a rank's ownership
+/// program `prog`, read from the rank's storage `local`.
+[[nodiscard, gnu::flatten]] inline std::uint64_t fold(
+    const mapping::OwnedProgram& prog, const double* local) {
+  std::uint64_t sum = 0;
+  detail::for_each_line<kWeightMod>(
+      prog, kWeightMul,
+      [&](mapping::Index at, mapping::Extent stride, mapping::Extent count,
+          std::uint64_t r, const detail::ResidueStep<kWeightMod>& step) {
+        sum += detail::fold_line(local + at, stride, count, r, step);
+      });
+  return sum;
+}
+
+/// vals[j] = stamped(counter, global_base + j·stride) for j in [0, len):
+/// the flat form over one stretch.
+[[gnu::flatten]] inline void stamp(double* vals, mapping::Index global_base,
+                                   mapping::Extent stride, mapping::Extent len,
+                                   std::uint64_t counter) {
+  detail::stamp_line(vals, 1, len, detail::residue(global_base, 1, kStampMod),
+                     detail::ResidueStep<kStampMod>(stride, 1),
+                     counter * kStampMul);
+}
+
+/// Stamps every stretch of `prog` in the rank's storage `local` with the
+/// `counter`-th write's values.
+[[gnu::flatten]] inline void stamp(const mapping::OwnedProgram& prog,
+                                   double* local, std::uint64_t counter) {
+  const std::uint64_t counter_base = counter * kStampMul;
+  detail::for_each_line<kStampMod>(
+      prog, 1,
+      [&](mapping::Index at, mapping::Extent stride, mapping::Extent count,
+          std::uint64_t s, const detail::ResidueStep<kStampMod>& step) {
+        detail::stamp_line(local + at, stride, count, s, step, counter_base);
+      });
+}
+
+/// Whether every stretch of `prog` in the rank's storage `local` holds
+/// `expected`'s values: each stretch's stamped members [j_lo, j_hi)
+/// (clip_stretch) hold stamped(counter, global), and [0, j_lo) and
+/// [j_hi, len) hold 0. Walks stretch by stretch, since the clip is per
+/// stretch, and stops at the first one that differs. The clip divides,
+/// so it runs only when a live region has narrowed the box.
+[[nodiscard, gnu::flatten]] inline bool matches(
+    const mapping::OwnedProgram& prog, const double* local,
+    const mapping::Shape& shape, const ExpectedValues& expected) {
+  using Step = detail::ResidueStep<kStampMod>;
+  const std::uint64_t counter_base = expected.counter * kStampMul;
+  const bool whole = expected.whole(shape);
+  for (const mapping::SegmentBlock& b : prog.blocks) {
+    const Step rep(b.dst_step, 1);
+    for (std::uint32_t i = b.first; i < b.first + b.count; ++i) {
+      mapping::OwnedRun run = prog.body[i];
+      const Step step(run.global_stride, 1);
+      std::uint64_t s = detail::residue(run.global_base, 1, kStampMod);
+      for (mapping::Extent k = 0; k < b.reps; ++k) {
+        const double* vals = local + run.local_base;
+        const auto [j_lo, j_hi] =
+            whole ? std::pair<mapping::Extent, mapping::Extent>{0, run.len}
+                  : expected.stamped_members(shape, run);
+        const std::uint64_t s_lo = detail::add_mod<kStampMod>(
+            s, static_cast<std::uint64_t>(j_lo) % kStampMod * step.one %
+                   kStampMod);
+        bool ok = true;
+        for (mapping::Extent j = 0; j < j_lo; ++j) ok &= vals[j] == 0.0;
+        detail::for_each_residue<kStampMod>(
+            j_hi - j_lo, s_lo, step,
+            [&](auto, mapping::Extent j, std::uint64_t sj) {
+              ok &= vals[j_lo + j] == detail::stamp_value(counter_base, sj);
+            });
+        for (mapping::Extent j = j_hi; j < run.len; ++j) ok &= vals[j] == 0.0;
+        if (!ok) return false;
+        run.local_base += b.src_step;
+        run.global_base += b.dst_step;
+        s = detail::add_mod<kStampMod>(s, rep.one);
+      }
+    }
+  }
+  return true;
+}
 
 }  // namespace hpfc::runtime

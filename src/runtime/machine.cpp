@@ -27,7 +27,6 @@ namespace {
 using ir::ArrayId;
 using ir::CfgKind;
 using mapping::ConcreteLayout;
-using mapping::Index;
 
 /// One statically mapped version of one array: a local piece per rank.
 struct VersionStorage {
@@ -154,6 +153,7 @@ class Machine {
     for (std::size_t a = 0; a < num_arrays; ++a) {
       expected_.emplace_back(program_.arrays[a].shape);
       if (!program_.arrays[a].has_mapping) continue;
+      require_stepped_weights(program_.arrays[a].shape);
       const auto versions = static_cast<std::size_t>(
           analysis_.version_count(static_cast<ArrayId>(a)));
       storage_[a].resize(versions);
@@ -929,16 +929,8 @@ class Machine {
       if (r >= lay.ranks()) return;
       const RankOwnership& ro = own.per_rank[static_cast<std::size_t>(r)];
       if (!ro.sends) return;  // primary owners only: replicas count once
-      const auto& local = vs.locals[static_cast<std::size_t>(r)];
-      std::uint64_t partial = 0;
-      ro.runs.for_each_stretch([&](const mapping::OwnedRun& run) {
-        const double* vals = local.data() + run.local_base;
-        Index global = run.global_base;
-        for (mapping::Extent j = 0; j < run.len;
-             ++j, global += run.global_stride)
-          partial += static_cast<std::uint64_t>(vals[j]) * weight(global);
-      });
-      partials_[static_cast<std::size_t>(r)] = partial;
+      partials_[static_cast<std::size_t>(r)] =
+          fold(ro.runs, vs.locals[static_cast<std::size_t>(r)].data());
     });
     for (const std::uint64_t partial : partials_) report_.signature += partial;
   }
@@ -961,15 +953,8 @@ class Machine {
     // One superstep: each rank stamps its own local piece.
     backend_->step([&](int r) {
       if (r >= lay.ranks()) return;
-      auto& local = vs.locals[static_cast<std::size_t>(r)];
-      own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
-          [&](const mapping::OwnedRun& run) {
-            double* vals = local.data() + run.local_base;
-            Index global = run.global_base;
-            for (mapping::Extent j = 0; j < run.len;
-                 ++j, global += run.global_stride)
-              vals[j] = stamped(counter, global);
-          });
+      stamp(own.per_rank[static_cast<std::size_t>(r)].runs,
+            vs.locals[static_cast<std::size_t>(r)].data(), counter);
     });
     vs.dirty = true;
   }
@@ -1002,25 +987,12 @@ class Machine {
     const OwnershipProgram& own = ownership(a, version);
     const ExpectedValues& expected = expected_[static_cast<std::size_t>(a)];
     const mapping::Shape& shape = program_.array(a).shape;
-    bool match = true;
-    for (int r = 0; r < lay.ranks() && match; ++r) {
-      const auto& local = vs.locals[static_cast<std::size_t>(r)];
-      own.per_rank[static_cast<std::size_t>(r)].runs.for_each_stretch(
-          [&](const mapping::OwnedRun& run) {
-            if (!match) return;
-            const double* vals = local.data() + run.local_base;
-            const auto [j_lo, j_hi] = expected.stamped_members(shape, run);
-            for (mapping::Extent j = 0; j < run.len && match; ++j) {
-              const double want =
-                  j >= j_lo && j < j_hi
-                      ? stamped(expected.counter,
-                                run.global_base + j * run.global_stride)
-                      : 0.0;
-              match = vals[j] == want;
-            }
-          });
-    }
-    return match;
+    for (int r = 0; r < lay.ranks(); ++r)
+      if (!matches(own.per_rank[static_cast<std::size_t>(r)].runs,
+                   vs.locals[static_cast<std::size_t>(r)].data(), shape,
+                   expected))
+        return false;
+    return true;
   }
 
   /// Exported dummy arguments must hold the expected values at exit.

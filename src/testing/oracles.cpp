@@ -235,4 +235,42 @@ std::vector<CopySegment> flat_segments(const TransferV2& transfer,
   return segments;
 }
 
+std::uint64_t fold_per_element(const mapping::OwnedProgram& prog,
+                               const double* local) {
+  std::uint64_t sum = 0;
+  prog.for_each_stretch([&](const OwnedRun& run) {
+    for (Extent j = 0; j < run.len; ++j)
+      sum += static_cast<std::uint64_t>(local[run.local_base + j]) *
+             runtime::weight(run.global_base + j * run.global_stride);
+  });
+  return sum;
+}
+
+void stamp_per_element(const mapping::OwnedProgram& prog, double* local,
+                       std::uint64_t counter) {
+  prog.for_each_stretch([&](const OwnedRun& run) {
+    for (Extent j = 0; j < run.len; ++j)
+      local[run.local_base + j] =
+          runtime::stamped(counter, run.global_base + j * run.global_stride);
+  });
+}
+
+bool matches_per_element(const mapping::OwnedProgram& prog,
+                         const double* local, const mapping::Shape& shape,
+                         const runtime::ExpectedValues& expected) {
+  bool match = true;
+  prog.for_each_stretch([&](const OwnedRun& run) {
+    const auto [j_lo, j_hi] = expected.stamped_members(shape, run);
+    for (Extent j = 0; j < run.len && match; ++j) {
+      const double want =
+          j >= j_lo && j < j_hi
+              ? runtime::stamped(expected.counter,
+                                 run.global_base + j * run.global_stride)
+              : 0.0;
+      match = local[run.local_base + j] == want;
+    }
+  });
+  return match;
+}
+
 }  // namespace hpfc::testing

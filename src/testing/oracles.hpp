@@ -3,9 +3,11 @@
 // (mapping::ConcreteLayout::owned_program, redist::compile_transfer); the
 // walks here enumerate the same stretches one period window at a time,
 // so the property tests can assert that every periodic program expands
-// to exactly the flat list.
+// to exactly the flat list. The per-element value loops are the
+// definitions the value kernels of runtime/expected.hpp must reproduce.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "mapping/runs.hpp"
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
+#include "runtime/expected.hpp"
 
 namespace hpfc::testing {
 
@@ -35,5 +38,22 @@ std::vector<redist::CopySegment> flat_segments(
     const redist::TransferV2& transfer,
     std::span<const mapping::IndexRuns> src_owned,
     std::span<const mapping::IndexRuns> dst_owned);
+
+/// Σ value·weight(global) over every stretch of `prog` in `local`, one
+/// runtime::weight() per element.
+std::uint64_t fold_per_element(const mapping::OwnedProgram& prog,
+                               const double* local);
+
+/// Stamps every stretch of `prog` in `local`, one runtime::stamped() per
+/// element.
+void stamp_per_element(const mapping::OwnedProgram& prog, double* local,
+                       std::uint64_t counter);
+
+/// Whether every stretch of `prog` in `local` holds `expected`'s values,
+/// testing each element against stamped() inside the clipped window and
+/// 0 outside it.
+bool matches_per_element(const mapping::OwnedProgram& prog,
+                         const double* local, const mapping::Shape& shape,
+                         const runtime::ExpectedValues& expected);
 
 }  // namespace hpfc::testing

@@ -16,7 +16,6 @@ namespace {
 using ir::ArrayId;
 using ir::CfgKind;
 using mapping::Extent;
-using mapping::Index;
 
 class Reference {
  public:
@@ -24,10 +23,12 @@ class Reference {
             const runtime::RunOptions& options)
       : program_(program), analysis_(analysis), rng_(options.seed) {
     values_.resize(program_.arrays.size());
-    for (std::size_t a = 0; a < program_.arrays.size(); ++a)
-      if (program_.arrays[a].has_mapping)
-        values_[a].assign(
-            static_cast<std::size_t>(program_.arrays[a].shape.total()), 0.0);
+    for (std::size_t a = 0; a < program_.arrays.size(); ++a) {
+      if (!program_.arrays[a].has_mapping) continue;
+      runtime::require_stepped_weights(program_.arrays[a].shape);
+      values_[a].assign(
+          static_cast<std::size_t>(program_.arrays[a].shape.total()), 0.0);
+    }
     report_.ranks = runtime::machine_ranks(program, options);
     report_.backend = "seq";
     report_.threads = 1;
@@ -127,9 +128,8 @@ class Reference {
     if (!mapped(a)) return;
     ++report_.reads;
     const auto& values = array(a);
-    for (std::size_t i = 0; i < values.size(); ++i)
-      report_.signature += static_cast<std::uint64_t>(values[i]) *
-                           runtime::weight(static_cast<std::int64_t>(i));
+    report_.signature += runtime::fold(values.data(), 0, 1,
+                                       static_cast<Extent>(values.size()));
   }
 
   void write(ArrayId a) {
@@ -137,30 +137,39 @@ class Reference {
     ++report_.writes;
     const std::uint64_t counter = ++write_counter_;
     auto& values = array(a);
-    for (std::size_t i = 0; i < values.size(); ++i)
-      values[i] = runtime::stamped(counter, static_cast<std::int64_t>(i));
+    runtime::stamp(values.data(), 0, 1, static_cast<Extent>(values.size()),
+                   counter);
   }
 
-  /// Zeroes every element outside the region, one row-major coordinate
-  /// walk over the whole array.
+  /// Zeroes every element outside the region, one row of the innermost
+  /// dimension at a time: a row whose outer coordinates leave the region
+  /// is zeroed whole, any other keeps only [lo, hi) of its columns.
   void live_region(const ir::LiveRegionStmt& live) {
     if (!mapped(live.array)) return;
     const mapping::Shape& shape = program_.array(live.array).shape;
     const int dims = shape.rank();
     auto& values = array(live.array);
-    mapping::IndexVec coord(static_cast<std::size_t>(dims), 0);
-    for (std::size_t lin = 0; lin < values.size(); ++lin) {
-      for (int d = 0; d < dims; ++d) {
-        const Index c = coord[static_cast<std::size_t>(d)];
-        const auto [lo, hi] = live.region[static_cast<std::size_t>(d)];
-        if (c < lo || c >= hi) {
-          values[lin] = 0.0;
-          break;
-        }
+    if (dims == 0 || values.empty()) return;
+    const auto inner = static_cast<std::size_t>(dims - 1);
+    const Extent row = shape.extent(dims - 1);
+    const auto [lo, hi] = live.region[inner];
+    const Extent keep_lo = std::clamp<Extent>(lo, 0, row);
+    const Extent keep_hi = std::clamp<Extent>(hi, keep_lo, row);
+    mapping::IndexVec outer(inner, 0);
+    for (auto it = values.begin(); it != values.end(); it += row) {
+      bool inside = true;
+      for (std::size_t d = 0; d < inner && inside; ++d)
+        inside = outer[d] >= live.region[d].first &&
+                 outer[d] < live.region[d].second;
+      if (inside) {
+        std::fill(it, it + keep_lo, 0.0);
+        std::fill(it + keep_hi, it + row, 0.0);
+      } else {
+        std::fill(it, it + row, 0.0);
       }
-      for (int d = dims - 1; d >= 0; --d) {
-        if (++coord[static_cast<std::size_t>(d)] < shape.extent(d)) break;
-        coord[static_cast<std::size_t>(d)] = 0;
+      for (std::size_t d = inner; d-- > 0;) {
+        if (++outer[d] < shape.extent(static_cast<int>(d))) break;
+        outer[d] = 0;
       }
     }
   }

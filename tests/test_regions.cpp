@@ -16,6 +16,7 @@
 #include "hpf/builder.hpp"
 #include "hpf/parser.hpp"
 #include "runtime/expected.hpp"
+#include "testing/oracles.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
@@ -378,6 +379,10 @@ void expect_closed_form_matches(const mapping::ConcreteLayout& layout,
           ASSERT_LE(0, j_lo) << what;
           ASSERT_LE(j_lo, j_hi) << what;
           ASSERT_LE(j_hi, run.len) << what;
+          if (expected.whole(shape)) {
+            ASSERT_EQ(j_lo, 0) << what;
+            ASSERT_EQ(j_hi, run.len) << what;
+          }
           for (mapping::Extent j = 0; j < run.len; ++j) {
             const mapping::Index global =
                 run.global_base + j * run.global_stride;
@@ -466,6 +471,181 @@ TEST(ExpectedValues, ClosedFormMatchesThePerElementShadow) {
   EXPECT_GT(empty_intersections, 0);
   EXPECT_GT(live_after_kill, 0);
   EXPECT_GT(write_after_live, 0);
+}
+
+// ---- value kernels -------------------------------------------------------
+
+/// What `expected` says every owned element of `prog` holds.
+std::vector<double> expected_per_element(
+    const mapping::OwnedProgram& prog, std::size_t storage,
+    const Shape& shape, const runtime::ExpectedValues& expected) {
+  std::vector<double> local(storage, -1.0);
+  prog.for_each_stretch([&](const mapping::OwnedRun& run) {
+    const auto [j_lo, j_hi] = expected.stamped_members(shape, run);
+    for (mapping::Extent j = 0; j < run.len; ++j)
+      local[static_cast<std::size_t>(run.local_base + j)] =
+          j >= j_lo && j < j_hi
+              ? runtime::stamped(expected.counter,
+                                 run.global_base + j * run.global_stride)
+              : 0.0;
+  });
+  return local;
+}
+
+/// Random checksum operands: integers in [0, 2^53), the range of stored
+/// values, so products and sums wrap 64 bits.
+std::vector<double> random_values(std::mt19937_64& rng, std::size_t n) {
+  std::vector<double> values(n);
+  for (double& v : values) v = static_cast<double>(rng() >> 11);
+  return values;
+}
+
+/// fold, stamp and matches over `prog` agree with the per-element
+/// definitions (testing/oracles.hpp), and matches rejects each owned
+/// element corrupted in turn (every position, so first, last, lane and
+/// lane-tail members alike).
+void expect_kernels_match(const mapping::OwnedProgram& prog,
+                          std::size_t storage, const Shape& shape,
+                          const runtime::ExpectedValues& expected,
+                          std::mt19937_64& rng, const std::string& what) {
+  const std::vector<double> values = random_values(rng, storage);
+  ASSERT_EQ(runtime::fold(prog, values.data()),
+            testing::fold_per_element(prog, values.data()))
+      << what;
+
+  std::vector<double> stamped(storage, -1.0);
+  std::vector<double> want(storage, -1.0);
+  runtime::stamp(prog, stamped.data(), expected.counter);
+  testing::stamp_per_element(prog, want.data(), expected.counter);
+  ASSERT_EQ(stamped, want) << what;
+
+  std::vector<double> local =
+      expected_per_element(prog, storage, shape, expected);
+  ASSERT_TRUE(runtime::matches(prog, local.data(), shape, expected)) << what;
+  ASSERT_TRUE(testing::matches_per_element(prog, local.data(), shape,
+                                           expected))
+      << what;
+  for (std::size_t i = 0; i < storage; ++i) {
+    local[i] += 1.0;
+    ASSERT_FALSE(runtime::matches(prog, local.data(), shape, expected))
+        << what << " corrupted local " << i;
+    local[i] -= 1.0;
+  }
+}
+
+TEST(ValueKernels, MatchTheDefinitionsOnRandomLayouts) {
+  std::mt19937 rng(20261017);
+  std::mt19937_64 values(7);
+  const std::vector<Shape> shapes = {
+      Shape{},       Shape{1},    Shape{37},      Shape{64},     Shape{7, 9},
+      Shape{16, 16}, Shape{1000}, Shape{5, 4, 6}, Shape{3, 8, 5}};
+  int column_walks = 0;
+  for (std::size_t trial = 0; trial < 200; ++trial) {
+    const Shape& shape = shapes[trial % shapes.size()];
+    const mapping::ConcreteLayout layout = testing::random_layout(rng, shape);
+    runtime::ExpectedValues expected(shape);
+    expected.write(1 + rng() % 5000, shape);
+    if (trial % 3 == 1) expected.live(random_region(rng, shape));
+    if (trial % 7 == 6) expected.kill();
+    for (int r = 0; r < layout.ranks(); ++r) {
+      const mapping::OwnedProgram prog = layout.owned_program(r);
+      // fold and stamp walk such an entry member by member across reps.
+      for (const auto& b : prog.blocks)
+        for (std::uint32_t i = b.first; i < b.first + b.count; ++i)
+          column_walks += b.reps > prog.body[i].len;
+      expect_kernels_match(
+          prog, static_cast<std::size_t>(layout.local_count(r)), shape,
+          expected, values,
+          shape.to_string() + " " + layout.to_string() + " rank " +
+              std::to_string(r));
+    }
+  }
+  EXPECT_GT(column_walks, 0);
+}
+
+TEST(ValueKernels, MatchTheDefinitionsOnEdgeStretches) {
+  using mapping::Extent;
+  using mapping::Index;
+  constexpr Index kP = static_cast<Index>(runtime::kWeightMod);
+  constexpr Index kTop = runtime::kMaxSteppedLinear;
+  std::mt19937_64 values(11);
+  // Bases at and around multiples of 997 and of P, and against the top
+  // of the exact range (each stretch is shifted down to end at most at
+  // kTop).
+  const std::vector<Index> bases = {0,          1,           996,
+                                    997,        998,         997 * 1003 - 1,
+                                    kP - 1,     kP,          kP + 1,
+                                    997 * kP,   kTop};
+  const std::vector<Extent> strides = {1, 8, 997, kP + 5, 3 * kP - 1};
+  // reps 1 walks rows; 12 > len walks each member across repetitions.
+  const std::vector<Extent> reps_list = {1, 3, 12};
+  for (const Index base : bases) {
+    for (const Extent stride : strides) {
+      for (Extent len = 0; len <= 9; ++len) {
+        for (const Extent reps : reps_list) {
+          const Extent dst_step = stride * len + 997;
+          const Index span =
+              (len > 0 ? (len - 1) * stride : 0) + (reps - 1) * dst_step;
+          const Index first = std::min(base, kTop - span);
+          const std::string what =
+              "base " + std::to_string(first) + " stride " +
+              std::to_string(stride) + " len " + std::to_string(len) +
+              " reps " + std::to_string(reps);
+          // The flat form over one stretch.
+          const std::vector<double> flat =
+              random_values(values, static_cast<std::size_t>(len));
+          std::uint64_t want = 0;
+          for (Extent j = 0; j < len; ++j)
+            want += static_cast<std::uint64_t>(
+                        flat[static_cast<std::size_t>(j)]) *
+                    runtime::weight(first + j * stride);
+          ASSERT_EQ(runtime::fold(flat.data(), first, stride, len), want)
+              << what;
+          std::vector<double> stamped(static_cast<std::size_t>(len));
+          runtime::stamp(stamped.data(), first, stride, len, 4242);
+          for (Extent j = 0; j < len; ++j)
+            ASSERT_EQ(stamped[static_cast<std::size_t>(j)],
+                      runtime::stamped(4242, first + j * stride))
+                << what << " member " << j;
+          // One body entry repeated `reps` times, a live window clipping
+          // the first and last members of each stretch.
+          mapping::OwnedProgram prog;
+          prog.body = {mapping::OwnedRun{0, first, stride, len}};
+          prog.blocks = {mapping::SegmentBlock{0, 1, reps, len, dst_step}};
+          const Shape shape{kTop + 1};
+          runtime::ExpectedValues expected(shape);
+          expected.write(4242, shape);
+          expect_kernels_match(prog, static_cast<std::size_t>(reps * len),
+                               shape, expected, values, what);
+          const std::vector<std::pair<Extent, Extent>> window = {
+              {first + 1, first + span}};
+          expected.live(window);
+          if (!expected.dead)
+            expect_kernels_match(prog, static_cast<std::size_t>(reps * len),
+                                 shape, expected, values, what + " live");
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueKernels, ShapesPastTheExactRangeFailLoudly) {
+  constexpr mapping::Extent kTop = runtime::kMaxSteppedLinear;
+  static_assert(kTop == 6949403087);
+  EXPECT_NO_THROW(runtime::require_stepped_weights(Shape{kTop + 1}));
+  EXPECT_THROW(runtime::require_stepped_weights(Shape{kTop + 2}),
+               InternalError);
+  // The runtime and the reference check every mapped array when they
+  // are constructed, before allocating anything.
+  ProgramBuilder b("huge");
+  b.procs("P", Shape{4});
+  b.array("A", Shape{kTop + 2});
+  b.distribute_array("A", {DistFormat::block()}, "P");
+  b.def({"A"});
+  b.use({"A"});
+  const Compiled c = compile_builder(b, OptLevel::O0);
+  EXPECT_THROW(driver::run(c), InternalError);
+  EXPECT_THROW(driver::run_oracle(c), InternalError);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // report counters benches rely on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
 
@@ -279,6 +282,148 @@ TEST(Runtime, ReportSummariesAreReadable) {
   const std::string text = report.summary();
   EXPECT_NE(text.find("copies"), std::string::npos);
   EXPECT_NE(text.find("msgs"), std::string::npos);
+}
+
+
+// ---- golden signatures ---------------------------------------------------
+
+/// A routine and the read signature its sequential semantics produce.
+/// The literals pin the value definitions themselves (runtime/expected.hpp:
+/// weight, stamped, and the kernels that fold and stamp them): if the
+/// runtime and the reference interpreter drifted together, every
+/// run-vs-oracle comparison would still pass, but these would not.
+struct GoldenRoutine {
+  const char* name;
+  const char* source;
+  std::uint64_t signature;
+};
+
+const GoldenRoutine kGolden[] = {
+    {"block<->cyclic", R"(
+routine blockcyclic
+processors P(4)
+real A(96)
+distribute A(block) onto P
+begin
+  def(A)
+  use(A)
+  redistribute A(cyclic)
+  use(A)
+  def(A)
+  redistribute A(block)
+  use(A)
+end
+)",
+     212041360580u},
+    {"cyclic(2)<->cyclic(3)", R"(
+routine rebalance
+processors P(4)
+real A(101)
+distribute A(cyclic(2)) onto P
+begin
+  def(A)
+  redistribute A(cyclic(3))
+  use(A)
+  def(A)
+  redistribute A(cyclic(2))
+  use(A)
+end
+)",
+     166882156552u},
+    {"(block,*)<->(*,block)", R"(
+routine transpose
+processors P(3)
+real A(12,10)
+distribute A(block,*) onto P
+begin
+  def(A)
+  redistribute A(*,block)
+  use(A)
+  def(A)
+  redistribute A(block,*)
+  use(A)
+end
+)",
+     196428694650u},
+    {"replicated", R"(
+routine replica
+processors P(4)
+template T(8,30)
+distribute T(block,*) onto P
+template U(30)
+distribute U(block) onto P
+real V(30)
+align V(i) with U(i)
+begin
+  def(V)
+  use(V)
+  realign V(i) with T(*,i)
+  use(V)
+  def(V)
+  realign V(i) with U(i)
+  use(V)
+end
+)",
+     65673086938u},
+    {"live region", R"(
+routine liveregion
+processors P(4)
+real A(16,16)
+distribute A(block,*) onto P
+begin
+  def(A)
+  live A(2:9, 3:12)
+  redistribute A(*,block)
+  use(A)
+  redistribute A(block,*)
+  use(A)
+end
+)",
+     69452221232u},
+    {"kill", R"(
+routine killed
+processors P(4)
+real A(64)
+distribute A(block) onto P
+begin
+  def(A)
+  redistribute A(cyclic)
+  use(A)
+  kill(A)
+  redistribute A(block)
+  use(A)
+  def(A)
+  use(A)
+end
+)",
+     106440929082u},
+};
+
+TEST(GoldenSignature, RunsAndReferenceReproduceTheLiterals) {
+  for (const GoldenRoutine& golden : kGolden) {
+    EXPECT_NE(golden.signature, 0u) << golden.name;
+    for (const OptLevel level : {OptLevel::O0, OptLevel::O2}) {
+      DiagnosticEngine diags;
+      driver::CompileOptions compile_options;
+      compile_options.level = level;
+      const Compiled c =
+          driver::compile_source(golden.source, compile_options, diags);
+      ASSERT_TRUE(c.ok) << golden.name << "\n" << diags.to_string();
+      for (const exec::BackendKind backend :
+           {exec::BackendKind::Seq, exec::BackendKind::Thread,
+            exec::BackendKind::Proc}) {
+        SCOPED_TRACE(std::string(golden.name) + " " +
+                     driver::to_string(level) + " " +
+                     exec::to_string(backend));
+        runtime::RunOptions options;
+        options.backend = backend;
+        const auto report = driver::run(c, options);
+        EXPECT_EQ(report.signature, golden.signature);
+        EXPECT_TRUE(report.exported_values_ok);
+        EXPECT_EQ(driver::run_oracle(c, options).signature, golden.signature);
+      }
+    }
+  }
 }
 
 }  // namespace
