@@ -7,8 +7,10 @@
 
 #include "common.hpp"
 #include "remap/build.hpp"
+#include "testing/figures.hpp"
 
 using namespace bench_common;
+using hpfc::testing::scaling_program;
 
 namespace {
 

@@ -8,9 +8,11 @@
 #include "common.hpp"
 #include "opt/passes.hpp"
 #include "remap/build.hpp"
+#include "testing/figures.hpp"
 #include "testing/program_gen.hpp"
 
 using namespace bench_common;
+using hpfc::testing::scaling_program;
 
 namespace {
 

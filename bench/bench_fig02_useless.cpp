@@ -3,9 +3,11 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
+#include "testing/figures.hpp"
 
 using namespace bench_common;
 using hpfc::driver::OptLevel;
+using hpfc::testing::fig2;
 
 namespace {
 

@@ -3,30 +3,13 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "hpf/builder.hpp"
+#include "testing/figures.hpp"
 
 using namespace bench_common;
 using hpfc::driver::OptLevel;
-using hpfc::mapping::DistFormat;
-using hpfc::mapping::Extent;
-using hpfc::mapping::Shape;
+using hpfc::testing::fig7;
 
 namespace {
-
-hpfc::ir::Program fig7(Extent n, int procs, int phases) {
-  hpfc::hpf::ProgramBuilder b("fig7");
-  b.procs("P", Shape{procs});
-  b.array("A", Shape{n});
-  b.distribute_array("A", {DistFormat::cyclic()}, "P");
-  b.use({"A"});
-  for (int i = 0; i < phases; ++i) {
-    b.redistribute("A", {i % 2 == 0 ? DistFormat::block()
-                                    : DistFormat::cyclic()});
-    b.use({"A"});
-  }
-  hpfc::DiagnosticEngine diags;
-  return b.finish(diags);
-}
 
 void report(Harness& h) {
   banner("F7 / Figure 7 — dynamic-to-static translation",

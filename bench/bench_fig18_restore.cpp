@@ -14,9 +14,11 @@
 #include "codegen/gen.hpp"
 #include "common.hpp"
 #include "persist/snapshot.hpp"
+#include "testing/figures.hpp"
 
 using namespace bench_common;
 using hpfc::driver::OptLevel;
+using hpfc::testing::fig18;
 
 namespace {
 

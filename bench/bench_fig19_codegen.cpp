@@ -4,40 +4,20 @@
 
 #include "codegen/gen.hpp"
 #include "common.hpp"
-#include "hpf/builder.hpp"
+#include "testing/figures.hpp"
 
 using namespace bench_common;
 using hpfc::driver::OptLevel;
-using hpfc::mapping::DistFormat;
-using hpfc::mapping::Extent;
-using hpfc::mapping::Shape;
+using hpfc::testing::fig16;
+using hpfc::testing::fig9;
 
 namespace {
-
-hpfc::ir::Program fig9_program() {
-  hpfc::hpf::ProgramBuilder b("fig9");
-  b.procs("P", Shape{4});
-  b.array("A", Shape{64});
-  b.distribute_array("A", {DistFormat::block()}, "P");
-  b.use({"A"});
-  b.begin_if();
-  b.redistribute("A", {DistFormat::cyclic()}, "", "1");
-  b.use({"A"});
-  b.begin_else();
-  b.redistribute("A", {DistFormat::cyclic(2)}, "", "2");
-  b.use({"A"});
-  b.end_if();
-  b.redistribute("A", {DistFormat::block(64)}, "", "3");
-  b.use({"A"});
-  hpfc::DiagnosticEngine diags;
-  return b.finish(diags);
-}
 
 void report(Harness& h) {
   banner("F19/20 / Figures 19-20 — generated guard code",
          "per vertex: status guard, allocation, liveness test, per-source "
          "dispatch, live flag, status update, then cleanup");
-  const auto compiled = compile(fig9_program(), OptLevel::O2);
+  const auto compiled = compile(fig9(64, 4), OptLevel::O2);
   std::printf("%s\n", compiled.code.to_text(compiled.program).c_str());
   std::printf("op counts: copies=%d status-guards=%d live-tests=%d "
               "frees=%d\n",

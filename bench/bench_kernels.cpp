@@ -8,12 +8,14 @@
 
 #include "common.hpp"
 #include "hpf/builder.hpp"
+#include "testing/figures.hpp"
 
 using namespace bench_common;
 using hpfc::driver::OptLevel;
 using hpfc::mapping::DistFormat;
 using hpfc::mapping::Extent;
 using hpfc::mapping::Shape;
+using hpfc::testing::fig10;
 
 namespace {
 

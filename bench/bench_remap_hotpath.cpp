@@ -28,6 +28,7 @@
 #include "common.hpp"
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
+#include "testing/figures.hpp"
 
 namespace {
 
@@ -82,6 +83,8 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 
 int main(int argc, char** argv) {
   using namespace bench_common;
+  using hpfc::testing::fig16;
+  using hpfc::testing::fig16_multi;
   return bench_main(argc, argv, "remap_hotpath", [](Harness& harness) {
     banner("remap_hotpath: steady-state remapping loop (fig16, O0)",
            "remapping cost is dominated by how fast array copies move; the "

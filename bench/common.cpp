@@ -17,12 +17,6 @@ namespace bench_common {
 
 using hpfc::DiagnosticEngine;
 using hpfc::hpf::ProgramBuilder;
-using hpfc::ir::Intent;
-using hpfc::mapping::Alignment;
-using hpfc::mapping::AlignTarget;
-using hpfc::mapping::DistFormat;
-using hpfc::mapping::Extent;
-using hpfc::mapping::Shape;
 
 Compiled compile(hpfc::ir::Program program, OptLevel level) {
   DiagnosticEngine diags;
@@ -344,217 +338,6 @@ int bench_main(int argc, char** argv, const std::string& bench_name,
   if (!harness.write_json()) return 1;
   if (options.run_google_benchmarks) benchmark::RunSpecifiedBenchmarks();
   return 0;
-}
-
-// ---- figure factories ---------------------------------------------------
-
-hpfc::ir::Program fig1(Extent n, int procs, bool use_between) {
-  ProgramBuilder b("fig1");
-  b.procs("P", Shape{procs});
-  b.array("B", Shape{n, n});
-  b.distribute_array("B", {DistFormat::block(), DistFormat::collapsed()},
-                     "P");
-  b.array("A", Shape{n, n});
-  b.align_with_array("A", "B");
-  b.use({"A", "B"});
-  Alignment transpose;
-  transpose.per_template_dim = {AlignTarget::axis(1), AlignTarget::axis(0)};
-  b.realign_with_array("A", "B", transpose, "1");
-  if (use_between) b.use({"A"});
-  b.redistribute("B", {DistFormat::cyclic(), DistFormat::collapsed()}, "",
-                 "2");
-  b.use({"A", "B"});
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig2(Extent n, int procs) {
-  ProgramBuilder b("fig2");
-  b.procs("P", Shape{procs});
-  b.array("B", Shape{n, n});
-  b.distribute_array("B", {DistFormat::block(), DistFormat::collapsed()},
-                     "P");
-  b.array("C", Shape{n, n});
-  b.align_with_array("C", "B");
-  b.use({"C"});
-  Alignment transpose;
-  transpose.per_template_dim = {AlignTarget::axis(1), AlignTarget::axis(0)};
-  b.realign_with_array("C", "B", transpose, "1");
-  b.redistribute("B", {DistFormat::collapsed(), DistFormat::block()}, "",
-                 "2");
-  b.use({"C"});
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig3(Extent n, int procs, int arrays, int used_after) {
-  ProgramBuilder b("fig3");
-  b.procs("P", Shape{procs});
-  b.tmpl("T", Shape{n});
-  b.distribute_template("T", {DistFormat::block()}, "P");
-  std::vector<std::string> names;
-  for (int i = 0; i < arrays; ++i) {
-    names.push_back("A" + std::to_string(i));
-    b.array(names.back(), Shape{n});
-    b.align(names.back(), "T", Alignment::identity(1));
-  }
-  b.use(names);
-  b.redistribute("T", {DistFormat::cyclic()}, "", "1");
-  b.use(std::vector<std::string>(names.begin(), names.begin() + used_after));
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig4(Extent n, int procs) {
-  ProgramBuilder b("fig4");
-  b.procs("P", Shape{procs});
-  b.array("Y", Shape{n});
-  b.distribute_array("Y", {DistFormat::block()}, "P");
-  b.interface("foo");
-  b.interface_dummy("X", Shape{n}, Intent::In, {DistFormat::cyclic()}, "P");
-  b.interface("bla");
-  b.interface_dummy("X", Shape{n}, Intent::In, {DistFormat::cyclic(4)}, "P");
-  b.use({"Y"});
-  b.call("foo", {"Y"});
-  b.call("foo", {"Y"});
-  b.call("bla", {"Y"});
-  b.use({"Y"});
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig10(Extent n, int procs, Extent sweeps) {
-  ProgramBuilder b("remap");
-  const int side = procs >= 4 ? procs / 2 : procs;
-  b.procs("P", Shape{procs});
-  b.procs("Q", Shape{side, procs / side});
-  b.dummy("A", Shape{n, n}, Intent::InOut);
-  b.distribute_array("A", {DistFormat::block(), DistFormat::collapsed()},
-                     "P");
-  b.array("B", Shape{n, n});
-  b.align_with_array("B", "A");
-  b.array("C", Shape{n, n});
-  b.align_with_array("C", "A");
-  b.ref({"A"}, {"B"}, {}, "s0");
-  b.begin_if({"B"});
-  b.redistribute("A", {DistFormat::cyclic(), DistFormat::collapsed()}, "",
-                 "1");
-  b.ref({"B"}, {"A"}, {}, "s1");
-  b.begin_else();
-  b.redistribute("A", {DistFormat::block(), DistFormat::block()}, "Q", "2");
-  b.use({"A"}, "s2");
-  b.end_if();
-  b.begin_loop(sweeps);
-  b.redistribute("A", {DistFormat::collapsed(), DistFormat::block()}, "",
-                 "3");
-  b.ref({"A"}, {"C"}, {}, "s3");
-  b.redistribute("A", {DistFormat::block(), DistFormat::collapsed()}, "",
-                 "4");
-  b.ref({"C"}, {"A"}, {}, "s4");
-  b.end_loop();
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig13(Extent n, int procs, bool useless_tail) {
-  ProgramBuilder b("fig13");
-  b.procs("P", Shape{procs});
-  b.array("A", Shape{n});
-  b.distribute_array("A", {DistFormat::block()}, "P");
-  b.use({"A"}, "s0");
-  b.begin_if();
-  b.redistribute("A", {DistFormat::cyclic()}, "", "1");
-  b.def({"A"}, "s1");
-  b.begin_else();
-  b.redistribute("A", {DistFormat::cyclic(2)}, "", "2");
-  b.use({"A"}, "s2");
-  b.end_if();
-  b.redistribute("A", {DistFormat::block()}, "", "3");
-  b.use({"A"}, "s3");
-  if (useless_tail) b.redistribute("A", {DistFormat::cyclic()}, "", "4");
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig16(Extent n, int procs, Extent trips) {
-  ProgramBuilder b("fig16");
-  b.procs("P", Shape{procs});
-  b.array("A", Shape{n});
-  b.distribute_array("A", {DistFormat::block()}, "P");
-  b.use({"A"});
-  b.begin_loop(trips);
-  b.redistribute("A", {DistFormat::cyclic()}, "", "1");
-  b.use({"A"});
-  b.redistribute("A", {DistFormat::block()}, "", "2");
-  b.end_loop();
-  b.use({"A"});
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig16_multi(Extent n, int procs, int arrays, Extent trips) {
-  ProgramBuilder b("fig16multi");
-  b.procs("P", Shape{procs});
-  b.tmpl("T", Shape{n});
-  b.distribute_template("T", {DistFormat::block()}, "P");
-  std::vector<std::string> names;
-  for (int i = 0; i < arrays; ++i) {
-    names.push_back("A" + std::to_string(i));
-    b.array(names.back(), Shape{n});
-    b.align(names.back(), "T", Alignment::identity(1));
-  }
-  b.use(names);
-  b.begin_loop(trips);
-  b.redistribute("T", {DistFormat::cyclic()}, "", "1");
-  b.use(names);
-  b.redistribute("T", {DistFormat::block()}, "", "2");
-  b.end_loop();
-  b.use(names);
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program fig18(Extent n, int procs) {
-  ProgramBuilder b("fig18");
-  b.procs("P", Shape{procs});
-  b.array("A", Shape{n});
-  b.distribute_array("A", {DistFormat::cyclic()}, "P");
-  b.interface("foo");
-  b.interface_dummy("X", Shape{n}, Intent::InOut, {DistFormat::block()}, "P");
-  b.use({"A"});
-  b.begin_if();
-  b.redistribute("A", {DistFormat::cyclic(2)}, "", "1");
-  b.use({"A"});
-  b.end_if();
-  b.call("foo", {"A"});
-  b.redistribute("A", {DistFormat::block(static_cast<Extent>(n))}, "", "2");
-  b.use({"A"});
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-hpfc::ir::Program scaling_program(int arrays, int remaps, int filler_refs) {
-  ProgramBuilder b("scaling");
-  b.procs("P", Shape{4});
-  b.tmpl("T", Shape{64});
-  b.distribute_template("T", {DistFormat::block()}, "P");
-  std::vector<std::string> names;
-  for (int i = 0; i < arrays; ++i) {
-    names.push_back("A" + std::to_string(i));
-    b.array(names.back(), Shape{64});
-    b.align(names.back(), "T", Alignment::identity(1));
-  }
-  const DistFormat formats[] = {DistFormat::cyclic(), DistFormat::block(),
-                                DistFormat::cyclic(2), DistFormat::cyclic(3)};
-  for (int r = 0; r < remaps; ++r) {
-    for (int f = 0; f < filler_refs; ++f)
-      b.use({names[static_cast<std::size_t>((r + f) % arrays)]});
-    b.redistribute("T", {formats[r % 4]});
-    b.use({names[static_cast<std::size_t>(r % arrays)]});
-  }
-  b.use(names);
-  DiagnosticEngine diags;
-  return b.finish(diags);
 }
 
 }  // namespace bench_common

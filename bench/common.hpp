@@ -1,8 +1,8 @@
-// Shared helpers for the per-figure benchmark harness: program factories
-// for the paper's examples (parameterized by problem size / machine size),
-// compile-and-run wrappers, the paper-vs-measured row printer used by
-// EXPERIMENTS.md, and the JSON-emitting measurement harness every
-// bench_*.cpp executable routes through (bench_main).
+// Shared helpers for the per-figure benchmark harness: compile-and-run
+// wrappers, the paper-vs-measured row printer, and the JSON-emitting
+// measurement harness every bench_*.cpp executable routes through
+// (bench_main). The figure programs themselves come from
+// src/testing/figures.hpp.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@ RunReport run_checked(const Compiled& compiled, unsigned seed = 7);
 RunReport run_checked(const Compiled& compiled,
                       const hpfc::runtime::RunOptions& run_options);
 
-/// Experiment banner / rows (stable text format consumed by EXPERIMENTS.md).
+/// Experiment banner / rows (a stable text format, one row per level).
 void banner(const std::string& experiment, const std::string& paper_claim);
 void row(const std::string& label, const RunReport& report);
 void note(const std::string& text);
@@ -100,7 +100,7 @@ struct HarnessOptions {
 };
 
 /// Collects per-figure measurements and serializes them to JSON.  The
-/// classic text rows keep printing so EXPERIMENTS.md stays reproducible.
+/// classic text rows keep printing beside it.
 class Harness {
  public:
   using Factory = std::function<hpfc::ir::Program()>;
@@ -156,39 +156,5 @@ class Harness {
 /// the executable's Google Benchmark suite (unless --no-gbench).
 int bench_main(int argc, char** argv, const std::string& bench_name,
                const std::function<void(Harness&)>& body);
-
-// ---- program factories (paper figures at scalable sizes) ---------------
-
-/// Figure 1: realign + redistribute of A (direct-remapping motivation).
-hpfc::ir::Program fig1(hpfc::mapping::Extent n, int procs, bool use_between);
-/// Figure 2: restored mapping makes both C remappings useless.
-hpfc::ir::Program fig2(hpfc::mapping::Extent n, int procs);
-/// Figure 3: `arrays` aligned arrays, `used_after` of them used afterwards.
-hpfc::ir::Program fig3(hpfc::mapping::Extent n, int procs, int arrays,
-                       int used_after);
-/// Figure 4: foo;foo;bla call chain on Y.
-hpfc::ir::Program fig4(hpfc::mapping::Extent n, int procs);
-/// Figure 10: the ADI-like routine with `sweeps` loop iterations.
-hpfc::ir::Program fig10(hpfc::mapping::Extent n, int procs,
-                        hpfc::mapping::Extent sweeps);
-/// Figure 13: flow-dependent live copy.  With `useless_tail` a trailing
-/// remapping no use reaches is appended, so the same workload also
-/// exercises O1's useless-remapping removal.
-hpfc::ir::Program fig13(hpfc::mapping::Extent n, int procs,
-                        bool useless_tail = false);
-/// Figure 16: loop-invariant remappings over `trips` iterations.
-hpfc::ir::Program fig16(hpfc::mapping::Extent n, int procs,
-                        hpfc::mapping::Extent trips);
-/// Figure 16 with a fan-out: `arrays` template-aligned arrays remapped
-/// together by each loop redistribution, so every remap vertex copies k
-/// arrays at once (the fused-superstep workload).
-hpfc::ir::Program fig16_multi(hpfc::mapping::Extent n, int procs, int arrays,
-                              hpfc::mapping::Extent trips);
-/// Figure 18: ambiguous reaching mapping around a call.
-hpfc::ir::Program fig18(hpfc::mapping::Extent n, int procs);
-
-/// A synthetic routine with `remaps` remapping statements, `arrays`
-/// arrays and a CFG of roughly `cfg_nodes` nodes (Appendix B scaling).
-hpfc::ir::Program scaling_program(int arrays, int remaps, int filler_refs);
 
 }  // namespace bench_common

@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(report.net.messages),
         report.net.sim_time * 1e3,
         report.signature == oracle.signature ? "oracle-match" : "MISMATCH");
+    if (report.signature != oracle.signature) return 1;
   }
   std::printf(
       "note: FFT transposes are useful communication — the optimizer must\n"

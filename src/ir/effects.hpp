@@ -5,9 +5,11 @@
 // The paper linearizes the qualifiers N < D < R < W. We implement the
 // underlying two-boolean lattice instead: (may_read, may_write) with
 // N=(0,0), D=(0,1), R=(1,0), W=(1,1); merging across paths is component-wise
-// OR and sequential composition follows first-use semantics. This is sound,
-// agrees with the paper on its examples, and is strictly more precise on
-// {D,R} path merges (documented in DESIGN.md).
+// OR and sequential composition follows first-use semantics. This is sound
+// and agrees with the paper on its examples. It differs on {D,R} path
+// merges: their union is (1,1) = W, where the linear order's maximum R
+// would miss the D path's write; so the copy both transfers the incoming
+// values and marks the other copies stale.
 //
 // Meaning for the remapping machinery:
 //   may_read  = the incoming *values* are needed -> the copy must transfer

@@ -1,7 +1,6 @@
 #include "opt/passes.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -13,25 +12,14 @@ namespace {
 
 using ir::ArrayId;
 using remap::ArrayLabel;
+using remap::insert_sorted;
+using remap::merge_sorted;
 using remap::RemapGraph;
 using remap::RemapVertex;
 using remap::VertexKind;
 
 bool kept(const ArrayLabel& label) {
   return !label.removed && !label.leaving.empty();
-}
-
-bool insert_sorted(std::vector<int>& set, int value) {
-  const auto it = std::lower_bound(set.begin(), set.end(), value);
-  if (it != set.end() && *it == value) return false;
-  set.insert(it, value);
-  return true;
-}
-
-bool merge_sorted(std::vector<int>& into, const std::vector<int>& from) {
-  bool changed = false;
-  for (const int v : from) changed |= insert_sorted(into, v);
-  return changed;
 }
 
 bool edge_has(const remap::RemapEdge& edge, ArrayId a) {
@@ -63,37 +51,33 @@ void remove_useless_remappings(remap::Analysis& analysis, OptReport& report) {
   // result for the §5.2 dead-transfer skip: without it a D label merged
   // from an {N, D} branch pair would skip a copy whose value the N path
   // still carries into a later consumer (the seed-306 divergence).
-  std::map<std::pair<int, ArrayId>, bool> value_needed;
-  {
-    bool needed_changed = true;
-    while (needed_changed) {
-      needed_changed = false;
-      for (RemapVertex& v : graph.vertices()) {
-        for (auto& [a, label] : v.arrays) {
-          bool needed = label.use.may_read;
-          if (!needed && label.use.passes) {
-            for (const int e : graph.out_edges(v.id)) {
-              const auto& edge = graph.edges()[static_cast<std::size_t>(e)];
-              if (!edge_has(edge, a)) continue;
-              const RemapVertex& succ = graph.vertex(edge.to);
-              if (succ.arrays.find(a) == succ.arrays.end()) continue;
-              if (value_needed[{succ.id, a}]) {
-                needed = true;
-                break;
-              }
+  for (RemapVertex& v : graph.vertices())
+    for (auto& entry : v.arrays) entry.second.value_needed = false;
+  bool needed_changed = true;
+  while (needed_changed) {
+    needed_changed = false;
+    for (RemapVertex& v : graph.vertices()) {
+      for (auto& [a, label] : v.arrays) {
+        if (label.value_needed) continue;
+        bool needed = label.use.may_read;
+        if (!needed && label.use.passes) {
+          for (const int e : graph.out_edges(v.id)) {
+            const auto& edge = graph.edges()[static_cast<std::size_t>(e)];
+            if (!edge_has(edge, a)) continue;
+            const RemapVertex& succ = graph.vertex(edge.to);
+            const auto it = succ.arrays.find(a);
+            if (it != succ.arrays.end() && it->second.value_needed) {
+              needed = true;
+              break;
             }
           }
-          bool& slot = value_needed[{v.id, a}];
-          if (needed && !slot) {
-            slot = true;
-            needed_changed = true;
-          }
+        }
+        if (needed) {
+          label.value_needed = true;
+          needed_changed = true;
         }
       }
     }
-    for (RemapVertex& v : graph.vertices())
-      for (auto& [a, label] : v.arrays)
-        label.value_needed = value_needed[{v.id, a}];
   }
 
   // Phase 1 (Appendix C): delete leaving mappings whose use is N. An

@@ -18,21 +18,8 @@ using mapping::ConcreteLayout;
 using mapping::Distribution;
 using mapping::FullMapping;
 
-/// Sorted-unique small int set with union-merge.
+/// Sorted-unique small int set (insert_sorted / merge_sorted).
 using IdSet = std::vector<int>;
-
-bool insert_id(IdSet& set, int id) {
-  const auto it = std::lower_bound(set.begin(), set.end(), id);
-  if (it != set.end() && *it == id) return false;
-  set.insert(it, id);
-  return true;
-}
-
-bool merge_ids(IdSet& into, const IdSet& from) {
-  bool changed = false;
-  for (const int id : from) changed |= insert_id(into, id);
-  return changed;
-}
 
 /// Interner for FullMappings and Distributions.
 struct Universe {
@@ -62,9 +49,9 @@ struct MapState {
   bool merge_from(const MapState& other) {
     bool changed = false;
     for (std::size_t a = 0; a < arrays.size(); ++a)
-      changed |= merge_ids(arrays[a], other.arrays[a]);
+      changed |= merge_sorted(arrays[a], other.arrays[a]);
     for (const auto& [t, ds] : other.templates)
-      changed |= merge_ids(templates[t], ds);
+      changed |= merge_sorted(templates[t], ds);
     return changed;
   }
 };
@@ -78,6 +65,7 @@ class Builder {
     Analysis result;
     result.cfg = ir::Cfg::build(program_);
     cfg_ = &result.cfg;
+    remap_nodes_ = remap_nodes_in_order();
     const int n = cfg_->size();
     const int num_arrays = static_cast<int>(program_.arrays.size());
 
@@ -112,13 +100,14 @@ class Builder {
     MapState s = empty_state(static_cast<int>(program_.arrays.size()));
     for (const ArrayId a : program_.mapped_arrays()) {
       const FullMapping fm = program_.initial_mapping(a);
-      insert_id(s.arrays[static_cast<std::size_t>(a)], universe_.intern_fm(fm));
+      insert_sorted(s.arrays[static_cast<std::size_t>(a)],
+                    universe_.intern_fm(fm));
     }
     for (std::size_t t = 0; t < program_.templates.size(); ++t) {
       const auto& decl = program_.templates[t];
       if (decl.has_initial_dist)
-        insert_id(s.templates[static_cast<int>(t)],
-                  universe_.intern_dist(decl.initial_dist));
+        insert_sorted(s.templates[static_cast<int>(t)],
+                      universe_.intern_dist(decl.initial_dist));
     }
     return s;
   }
@@ -187,7 +176,7 @@ class Builder {
       fm.template_shape = tdecl.shape;
       fm.align = realign.align;
       fm.dist = universe_.dists[static_cast<std::size_t>(d)];
-      insert_id(fms, universe_.intern_fm(fm));
+      insert_sorted(fms, universe_.intern_fm(fm));
     }
     state.arrays[static_cast<std::size_t>(realign.array)] = std::move(fms);
   }
@@ -201,12 +190,12 @@ class Builder {
       for (const int id : fm_set) {
         const FullMapping& fm = universe_.fms[static_cast<std::size_t>(id)];
         if (fm.template_id != t) {
-          insert_id(updated, id);
+          insert_sorted(updated, id);
           continue;
         }
         FullMapping changed = fm;
         changed.dist = redist.dist;
-        insert_id(updated, universe_.intern_fm(changed));
+        insert_sorted(updated, universe_.intern_fm(changed));
       }
       fm_set = std::move(updated);
     }
@@ -256,7 +245,7 @@ class Builder {
   IdSet versions_of(const MapState& state, ArrayId a) {
     IdSet vs;
     for (const int fm : state.arrays[static_cast<std::size_t>(a)])
-      insert_id(vs, version_of_fm(a, fm, /*intern=*/true));
+      insert_sorted(vs, version_of_fm(a, fm, /*intern=*/true));
     return vs;
   }
 
@@ -268,7 +257,7 @@ class Builder {
       HPFC_ASSERT(v == 0);
     }
     // Then leaving layouts, in source order of the remapping statements.
-    for (const int n : remap_nodes_in_order()) {
+    for (const int n : remap_nodes_) {
       for (const ArrayId a : targeted_arrays(cfg_->node(n)))
         (void)versions_of(out_[static_cast<std::size_t>(n)], a);
     }
@@ -336,7 +325,7 @@ class Builder {
 
   void compute_remapped() {
     remapped_.assign(static_cast<std::size_t>(cfg_->size()), {});
-    for (const int n : remap_nodes_in_order()) {
+    for (const int n : remap_nodes_) {
       const CfgNode& node = cfg_->node(n);
       for (const ArrayId a : targeted_arrays(node)) {
         const IdSet reach = versions_of(in_[static_cast<std::size_t>(n)], a);
@@ -525,7 +514,7 @@ class Builder {
     int remap_counter = 0;
     int call_counter = 0;
     std::map<int, int> call_index;  // call stmt id -> call order
-    for (const int n : remap_nodes_in_order()) {
+    for (const int n : remap_nodes_) {
       const CfgNode& node = cfg_->node(n);
       std::string name;
       if (node.kind == CfgKind::Plain) {
@@ -558,7 +547,7 @@ class Builder {
       label.use = use_after(cfg_->entry(), a);
       graph.vertex(origin).arrays[a] = std::move(label);
     }
-    for (const int n : remap_nodes_in_order()) {
+    for (const int n : remap_nodes_) {
       const int v = result.vertex_of_node[static_cast<std::size_t>(n)];
       if (v < 0) continue;
       for (const ArrayId a : remapped_[static_cast<std::size_t>(n)]) {
@@ -620,7 +609,7 @@ class Builder {
         PairSet new_after;
         for (const int s : cfg_->node(node_id).succs)
           for (const auto& [a, vs] : from[static_cast<std::size_t>(s)])
-            merge_ids(new_after[a], vs);
+            merge_sorted(new_after[a], vs);
         PairSet new_from = new_after;
         const int v = node_id == cfg_->exit()
                           ? graph.ve()
@@ -658,7 +647,7 @@ class Builder {
       (program_.array(a).is_dummy ? dummies : locals).push_back(a);
     emit(graph.vc(), cfg_->entry(), dummies);
     emit(graph.v0(), cfg_->entry(), locals);
-    for (const int node_id : remap_nodes_in_order()) {
+    for (const int node_id : remap_nodes_) {
       const int v = result.vertex_of_node[static_cast<std::size_t>(node_id)];
       if (v >= 0)
         emit(v, node_id, remapped_[static_cast<std::size_t>(node_id)]);
@@ -743,6 +732,8 @@ class Builder {
   const ir::Program& program_;
   DiagnosticEngine& diags_;
   const ir::Cfg* cfg_ = nullptr;
+  /// remap_nodes_in_order() of cfg_, computed once per analysis.
+  std::vector<int> remap_nodes_;
   Universe universe_;
   std::vector<MapState> in_;
   std::vector<MapState> out_;

@@ -12,6 +12,10 @@
 //     argument effects follow intent (Figure 25), the exit vertex models
 //     exported arguments (Figure 22).
 //  4. may-backward RemappedAfter propagation, giving the G_R edges.
+//  5. must-forward live-region propagation (§4.3): a LIVE assertion
+//     installs a rectangle, writes and remappings drop it, and path
+//     merges keep only regions every predecessor agrees on; each vertex's
+//     labels carry the region reaching it (ArrayLabel::live_region).
 #pragma once
 
 #include <map>

@@ -13,6 +13,7 @@
 //   M_A(v)  maybe-live versions — copies worth keeping (Appendix D)
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,6 +35,22 @@ enum class VertexKind {
 };
 
 const char* to_string(VertexKind kind);
+
+/// Inserts `id` into the sorted, duplicate-free `set` (the form of every
+/// version-id and mapping-id set here); true when `id` was absent.
+inline bool insert_sorted(std::vector<int>& set, int id) {
+  const auto it = std::lower_bound(set.begin(), set.end(), id);
+  if (it != set.end() && *it == id) return false;
+  set.insert(it, id);
+  return true;
+}
+
+/// Unions the sorted set `from` into `into`; true when `into` grew.
+inline bool merge_sorted(std::vector<int>& into, const std::vector<int>& from) {
+  bool changed = false;
+  for (const int id : from) changed |= insert_sorted(into, id);
+  return changed;
+}
 
 /// Per-(vertex, array) labels.
 struct ArrayLabel {

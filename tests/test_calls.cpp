@@ -3,8 +3,7 @@
 // intent drives effects and liveness, interfaces are prescriptive.
 #include <gtest/gtest.h>
 
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include "common.hpp"
 
 namespace hpfc {
 namespace {
@@ -14,25 +13,6 @@ using driver::OptLevel;
 using hpf::ProgramBuilder;
 using mapping::DistFormat;
 using mapping::Shape;
-
-Compiled compile_builder(ProgramBuilder& b, OptLevel level,
-                         bool expect_ok = true) {
-  DiagnosticEngine diags;
-  driver::CompileOptions options;
-  options.level = level;
-  Compiled c = driver::compile(b.finish(diags), options, diags);
-  if (expect_ok) {
-    EXPECT_TRUE(c.ok) << diags.to_string();
-  }
-  return c;
-}
-
-const remap::RemapVertex* find_vertex(const Compiled& c,
-                                      const std::string& name) {
-  for (const auto& v : c.analysis.graph.vertices())
-    if (v.name == name) return &v;
-  return nullptr;
-}
 
 // Figure 8: the call CALLEE(B) with B cyclic and the dummy block becomes
 // an explicit remapping to block before the call and back after it.
@@ -47,7 +27,7 @@ TEST(Fig08, CallTranslatesToExplicitRemappings) {
   b.def({"B"});
   b.call("callee", {"B"});
   b.use({"B"});
-  const Compiled c = compile_builder(b, OptLevel::O0);
+  const Compiled c = compile(b, OptLevel::O0);
 
   const auto* pre = find_vertex(c, "b1");
   const auto* post = find_vertex(c, "a1");
@@ -77,7 +57,7 @@ TEST(Fig24, PrePostEdgesAroundTheCall) {
   b.def({"A"});
   b.call("foo", {"A"});
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O0);
+  const Compiled c = compile(b, OptLevel::O0);
   const auto* pre = find_vertex(c, "b1");
   const auto* post = find_vertex(c, "a1");
   ASSERT_NE(pre, nullptr);
@@ -102,7 +82,7 @@ TEST(Fig23, InitialMappingsOriginateAtCallAndEntry) {
   b.array("L", Shape{32});
   b.distribute_array("L", {DistFormat::cyclic()}, "P");
   b.use({"A", "L"});
-  const Compiled c = compile_builder(b, OptLevel::O0);
+  const Compiled c = compile(b, OptLevel::O0);
   const auto* vc = find_vertex(c, "C");
   const auto* v0 = find_vertex(c, "0");
   ASSERT_NE(vc, nullptr);
@@ -128,7 +108,7 @@ TEST(Calls, MatchingMappingNeedsNoCopies) {
   b.def({"A"});
   b.call("foo", {"A"});
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O0);
+  const Compiled c = compile(b, OptLevel::O0);
   // The argument already has the required mapping: the pre/post vertices
   // carry no remapped arrays and the run performs no copies.
   const auto* pre = find_vertex(c, "b1");
@@ -153,7 +133,7 @@ TEST(Calls, TwoArgumentsRemapIndependently) {
   b.def({"A", "B"});
   b.call("foo", {"A", "B"});
   b.use({"A", "B"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   // Only B needs to move (A already cyclic); with intent(in) and O2 the
   // restore reuses B's live original.
   const auto report = driver::run(c);
@@ -177,7 +157,7 @@ TEST(Calls, SameArrayTwicePassesShapeCheckButRemapsOnce) {
   b.def({"A"});
   b.call("foo", {"A", "A"});
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O0);
+  const Compiled c = compile(b, OptLevel::O0);
   const auto report = driver::run(c);
   const auto oracle = driver::run_oracle(c);
   EXPECT_EQ(report.signature, oracle.signature);
@@ -194,7 +174,7 @@ TEST(Calls, OutIntentDummyNeverTransfersGarbageIn) {
   // R is never written before the call: no copy-in data needed at all.
   b.call("produce", {"R"});
   b.use({"R"});
-  const Compiled c = compile_builder(b, OptLevel::O1);
+  const Compiled c = compile(b, OptLevel::O1);
   const auto report = driver::run(c);
   // Copy-in is dead (D); only the copy-back moves data.
   EXPECT_EQ(report.copies_performed, 1);
@@ -234,7 +214,7 @@ TEST(Calls, ChainedCallsWithMixedIntents) {
     copy.call("writer", {"A"});
     copy.call("reader", {"A"});
     copy.use({"A"});
-    const Compiled c = compile_builder(copy, level);
+    const Compiled c = compile(copy, level);
     runtime::RunOptions options;
     options.paranoid = true;
     const auto report = driver::run(c, options);

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "codegen/runtime_ops.hpp"
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include "common.hpp"
+#include "testing/figures.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
@@ -24,47 +24,6 @@ namespace {
 using driver::Compiled;
 using driver::CompileOptions;
 using driver::OptLevel;
-using mapping::Alignment;
-using mapping::DistFormat;
-using mapping::Shape;
-
-/// `arrays` aligned arrays remapped together by `trips` template
-/// redistributions: every remap vertex copies all the arrays at once, so
-/// fusion should collapse its fan-out into one superstep per vertex.
-ir::Program multi_array_loop(mapping::Extent n, int procs, int arrays,
-                             mapping::Extent trips) {
-  hpf::ProgramBuilder b("multi");
-  b.procs("P", Shape{procs});
-  b.tmpl("T", Shape{n});
-  b.distribute_template("T", {DistFormat::block()}, "P");
-  std::vector<std::string> names;
-  for (int i = 0; i < arrays; ++i) {
-    names.push_back("A" + std::to_string(i));
-    b.array(names.back(), Shape{n});
-    b.align(names.back(), "T", Alignment::identity(1));
-  }
-  b.use(names);
-  b.begin_loop(trips);
-  b.redistribute("T", {DistFormat::cyclic()}, "", "1");
-  b.use(names);
-  b.redistribute("T", {DistFormat::block()}, "", "2");
-  b.end_loop();
-  b.use(names);
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-Compiled compile_multi(mapping::Extent n, int procs, int arrays,
-                       mapping::Extent trips, OptLevel level) {
-  DiagnosticEngine diags;
-  CompileOptions options;
-  options.level = level;
-  Compiled compiled =
-      driver::compile(multi_array_loop(n, procs, arrays, trips), options,
-                      diags);
-  EXPECT_TRUE(compiled.ok) << diags.to_string();
-  return compiled;
-}
 
 /// The counters that must not move whichever backend runs the ranks.
 struct InvariantCounters {
@@ -108,7 +67,7 @@ runtime::RunReport run_with(const Compiled& compiled, exec::BackendKind backend,
 // Every Copy emitted for one vertex carries that vertex's group id;
 // distinct vertices get distinct groups.
 TEST(CopyGroups, CodegenAssignsOneGroupPerVertex) {
-  const Compiled c = compile_multi(64, 4, 3, 1, OptLevel::O0);
+  const Compiled c = compile(testing::fig16_multi(64, 4, 3, 1), OptLevel::O0);
   EXPECT_GT(c.code.copy_groups, 0);
   std::vector<std::vector<int>> groups_per_node;
   for (const auto& ops : c.code.at_node) {
@@ -146,7 +105,8 @@ TEST(CopyGroups, MultiArrayVertexFusesKIntoOneSuperstep) {
   const int procs = 4;
   const int arrays = 4;
   const mapping::Extent trips = 3;
-  const Compiled c = compile_multi(n, procs, arrays, trips, OptLevel::O0);
+  const Compiled c =
+      compile(testing::fig16_multi(n, procs, arrays, trips), OptLevel::O0);
 
   runtime::RunOptions oracle_options;
   oracle_options.seed = 11;
@@ -227,7 +187,7 @@ TEST(CopyGroups, RandomProgramsFuseWithoutChangingResults) {
 // Fusion composes with the eviction machinery: pinned pending members
 // survive memory pressure and the squeezed run stays correct.
 TEST(CopyGroups, MemoryPressureWithFusedGroups) {
-  const Compiled c = compile_multi(128, 4, 4, 2, OptLevel::O0);
+  const Compiled c = compile(testing::fig16_multi(128, 4, 4, 2), OptLevel::O0);
   runtime::RunOptions options;
   options.seed = 5;
   const auto unlimited = driver::run(c, options);

@@ -17,20 +17,18 @@
 #include <string_view>
 #include <vector>
 
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include "common.hpp"
 #include "redist/commsets.hpp"
 #include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
+#include "testing/figures.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
 namespace {
 
 using driver::Compiled;
-using driver::CompileOptions;
 using driver::OptLevel;
-using mapping::Alignment;
 using mapping::DistFormat;
 using mapping::Extent;
 using mapping::Shape;
@@ -273,48 +271,13 @@ TEST(PeriodicFootprint, CyclicTwoToThreeDoesNotGrowWithExtent) {
   EXPECT_LE(small.stretches, 3u * 16u);
 }
 
-/// `arrays` aligned arrays remapped together per loop trip: exercises the
-/// fused copy-group path, the local fast path, and steady-state plan
-/// reuse in one workload (same shape as the fusion tests).
-ir::Program multi_array_loop(Extent n, int procs, int arrays, Extent trips) {
-  hpf::ProgramBuilder b("multi");
-  b.procs("P", Shape{procs});
-  b.tmpl("T", Shape{n});
-  b.distribute_template("T", {DistFormat::block()}, "P");
-  std::vector<std::string> names;
-  for (int i = 0; i < arrays; ++i) {
-    names.push_back("A" + std::to_string(i));
-    b.array(names.back(), Shape{n});
-    b.align(names.back(), "T", Alignment::identity(1));
-  }
-  b.use(names);
-  b.begin_loop(trips);
-  b.redistribute("T", {DistFormat::cyclic()}, "", "1");
-  b.use(names);
-  b.redistribute("T", {DistFormat::block()}, "", "2");
-  b.end_loop();
-  b.use(names);
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-Compiled compile_multi(Extent n, int procs, int arrays, Extent trips) {
-  DiagnosticEngine diags;
-  CompileOptions options;
-  options.level = OptLevel::O0;
-  Compiled compiled =
-      driver::compile(multi_array_loop(n, procs, arrays, trips), options,
-                      diags);
-  EXPECT_TRUE(compiled.ok) << diags.to_string();
-  return compiled;
-}
-
 // Under memory pressure the runtime falls back to evicting compiled plan
 // slots (their kernels and segment tables); the evicted slots recompile and
 // re-specialize on their next use, so specialized_kernels rises past the
 // unlimited run's install count while the results stay exact.
 TEST(PlanEviction, EvictedSlotsReSpecializeLazily) {
-  const Compiled compiled = compile_multi(96, 4, 3, 3);
+  const Compiled compiled =
+      compile(testing::fig16_multi(96, 4, 3, 3), OptLevel::O0);
   runtime::RunOptions options;
   options.seed = 11;
   const runtime::RunReport oracle = driver::run_oracle(compiled, options);

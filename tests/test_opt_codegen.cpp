@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/gen.hpp"
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include "common.hpp"
 #include "opt/passes.hpp"
 
 namespace hpfc {
@@ -16,26 +15,6 @@ using driver::OptLevel;
 using hpf::ProgramBuilder;
 using mapping::DistFormat;
 using mapping::Shape;
-
-Compiled compile_builder(ProgramBuilder& b, OptLevel level) {
-  DiagnosticEngine diags;
-  driver::CompileOptions options;
-  options.level = level;
-  options.validate_theorem1 = true;
-  Compiled c = driver::compile(b.finish(diags), options, diags);
-  EXPECT_TRUE(c.ok) << diags.to_string();
-  return c;
-}
-
-const remap::ArrayLabel* label_of(const Compiled& c, const std::string& vertex,
-                                  const std::string& array) {
-  for (const auto& v : c.analysis.graph.vertices()) {
-    if (v.name != vertex) continue;
-    const auto it = v.arrays.find(c.program.find_array(array));
-    return it == v.arrays.end() ? nullptr : &it->second;
-  }
-  return nullptr;
-}
 
 ProgramBuilder unused_chain() {
   // Three consecutive remappings, the array only used at the very end.
@@ -53,7 +32,7 @@ ProgramBuilder unused_chain() {
 
 TEST(UselessRemoval, CascadeRemovesAllButTheLast) {
   ProgramBuilder b = unused_chain();
-  const Compiled c = compile_builder(b, OptLevel::O1);
+  const Compiled c = compile(b, OptLevel::O1);
   EXPECT_TRUE(label_of(c, "1", "A")->removed);
   EXPECT_TRUE(label_of(c, "2", "A")->removed);
   const auto* l3 = label_of(c, "3", "A");
@@ -68,7 +47,7 @@ TEST(UselessRemoval, CascadeRemovesAllButTheLast) {
 
 TEST(UselessRemoval, ReportCountsRemovalsAndDeactivations) {
   ProgramBuilder b = unused_chain();
-  const Compiled c = compile_builder(b, OptLevel::O1);
+  const Compiled c = compile(b, OptLevel::O1);
   EXPECT_EQ(c.opt_report.removed_remappings, 2);
   EXPECT_EQ(c.opt_report.vertices_deactivated, 2);
 }
@@ -87,7 +66,7 @@ TEST(MaybeLive, PropagationStopsAtWriters) {
   b.def({"A"});
   b.redistribute("A", {DistFormat::block()}, "", "3");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto* l1 = label_of(c, "1", "A");
   ASSERT_NE(l1, nullptr);
   // Version 0 is remapped back to at vertex 3, but vertex 2's copy is
@@ -196,8 +175,8 @@ int copy_ops(const Compiled& c) { return c.code.count(codegen::OpKind::Copy); }
 TEST(Codegen, CopyOpsShrinkWithOptimization) {
   ProgramBuilder b0 = unused_chain();
   ProgramBuilder b1 = unused_chain();
-  const Compiled c0 = compile_builder(b0, OptLevel::O0);
-  const Compiled c1 = compile_builder(b1, OptLevel::O1);
+  const Compiled c0 = compile(b0, OptLevel::O0);
+  const Compiled c1 = compile(b1, OptLevel::O1);
   EXPECT_GT(copy_ops(c0), copy_ops(c1));
 }
 
@@ -210,7 +189,7 @@ TEST(Codegen, DeadCopySkipsDataMovement) {
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.full_def({"A"});  // fully redefined before any use: U = D
   b.use({"A"});
-  const Compiled c1 = compile_builder(b, OptLevel::O1);
+  const Compiled c1 = compile(b, OptLevel::O1);
   // The vertex survives (allocation + status) but emits no Copy op.
   EXPECT_EQ(copy_ops(c1), 0);
   EXPECT_GT(c1.code.count(codegen::OpKind::Allocate), 0);
@@ -223,7 +202,7 @@ TEST(Codegen, DeadCopySkipsDataMovement) {
   b0.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b0.full_def({"A"});
   b0.use({"A"});
-  const Compiled c0 = compile_builder(b0, OptLevel::O0);
+  const Compiled c0 = compile(b0, OptLevel::O0);
   EXPECT_GT(copy_ops(c0), 0);  // the naive scheme always moves the data
 }
 
@@ -235,7 +214,7 @@ TEST(Codegen, NoFreeOfTheCallerOwnedDummyCopy) {
   b.use({"A"});
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.def({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const ir::ArrayId a = c.program.find_array("A");
   // Walk every op: no Free of (A, version 0) anywhere.
   const std::function<void(const codegen::OpList&)> walk =
@@ -259,7 +238,7 @@ TEST(Codegen, EntryInitializesStatusAndDummyLiveness) {
   b.array("L", Shape{32});
   b.distribute_array("L", {DistFormat::cyclic()}, "P");
   b.use({"A", "L"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   int set_status = 0;
   int set_live_true = 0;
   for (const auto& op : c.code.at_entry) {
@@ -272,7 +251,7 @@ TEST(Codegen, EntryInitializesStatusAndDummyLiveness) {
 
 TEST(Codegen, GuardStructureIsWellFormed) {
   ProgramBuilder b = unused_chain();
-  const Compiled c = compile_builder(b, OptLevel::O1);
+  const Compiled c = compile(b, OptLevel::O1);
   // Every Copy sits under an IfStatusEq under an IfNotLive under an
   // IfStatusNe.
   const std::function<void(const codegen::OpList&, int)> walk =

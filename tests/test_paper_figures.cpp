@@ -1,9 +1,15 @@
 // Every worked example of the paper, encoded and checked against the
-// outcome the paper documents for it (see DESIGN.md §4 for the index).
+// outcome the paper documents for it. The figures the benches measure too
+// come from src/testing/figures.hpp; single-use ones are built inline.
 #include <gtest/gtest.h>
 
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common.hpp"
+#include "testing/figures.hpp"
 
 namespace hpfc {
 namespace {
@@ -13,78 +19,16 @@ using driver::CompileOptions;
 using driver::OptLevel;
 using hpf::ProgramBuilder;
 using mapping::Alignment;
-using mapping::AlignTarget;
 using mapping::DistFormat;
 using mapping::Shape;
-
-Compiled compile_level(ProgramBuilder& b, OptLevel level,
-                       bool expect_ok = true) {
-  DiagnosticEngine diags;
-  CompileOptions options;
-  options.level = level;
-  options.validate_theorem1 = true;
-  Compiled compiled = driver::compile(b.finish(diags), options, diags);
-  if (expect_ok) {
-    EXPECT_TRUE(compiled.ok) << diags.to_string();
-    EXPECT_TRUE(compiled.opt_report.theorem1_holds);
-  }
-  return compiled;
-}
-
-const remap::RemapVertex* find_vertex(const Compiled& c,
-                                      const std::string& name) {
-  for (const auto& v : c.analysis.graph.vertices())
-    if (v.name == name) return &v;
-  return nullptr;
-}
-
-const remap::ArrayLabel* label_of(const Compiled& c, const std::string& vertex,
-                                  const std::string& array) {
-  const auto* v = find_vertex(c, vertex);
-  if (v == nullptr) return nullptr;
-  const ir::ArrayId a = c.program.find_array(array);
-  const auto it = v->arrays.find(a);
-  return it == v->arrays.end() ? nullptr : &it->second;
-}
-
-/// Oracle and parallel run must agree; returns the parallel report.
-runtime::RunReport run_checked(const Compiled& c, unsigned seed = 7) {
-  runtime::RunOptions options;
-  options.seed = seed;
-  options.paranoid = true;
-  const auto oracle = driver::run_oracle(c, options);
-  const auto parallel = driver::run(c, options);
-  EXPECT_EQ(oracle.signature, parallel.signature);
-  EXPECT_TRUE(parallel.exported_values_ok);
-  return parallel;
-}
 
 // ---------------------------------------------------------------- Figure 1
 // realign A with B(j,i) followed by redistribute B: two remappings of A
 // when A is used in between, but a single *direct* remapping once the
 // intermediate mapping is unused (the motivation of §1.1).
-ProgramBuilder figure1(bool use_between) {
-  ProgramBuilder b("fig1");
-  b.procs("P", Shape{4});
-  b.array("B", Shape{16, 16});
-  b.distribute_array("B", {DistFormat::block(), DistFormat::collapsed()},
-                     "P");
-  b.array("A", Shape{16, 16});
-  b.align_with_array("A", "B");
-  b.use({"A", "B"});
-  Alignment transpose;
-  transpose.per_template_dim = {AlignTarget::axis(1), AlignTarget::axis(0)};
-  b.realign_with_array("A", "B", transpose, "1");
-  if (use_between) b.use({"A"});
-  b.redistribute("B", {DistFormat::cyclic(), DistFormat::collapsed()}, "",
-                 "2");
-  b.use({"A", "B"});
-  return b;
-}
-
 TEST(Fig01, TwoRemappingsWhenIntermediateIsUsed) {
-  ProgramBuilder b = figure1(/*use_between=*/true);
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c =
+      compile(testing::fig1(16, 4, /*use_between=*/true), OptLevel::O2);
   // A goes through three placements: initial, transposed-block,
   // transposed-cyclic.
   EXPECT_EQ(c.analysis.version_count(c.program.find_array("A")), 3);
@@ -94,8 +38,8 @@ TEST(Fig01, TwoRemappingsWhenIntermediateIsUsed) {
 }
 
 TEST(Fig01, DirectRemappingWhenIntermediateIsDead) {
-  ProgramBuilder b = figure1(/*use_between=*/false);
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c =
+      compile(testing::fig1(16, 4, /*use_between=*/false), OptLevel::O2);
   // The realign's copy is useless (U = N): removed; the redistribute's
   // reaching set is recomputed to the initial version -> direct remapping.
   const auto* l1 = label_of(c, "1", "A");
@@ -108,8 +52,8 @@ TEST(Fig01, DirectRemappingWhenIntermediateIsDead) {
   EXPECT_EQ(report.copies_performed, 2);  // A 0->2 direct, B 0->1
 
   // The naive translation performs all three copies.
-  ProgramBuilder b0 = figure1(/*use_between=*/false);
-  const Compiled c0 = compile_level(b0, OptLevel::O0);
+  const Compiled c0 =
+      compile(testing::fig1(16, 4, /*use_between=*/false), OptLevel::O0);
   const auto report0 = run_checked(c0);
   EXPECT_EQ(report0.copies_performed, 3);
 }
@@ -118,24 +62,7 @@ TEST(Fig01, DirectRemappingWhenIntermediateIsDead) {
 // realign C with B(j,i), then a redistribute of B that restores C's
 // initial placement: both C remappings are useless.
 TEST(Fig02, RestoredMappingMakesBothRemappingsUseless) {
-  ProgramBuilder b("fig2");
-  b.procs("P", Shape{4});
-  b.array("B", Shape{16, 16});
-  b.distribute_array("B", {DistFormat::block(), DistFormat::collapsed()},
-                     "P");
-  b.array("C", Shape{16, 16});
-  b.align_with_array("C", "B");
-  b.use({"C"});
-  Alignment transpose;
-  transpose.per_template_dim = {AlignTarget::axis(1), AlignTarget::axis(0)};
-  b.realign_with_array("C", "B", transpose, "1");
-  // (block,*) over transposed alignment = (*,block) over identity; the
-  // redistribute to (*,block) restores C's initial placement exactly.
-  b.redistribute("B", {DistFormat::collapsed(), DistFormat::block()}, "",
-                 "2");
-  b.use({"C"});
-
-  const Compiled c = compile_level(b, OptLevel::O1);
+  const Compiled c = compile(testing::fig2(16, 4), OptLevel::O1);
   const ir::ArrayId array_c = c.program.find_array("C");
   // C's transposed intermediate is never referenced: removed; and at the
   // redistribute C's recomputed reaching equals its leaving (version 0),
@@ -154,19 +81,7 @@ TEST(Fig02, RestoredMappingMakesBothRemappingsUseless) {
   EXPECT_EQ(report.copies_performed, 0);
 
   // Naive: C copied twice (there and back) plus B once.
-  ProgramBuilder b0("fig2");
-  b0.procs("P", Shape{4});
-  b0.array("B", Shape{16, 16});
-  b0.distribute_array("B", {DistFormat::block(), DistFormat::collapsed()},
-                      "P");
-  b0.array("C", Shape{16, 16});
-  b0.align_with_array("C", "B");
-  b0.use({"C"});
-  b0.realign_with_array("C", "B", transpose, "1");
-  b0.redistribute("B", {DistFormat::collapsed(), DistFormat::block()}, "",
-                  "2");
-  b0.use({"C"});
-  const Compiled c0 = compile_level(b0, OptLevel::O0);
+  const Compiled c0 = compile(testing::fig2(16, 4), OptLevel::O0);
   const auto report0 = run_checked(c0);
   EXPECT_EQ(report0.copies_performed, 3);
   EXPECT_EQ(c.analysis.version_count(array_c), 2);
@@ -174,24 +89,12 @@ TEST(Fig02, RestoredMappingMakesBothRemappingsUseless) {
 
 // ---------------------------------------------------------------- Figure 3
 // A template redistribution remaps all five aligned arrays although only
-// two of them are used afterwards.
+// two of them (A0 and A1) are used afterwards.
 TEST(Fig03, OnlyUsedAlignedArraysAreRemapped) {
-  ProgramBuilder b("fig3");
-  b.procs("P", Shape{4});
-  b.tmpl("T", Shape{32});
-  b.distribute_template("T", {DistFormat::block()}, "P");
-  for (const char* name : {"A", "B", "C", "D", "E"}) {
-    b.array(name, Shape{32});
-    b.align(name, "T", Alignment::identity(1));
-  }
-  b.use({"A", "B", "C", "D", "E"});
-  b.redistribute("T", {DistFormat::cyclic()}, "", "1");
-  b.use({"A", "D"});
-
-  const Compiled c = compile_level(b, OptLevel::O1);
+  const Compiled c = compile(testing::fig3(32, 4, 5, 2), OptLevel::O1);
   int kept = 0;
   int removed = 0;
-  for (const char* name : {"A", "B", "C", "D", "E"}) {
+  for (const char* name : {"A0", "A1", "A2", "A3", "A4"}) {
     const auto* label = label_of(c, "1", name);
     ASSERT_NE(label, nullptr) << name;
     (label->removed ? removed : kept)++;
@@ -204,18 +107,7 @@ TEST(Fig03, OnlyUsedAlignedArraysAreRemapped) {
   EXPECT_EQ(report.copies_performed, 2);
 
   // Naive moves all five arrays.
-  ProgramBuilder b0("fig3");
-  b0.procs("P", Shape{4});
-  b0.tmpl("T", Shape{32});
-  b0.distribute_template("T", {DistFormat::block()}, "P");
-  for (const char* name : {"A", "B", "C", "D", "E"}) {
-    b0.array(name, Shape{32});
-    b0.align(name, "T", Alignment::identity(1));
-  }
-  b0.use({"A", "B", "C", "D", "E"});
-  b0.redistribute("T", {DistFormat::cyclic()}, "", "1");
-  b0.use({"A", "D"});
-  const Compiled c0 = compile_level(b0, OptLevel::O0);
+  const Compiled c0 = compile(testing::fig3(32, 4, 5, 2), OptLevel::O0);
   EXPECT_EQ(run_checked(c0).copies_performed, 5);
 }
 
@@ -223,36 +115,15 @@ TEST(Fig03, OnlyUsedAlignedArraysAreRemapped) {
 // call foo(Y); call foo(Y); call bla(Y): the back-and-forth argument
 // remappings between consecutive calls are useless, and Y moves directly
 // between foo's and bla's mappings.
-ProgramBuilder figure4() {
-  ProgramBuilder b("fig4");
-  b.procs("P", Shape{4});
-  b.array("Y", Shape{32});
-  b.distribute_array("Y", {DistFormat::block()}, "P");
-  b.interface("foo");
-  b.interface_dummy("X", Shape{32}, ir::Intent::In, {DistFormat::cyclic()},
-                    "P");
-  b.interface("bla");
-  b.interface_dummy("X", Shape{32}, ir::Intent::In, {DistFormat::cyclic(4)},
-                    "P");
-  b.use({"Y"});
-  b.call("foo", {"Y"});
-  b.call("foo", {"Y"});
-  b.call("bla", {"Y"});
-  b.use({"Y"});
-  return b;
-}
-
 TEST(Fig04, NaiveRemapsAroundEveryCall) {
-  ProgramBuilder b = figure4();
-  const Compiled c = compile_level(b, OptLevel::O0);
+  const Compiled c = compile(testing::fig4(32, 4), OptLevel::O0);
   const auto report = run_checked(c);
   // 3 copies in + 3 copies back.
   EXPECT_EQ(report.copies_performed, 6);
 }
 
 TEST(Fig04, OptimizedRemapsDirectly) {
-  ProgramBuilder b = figure4();
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(testing::fig4(32, 4), OptLevel::O2);
   // The restores after the first two calls are useless.
   const auto* a1 = label_of(c, "a1", "Y");
   ASSERT_NE(a1, nullptr);
@@ -315,7 +186,7 @@ TEST(Fig06, DeadAmbiguityIsAccepted) {
   b.redistribute("A", {DistFormat::cyclic()}, "", "2");
   b.use({"A"});
 
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   ASSERT_TRUE(c.ok);
   const auto* l2 = label_of(c, "2", "A");
   ASSERT_NE(l2, nullptr);
@@ -333,15 +204,8 @@ TEST(Fig06, DeadAmbiguityIsAccepted) {
 // ---------------------------------------------------------------- Figure 7
 // The translation scheme itself: a dynamic program becomes static copies.
 TEST(Fig07, TranslationInsertsCopiesBetweenStaticVersions) {
-  ProgramBuilder b("fig7");
-  b.procs("P", Shape{4});
-  b.array("A", Shape{24});
-  b.distribute_array("A", {DistFormat::cyclic()}, "P");
-  b.use({"A"}, "S1");
-  b.redistribute("A", {DistFormat::block()}, "", "1");
-  b.use({"A"}, "S2");
-
-  const Compiled c = compile_level(b, OptLevel::O2);
+  // One redistribute between the uses S1 and S2.
+  const Compiled c = compile(testing::fig7(24, 4, 1), OptLevel::O2);
   const ir::ArrayId a = c.program.find_array("A");
   EXPECT_EQ(c.analysis.version_count(a), 2);
   // References resolve to distinct versions.
@@ -359,6 +223,38 @@ TEST(Fig07, TranslationInsertsCopiesBetweenStaticVersions) {
   EXPECT_EQ(v_s1, 0);
   EXPECT_EQ(v_s2, 1);
   EXPECT_EQ(run_checked(c).copies_performed, 1);
+}
+
+// ---------------------------------------------------- the figure corpus
+// Every factory of src/testing/figures.hpp compiles at each level with
+// Theorem 1 holding, and its runs agree with the oracle on both sides of
+// every branch the run seeds pick.
+TEST(Figures, EveryFactoryCompilesAndMatchesTheOracle) {
+  const std::vector<std::pair<std::string, std::function<ir::Program()>>>
+      corpus = {
+          {"fig1 used", [] { return testing::fig1(16, 4, true); }},
+          {"fig1 dead", [] { return testing::fig1(16, 4, false); }},
+          {"fig2", [] { return testing::fig2(16, 4); }},
+          {"fig3", [] { return testing::fig3(32, 4, 5, 2); }},
+          {"fig4", [] { return testing::fig4(32, 4); }},
+          {"fig7", [] { return testing::fig7(24, 4, 4); }},
+          {"fig9", [] { return testing::fig9(32, 4); }},
+          {"fig10", [] { return testing::fig10(16, 4, 3); }},
+          {"fig13", [] { return testing::fig13(32, 4); }},
+          {"fig13 tail", [] { return testing::fig13(32, 4, true); }},
+          {"fig16", [] { return testing::fig16(32, 4, 5); }},
+          {"fig16_multi", [] { return testing::fig16_multi(64, 4, 3, 2); }},
+          {"fig18", [] { return testing::fig18(32, 4); }},
+          {"scaling", [] { return testing::scaling_program(4, 8, 2); }},
+      };
+  for (const auto& [name, factory] : corpus) {
+    for (const OptLevel level : {OptLevel::O0, OptLevel::O1, OptLevel::O2}) {
+      SCOPED_TRACE(name + " " + driver::to_string(level));
+      const Compiled c = compile(factory(), level);
+      ASSERT_TRUE(c.ok);
+      for (unsigned seed = 1; seed <= 4; ++seed) run_checked(c, seed);
+    }
+  }
 }
 
 }  // namespace

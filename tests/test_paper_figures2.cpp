@@ -3,9 +3,11 @@
 // generated guard code, multiple leaving mappings, intent modeling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codegen/gen.hpp"
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include "common.hpp"
+#include "testing/figures.hpp"
 
 namespace hpfc {
 namespace {
@@ -19,85 +21,11 @@ using mapping::AlignTarget;
 using mapping::DistFormat;
 using mapping::Shape;
 
-Compiled compile_level(ProgramBuilder& b, OptLevel level,
-                       bool expect_ok = true) {
-  DiagnosticEngine diags;
-  CompileOptions options;
-  options.level = level;
-  options.validate_theorem1 = true;
-  Compiled compiled = driver::compile(b.finish(diags), options, diags);
-  if (expect_ok) {
-    EXPECT_TRUE(compiled.ok) << diags.to_string();
-    EXPECT_TRUE(compiled.opt_report.theorem1_holds);
-  }
-  return compiled;
-}
-
-const remap::RemapVertex* find_vertex(const Compiled& c,
-                                      const std::string& name) {
-  for (const auto& v : c.analysis.graph.vertices())
-    if (v.name == name) return &v;
-  return nullptr;
-}
-
-const remap::ArrayLabel* label_of(const Compiled& c, const std::string& vertex,
-                                  const std::string& array) {
-  const auto* v = find_vertex(c, vertex);
-  if (v == nullptr) return nullptr;
-  const ir::ArrayId a = c.program.find_array(array);
-  const auto it = v->arrays.find(a);
-  return it == v->arrays.end() ? nullptr : &it->second;
-}
-
-runtime::RunReport run_checked(const Compiled& c, unsigned seed = 7) {
-  runtime::RunOptions options;
-  options.seed = seed;
-  options.paranoid = true;
-  const auto oracle = driver::run_oracle(c, options);
-  const auto parallel = driver::run(c, options);
-  EXPECT_EQ(oracle.signature, parallel.signature);
-  EXPECT_TRUE(parallel.exported_values_ok);
-  return parallel;
-}
-
 // ----------------------------------------------------- Figures 10, 11, 12
 // The ADI-like routine: dummy A (inout), locals B and C aligned with A,
 // four explicit remappings (two in the branches, two in the loop).
-ProgramBuilder figure10(mapping::Extent trips = 3) {
-  ProgramBuilder b("remap");
-  b.procs("P", Shape{4});
-  b.procs("Q", Shape{2, 2});
-  b.dummy("A", Shape{16, 16}, ir::Intent::InOut);
-  b.distribute_array("A", {DistFormat::block(), DistFormat::collapsed()},
-                     "P");
-  b.array("B", Shape{16, 16});
-  b.align_with_array("B", "A");
-  b.array("C", Shape{16, 16});
-  b.align_with_array("C", "A");
-
-  b.ref({"A"}, {"B"}, {}, "s0");  // B written, A read
-  b.begin_if({"B"});
-  b.redistribute("A", {DistFormat::cyclic(), DistFormat::collapsed()}, "",
-                 "1");
-  b.ref({"B"}, {"A"}, {}, "s1");  // A written, B read
-  b.begin_else();
-  b.redistribute("A", {DistFormat::block(), DistFormat::block()}, "Q", "2");
-  b.use({"A"}, "s2");  // A read
-  b.end_if();
-  b.begin_loop(trips);
-  b.redistribute("A", {DistFormat::collapsed(), DistFormat::block()}, "",
-                 "3");
-  b.ref({"A"}, {"C"}, {}, "s3");  // C written, A read
-  b.redistribute("A", {DistFormat::block(), DistFormat::collapsed()}, "",
-                 "4");
-  b.ref({"C"}, {"A"}, {}, "s4");  // A written, C read
-  b.end_loop();
-  return b;
-}
-
 TEST(Fig11, GraphHasSevenVertices) {
-  ProgramBuilder b = figure10();
-  const Compiled c = compile_level(b, OptLevel::O1);
+  const Compiled c = compile(testing::fig10(16, 4, 3), OptLevel::O1);
   // v_c, v_0, four remapping statements, v_e.
   EXPECT_EQ(c.analysis.graph.vertices().size(), 7u);
   for (const char* name : {"C", "0", "1", "2", "3", "4", "E"})
@@ -105,8 +33,7 @@ TEST(Fig11, GraphHasSevenVertices) {
 }
 
 TEST(Fig11, ZeroTripLoopCreatesEdgesToExit) {
-  ProgramBuilder b = figure10();
-  const Compiled c = compile_level(b, OptLevel::O1);
+  const Compiled c = compile(testing::fig10(16, 4, 3), OptLevel::O1);
   // Because the loop may run zero times, the branch remappings (1 and 2)
   // reach the exit vertex directly.
   const auto has_edge = [&](const std::string& from, const std::string& to) {
@@ -129,8 +56,7 @@ TEST(Fig11, ZeroTripLoopCreatesEdgesToExit) {
 }
 
 TEST(Fig11, AlignedArraysShareEveryRemapVertex) {
-  ProgramBuilder b = figure10();
-  const Compiled c = compile_level(b, OptLevel::O0);
+  const Compiled c = compile(testing::fig10(16, 4, 3), OptLevel::O0);
   // All three arrays are aligned together, so each redistribute remaps all
   // of them (the Figure 3 effect inside Figure 10).
   for (const char* vertex : {"1", "2", "3", "4"}) {
@@ -142,8 +68,7 @@ TEST(Fig11, AlignedArraysShareEveryRemapVertex) {
 }
 
 TEST(Fig12, VersionUseAfterOptimizationMatchesPaper) {
-  ProgramBuilder b = figure10();
-  const Compiled c = compile_level(b, OptLevel::O1);
+  const Compiled c = compile(testing::fig10(16, 4, 3), OptLevel::O1);
   // A is used under all four mappings plus its initial one: every vertex
   // keeps A.
   for (const char* vertex : {"1", "2", "3", "4"}) {
@@ -174,12 +99,9 @@ TEST(Fig12, VersionUseAfterOptimizationMatchesPaper) {
 }
 
 TEST(Fig12, OptimizedAdiRunsAndSavesCommunication) {
-  ProgramBuilder b0 = figure10();
-  const Compiled c0 = compile_level(b0, OptLevel::O0);
-  ProgramBuilder b1 = figure10();
-  const Compiled c1 = compile_level(b1, OptLevel::O1);
-  ProgramBuilder b2 = figure10();
-  const Compiled c2 = compile_level(b2, OptLevel::O2);
+  const Compiled c0 = compile(testing::fig10(16, 4, 3), OptLevel::O0);
+  const Compiled c1 = compile(testing::fig10(16, 4, 3), OptLevel::O1);
+  const Compiled c2 = compile(testing::fig10(16, 4, 3), OptLevel::O2);
 
   for (const unsigned seed : {1u, 2u, 3u}) {
     const auto r0 = run_checked(c0, seed);
@@ -194,8 +116,7 @@ TEST(Fig12, OptimizedAdiRunsAndSavesCommunication) {
 }
 
 TEST(Fig12, ZeroTripLoopSkipsLoopRemappings) {
-  ProgramBuilder b = figure10(/*trips=*/0);
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(testing::fig10(16, 4, /*sweeps=*/0), OptLevel::O2);
   const auto report = run_checked(c);
   // C is never instantiated: its copies live only inside the loop and the
   // generation delays instantiation to first use (§5.2).
@@ -207,27 +128,8 @@ TEST(Fig12, ZeroTripLoopSkipsLoopRemappings) {
 // Flow-dependent live copy: A remapped differently in the two branches,
 // maybe-modified in one; at the join remapping the original copy is live
 // on the read-only path and dead on the writing path.
-ProgramBuilder figure13() {
-  ProgramBuilder b("fig13");
-  b.procs("P", Shape{4});
-  b.array("A", Shape{32});
-  b.distribute_array("A", {DistFormat::block()}, "P");
-  b.use({"A"}, "s0");
-  b.begin_if();
-  b.redistribute("A", {DistFormat::cyclic()}, "", "1");
-  b.def({"A"}, "s1");  // A written in the then branch
-  b.begin_else();
-  b.redistribute("A", {DistFormat::cyclic(2)}, "", "2");
-  b.use({"A"}, "s2");  // A only read in the else branch
-  b.end_if();
-  b.redistribute("A", {DistFormat::block()}, "", "3");
-  b.use({"A"}, "s3");
-  return b;
-}
-
 TEST(Fig14, MaybeLiveSetsCaptureTheFlowDependence) {
-  ProgramBuilder b = figure13();
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(testing::fig13(32, 4), OptLevel::O2);
   // At vertex 2 (read-only branch) the initial copy stays maybe-live
   // (version 0 is remapped back to at vertex 3).
   const auto* l2 = label_of(c, "2", "A");
@@ -242,8 +144,7 @@ TEST(Fig14, MaybeLiveSetsCaptureTheFlowDependence) {
 }
 
 TEST(Fig14, RuntimeReusesTheLiveCopyOnlyOnTheReadPath) {
-  ProgramBuilder b = figure13();
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(testing::fig13(32, 4), OptLevel::O2);
   int reused = 0;
   int copied = 0;
   for (unsigned seed = 1; seed <= 8; ++seed) {
@@ -263,24 +164,8 @@ TEST(Fig14, RuntimeReusesTheLiveCopyOnlyOnTheReadPath) {
 // Loop-invariant remappings: the remap-back ending the loop body moves
 // out of the loop; iterations after the first find the array already
 // mapped as required.
-ProgramBuilder figure16(mapping::Extent trips) {
-  ProgramBuilder b("fig16");
-  b.procs("P", Shape{4});
-  b.array("A", Shape{32});
-  b.distribute_array("A", {DistFormat::block()}, "P");
-  b.use({"A"});
-  b.begin_loop(trips);
-  b.redistribute("A", {DistFormat::cyclic()}, "", "1");
-  b.use({"A"});
-  b.redistribute("A", {DistFormat::block()}, "", "2");
-  b.end_loop();
-  b.use({"A"});
-  return b;
-}
-
 TEST(Fig17, RemapBackIsHoistedOutOfTheLoop) {
-  ProgramBuilder b = figure16(5);
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(testing::fig16(32, 4, 5), OptLevel::O2);
   EXPECT_EQ(c.opt_report.hoisted_remaps, 1);
   const auto report = run_checked(c);
   // One copy into cyclic at the first iteration; iterations 2..5 hit the
@@ -290,8 +175,7 @@ TEST(Fig17, RemapBackIsHoistedOutOfTheLoop) {
   EXPECT_GE(report.skipped_already_mapped, 4);
   EXPECT_GE(report.skipped_live_copy, 1);
 
-  ProgramBuilder b0 = figure16(5);
-  const Compiled c0 = compile_level(b0, OptLevel::O0);
+  const Compiled c0 = compile(testing::fig16(32, 4, 5), OptLevel::O0);
   const auto report0 = run_checked(c0);
   EXPECT_EQ(report0.copies_performed, 10);  // 2 per iteration
 }
@@ -300,8 +184,7 @@ TEST(Fig17, HoistIsSoundForZeroTripLoops) {
   // "the initial remapping is not moved out of the loop because if t < 1
   // this would induce a useless remapping" — with zero trips the hoisted
   // exit remap is a status no-op and results stay correct.
-  ProgramBuilder b = figure16(0);
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(testing::fig16(32, 4, 0), OptLevel::O2);
   const auto report = run_checked(c);
   EXPECT_EQ(report.copies_performed, 0);
 }
@@ -318,39 +201,15 @@ TEST(Fig17, HoistBlockedWhenArrayReadBeforeFirstRemap) {
   b.redistribute("A", {DistFormat::block()}, "", "2");
   b.end_loop();
   b.use({"A"});
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   EXPECT_EQ(c.opt_report.hoisted_remaps, 0);
   run_checked(c);
 }
 
 // ------------------------------------------------------------- Figure 18
 // Ambiguous reaching mapping at a call: saved and restored afterwards.
-ProgramBuilder figure18() {
-  ProgramBuilder b("fig18");
-  b.procs("P", Shape{4});
-  b.array("A", Shape{32});
-  b.distribute_array("A", {DistFormat::cyclic()}, "P");
-  b.interface("foo");
-  b.interface_dummy("X", Shape{32}, ir::Intent::InOut, {DistFormat::block()},
-                    "P");
-  b.use({"A"});
-  b.begin_if();
-  b.redistribute("A", {DistFormat::cyclic(2)}, "", "1");
-  b.use({"A"});
-  b.end_if();
-  // A is cyclic or cyclic(2) here; foo requires block. The call is legal:
-  // the inserted explicit remapping resolves the ambiguity (§5.1).
-  b.call("foo", {"A"});
-  // Referencing A right after would be ambiguous again; a resolving
-  // remapping makes it legal.
-  b.redistribute("A", {DistFormat::block(16)}, "", "2");
-  b.use({"A"});
-  return b;
-}
-
 TEST(Fig18, ReachingMappingSavedAndRestoredAroundCall) {
-  ProgramBuilder b = figure18();
-  const Compiled c = compile_level(b, OptLevel::O0);
+  const Compiled c = compile(testing::fig18(32, 4), OptLevel::O0);
   ASSERT_TRUE(c.ok);
   // The restore vertex has two leaving mappings, dispatched on the saved
   // reaching status (Figure 18's reaching_A variable).
@@ -365,8 +224,7 @@ TEST(Fig18, ReachingMappingSavedAndRestoredAroundCall) {
 }
 
 TEST(Fig18, OptimizationRemovesTheUnusedRestore) {
-  ProgramBuilder b = figure18();
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(testing::fig18(32, 4), OptLevel::O2);
   ASSERT_TRUE(c.ok);
   // A is not referenced between the restore and the next remapping, so
   // the ambiguous restore disappears entirely.
@@ -380,23 +238,8 @@ TEST(Fig18, OptimizationRemovesTheUnusedRestore) {
 // -------------------------------------------------------- Figures 19 / 20
 // The generated guard code has the paper's shape.
 TEST(Fig20, GeneratedCodeMatchesThePaperShape) {
-  ProgramBuilder b("fig9");
-  b.procs("P", Shape{4});
-  b.array("A", Shape{32});
-  b.distribute_array("A", {DistFormat::block()}, "P");
-  b.use({"A"});
-  b.begin_if();
-  b.redistribute("A", {DistFormat::cyclic()}, "", "1");
-  b.use({"A"});
-  b.begin_else();
-  b.redistribute("A", {DistFormat::cyclic(2)}, "", "2");
-  b.use({"A"});
-  b.end_if();
-  // The Figure 9 vertex: reached by copies {1,2}, leaves 3, read-only.
-  b.redistribute("A", {DistFormat::block(16)}, "", "3");
-  b.use({"A"});
-
-  const Compiled c = compile_level(b, OptLevel::O2);
+  // The Figure 9 vertex 3: reached by copies {1,2}, read-only.
+  const Compiled c = compile(testing::fig9(32, 4), OptLevel::O2);
   const std::string text = c.code.to_text(c.program);
   // Shape of Figure 20: guard on status, allocation, liveness test,
   // per-source dispatch, live flag, status update.
@@ -451,7 +294,7 @@ TEST(Fig22, IntentInSkipsTheCopyBack) {
     if (intent != ir::Intent::Out) b.use({"A"});
     b.redistribute("A", {DistFormat::cyclic()}, "", "1");
     b.ref({"A"}, {"A"}, {}, "s1");
-    const Compiled c = compile_level(b, OptLevel::O1);
+    const Compiled c = compile(b, OptLevel::O1);
     const auto* le = label_of(c, "E", "A");
     ASSERT_NE(le, nullptr);
     if (intent == ir::Intent::In) {
@@ -475,7 +318,7 @@ TEST(Fig22, ImportedValuesFlowIntoTheFirstRemapping) {
   b.distribute_array("A", {DistFormat::block()}, "P");
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"}, "s1");
-  const Compiled c = compile_level(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto* l1 = label_of(c, "1", "A");
   ASSERT_NE(l1, nullptr);
   EXPECT_EQ(l1->reaching, (std::vector<int>{0}));  // version 0 kept as source
@@ -493,7 +336,7 @@ TEST(Fig25, IntentOutSkipsTheDataTransferIn) {
   b.use({"Y"});
   b.call("produce", {"Y"});
   b.use({"Y"});
-  const Compiled c = compile_level(b, OptLevel::O1);
+  const Compiled c = compile(b, OptLevel::O1);
   // The copy-in carries no data (U = D at v_b): only the copy-back moves.
   const auto report = run_checked(c);
   EXPECT_EQ(report.copies_performed, 1);
@@ -508,7 +351,7 @@ TEST(Fig25, IntentOutSkipsTheDataTransferIn) {
   b0.use({"Y"});
   b0.call("produce", {"Y"});
   b0.use({"Y"});
-  const Compiled c0 = compile_level(b0, OptLevel::O0);
+  const Compiled c0 = compile(b0, OptLevel::O0);
   EXPECT_EQ(run_checked(c0).copies_performed, 2);
 }
 
@@ -526,7 +369,7 @@ TEST(KillDirective, MakesFollowingRemapCommunicationFree) {
   b.kill("A");
   b.def({"A"}, "s1");
   b.use({"A"});
-  const Compiled c = compile_level(b, OptLevel::O1);
+  const Compiled c = compile(b, OptLevel::O1);
   const auto report = run_checked(c);
   EXPECT_EQ(report.copies_performed, 0);
   EXPECT_EQ(report.elements_copied, 0u);
@@ -542,7 +385,7 @@ TEST(KillDirective, MakesFollowingRemapCommunicationFree) {
   b2.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b2.def({"A"}, "s1");
   b2.use({"A"});
-  const Compiled c2 = compile_level(b2, OptLevel::O1);
+  const Compiled c2 = compile(b2, OptLevel::O1);
   EXPECT_EQ(run_checked(c2).copies_performed, 1);
 }
 

@@ -12,8 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include "common.hpp"
 #include "hpf/parser.hpp"
 #include "runtime/expected.hpp"
 #include "testing/oracles.hpp"
@@ -28,29 +27,6 @@ using hpf::ProgramBuilder;
 using mapping::DistFormat;
 using mapping::Shape;
 
-Compiled compile_builder(ProgramBuilder& b, OptLevel level) {
-  DiagnosticEngine diags;
-  driver::CompileOptions options;
-  options.level = level;
-  Compiled c = driver::compile(b.finish(diags), options, diags);
-  EXPECT_TRUE(c.ok) << diags.to_string();
-  return c;
-}
-
-runtime::RunReport run_checked(
-    const Compiled& c, unsigned seed = 7,
-    exec::BackendKind backend = exec::BackendKind::Seq) {
-  runtime::RunOptions options;
-  options.seed = seed;
-  options.backend = backend;
-  options.paranoid = true;
-  const auto oracle = driver::run_oracle(c, options);
-  const auto parallel = driver::run(c, options);
-  EXPECT_EQ(oracle.signature, parallel.signature);
-  EXPECT_TRUE(parallel.exported_values_ok);
-  return parallel;
-}
-
 TEST(LiveRegion, RestrictsRemappingCommunication) {
   ProgramBuilder b("region");
   b.procs("P", Shape{4});
@@ -60,7 +36,7 @@ TEST(LiveRegion, RestrictsRemappingCommunication) {
   b.live_region("A", {{0, 16}});
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = run_checked(c);
   // Only the 16 live elements move, not 64.
   EXPECT_EQ(report.elements_copied, 16u);
@@ -74,7 +50,7 @@ TEST(LiveRegion, FullTransferWithoutTheAssertion) {
   b.def({"A"});
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   EXPECT_EQ(run_checked(c).elements_copied, 64u);
 }
 
@@ -88,7 +64,7 @@ TEST(LiveRegion, WriteInvalidatesTheRegion) {
   b.def({"A"});  // liveness may have grown back
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   EXPECT_EQ(run_checked(c).elements_copied, 64u);
 }
 
@@ -105,7 +81,7 @@ TEST(LiveRegion, PathDisagreementDropsTheRegion) {
   b.end_if();
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   // Regions differ across paths: the must-analysis keeps none.
   EXPECT_EQ(run_checked(c).elements_copied, 64u);
 }
@@ -123,7 +99,7 @@ TEST(LiveRegion, AgreeingPathsKeepTheRegion) {
   b.end_if();
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   EXPECT_EQ(run_checked(c).elements_copied, 16u);
 }
 
@@ -138,7 +114,7 @@ TEST(LiveRegion, TwoDimensionalRectangle) {
   b.redistribute("A", {DistFormat::collapsed(), DistFormat::block()}, "",
                  "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   EXPECT_EQ(run_checked(c).elements_copied, 4u * 8u);
 }
 
@@ -152,7 +128,7 @@ TEST(LiveRegion, RegionSurvivesReads) {
   b.use({"A"});  // reads see zeros outside the region, consistently
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   EXPECT_EQ(run_checked(c).elements_copied, 16u);
 }
 
@@ -221,7 +197,7 @@ TEST(LiveRegion, LoopBackEdgeDropsDisagreeingRegion) {
   b.redistribute("A", {DistFormat::block()}, "", "2");
   b.end_loop();
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = run_checked(c);
   // Vertex 2's copy is restricted (16), vertex 1's is not (64 on the
   // first iteration; later ones may reuse live copies at O2).
@@ -238,7 +214,7 @@ void expect_strided_region_runs(
   for (const OptLevel level : {OptLevel::O0, OptLevel::O1, OptLevel::O2}) {
     ProgramBuilder b("strided");
     build(b);
-    const Compiled c = compile_builder(b, level);
+    const Compiled c = compile(b, level);
     const auto seq = run_checked(c, 7, exec::BackendKind::Seq);
     const auto thread = run_checked(c, 7, exec::BackendKind::Thread);
     EXPECT_EQ(seq.signature, thread.signature);
@@ -643,7 +619,7 @@ TEST(ValueKernels, ShapesPastTheExactRangeFailLoudly) {
   b.distribute_array("A", {DistFormat::block()}, "P");
   b.def({"A"});
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O0);
+  const Compiled c = compile(b, OptLevel::O0);
   EXPECT_THROW(driver::run(c), InternalError);
   EXPECT_THROW(driver::run_oracle(c), InternalError);
 }

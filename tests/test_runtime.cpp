@@ -6,8 +6,7 @@
 #include <cstdint>
 #include <string>
 
-#include "driver/compiler.hpp"
-#include "hpf/builder.hpp"
+#include "common.hpp"
 
 namespace hpfc {
 namespace {
@@ -17,15 +16,6 @@ using driver::OptLevel;
 using hpf::ProgramBuilder;
 using mapping::DistFormat;
 using mapping::Shape;
-
-Compiled compile_builder(ProgramBuilder& b, OptLevel level) {
-  DiagnosticEngine diags;
-  driver::CompileOptions options;
-  options.level = level;
-  Compiled c = driver::compile(b.finish(diags), options, diags);
-  EXPECT_TRUE(c.ok) << diags.to_string();
-  return c;
-}
 
 TEST(Runtime, StatusGuardSuppressesIdentityRemap) {
   ProgramBuilder b("guard");
@@ -39,7 +29,7 @@ TEST(Runtime, StatusGuardSuppressesIdentityRemap) {
   b.end_if();
   b.redistribute("A", {DistFormat::cyclic()}, "", "2");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   // Seed choice drives the branch; find one per path.
   bool took_then = false;
   bool took_else = false;
@@ -75,7 +65,7 @@ TEST(Runtime, LazyInstantiation) {
   b.def({"Z"});
   b.end_loop();
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = driver::run(c);
   // Only A is ever allocated: peak covers 32 doubles, not 1024.
   EXPECT_LT(report.peak_bytes, 1024 * sizeof(double));
@@ -90,7 +80,7 @@ TEST(Runtime, PeakMemoryCountsAllLiveCopies) {
   b.def({"A"});
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = driver::run(c);
   // Both versions coexist during the copy.
   EXPECT_GE(report.peak_bytes, 2 * 512 * sizeof(double));
@@ -104,7 +94,7 @@ TEST(Runtime, NaiveCleanupFreesNonCurrentCopies) {
   b.def({"A"});
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O0);
+  const Compiled c = compile(b, OptLevel::O0);
   const auto report = driver::run(c);
   EXPECT_GE(report.frees, 1);  // the old block copy is freed at the vertex
 }
@@ -124,7 +114,7 @@ TEST(Runtime, EvictionRegeneratesCopiesWithCommunication) {
   b.def({"Pad"});  // allocation pressure while A_0 is kept live
   b.redistribute("A", {DistFormat::block()}, "", "2");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
 
   const auto unlimited = driver::run(c);
   EXPECT_EQ(unlimited.evictions, 0);
@@ -164,7 +154,7 @@ TEST(Runtime, EvictionPrefersLargestCopies) {
   b.use({"A"});
   b.redistribute("B", {DistFormat::block()}, "", "4");
   b.use({"B"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
 
   const auto unlimited = driver::run(c);
   ASSERT_EQ(unlimited.evictions, 0);
@@ -193,7 +183,7 @@ TEST(Runtime, ExportedDummyValuesVerifiedAtExit) {
   b.distribute_array("A", {DistFormat::block()}, "P");
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.def({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = driver::run(c);
   // The copy-back at v_e restored the caller's mapping with the written
   // values.
@@ -217,7 +207,7 @@ TEST(Runtime, ReplicatedArraysReadOnce) {
   b.align("V", "T", align);
   b.def({"V"});
   b.use({"V"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = driver::run(c);
   const auto oracle = driver::run_oracle(c);
   EXPECT_EQ(report.signature, oracle.signature);
@@ -241,7 +231,7 @@ TEST(Runtime, ReplicatedRedistributionBroadcasts) {
                                 mapping::AlignTarget::axis(0)};
   b.realign("V", "T", replicate, "1");
   b.use({"V"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = driver::run(c);
   const auto oracle = driver::run_oracle(c);
   EXPECT_EQ(report.signature, oracle.signature);
@@ -257,7 +247,7 @@ TEST(Runtime, CostModelScalesWithVolume) {
   b.def({"A"});
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
 
   runtime::RunOptions fast;
   fast.cost.inv_bandwidth = 1.0 / 1e9;
@@ -277,7 +267,7 @@ TEST(Runtime, ReportSummariesAreReadable) {
   b.def({"A"});
   b.redistribute("A", {DistFormat::cyclic()}, "", "1");
   b.use({"A"});
-  const Compiled c = compile_builder(b, OptLevel::O2);
+  const Compiled c = compile(b, OptLevel::O2);
   const auto report = driver::run(c);
   const std::string text = report.summary();
   EXPECT_NE(text.find("copies"), std::string::npos);
