@@ -6,7 +6,10 @@
 // memcpy, 3-element unrolled, singleton, the cyclic(2) -> cyclic(3)
 // P=8 pattern both as compiled, a periodic body, and as its flat
 // expansion, and gather/scatter/strided segments of non-unit stride at
-// lengths 64 and 4096) — and the value-kernel microbench: ns/element of
+// lengths 64 and 4096) — the direct-transfer microbench: ns/element of an
+// off-rank transfer copied straight between two ranks' storage vs packed
+// into and unpacked out of a payload, at segment lengths 64, 4096 and
+// 16384 — and the value-kernel microbench: ns/element of
 // the read checksum's fold, the write stamp and the expected-value
 // comparison (runtime/expected.hpp), each as the per-element loop over
 // weight()/stamped() and as the residue-stepping kernel, over one long
@@ -246,6 +249,48 @@ void report_fragments(Harness& h) {
   }
 }
 
+// ---- direct vs staged off-rank transfer -----------------------------------
+
+/// ns/element of one off-rank transfer (rank 0 -> rank 1) of 2^18
+/// elements in contiguous segments of `len`, moved as the in-process
+/// backends move it (Kernel::copy straight between the two ranks'
+/// storage) and as proc moves it (pack into a payload, unpack out of it).
+void time_direct(Harness& h, Extent len) {
+  constexpr Extent kElements = 1 << 18;
+  const Extent count = kElements / len;
+  std::vector<hpfc::redist::CopySegment> segments;
+  for (Extent i = 0; i < count; ++i)
+    segments.push_back({i * len, 1, i * len, 1, len});
+  const hpfc::redist::Kernel kernel = hpfc::redist::specialize(
+      hpfc::redist::SegmentProgram::flat(0, 1, std::move(segments)));
+  const std::vector<double> src(static_cast<std::size_t>(kElements), 1.0);
+  std::vector<double> dst(static_cast<std::size_t>(kElements), 0.0);
+  std::vector<double> payload(static_cast<std::size_t>(kElements));
+  const int reps = std::max(3, h.options().reps);
+  const int warmup = h.options().warmup;
+  const double direct_ms =
+      median_ms(warmup, reps, [&] { kernel.copy(src, dst); });
+  const double staged_ms = median_ms(warmup, reps, [&] {
+    kernel.pack(src, payload);
+    kernel.unpack(payload, dst);
+  });
+  const auto per_element = [&](double ms) {
+    return ms * 1e6 / static_cast<double>(kElements);
+  };
+  const std::string config = "off-rank len=" + std::to_string(len);
+  std::printf("%-30s %12.3f %12.3f\n", config.c_str(), per_element(direct_ms),
+              per_element(staged_ms));
+  h.record_timing("direct", config, "direct", direct_ms);
+  h.record_timing("direct", config, "staged", staged_ms);
+}
+
+void report_direct(Harness& h) {
+  std::printf("\n=== off-rank transfer: direct copy vs staged pack+unpack "
+              "(ns/element) ===\n");
+  std::printf("%-30s %12s %12s\n", "shape", "direct", "staged");
+  for (const Extent len : {64, 4096, 16384}) time_direct(h, len);
+}
+
 // ---- value kernels ------------------------------------------------------
 
 using hpfc::testing::fold_per_element;
@@ -359,6 +404,7 @@ int main(int argc, char** argv) {
   return bench_main(argc, argv, "redist_kernels", [](Harness& h) {
     report(h);
     report_fragments(h);
+    report_direct(h);
     report_values(h);
   });
 }

@@ -16,7 +16,6 @@
 namespace bench_common {
 
 using hpfc::DiagnosticEngine;
-using hpfc::hpf::ProgramBuilder;
 
 Compiled compile(hpfc::ir::Program program, OptLevel level) {
   DiagnosticEngine diags;
@@ -31,23 +30,6 @@ Compiled compile(hpfc::ir::Program program, OptLevel level) {
     std::abort();
   }
   return compiled;
-}
-
-Compiled compile(ProgramBuilder& builder, OptLevel level) {
-  DiagnosticEngine diags;
-  hpfc::ir::Program program = builder.finish(diags);
-  if (diags.has_errors()) {
-    std::fprintf(stderr, "benchmark program is ill-formed:\n%s\n",
-                 diags.to_string().c_str());
-    std::abort();
-  }
-  return compile(std::move(program), level);
-}
-
-RunReport run_checked(const Compiled& compiled, unsigned seed) {
-  hpfc::runtime::RunOptions options;
-  options.seed = seed;
-  return run_checked(compiled, options);
 }
 
 RunReport run_checked(const Compiled& compiled,

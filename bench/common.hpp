@@ -14,7 +14,6 @@
 #include "driver/compiler.hpp"
 #include "exec/backend.hpp"
 #include "exec/proc_backend.hpp"
-#include "hpf/builder.hpp"
 
 namespace bench_common {
 
@@ -22,14 +21,11 @@ using hpfc::driver::Compiled;
 using hpfc::driver::OptLevel;
 using hpfc::runtime::RunReport;
 
-/// Compiles a built program at the given level; aborts on any diagnostic.
-Compiled compile(hpfc::hpf::ProgramBuilder& builder, OptLevel level);
+/// Compiles a program at the given level; aborts on any diagnostic.
 Compiled compile(hpfc::ir::Program program, OptLevel level);
 
-/// Runs on the simulated machine (auto rank count) with a fixed seed, and
-/// cross-checks the result signature against the sequential oracle.
-RunReport run_checked(const Compiled& compiled, unsigned seed = 7);
-/// Same, with full control over the run (backend, threads, ranks...).
+/// Runs on the simulated machine and cross-checks the result signature
+/// against the sequential oracle; aborts on a mismatch.
 RunReport run_checked(const Compiled& compiled,
                       const hpfc::runtime::RunOptions& run_options);
 

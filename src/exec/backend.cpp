@@ -106,7 +106,9 @@ namespace {
 /// runs them on a StepPool (one persistent worker per rank, or
 /// min(threads, ranks) striped workers). Either way an exchange is
 /// net::route_superstep plus net::account_superstep on the controlling
-/// thread, so both kinds deliver the same inboxes and NetStats.
+/// thread, so both kinds deliver the same inboxes and NetStats. The
+/// runtime's remap rounds do not exchange here: they copy rank to rank
+/// in one step and charge Backend::account_round (runtime/round.hpp).
 class InProcessBackend final : public Backend {
  public:
   InProcessBackend(BackendKind kind, int ranks, net::CostModel cost,

@@ -13,8 +13,13 @@
 //   in-process    (backend.cpp) Seq runs rank 0..P-1 in turn on the
 //                 calling thread; Thread runs ranks on a StepPool of
 //                 persistent workers (min(threads, ranks) of them when P
-//                 exceeds the host). Both exchange through
-//                 net::route_superstep.
+//                 exceeds the host). The runtime's remap rounds never
+//                 build messages here: all ranks share one address space,
+//                 so each destination rank copies straight out of the
+//                 source ranks' storage in one step, and account_round
+//                 charges the round's traffic table. exchange() routes
+//                 through net::route_superstep for callers that do hold
+//                 messages.
 //   ProcBackend   one forked worker process per rank; exchange() ships
 //                 the framed payloads through a real socket mesh
 //                 (exec/proc_backend.hpp).
@@ -30,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <type_traits>
@@ -189,6 +195,16 @@ class Backend {
     stats_.local_copies += copies;
     stats_.local_bytes += bytes;
     stats_.segments += segments;
+  }
+
+  /// Accounts one superstep whose data moved without messages — an
+  /// in-process round whose destination ranks read the sources' storage
+  /// directly — from its precomputed traffic table: one Flow per off-rank
+  /// transfer. Byte-identical to exchange() of the messages the flows
+  /// describe (net::account_flows shares account_superstep's arithmetic),
+  /// clock step included. Call from the controlling thread between steps.
+  void account_round(std::span<const net::Flow> flows) {
+    net::account_flows(stats_, cost_, ranks_, flows);
   }
 
   /// Accounts copies whose communication was aggregated into a shared

@@ -51,9 +51,16 @@ std::vector<std::vector<Message>> route_superstep(
   return inboxes;
 }
 
-void account_superstep(NetStats& stats, const CostModel& cost,
-                       const std::vector<std::vector<Message>>& inboxes) {
-  const int ranks = static_cast<int>(inboxes.size());
+namespace {
+
+/// One BSP step of the alpha-beta clock: each flow's counters, then the
+/// busiest rank's send+receive cost. `for_each_flow(add)` calls
+/// add(src, dst, bytes, segments) once per delivered message. The only
+/// copy of the superstep arithmetic, so every accounting path charges
+/// byte-identical NetStats.
+template <typename ForEachFlow>
+void charge_superstep(NetStats& stats, const CostModel& cost, int ranks,
+                      ForEachFlow&& for_each_flow) {
   // Per-rank accounting for the superstep clock (one scratch vector).
   struct RankLoad {
     std::uint64_t msgs = 0;
@@ -61,32 +68,50 @@ void account_superstep(NetStats& stats, const CostModel& cost,
   };
   std::vector<RankLoad> load(static_cast<std::size_t>(ranks));
 
-  for (const auto& inbox : inboxes) {
-    for (const auto& msg : inbox) {
-      const std::uint64_t nbytes = msg.bytes();
-      stats.segments += static_cast<std::uint64_t>(msg.segments);
-      if (msg.dst == msg.src) {
-        stats.local_copies += 1;
-        stats.local_bytes += nbytes;
-      } else {
-        stats.messages += 1;
-        stats.bytes += nbytes;
-        load[static_cast<std::size_t>(msg.src)].msgs += 1;
-        load[static_cast<std::size_t>(msg.src)].bytes += nbytes;
-        load[static_cast<std::size_t>(msg.dst)].msgs += 1;
-        load[static_cast<std::size_t>(msg.dst)].bytes += nbytes;
-      }
+  for_each_flow([&](Rank src, Rank dst, std::uint64_t nbytes,
+                    std::uint64_t segments) {
+    HPFC_ASSERT_MSG(src >= 0 && src < ranks && dst >= 0 && dst < ranks,
+                    "flow outside the machine");
+    stats.segments += segments;
+    if (dst == src) {
+      stats.local_copies += 1;
+      stats.local_bytes += nbytes;
+      return;
     }
-  }
+    stats.messages += 1;
+    stats.bytes += nbytes;
+    load[static_cast<std::size_t>(src)].msgs += 1;
+    load[static_cast<std::size_t>(src)].bytes += nbytes;
+    load[static_cast<std::size_t>(dst)].msgs += 1;
+    load[static_cast<std::size_t>(dst)].bytes += nbytes;
+  });
 
   double step_time = 0.0;
-  for (int r = 0; r < ranks; ++r) {
-    step_time = std::max(
-        step_time, cost.message_time(load[static_cast<std::size_t>(r)].msgs,
-                                     load[static_cast<std::size_t>(r)].bytes));
-  }
+  for (const RankLoad& rank : load)
+    step_time = std::max(step_time, cost.message_time(rank.msgs, rank.bytes));
   stats.sim_time += step_time;
   stats.supersteps += 1;
+}
+
+}  // namespace
+
+void account_superstep(NetStats& stats, const CostModel& cost,
+                       const std::vector<std::vector<Message>>& inboxes) {
+  charge_superstep(stats, cost, static_cast<int>(inboxes.size()),
+                   [&](const auto& add) {
+                     for (const auto& inbox : inboxes)
+                       for (const auto& msg : inbox)
+                         add(msg.src, msg.dst, msg.bytes(),
+                             static_cast<std::uint64_t>(msg.segments));
+                   });
+}
+
+void account_flows(NetStats& stats, const CostModel& cost, int ranks,
+                   std::span<const Flow> flows) {
+  charge_superstep(stats, cost, ranks, [&](const auto& add) {
+    for (const Flow& flow : flows)
+      add(flow.src, flow.dst, flow.bytes, flow.segments);
+  });
 }
 
 }  // namespace hpfc::net

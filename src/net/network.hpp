@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,5 +82,21 @@ std::vector<std::vector<Message>> route_superstep(
 /// byte-identical however the messages were physically moved.
 void account_superstep(NetStats& stats, const CostModel& cost,
                        const std::vector<std::vector<Message>>& inboxes);
+
+/// One message of a superstep's traffic table: what account_superstep
+/// reads of a routed Message, without the payload.
+struct Flow {
+  Rank src = 0;
+  Rank dst = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t segments = 0;
+};
+
+/// Accounts one superstep whose traffic is known as a table rather than
+/// as routed messages (a round that moved its data without payloads).
+/// The same arithmetic as account_superstep: given the flows of the
+/// routed messages, in any order, the two produce identical NetStats.
+void account_flows(NetStats& stats, const CostModel& cost, int ranks,
+                   std::span<const Flow> flows);
 
 }  // namespace hpfc::net

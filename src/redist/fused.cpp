@@ -11,6 +11,7 @@ FusedExchange build_fused_exchange(
     int ranks, std::span<const std::span<const Kernel>> members) {
   FusedExchange fused;
   fused.by_src.resize(static_cast<std::size_t>(ranks));
+  fused.by_dst.resize(static_cast<std::size_t>(ranks));
   fused.local_by_rank.resize(static_cast<std::size_t>(ranks));
 
   // Off-rank pairs share one combined message; the map keeps the message
@@ -44,9 +45,25 @@ FusedExchange build_fused_exchange(
     }
   }
 
+  // Count first so every index list is reserved exactly once.
+  std::vector<std::size_t> sends(static_cast<std::size_t>(ranks), 0);
+  std::vector<std::size_t> receives(static_cast<std::size_t>(ranks), 0);
+  for (const FusedMessage& fm : fused.messages) {
+    ++sends[static_cast<std::size_t>(fm.src)];
+    ++receives[static_cast<std::size_t>(fm.dst)];
+  }
+  for (std::size_t r = 0; r < sends.size(); ++r) {
+    fused.by_src[r].reserve(sends[r]);
+    fused.by_dst[r].reserve(receives[r]);
+  }
   for (std::size_t i = 0; i < fused.messages.size(); ++i)
     fused.by_src[static_cast<std::size_t>(fused.messages[i].src)].push_back(
         static_cast<int>(i));
+  for (const auto& emitted : fused.by_src)
+    for (const int i : emitted)
+      fused.by_dst[static_cast<std::size_t>(
+                       fused.messages[static_cast<std::size_t>(i)].dst)]
+          .push_back(i);
   return fused;
 }
 

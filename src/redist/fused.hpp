@@ -9,7 +9,10 @@
 // The builder is pure plan arithmetic over already-specialized kernels
 // (each owning its compiled SegmentProgram): it never touches array data.
 // The runtime caches one FusedExchange per (group, fired-member-set) and
-// drives the members' kernels over the frames.
+// drives the members' kernels over the frames (runtime/round.hpp): in
+// process, each destination rank copies its frames straight from the
+// source ranks' storage; on proc, the frames are packed into real
+// payloads.
 #pragma once
 
 #include <span>
@@ -54,6 +57,9 @@ struct FusedExchange {
   std::vector<FusedMessage> messages;
   /// Message-table indices each source rank emits, in table order.
   std::vector<std::vector<int>> by_src;
+  /// Message-table indices each destination rank receives, in the order
+  /// a routed superstep delivers them (by source rank, then table order).
+  std::vector<std::vector<int>> by_dst;
   /// Per-rank local fast-path units, in member order.
   std::vector<std::vector<FusedLocal>> local_by_rank;
 };

@@ -88,8 +88,10 @@ class Kernel {
   /// Scatters a payload window of exactly elements() doubles into the
   /// destination rank's local storage.
   void unpack(std::span<const double> payload, std::span<double> dst_local) const;
-  /// Executes a src == dst program as direct strided copies (the local
-  /// fast path; the storages must not alias).
+  /// Executes the program as direct strided copies from the source
+  /// rank's local storage into the destination rank's, with no payload:
+  /// the local fast path of a src == dst program, and the in-process
+  /// pull of an off-rank one. The storages must not alias.
   void copy(std::span<const double> src_local,
             std::span<double> dst_local) const;
 

@@ -12,11 +12,11 @@
 #include "exec/proc_backend.hpp"
 #include "persist/snapshot.hpp"
 #include "redist/commsets.hpp"
-#include "redist/fused.hpp"
 #include "redist/kernelgen.hpp"
 #include "redist/plan_cache.hpp"
 #include "redist/segments.hpp"
 #include "runtime/expected.hpp"
+#include "runtime/round.hpp"
 #include "support/check.hpp"
 #include "support/strings.hpp"
 
@@ -99,38 +99,18 @@ struct PendingCopy {
 };
 
 /// One cached fused communication round (per distinct fired-member set):
-/// combined-message framing over the member plan slots' kernels, the
-/// round's counters, plus pooled per-message payloads and a recycled
-/// mailbox skeleton, so steady-state remapping loops re-run with no
-/// per-copy payload allocation.
+/// the members' destination storage and the compiled round over their
+/// plan slots' kernels (framing, traffic table and counters, built once),
+/// so steady-state remapping loops re-run with no per-copy allocation.
 struct FusedSlot {
-  std::vector<PendingCopy> members;
-  /// members[m]'s kernels (borrowed from its PlanSlot). Cached fused slots
-  /// are invalidated whenever a member plan slot is evicted, so these
-  /// pointers never dangle.
-  std::vector<const std::vector<redist::Kernel>*> kernels;
-  /// members[m]'s (source, destination) version storage. VersionStorage
-  /// objects are allocated once at machine construction, so the pointers
-  /// are stable for the whole run.
-  std::vector<std::pair<VersionStorage*, VersionStorage*>> endpoints;
-  redist::FusedExchange exchange;
-  /// The round's counters, fixed by its framing and counted once when the
-  /// round is built: the local fast-path units with their segments and
-  /// elements, the remote payload elements, and the kernel dispatches
-  /// (one per local unit or frame: a transfer's dispatch is booked at its
-  /// producing site, never again at its unpack).
-  std::uint64_t local_copies = 0;
-  std::uint64_t local_segments = 0;
-  std::uint64_t local_elements = 0;
-  std::uint64_t remote_elements = 0;
-  std::uint64_t dispatches = 0;
-  std::vector<std::vector<double>> payload_pool;  ///< per message table entry
-  std::vector<std::vector<net::Message>> mailbox_pool;
-
-  [[nodiscard]] const redist::Kernel& kernel(int member, int k) const {
-    return (*kernels[static_cast<std::size_t>(member)])
-        [static_cast<std::size_t>(k)];
-  }
+  /// Each member's destination version storage, in member order.
+  /// VersionStorage objects are allocated once at machine construction,
+  /// so the pointers are stable for the whole run.
+  std::vector<VersionStorage*> destinations;
+  /// Borrows the member plan slots' kernels: cached fused slots are
+  /// invalidated whenever a member plan slot is evicted, so these never
+  /// dangle.
+  std::optional<FusedRound> round;
 };
 
 class Machine {
@@ -568,17 +548,6 @@ class Machine {
     }
   }
 
-  /// Runs one phase's rank loop through the backend (per-rank concurrency
-  /// on thread/proc) and returns the phase's wall-clock in milliseconds.
-  template <typename Fn>
-  double phase_step(const Fn& fn) {
-    const auto start = std::chrono::steady_clock::now();
-    backend_->step(fn);
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  }
-
   PlanSlot& transfer_plan(ArrayId a, int src, int dst,
                           const ir::Region& region, int plan_slot) {
     HPFC_ASSERT_MSG(plan_slot >= 0 &&
@@ -691,138 +660,51 @@ class Machine {
   /// The cached fused round for the pending member set. Guards decide at
   /// runtime which copies fire, so a group may flush with different member
   /// subsets on different visits; each distinct plan-slot sequence gets
-  /// its own framing + pools (steady-state loops always hit the cache).
+  /// its own round (steady-state loops always hit the cache).
   FusedSlot& fused_slot() {
     key_scratch_.clear();
     for (const PendingCopy& m : pending_) key_scratch_.push_back(m.plan_slot);
     const auto [it, inserted] = fused_slots_.try_emplace(key_scratch_);
     FusedSlot& slot = it->second;
     if (!inserted) return slot;
-    slot.members = pending_;
-    slot.kernels.reserve(pending_.size());
-    slot.endpoints.reserve(pending_.size());
-    std::vector<std::span<const redist::Kernel>> spans;
-    spans.reserve(pending_.size());
+    slot.destinations.reserve(pending_.size());
+    std::vector<RoundMember> members;
+    members.reserve(pending_.size());
     for (const PendingCopy& m : pending_) {
-      const auto& kernels =
-          plan_slots_[static_cast<std::size_t>(m.plan_slot)].kernels;
-      slot.kernels.push_back(&kernels);
-      spans.emplace_back(kernels);
-      slot.endpoints.push_back(
-          {&storage_[static_cast<std::size_t>(m.array)]
-                    [static_cast<std::size_t>(m.src)],
-           &storage_[static_cast<std::size_t>(m.array)]
-                    [static_cast<std::size_t>(m.dst)]});
+      auto& versions = storage_[static_cast<std::size_t>(m.array)];
+      VersionStorage& from = versions[static_cast<std::size_t>(m.src)];
+      VersionStorage& to = versions[static_cast<std::size_t>(m.dst)];
+      slot.destinations.push_back(&to);
+      members.push_back(
+          {plan_slots_[static_cast<std::size_t>(m.plan_slot)].kernels,
+           &from.locals, &to.locals});
     }
-    slot.exchange = redist::build_fused_exchange(backend_->ranks(), spans);
-    for (const auto& units : slot.exchange.local_by_rank) {
-      for (const redist::FusedLocal& u : units) {
-        const redist::SegmentProgram& tp =
-            slot.kernel(u.member, u.kernel).program();
-        ++slot.local_copies;
-        slot.local_segments += tp.segment_count();
-        slot.local_elements += static_cast<std::uint64_t>(tp.elements);
-      }
-    }
-    slot.dispatches = slot.local_copies;
-    for (const redist::FusedMessage& fm : slot.exchange.messages) {
-      slot.remote_elements += static_cast<std::uint64_t>(fm.elements);
-      slot.dispatches += fm.frames.size();
-    }
-    slot.payload_pool.resize(slot.exchange.messages.size());
+    slot.round.emplace(backend_->ranks(), std::move(members), pending_group_);
     return slot;
   }
 
-  /// The remapping communication of one vertex: one pack step over
-  /// combined messages, ONE exchange for the whole member set, one unpack
-  /// step by frame, every transfer through its specialized kernel.
-  /// src == dst transfers run as direct strided local copies (no message
-  /// is ever materialized), accounted through Backend::account_local with
-  /// the exact counters a self-message would have produced. The counters
+  /// The remapping communication of one vertex: every transfer the vertex
+  /// fires moves in one round through its specialized kernel
+  /// (runtime/round.hpp), charged as ONE superstep. src == dst transfers
+  /// run as direct strided local copies, accounted with the exact
+  /// counters a self-message would have produced. The report's counters
   /// come from the round's totals, counted once when fused_slot() built it.
   void run_fused() {
     FusedSlot& slot = fused_slot();
-    const redist::FusedExchange& fx = slot.exchange;
+    FusedRound& round = *slot.round;
+    const RoundTimes times = round.run(*backend_);
+    report_.pack_ms += times.pack_ms;
+    report_.exchange_ms += times.exchange_ms;
+    report_.unpack_ms += times.unpack_ms;
+    report_.local_fastpath_copies += round.local_copies();
+    report_.elements_copied +=
+        round.local_elements() + round.remote_elements();
+    report_.packed_bytes += round.remote_elements() * sizeof(double);
 
-    // The recycled mailbox skeleton becomes this round's outboxes.
-    auto outboxes = std::move(slot.mailbox_pool);
-    outboxes.resize(static_cast<std::size_t>(backend_->ranks()));
-    for (auto& box : outboxes) box.clear();
-    report_.pack_ms += phase_step([&](int r) {
-      for (const redist::FusedLocal& u :
-           fx.local_by_rank[static_cast<std::size_t>(r)]) {
-        const auto& [from, to] =
-            slot.endpoints[static_cast<std::size_t>(u.member)];
-        slot.kernel(u.member, u.kernel)
-            .copy(from->locals[static_cast<std::size_t>(r)],
-                  to->locals[static_cast<std::size_t>(r)]);
-      }
-      for (const int mi : fx.by_src[static_cast<std::size_t>(r)]) {
-        const redist::FusedMessage& fm =
-            fx.messages[static_cast<std::size_t>(mi)];
-        net::Message msg;
-        msg.src = fm.src;
-        msg.dst = fm.dst;
-        msg.tag = mi;
-        msg.segments = fm.segments;
-        // Payload buffers are drawn from (and returned to) their tag's
-        // pool slot.
-        msg.payload =
-            std::move(slot.payload_pool[static_cast<std::size_t>(mi)]);
-        msg.payload.resize(static_cast<std::size_t>(fm.elements));
-        for (const redist::FusedFrame& fr : fm.frames) {
-          const auto& [from, to] =
-              slot.endpoints[static_cast<std::size_t>(fr.member)];
-          const std::span<double> window(msg.payload.data() + fr.offset,
-                                         static_cast<std::size_t>(fr.len));
-          slot.kernel(fr.member, fr.kernel)
-              .pack(from->locals[static_cast<std::size_t>(r)], window);
-        }
-        outboxes[static_cast<std::size_t>(r)].push_back(std::move(msg));
-      }
-    });
-    backend_->account_local(slot.local_copies,
-                            slot.local_elements * sizeof(double),
-                            slot.local_segments);
-    backend_->account_specialization(0, slot.dispatches);
-    report_.local_fastpath_copies += slot.local_copies;
-    report_.elements_copied += slot.local_elements + slot.remote_elements;
-    report_.packed_bytes += slot.remote_elements * sizeof(double);
-
-    const auto exchange_start = std::chrono::steady_clock::now();
-    auto inboxes = backend_->exchange(std::move(outboxes));
-    report_.exchange_ms += std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() -
-                               exchange_start)
-                               .count();
-    report_.unpack_ms += phase_step([&](int r) {
-      for (const auto& msg : inboxes[static_cast<std::size_t>(r)]) {
-        const redist::FusedMessage& fm =
-            fx.messages[static_cast<std::size_t>(msg.tag)];
-        for (const redist::FusedFrame& fr : fm.frames) {
-          const auto& [from, to] =
-              slot.endpoints[static_cast<std::size_t>(fr.member)];
-          const std::span<const double> window(
-              msg.payload.data() + fr.offset,
-              static_cast<std::size_t>(fr.len));
-          slot.kernel(fr.member, fr.kernel)
-              .unpack(window, to->locals[static_cast<std::size_t>(r)]);
-        }
-      }
-    });
-    // Recycle: payload buffers go back to their tag's pool slot, and the
-    // routed mailbox skeleton (outer + inner vector capacities) becomes
-    // the next execution's outboxes.
-    for (auto& inbox : inboxes)
-      for (auto& msg : inbox)
-        slot.payload_pool[static_cast<std::size_t>(msg.tag)] =
-            std::move(msg.payload);
-    for (auto& inbox : inboxes) inbox.clear();
-    slot.mailbox_pool = std::move(inboxes);
-
-    for (const auto& [from, to] : slot.endpoints) to->dirty = true;
-    report_.copies_performed += static_cast<int>(slot.members.size());
-    if (slot.members.size() >= 2) backend_->account_fused(slot.members.size());
+    for (VersionStorage* to : slot.destinations) to->dirty = true;
+    const std::size_t members = slot.destinations.size();
+    report_.copies_performed += static_cast<int>(members);
+    if (members >= 2) backend_->account_fused(members);
   }
 
   // ---- crash-consistent snapshots ---------------------------------------

@@ -7,8 +7,9 @@
 // engine, or forked worker processes over sockets — all yield identical
 // results, inbox order, and NetStats).
 // Copies sharing a codegen copy group (one remapping vertex) are deferred
-// and flushed as ONE fused exchange superstep with per-(src,dst) combined
-// messages (see redist/fused.hpp).
+// and flushed as ONE fused superstep with per-(src,dst) combined frames
+// (see redist/fused.hpp), moved straight between ranks' storage in
+// process and as real messages on proc (runtime/round.hpp).
 //
 // Execution is differential-testable: writes stamp deterministic values
 // derived from a global write counter, and reads fold order-independent
@@ -96,9 +97,10 @@ struct RunReport {
   /// its next use.
   int plan_evictions = 0;
   std::uint64_t peak_bytes = 0;
-  /// Payload bytes actually materialized into message buffers while
-  /// packing (remote transfers only: src == dst transfers take the local
-  /// fast path).
+  /// Bytes of the remote (off-rank) transfers: packed into message
+  /// buffers on proc, copied straight between ranks' storage on seq and
+  /// thread, the same count on every backend (src == dst transfers take
+  /// the local fast path and are not included).
   std::uint64_t packed_bytes = 0;
   /// src == dst transfers executed as direct strided local copies,
   /// bypassing message materialization entirely.
@@ -122,9 +124,10 @@ struct RunReport {
 
   // Superstep phase timers: wall-clock accumulated over every exchange
   // superstep's pack / exchange / unpack window (run_benches' timeout
-  // diagnostics read them). They sum to less than
-  // exec_ms — guard evaluation, plan compilation, and local fast-path
-  // copies run outside the three windows.
+  // diagnostics read them). On seq and thread a round is one step of
+  // direct copies, booked as pack_ms; exchange_ms and unpack_ms stay 0
+  // there. They sum to less than exec_ms — guard evaluation and plan
+  // compilation run outside the three windows.
   double pack_ms = 0.0;
   double exchange_ms = 0.0;
   double unpack_ms = 0.0;

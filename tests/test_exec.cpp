@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -23,7 +24,9 @@
 #include "exec/proc_backend.hpp"
 #include "net/wire.hpp"
 #include "redist/commsets.hpp"
+#include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
+#include "runtime/round.hpp"
 #include "support/check.hpp"
 #include "testing/program_gen.hpp"
 
@@ -468,6 +471,234 @@ TEST(Backend, AccountLocalMatchesSelfMessageAccounting) {
   (void)via_hook->exchange(std::vector<std::vector<net::Message>>(4));
 
   EXPECT_EQ(via_hook->stats(), via_message->stats());
+}
+
+/// account_round charges a traffic table exactly as exchange() charges
+/// the routed messages the table describes: every counter and the
+/// superstep clock, over several supersteps and in any table order.
+TEST(Backend, AccountRoundMatchesRoutedSuperstepAccounting) {
+  std::mt19937 rng(11);
+  for (int trial = 0; trial < 64; ++trial) {
+    const int ranks = 1 + trial % 8;
+    const net::CostModel cost{(1 + rng() % 50) * 1e-6, 1.0 / (1 + rng() % 200)};
+    const auto via_round = exec::make_backend(exec::BackendKind::Seq, ranks,
+                                              cost);
+    const auto via_message = exec::make_backend(exec::BackendKind::Seq, ranks,
+                                                cost);
+    for (int step = 0; step < 3; ++step) {
+      std::vector<std::vector<net::Message>> outboxes(
+          static_cast<std::size_t>(ranks));
+      std::vector<net::Flow> flows;
+      const int count = static_cast<int>(rng() % 24);
+      for (int i = 0; i < count; ++i) {
+        net::Message msg;
+        msg.src = static_cast<int>(rng() % static_cast<unsigned>(ranks));
+        msg.dst = static_cast<int>(rng() % static_cast<unsigned>(ranks));
+        msg.segments = static_cast<int>(rng() % 9);
+        msg.payload.assign(rng() % 300, 1.0);
+        flows.push_back({msg.src, msg.dst, msg.bytes(),
+                         static_cast<std::uint64_t>(msg.segments)});
+        outboxes[static_cast<std::size_t>(msg.src)].push_back(std::move(msg));
+      }
+      std::shuffle(flows.begin(), flows.end(), rng);
+      (void)via_message->exchange(std::move(outboxes));
+      via_round->account_round(flows);
+      ASSERT_EQ(via_round->stats(), via_message->stats())
+          << "trial " << trial << " step " << step;
+    }
+  }
+}
+
+/// Arrays of one fused round: per member, the layouts and the source and
+/// destination storage, plus the specialized kernels of the transfer.
+struct RoundArray {
+  ConcreteLayout from;
+  ConcreteLayout to;
+  std::vector<redist::Kernel> kernels;
+  runtime::RankLocals src;
+  double base = 0.0;  ///< element values are base + global linear index
+};
+
+RoundArray make_round_array(std::mt19937& rng, const Shape& shape,
+                            double base) {
+  RoundArray a{testing::random_layout(rng, shape),
+               testing::random_layout(rng, shape), {}, {}, base};
+  const redist::RedistPlanV2 plan = redist::build_runs(a.from, a.to);
+  for (const auto& transfer : plan.transfers) {
+    a.kernels.push_back(redist::specialize(redist::compile_transfer(
+        transfer, a.from.owned_index_runs(transfer.src),
+        a.to.owned_index_runs(transfer.dst))));
+  }
+  a.src.resize(static_cast<std::size_t>(a.from.ranks()));
+  for (int r = 0; r < a.from.ranks(); ++r) {
+    auto& local = a.src[static_cast<std::size_t>(r)];
+    local.assign(static_cast<std::size_t>(a.from.local_count(r)), 0.0);
+    a.from.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
+      local[static_cast<std::size_t>(pos)] =
+          base + static_cast<double>(shape.linearize(global));
+    });
+  }
+  return a;
+}
+
+/// Zero-filled destination storage for every array of a round.
+std::vector<runtime::RankLocals> fresh_destinations(
+    const std::vector<RoundArray>& arrays) {
+  std::vector<runtime::RankLocals> dst;
+  for (const RoundArray& a : arrays) {
+    auto& locals = dst.emplace_back(static_cast<std::size_t>(a.to.ranks()));
+    for (int r = 0; r < a.to.ranks(); ++r)
+      locals[static_cast<std::size_t>(r)].assign(
+          static_cast<std::size_t>(a.to.local_count(r)), 0.0);
+  }
+  return dst;
+}
+
+std::vector<runtime::RoundMember> round_members(
+    const std::vector<RoundArray>& arrays,
+    std::vector<runtime::RankLocals>& dst) {
+  std::vector<runtime::RoundMember> members;
+  for (std::size_t m = 0; m < arrays.size(); ++m)
+    members.push_back({arrays[m].kernels, &arrays[m].src, &dst[m]});
+  return members;
+}
+
+/// The in-process pull step and the message path (pack -> exchange ->
+/// unpack) move a fused round identically: over random layout pairs
+/// (1-D, 2-D, replicated) with one to three members sharing the round,
+/// both leave the same destination storage, every destination element
+/// holds its source value, and both charge the same NetStats, on seq and
+/// on thread with 1-8 workers. A pull round is one step: no exchange or
+/// unpack window.
+TEST(FusedRound, PullStepMatchesMessagePath) {
+  std::mt19937 rng(5);
+  int replicated = 0;
+  int fused_messages = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int count = 1 + trial % 3;
+    std::vector<RoundArray> arrays;
+    int ranks = 1;
+    for (int m = 0; m < count; ++m) {
+      const Shape shape = ((trial + m) % 2 == 0) ? Shape{48} : Shape{12, 10};
+      arrays.push_back(make_round_array(rng, shape, 1000.0 * (m + 1)));
+      ranks = std::max({ranks, arrays.back().from.ranks(),
+                        arrays.back().to.ranks()});
+      if (arrays.back().from.replicated() || arrays.back().to.replicated())
+        ++replicated;
+    }
+
+    const auto run = [&](exec::BackendKind kind, int threads, bool pull) {
+      auto dst = fresh_destinations(arrays);
+      runtime::FusedRound round(ranks, round_members(arrays, dst), trial);
+      const auto backend = exec::make_backend(kind, ranks, {}, threads);
+      const runtime::RoundTimes times =
+          pull ? round.pull(*backend) : round.send(*backend);
+      if (pull) {
+        EXPECT_EQ(times.exchange_ms, 0.0);
+        EXPECT_EQ(times.unpack_ms, 0.0);
+      }
+      for (const auto& fm : round.exchange().messages)
+        if (fm.frames.size() >= 2) ++fused_messages;
+      return std::make_pair(std::move(dst), backend->stats());
+    };
+
+    const auto expected = run(exec::BackendKind::Seq, 0, /*pull=*/false);
+    for (std::size_t m = 0; m < arrays.size(); ++m) {
+      const RoundArray& a = arrays[m];
+      for (int r = 0; r < a.to.ranks(); ++r) {
+        a.to.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
+          ASSERT_EQ(expected.first[m][static_cast<std::size_t>(r)]
+                                  [static_cast<std::size_t>(pos)],
+                    a.base + static_cast<double>(
+                                 a.from.array_shape().linearize(global)))
+              << "trial " << trial << " member " << m << " rank " << r;
+        });
+      }
+    }
+    const auto seq = run(exec::BackendKind::Seq, 0, /*pull=*/true);
+    EXPECT_EQ(seq, expected) << "trial " << trial;
+    for (int threads = 1; threads <= 8; ++threads) {
+      EXPECT_EQ(run(exec::BackendKind::Thread, threads, true), expected)
+          << "trial " << trial << " threads " << threads;
+      EXPECT_EQ(run(exec::BackendKind::Thread, threads, false), expected)
+          << "trial " << trial << " threads " << threads;
+    }
+  }
+  EXPECT_GT(replicated, 0);
+  EXPECT_GT(fused_messages, 0);
+}
+
+/// A pull step writes each destination piece while other ranks read the
+/// sources, so a round whose member destination is another member's
+/// source is rejected when it is built, naming the copy group.
+TEST(FusedRound, RejectsDestinationAliasingAMemberSource) {
+  std::mt19937 rng(3);
+  std::vector<RoundArray> arrays;
+  arrays.push_back(make_round_array(rng, Shape{48}, 0.0));
+  arrays.push_back(make_round_array(rng, Shape{48}, 0.0));
+  auto dst = fresh_destinations(arrays);
+  auto members = round_members(arrays, dst);
+  members[1].src = members[0].dst;
+  try {
+    runtime::FusedRound round(8, std::move(members), 4);
+    FAIL() << "an aliased round was accepted";
+  } catch (const InternalError& err) {
+    EXPECT_NE(std::string(err.what()).find("copy group 4"), std::string::npos)
+        << err.what();
+  }
+}
+
+/// The message path checks each exchange against the round's traffic
+/// table: a wire backend that charges a superstep differently fails the
+/// round with an InternalError naming the copy group.
+TEST(FusedRound, MessagePathRejectsMiscountedExchange) {
+  class DoubleChargingBackend final : public exec::Backend {
+   public:
+    explicit DoubleChargingBackend(int ranks) : Backend(ranks, {}) {}
+    [[nodiscard]] exec::BackendKind kind() const override {
+      return exec::BackendKind::Proc;
+    }
+    [[nodiscard]] int workers() const override { return 1; }
+    void step(const exec::RankFn& fn) override {
+      for (int r = 0; r < ranks_; ++r) fn(r);
+    }
+    std::vector<std::vector<net::Message>> exchange(
+        std::vector<std::vector<net::Message>> outboxes) override {
+      auto inboxes = net::route_superstep(std::move(outboxes), ranks_);
+      net::account_superstep(stats_, cost_, inboxes);
+      net::account_superstep(stats_, cost_, inboxes);
+      return inboxes;
+    }
+  };
+
+  std::mt19937 rng(9);
+  std::vector<RoundArray> arrays;
+  arrays.push_back(make_round_array(rng, Shape{48}, 0.0));
+  auto dst = fresh_destinations(arrays);
+  const int ranks =
+      std::max(arrays[0].from.ranks(), arrays[0].to.ranks());
+  runtime::FusedRound round(ranks, round_members(arrays, dst), 6);
+  DoubleChargingBackend backend(ranks);
+  try {
+    (void)round.run(backend);
+    FAIL() << "a miscounted exchange went unnoticed";
+  } catch (const InternalError& err) {
+    EXPECT_NE(std::string(err.what()).find("copy group 6"), std::string::npos)
+        << err.what();
+  }
+
+  // The same round on a real proc backend passes the check and matches
+  // the in-process pull.
+  auto pulled = fresh_destinations(arrays);
+  runtime::FusedRound pull_round(ranks, round_members(arrays, pulled), 6);
+  const auto seq = exec::make_backend(exec::BackendKind::Seq, ranks);
+  (void)pull_round.run(*seq);
+  auto sent = fresh_destinations(arrays);
+  runtime::FusedRound send_round(ranks, round_members(arrays, sent), 6);
+  const auto proc = exec::make_backend(exec::BackendKind::Proc, ranks);
+  (void)send_round.run(*proc);
+  EXPECT_EQ(sent, pulled);
+  EXPECT_EQ(proc->stats(), seq->stats());
 }
 
 class BackendPrograms : public ::testing::TestWithParam<unsigned> {};
