@@ -93,7 +93,7 @@ void StepPool::worker_loop(int worker) {
   }
 }
 
-Backend::Backend(int ranks, net::CostModel cost) : ranks_(ranks), cost_(cost) {
+Backend::Backend(int ranks) : ranks_(ranks) {
   HPFC_ASSERT_MSG(ranks > 0, "a machine needs at least one rank");
 }
 
@@ -104,16 +104,12 @@ namespace {
 /// The in-process engine behind BackendKind::Seq and BackendKind::Thread.
 /// A Seq step runs the ranks in turn on the calling thread; a Thread step
 /// runs them on a StepPool (one persistent worker per rank, or
-/// min(threads, ranks) striped workers). Either way an exchange is
-/// net::route_superstep plus net::account_superstep on the controlling
-/// thread, so both kinds deliver the same inboxes and NetStats. The
-/// runtime's remap rounds do not exchange here: they copy rank to rank
-/// in one step and charge Backend::account_round (runtime/round.hpp).
+/// min(threads, ranks) striped workers). The runtime's remap rounds copy
+/// rank to rank in one step here (runtime/round.hpp).
 class InProcessBackend final : public Backend {
  public:
-  InProcessBackend(BackendKind kind, int ranks, net::CostModel cost,
-                   int threads)
-      : Backend(ranks, cost), kind_(kind) {
+  InProcessBackend(BackendKind kind, int ranks, int threads)
+      : Backend(ranks), kind_(kind) {
     if (kind == BackendKind::Thread)
       pool_ = std::make_unique<StepPool>(ranks, threads);
   }
@@ -131,13 +127,6 @@ class InProcessBackend final : public Backend {
     for (int r = 0; r < ranks_; ++r) fn(r);
   }
 
-  std::vector<std::vector<net::Message>> exchange(
-      std::vector<std::vector<net::Message>> outboxes) override {
-    auto inboxes = net::route_superstep(std::move(outboxes), ranks_);
-    net::account_superstep(stats_, cost_, inboxes);
-    return inboxes;
-  }
-
  private:
   BackendKind kind_;
   std::unique_ptr<StepPool> pool_;  ///< Thread only; null for Seq
@@ -145,18 +134,16 @@ class InProcessBackend final : public Backend {
 
 }  // namespace
 
-std::unique_ptr<Backend> make_proc_backend(int ranks, net::CostModel cost,
-                                           ProcConfig config);
+std::unique_ptr<Backend> make_proc_backend(int ranks, ProcConfig config);
 
 std::unique_ptr<Backend> make_backend(BackendKind kind, int ranks,
-                                      net::CostModel cost, int threads,
-                                      ProcConfig proc) {
+                                      int threads, ProcConfig proc) {
   switch (kind) {
     case BackendKind::Seq:
     case BackendKind::Thread:
-      return std::make_unique<InProcessBackend>(kind, ranks, cost, threads);
+      return std::make_unique<InProcessBackend>(kind, ranks, threads);
     case BackendKind::Proc:
-      return make_proc_backend(ranks, cost, proc);
+      return make_proc_backend(ranks, proc);
   }
   HPFC_ASSERT_MSG(false, "unknown backend kind");
   return nullptr;

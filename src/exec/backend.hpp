@@ -2,48 +2,40 @@
 // run on the host.
 //
 // The runtime's compiled programs are rank-independent: every superstep is
-// "each rank does its local guard/copy/compute work, then the machine
-// exchanges messages".  A Backend supplies exactly those two primitives —
+// "each rank does its local guard/copy/compute work, then data moves
+// between ranks". A Backend is the step engine for the first half:
 // `step()` dispatches a per-rank closure into each rank's execution
-// context and waits for all ranks (a BSP barrier), and `exchange()`
-// performs one superstep of all-to-all personalized communication with
-// deterministic (src, emission-order) inbox ordering.
+// context and waits for all ranks (a BSP barrier). It charges nothing —
+// runtime::Machine charges every superstep's NetStats from the round's
+// traffic table (net::account_flows).
 //
 // Two implementations serve the three BackendKinds:
 //   in-process    (backend.cpp) Seq runs rank 0..P-1 in turn on the
 //                 calling thread; Thread runs ranks on a StepPool of
 //                 persistent workers (min(threads, ranks) of them when P
-//                 exceeds the host). The runtime's remap rounds never
-//                 build messages here: all ranks share one address space,
-//                 so each destination rank copies straight out of the
-//                 source ranks' storage in one step, and account_round
-//                 charges the round's traffic table. exchange() routes
-//                 through net::route_superstep for callers that do hold
+//                 exceeds the host). All ranks share one address space,
+//                 so the runtime's remap rounds copy rank to rank in one
+//                 step and build no messages.
+//   ProcBackend   one forked worker process per rank; its exchange()
+//                 ships framed payloads through a real socket mesh
+//                 (exec/proc_backend.hpp). The only backend that moves
 //                 messages.
-//   ProcBackend   one forked worker process per rank; exchange() ships
-//                 the framed payloads through a real socket mesh
-//                 (exec/proc_backend.hpp).
 //
-// All produce byte-identical NetStats and identical inbox ordering, so
-// the differential oracle and the bench regression checks hold across
+// Rank work, destination storage and every counter are identical across
 // backends; only wall-clock time (and, for proc, the wire counters)
 // differs.
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "net/cost_model.hpp"
-#include "net/message.hpp"
-#include "net/network.hpp"
 
 namespace hpfc::exec {
 
@@ -154,7 +146,7 @@ class StepPool {
 
 class Backend {
  public:
-  Backend(int ranks, net::CostModel cost);
+  explicit Backend(int ranks);
   virtual ~Backend();
 
   Backend(const Backend&) = delete;
@@ -165,87 +157,16 @@ class Backend {
   [[nodiscard]] int ranks() const { return ranks_; }
   /// Host threads executing rank work (1 for BackendKind::Seq).
   [[nodiscard]] virtual int workers() const = 0;
-  [[nodiscard]] const net::NetStats& stats() const { return stats_; }
   /// Real-socket traffic (zero for every backend but Proc).
   [[nodiscard]] const WireStats& wire() const { return wire_; }
-  [[nodiscard]] const net::CostModel& cost_model() const { return cost_; }
 
   /// Runs fn(r) for every rank r inside the backend's rank execution
   /// context and returns once all ranks finished (a superstep barrier).
   /// If rank work throws, one of the exceptions is rethrown here.
-  /// A step is pure computation: it never advances the superstep clock.
   virtual void step(const RankFn& fn) = 0;
-
-  /// One BSP superstep of all-to-all personalized communication:
-  /// outboxes[r] holds the messages rank r sends (each message's src must
-  /// equal r).  Returns inboxes[r] = messages received by rank r in
-  /// deterministic (src, emission) order, and advances the simulated
-  /// clock by the busiest rank's alpha-beta cost.
-  virtual std::vector<std::vector<net::Message>> exchange(
-      std::vector<std::vector<net::Message>> outboxes) = 0;
-
-  /// Accounts rank-local bulk copies that bypassed message materialization
-  /// (the runtime's src == dst fast path). Byte-identical to routing the
-  /// same data through exchange() as self-messages: self-deliveries count
-  /// local_copies/local_bytes/segments but never contribute to the
-  /// superstep clock. Shared by every backend; call from the controlling
-  /// thread between steps.
-  void account_local(std::uint64_t copies, std::uint64_t bytes,
-                     std::uint64_t segments) {
-    stats_.local_copies += copies;
-    stats_.local_bytes += bytes;
-    stats_.segments += segments;
-  }
-
-  /// Accounts one superstep whose data moved without messages — an
-  /// in-process round whose destination ranks read the sources' storage
-  /// directly — from its precomputed traffic table: one Flow per off-rank
-  /// transfer. Byte-identical to exchange() of the messages the flows
-  /// describe (net::account_flows shares account_superstep's arithmetic),
-  /// clock step included. Call from the controlling thread between steps.
-  void account_round(std::span<const net::Flow> flows) {
-    net::account_flows(stats_, cost_, ranks_, flows);
-  }
-
-  /// Accounts copies whose communication was aggregated into a shared
-  /// exchange superstep (a CopyGroup flush with two or more members).
-  /// Purely a counter: the superstep itself was already charged by the
-  /// exchange that carried the fused messages.
-  void account_fused(std::uint64_t copies) { stats_.fused_copies += copies; }
-
-  /// Accounts kernel-specialization events from the runtime's plan cache
-  /// (see docs/kernels.md): `kernels` specialized pack/unpack kernels
-  /// installed (once per SegmentProgram when a plan slot compiles; rising
-  /// again after an evicted slot recompiles) and `dispatches` transfers
-  /// executed through an installed kernel.  Dispatches are counted once
-  /// per transfer at the producing site — the pack or local-copy step;
-  /// the matching unpack is not re-counted — so the counter is invariant
-  /// across the execution backends.
-  /// Purely counters (no clock): call from the controlling thread between
-  /// steps, after reducing the per-rank tallies.
-  void account_specialization(std::uint64_t kernels,
-                              std::uint64_t dispatches) {
-    stats_.specialized_kernels += kernels;
-    stats_.specialized_dispatches += dispatches;
-  }
-
-  /// Accounts plan-cache traffic from the runtime's plan slots: one
-  /// lookup per plan-slot compile, keyed by the slot's (from, to) layout
-  /// pair and counted at the producing site on the controlling thread
-  /// between steps, so the counters are invariant across the execution
-  /// backends. `instantiations` counts the plans build_runs built on
-  /// misses (rising again when an evicted instance is rebuilt).
-  void account_plan_cache(std::uint64_t hits, std::uint64_t misses,
-                          std::uint64_t instantiations) {
-    stats_.plan_cache_hits += hits;
-    stats_.plan_cache_misses += misses;
-    stats_.symbolic_instantiations += instantiations;
-  }
 
  protected:
   int ranks_;
-  net::CostModel cost_;
-  net::NetStats stats_;
   WireStats wire_;
 };
 
@@ -254,7 +175,6 @@ class Backend {
 /// min(ranks, hardware_concurrency). `proc` applies to BackendKind::Proc
 /// only (the socket operation deadline).
 std::unique_ptr<Backend> make_backend(BackendKind kind, int ranks,
-                                      net::CostModel cost = {},
                                       int threads = 0, ProcConfig proc = {});
 
 }  // namespace hpfc::exec

@@ -14,11 +14,11 @@
 //      P-1 peers (an empty Peer frame still flows to every peer, so
 //      receivers know when a source is done);
 //   3. each worker assembles its inbox in (src ascending, emission) order
-//      — exactly route_superstep's order — and returns it to the
+//      — exactly the reference router's order — and returns it to the
 //      controller as an Inbox frame carrying its mesh-traffic tally;
-//   4. the controller validates conservation, accumulates WireStats, and
-//      charges the alpha-beta clock via the shared net::account_superstep
-//      — so NetStats stay byte-identical to the seq/thread backends.
+//   4. the controller validates conservation and accumulates WireStats.
+//      It charges no NetStats: the runtime charges the round's traffic
+//      table and checks the inboxes against it.
 //
 // Failure model: any socket error or deadline overrun in a worker makes
 // it _exit(1); the controller then sees EOF (or its own deadline) on the
@@ -42,6 +42,7 @@
 #include <thread>
 #include <utility>
 
+#include "net/network.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::exec {
@@ -209,7 +210,8 @@ std::vector<net::Message> mesh_exchange(int rank, int ranks,
     }
   }
 
-  // Assemble (src ascending, emission order) — route_superstep's order.
+  // Assemble (src ascending, emission order) — the reference router's
+  // order.
   std::vector<net::Message> inbox;
   inbox.reserve(per_dst[static_cast<std::size_t>(rank)].size());
   std::size_t next_peer = 0;
@@ -290,8 +292,8 @@ void ProcBackend::worker_main(int rank, int ranks, int ctrl_fd,
   }
 }
 
-ProcBackend::ProcBackend(int ranks, net::CostModel cost, ProcConfig config)
-    : Backend(ranks, cost), config_(config) {
+ProcBackend::ProcBackend(int ranks, ProcConfig config)
+    : Backend(ranks), config_(config) {
   check_descriptor_budget(ranks);
   const auto n = static_cast<std::size_t>(ranks);
   // Create every socket pair before the first fork: child r inherits its
@@ -431,7 +433,7 @@ std::vector<std::vector<net::Message>> ProcBackend::exchange(
       wire_failed(r, errors[static_cast<std::size_t>(r)]);
   }
 
-  // Validation and accounting stay serial.
+  // Validation stays serial.
   std::vector<std::vector<net::Message>> inboxes(n);
   std::size_t received_msgs = 0;
   for (int r = 0; r < ranks_; ++r) {
@@ -453,7 +455,6 @@ std::vector<std::vector<net::Message>> ProcBackend::exchange(
 
   wire_.wire_bytes += ctrl_tally.bytes;
   wire_.wire_msgs += ctrl_tally.msgs;
-  net::account_superstep(stats_, cost_, inboxes);
   return inboxes;
 }
 
@@ -519,9 +520,8 @@ void ProcBackend::shutdown_workers() noexcept {
   }
 }
 
-std::unique_ptr<Backend> make_proc_backend(int ranks, net::CostModel cost,
-                                           ProcConfig config) {
-  return std::make_unique<ProcBackend>(ranks, cost, config);
+std::unique_ptr<Backend> make_proc_backend(int ranks, ProcConfig config) {
+  return std::make_unique<ProcBackend>(ranks, config);
 }
 
 namespace {
@@ -540,7 +540,7 @@ double median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-/// Busiest-rank load account_superstep would charge for `outboxes`.
+/// Busiest-rank load net::account_flows would charge for `outboxes`.
 void busiest_load(const std::vector<std::vector<net::Message>>& outboxes,
                   int ranks, double& msgs, double& bytes) {
   std::vector<std::uint64_t> m(static_cast<std::size_t>(ranks), 0);
@@ -611,7 +611,7 @@ std::vector<std::vector<net::Message>> all_to_all_pattern(
 Calibration calibrate_wire(int ranks, ProcConfig config, int rounds) {
   ranks = std::max(2, ranks);
   rounds = std::max(3, rounds);
-  ProcBackend backend(ranks, net::CostModel{}, config);
+  ProcBackend backend(ranks, config);
 
   // Warm the wire (page in buffers, fault in code) before timing.
   (void)backend.exchange(all_to_all_pattern(ranks, 64));

@@ -1,15 +1,16 @@
 // The real-process execution backend: every rank of the simulated machine
-// is a forked worker process, and exchange() physically round-trips the
-// superstep's framed per-(src, dst) payloads through a socket mesh before
-// the shared net::account_superstep charges the alpha-beta clock.
+// is a forked worker process, and exchange() physically round-trips a
+// superstep's framed per-(src, dst) payloads through a socket mesh. The
+// exchange only moves bytes: runtime::Machine charges the superstep from
+// the round's traffic table, and the round checks the returned inboxes
+// against its message table before unpacking (runtime/round.hpp).
 //
 // Rank *compute* still runs in the controlling process (the runtime's
 // ranks share one Machine address space — only the communication is
 // real); what the workers add is a genuine wire: payload bytes leave the
 // controller, hop src-worker -> dst-worker over AF_UNIX socketpairs, and
-// come back assembled in the same deterministic (src, emission) inbox
-// order route_superstep would produce — so NetStats and checksums stay
-// byte-identical to seq/thread.
+// come back assembled in deterministic (src, emission) inbox order — the
+// order of the reference router in testing/oracles.hpp.
 //
 // Robustness is part of the contract: every socket operation carries a
 // deadline (ProcConfig::timeout_ms), a worker that dies mid-superstep
@@ -27,6 +28,8 @@
 #include <vector>
 
 #include "exec/backend.hpp"
+#include "net/cost_model.hpp"
+#include "net/message.hpp"
 #include "net/wire.hpp"
 
 namespace hpfc::exec {
@@ -41,7 +44,7 @@ class ProcError : public std::runtime_error {
 
 class ProcBackend final : public Backend {
  public:
-  ProcBackend(int ranks, net::CostModel cost, ProcConfig config);
+  ProcBackend(int ranks, ProcConfig config);
   ~ProcBackend() override;
 
   [[nodiscard]] BackendKind kind() const override {
@@ -59,8 +62,13 @@ class ProcBackend final : public Backend {
   /// cross real process boundaries.
   void step(const RankFn& fn) override;
 
+  /// One BSP superstep of all-to-all personalized communication over the
+  /// socket mesh: outboxes[r] holds the messages rank r sends (each
+  /// message's src must equal r). Returns inboxes[r] = the messages rank r
+  /// received, in deterministic (src, emission) order. Moves bytes only:
+  /// it counts WireStats and charges no NetStats.
   std::vector<std::vector<net::Message>> exchange(
-      std::vector<std::vector<net::Message>> outboxes) override;
+      std::vector<std::vector<net::Message>> outboxes);
 
   /// Fault injection for tests: SIGKILLs the worker for `rank`. The next
   /// exchange must fail with a ProcError within the configured timeout.

@@ -1,17 +1,18 @@
-// Superstep routing and accounting for the simulated machine.
+// Superstep accounting for the simulated machine.
 //
 // The paper's runtime executes remapping communication on a distributed-
 // memory machine; no such machine (nor MPI) is available here, so the
-// machine is simulated: P ranks with per-rank memories exchange messages in
-// BSP supersteps through an exec::Backend. Every backend routes with
-// route_superstep's order and charges account_superstep's counters, so the
-// network is *exact* about which bytes move where (the redistribution
-// communication sets are executed for real) and charges an alpha-beta cost
-// model for time; benchmark comparisons (naive vs optimized remappings)
-// reproduce the communication-volume shape the paper argues about.
+// machine is simulated: P ranks with per-rank memories move data in BSP
+// supersteps through an exec::Backend. The runtime::Machine charges every
+// superstep from the round's traffic table with account_flows — the one
+// place NetStats are charged — so the network is *exact* about which bytes
+// move where (the redistribution communication sets are executed for real)
+// and charges an alpha-beta cost model for time; benchmark comparisons
+// (naive vs optimized remappings) reproduce the communication-volume shape
+// the paper argues about.
 //
-// Self-messages (src == dst) model local copies: they are delivered but are
-// counted separately and cost no network time.
+// Self-flows (src == dst) model local copies: they are counted separately
+// and cost no network time.
 #pragma once
 
 #include <cstddef>
@@ -67,24 +68,12 @@ struct NetStats {
 
 /// Validates one superstep's outboxes — one per rank, every message's src
 /// equal to its outbox's rank and its dst in [0, ranks) — and returns how
-/// many messages each rank receives. Every exchange path runs this check.
+/// many messages each rank receives. Every router runs this check.
 std::vector<std::size_t> check_outboxes(
     const std::vector<std::vector<Message>>& outboxes, int ranks);
 
-/// Validates (check_outboxes) and routes one superstep of outboxes into
-/// per-rank inboxes, in deterministic (src, emission) order.
-std::vector<std::vector<Message>> route_superstep(
-    std::vector<std::vector<Message>> outboxes, int ranks);
-
-/// Accounts one already-routed superstep into `stats`: counters plus one
-/// BSP step of the alpha-beta clock (the busiest rank's send+receive
-/// cost).  Shared by every exec::Backend so their NetStats stay
-/// byte-identical however the messages were physically moved.
-void account_superstep(NetStats& stats, const CostModel& cost,
-                       const std::vector<std::vector<Message>>& inboxes);
-
-/// One message of a superstep's traffic table: what account_superstep
-/// reads of a routed Message, without the payload.
+/// One transfer of a superstep's traffic table: what the superstep charges
+/// for one message or local copy, without its payload.
 struct Flow {
   Rank src = 0;
   Rank dst = 0;
@@ -92,10 +81,10 @@ struct Flow {
   std::uint64_t segments = 0;
 };
 
-/// Accounts one superstep whose traffic is known as a table rather than
-/// as routed messages (a round that moved its data without payloads).
-/// The same arithmetic as account_superstep: given the flows of the
-/// routed messages, in any order, the two produce identical NetStats.
+/// Accounts one superstep from its traffic table into `stats`: each flow's
+/// counters (a src == dst flow is a local copy), then one BSP step of the
+/// alpha-beta clock — the busiest rank's send+receive cost over the
+/// off-rank flows. The order of `flows` does not change the result.
 void account_flows(NetStats& stats, const CostModel& cost, int ranks,
                    std::span<const Flow> flows);
 

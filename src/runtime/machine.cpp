@@ -123,8 +123,8 @@ class Machine {
         options_(options),
         rng_(options.seed),
         backend_(exec::make_backend(
-            options.backend, machine_ranks(program, options), options.cost,
-            options.threads, exec::ProcConfig{options.proc_timeout_ms})) {
+            options.backend, machine_ranks(program, options), options.threads,
+            exec::ProcConfig{options.proc_timeout_ms})) {
     const std::size_t num_arrays = program_.arrays.size();
     status_.assign(num_arrays, 0);
     storage_.resize(num_arrays);
@@ -160,7 +160,6 @@ class Machine {
       report_.snapshot_runs_written = snap.runs_written;
       report_.snapshot_ms = snap.ms;
     }
-    report_.net = backend_->stats();
     report_.ranks = backend_->ranks();
     report_.backend = backend_->name();
     report_.threads = backend_->workers();
@@ -585,7 +584,7 @@ class Machine {
       slot.kernels.push_back(redist::specialize(
           redist::compile_transfer(*t, sit->second, dit->second)));
     }
-    backend_->account_specialization(slot.kernels.size(), 0);
+    report_.net.specialized_kernels += slot.kernels.size();
     slot.compiled = true;
     // The compiled tables are memory like any copy: charge them against
     // the budget and fall back to evicting *other* plan slots when the
@@ -607,7 +606,9 @@ class Machine {
   void acquire_instance(PlanSlot& slot, const ConcreteLayout& from,
                         const ConcreteLayout& to) {
     const auto [instance, hit] = plans_.acquire(from, to);
-    backend_->account_plan_cache(hit ? 1 : 0, hit ? 0 : 1, hit ? 0 : 1);
+    report_.net.plan_cache_hits += hit ? 1 : 0;
+    report_.net.plan_cache_misses += hit ? 0 : 1;
+    report_.net.symbolic_instantiations += hit ? 0 : 1;
     if (!hit) bytes_in_use_ += instance->bytes;
     slot.instance = instance;
     slot.from = &from;
@@ -685,14 +686,18 @@ class Machine {
 
   /// The remapping communication of one vertex: every transfer the vertex
   /// fires moves in one round through its specialized kernel
-  /// (runtime/round.hpp), charged as ONE superstep. src == dst transfers
-  /// run as direct strided local copies, accounted with the exact
-  /// counters a self-message would have produced. The report's counters
-  /// come from the round's totals, counted once when fused_slot() built it.
+  /// (runtime/round.hpp), charged as ONE superstep from the round's
+  /// traffic table — the only place NetStats are charged. src == dst
+  /// transfers run as direct strided local copies, charged by their
+  /// src == dst flows as local copies. The report's counters come from the
+  /// round's totals, counted once when fused_slot() built it.
   void run_fused() {
     FusedSlot& slot = fused_slot();
     FusedRound& round = *slot.round;
     const RoundTimes times = round.run(*backend_);
+    net::account_flows(report_.net, options_.cost, backend_->ranks(),
+                       round.traffic());
+    report_.net.specialized_dispatches += round.dispatches();
     report_.pack_ms += times.pack_ms;
     report_.exchange_ms += times.exchange_ms;
     report_.unpack_ms += times.unpack_ms;
@@ -704,7 +709,7 @@ class Machine {
     for (VersionStorage* to : slot.destinations) to->dirty = true;
     const std::size_t members = slot.destinations.size();
     report_.copies_performed += static_cast<int>(members);
-    if (members >= 2) backend_->account_fused(members);
+    if (members >= 2) report_.net.fused_copies += members;
   }
 
   // ---- crash-consistent snapshots ---------------------------------------

@@ -5,7 +5,8 @@
 // and per-copy live flags; Copy ops run real redistribution communication
 // through an exec::Backend (the sequential BSP loop or the thread-per-rank
 // engine, or forked worker processes over sockets — all yield identical
-// results, inbox order, and NetStats).
+// results). The machine charges NetStats itself, from each round's traffic
+// table, so they are identical across backends by construction.
 // Copies sharing a codegen copy group (one remapping vertex) are deferred
 // and flushed as ONE fused superstep with per-(src,dst) combined frames
 // (see redist/fused.hpp), moved straight between ranks' storage in
@@ -109,6 +110,9 @@ struct RunReport {
   /// array's expected values at exit, checked per owned stretch against
   /// the closed-form descriptor.
   bool exported_values_ok = true;
+  /// Charged by the machine alone: each superstep from its round's traffic
+  /// table (net::account_flows), the kernel, dispatch, plan-cache and
+  /// fused-copy counters where they arise.
   net::NetStats net;
 
   // Machine configuration and host timing, filled by every run: the

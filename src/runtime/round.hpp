@@ -7,19 +7,19 @@
 //            is one rank step: each destination rank runs its local
 //            fast-path units, then copies every incoming frame with
 //            Kernel::copy straight out of the source rank's storage. No
-//            payload is staged and no net::Message is built; the
-//            backend charges the round's precomputed traffic table
-//            (Backend::account_round).
-//   messages (proc) payloads really cross sockets: pack each combined
-//            message into a pooled payload, exchange(), unpack by frame.
-//            The NetStats the exchange charged are checked against the
-//            traffic table.
-// Both charge byte-identical NetStats and leave identical destination
-// storage.
+//            payload is staged and no net::Message is built.
+//   messages (proc) payloads really cross sockets: pack() each combined
+//            message into a pooled payload, ProcBackend::exchange(), then
+//            unpack() by frame. unpack() first checks every inbox against
+//            the message table and refuses a round whose inboxes differ
+//            before it touches destination storage.
+// A round charges nothing: the machine charges its traffic table — one
+// net::Flow per message and per local fast-path unit — with
+// net::account_flows, so both transports charge byte-identical NetStats,
+// and both leave identical destination storage.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,25 +59,39 @@ class FusedRound {
   /// destination piece while other ranks read the sources.
   FusedRound(int ranks, std::vector<RoundMember> members, int group);
 
-  /// Moves the round's data on `backend` and charges its NetStats: the
-  /// pull step in process, the message path on proc. The one place the
-  /// transport is chosen.
+  /// Moves the round's data on `backend`: the pull step in process, the
+  /// message path on proc. The one place the transport is chosen.
   RoundTimes run(exec::Backend& backend);
   /// The in-process pull step (seq and thread).
-  RoundTimes pull(exec::Backend& backend);
-  /// pack -> exchange() -> unpack through pooled payloads. Raises an
-  /// InternalError naming the copy group when the exchange charged other
-  /// NetStats than the traffic table.
-  RoundTimes send(exec::Backend& backend);
+  void pull(exec::Backend& backend) const;
+  /// The message path's first phase: runs each rank's local units and
+  /// packs each of its messages into a pooled payload, tagged with its
+  /// message-table index. Returns the outboxes.
+  std::vector<std::vector<net::Message>> pack(exec::Backend& backend);
+  /// The message path's last phase, over the routed `inboxes`: checks
+  /// every inbox against the message table in by_dst order (the source,
+  /// destination, tag, segments and payload length of each message, and
+  /// that none is missing or extra), raising an InternalError naming the
+  /// copy group and the (src, dst) pair before any destination element
+  /// changes; then unpacks every frame and recycles the payloads.
+  void unpack(exec::Backend& backend,
+              std::vector<std::vector<net::Message>> inboxes);
 
   [[nodiscard]] const redist::FusedExchange& exchange() const {
     return exchange_;
   }
 
+  /// The traffic table the machine charges for every run: one src == dst
+  /// Flow per local fast-path unit, in rank order, then one Flow per
+  /// off-rank message, in message-table order.
+  [[nodiscard]] std::span<const net::Flow> traffic() const {
+    return traffic_;
+  }
+
   // The round's counters, fixed by its framing: the local fast-path units
-  // with their segments and elements, the remote payload elements, and
-  // the kernel dispatches (one per local unit or frame: a transfer's
-  // dispatch is booked at its producing site, never again at its unpack).
+  // with their elements, the remote payload elements, and the kernel
+  // dispatches (one per local unit or frame: a transfer's dispatch is
+  // booked at its producing site, never again at its unpack).
   [[nodiscard]] std::uint64_t local_copies() const { return local_copies_; }
   [[nodiscard]] std::uint64_t local_elements() const {
     return local_elements_;
@@ -85,6 +99,7 @@ class FusedRound {
   [[nodiscard]] std::uint64_t remote_elements() const {
     return remote_elements_;
   }
+  [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
 
  private:
   [[nodiscard]] const redist::Kernel& kernel(int member, int k) const {
@@ -93,24 +108,19 @@ class FusedRound {
   }
   /// Runs rank r's local fast-path units.
   void copy_local(int r) const;
-  /// Charges what both transports charge besides the superstep.
-  void account_counters(exec::Backend& backend) const;
+  /// Raises an InternalError when rank r's routed inbox differs from the
+  /// messages the table delivers to it.
+  void check_inbox(int r, const std::vector<net::Message>& inbox) const;
 
   std::vector<RoundMember> members_;
   int group_ = -1;
   redist::FusedExchange exchange_;
-  /// The traffic table: one Flow per off-rank message, in message-table
-  /// order.
   std::vector<net::Flow> traffic_;
-  /// What the superstep of traffic_ charges from zero NetStats, computed
-  /// on the first send (the message-path check's expectation).
-  std::optional<net::NetStats> step_charge_;
   std::uint64_t local_copies_ = 0;
-  std::uint64_t local_segments_ = 0;
   std::uint64_t local_elements_ = 0;
   std::uint64_t remote_elements_ = 0;
   std::uint64_t dispatches_ = 0;
-  /// Message path only, filled on its first send: payload buffers per
+  /// Message path only, filled on its first pack: payload buffers per
   /// message-table entry and the recycled mailbox skeleton.
   std::vector<std::vector<double>> payload_pool_;
   std::vector<std::vector<net::Message>> mailbox_pool_;

@@ -1,7 +1,9 @@
 #include "testing/oracles.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "net/network.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::testing {
@@ -271,6 +273,25 @@ bool matches_per_element(const mapping::OwnedProgram& prog,
     }
   });
   return match;
+}
+
+std::vector<std::vector<net::Message>> route_superstep(
+    std::vector<std::vector<net::Message>> outboxes, int ranks) {
+  // Count first so every inbox is reserved exactly once (no growth
+  // reallocations while routing).
+  const auto counts = net::check_outboxes(outboxes, ranks);
+  std::vector<std::vector<net::Message>> inboxes(
+      static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r)
+    inboxes[static_cast<std::size_t>(r)].reserve(
+        counts[static_cast<std::size_t>(r)]);
+  // Deterministic receive order: by source rank, then emission order —
+  // guaranteed by this fill order.
+  for (int src = 0; src < ranks; ++src) {
+    for (auto& msg : outboxes[static_cast<std::size_t>(src)])
+      inboxes[static_cast<std::size_t>(msg.dst)].push_back(std::move(msg));
+  }
+  return inboxes;
 }
 
 }  // namespace hpfc::testing

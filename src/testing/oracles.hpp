@@ -5,6 +5,8 @@
 // so the property tests can assert that every periodic program expands
 // to exactly the flat list. The per-element value loops are the
 // definitions the value kernels of runtime/expected.hpp must reproduce.
+// route_superstep is the reference router the proc backend's socket
+// exchange and the runtime's message path are compared against.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 
 #include "mapping/layout.hpp"
 #include "mapping/runs.hpp"
+#include "net/message.hpp"
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
 #include "runtime/expected.hpp"
@@ -55,5 +58,11 @@ void stamp_per_element(const mapping::OwnedProgram& prog, double* local,
 bool matches_per_element(const mapping::OwnedProgram& prog,
                          const double* local, const mapping::Shape& shape,
                          const runtime::ExpectedValues& expected);
+
+/// Validates (net::check_outboxes) and routes one superstep of outboxes
+/// into per-rank inboxes, in deterministic (src, emission) order. Moves
+/// the messages and charges nothing.
+std::vector<std::vector<net::Message>> route_superstep(
+    std::vector<std::vector<net::Message>> outboxes, int ranks);
 
 }  // namespace hpfc::testing

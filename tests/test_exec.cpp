@@ -1,10 +1,12 @@
 // Backend equivalence: the thread-per-rank and process-per-rank engines
 // must be observationally identical to the sequential BSP engine — same
-// read checksums, same NetStats byte for byte, same deterministic
-// (src, emission) inbox order — across randomized programs, machine
-// sizes, worker counts, and random_layout-generated redistributions.
-// The proc backend additionally proves its robustness contract: a killed
-// worker surfaces as a bounded-time ProcError diagnostic, never a hang.
+// read checksums, same NetStats byte for byte — across randomized
+// programs, machine sizes, worker counts, and random_layout-generated
+// redistributions; the proc exchange delivers the reference router's
+// deterministic (src, emission) inbox order, and a fused round's message
+// path refuses inboxes that differ from its message table. The proc
+// backend additionally proves its robustness contract: a killed worker
+// surfaces as a bounded-time ProcError diagnostic, never a hang.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -16,6 +18,7 @@
 #include <chrono>
 #include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -28,6 +31,7 @@
 #include "redist/segments.hpp"
 #include "runtime/round.hpp"
 #include "support/check.hpp"
+#include "testing/oracles.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
@@ -39,6 +43,7 @@ using driver::OptLevel;
 using mapping::ConcreteLayout;
 using mapping::Index;
 using mapping::Shape;
+using Mailboxes = std::vector<std::vector<net::Message>>;
 
 TEST(BackendKind, ParsesAndPrints) {
   EXPECT_EQ(exec::parse_backend_kind("seq"), exec::BackendKind::Seq);
@@ -57,14 +62,14 @@ TEST(Backend, FactoryReportsKindRanksWorkers) {
   EXPECT_EQ(seq->workers(), 1);
 
   const auto pooled =
-      exec::make_backend(exec::BackendKind::Thread, 5, {}, /*threads=*/2);
+      exec::make_backend(exec::BackendKind::Thread, 5, /*threads=*/2);
   EXPECT_EQ(pooled->kind(), exec::BackendKind::Thread);
   EXPECT_EQ(pooled->ranks(), 5);
   EXPECT_EQ(pooled->workers(), 2);
 
   // Oversubscription clamps: never more workers than ranks.
   const auto clamped =
-      exec::make_backend(exec::BackendKind::Thread, 3, {}, /*threads=*/64);
+      exec::make_backend(exec::BackendKind::Thread, 3, /*threads=*/64);
   EXPECT_EQ(clamped->workers(), 3);
 
   // Proc: compute stays in the controlling process, spread over a step
@@ -82,19 +87,17 @@ TEST(Backend, FactoryReportsKindRanksWorkers) {
 TEST(Backend, StepRunsEveryRankExactlyOnce) {
   for (const int threads : {1, 2, 8}) {
     const auto backend =
-        exec::make_backend(exec::BackendKind::Thread, 7, {}, threads);
+        exec::make_backend(exec::BackendKind::Thread, 7, threads);
     std::vector<int> visits(7, 0);
     for (int repeat = 0; repeat < 50; ++repeat)
       backend->step([&](int r) { ++visits[static_cast<std::size_t>(r)]; });
     for (const int count : visits) EXPECT_EQ(count, 50);
-    // Steps are pure computation: no superstep was charged.
-    EXPECT_EQ(backend->stats().supersteps, 0u);
   }
 }
 
 TEST(Backend, StepRethrowsRankFailures) {
   const auto backend =
-      exec::make_backend(exec::BackendKind::Thread, 4, {}, /*threads=*/4);
+      exec::make_backend(exec::BackendKind::Thread, 4, /*threads=*/4);
   // RankFn is a non-owning reference; keep the callable alive in a named
   // lambda for the duration of the step.
   const auto boom = [](int r) {
@@ -107,9 +110,10 @@ TEST(Backend, StepRethrowsRankFailures) {
   for (const int count : visits) EXPECT_EQ(count, 1);
 }
 
-/// Random messages between random ranks: both backends must deliver
-/// identical inboxes in identical order and account identical stats.
-TEST(Backend, ExchangeIsDeterministicAcrossBackends) {
+/// Random messages between random ranks: the proc backend's socket
+/// exchange must deliver what the reference router delivers, in the same
+/// order, and count the physical traffic in its WireStats.
+TEST(Backend, ProcExchangeMatchesReferenceRouter) {
   std::mt19937 rng(42);
   for (const int ranks : {1, 2, 5, 8}) {
     for (int round = 0; round < 8; ++round) {
@@ -128,41 +132,26 @@ TEST(Backend, ExchangeIsDeterministicAcrossBackends) {
         }
       }
 
-      const auto seq = exec::make_backend(exec::BackendKind::Seq, ranks);
-      const auto thr = exec::make_backend(exec::BackendKind::Thread, ranks,
-                                          {}, /*threads=*/3);
-      const auto proc = exec::make_backend(exec::BackendKind::Proc, ranks);
-      const auto seq_in = seq->exchange(outboxes);
-      const auto thr_in = thr->exchange(outboxes);
-      const auto proc_in = proc->exchange(outboxes);
+      exec::ProcBackend proc(ranks, exec::ProcConfig{});
+      const auto routed = testing::route_superstep(outboxes, ranks);
+      const auto proc_in = proc.exchange(outboxes);
 
-      ASSERT_EQ(seq_in.size(), thr_in.size());
-      ASSERT_EQ(seq_in.size(), proc_in.size());
-      for (std::size_t r = 0; r < seq_in.size(); ++r) {
-        ASSERT_EQ(seq_in[r].size(), thr_in[r].size()) << "rank " << r;
-        ASSERT_EQ(seq_in[r].size(), proc_in[r].size()) << "rank " << r;
-        for (std::size_t i = 0; i < seq_in[r].size(); ++i) {
-          EXPECT_EQ(seq_in[r][i].src, thr_in[r][i].src);
-          EXPECT_EQ(seq_in[r][i].dst, thr_in[r][i].dst);
-          EXPECT_EQ(seq_in[r][i].tag, thr_in[r][i].tag);
-          EXPECT_EQ(seq_in[r][i].segments, thr_in[r][i].segments);
-          EXPECT_EQ(seq_in[r][i].payload, thr_in[r][i].payload);
-          EXPECT_EQ(seq_in[r][i].src, proc_in[r][i].src);
-          EXPECT_EQ(seq_in[r][i].dst, proc_in[r][i].dst);
-          EXPECT_EQ(seq_in[r][i].tag, proc_in[r][i].tag);
-          EXPECT_EQ(seq_in[r][i].segments, proc_in[r][i].segments);
-          EXPECT_EQ(seq_in[r][i].payload, proc_in[r][i].payload);
+      ASSERT_EQ(routed.size(), proc_in.size());
+      for (std::size_t r = 0; r < routed.size(); ++r) {
+        ASSERT_EQ(routed[r].size(), proc_in[r].size()) << "rank " << r;
+        for (std::size_t i = 0; i < routed[r].size(); ++i) {
+          EXPECT_EQ(routed[r][i].src, proc_in[r][i].src);
+          EXPECT_EQ(routed[r][i].dst, proc_in[r][i].dst);
+          EXPECT_EQ(routed[r][i].tag, proc_in[r][i].tag);
+          EXPECT_EQ(routed[r][i].segments, proc_in[r][i].segments);
+          EXPECT_EQ(routed[r][i].payload, proc_in[r][i].payload);
         }
       }
-      EXPECT_EQ(seq->stats(), thr->stats());
-      // NetStats stay byte-identical even though proc's payloads crossed
-      // real sockets; the physical traffic shows up in WireStats only.
-      EXPECT_EQ(seq->stats(), proc->stats());
       std::size_t total = 0;
       for (const auto& outbox : outboxes) total += outbox.size();
       if (total > 0) {
-        EXPECT_GT(proc->wire().wire_bytes, 0u);
-        EXPECT_GE(proc->wire().wire_msgs, total);
+        EXPECT_GT(proc.wire().wire_bytes, 0u);
+        EXPECT_GE(proc.wire().wire_msgs, total);
       }
     }
   }
@@ -172,8 +161,7 @@ TEST(Backend, ExchangeIsDeterministicAcrossBackends) {
 /// ProcError naming the wire failure within the configured deadline —
 /// never a hang — and the backend refuses further supersteps.
 TEST(Backend, ProcBackendKilledWorkerFailsFastWithDiagnostic) {
-  exec::ProcBackend backend(4, {},
-                            exec::ProcConfig{.timeout_ms = 2000});
+  exec::ProcBackend backend(4, exec::ProcConfig{.timeout_ms = 2000});
   // One healthy superstep first, so the kill hits an established wire.
   std::vector<std::vector<net::Message>> outboxes(4);
   net::Message msg;
@@ -377,9 +365,10 @@ TEST(Wire, GatherSendDrainsThroughTinySendBuffer) {
 }
 
 /// One full redistribution between testing::random_layout placements,
-/// executed as the runtime executes it (pack in rank context, exchange,
-/// unpack in rank context) on both backends: destination memories and
-/// stats must be identical.
+/// executed as the message path executes it (pack in rank context,
+/// exchange, unpack in rank context): the proc backend's socket exchange
+/// must leave the destination memories the reference router leaves on
+/// seq and thread.
 TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
   std::mt19937 rng(7);
   for (int round = 0; round < 20; ++round) {
@@ -408,7 +397,10 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
       });
     }
 
-    const auto run = [&](exec::Backend& backend) {
+    const auto route = [&](Mailboxes outboxes) {
+      return testing::route_superstep(std::move(outboxes), ranks);
+    };
+    const auto run = [&](exec::Backend& backend, const auto& exchange) {
       std::vector<std::vector<double>> dst_locals(
           static_cast<std::size_t>(to.ranks()));
       for (int r = 0; r < to.ranks(); ++r)
@@ -429,7 +421,7 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
           outboxes[static_cast<std::size_t>(r)].push_back(std::move(msg));
         }
       });
-      const auto inboxes = backend.exchange(std::move(outboxes));
+      const Mailboxes inboxes = exchange(std::move(outboxes));
       backend.step([&](int r) {
         for (const auto& msg : inboxes[static_cast<std::size_t>(r)])
           redist::unpack(programs[static_cast<std::size_t>(msg.tag)],
@@ -441,71 +433,15 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
 
     const auto seq = exec::make_backend(exec::BackendKind::Seq, ranks);
     const auto thr =
-        exec::make_backend(exec::BackendKind::Thread, ranks, {},
+        exec::make_backend(exec::BackendKind::Thread, ranks,
                            /*threads=*/1 + static_cast<int>(rng() % 8));
-    const auto proc = exec::make_backend(exec::BackendKind::Proc, ranks);
-    const auto expected = run(*seq);
-    EXPECT_EQ(expected, run(*thr)) << "round " << round;
-    EXPECT_EQ(seq->stats(), thr->stats()) << "round " << round;
-    EXPECT_EQ(expected, run(*proc)) << "round " << round;
-    EXPECT_EQ(seq->stats(), proc->stats()) << "round " << round;
-  }
-}
-
-TEST(Backend, AccountLocalMatchesSelfMessageAccounting) {
-  // account_local must produce the exact NetStats a routed self-message
-  // would: same local_copies/local_bytes/segments, no clock contribution.
-  const auto via_hook = exec::make_backend(exec::BackendKind::Seq, 4);
-  const auto via_message = exec::make_backend(exec::BackendKind::Seq, 4);
-
-  net::Message self;
-  self.src = 2;
-  self.dst = 2;
-  self.segments = 3;
-  self.payload.assign(17, 1.0);
-  std::vector<std::vector<net::Message>> outboxes(4);
-  outboxes[2].push_back(self);
-  (void)via_message->exchange(std::move(outboxes));
-
-  via_hook->account_local(1, 17 * sizeof(double), 3);
-  (void)via_hook->exchange(std::vector<std::vector<net::Message>>(4));
-
-  EXPECT_EQ(via_hook->stats(), via_message->stats());
-}
-
-/// account_round charges a traffic table exactly as exchange() charges
-/// the routed messages the table describes: every counter and the
-/// superstep clock, over several supersteps and in any table order.
-TEST(Backend, AccountRoundMatchesRoutedSuperstepAccounting) {
-  std::mt19937 rng(11);
-  for (int trial = 0; trial < 64; ++trial) {
-    const int ranks = 1 + trial % 8;
-    const net::CostModel cost{(1 + rng() % 50) * 1e-6, 1.0 / (1 + rng() % 200)};
-    const auto via_round = exec::make_backend(exec::BackendKind::Seq, ranks,
-                                              cost);
-    const auto via_message = exec::make_backend(exec::BackendKind::Seq, ranks,
-                                                cost);
-    for (int step = 0; step < 3; ++step) {
-      std::vector<std::vector<net::Message>> outboxes(
-          static_cast<std::size_t>(ranks));
-      std::vector<net::Flow> flows;
-      const int count = static_cast<int>(rng() % 24);
-      for (int i = 0; i < count; ++i) {
-        net::Message msg;
-        msg.src = static_cast<int>(rng() % static_cast<unsigned>(ranks));
-        msg.dst = static_cast<int>(rng() % static_cast<unsigned>(ranks));
-        msg.segments = static_cast<int>(rng() % 9);
-        msg.payload.assign(rng() % 300, 1.0);
-        flows.push_back({msg.src, msg.dst, msg.bytes(),
-                         static_cast<std::uint64_t>(msg.segments)});
-        outboxes[static_cast<std::size_t>(msg.src)].push_back(std::move(msg));
-      }
-      std::shuffle(flows.begin(), flows.end(), rng);
-      (void)via_message->exchange(std::move(outboxes));
-      via_round->account_round(flows);
-      ASSERT_EQ(via_round->stats(), via_message->stats())
-          << "trial " << trial << " step " << step;
-    }
+    exec::ProcBackend proc(ranks, exec::ProcConfig{});
+    const auto expected = run(*seq, route);
+    EXPECT_EQ(expected, run(*thr, route)) << "round " << round;
+    EXPECT_EQ(expected, run(proc, [&](Mailboxes outboxes) {
+                return proc.exchange(std::move(outboxes));
+              }))
+        << "round " << round;
   }
 }
 
@@ -563,13 +499,30 @@ std::vector<runtime::RoundMember> round_members(
   return members;
 }
 
-/// The in-process pull step and the message path (pack -> exchange ->
-/// unpack) move a fused round identically: over random layout pairs
-/// (1-D, 2-D, replicated) with one to three members sharing the round,
-/// both leave the same destination storage, every destination element
-/// holds its source value, and both charge the same NetStats, on seq and
-/// on thread with 1-8 workers. A pull round is one step: no exchange or
-/// unpack window.
+/// What a round's superstep charges from zero NetStats when its off-rank
+/// traffic is read off the routed `inboxes` instead of its table: the
+/// check that the table describes the messages the round really ships.
+net::NetStats charge_of_inboxes(const runtime::FusedRound& round, int ranks,
+                                const Mailboxes& inboxes) {
+  std::vector<net::Flow> flows;
+  for (const net::Flow& flow : round.traffic())
+    if (flow.src == flow.dst) flows.push_back(flow);
+  for (const auto& inbox : inboxes)
+    for (const net::Message& msg : inbox)
+      flows.push_back({msg.src, msg.dst, msg.bytes(),
+                       static_cast<std::uint64_t>(msg.segments)});
+  net::NetStats stats;
+  net::account_flows(stats, {1e-6, 1e-9}, ranks, flows);
+  return stats;
+}
+
+/// The in-process pull step and the message path (pack -> reference
+/// router -> unpack) move a fused round identically: over random layout
+/// pairs (1-D, 2-D, replicated) with one to three members sharing the
+/// round, both leave the same destination storage, every destination
+/// element holds its source value, and the routed messages charge what
+/// the round's traffic table charges, on seq and on thread with 1-8
+/// workers. A pull round is one step: no exchange or unpack window.
 TEST(FusedRound, PullStepMatchesMessagePath) {
   std::mt19937 rng(5);
   int replicated = 0;
@@ -590,16 +543,23 @@ TEST(FusedRound, PullStepMatchesMessagePath) {
     const auto run = [&](exec::BackendKind kind, int threads, bool pull) {
       auto dst = fresh_destinations(arrays);
       runtime::FusedRound round(ranks, round_members(arrays, dst), trial);
-      const auto backend = exec::make_backend(kind, ranks, {}, threads);
-      const runtime::RoundTimes times =
-          pull ? round.pull(*backend) : round.send(*backend);
+      const auto backend = exec::make_backend(kind, ranks, threads);
       if (pull) {
+        const runtime::RoundTimes times = round.run(*backend);
         EXPECT_EQ(times.exchange_ms, 0.0);
         EXPECT_EQ(times.unpack_ms, 0.0);
+      } else {
+        Mailboxes inboxes =
+            testing::route_superstep(round.pack(*backend), ranks);
+        net::NetStats from_table;
+        net::account_flows(from_table, {1e-6, 1e-9}, ranks, round.traffic());
+        EXPECT_EQ(charge_of_inboxes(round, ranks, inboxes), from_table)
+            << "trial " << trial;
+        round.unpack(*backend, std::move(inboxes));
       }
       for (const auto& fm : round.exchange().messages)
         if (fm.frames.size() >= 2) ++fused_messages;
-      return std::make_pair(std::move(dst), backend->stats());
+      return dst;
     };
 
     const auto expected = run(exec::BackendKind::Seq, 0, /*pull=*/false);
@@ -607,8 +567,8 @@ TEST(FusedRound, PullStepMatchesMessagePath) {
       const RoundArray& a = arrays[m];
       for (int r = 0; r < a.to.ranks(); ++r) {
         a.to.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
-          ASSERT_EQ(expected.first[m][static_cast<std::size_t>(r)]
-                                  [static_cast<std::size_t>(pos)],
+          ASSERT_EQ(expected[m][static_cast<std::size_t>(r)]
+                            [static_cast<std::size_t>(pos)],
                     a.base + static_cast<double>(
                                  a.from.array_shape().linearize(global)))
               << "trial " << trial << " member " << m << " rank " << r;
@@ -648,43 +608,74 @@ TEST(FusedRound, RejectsDestinationAliasingAMemberSource) {
   }
 }
 
-/// The message path checks each exchange against the round's traffic
-/// table: a wire backend that charges a superstep differently fails the
-/// round with an InternalError naming the copy group.
-TEST(FusedRound, MessagePathRejectsMiscountedExchange) {
-  class DoubleChargingBackend final : public exec::Backend {
-   public:
-    explicit DoubleChargingBackend(int ranks) : Backend(ranks, {}) {}
-    [[nodiscard]] exec::BackendKind kind() const override {
-      return exec::BackendKind::Proc;
-    }
-    [[nodiscard]] int workers() const override { return 1; }
-    void step(const exec::RankFn& fn) override {
-      for (int r = 0; r < ranks_; ++r) fn(r);
-    }
-    std::vector<std::vector<net::Message>> exchange(
-        std::vector<std::vector<net::Message>> outboxes) override {
-      auto inboxes = net::route_superstep(std::move(outboxes), ranks_);
-      net::account_superstep(stats_, cost_, inboxes);
-      net::account_superstep(stats_, cost_, inboxes);
-      return inboxes;
-    }
-  };
-
+/// unpack checks the routed inboxes against the round's message table
+/// before it touches destination storage: a dropped message, a duplicated
+/// one, a tag outside the table and a payload shorter than its frames
+/// each fail the round with an InternalError naming the copy group, and
+/// leave every destination element as it was. The same round on a real
+/// proc backend passes the check and matches the in-process pull.
+TEST(FusedRound, UnpackRejectsInboxesThatDifferFromTheTable) {
   std::mt19937 rng(9);
   std::vector<RoundArray> arrays;
-  arrays.push_back(make_round_array(rng, Shape{48}, 0.0));
-  auto dst = fresh_destinations(arrays);
-  const int ranks =
-      std::max(arrays[0].from.ranks(), arrays[0].to.ranks());
-  runtime::FusedRound round(ranks, round_members(arrays, dst), 6);
-  DoubleChargingBackend backend(ranks);
-  try {
-    (void)round.run(backend);
-    FAIL() << "a miscounted exchange went unnoticed";
-  } catch (const InternalError& err) {
-    EXPECT_NE(std::string(err.what()).find("copy group 6"), std::string::npos)
-        << err.what();
+  int ranks = 1;
+  // A round with off-rank messages: redraw the layouts until one ships.
+  for (;;) {
+    arrays.clear();
+    arrays.push_back(make_round_array(rng, Shape{48}, 0.0));
+    ranks = std::max(arrays[0].from.ranks(), arrays[0].to.ranks());
+    auto dst = fresh_destinations(arrays);
+    const runtime::FusedRound probe(ranks, round_members(arrays, dst), 6);
+    if (probe.exchange().messages.size() >= 2) break;
+  }
+
+  struct Fault {
+    const char* name;
+    bool names_pair;  ///< the diagnostic names the faulted (src, dst)
+    void (*apply)(std::vector<net::Message>& inbox, int table_size);
+  };
+  const Fault faults[] = {
+      {"dropped", true,
+       [](std::vector<net::Message>& inbox, int) {
+         inbox.erase(inbox.begin());
+       }},
+      {"duplicated", false,
+       [](std::vector<net::Message>& inbox, int) {
+         inbox.insert(inbox.begin() + 1, inbox.front());
+       }},
+      {"tag out of range", true,
+       [](std::vector<net::Message>& inbox, int table_size) {
+         inbox.front().tag = table_size;
+       }},
+      {"short payload", true,
+       [](std::vector<net::Message>& inbox, int) {
+         inbox.front().payload.pop_back();
+       }},
+  };
+  for (const Fault& fault : faults) {
+    auto dst = fresh_destinations(arrays);
+    runtime::FusedRound round(ranks, round_members(arrays, dst), 6);
+    const auto backend = exec::make_backend(exec::BackendKind::Seq, ranks);
+    Mailboxes inboxes = testing::route_superstep(round.pack(*backend), ranks);
+    const auto before = dst;
+    auto& inbox = *std::find_if(inboxes.begin(), inboxes.end(),
+                                [](const auto& in) { return !in.empty(); });
+    ASSERT_FALSE(inbox.front().payload.empty());
+    const std::string pair = "(" + std::to_string(inbox.front().src) + ", " +
+                             std::to_string(inbox.front().dst) + ")";
+    fault.apply(inbox, static_cast<int>(round.exchange().messages.size()));
+    try {
+      round.unpack(*backend, std::move(inboxes));
+      ADD_FAILURE() << "a " << fault.name << " message went unnoticed";
+    } catch (const InternalError& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("copy group 6"), std::string::npos)
+          << fault.name << ": " << what;
+      if (fault.names_pair) {
+        EXPECT_NE(what.find(pair), std::string::npos)
+            << fault.name << ": " << what;
+      }
+    }
+    EXPECT_EQ(dst, before) << fault.name;
   }
 
   // The same round on a real proc backend passes the check and matches
@@ -698,7 +689,6 @@ TEST(FusedRound, MessagePathRejectsMiscountedExchange) {
   const auto proc = exec::make_backend(exec::BackendKind::Proc, ranks);
   (void)send_round.run(*proc);
   EXPECT_EQ(sent, pulled);
-  EXPECT_EQ(proc->stats(), seq->stats());
 }
 
 class BackendPrograms : public ::testing::TestWithParam<unsigned> {};
@@ -793,7 +783,7 @@ TEST(Backend, ProcBackendRefusesMeshBeyondDescriptorLimit) {
     limit.rlim_cur = 64;
     if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
     try {
-      exec::ProcBackend backend(32, {}, exec::ProcConfig{});
+      exec::ProcBackend backend(32, exec::ProcConfig{});
     } catch (const exec::ProcError& err) {
       const std::string what = err.what();
       const bool named = what.find("P=32") != std::string::npos &&

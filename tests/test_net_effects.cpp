@@ -1,26 +1,28 @@
-// Sequential-backend delivery/accounting and the use-qualifier lattice
-// of §3.1.
+// The reference router's delivery, the superstep accounting of a traffic
+// table, and the use-qualifier lattice of §3.1.
 #include <gtest/gtest.h>
 
-#include "exec/backend.hpp"
+#include <algorithm>
+#include <random>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "ir/effects.hpp"
 #include "net/network.hpp"
 #include "support/check.hpp"
+#include "testing/oracles.hpp"
 
 namespace hpfc {
 namespace {
 
-std::unique_ptr<exec::Backend> seq_backend(int ranks,
-                                           net::CostModel cost = {}) {
-  return exec::make_backend(exec::BackendKind::Seq, ranks, cost);
-}
+using testing::route_superstep;
 
-TEST(SeqExchange, DeliversMessagesToDestinations) {
-  const auto netw = seq_backend(4);
+TEST(RouteSuperstep, DeliversMessagesToDestinations) {
   std::vector<std::vector<net::Message>> out(4);
   out[0].push_back({0, 3, 7, {1.0, 2.0}});
   out[2].push_back({2, 0, 1, {5.0}});
-  const auto in = netw->exchange(std::move(out));
+  const auto in = route_superstep(std::move(out), 4);
   ASSERT_EQ(in[3].size(), 1u);
   EXPECT_EQ(in[3][0].payload, (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(in[3][0].tag, 7);
@@ -29,47 +31,93 @@ TEST(SeqExchange, DeliversMessagesToDestinations) {
   EXPECT_TRUE(in[1].empty());
 }
 
-TEST(SeqExchange, CountsRemoteAndLocalSeparately) {
-  const auto netw = seq_backend(2);
-  std::vector<std::vector<net::Message>> out(2);
-  out[0].push_back({0, 1, 0, {1.0, 2.0, 3.0}});
-  out[1].push_back({1, 1, 0, {4.0}});
-  netw->exchange(std::move(out));
-  EXPECT_EQ(netw->stats().messages, 1u);
-  EXPECT_EQ(netw->stats().bytes, 3 * sizeof(double));
-  EXPECT_EQ(netw->stats().local_copies, 1u);
-  EXPECT_EQ(netw->stats().local_bytes, sizeof(double));
-  EXPECT_EQ(netw->stats().supersteps, 1u);
-}
-
-TEST(SeqExchange, ClockChargesBusiestRank) {
-  net::CostModel cost{1.0, 0.0};  // 1 second per message, free bytes
-  const auto netw = seq_backend(3, cost);
-  std::vector<std::vector<net::Message>> out(3);
-  // Rank 0 sends 2 messages; rank 1 receives 1; rank 2 receives 1.
-  out[0].push_back({0, 1, 0, {1.0}});
-  out[0].push_back({0, 2, 0, {1.0}});
-  netw->exchange(std::move(out));
-  // Rank 0 is busiest: 2 messages.
-  EXPECT_DOUBLE_EQ(netw->stats().sim_time, 2.0);
-}
-
-TEST(SeqExchange, DeterministicReceiveOrder) {
-  const auto netw = seq_backend(3);
+TEST(RouteSuperstep, DeterministicReceiveOrder) {
   std::vector<std::vector<net::Message>> out(3);
   out[2].push_back({2, 0, 20, {1.0}});
   out[1].push_back({1, 0, 10, {1.0}});
-  const auto in = netw->exchange(std::move(out));
-  ASSERT_EQ(in[0].size(), 2u);
-  EXPECT_EQ(in[0][0].src, 1);  // by source rank
-  EXPECT_EQ(in[0][1].src, 2);
+  out[1].push_back({1, 0, 11, {1.0}});
+  const auto in = route_superstep(std::move(out), 3);
+  ASSERT_EQ(in[0].size(), 3u);
+  EXPECT_EQ(in[0][0].tag, 10);  // by source rank, then emission order
+  EXPECT_EQ(in[0][1].tag, 11);
+  EXPECT_EQ(in[0][2].tag, 20);
 }
 
-TEST(SeqExchange, RejectsMismatchedSource) {
-  const auto netw = seq_backend(2);
+TEST(RouteSuperstep, RejectsMismatchedSource) {
   std::vector<std::vector<net::Message>> out(2);
   out[0].push_back({1, 0, 0, {}});
-  EXPECT_THROW(netw->exchange(std::move(out)), InternalError);
+  EXPECT_THROW(route_superstep(std::move(out), 2), InternalError);
+}
+
+TEST(AccountFlows, CountsRemoteAndLocalSeparately) {
+  // One 3-element remote message, one 1-element local copy.
+  const std::vector<net::Flow> flows = {{0, 1, 3 * sizeof(double), 2},
+                                        {1, 1, sizeof(double), 1}};
+  net::NetStats stats;
+  net::account_flows(stats, {}, 2, flows);
+  EXPECT_EQ(stats.messages, 1u);
+  EXPECT_EQ(stats.bytes, 3 * sizeof(double));
+  EXPECT_EQ(stats.local_copies, 1u);
+  EXPECT_EQ(stats.local_bytes, sizeof(double));
+  EXPECT_EQ(stats.segments, 3u);
+  EXPECT_EQ(stats.supersteps, 1u);
+}
+
+TEST(AccountFlows, ClockChargesBusiestRank) {
+  const net::CostModel cost{1.0, 0.0};  // 1 second per message, free bytes
+  // Rank 0 sends 2 messages; ranks 1 and 2 receive one each. The local
+  // copies on rank 1 cost no clock time.
+  const std::vector<net::Flow> flows = {
+      {0, 1, 8, 1}, {0, 2, 8, 1}, {1, 1, 8, 1}, {1, 1, 8, 1}, {1, 1, 8, 1}};
+  net::NetStats stats;
+  net::account_flows(stats, cost, 3, flows);
+  EXPECT_DOUBLE_EQ(stats.sim_time, 2.0);
+  // A second superstep adds its own busiest rank.
+  net::account_flows(stats, cost, 3, std::span(flows).first(1));
+  EXPECT_DOUBLE_EQ(stats.sim_time, 3.0);
+  EXPECT_EQ(stats.supersteps, 2u);
+}
+
+TEST(AccountFlows, EmptyTableIsOneFreeSuperstep) {
+  net::NetStats stats;
+  net::account_flows(stats, {1.0, 1.0}, 4, {});
+  net::NetStats expected;
+  expected.supersteps = 1;
+  EXPECT_EQ(stats, expected);
+}
+
+/// The charge of a superstep does not depend on the order of its traffic
+/// table: a table and a shuffled copy of it charge identical NetStats,
+/// every counter and the clock, over several supersteps.
+TEST(AccountFlows, ShuffledTableChargesTheSame) {
+  std::mt19937 rng(11);
+  for (int trial = 0; trial < 64; ++trial) {
+    const int ranks = 1 + trial % 8;
+    const net::CostModel cost{(1 + rng() % 50) * 1e-6,
+                              1.0 / (1 + rng() % 200)};
+    net::NetStats in_order;
+    net::NetStats shuffled;
+    for (int step = 0; step < 3; ++step) {
+      std::vector<net::Flow> flows;
+      const int count = static_cast<int>(rng() % 24);
+      for (int i = 0; i < count; ++i) {
+        flows.push_back(
+            {static_cast<int>(rng() % static_cast<unsigned>(ranks)),
+             static_cast<int>(rng() % static_cast<unsigned>(ranks)),
+             (rng() % 300) * sizeof(double), rng() % 9});
+      }
+      net::account_flows(in_order, cost, ranks, flows);
+      std::shuffle(flows.begin(), flows.end(), rng);
+      net::account_flows(shuffled, cost, ranks, flows);
+      ASSERT_EQ(shuffled, in_order) << "trial " << trial << " step " << step;
+    }
+  }
+}
+
+TEST(AccountFlows, RejectsFlowOutsideTheMachine) {
+  const std::vector<net::Flow> flows = {{0, 2, 8, 1}};
+  net::NetStats stats;
+  EXPECT_THROW(net::account_flows(stats, {}, 2, flows), InternalError);
 }
 
 // ---- use-qualifier lattice --------------------------------------------

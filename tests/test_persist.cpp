@@ -877,7 +877,7 @@ TEST(PersistFaultInjection, KilledProcWorkerKeepsSealedSnapshots) {
   // dies mid-superstep — and every epoch sealed before the crash must
   // restore bit-identically.
   const std::string dir = fresh_dir("proc_kill");
-  exec::ProcBackend backend(4, {}, exec::ProcConfig{.timeout_ms = 2000});
+  exec::ProcBackend backend(4, exec::ProcConfig{.timeout_ms = 2000});
   persist::SnapshotWriter writer(dir);
   std::vector<int> status{0};
   std::vector<int> saved;
