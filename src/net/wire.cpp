@@ -129,23 +129,50 @@ void append_header(std::vector<std::uint8_t>& out, FrameKind kind, int src,
 
 }  // namespace
 
+namespace {
+
+void append_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d) {
+  append_value<std::int32_t>(out, d.src);
+  append_value<std::int32_t>(out, d.dst);
+  append_value<std::int32_t>(out, d.tag);
+  append_value<std::int32_t>(out, d.segments);
+  append_value<std::uint64_t>(out, d.elements);
+  append_value<std::uint64_t>(out, d.offset);
+}
+
+void append_prefix(std::vector<std::uint8_t>& out, const Tally& reported,
+                   std::size_t sends, std::size_t receives) {
+  append_value<std::uint64_t>(out, reported.bytes);
+  append_value<std::uint64_t>(out, reported.msgs);
+  append_value<std::uint32_t>(out, static_cast<std::uint32_t>(sends));
+  append_value<std::uint32_t>(out, static_cast<std::uint32_t>(receives));
+}
+
+/// The payload bytes a send carries: its arena window in a Peer frame,
+/// nothing in any other frame kind.
+[[nodiscard]] std::span<const std::uint8_t> payload_bytes(
+    FrameKind kind, const Descriptor& d, const double* payloads) {
+  if (kind != FrameKind::Peer || d.elements == 0) return {};
+  HPFC_ASSERT_MSG(payloads != nullptr, "Peer frame without payload memory");
+  return {reinterpret_cast<const std::uint8_t*>(payloads + d.offset),
+          d.elements * sizeof(double)};
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_frame(FrameKind kind, int src,
-                                       std::span<const Message> messages,
+                                       std::span<const Descriptor> sends,
+                                       std::span<const Descriptor> receives,
+                                       const double* payloads,
                                        const Tally& reported) {
   std::vector<std::uint8_t> body;
-  append_value<std::uint64_t>(body, reported.bytes);
-  append_value<std::uint64_t>(body, reported.msgs);
-  append_value<std::uint32_t>(body,
-                              static_cast<std::uint32_t>(messages.size()));
-  for (const Message& msg : messages) {
-    append_value<std::int32_t>(body, msg.src);
-    append_value<std::int32_t>(body, msg.dst);
-    append_value<std::int32_t>(body, msg.tag);
-    append_value<std::int32_t>(body, msg.segments);
-    append_value<std::uint64_t>(body, msg.payload.size());
-    append_bytes(body, msg.payload.data(),
-                 msg.payload.size() * sizeof(double));
+  append_prefix(body, reported, sends.size(), receives.size());
+  for (const Descriptor& d : sends) {
+    append_descriptor(body, d);
+    const auto payload = payload_bytes(kind, d, payloads);
+    append_bytes(body, payload.data(), payload.size());
   }
+  for (const Descriptor& d : receives) append_descriptor(body, d);
   std::vector<std::uint8_t> frame;
   frame.reserve(kHeaderBytes + body.size());
   append_header(frame, kind, src, body.size(), checksum_bytes(body));
@@ -153,29 +180,19 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, int src,
   return frame;
 }
 
-namespace {
-
-/// Body-prefix and per-message metadata sizes of a message frame body
-/// (see encode_frame): reported.bytes + reported.msgs + count, then
-/// src/dst/tag/segments + payload length per message.
-constexpr std::size_t kBodyPrefixBytes = 8 + 8 + 4;
-constexpr std::size_t kMessageMetaBytes = 4 * 4 + 8;
-
-[[nodiscard]] std::span<const std::uint8_t> payload_bytes(const Message& msg) {
-  return {reinterpret_cast<const std::uint8_t*>(msg.payload.data()),
-          msg.payload.size() * sizeof(double)};
-}
-
-}  // namespace
-
 GatherFrame encode_frame_gather(FrameKind kind, int src,
-                                std::span<const Message> messages,
+                                std::span<const Descriptor> sends,
+                                std::span<const Descriptor> receives,
+                                const double* payloads,
                                 const Tally& reported) {
   GatherFrame frame;
-  frame.msgs = messages.size();
-  std::uint64_t body_bytes = kBodyPrefixBytes;
-  for (const Message& msg : messages)
-    body_bytes += kMessageMetaBytes + msg.payload.size() * sizeof(double);
+  std::uint64_t body_bytes =
+      kBodyPrefixBytes + (sends.size() + receives.size()) * kDescriptorBytes;
+  for (const Descriptor& d : sends) {
+    const auto payload = payload_bytes(kind, d, payloads);
+    body_bytes += payload.size();
+    if (kind == FrameKind::Peer) ++frame.msgs;
+  }
   frame.bytes = kHeaderBytes + body_bytes;
 
   // All non-payload bytes in wire order, header space first (filled once
@@ -183,33 +200,27 @@ GatherFrame encode_frame_gather(FrameKind kind, int src,
   // below survive — iov pointers are taken only after meta stops growing.
   auto& meta = frame.meta;
   meta.reserve(kHeaderBytes + kBodyPrefixBytes +
-               messages.size() * kMessageMetaBytes);
+               (sends.size() + receives.size()) * kDescriptorBytes);
   meta.resize(kHeaderBytes);
-  append_value<std::uint64_t>(meta, reported.bytes);
-  append_value<std::uint64_t>(meta, reported.msgs);
-  append_value<std::uint32_t>(meta,
-                              static_cast<std::uint32_t>(messages.size()));
-  // Meta-chunk boundaries: chunk i ends where message i's payload cuts in.
+  append_prefix(meta, reported, sends.size(), receives.size());
+  // Meta-chunk boundaries: chunk i ends where send i's payload cuts in.
   std::vector<std::size_t> cuts;
-  cuts.reserve(messages.size());
-  for (const Message& msg : messages) {
-    append_value<std::int32_t>(meta, msg.src);
-    append_value<std::int32_t>(meta, msg.dst);
-    append_value<std::int32_t>(meta, msg.tag);
-    append_value<std::int32_t>(meta, msg.segments);
-    append_value<std::uint64_t>(meta, msg.payload.size());
+  cuts.reserve(sends.size());
+  for (const Descriptor& d : sends) {
+    append_descriptor(meta, d);
     cuts.push_back(meta.size());
   }
+  for (const Descriptor& d : receives) append_descriptor(meta, d);
 
   // The body checksum walks the logical body — meta slices interleaved
   // with payloads — yielding exactly encode_frame's value.
   std::uint64_t hash = checksum_init();
   std::size_t prev = kHeaderBytes;
-  for (std::size_t i = 0; i < messages.size(); ++i) {
+  for (std::size_t i = 0; i < sends.size(); ++i) {
     hash = checksum_feed(
         hash, std::span<const std::uint8_t>(meta.data() + prev,
                                             cuts[i] - prev));
-    hash = checksum_feed(hash, payload_bytes(messages[i]));
+    hash = checksum_feed(hash, payload_bytes(kind, sends[i], payloads));
     prev = cuts[i];
   }
   hash = checksum_feed(hash, std::span<const std::uint8_t>(
@@ -220,19 +231,19 @@ GatherFrame encode_frame_gather(FrameKind kind, int src,
   append_header(header, kind, src, body_bytes, hash);
   std::memcpy(meta.data(), header.data(), kHeaderBytes);
 
-  // On-wire chunks: [header + prefix + msg 0 meta], payload 0,
-  // [msg 1 meta], payload 1, ... — zero-length payloads add no entry.
-  frame.iov.reserve(1 + 2 * messages.size());
+  // On-wire chunks: [header + prefix + send 0], payload 0, [send 1],
+  // payload 1, ..., [receives] — empty payloads add no entry.
+  frame.iov.reserve(1 + 2 * sends.size());
   prev = 0;
-  for (std::size_t i = 0; i < messages.size(); ++i) {
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    const auto payload = payload_bytes(kind, sends[i], payloads);
+    if (payload.empty()) continue;  // the meta chunk runs on
     frame.iov.push_back(::iovec{meta.data() + prev, cuts[i] - prev});
-    const auto payload = payload_bytes(messages[i]);
-    if (!payload.empty())
-      frame.iov.push_back(
-          ::iovec{const_cast<std::uint8_t*>(payload.data()), payload.size()});
+    frame.iov.push_back(
+        ::iovec{const_cast<std::uint8_t*>(payload.data()), payload.size()});
     prev = cuts[i];
   }
-  if (prev < meta.size() || frame.iov.empty())
+  if (prev < meta.size())
     frame.iov.push_back(::iovec{meta.data() + prev, meta.size() - prev});
   return frame;
 }
@@ -352,117 +363,120 @@ void recv_all(int fd, void* data, std::size_t size, int timeout_ms,
 
 void BodyScatterDecoder::reset(FrameKind kind, int src,
                                std::uint64_t body_bytes,
-                               std::uint64_t expected_checksum) {
+                               std::uint64_t expected_checksum, Lander land) {
   frame_ = Frame{};
   frame_.kind = kind;
   frame_.src = src;
   frame_.frame_bytes = kHeaderBytes + body_bytes;
+  land_ = std::move(land);
   body_left_ = body_bytes;
   expected_checksum_ = expected_checksum;
   hash_ = checksum_init();
-  msgs_left_ = 0;
-  scratch_pos_ = 0;
-  payload_pos_ = 0;
+  sends_left_ = receives_left_ = 0;
+  payload_ = {};
   if (body_bytes < kBodyPrefixBytes)
     throw WireError("wire: truncated frame body");
-  scratch_need_ = kBodyPrefixBytes;
+  need_ = kBodyPrefixBytes;
+  pos_ = 0;
   state_ = State::Prefix;
 }
 
 std::span<std::uint8_t> BodyScatterDecoder::window() {
   switch (state_) {
     case State::Prefix:
-    case State::Meta:
-      return {scratch_ + scratch_pos_, scratch_need_ - scratch_pos_};
-    case State::Payload: {
-      auto& payload = frame_.messages.back().payload;
-      return {reinterpret_cast<std::uint8_t*>(payload.data()) + payload_pos_,
-              payload.size() * sizeof(double) - payload_pos_};
-    }
+    case State::Descriptor:
+      return {scratch_ + pos_, need_ - pos_};
+    case State::Payload:
+      return payload_.subspan(pos_);
     case State::Done:
       return {};
   }
   return {};
 }
 
+void BodyScatterDecoder::open_next() {
+  if (sends_left_ == 0 && receives_left_ == 0) {
+    if (body_left_ != 0)
+      throw WireError("wire: trailing bytes after frame body");
+    state_ = State::Done;
+    return;
+  }
+  if (body_left_ < kDescriptorBytes)
+    throw WireError("wire: truncated frame body");
+  state_ = State::Descriptor;
+  need_ = kDescriptorBytes;
+  pos_ = 0;
+}
+
 void BodyScatterDecoder::advance(std::size_t n) {
+  HPFC_ASSERT_MSG(state_ != State::Done, "advance on a completed frame body");
   const auto landed = window().subspan(0, n);
   hash_ = checksum_feed(hash_, landed);
   HPFC_ASSERT(n <= body_left_);
   body_left_ -= n;
+  pos_ += n;
+  if (pos_ < need_) return;  // wait for the rest of the piece
+  // A piece completed: parse it and open the next one.
   switch (state_) {
-    case State::Prefix:
-    case State::Meta:
-      scratch_pos_ += n;
-      if (scratch_pos_ < scratch_need_) return;
+    case State::Prefix: {
+      std::span<const std::uint8_t> in(scratch_, kBodyPrefixBytes);
+      frame_.reported.bytes = read_value<std::uint64_t>(in, "frame");
+      frame_.reported.msgs = read_value<std::uint64_t>(in, "frame");
+      sends_left_ = read_value<std::uint32_t>(in, "frame");
+      receives_left_ = read_value<std::uint32_t>(in, "frame");
+      // Unverified until the checksum: bound the counts by the body
+      // before reserving anything.
+      if (std::uint64_t{sends_left_} + receives_left_ >
+          body_left_ / kDescriptorBytes)
+        throw WireError("wire: descriptor count exceeds frame body");
+      frame_.sends.reserve(sends_left_);
+      frame_.receives.reserve(receives_left_);
       break;
+    }
+    case State::Descriptor: {
+      std::span<const std::uint8_t> in(scratch_, kDescriptorBytes);
+      Descriptor d;
+      d.src = read_value<std::int32_t>(in, "frame");
+      d.dst = read_value<std::int32_t>(in, "frame");
+      d.tag = read_value<std::int32_t>(in, "frame");
+      d.segments = read_value<std::int32_t>(in, "frame");
+      d.elements = read_value<std::uint64_t>(in, "frame");
+      d.offset = read_value<std::uint64_t>(in, "frame");
+      if (sends_left_ == 0) {
+        --receives_left_;
+        frame_.receives.push_back(d);
+        break;
+      }
+      --sends_left_;
+      frame_.sends.push_back(d);
+      if (frame_.kind != FrameKind::Peer) break;
+      // Divide, not multiply: a corrupted length must not overflow.
+      if (d.elements > body_left_ / sizeof(double))
+        throw WireError("wire: truncated message payload");
+      if (!land_) {
+        if (d.elements == 0) break;
+        throw WireError("wire: payload with nowhere to land");
+      }
+      // Every message goes through the lander, empty ones included, so
+      // it sees the frame's messages in order.
+      const std::span<double> target = land_(d);
+      HPFC_ASSERT_MSG(target.size() == d.elements,
+                      "a lander returned a window of the wrong size");
+      if (target.empty()) break;
+      payload_ = {reinterpret_cast<std::uint8_t*>(target.data()),
+                  target.size() * sizeof(double)};
+      state_ = State::Payload;
+      need_ = payload_.size();
+      pos_ = 0;
+      return;  // wait for the payload bytes
+    }
     case State::Payload:
-      payload_pos_ += n;  // completeness is decided below
+      payload_ = {};
       break;
     case State::Done:
-      HPFC_ASSERT_MSG(false, "advance on a completed frame body");
+      return;
   }
-  // A piece completed: parse it and open the next non-empty one.
-  for (;;) {
-    switch (state_) {
-      case State::Prefix: {
-        std::span<const std::uint8_t> in(scratch_, kBodyPrefixBytes);
-        frame_.reported.bytes = read_value<std::uint64_t>(in, "frame");
-        frame_.reported.msgs = read_value<std::uint64_t>(in, "frame");
-        msgs_left_ = read_value<std::uint32_t>(in, "frame");
-        // Unverified until the checksum: bound it by the body before
-        // reserving anything.
-        if (msgs_left_ > body_left_ / kMessageMetaBytes)
-          throw WireError("wire: message count exceeds frame body");
-        frame_.messages.reserve(msgs_left_);
-        state_ = State::Meta;
-        break;
-      }
-      case State::Meta: {
-        if (scratch_pos_ == scratch_need_ && !frame_.messages.empty() &&
-            scratch_need_ == kMessageMetaBytes) {
-          // A metadata piece just filled: open its payload.
-          std::span<const std::uint8_t> in(scratch_, kMessageMetaBytes);
-          Message& msg = frame_.messages.back();
-          msg.src = read_value<std::int32_t>(in, "frame");
-          msg.dst = read_value<std::int32_t>(in, "frame");
-          msg.tag = read_value<std::int32_t>(in, "frame");
-          msg.segments = read_value<std::int32_t>(in, "frame");
-          const auto doubles = read_value<std::uint64_t>(in, "frame");
-          // Divide, not multiply: a corrupted length must not overflow.
-          if (doubles > body_left_ / sizeof(double))
-            throw WireError("wire: truncated message payload");
-          msg.payload.resize(doubles);
-          payload_pos_ = 0;
-          --msgs_left_;
-          state_ = State::Payload;
-          break;
-        }
-        if (msgs_left_ == 0) {
-          if (body_left_ != 0)
-            throw WireError("wire: trailing bytes after frame body");
-          state_ = State::Done;
-          return;
-        }
-        if (body_left_ < kMessageMetaBytes)
-          throw WireError("wire: truncated frame body");
-        frame_.messages.emplace_back();
-        scratch_pos_ = 0;
-        scratch_need_ = kMessageMetaBytes;
-        return;  // wait for the metadata bytes
-      }
-      case State::Payload: {
-        auto& payload = frame_.messages.back().payload;
-        if (payload_pos_ < payload.size() * sizeof(double))
-          return;  // wait for the rest of the payload
-        scratch_pos_ = scratch_need_ = 0;
-        state_ = State::Meta;  // next message (or the end of the body)
-        break;
-      }
-      case State::Done:
-        return;
-    }
-  }
+  open_next();
 }
 
 bool BodyScatterDecoder::checksum_ok() const {
@@ -477,7 +491,8 @@ Frame BodyScatterDecoder::take(const std::string& what) {
   return std::move(frame_);
 }
 
-Frame recv_frame_scatter(int fd, int timeout_ms, const std::string& what) {
+Frame recv_frame(int fd, int timeout_ms, const std::string& what,
+                 Lander land) {
   std::uint8_t header[kHeaderBytes];
   recv_all(fd, header, kHeaderBytes, timeout_ms, what);
   FrameKind kind;
@@ -487,7 +502,7 @@ Frame recv_frame_scatter(int fd, int timeout_ms, const std::string& what) {
   decode_header(std::span<const std::uint8_t>(header, kHeaderBytes), kind,
                 src, body_bytes, expected);
   BodyScatterDecoder decoder;
-  decoder.reset(kind, src, body_bytes, expected);
+  decoder.reset(kind, src, body_bytes, expected, std::move(land));
   while (!decoder.done()) {
     const auto window = decoder.window();
     recv_all(fd, window.data(), window.size(), timeout_ms, what);

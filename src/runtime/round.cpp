@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "exec/proc_backend.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::runtime {
@@ -68,6 +67,17 @@ FusedRound::FusedRound(int ranks, std::vector<RoundMember> members,
          static_cast<std::uint64_t>(fm.elements) * sizeof(double),
          static_cast<std::uint64_t>(fm.segments)});
   }
+  // The arena layout: out-slots in table order from the arena's start,
+  // then the in-slots in the same order.
+  slots_.reserve(exchange_.messages.size());
+  std::uint64_t at = 0;
+  for (std::size_t mi = 0; mi < exchange_.messages.size(); ++mi) {
+    const redist::FusedMessage& fm = exchange_.messages[mi];
+    const auto elements = static_cast<std::uint64_t>(fm.elements);
+    slots_.push_back({fm.src, fm.dst, static_cast<int>(mi), fm.segments,
+                      elements, at, remote_elements_ + at});
+    at += elements;
+  }
 }
 
 RoundTimes FusedRound::run(exec::Backend& backend) {
@@ -77,12 +87,13 @@ RoundTimes FusedRound::run(exec::Backend& backend) {
     times.pack_ms = timed_ms([&] { pull(backend); });
     return times;
   }
-  std::vector<std::vector<net::Message>> outboxes;
-  std::vector<std::vector<net::Message>> inboxes;
-  times.pack_ms = timed_ms([&] { outboxes = pack(backend); });
-  times.exchange_ms =
-      timed_ms([&] { inboxes = proc->exchange(std::move(outboxes)); });
-  times.unpack_ms = timed_ms([&] { unpack(backend, std::move(inboxes)); });
+  const std::span<double> arena = proc->arena(arena_elements());
+  times.pack_ms = timed_ms([&] { pack(backend, arena); });
+  // A round without off-rank messages has nothing to put on the wire.
+  if (slots_.empty()) return times;
+  exec::Inboxes inboxes;
+  times.exchange_ms = timed_ms([&] { inboxes = proc->exchange(slots_); });
+  times.unpack_ms = timed_ms([&] { unpack(backend, inboxes, arena); });
   return times;
 }
 
@@ -110,42 +121,27 @@ void FusedRound::pull(exec::Backend& backend) const {
   });
 }
 
-std::vector<std::vector<net::Message>> FusedRound::pack(
-    exec::Backend& backend) {
-  payload_pool_.resize(exchange_.messages.size());
-  // The recycled mailbox skeleton becomes this round's outboxes.
-  auto outboxes = std::move(mailbox_pool_);
-  outboxes.resize(static_cast<std::size_t>(backend.ranks()));
-  for (auto& box : outboxes) box.clear();
+void FusedRound::pack(exec::Backend& backend, std::span<double> arena) const {
+  HPFC_ASSERT(arena.size() >= arena_elements());
   backend.step([&](int r) {
     copy_local(r);
     const auto rank = static_cast<std::size_t>(r);
     for (const int mi : exchange_.by_src[rank]) {
-      const redist::FusedMessage& fm =
-          exchange_.messages[static_cast<std::size_t>(mi)];
-      net::Message msg;
-      msg.src = fm.src;
-      msg.dst = fm.dst;
-      msg.tag = mi;
-      msg.segments = fm.segments;
-      // Payload buffers are drawn from (and returned to) their tag's
-      // pool slot.
-      msg.payload = std::move(payload_pool_[static_cast<std::size_t>(mi)]);
-      msg.payload.resize(static_cast<std::size_t>(fm.elements));
-      for (const redist::FusedFrame& fr : fm.frames) {
+      const auto i = static_cast<std::size_t>(mi);
+      const auto out = arena.subspan(slots_[i].out_offset, slots_[i].elements);
+      for (const redist::FusedFrame& fr : exchange_.messages[i].frames) {
         const RoundMember& m = members_[static_cast<std::size_t>(fr.member)];
-        const std::span<double> window(msg.payload.data() + fr.offset,
-                                       static_cast<std::size_t>(fr.len));
-        kernel(fr.member, fr.kernel).pack((*m.src)[rank], window);
+        kernel(fr.member, fr.kernel)
+            .pack((*m.src)[rank],
+                  out.subspan(static_cast<std::size_t>(fr.offset),
+                              static_cast<std::size_t>(fr.len)));
       }
-      outboxes[rank].push_back(std::move(msg));
     }
   });
-  return outboxes;
 }
 
-void FusedRound::check_inbox(int r,
-                             const std::vector<net::Message>& inbox) const {
+void FusedRound::check_inbox(
+    int r, const std::vector<net::wire::Descriptor>& inbox) const {
   const std::vector<int>& expected =
       exchange_.by_dst[static_cast<std::size_t>(r)];
   const auto mismatch = [&](int src, const std::string& why) {
@@ -154,29 +150,37 @@ void FusedRound::check_inbox(int r,
   };
   for (std::size_t i = 0; i < expected.size(); ++i) {
     const int mi = expected[i];
-    const redist::FusedMessage& fm =
-        exchange_.messages[static_cast<std::size_t>(mi)];
-    if (i >= inbox.size()) throw mismatch(fm.src, "is missing from the inbox");
-    const net::Message& msg = inbox[i];
-    if (msg.src != fm.src || msg.dst != fm.dst) {
-      throw mismatch(fm.src, "is missing from the inbox: slot " +
-                                 std::to_string(i) + " holds " +
-                                 pair_name(msg.src, msg.dst));
+    const exec::ArenaMessage& slot = slots_[static_cast<std::size_t>(mi)];
+    if (i >= inbox.size())
+      throw mismatch(slot.src, "is missing from the inbox");
+    const net::wire::Descriptor& got = inbox[i];
+    if (got.src != slot.src || got.dst != slot.dst) {
+      throw mismatch(slot.src, "is missing from the inbox: slot " +
+                                   std::to_string(i) + " holds " +
+                                   pair_name(got.src, got.dst));
     }
-    if (msg.tag != mi) {
-      throw mismatch(fm.src, "carries tag " + std::to_string(msg.tag) +
-                                 " where the message table has entry " +
-                                 std::to_string(mi));
+    if (got.tag != mi) {
+      throw mismatch(slot.src, "carries tag " + std::to_string(got.tag) +
+                                   " where the message table has entry " +
+                                   std::to_string(mi));
     }
-    if (msg.segments != fm.segments) {
-      throw mismatch(fm.src, "carries " + std::to_string(msg.segments) +
-                                 " segments where its frames have " +
-                                 std::to_string(fm.segments));
+    if (got.segments != slot.segments) {
+      throw mismatch(slot.src, "carries " + std::to_string(got.segments) +
+                                   " segments where its frames have " +
+                                   std::to_string(slot.segments));
     }
-    if (msg.payload.size() != static_cast<std::size_t>(fm.elements)) {
-      throw mismatch(fm.src, "carries " + std::to_string(msg.payload.size()) +
-                                 " elements where its frames need " +
-                                 std::to_string(fm.elements));
+    if (got.elements != slot.elements) {
+      throw mismatch(slot.src, "carries " + std::to_string(got.elements) +
+                                   " elements where its frames need " +
+                                   std::to_string(slot.elements));
+    }
+    if (got.offset != slot.in_offset) {
+      throw mismatch(slot.src,
+                     "landed at in-slot " + std::to_string(got.offset) +
+                         " where the table has " +
+                         std::to_string(slot.in_offset) +
+                         " (the round's region holds " +
+                         std::to_string(arena_elements()) + " elements)");
     }
   }
   if (inbox.size() > expected.size()) {
@@ -187,37 +191,32 @@ void FusedRound::check_inbox(int r,
   }
 }
 
-void FusedRound::unpack(exec::Backend& backend,
-                        std::vector<std::vector<net::Message>> inboxes) {
+void FusedRound::unpack(exec::Backend& backend, const exec::Inboxes& inboxes,
+                        std::span<const double> arena) const {
   HPFC_ASSERT_MSG(inboxes.size() == exchange_.by_dst.size(),
                   "copy group " + std::to_string(group_) + ": " +
                       std::to_string(inboxes.size()) + " inboxes for " +
                       std::to_string(exchange_.by_dst.size()) + " ranks");
+  HPFC_ASSERT(arena.size() >= arena_elements());
   for (std::size_t r = 0; r < inboxes.size(); ++r)
     check_inbox(static_cast<int>(r), inboxes[r]);
 
+  // Every inbox matches the table, so each rank reads its messages from
+  // the table's in-slots.
   backend.step([&](int r) {
     const auto rank = static_cast<std::size_t>(r);
-    for (const auto& msg : inboxes[rank]) {
-      const redist::FusedMessage& fm =
-          exchange_.messages[static_cast<std::size_t>(msg.tag)];
-      for (const redist::FusedFrame& fr : fm.frames) {
+    for (const int mi : exchange_.by_dst[rank]) {
+      const auto i = static_cast<std::size_t>(mi);
+      const auto in = arena.subspan(slots_[i].in_offset, slots_[i].elements);
+      for (const redist::FusedFrame& fr : exchange_.messages[i].frames) {
         const RoundMember& m = members_[static_cast<std::size_t>(fr.member)];
-        const std::span<const double> window(msg.payload.data() + fr.offset,
-                                             static_cast<std::size_t>(fr.len));
-        kernel(fr.member, fr.kernel).unpack(window, (*m.dst)[rank]);
+        kernel(fr.member, fr.kernel)
+            .unpack(in.subspan(static_cast<std::size_t>(fr.offset),
+                               static_cast<std::size_t>(fr.len)),
+                    (*m.dst)[rank]);
       }
     }
   });
-  // Recycle: payload buffers go back to their tag's pool slot, and the
-  // routed mailbox skeleton (outer + inner vector capacities) becomes
-  // the next execution's outboxes.
-  for (auto& inbox : inboxes)
-    for (auto& msg : inbox)
-      payload_pool_[static_cast<std::size_t>(msg.tag)] =
-          std::move(msg.payload);
-  for (auto& inbox : inboxes) inbox.clear();
-  mailbox_pool_ = std::move(inboxes);
 }
 
 }  // namespace hpfc::runtime

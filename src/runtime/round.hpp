@@ -7,12 +7,19 @@
 //            is one rank step: each destination rank runs its local
 //            fast-path units, then copies every incoming frame with
 //            Kernel::copy straight out of the source rank's storage. No
-//            payload is staged and no net::Message is built.
-//   messages (proc) payloads really cross sockets: pack() each combined
-//            message into a pooled payload, ProcBackend::exchange(), then
-//            unpack() by frame. unpack() first checks every inbox against
-//            the message table and refuses a round whose inboxes differ
-//            before it touches destination storage.
+//            payload is staged and no message is built.
+//   arena    (proc) payloads really cross a socket, once. The round lays
+//            its message table out in the proc backend's shared payload
+//            arena when it is built: each message gets an out-slot and an
+//            in-slot, prefix sums over the message sizes, so the round's
+//            region is every out-slot followed by every in-slot. pack()
+//            runs each frame's Kernel::pack straight into its message's
+//            out-slot, ProcBackend::exchange() moves the payloads from the
+//            source workers to the destination workers' in-slots with only
+//            descriptors on the control channels, and unpack() reads the
+//            in-slots. unpack() first checks every returned inbox against
+//            the message table, in-slots included, and refuses a round
+//            whose inboxes differ before it touches destination storage.
 // A round charges nothing: the machine charges its traffic table — one
 // net::Flow per message and per local fast-path unit — with
 // net::account_flows, so both transports charge byte-identical NetStats,
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "exec/backend.hpp"
+#include "exec/proc_backend.hpp"
 #include "net/network.hpp"
 #include "redist/fused.hpp"
 #include "redist/kernelgen.hpp"
@@ -60,22 +68,34 @@ class FusedRound {
   FusedRound(int ranks, std::vector<RoundMember> members, int group);
 
   /// Moves the round's data on `backend`: the pull step in process, the
-  /// message path on proc. The one place the transport is chosen.
+  /// arena path on proc. The one place the transport is chosen.
   RoundTimes run(exec::Backend& backend);
   /// The in-process pull step (seq and thread).
   void pull(exec::Backend& backend) const;
-  /// The message path's first phase: runs each rank's local units and
-  /// packs each of its messages into a pooled payload, tagged with its
-  /// message-table index. Returns the outboxes.
-  std::vector<std::vector<net::Message>> pack(exec::Backend& backend);
-  /// The message path's last phase, over the routed `inboxes`: checks
+  /// The arena path's first phase: runs each rank's local units and
+  /// packs each of its messages into its out-slot of `arena`, which must
+  /// hold at least arena_elements() doubles.
+  void pack(exec::Backend& backend, std::span<double> arena) const;
+  /// The arena path's last phase, over the exchanged `inboxes`: checks
   /// every inbox against the message table in by_dst order (the source,
-  /// destination, tag, segments and payload length of each message, and
-  /// that none is missing or extra), raising an InternalError naming the
-  /// copy group and the (src, dst) pair before any destination element
-  /// changes; then unpacks every frame and recycles the payloads.
-  void unpack(exec::Backend& backend,
-              std::vector<std::vector<net::Message>> inboxes);
+  /// destination, tag, segments, element count and in-slot of each
+  /// message, and that none is missing or extra), raising an
+  /// InternalError naming the copy group and the (src, dst) pair before
+  /// any destination element changes; then unpacks every frame from its
+  /// message's in-slot of `arena`.
+  void unpack(exec::Backend& backend, const exec::Inboxes& inboxes,
+              std::span<const double> arena) const;
+
+  /// The message table laid out in the payload arena: entry i is message
+  /// i of exchange(), tagged i, with its out-slot and in-slot.
+  [[nodiscard]] std::span<const exec::ArenaMessage> slots() const {
+    return slots_;
+  }
+  /// The round's region of the payload arena: its out-slots, then its
+  /// in-slots, from the arena's start.
+  [[nodiscard]] std::size_t arena_elements() const {
+    return 2 * static_cast<std::size_t>(remote_elements_);
+  }
 
   [[nodiscard]] const redist::FusedExchange& exchange() const {
     return exchange_;
@@ -108,9 +128,10 @@ class FusedRound {
   }
   /// Runs rank r's local fast-path units.
   void copy_local(int r) const;
-  /// Raises an InternalError when rank r's routed inbox differs from the
-  /// messages the table delivers to it.
-  void check_inbox(int r, const std::vector<net::Message>& inbox) const;
+  /// Raises an InternalError when rank r's returned inbox differs from
+  /// the messages the table delivers to it.
+  void check_inbox(int r,
+                   const std::vector<net::wire::Descriptor>& inbox) const;
 
   std::vector<RoundMember> members_;
   int group_ = -1;
@@ -120,10 +141,7 @@ class FusedRound {
   std::uint64_t local_elements_ = 0;
   std::uint64_t remote_elements_ = 0;
   std::uint64_t dispatches_ = 0;
-  /// Message path only, filled on its first pack: payload buffers per
-  /// message-table entry and the recycled mailbox skeleton.
-  std::vector<std::vector<double>> payload_pool_;
-  std::vector<std::vector<net::Message>> mailbox_pool_;
+  std::vector<exec::ArenaMessage> slots_;
 };
 
 }  // namespace hpfc::runtime

@@ -294,4 +294,56 @@ std::vector<std::vector<net::Message>> route_superstep(
   return inboxes;
 }
 
+exec::Inboxes route_slots(std::span<const exec::ArenaMessage> table,
+                          int ranks, std::span<double> arena) {
+  exec::Inboxes inboxes(static_cast<std::size_t>(ranks));
+  for (int src = 0; src < ranks; ++src) {
+    for (const exec::ArenaMessage& m : table) {
+      if (m.src != src) continue;
+      HPFC_ASSERT(m.dst >= 0 && m.dst < ranks);
+      const auto out = arena.subspan(m.out_offset, m.elements);
+      std::copy(out.begin(), out.end(),
+                arena.subspan(m.in_offset, m.elements).begin());
+      inboxes[static_cast<std::size_t>(m.dst)].push_back(
+          {m.src, m.dst, m.tag, m.segments, m.elements, m.in_offset});
+    }
+  }
+  return inboxes;
+}
+
+std::vector<std::vector<net::Message>> exchange_messages(
+    exec::ProcBackend& backend,
+    const std::vector<std::vector<net::Message>>& outboxes) {
+  (void)net::check_outboxes(outboxes, backend.ranks());
+  std::vector<exec::ArenaMessage> table;
+  std::uint64_t total = 0;
+  for (const auto& outbox : outboxes) {
+    for (const net::Message& msg : outbox) {
+      table.push_back({msg.src, msg.dst, msg.tag, msg.segments,
+                       msg.payload.size(), total, 0});
+      total += msg.payload.size();
+    }
+  }
+  for (exec::ArenaMessage& m : table) m.in_offset = total + m.out_offset;
+  const std::span<double> arena =
+      backend.arena(static_cast<std::size_t>(2 * total));
+  std::size_t i = 0;
+  for (const auto& outbox : outboxes)
+    for (const net::Message& msg : outbox)
+      std::copy(msg.payload.begin(), msg.payload.end(),
+                arena.begin() +
+                    static_cast<std::ptrdiff_t>(table[i++].out_offset));
+
+  const exec::Inboxes slots = backend.exchange(table);
+  std::vector<std::vector<net::Message>> inboxes(slots.size());
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    for (const net::wire::Descriptor& d : slots[r]) {
+      const auto in = arena.subspan(d.offset, d.elements);
+      inboxes[r].push_back(
+          {d.src, d.dst, d.tag, {in.begin(), in.end()}, d.segments});
+    }
+  }
+  return inboxes;
+}
+
 }  // namespace hpfc::testing

@@ -5,14 +5,18 @@
 // so the property tests can assert that every periodic program expands
 // to exactly the flat list. The per-element value loops are the
 // definitions the value kernels of runtime/expected.hpp must reproduce.
-// route_superstep is the reference router the proc backend's socket
-// exchange and the runtime's message path are compared against.
+// route_superstep is the reference router of net::Message supersteps,
+// and route_slots its arena form, which the runtime's arena path is
+// compared against in process; exchange_messages adapts the proc
+// backend's arena exchange to net::Message supersteps so the two
+// routers can be compared message by message.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "exec/proc_backend.hpp"
 #include "mapping/layout.hpp"
 #include "mapping/runs.hpp"
 #include "net/message.hpp"
@@ -64,5 +68,20 @@ bool matches_per_element(const mapping::OwnedProgram& prog,
 /// the messages and charges nothing.
 std::vector<std::vector<net::Message>> route_superstep(
     std::vector<std::vector<net::Message>> outboxes, int ranks);
+
+/// The reference for ProcBackend::exchange, in process: copies every
+/// payload of `table` from its out-slot of `arena` to its in-slot and
+/// returns each rank's in-slot descriptors in (src, emission) order.
+exec::Inboxes route_slots(std::span<const exec::ArenaMessage> table,
+                          int ranks, std::span<double> arena);
+
+/// A net::Message superstep on the proc backend (validated like
+/// route_superstep): copies each outbox payload into an out-slot of the
+/// backend's arena, runs the arena exchange, and copies each filled
+/// in-slot back out into a message, in the exchange's (src, emission)
+/// order.
+std::vector<std::vector<net::Message>> exchange_messages(
+    exec::ProcBackend& backend,
+    const std::vector<std::vector<net::Message>>& outboxes);
 
 }  // namespace hpfc::testing

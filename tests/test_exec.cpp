@@ -3,10 +3,11 @@
 // read checksums, same NetStats byte for byte — across randomized
 // programs, machine sizes, worker counts, and random_layout-generated
 // redistributions; the proc exchange delivers the reference router's
-// deterministic (src, emission) inbox order, and a fused round's message
+// deterministic (src, emission) inbox order, and a fused round's arena
 // path refuses inboxes that differ from its message table. The proc
 // backend additionally proves its robustness contract: a killed worker
-// surfaces as a bounded-time ProcError diagnostic, never a hang.
+// or a descriptor outside the payload arena surfaces as a bounded-time
+// ProcError diagnostic, never a hang or a crash.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -110,9 +111,10 @@ TEST(Backend, StepRethrowsRankFailures) {
   for (const int count : visits) EXPECT_EQ(count, 1);
 }
 
-/// Random messages between random ranks: the proc backend's socket
-/// exchange must deliver what the reference router delivers, in the same
-/// order, and count the physical traffic in its WireStats.
+/// Random messages between random ranks: the proc backend's arena
+/// exchange (through the net::Message adapter) must deliver what the
+/// reference router delivers, in the same order, and count the physical
+/// traffic in its WireStats: every off-rank payload crosses one socket.
 TEST(Backend, ProcExchangeMatchesReferenceRouter) {
   std::mt19937 rng(42);
   for (const int ranks : {1, 2, 5, 8}) {
@@ -134,7 +136,7 @@ TEST(Backend, ProcExchangeMatchesReferenceRouter) {
 
       exec::ProcBackend proc(ranks, exec::ProcConfig{});
       const auto routed = testing::route_superstep(outboxes, ranks);
-      const auto proc_in = proc.exchange(outboxes);
+      const auto proc_in = testing::exchange_messages(proc, outboxes);
 
       ASSERT_EQ(routed.size(), proc_in.size());
       for (std::size_t r = 0; r < routed.size(); ++r) {
@@ -148,11 +150,15 @@ TEST(Backend, ProcExchangeMatchesReferenceRouter) {
         }
       }
       std::size_t total = 0;
-      for (const auto& outbox : outboxes) total += outbox.size();
+      std::size_t remote = 0;
+      for (const auto& outbox : outboxes) {
+        total += outbox.size();
+        for (const auto& msg : outbox) remote += msg.src != msg.dst ? 1 : 0;
+      }
       if (total > 0) {
         EXPECT_GT(proc.wire().wire_bytes, 0u);
-        EXPECT_GE(proc.wire().wire_msgs, total);
       }
+      EXPECT_EQ(proc.wire().wire_msgs, remote);
     }
   }
 }
@@ -170,18 +176,20 @@ TEST(Backend, ProcBackendKilledWorkerFailsFastWithDiagnostic) {
   msg.segments = 1;
   msg.payload.assign(8, 1.0);
   outboxes[0].push_back(msg);
-  (void)backend.exchange(outboxes);
+  (void)testing::exchange_messages(backend, outboxes);
 
   backend.kill_worker(2);
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)backend.exchange(outboxes), exec::ProcError);
+  EXPECT_THROW((void)testing::exchange_messages(backend, outboxes),
+               exec::ProcError);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
   // Bounded by the deadline (with slack for scheduling), not a hang.
   EXPECT_LT(elapsed, 8.0);
   // The wire is down for good: later supersteps fail instantly.
-  EXPECT_THROW((void)backend.exchange(outboxes), exec::ProcError);
+  EXPECT_THROW((void)testing::exchange_messages(backend, outboxes),
+               exec::ProcError);
 }
 
 /// Timed exchange supersteps on a live proc backend feed the fit.
@@ -198,63 +206,90 @@ TEST(Backend, ProcBackendCalibration) {
 
 namespace wire = net::wire;
 
-std::vector<net::Message> wire_test_messages(unsigned seed, int count) {
+/// Peer-frame test messages from rank 1 to rank 2, their payloads back
+/// to back in `arena`.
+struct WireMessages {
+  std::vector<wire::Descriptor> sends;
+  std::vector<double> arena;
+};
+
+WireMessages wire_test_messages(unsigned seed, int count) {
   std::mt19937 rng(seed);
-  std::vector<net::Message> messages;
+  WireMessages out;
   for (int m = 0; m < count; ++m) {
-    net::Message msg;
-    msg.src = 1;
-    msg.dst = 2;
-    msg.tag = m;
-    msg.segments = 1 + m;
-    // Include zero-length payloads: they are legal on the wire and are
-    // the decoder's trickiest state transition.
-    msg.payload.assign(m == 0 ? 0 : rng() % 64,
-                       static_cast<double>(rng() % 1000));
-    messages.push_back(std::move(msg));
+    // Include a zero-length payload: it is legal on the wire and is the
+    // decoder's trickiest state transition.
+    const std::uint64_t elements = m == 0 ? 0 : 1 + rng() % 64;
+    out.sends.push_back({1, 2, m, 1 + m, elements, out.arena.size()});
+    for (std::uint64_t i = 0; i < elements; ++i)
+      out.arena.push_back(static_cast<double>(rng() % 1000));
   }
-  return messages;
+  return out;
+}
+
+/// Lands each payload at its own offset of `landed` (sized like the
+/// sender's arena).
+wire::Lander land_in(std::vector<double>& landed) {
+  return [&landed](const wire::Descriptor& d) {
+    return std::span<double>(landed).subspan(d.offset, d.elements);
+  };
 }
 
 /// The zero-copy gather encoder must put byte-for-byte the same frame on
 /// the wire as the staging encoder — stitching its iovec chunks together
-/// reproduces encode_frame's buffer exactly (same body, same checksum).
+/// reproduces encode_frame's buffer exactly (same body, same checksum) —
+/// for a Peer frame with payloads and for a descriptor-only Inbox frame.
 TEST(Wire, GatherEncodeMatchesEncodeFrameByteForByte) {
   for (int count : {0, 1, 2, 5}) {
     const auto messages = wire_test_messages(17u + count, count);
     wire::Tally reported;
     reported.bytes = 12345;
     reported.msgs = 7;
-    const auto flat =
-        wire::encode_frame(wire::FrameKind::Inbox, 3, messages, reported);
-    const auto gather = wire::encode_frame_gather(wire::FrameKind::Inbox, 3,
-                                                  messages, reported);
-    std::vector<std::uint8_t> stitched;
-    for (const auto& iov : gather.iov) {
-      const auto* base = static_cast<const std::uint8_t*>(iov.iov_base);
-      stitched.insert(stitched.end(), base, base + iov.iov_len);
+    const std::pair<wire::FrameKind, std::uint64_t> kinds[] = {
+        {wire::FrameKind::Peer, static_cast<std::uint64_t>(count)},
+        {wire::FrameKind::Inbox, 0}};
+    for (const auto& [kind, msgs] : kinds) {
+      const bool peer = kind == wire::FrameKind::Peer;
+      const std::span<const wire::Descriptor> sends =
+          peer ? std::span<const wire::Descriptor>(messages.sends)
+               : std::span<const wire::Descriptor>();
+      const std::span<const wire::Descriptor> receives =
+          peer ? std::span<const wire::Descriptor>() : messages.sends;
+      const auto flat = wire::encode_frame(kind, 3, sends, receives,
+                                           messages.arena.data(), reported);
+      const auto gather = wire::encode_frame_gather(
+          kind, 3, sends, receives, messages.arena.data(), reported);
+      std::vector<std::uint8_t> stitched;
+      for (const auto& iov : gather.iov) {
+        const auto* base = static_cast<const std::uint8_t*>(iov.iov_base);
+        stitched.insert(stitched.end(), base, base + iov.iov_len);
+      }
+      EXPECT_EQ(stitched, flat) << "count=" << count << " peer=" << peer;
+      EXPECT_EQ(gather.bytes, flat.size());
+      EXPECT_EQ(gather.msgs, msgs);
     }
-    EXPECT_EQ(stitched, flat) << "count=" << count;
-    EXPECT_EQ(gather.bytes, flat.size());
-    EXPECT_EQ(gather.msgs, static_cast<std::uint64_t>(count));
   }
 }
 
-/// recv_all / recv_frame_scatter must reassemble a frame that dribbles in
-/// one byte at a time (worst-case short reads on a byte stream), landing
-/// every payload straight in its destination buffer and still verifying
+/// recv_all / recv_frame must reassemble a frame that dribbles in one
+/// byte at a time (worst-case short reads on a byte stream), landing
+/// every payload straight where the lander points and still verifying
 /// the checksum. Inputs are (kind, message count); the Shutdown case is
-/// the zero-message frame the controller sends a worker on teardown.
+/// the empty frame the controller sends a worker on teardown, and the
+/// Outbox case carries descriptors both ways and no payload.
 TEST(Wire, ScatterReceiveReassemblesOneByteChunks) {
   const std::pair<wire::FrameKind, int> cases[] = {
       {wire::FrameKind::Peer, 4},
+      {wire::FrameKind::Outbox, 3},
       {wire::FrameKind::Shutdown, 0},
   };
   for (const auto& [kind, count] : cases) {
     SCOPED_TRACE(count);
     auto [ours, theirs] = wire::make_stream_pair();
     const auto messages = wire_test_messages(23, count);
-    const auto encoded = wire::encode_frame(kind, 1, messages);
+    const auto encoded = wire::encode_frame(kind, 1, messages.sends,
+                                            messages.sends,
+                                            messages.arena.data());
 
     std::thread sender([&, fd = ours.fd()] {
       for (std::size_t i = 0; i < encoded.size(); ++i) {
@@ -268,18 +303,20 @@ TEST(Wire, ScatterReceiveReassemblesOneByteChunks) {
         }
       }
     });
-    const wire::Frame frame =
-        wire::recv_frame_scatter(theirs.fd(), 10000, "chunk test");
+    std::vector<double> landed(messages.arena.size(), -1.0);
+    const wire::Frame frame = wire::recv_frame(theirs.fd(), 10000,
+                                               "chunk test", land_in(landed));
     sender.join();
 
     EXPECT_EQ(frame.kind, kind);
     EXPECT_EQ(frame.src, 1);
     EXPECT_EQ(frame.frame_bytes, encoded.size());
-    ASSERT_EQ(frame.messages.size(), messages.size());
-    for (std::size_t i = 0; i < messages.size(); ++i) {
-      EXPECT_EQ(frame.messages[i].tag, messages[i].tag);
-      EXPECT_EQ(frame.messages[i].segments, messages[i].segments);
-      EXPECT_EQ(frame.messages[i].payload, messages[i].payload);
+    EXPECT_EQ(frame.sends, messages.sends);
+    EXPECT_EQ(frame.receives, messages.sends);
+    if (kind == wire::FrameKind::Peer) {
+      EXPECT_EQ(landed, messages.arena);
+    } else {
+      EXPECT_EQ(landed, std::vector<double>(messages.arena.size(), -1.0));
     }
   }
 }
@@ -289,16 +326,17 @@ TEST(Wire, ScatterReceiveReassemblesOneByteChunks) {
 TEST(Wire, ScatterReceiveTimesOutOnTruncatedFrame) {
   auto [ours, theirs] = wire::make_stream_pair();
   const auto messages = wire_test_messages(29, 3);
-  const auto encoded =
-      wire::encode_frame(wire::FrameKind::Peer, 0, messages);
+  const auto encoded = wire::encode_frame(
+      wire::FrameKind::Peer, 0, messages.sends, {}, messages.arena.data());
   // Header plus half the body, then silence.
   const std::size_t half = wire::kHeaderBytes + (encoded.size() / 2);
   wire::send_all(ours.fd(), encoded.data(), half, 1000, "partial send");
 
+  std::vector<double> landed(messages.arena.size());
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(
-      (void)wire::recv_frame_scatter(theirs.fd(), 300, "truncated test"),
-      wire::WireError);
+  EXPECT_THROW((void)wire::recv_frame(theirs.fd(), 300, "truncated test",
+                                      land_in(landed)),
+               wire::WireError);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
@@ -306,32 +344,38 @@ TEST(Wire, ScatterReceiveTimesOutOnTruncatedFrame) {
 }
 
 /// A corrupted body must surface as a WireError. A flipped payload bit
-/// fails the checksum at the end of the body; a corrupted message count
-/// or payload length is read before the checksum is known, so the
-/// decoder must bound it by the bytes left instead of allocating it.
+/// fails the checksum at the end of the body; a corrupted descriptor
+/// count or element count is read before the checksum is known, so the
+/// decoder must bound it by the bytes left instead of allocating it or
+/// asking the lander for it.
 TEST(Wire, ScatterReceiveRejectsCorruptedBody) {
   const auto messages = wire_test_messages(31, 3);
-  const auto clean = wire::encode_frame(wire::FrameKind::Peer, 0, messages);
-  // Body layout: reported bytes (8), reported msgs (8), count (4), then
-  // per message src/dst/tag/segments (4 each) and the payload length (8).
+  const auto clean = wire::encode_frame(wire::FrameKind::Peer, 0,
+                                        messages.sends, {},
+                                        messages.arena.data());
+  // Body layout: reported bytes (8), reported msgs (8), send count (4),
+  // receive count (4), then per send src/dst/tag/segments (4 each),
+  // elements (8), offset (8) and its payload.
   const std::size_t count_at = wire::kHeaderBytes + 16;
-  const std::size_t length_at = count_at + 4 + 16;
+  const std::size_t elements_at = wire::kHeaderBytes +
+                                  wire::kBodyPrefixBytes + 16;
   const auto overwrite = [](std::vector<std::uint8_t>& frame,
                             std::size_t at, auto value) {
     std::memcpy(frame.data() + at, &value, sizeof(value));
   };
   std::vector<std::vector<std::uint8_t>> corrupted(3, clean);
-  corrupted[0].back() ^= 0x40;  // flip one payload bit past the header
+  corrupted[0].back() ^= 0x40;  // flip one bit of the last payload
   overwrite(corrupted[1], count_at, std::uint32_t{0xFFFFFFFF});
-  overwrite(corrupted[2], length_at, std::uint64_t{1} << 61);
+  overwrite(corrupted[2], elements_at, std::uint64_t{1} << 61);
   for (std::size_t i = 0; i < corrupted.size(); ++i) {
     SCOPED_TRACE(i);
     auto [ours, theirs] = wire::make_stream_pair();
     wire::send_all(ours.fd(), corrupted[i].data(), corrupted[i].size(), 1000,
                    "send");
-    EXPECT_THROW(
-        (void)wire::recv_frame_scatter(theirs.fd(), 1000, "corrupt test"),
-        wire::WireError);
+    std::vector<double> landed(messages.arena.size());
+    EXPECT_THROW((void)wire::recv_frame(theirs.fd(), 1000, "corrupt test",
+                                        land_in(landed)),
+                 wire::WireError);
   }
 }
 
@@ -344,31 +388,39 @@ TEST(Wire, GatherSendDrainsThroughTinySendBuffer) {
   ASSERT_EQ(::setsockopt(ours.fd(), SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
             0);
-  std::vector<net::Message> messages = wire_test_messages(37, 3);
-  messages[1].payload.assign(1 << 16, 2.5);  // ~512 KiB payload
-  const auto gather =
-      wire::encode_frame_gather(wire::FrameKind::Peer, 2, messages);
+  WireMessages messages = wire_test_messages(37, 3);
+  // A ~512 KiB payload appended past the others.
+  messages.sends[1].offset = messages.arena.size();
+  messages.sends[1].elements = 1 << 16;
+  messages.arena.resize(messages.arena.size() + (1 << 16), 2.5);
+  const auto gather = wire::encode_frame_gather(
+      wire::FrameKind::Peer, 2, messages.sends, {}, messages.arena.data());
 
   wire::Tally tally;
   std::thread sender([&, fd = ours.fd()] {
     wire::send_gather_frame(fd, gather, 10000, "tiny sndbuf", &tally);
   });
-  const wire::Frame frame =
-      wire::recv_frame_scatter(theirs.fd(), 10000, "tiny sndbuf recv");
+  std::vector<double> landed(messages.arena.size(), 0.0);
+  const wire::Frame frame = wire::recv_frame(
+      theirs.fd(), 10000, "tiny sndbuf recv", land_in(landed));
   sender.join();
 
   EXPECT_EQ(tally.bytes, gather.bytes);
   EXPECT_EQ(tally.msgs, gather.msgs);
-  ASSERT_EQ(frame.messages.size(), messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i)
-    EXPECT_EQ(frame.messages[i].payload, messages[i].payload);
+  EXPECT_EQ(frame.sends, messages.sends);
+  for (const wire::Descriptor& d : messages.sends) {
+    const auto at = static_cast<std::ptrdiff_t>(d.offset);
+    const auto len = static_cast<std::ptrdiff_t>(d.elements);
+    EXPECT_TRUE(std::equal(landed.begin() + at, landed.begin() + at + len,
+                           messages.arena.begin() + at));
+  }
 }
 
 /// One full redistribution between testing::random_layout placements,
-/// executed as the message path executes it (pack in rank context,
-/// exchange, unpack in rank context): the proc backend's socket exchange
-/// must leave the destination memories the reference router leaves on
-/// seq and thread.
+/// executed message by message (pack in rank context, exchange, unpack
+/// in rank context): the proc backend's arena exchange, through the
+/// net::Message adapter, must leave the destination memories the
+/// reference router leaves on seq and thread.
 TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
   std::mt19937 rng(7);
   for (int round = 0; round < 20; ++round) {
@@ -438,8 +490,8 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
     exec::ProcBackend proc(ranks, exec::ProcConfig{});
     const auto expected = run(*seq, route);
     EXPECT_EQ(expected, run(*thr, route)) << "round " << round;
-    EXPECT_EQ(expected, run(proc, [&](Mailboxes outboxes) {
-                return proc.exchange(std::move(outboxes));
+    EXPECT_EQ(expected, run(proc, [&](const Mailboxes& outboxes) {
+                return testing::exchange_messages(proc, outboxes);
               }))
         << "round " << round;
   }
@@ -503,21 +555,22 @@ std::vector<runtime::RoundMember> round_members(
 /// traffic is read off the routed `inboxes` instead of its table: the
 /// check that the table describes the messages the round really ships.
 net::NetStats charge_of_inboxes(const runtime::FusedRound& round, int ranks,
-                                const Mailboxes& inboxes) {
+                                const exec::Inboxes& inboxes) {
   std::vector<net::Flow> flows;
   for (const net::Flow& flow : round.traffic())
     if (flow.src == flow.dst) flows.push_back(flow);
   for (const auto& inbox : inboxes)
-    for (const net::Message& msg : inbox)
-      flows.push_back({msg.src, msg.dst, msg.bytes(),
-                       static_cast<std::uint64_t>(msg.segments)});
+    for (const wire::Descriptor& d : inbox)
+      flows.push_back({d.src, d.dst, d.elements * sizeof(double),
+                       static_cast<std::uint64_t>(d.segments)});
   net::NetStats stats;
   net::account_flows(stats, {1e-6, 1e-9}, ranks, flows);
   return stats;
 }
 
-/// The in-process pull step and the message path (pack -> reference
-/// router -> unpack) move a fused round identically: over random layout
+/// The in-process pull step and the arena path (pack into the out-slots
+/// -> reference slot router -> unpack from the in-slots) move a fused
+/// round identically: over random layout
 /// pairs (1-D, 2-D, replicated) with one to three members sharing the
 /// round, both leave the same destination storage, every destination
 /// element holds its source value, and the routed messages charge what
@@ -549,13 +602,15 @@ TEST(FusedRound, PullStepMatchesMessagePath) {
         EXPECT_EQ(times.exchange_ms, 0.0);
         EXPECT_EQ(times.unpack_ms, 0.0);
       } else {
-        Mailboxes inboxes =
-            testing::route_superstep(round.pack(*backend), ranks);
+        std::vector<double> arena(round.arena_elements());
+        round.pack(*backend, arena);
+        const exec::Inboxes inboxes =
+            testing::route_slots(round.slots(), ranks, arena);
         net::NetStats from_table;
         net::account_flows(from_table, {1e-6, 1e-9}, ranks, round.traffic());
         EXPECT_EQ(charge_of_inboxes(round, ranks, inboxes), from_table)
             << "trial " << trial;
-        round.unpack(*backend, std::move(inboxes));
+        round.unpack(*backend, inboxes, arena);
       }
       for (const auto& fm : round.exchange().messages)
         if (fm.frames.size() >= 2) ++fused_messages;
@@ -608,63 +663,73 @@ TEST(FusedRound, RejectsDestinationAliasingAMemberSource) {
   }
 }
 
-/// unpack checks the routed inboxes against the round's message table
-/// before it touches destination storage: a dropped message, a duplicated
-/// one, a tag outside the table and a payload shorter than its frames
-/// each fail the round with an InternalError naming the copy group, and
-/// leave every destination element as it was. The same round on a real
-/// proc backend passes the check and matches the in-process pull.
-TEST(FusedRound, UnpackRejectsInboxesThatDifferFromTheTable) {
-  std::mt19937 rng(9);
-  std::vector<RoundArray> arrays;
-  int ranks = 1;
-  // A round with off-rank messages: redraw the layouts until one ships.
+/// A random round over one 48-element array that ships at least two
+/// off-rank messages; `ranks` receives its machine size.
+std::vector<RoundArray> shipping_round(std::mt19937& rng, int& ranks) {
   for (;;) {
-    arrays.clear();
+    std::vector<RoundArray> arrays;
     arrays.push_back(make_round_array(rng, Shape{48}, 0.0));
     ranks = std::max(arrays[0].from.ranks(), arrays[0].to.ranks());
     auto dst = fresh_destinations(arrays);
     const runtime::FusedRound probe(ranks, round_members(arrays, dst), 6);
-    if (probe.exchange().messages.size() >= 2) break;
+    if (probe.exchange().messages.size() >= 2) return arrays;
   }
+}
 
+/// unpack checks the exchanged inboxes against the round's message table
+/// before it touches destination storage. Faults injected into the
+/// descriptor inboxes of a real proc exchange — a dropped message, a
+/// duplicated one, a tag outside the table, a short element count and an
+/// in-slot outside the round's region — each fail the round with an
+/// InternalError naming the copy group, and leave every destination
+/// element as it was. The same round run whole on proc passes the check
+/// and matches the in-process pull.
+TEST(FusedRound, UnpackRejectsInboxesThatDifferFromTheTable) {
+  std::mt19937 rng(9);
+  int ranks = 1;
+  const std::vector<RoundArray> arrays = shipping_round(rng, ranks);
+
+  using Inbox = std::vector<wire::Descriptor>;
   struct Fault {
     const char* name;
     bool names_pair;  ///< the diagnostic names the faulted (src, dst)
-    void (*apply)(std::vector<net::Message>& inbox, int table_size);
+    void (*apply)(Inbox& inbox, int table_size, std::uint64_t region);
   };
   const Fault faults[] = {
       {"dropped", true,
-       [](std::vector<net::Message>& inbox, int) {
-         inbox.erase(inbox.begin());
-       }},
+       [](Inbox& inbox, int, std::uint64_t) { inbox.erase(inbox.begin()); }},
       {"duplicated", false,
-       [](std::vector<net::Message>& inbox, int) {
+       [](Inbox& inbox, int, std::uint64_t) {
          inbox.insert(inbox.begin() + 1, inbox.front());
        }},
       {"tag out of range", true,
-       [](std::vector<net::Message>& inbox, int table_size) {
+       [](Inbox& inbox, int table_size, std::uint64_t) {
          inbox.front().tag = table_size;
        }},
-      {"short payload", true,
-       [](std::vector<net::Message>& inbox, int) {
-         inbox.front().payload.pop_back();
+      {"short elements", true,
+       [](Inbox& inbox, int, std::uint64_t) { --inbox.front().elements; }},
+      {"in-slot outside the region", true,
+       [](Inbox& inbox, int, std::uint64_t region) {
+         inbox.front().offset = region;
        }},
   };
+  exec::ProcBackend proc(ranks, exec::ProcConfig{});
   for (const Fault& fault : faults) {
     auto dst = fresh_destinations(arrays);
     runtime::FusedRound round(ranks, round_members(arrays, dst), 6);
-    const auto backend = exec::make_backend(exec::BackendKind::Seq, ranks);
-    Mailboxes inboxes = testing::route_superstep(round.pack(*backend), ranks);
+    const std::span<double> arena = proc.arena(round.arena_elements());
+    round.pack(proc, arena);
+    exec::Inboxes inboxes = proc.exchange(round.slots());
     const auto before = dst;
     auto& inbox = *std::find_if(inboxes.begin(), inboxes.end(),
                                 [](const auto& in) { return !in.empty(); });
-    ASSERT_FALSE(inbox.front().payload.empty());
+    ASSERT_GT(inbox.front().elements, 0u);
     const std::string pair = "(" + std::to_string(inbox.front().src) + ", " +
                              std::to_string(inbox.front().dst) + ")";
-    fault.apply(inbox, static_cast<int>(round.exchange().messages.size()));
+    fault.apply(inbox, static_cast<int>(round.exchange().messages.size()),
+                round.arena_elements());
     try {
-      round.unpack(*backend, std::move(inboxes));
+      round.unpack(proc, inboxes, arena);
       ADD_FAILURE() << "a " << fault.name << " message went unnoticed";
     } catch (const InternalError& err) {
       const std::string what = err.what();
@@ -686,9 +751,120 @@ TEST(FusedRound, UnpackRejectsInboxesThatDifferFromTheTable) {
   (void)pull_round.run(*seq);
   auto sent = fresh_destinations(arrays);
   runtime::FusedRound send_round(ranks, round_members(arrays, sent), 6);
-  const auto proc = exec::make_backend(exec::BackendKind::Proc, ranks);
-  (void)send_round.run(*proc);
+  (void)send_round.run(proc);
   EXPECT_EQ(sent, pulled);
+}
+
+/// The payload arena grows between rounds on one backend: a small round,
+/// then one with at least four times its elements (the workers remap the
+/// grown memfd), then the small one again, each leaving what the seq pull
+/// leaves.
+TEST(ProcArena, GrowsBetweenRoundsOnOneBackend) {
+  std::mt19937 rng(21);
+  int ranks = 1;
+  std::vector<RoundArray> small;
+  std::vector<RoundArray> large;
+  std::size_t small_elements = 0;
+  std::size_t large_elements = 0;
+  do {
+    small = shipping_round(rng, ranks);
+    large.clear();
+    large.push_back(make_round_array(rng, Shape{40, 32}, 500.0));
+    ranks = std::max({ranks, large[0].from.ranks(), large[0].to.ranks()});
+    auto a = fresh_destinations(small);
+    auto b = fresh_destinations(large);
+    small_elements =
+        runtime::FusedRound(ranks, round_members(small, a), 1).arena_elements();
+    large_elements =
+        runtime::FusedRound(ranks, round_members(large, b), 2).arena_elements();
+  } while (large_elements < 4 * small_elements);
+
+  const auto seq = exec::make_backend(exec::BackendKind::Seq, ranks);
+  exec::ProcBackend proc(ranks, exec::ProcConfig{});
+  const auto matches_pull = [&](const std::vector<RoundArray>& arrays) {
+    auto pulled = fresh_destinations(arrays);
+    runtime::FusedRound pull(ranks, round_members(arrays, pulled), 3);
+    (void)pull.run(*seq);
+    auto sent = fresh_destinations(arrays);
+    runtime::FusedRound round(ranks, round_members(arrays, sent), 3);
+    (void)round.run(proc);
+    return sent == pulled;
+  };
+  EXPECT_TRUE(matches_pull(small));
+  const std::size_t before = proc.arena(0).size();
+  EXPECT_TRUE(matches_pull(large));
+  EXPECT_GE(proc.arena(0).size(), large_elements);
+  EXPECT_GT(proc.arena(0).size(), before);
+  EXPECT_TRUE(matches_pull(small));
+}
+
+/// A descriptor that ends past the payload arena is rejected by the
+/// worker that holds it, before it touches arena memory: the exchange
+/// fails with a ProcError naming that rank within the socket deadline,
+/// whether the bad window is a sender's out-slot or a receiver's in-slot,
+/// and the controller lives on to refuse later supersteps.
+TEST(ProcArena, DescriptorPastTheArenaFailsWithDiagnostic) {
+  constexpr int kTimeoutMs = 2000;
+  struct Case {
+    bool bad_out_slot;  ///< else the in-slot is past the arena
+    int named;          ///< the rank whose worker rejects it
+  };
+  for (const Case c : {Case{true, 1}, Case{false, 3}}) {
+    SCOPED_TRACE(c.named);
+    exec::ProcBackend backend(4, exec::ProcConfig{.timeout_ms = kTimeoutMs});
+    const std::size_t size = backend.arena(64).size();
+    std::vector<exec::ArenaMessage> table = {{0, 2, 0, 1, 8, 0, 32},
+                                             {1, 3, 1, 1, 8, 8, 40}};
+    (void)backend.exchange(table);  // a healthy superstep first
+    if (c.bad_out_slot) {
+      table[1].out_offset = size - 4;
+    } else {
+      table[1].in_offset = size;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)backend.exchange(table);
+      ADD_FAILURE() << "a descriptor past the arena went unnoticed";
+    } catch (const exec::ProcError& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("rank " + std::to_string(c.named) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("payload arena"), std::string::npos) << what;
+    }
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(elapsed, kTimeoutMs / 1000.0);
+    EXPECT_THROW((void)backend.exchange(table), exec::ProcError);
+  }
+}
+
+/// A round's wire traffic is its frames and nothing else: one Outbox
+/// frame per rank carrying a descriptor per message sent or received,
+/// one Peer frame per ordered rank pair carrying a descriptor and the
+/// payload per message, and one Inbox frame per rank carrying a
+/// descriptor per message received. Only the Peer frames carry payload,
+/// so wire_msgs counts each off-rank message once.
+TEST(ProcArena, WireBytesAreTheRoundsFrameBytes) {
+  std::mt19937 rng(13);
+  int ranks = 1;
+  const std::vector<RoundArray> arrays = shipping_round(rng, ranks);
+  auto dst = fresh_destinations(arrays);
+  runtime::FusedRound round(ranks, round_members(arrays, dst), 0);
+  exec::ProcBackend proc(ranks, exec::ProcConfig{});
+  (void)round.run(proc);
+
+  const auto p = static_cast<std::uint64_t>(ranks);
+  const std::uint64_t messages = round.slots().size();
+  const std::uint64_t frame = wire::kHeaderBytes + wire::kBodyPrefixBytes;
+  const std::uint64_t outboxes = p * frame + 2 * messages * wire::kDescriptorBytes;
+  const std::uint64_t peers = p * (p - 1) * frame +
+                              messages * wire::kDescriptorBytes +
+                              round.remote_elements() * sizeof(double);
+  const std::uint64_t inboxes = p * frame + messages * wire::kDescriptorBytes;
+  EXPECT_EQ(proc.wire().wire_bytes, outboxes + peers + inboxes);
+  EXPECT_EQ(proc.wire().wire_msgs, messages);
 }
 
 class BackendPrograms : public ::testing::TestWithParam<unsigned> {};
@@ -770,8 +946,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackendPrograms,
                          ::testing::Range(1u, 13u, 1u));
 
 /// A mesh that cannot fit under the open-file limit is refused up front
-/// with a ProcError naming P, the descriptors needed and the limit — not
-/// an abort halfway through the socketpair calls. The limit is lowered
+/// with a ProcError naming P, the descriptors needed (P(P+1) sockets and
+/// the payload arena) and the limit — not an abort halfway through the
+/// socketpair calls. The limit is lowered
 /// in a forked child so the test process keeps its own.
 TEST(Backend, ProcBackendRefusesMeshBeyondDescriptorLimit) {
   const auto start = std::chrono::steady_clock::now();
@@ -787,7 +964,7 @@ TEST(Backend, ProcBackendRefusesMeshBeyondDescriptorLimit) {
     } catch (const exec::ProcError& err) {
       const std::string what = err.what();
       const bool named = what.find("P=32") != std::string::npos &&
-                         what.find("1056") != std::string::npos &&
+                         what.find("1057") != std::string::npos &&
                          what.find("is 64") != std::string::npos;
       ::_exit(named ? 0 : 3);
     } catch (...) {

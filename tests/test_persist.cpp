@@ -24,6 +24,7 @@
 #include "persist/hash.hpp"
 #include "persist/journal.hpp"
 #include "persist/snapshot.hpp"
+#include "testing/oracles.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
@@ -906,7 +907,7 @@ TEST(PersistFaultInjection, KilledProcWorkerKeepsSealedSnapshots) {
     msg.segments = 1;
     msg.payload.assign(4, static_cast<double>(epoch));
     outboxes[0].push_back(msg);
-    (void)backend.exchange(outboxes);
+    (void)testing::exchange_messages(backend, outboxes);
   };
   superstep(1);
   superstep(2);
