@@ -13,7 +13,11 @@
 // the read checksum's fold, the write stamp and the expected-value
 // comparison (runtime/expected.hpp), each as the per-element loop over
 // weight()/stamped() and as the residue-stepping kernel, over one long
-// stretch at strides 1 and 8 and over cyclic(2)/cyclic(3) P=8 ownership.
+// stretch at strides 1 and 8 and over cyclic(2)/cyclic(3) P=8 ownership —
+// and the proc-round microbench: one ADI-sized fused round (a 512x512
+// array remapped from (block, *) to (*, block) on 4 ranks) replayed on a
+// live proc backend, reporting per round its wall ms, remote payload
+// GB/s and wire bytes per remote byte.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,10 +27,12 @@
 #include <vector>
 
 #include "common.hpp"
+#include "exec/proc_backend.hpp"
 #include "redist/commsets.hpp"
 #include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
 #include "runtime/expected.hpp"
+#include "runtime/round.hpp"
 #include "testing/oracles.hpp"
 
 using bench_common::Harness;
@@ -370,6 +376,85 @@ void report_values(Harness& h) {
   }
 }
 
+// ---- proc round -----------------------------------------------------------
+
+/// One fused round the size of the ADI sweep's remaps (Fig. 10): a
+/// 512x512 array moved from (block, *) to (*, block) on 4 ranks, so every
+/// rank ships three quarters of its rows, replayed on a live proc backend.
+/// Per round: wall ms (median), remote payload GB/s and wire bytes per
+/// remote byte (every socket byte the round writes, control channels
+/// included, over the payload bytes it must move).
+void report_proc_round(Harness& h) {
+  constexpr Extent kN = 512;
+  constexpr int kRanks = 4;
+  const auto rows_on = [&](int axis) {
+    DimOwner owner;
+    owner.source = AlignTarget::axis(axis);
+    owner.template_extent = kN;
+    owner.format = DistFormat::block();
+    owner.format.param = owner.format.resolved_param(kN, kRanks);
+    return ConcreteLayout::make(Shape{kN, kN}, Shape{kRanks}, {owner});
+  };
+  const ConcreteLayout from = rows_on(0);
+  const ConcreteLayout to = rows_on(1);
+  std::vector<hpfc::redist::Kernel> kernels;
+  for (const auto& t : hpfc::redist::build_runs(from, to).transfers) {
+    kernels.push_back(hpfc::redist::specialize(hpfc::redist::compile_transfer(
+        t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst))));
+  }
+  hpfc::runtime::RankLocals src(kRanks);
+  hpfc::runtime::RankLocals dst(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    src[static_cast<std::size_t>(r)].assign(
+        static_cast<std::size_t>(from.local_count(r)), 1.0 + r);
+    dst[static_cast<std::size_t>(r)].assign(
+        static_cast<std::size_t>(to.local_count(r)), 0.0);
+  }
+  hpfc::runtime::FusedRound round(kRanks, {{kernels, &src, &dst}}, 0);
+  hpfc::exec::ProcBackend backend(kRanks, hpfc::exec::ProcConfig{});
+
+  const int reps = std::max(5, h.options().reps);
+  const int warmup = std::max(1, h.options().warmup);
+  std::vector<double> exchange;
+  const double round_ms = median_ms(warmup, reps, [&] {
+    exchange.push_back(round.run(backend).exchange_ms);
+  });
+  std::sort(exchange.begin(), exchange.end());
+  // Every replay writes the same frames: one more gives the per-round
+  // socket traffic.
+  const hpfc::exec::WireStats before = backend.wire();
+  (void)round.run(backend);
+  const std::uint64_t wire_bytes =
+      backend.wire().wire_bytes - before.wire_bytes;
+  const std::uint64_t remote_bytes = round.remote_elements() * sizeof(double);
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& local = dst[static_cast<std::size_t>(r)];
+    if (std::find(local.begin(), local.end(), 0.0) != local.end())
+      std::abort();  // an element the round never delivered
+  }
+
+  const double gb_s = static_cast<double>(remote_bytes) / (round_ms * 1e6);
+  const double per_remote =
+      static_cast<double>(wire_bytes) / static_cast<double>(remote_bytes);
+  const std::string config = "ADI 512x512 (block,*)->(*,block) P=4";
+  std::printf("\n=== proc round: one ADI-sized fused round on a live proc "
+              "backend ===\n");
+  std::printf("%-38s %10s %10s %12s %12s\n", "round", "ms", "remote-GB/s",
+              "wire/remote", "exchange-ms");
+  std::printf("%-38s %10.3f %10.3f %12.3f %12.3f\n", config.c_str(),
+              round_ms, gb_s, per_remote, exchange[exchange.size() / 2]);
+
+  bench_common::LevelRecord level;
+  level.level = "proc";
+  level.report.net.messages = round.exchange().messages.size();
+  level.report.net.bytes = remote_bytes;
+  level.report.wire_bytes = wire_bytes;
+  level.report.exec_ms = round_ms;
+  level.report.exchange_ms = exchange[exchange.size() / 2];
+  level.run_wall_ms = round_ms;
+  h.record("proc_round", config, std::move(level));
+}
+
 void BM_plan_oracle(benchmark::State& state) {
   const Extent n = state.range(0);
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
@@ -406,5 +491,6 @@ int main(int argc, char** argv) {
     report_fragments(h);
     report_direct(h);
     report_values(h);
+    report_proc_round(h);
   });
 }

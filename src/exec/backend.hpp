@@ -17,7 +17,8 @@
 //                 so the runtime's remap rounds copy rank to rank in one
 //                 step and build no messages.
 //   ProcBackend   one forked worker process per rank; its exchange()
-//                 ships framed payloads through a real socket mesh
+//                 moves payloads worker to worker through a real socket
+//                 mesh, out of and into a shared payload arena
 //                 (exec/proc_backend.hpp). The only backend that moves
 //                 messages.
 //
@@ -64,11 +65,12 @@ struct ProcConfig {
 /// by tests and `check_bench_regression --identical`), while wire traffic
 /// only exists when payloads physically cross a process boundary.
 struct WireStats {
-  /// Framed bytes written to real sockets (headers + bodies, every hop:
-  /// controller->worker, worker->worker, worker->controller).
+  /// Framed bytes written to real sockets (headers + bodies, every
+  /// socket: the descriptor frames between controller and workers and
+  /// the payload-carrying frames between workers).
   std::uint64_t wire_bytes = 0;
-  /// net::Messages serialized onto a real socket, counted once per hop
-  /// (a remote message travels three hops, a self-message two).
+  /// Payload messages written to a real socket: one per off-rank
+  /// message, on its one worker-to-worker hop.
   std::uint64_t wire_msgs = 0;
   /// Worker processes forked over the backend's lifetime.
   std::uint64_t proc_spawns = 0;

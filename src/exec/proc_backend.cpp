@@ -16,13 +16,13 @@
 //   2. each worker checks every descriptor against the arena file (a bad
 //      one makes it _exit with kRejectedExit before it touches arena
 //      memory), remaps the arena if it grew, and runs a poll-driven,
-//      non-blocking send/receive state machine across all P-1 peers: one
-//      Peer frame per peer gathers the payloads straight from the
+//      non-blocking send/receive state machine across its peers: one
+//      Peer frame per destination gathers the payloads straight from the
 //      out-slots, and the receiver matches each incoming (src, tag,
 //      elements) against its own descriptors and scatters the payload
-//      straight into the in-slot they name (an empty Peer frame still
-//      flows to every peer, so receivers know when a source is done);
-//      self-addressed messages are copied out-slot to in-slot;
+//      straight into the in-slot they name (both ends hold the pair's
+//      descriptors, so a Peer frame flows only where there are
+//      messages); self-addressed messages are copied out-slot to in-slot;
 //   3. each worker returns its filled in-slots to the controller as an
 //      Inbox frame of descriptors in (src ascending, emission) order —
 //      exactly the reference router's order — with its mesh tally;
@@ -175,9 +175,10 @@ struct PeerIO {
                         ": " + why);
 }
 
-/// Whether an incoming message is the one this rank's descriptor expects.
+/// Whether an incoming message is the one this rank's descriptor
+/// expects: the same source, tag and element count.
 bool same_message(const Descriptor& got, const Descriptor& want) {
-  return got.src == want.src && got.dst == want.dst && got.tag == want.tag &&
+  return got.src == want.src && got.tag == want.tag &&
          got.elements == want.elements;
 }
 
@@ -283,19 +284,32 @@ std::vector<Descriptor> mesh_exchange(int rank, int ranks,
                  src.size() * sizeof(double));
   }
 
-  std::vector<PeerIO> ios(n - 1);
+  // Both ends of a pair hold its messages' descriptors, so a Peer frame
+  // flows only where there are messages, and a peer with nothing either
+  // way is left alone.
+  std::size_t active_peers = 0;
+  for (int peer = 0; peer < ranks; ++peer) {
+    const auto p = static_cast<std::size_t>(peer);
+    if (peer != rank && (!to[p].empty() || !from[p].empty())) ++active_peers;
+  }
+  std::vector<PeerIO> ios(active_peers);
+  std::vector<PeerIO*> by_peer(n, nullptr);
   std::size_t next = 0;
   for (int peer = 0; peer < ranks; ++peer) {
-    if (peer == rank) continue;
-    PeerIO& io = ios[next++];
-    io.fd = peer_fds[static_cast<std::size_t>(peer)];
+    const auto p = static_cast<std::size_t>(peer);
+    if (peer == rank || (to[p].empty() && from[p].empty())) continue;
+    PeerIO& io = *(by_peer[p] = &ios[next++]);
+    io.fd = peer_fds[p];
     io.peer = peer;
     io.label = "mesh exchange with rank " + std::to_string(peer);
     // Gather-encode: the frame's iovecs point into the arena out-slots.
-    io.out = wire::encode_frame_gather(wire::FrameKind::Peer, rank,
-                                       to[static_cast<std::size_t>(peer)], {},
-                                       arena.base());
-    io.expected = std::move(from[static_cast<std::size_t>(peer)]);
+    io.sent = to[p].empty();
+    if (!io.sent) {
+      io.out = wire::encode_frame_gather(wire::FrameKind::Peer, rank, to[p],
+                                         {}, arena.base());
+    }
+    io.expected = std::move(from[p]);
+    io.received = io.expected.empty();
   }
 
   const bool bounded = timeout_ms >= 0;
@@ -345,13 +359,14 @@ std::vector<Descriptor> mesh_exchange(int rank, int ranks,
   // order — once every frame passed its checksum.
   std::vector<Descriptor> inbox;
   inbox.reserve(outbox.receives.size());
-  next = 0;
   for (int src = 0; src < ranks; ++src) {
     if (src == rank) {
       inbox.insert(inbox.end(), from[self].begin(), from[self].end());
       continue;
     }
-    PeerIO& io = ios[next++];
+    PeerIO* peer = by_peer[static_cast<std::size_t>(src)];
+    if (peer == nullptr || peer->expected.empty()) continue;
+    PeerIO& io = *peer;
     (void)io.body.take(io.label);
     if (io.matched != io.expected.size())
       mesh_fail(src, "missing " + std::to_string(io.expected.size() -

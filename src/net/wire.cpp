@@ -140,12 +140,25 @@ void append_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d) {
   append_value<std::uint64_t>(out, d.offset);
 }
 
-void append_prefix(std::vector<std::uint8_t>& out, const Tally& reported,
-                   std::size_t sends, std::size_t receives) {
-  append_value<std::uint64_t>(out, reported.bytes);
-  append_value<std::uint64_t>(out, reported.msgs);
+void append_prefix(std::vector<std::uint8_t>& out, FrameKind kind,
+                   const Tally& reported, std::size_t sends,
+                   std::size_t receives) {
   append_value<std::uint32_t>(out, static_cast<std::uint32_t>(sends));
   append_value<std::uint32_t>(out, static_cast<std::uint32_t>(receives));
+  if (kind != FrameKind::Inbox) return;
+  append_value<std::uint64_t>(out, reported.bytes);
+  append_value<std::uint64_t>(out, reported.msgs);
+}
+
+/// One send as `kind` serializes it: a Peer record or a descriptor.
+void append_send(std::vector<std::uint8_t>& out, FrameKind kind,
+                 const Descriptor& d) {
+  if (kind != FrameKind::Peer) {
+    append_descriptor(out, d);
+    return;
+  }
+  append_value<std::int32_t>(out, d.tag);
+  append_value<std::uint64_t>(out, d.elements);
 }
 
 /// The payload bytes a send carries: its arena window in a Peer frame,
@@ -166,9 +179,9 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind, int src,
                                        const double* payloads,
                                        const Tally& reported) {
   std::vector<std::uint8_t> body;
-  append_prefix(body, reported, sends.size(), receives.size());
+  append_prefix(body, kind, reported, sends.size(), receives.size());
   for (const Descriptor& d : sends) {
-    append_descriptor(body, d);
+    append_send(body, kind, d);
     const auto payload = payload_bytes(kind, d, payloads);
     append_bytes(body, payload.data(), payload.size());
   }
@@ -186,8 +199,10 @@ GatherFrame encode_frame_gather(FrameKind kind, int src,
                                 const double* payloads,
                                 const Tally& reported) {
   GatherFrame frame;
-  std::uint64_t body_bytes =
-      kBodyPrefixBytes + (sends.size() + receives.size()) * kDescriptorBytes;
+  const std::size_t meta_bytes = kHeaderBytes + prefix_bytes(kind) +
+                                 sends.size() * send_bytes(kind) +
+                                 receives.size() * kDescriptorBytes;
+  std::uint64_t body_bytes = meta_bytes - kHeaderBytes;
   for (const Descriptor& d : sends) {
     const auto payload = payload_bytes(kind, d, payloads);
     body_bytes += payload.size();
@@ -199,15 +214,14 @@ GatherFrame encode_frame_gather(FrameKind kind, int src,
   // the checksum is known). Reserved up front so the offsets recorded
   // below survive — iov pointers are taken only after meta stops growing.
   auto& meta = frame.meta;
-  meta.reserve(kHeaderBytes + kBodyPrefixBytes +
-               (sends.size() + receives.size()) * kDescriptorBytes);
+  meta.reserve(meta_bytes);
   meta.resize(kHeaderBytes);
-  append_prefix(meta, reported, sends.size(), receives.size());
+  append_prefix(meta, kind, reported, sends.size(), receives.size());
   // Meta-chunk boundaries: chunk i ends where send i's payload cuts in.
   std::vector<std::size_t> cuts;
   cuts.reserve(sends.size());
   for (const Descriptor& d : sends) {
-    append_descriptor(meta, d);
+    append_send(meta, kind, d);
     cuts.push_back(meta.size());
   }
   for (const Descriptor& d : receives) append_descriptor(meta, d);
@@ -374,9 +388,9 @@ void BodyScatterDecoder::reset(FrameKind kind, int src,
   hash_ = checksum_init();
   sends_left_ = receives_left_ = 0;
   payload_ = {};
-  if (body_bytes < kBodyPrefixBytes)
+  if (body_bytes < prefix_bytes(kind))
     throw WireError("wire: truncated frame body");
-  need_ = kBodyPrefixBytes;
+  need_ = prefix_bytes(kind);
   pos_ = 0;
   state_ = State::Prefix;
 }
@@ -401,10 +415,9 @@ void BodyScatterDecoder::open_next() {
     state_ = State::Done;
     return;
   }
-  if (body_left_ < kDescriptorBytes)
-    throw WireError("wire: truncated frame body");
+  need_ = sends_left_ > 0 ? send_bytes(frame_.kind) : kDescriptorBytes;
+  if (body_left_ < need_) throw WireError("wire: truncated frame body");
   state_ = State::Descriptor;
-  need_ = kDescriptorBytes;
   pos_ = 0;
 }
 
@@ -419,29 +432,39 @@ void BodyScatterDecoder::advance(std::size_t n) {
   // A piece completed: parse it and open the next one.
   switch (state_) {
     case State::Prefix: {
-      std::span<const std::uint8_t> in(scratch_, kBodyPrefixBytes);
-      frame_.reported.bytes = read_value<std::uint64_t>(in, "frame");
-      frame_.reported.msgs = read_value<std::uint64_t>(in, "frame");
+      std::span<const std::uint8_t> in(scratch_, need_);
       sends_left_ = read_value<std::uint32_t>(in, "frame");
       receives_left_ = read_value<std::uint32_t>(in, "frame");
+      if (frame_.kind == FrameKind::Inbox) {
+        frame_.reported.bytes = read_value<std::uint64_t>(in, "frame");
+        frame_.reported.msgs = read_value<std::uint64_t>(in, "frame");
+      }
       // Unverified until the checksum: bound the counts by the body
       // before reserving anything.
-      if (std::uint64_t{sends_left_} + receives_left_ >
-          body_left_ / kDescriptorBytes)
+      if (std::uint64_t{sends_left_} * send_bytes(frame_.kind) +
+              std::uint64_t{receives_left_} * kDescriptorBytes >
+          body_left_)
         throw WireError("wire: descriptor count exceeds frame body");
       frame_.sends.reserve(sends_left_);
       frame_.receives.reserve(receives_left_);
       break;
     }
     case State::Descriptor: {
-      std::span<const std::uint8_t> in(scratch_, kDescriptorBytes);
+      std::span<const std::uint8_t> in(scratch_, need_);
       Descriptor d;
-      d.src = read_value<std::int32_t>(in, "frame");
-      d.dst = read_value<std::int32_t>(in, "frame");
-      d.tag = read_value<std::int32_t>(in, "frame");
-      d.segments = read_value<std::int32_t>(in, "frame");
-      d.elements = read_value<std::uint64_t>(in, "frame");
-      d.offset = read_value<std::uint64_t>(in, "frame");
+      if (sends_left_ > 0 && frame_.kind == FrameKind::Peer) {
+        d.src = frame_.src;
+        d.dst = -1;
+        d.tag = read_value<std::int32_t>(in, "frame");
+        d.elements = read_value<std::uint64_t>(in, "frame");
+      } else {
+        d.src = read_value<std::int32_t>(in, "frame");
+        d.dst = read_value<std::int32_t>(in, "frame");
+        d.tag = read_value<std::int32_t>(in, "frame");
+        d.segments = read_value<std::int32_t>(in, "frame");
+        d.elements = read_value<std::uint64_t>(in, "frame");
+        d.offset = read_value<std::uint64_t>(in, "frame");
+      }
       if (sends_left_ == 0) {
         --receives_left_;
         frame_.receives.push_back(d);

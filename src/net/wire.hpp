@@ -77,11 +77,17 @@ inline constexpr int kControllerRank = 0xFFFF;
 
 /// Serialized frame header size (magic, kind, src, body size, checksum).
 inline constexpr std::size_t kHeaderBytes = 24;
-/// Serialized body prefix size (reported bytes, reported messages, send
-/// count, receive count).
-inline constexpr std::size_t kBodyPrefixBytes = 8 + 8 + 4 + 4;
+/// Every body opens with its send and receive counts; an Inbox body
+/// follows them with the worker's tally (bytes, messages).
+inline constexpr std::size_t kCountsBytes = 4 + 4;
+inline constexpr std::size_t kTallyBytes = 8 + 8;
 /// Serialized descriptor size (src, dst, tag, segments, elements, offset).
 inline constexpr std::size_t kDescriptorBytes = 4 * 4 + 8 + 8;
+/// Serialized size of a Peer frame's send record: its tag and element
+/// count. The header names the source, the receiving worker is the
+/// destination, and each end keeps its own arena offsets, so the rest of
+/// the descriptor never travels with the payload.
+inline constexpr std::size_t kPeerRecordBytes = 4 + 8;
 
 /// One message as the wire names it: its route, its tag and segment
 /// count, and where its `elements` doubles lie in the payload arena.
@@ -111,14 +117,26 @@ struct Tally {
   }
 };
 
-/// A decoded frame. Every kind has the same body: the prefix, the send
-/// descriptors (each followed by its payload in a Peer frame), then the
-/// receive descriptors.
+/// Body prefix size of a frame kind: the counts, and the tally in Inbox
+/// frames.
+[[nodiscard]] constexpr std::size_t prefix_bytes(FrameKind kind) {
+  return kCountsBytes + (kind == FrameKind::Inbox ? kTallyBytes : 0);
+}
+/// Serialized size of one send of a frame kind, payload excluded: a Peer
+/// record, or a full descriptor.
+[[nodiscard]] constexpr std::size_t send_bytes(FrameKind kind) {
+  return kind == FrameKind::Peer ? kPeerRecordBytes : kDescriptorBytes;
+}
+
+/// A decoded frame. Every kind has the same body: the counts (and the
+/// tally in an Inbox frame), the sends — descriptors, or in a Peer frame
+/// records each followed by its payload — then the receive descriptors.
 struct Frame {
   FrameKind kind = FrameKind::Shutdown;
   int src = -1;
   /// Outbox: the rank's messages and their out-slots; Peer: the hop's
-  /// messages (their offsets are the sender's out-slots).
+  /// messages as their records carry them — the frame's src, the tag and
+  /// the element count, with dst -1 and segments and offset 0.
   std::vector<Descriptor> sends;
   /// Outbox: the rank's incoming messages and their in-slots; Inbox: the
   /// in-slots the worker filled, in (src, emission) order.
@@ -158,7 +176,8 @@ std::uint64_t checksum_feed(std::uint64_t hash,
                             std::span<const std::uint8_t> data);
 
 /// A frame encoded for gather sending: every non-payload byte (the
-/// header, the body prefix, the descriptors) lives in `meta`, and `iov`
+/// header, the body prefix, the descriptors and records) lives in `meta`,
+/// and `iov`
 /// lists the frame's on-wire chunks in order — slices of `meta`
 /// interleaved, in a Peer frame, with the payload bytes in place.
 /// writev-ing the chunks puts byte-for-byte the same frame on the wire
@@ -201,8 +220,8 @@ bool pump_gather_send(int fd, const GatherFrame& frame, GatherCursor& cursor,
 void send_gather_frame(int fd, const GatherFrame& frame, int timeout_ms,
                        const std::string& what, Tally* tally);
 
-/// Where a Peer frame's payloads land: called with each send descriptor,
-/// in frame order, as soon as it is decoded (before any of its payload
+/// Where a Peer frame's payloads land: called with each send (as Frame
+/// decodes it), in frame order, as soon as it is decoded (before any of its payload
 /// bytes arrive), it returns the window of exactly `elements` doubles the
 /// payload goes to, or throws WireError to refuse the message.
 using Lander = std::function<std::span<double>(const Descriptor&)>;

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstring>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -227,10 +228,23 @@ WireMessages wire_test_messages(unsigned seed, int count) {
   return out;
 }
 
-/// Lands each payload at its own offset of `landed` (sized like the
-/// sender's arena).
-wire::Lander land_in(std::vector<double>& landed) {
-  return [&landed](const wire::Descriptor& d) {
+/// The sends as a Peer frame delivers them: source, tag and element
+/// count only.
+std::vector<wire::Descriptor> peer_records(
+    const std::vector<wire::Descriptor>& sends) {
+  std::vector<wire::Descriptor> records;
+  for (const wire::Descriptor& d : sends)
+    records.push_back({d.src, -1, d.tag, 0, d.elements, 0});
+  return records;
+}
+
+/// Lands the payloads of `sends`, in order, at their offsets of `landed`
+/// (sized like the sender's arena).
+wire::Lander land_in(std::vector<double>& landed,
+                     const std::vector<wire::Descriptor>& sends) {
+  return [&landed, &sends, next = std::size_t{0}](
+             const wire::Descriptor&) mutable {
+    const wire::Descriptor& d = sends.at(next++);
     return std::span<double>(landed).subspan(d.offset, d.elements);
   };
 }
@@ -305,17 +319,19 @@ TEST(Wire, ScatterReceiveReassemblesOneByteChunks) {
     });
     std::vector<double> landed(messages.arena.size(), -1.0);
     const wire::Frame frame = wire::recv_frame(theirs.fd(), 10000,
-                                               "chunk test", land_in(landed));
+                                               "chunk test",
+                                               land_in(landed, messages.sends));
     sender.join();
 
     EXPECT_EQ(frame.kind, kind);
     EXPECT_EQ(frame.src, 1);
     EXPECT_EQ(frame.frame_bytes, encoded.size());
-    EXPECT_EQ(frame.sends, messages.sends);
     EXPECT_EQ(frame.receives, messages.sends);
     if (kind == wire::FrameKind::Peer) {
+      EXPECT_EQ(frame.sends, peer_records(messages.sends));
       EXPECT_EQ(landed, messages.arena);
     } else {
+      EXPECT_EQ(frame.sends, messages.sends);
       EXPECT_EQ(landed, std::vector<double>(messages.arena.size(), -1.0));
     }
   }
@@ -335,7 +351,7 @@ TEST(Wire, ScatterReceiveTimesOutOnTruncatedFrame) {
   std::vector<double> landed(messages.arena.size());
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW((void)wire::recv_frame(theirs.fd(), 300, "truncated test",
-                                      land_in(landed)),
+                                      land_in(landed, messages.sends)),
                wire::WireError);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
@@ -353,12 +369,10 @@ TEST(Wire, ScatterReceiveRejectsCorruptedBody) {
   const auto clean = wire::encode_frame(wire::FrameKind::Peer, 0,
                                         messages.sends, {},
                                         messages.arena.data());
-  // Body layout: reported bytes (8), reported msgs (8), send count (4),
-  // receive count (4), then per send src/dst/tag/segments (4 each),
-  // elements (8), offset (8) and its payload.
-  const std::size_t count_at = wire::kHeaderBytes + 16;
-  const std::size_t elements_at = wire::kHeaderBytes +
-                                  wire::kBodyPrefixBytes + 16;
+  // Peer body layout: send count (4), receive count (4), then per send
+  // its tag (4), element count (8) and payload.
+  const std::size_t count_at = wire::kHeaderBytes;
+  const std::size_t elements_at = wire::kHeaderBytes + wire::kCountsBytes + 4;
   const auto overwrite = [](std::vector<std::uint8_t>& frame,
                             std::size_t at, auto value) {
     std::memcpy(frame.data() + at, &value, sizeof(value));
@@ -374,7 +388,7 @@ TEST(Wire, ScatterReceiveRejectsCorruptedBody) {
                    "send");
     std::vector<double> landed(messages.arena.size());
     EXPECT_THROW((void)wire::recv_frame(theirs.fd(), 1000, "corrupt test",
-                                        land_in(landed)),
+                                        land_in(landed, messages.sends)),
                  wire::WireError);
   }
 }
@@ -394,7 +408,7 @@ TEST(Wire, GatherSendDrainsThroughTinySendBuffer) {
   messages.sends[1].elements = 1 << 16;
   messages.arena.resize(messages.arena.size() + (1 << 16), 2.5);
   const auto gather = wire::encode_frame_gather(
-      wire::FrameKind::Peer, 2, messages.sends, {}, messages.arena.data());
+      wire::FrameKind::Peer, 1, messages.sends, {}, messages.arena.data());
 
   wire::Tally tally;
   std::thread sender([&, fd = ours.fd()] {
@@ -402,12 +416,13 @@ TEST(Wire, GatherSendDrainsThroughTinySendBuffer) {
   });
   std::vector<double> landed(messages.arena.size(), 0.0);
   const wire::Frame frame = wire::recv_frame(
-      theirs.fd(), 10000, "tiny sndbuf recv", land_in(landed));
+      theirs.fd(), 10000, "tiny sndbuf recv",
+      land_in(landed, messages.sends));
   sender.join();
 
   EXPECT_EQ(tally.bytes, gather.bytes);
   EXPECT_EQ(tally.msgs, gather.msgs);
-  EXPECT_EQ(frame.sends, messages.sends);
+  EXPECT_EQ(frame.sends, peer_records(messages.sends));
   for (const wire::Descriptor& d : messages.sends) {
     const auto at = static_cast<std::ptrdiff_t>(d.offset);
     const auto len = static_cast<std::ptrdiff_t>(d.elements);
@@ -842,10 +857,10 @@ TEST(ProcArena, DescriptorPastTheArenaFailsWithDiagnostic) {
 
 /// A round's wire traffic is its frames and nothing else: one Outbox
 /// frame per rank carrying a descriptor per message sent or received,
-/// one Peer frame per ordered rank pair carrying a descriptor and the
-/// payload per message, and one Inbox frame per rank carrying a
-/// descriptor per message received. Only the Peer frames carry payload,
-/// so wire_msgs counts each off-rank message once.
+/// one Peer frame per ordered rank pair with messages carrying a
+/// descriptor and the payload per message, and one Inbox frame per rank
+/// carrying a descriptor per message received. Only the Peer frames
+/// carry payload, so wire_msgs counts each off-rank message once.
 TEST(ProcArena, WireBytesAreTheRoundsFrameBytes) {
   std::mt19937 rng(13);
   int ranks = 1;
@@ -857,12 +872,17 @@ TEST(ProcArena, WireBytesAreTheRoundsFrameBytes) {
 
   const auto p = static_cast<std::uint64_t>(ranks);
   const std::uint64_t messages = round.slots().size();
-  const std::uint64_t frame = wire::kHeaderBytes + wire::kBodyPrefixBytes;
-  const std::uint64_t outboxes = p * frame + 2 * messages * wire::kDescriptorBytes;
-  const std::uint64_t peers = p * (p - 1) * frame +
-                              messages * wire::kDescriptorBytes +
+  const std::uint64_t frame = wire::kHeaderBytes + wire::kCountsBytes;
+  const std::uint64_t outboxes =
+      p * frame + 2 * messages * wire::kDescriptorBytes;
+  std::set<std::pair<int, int>> pairs;
+  for (const exec::ArenaMessage& m : round.slots())
+    pairs.emplace(m.src, m.dst);
+  const std::uint64_t peers = pairs.size() * frame +
+                              messages * wire::kPeerRecordBytes +
                               round.remote_elements() * sizeof(double);
-  const std::uint64_t inboxes = p * frame + messages * wire::kDescriptorBytes;
+  const std::uint64_t inboxes = p * (frame + wire::kTallyBytes) +
+                                messages * wire::kDescriptorBytes;
   EXPECT_EQ(proc.wire().wire_bytes, outboxes + peers + inboxes);
   EXPECT_EQ(proc.wire().wire_msgs, messages);
 }
