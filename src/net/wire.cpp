@@ -131,6 +131,18 @@ void append_header(std::vector<std::uint8_t>& out, FrameKind kind, int src,
 
 namespace {
 
+/// Body prefix size of a frame kind: the counts, and the tally in Inbox
+/// frames.
+constexpr std::size_t prefix_bytes(FrameKind kind) {
+  return kCountsBytes + (kind == FrameKind::Inbox ? kTallyBytes : 0);
+}
+
+/// Serialized size of one send of a frame kind, payload excluded: a Peer
+/// record, or a full descriptor.
+constexpr std::size_t send_bytes(FrameKind kind) {
+  return kind == FrameKind::Peer ? kPeerRecordBytes : kDescriptorBytes;
+}
+
 void append_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d) {
   append_value<std::int32_t>(out, d.src);
   append_value<std::int32_t>(out, d.dst);

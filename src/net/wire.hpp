@@ -117,17 +117,6 @@ struct Tally {
   }
 };
 
-/// Body prefix size of a frame kind: the counts, and the tally in Inbox
-/// frames.
-[[nodiscard]] constexpr std::size_t prefix_bytes(FrameKind kind) {
-  return kCountsBytes + (kind == FrameKind::Inbox ? kTallyBytes : 0);
-}
-/// Serialized size of one send of a frame kind, payload excluded: a Peer
-/// record, or a full descriptor.
-[[nodiscard]] constexpr std::size_t send_bytes(FrameKind kind) {
-  return kind == FrameKind::Peer ? kPeerRecordBytes : kDescriptorBytes;
-}
-
 /// A decoded frame. Every kind has the same body: the counts (and the
 /// tally in an Inbox frame), the sends — descriptors, or in a Peer frame
 /// records each followed by its payload — then the receive descriptors.
