@@ -284,32 +284,26 @@ std::vector<Descriptor> mesh_exchange(int rank, int ranks,
                  src.size() * sizeof(double));
   }
 
-  // Both ends of a pair hold its messages' descriptors, so a Peer frame
-  // flows only where there are messages, and a peer with nothing either
-  // way is left alone.
-  std::size_t active_peers = 0;
+  // One slot per rank. Both ends of a pair hold its messages'
+  // descriptors, so a Peer frame flows only where there are messages, and
+  // the slot of a peer with nothing either way (and this rank's) is done
+  // from the start.
+  std::vector<PeerIO> ios(n);
   for (int peer = 0; peer < ranks; ++peer) {
     const auto p = static_cast<std::size_t>(peer);
-    if (peer != rank && (!to[p].empty() || !from[p].empty())) ++active_peers;
-  }
-  std::vector<PeerIO> ios(active_peers);
-  std::vector<PeerIO*> by_peer(n, nullptr);
-  std::size_t next = 0;
-  for (int peer = 0; peer < ranks; ++peer) {
-    const auto p = static_cast<std::size_t>(peer);
-    if (peer == rank || (to[p].empty() && from[p].empty())) continue;
-    PeerIO& io = *(by_peer[p] = &ios[next++]);
-    io.fd = peer_fds[p];
+    PeerIO& io = ios[p];
     io.peer = peer;
+    io.sent = peer == rank || to[p].empty();
+    io.received = peer == rank || from[p].empty();
+    if (io.sent && io.received) continue;
+    io.fd = peer_fds[p];
     io.label = "mesh exchange with rank " + std::to_string(peer);
     // Gather-encode: the frame's iovecs point into the arena out-slots.
-    io.sent = to[p].empty();
     if (!io.sent) {
       io.out = wire::encode_frame_gather(wire::FrameKind::Peer, rank, to[p],
                                          {}, arena.base());
     }
     io.expected = std::move(from[p]);
-    io.received = io.expected.empty();
   }
 
   const bool bounded = timeout_ms >= 0;
@@ -364,9 +358,8 @@ std::vector<Descriptor> mesh_exchange(int rank, int ranks,
       inbox.insert(inbox.end(), from[self].begin(), from[self].end());
       continue;
     }
-    PeerIO* peer = by_peer[static_cast<std::size_t>(src)];
-    if (peer == nullptr || peer->expected.empty()) continue;
-    PeerIO& io = *peer;
+    PeerIO& io = ios[static_cast<std::size_t>(src)];
+    if (io.expected.empty()) continue;
     (void)io.body.take(io.label);
     if (io.matched != io.expected.size())
       mesh_fail(src, "missing " + std::to_string(io.expected.size() -
