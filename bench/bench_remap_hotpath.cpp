@@ -2,7 +2,7 @@
 // n=1M, driven through every execution backend with host allocation
 // counting. This is the workload the run-compiled execution paths target:
 // cached ownership programs, the src == dst local-copy fast path, and
-// pooled payload/mailbox buffers must make repeated remappings both
+// proc's one shared payload arena must make repeated remappings both
 // faster (exec_ms) and allocation-free in steady state (host_allocs).
 // The per-backend configs are recorded under backend-tagged names so the
 // CI seq-vs-thread compare sees the identical counter sets from either

@@ -53,7 +53,7 @@ struct FusedLocal {
 
 /// The compiled form of one fused communication round.
 struct FusedExchange {
-  /// Message table; a routed net::Message's tag is its index here.
+  /// Message table; a message's tag on the wire is its index here.
   std::vector<FusedMessage> messages;
   /// Message-table indices each source rank emits, in table order.
   std::vector<std::vector<int>> by_src;
