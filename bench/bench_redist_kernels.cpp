@@ -376,7 +376,7 @@ void report_values(Harness& h) {
   }
 }
 
-// ---- proc round -----------------------------------------------------------
+// ---- proc round ----------------------------------------------------------
 
 /// One fused round the size of the ADI sweep's remaps (Fig. 10): a
 /// 512x512 array moved from (block, *) to (*, block) on 4 ranks, so every
@@ -399,8 +399,9 @@ void report_proc_round(Harness& h) {
   const ConcreteLayout to = rows_on(1);
   std::vector<hpfc::redist::Kernel> kernels;
   for (const auto& t : hpfc::redist::build_runs(from, to).transfers) {
-    kernels.push_back(hpfc::redist::specialize(hpfc::redist::compile_transfer(
-        t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst))));
+    kernels.push_back(
+        hpfc::redist::specialize(hpfc::redist::compile_transfer(
+            t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst))));
   }
   hpfc::runtime::RankLocals src(kRanks);
   hpfc::runtime::RankLocals dst(kRanks);
@@ -426,7 +427,8 @@ void report_proc_round(Harness& h) {
   (void)round.run(backend);
   const std::uint64_t wire_bytes =
       backend.wire().wire_bytes - before.wire_bytes;
-  const std::uint64_t remote_bytes = round.remote_elements() * sizeof(double);
+  const std::uint64_t remote_bytes =
+      round.remote_elements() * sizeof(double);
   for (int r = 0; r < kRanks; ++r) {
     const auto& local = dst[static_cast<std::size_t>(r)];
     if (std::find(local.begin(), local.end(), 0.0) != local.end())

@@ -575,7 +575,8 @@ void ProcBackend::check_phase(const std::vector<std::string>& errors) {
                          errors[static_cast<std::size_t>(r)] + ")");
     }
   }
-  if (lowest >= 0) wire_failed(lowest, errors[static_cast<std::size_t>(lowest)]);
+  if (lowest >= 0)
+    wire_failed(lowest, errors[static_cast<std::size_t>(lowest)]);
 }
 
 Inboxes ProcBackend::exchange(std::span<const ArenaMessage> table) {

@@ -210,9 +210,10 @@ void send_gather_frame(int fd, const GatherFrame& frame, int timeout_ms,
                        const std::string& what, Tally* tally);
 
 /// Where a Peer frame's payloads land: called with each send (as Frame
-/// decodes it), in frame order, as soon as it is decoded (before any of its payload
-/// bytes arrive), it returns the window of exactly `elements` doubles the
-/// payload goes to, or throws WireError to refuse the message.
+/// decodes it), in frame order, as soon as it is decoded (before any of
+/// its payload bytes arrive), it returns the window of exactly
+/// `elements` doubles the payload goes to, or throws WireError to refuse
+/// the message.
 using Lander = std::function<std::span<double>(const Descriptor&)>;
 
 /// Incremental scatter decoder for one frame body — the only frame
