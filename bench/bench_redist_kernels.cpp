@@ -23,11 +23,14 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "exec/proc_backend.hpp"
+#include "net/wire.hpp"
+#include "persist/hash.hpp"
 #include "redist/commsets.hpp"
 #include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
@@ -303,24 +306,36 @@ using hpfc::testing::fold_per_element;
 using hpfc::testing::matches_per_element;
 using hpfc::testing::stamp_per_element;
 
-/// ns/element of fold, stamp and matches over `prog`, per-element loop
-/// and kernel, on storage of `storage` elements of a `shape` array;
-/// aborts unless both forms agree.
+using hpfc::runtime::detail::Bodies;
+using hpfc::runtime::detail::wide_lanes;
+
+/// ns/element of fold, stamp and matches over `prog` on storage of
+/// `storage` elements of a `shape` array: the per-element loop, the
+/// kernel with every line in the narrow body, and (where the CPU has the
+/// lanes) the kernel as dispatched, lines of at least kWideMinLine
+/// elements in the wide body. Aborts unless every form agrees.
 void time_values(Harness& h, const std::string& name, const OwnedProgram& prog,
                  Extent storage, const Shape& shape) {
+  using hpfc::runtime::fold;
+  using hpfc::runtime::matches;
+  using hpfc::runtime::stamp;
   constexpr std::uint64_t kCounter = 12345;
   Extent elements = 0;
   prog.for_each_stretch([&](const OwnedRun& run) { elements += run.len; });
   std::vector<double> local(static_cast<std::size_t>(storage), 0.0);
+  std::vector<double> narrow(local.size(), 0.0);
   std::vector<double> reference(local.size(), 0.0);
-  hpfc::runtime::stamp(prog, local.data(), kCounter);
+  stamp(prog, local.data(), kCounter);
+  stamp<Bodies::narrow>(prog, narrow.data(), kCounter);
   stamp_per_element(prog, reference.data(), kCounter);
   hpfc::runtime::ExpectedValues expected(shape);
   expected.write(kCounter, shape);
-  if (local != reference ||
-      hpfc::runtime::fold(prog, local.data()) !=
-          fold_per_element(prog, local.data()) ||
-      !hpfc::runtime::matches(prog, local.data(), shape, expected) ||
+  const std::uint64_t sum = fold_per_element(prog, local.data());
+  if (local != reference || narrow != reference ||
+      fold(prog, local.data()) != sum ||
+      fold<Bodies::narrow>(prog, local.data()) != sum ||
+      !matches(prog, local.data(), shape, expected) ||
+      !matches<Bodies::narrow>(prog, local.data(), shape, expected) ||
       !matches_per_element(prog, local.data(), shape, expected))
     std::abort();
 
@@ -329,39 +344,109 @@ void time_values(Harness& h, const std::string& name, const OwnedProgram& prog,
   const auto ns_per_element = [&](double ms) {
     return ms * 1e6 / static_cast<double>(elements);
   };
+  const bool wide = wide_lanes();
   const auto row = [&](const char* op, const std::function<void()>& per,
-                       const std::function<void()>& kernel) {
-    const double per_ms = median_ms(warmup, reps, per);
-    const double kernel_ms = median_ms(warmup, reps, kernel);
-    std::printf("%-34s %-8s %14.3f %12.3f\n", name.c_str(), op,
-                ns_per_element(per_ms), ns_per_element(kernel_ms));
+                       const std::function<void()>& narrow_kernel,
+                       const std::function<void()>& wide_kernel) {
     const std::string config = std::string(op) + " " + name;
+    const double per_ms = median_ms(warmup, reps, per);
+    const double narrow_ms = median_ms(warmup, reps, narrow_kernel);
     h.record_timing("value_kernels", config, "per-element", per_ms);
-    h.record_timing("value_kernels", config, "kernel", kernel_ms);
+    h.record_timing("value_kernels", config, "narrow", narrow_ms);
+    std::printf("%-34s %-8s %12.3f %10.3f", name.c_str(), op,
+                ns_per_element(per_ms), ns_per_element(narrow_ms));
+    if (wide) {
+      const double wide_ms = median_ms(warmup, reps, wide_kernel);
+      h.record_timing("value_kernels", config, "wide", wide_ms);
+      std::printf(" %10.3f\n", ns_per_element(wide_ms));
+    } else {
+      std::printf(" %10s\n", "-");
+    }
   };
   std::uint64_t sink = 0;
   row("fold", [&] { sink += fold_per_element(prog, local.data()); },
-      [&] { sink += hpfc::runtime::fold(prog, local.data()); });
+      [&] { sink += fold<Bodies::narrow>(prog, local.data()); },
+      [&] { sink += fold(prog, local.data()); });
   row("stamp", [&] { stamp_per_element(prog, reference.data(), kCounter); },
-      [&] { hpfc::runtime::stamp(prog, local.data(), kCounter); });
+      [&] { stamp<Bodies::narrow>(prog, narrow.data(), kCounter); },
+      [&] { stamp(prog, local.data(), kCounter); });
   row("matches",
       [&] { sink += matches_per_element(prog, local.data(), shape, expected); },
       [&] {
-        sink += hpfc::runtime::matches(prog, local.data(), shape, expected);
-      });
+        sink += matches<Bodies::narrow>(prog, local.data(), shape, expected);
+      },
+      [&] { sink += matches(prog, local.data(), shape, expected); });
   benchmark::DoNotOptimize(sink);
   benchmark::DoNotOptimize(local.data());
+  benchmark::DoNotOptimize(narrow.data());
   benchmark::DoNotOptimize(reference.data());
+}
+
+/// ns/element of the narrow and the wide body on back-to-back lines of
+/// `len` elements (2^16 elements in all): where the wide body starts to
+/// win sets kWideMinLine.
+void time_value_lines(Harness& h, Extent len) {
+#if HPFC_WIDE_VALUE_KERNELS
+  namespace detail = hpfc::runtime::detail;
+  using hpfc::runtime::kStampMod;
+  using hpfc::runtime::kWeightMod;
+  constexpr Extent kElements = 1 << 16;
+  std::vector<double> vals(static_cast<std::size_t>(kElements));
+  for (std::size_t i = 0; i < vals.size(); ++i)
+    vals[i] = static_cast<double>(i % 1000);
+  const detail::ResidueStep<kWeightMod> weight(1, hpfc::runtime::kWeightMul);
+  const detail::ResidueStep<kStampMod> stamp(1, 1);
+  const int reps = std::max(11, h.options().reps);
+  const int warmup = std::max(1, h.options().warmup);
+  std::uint64_t sink = 0;
+  // Each line starts at residue 0: the sweep times the bodies, not the
+  // residue set-up the kernels do per line.
+  const auto lines = [&](auto&& body) {
+    return median_ms(warmup, reps, [&] {
+      for (Extent at = 0; at + len <= kElements; at += len) body(at);
+    });
+  };
+  const double fold_narrow = lines([&](Extent at) {
+    sink += detail::fold_line_narrow(vals.data() + at, 1, len, 0, weight);
+  });
+  const double fold_wide = lines([&](Extent at) {
+    sink += detail::fold_line_wide(vals.data() + at, 1, len, 0, weight);
+  });
+  const double stamp_narrow = lines([&](Extent at) {
+    detail::stamp_line_narrow(vals.data() + at, 1, len, 0, stamp, 1009);
+  });
+  const double stamp_wide = lines([&](Extent at) {
+    detail::stamp_line_wide(vals.data() + at, 1, len, 0, stamp, 1009);
+  });
+  benchmark::DoNotOptimize(sink);
+  const auto ns = [&](double ms) {
+    return ms * 1e6 / static_cast<double>(kElements / len * len);
+  };
+  const std::string config = "line len=" + std::to_string(len);
+  std::printf("%-34s %10.3f %10.3f %10.3f %10.3f\n", config.c_str(),
+              ns(fold_narrow), ns(fold_wide), ns(stamp_narrow),
+              ns(stamp_wide));
+  h.record_timing("value_lines", "fold " + config, "narrow", fold_narrow);
+  h.record_timing("value_lines", "fold " + config, "wide", fold_wide);
+  h.record_timing("value_lines", "stamp " + config, "narrow", stamp_narrow);
+  h.record_timing("value_lines", "stamp " + config, "wide", stamp_wide);
+#else
+  (void)h;
+  (void)len;
+#endif
 }
 
 void report_values(Harness& h) {
   std::printf("\n=== value kernels vs per-element loops (ns/element) ===\n");
-  std::printf("%-34s %-8s %14s %12s\n", "shape", "op", "per-element",
-              "kernel");
+  std::printf("%-34s %-8s %12s %10s %10s\n", "shape", "op", "per-element",
+              "narrow", "wide");
+  // 2^20 is the oracle's hotpath array, one 8 MiB line.
+  for (const Extent len : {131072, 1 << 20}) {
+    time_values(h, "stretch len=" + std::to_string(len) + " stride=1",
+                OwnedProgram::flat({OwnedRun{0, 0, 1, len}}), len,
+                Shape{len});
+  }
   constexpr Extent kLen = 131072;
-  time_values(h, "stretch len=131072 stride=1",
-              OwnedProgram::flat({OwnedRun{0, 0, 1, kLen}}), kLen,
-              Shape{kLen});
   time_values(h, "stretch len=131072 stride=8",
               OwnedProgram::flat({OwnedRun{0, 3, 8, kLen}}), kLen,
               Shape{8 * kLen});
@@ -374,6 +459,51 @@ void report_values(Harness& h) {
                        std::to_string(k) + ") P=8",
                 layout.owned_program(3), layout.local_count(3), Shape{n});
   }
+  if (!wide_lanes()) return;
+  std::printf("\n=== value-kernel lines: narrow vs wide body (ns/element) "
+              "===\n");
+  std::printf("%-34s %10s %10s %10s %10s\n", "line", "fold-narrow",
+              "fold-wide", "stamp-narrow", "stamp-wide");
+  for (const Extent len : {16, 24, 32, 48, 64}) time_value_lines(h, len);
+}
+
+// ---- checksums -----------------------------------------------------------
+
+/// GB/s of the proc wire's frame checksum (net::wire::checksum_bytes) and
+/// of the snapshot tree's leaf hash (persist::leaf_hash) over `elements`
+/// doubles.
+void time_checksums(Harness& h, Extent elements) {
+  std::vector<double> values(static_cast<std::size_t>(elements));
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = static_cast<double>(i % 1000);
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(values.data()),
+      values.size() * sizeof(double));
+  const int reps = std::max(11, h.options().reps);
+  const int warmup = std::max(1, h.options().warmup);
+  std::uint64_t sink = 0;
+  const double wire_ms = median_ms(
+      warmup, reps, [&] { sink += hpfc::net::wire::checksum_bytes(bytes); });
+  const double leaf_ms = median_ms(warmup, reps, [&] {
+    sink += hpfc::persist::leaf_hash(values.data(), values.size());
+  });
+  benchmark::DoNotOptimize(sink);
+  const auto gb_s = [&](double ms) {
+    return static_cast<double>(bytes.size()) / (ms * 1e6);
+  };
+  const std::string config = std::to_string(bytes.size()) + " bytes";
+  std::printf("%-30s %12.3f %12.3f\n", config.c_str(), gb_s(wire_ms),
+              gb_s(leaf_ms));
+  h.record_timing("checksum", config, "wire", wire_ms);
+  h.record_timing("checksum", config, "leaf_hash", leaf_ms);
+}
+
+void report_checksums(Harness& h) {
+  std::printf("\n=== checksums: wire frame checksum and snapshot leaf hash "
+              "(GB/s) ===\n");
+  std::printf("%-30s %12s %12s\n", "payload", "wire", "leaf_hash");
+  // The ADI round's remote payload (1.5 MiB) and hotpath's version (8 MiB).
+  for (const Extent elements : {196608, 1 << 20}) time_checksums(h, elements);
 }
 
 // ---- proc round ----------------------------------------------------------
@@ -493,6 +623,7 @@ int main(int argc, char** argv) {
     report_fragments(h);
     report_direct(h);
     report_values(h);
+    report_checksums(h);
     report_proc_round(h);
   });
 }

@@ -99,21 +99,10 @@ std::pair<Socket, Socket> make_stream_pair() {
   return pair;
 }
 
-std::uint64_t checksum_init() {
-  return 1469598103934665603ull;  // FNV-1a offset basis
-}
-
-std::uint64_t checksum_feed(std::uint64_t hash,
-                            std::span<const std::uint8_t> data) {
-  for (const std::uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 std::uint64_t checksum_bytes(std::span<const std::uint8_t> data) {
-  return checksum_feed(checksum_init(), data);
+  FnvWordFold fold;
+  fold.update(data.data(), data.size());
+  return fold.finish();
 }
 
 namespace {
@@ -240,21 +229,19 @@ GatherFrame encode_frame_gather(FrameKind kind, int src,
 
   // The body checksum walks the logical body — meta slices interleaved
   // with payloads — yielding exactly encode_frame's value.
-  std::uint64_t hash = checksum_init();
+  FnvWordFold fold;
   std::size_t prev = kHeaderBytes;
   for (std::size_t i = 0; i < sends.size(); ++i) {
-    hash = checksum_feed(
-        hash, std::span<const std::uint8_t>(meta.data() + prev,
-                                            cuts[i] - prev));
-    hash = checksum_feed(hash, payload_bytes(kind, sends[i], payloads));
+    fold.update(meta.data() + prev, cuts[i] - prev);
+    const auto payload = payload_bytes(kind, sends[i], payloads);
+    fold.update(payload.data(), payload.size());
     prev = cuts[i];
   }
-  hash = checksum_feed(hash, std::span<const std::uint8_t>(
-                                 meta.data() + prev, meta.size() - prev));
+  fold.update(meta.data() + prev, meta.size() - prev);
 
   std::vector<std::uint8_t> header;
   header.reserve(kHeaderBytes);
-  append_header(header, kind, src, body_bytes, hash);
+  append_header(header, kind, src, body_bytes, fold.finish());
   std::memcpy(meta.data(), header.data(), kHeaderBytes);
 
   // On-wire chunks: [header + prefix + send 0], payload 0, [send 1],
@@ -397,7 +384,7 @@ void BodyScatterDecoder::reset(FrameKind kind, int src,
   land_ = std::move(land);
   body_left_ = body_bytes;
   expected_checksum_ = expected_checksum;
-  hash_ = checksum_init();
+  fold_ = FnvWordFold();
   sends_left_ = receives_left_ = 0;
   payload_ = {};
   if (body_bytes < prefix_bytes(kind))
@@ -436,7 +423,7 @@ void BodyScatterDecoder::open_next() {
 void BodyScatterDecoder::advance(std::size_t n) {
   HPFC_ASSERT_MSG(state_ != State::Done, "advance on a completed frame body");
   const auto landed = window().subspan(0, n);
-  hash_ = checksum_feed(hash_, landed);
+  fold_.update(landed.data(), landed.size());
   HPFC_ASSERT(n <= body_left_);
   body_left_ -= n;
   pos_ += n;
@@ -515,7 +502,7 @@ void BodyScatterDecoder::advance(std::size_t n) {
 }
 
 bool BodyScatterDecoder::checksum_ok() const {
-  return hash_ == expected_checksum_;
+  return fold_.finish() == expected_checksum_;
 }
 
 Frame BodyScatterDecoder::take(const std::string& what) {

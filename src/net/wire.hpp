@@ -33,6 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/fnv.hpp"
+
 namespace hpfc::net::wire {
 
 /// Thrown when the wire fails: a peer closed the connection, an
@@ -151,18 +153,12 @@ void decode_header(std::span<const std::uint8_t> header, FrameKind& kind,
                    int& src, std::uint64_t& body_bytes,
                    std::uint64_t& checksum);
 
-/// FNV-1a over a byte span (frame-body integrity checksum).
+/// The frame-body integrity checksum: FNV-1a a 64-bit word at a time
+/// with a byte-wise sub-word tail (FnvWordFold, support/fnv.hpp). The
+/// gather encoder and the scatter decoder fold a body in pieces, which
+/// yields the same value as one contiguous pass, so neither ever
+/// materializes the body.
 std::uint64_t checksum_bytes(std::span<const std::uint8_t> data);
-
-/// Streaming form of checksum_bytes: fold `data` into a running hash.
-/// checksum_bytes(b) == checksum_feed(checksum_init(), b), and feeding a
-/// body in pieces (in order) yields the same value as one contiguous
-/// pass — which is what lets the scatter-gather paths below keep
-/// encode_frame's exact frame checksum without ever materializing the
-/// body.
-std::uint64_t checksum_init();
-std::uint64_t checksum_feed(std::uint64_t hash,
-                            std::span<const std::uint8_t> data);
 
 /// A frame encoded for gather sending: every non-payload byte (the
 /// header, the body prefix, the descriptors and records) lives in `meta`,
@@ -238,7 +234,7 @@ class BodyScatterDecoder {
   /// the rest of the body, trailing bytes) or a payload the lander
   /// refuses.
   void advance(std::size_t n);
-  /// Valid once done(): the accumulated FNV-1a matched the header's.
+  /// Valid once done(): the accumulated checksum matched the header's.
   [[nodiscard]] bool checksum_ok() const;
   /// Verifies the checksum and moves the decoded frame out.
   Frame take(const std::string& what);
@@ -254,7 +250,7 @@ class BodyScatterDecoder {
   Lander land_;
   std::uint64_t body_left_ = 0;
   std::uint64_t expected_checksum_ = 0;
-  std::uint64_t hash_ = 0;
+  FnvWordFold fold_;
   std::uint32_t sends_left_ = 0;
   std::uint32_t receives_left_ = 0;
   std::uint8_t scratch_[kDescriptorBytes] = {};

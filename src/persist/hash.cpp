@@ -1,35 +1,12 @@
 #include "persist/hash.hpp"
 
-#include <cstring>
-
 namespace hpfc::persist {
-
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t h) {
   for (int i = 0; i < 8; ++i) {
     h ^= value & 0xffu;
     h *= kFnvPrime;
     value >>= 8;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_words(const void* data, std::size_t n_words,
-                          std::uint64_t h) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n_words; ++i) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, bytes + i * sizeof(word), sizeof(word));
-    h ^= word;
-    h *= kFnvPrime;
   }
   return h;
 }

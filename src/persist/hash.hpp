@@ -1,5 +1,5 @@
-// FNV-1a hashing and the snapshot hash tree over the versioned array
-// store. The tree mirrors the store's structure:
+// The snapshot hash tree over the versioned array store. The tree
+// mirrors the store's structure:
 //
 //   leaf                 one body entry of one block of a rank's periodic
 //                        ownership program (mapping::OwnedProgram): the
@@ -23,24 +23,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/fnv.hpp"
+
 namespace hpfc::persist {
-
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-/// FNV-1a over a byte range, continuing from `h`.
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t len,
-                                  std::uint64_t h = kFnvOffset);
 
 /// Folds one 64-bit value (a child hash or a scalar) into `h`.
 [[nodiscard]] std::uint64_t fnv1a_u64(std::uint64_t value,
                                       std::uint64_t h = kFnvOffset);
-
-/// FNV-1a folding `n_words` native-endian 64-bit words, one XOR-multiply
-/// per word — 8x fewer multiplies than the byte loop on bulk data. The
-/// words are read with memcpy, so `data` need not be aligned.
-[[nodiscard]] std::uint64_t fnv1a_words(const void* data, std::size_t n_words,
-                                        std::uint64_t h = kFnvOffset);
 
 /// Leaf hash of `len` contiguous doubles: a word-wise FNV-1a fold over
 /// their bit patterns.

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -15,46 +14,18 @@ namespace {
 constexpr std::uint32_t kRecordMagic = 0x4850'4a31;  // "HPJ1"
 constexpr std::uint32_t kManifestMagic = 0x4850'4d31;  // "HPM1"
 
-/// Streaming form of the payload fold: whole 64-bit words fold
-/// word-wise (one multiply per 8 bytes) across span boundaries, and the
-/// sub-word tail folds byte-wise at finish(), so a payload handed over
-/// in pieces checksums exactly like the same bytes in one piece.
-class PayloadFold {
- public:
-  PayloadFold(RecordType type, std::uint64_t len)
-      : h_(fnv1a_u64(len, fnv1a_u64(static_cast<std::uint64_t>(type)))) {}
-
-  void update(const std::uint8_t* data, std::size_t len) {
-    if (len == 0) return;  // `data` may be null then
-    if (pending_len_ > 0) {
-      const std::size_t take = std::min(len, 8 - pending_len_);
-      std::memcpy(pending_ + pending_len_, data, take);
-      pending_len_ += take;
-      data += take;
-      len -= take;
-      if (pending_len_ < 8) return;
-      h_ = fnv1a_words(pending_, 1, h_);
-      pending_len_ = 0;
-    }
-    const std::size_t words = len / 8;
-    h_ = fnv1a_words(data, words, h_);
-    pending_len_ = len - words * 8;
-    std::memcpy(pending_, data + words * 8, pending_len_);
-  }
-
-  [[nodiscard]] std::uint64_t finish() const {
-    return fnv1a(pending_, pending_len_, h_);
-  }
-
- private:
-  std::uint64_t h_;
-  std::uint8_t pending_[8] = {};
-  std::size_t pending_len_ = 0;
-};
+/// The payload fold: the record's type and length, then its payload
+/// through the shared streaming word fold (support/fnv.hpp), so a payload
+/// handed over in pieces checksums exactly like the same bytes in one
+/// piece.
+FnvWordFold payload_fold(RecordType type, std::uint64_t len) {
+  return FnvWordFold(
+      fnv1a_u64(len, fnv1a_u64(static_cast<std::uint64_t>(type))));
+}
 
 std::uint64_t record_checksum(RecordType type, const std::uint8_t* payload,
                               std::size_t len) {
-  PayloadFold fold(type, len);
+  FnvWordFold fold = payload_fold(type, len);
   fold.update(payload, len);
   return fold.finish();
 }
@@ -258,7 +229,7 @@ void JournalWriter::append(RecordType type,
       values.data());
   const std::size_t value_len = values.size_bytes();
   const std::uint64_t payload_len = header.size() + value_len;
-  PayloadFold fold(type, payload_len);
+  FnvWordFold fold = payload_fold(type, payload_len);
   fold.update(header.data(), header.size());
   fold.update(value_bytes, value_len);
   std::uint8_t prefix[16];

@@ -18,12 +18,27 @@
 // an OwnedProgram two levels deep, body entry then block repetition,
 // setting up each body entry's steps once per block. fold and stamp are
 // order-independent, so they walk a body entry along its longer axis:
-// its stretch, or one member across the block's repetitions. Lines of
-// four or more elements run four independent lanes. The stepping is
-// exact while linear*K does not wrap 64 bits, i.e. for linear <=
+// its stretch, or one member across the block's repetitions. The stepping
+// is exact while linear*K does not wrap 64 bits, i.e. for linear <=
 // kMaxSteppedLinear; the runtime and the reference interpreter check
 // every mapped array against that bound when they are constructed
 // (require_stepped_weights).
+//
+// Each line runs through one of two bodies that give bit-identical
+// results. The narrow body, inline below, runs four independent scalar
+// lanes while four or more elements remain. The wide body
+// (runtime/expected.cpp) runs eight lanes in AVX-512 vectors: the same
+// int64 conversions, wrapping 64-bit multiply and residue steps, eight
+// elements at a time, the last count mod 8 through the narrow body. One
+// dispatch picks per line: the wide body when the line has at least
+// kWideMinLine elements and the CPU has AVX-512F, DQ and VL, asked once
+// per process (wide_lanes()); the narrow body otherwise, and always on
+// targets other than x86-64 with GCC or clang, where the wide body is
+// not compiled. The threshold comes from bench_redist_kernels'
+// value_lines rows: the wide body's set-up makes it the slower one on
+// lines of 24, the two tie on lines of 32, the wide one is ahead by a
+// fifth from 48, and it reads 2-3.5x the narrow one's speed on long
+// lines.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +52,14 @@
 #include "mapping/layout.hpp"
 #include "mapping/shape.hpp"
 #include "support/check.hpp"
+
+// The wide bodies are compiled where the compiler can target AVX-512 per
+// function and ask the CPU for it: GCC or clang on x86-64.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define HPFC_WIDE_VALUE_KERNELS 1
+#else
+#define HPFC_WIDE_VALUE_KERNELS 0
+#endif
 
 namespace hpfc::runtime {
 
@@ -273,10 +296,12 @@ inline double stamp_value(std::uint64_t counter_base, std::uint64_t s) {
   return static_cast<double>(static_cast<std::int64_t>(counter_base + s));
 }
 
-/// Σ vals[j*stride]·(r_j + 1) over a line: weight = residue + 1.
-inline std::uint64_t fold_line(const double* vals, mapping::Extent stride,
-                               mapping::Extent count, std::uint64_t r,
-                               const ResidueStep<kWeightMod>& step) {
+/// Σ vals[j*stride]·(r_j + 1) over a line: weight = residue + 1. The
+/// narrow body, four lanes wide.
+inline std::uint64_t fold_line_narrow(const double* vals,
+                                      mapping::Extent stride,
+                                      mapping::Extent count, std::uint64_t r,
+                                      const ResidueStep<kWeightMod>& step) {
   std::uint64_t lane_sum[4] = {0, 0, 0, 0};
   for_each_residue<kWeightMod>(
       count, r, step, [&](auto lane, mapping::Extent j, std::uint64_t rj) {
@@ -285,14 +310,101 @@ inline std::uint64_t fold_line(const double* vals, mapping::Extent stride,
   return lane_sum[0] + lane_sum[1] + lane_sum[2] + lane_sum[3];
 }
 
-inline void stamp_line(double* vals, mapping::Extent stride,
-                       mapping::Extent count, std::uint64_t s,
-                       const ResidueStep<kStampMod>& step,
-                       std::uint64_t counter_base) {
+/// vals[j*stride] = the value stamped at residue s_j: the narrow body.
+inline void stamp_line_narrow(double* vals, mapping::Extent stride,
+                              mapping::Extent count, std::uint64_t s,
+                              const ResidueStep<kStampMod>& step,
+                              std::uint64_t counter_base) {
   for_each_residue<kStampMod>(
       count, s, step, [&](auto, mapping::Extent j, std::uint64_t sj) {
         vals[j * stride] = stamp_value(counter_base, sj);
       });
+}
+
+/// Whether vals[j] holds the value stamped at residue s_j for every j in
+/// [0, count): matches' stamped-window compare, the narrow body.
+inline bool stamped_window_narrow(const double* vals, mapping::Extent count,
+                                  std::uint64_t s,
+                                  const ResidueStep<kStampMod>& step,
+                                  std::uint64_t counter_base) {
+  bool ok = true;
+  for_each_residue<kStampMod>(
+      count, s, step, [&](auto, mapping::Extent j, std::uint64_t sj) {
+        ok &= vals[j] == stamp_value(counter_base, sj);
+      });
+  return ok;
+}
+
+#if HPFC_WIDE_VALUE_KERNELS
+/// Lines at least this long take the wide body when the CPU has it.
+inline constexpr mapping::Extent kWideMinLine = 32;
+
+/// Whether this CPU runs the wide bodies (AVX-512F, DQ and VL), asked
+/// once per process.
+[[nodiscard]] bool wide_lanes();
+
+/// The wide bodies (runtime/expected.cpp): the same results as the
+/// narrow ones, eight lanes at a time. Only callable when wide_lanes().
+[[nodiscard]] std::uint64_t fold_line_wide(
+    const double* vals, mapping::Extent stride, mapping::Extent count,
+    std::uint64_t r, const ResidueStep<kWeightMod>& step);
+void stamp_line_wide(double* vals, mapping::Extent stride,
+                     mapping::Extent count, std::uint64_t s,
+                     const ResidueStep<kStampMod>& step,
+                     std::uint64_t counter_base);
+[[nodiscard]] bool stamped_window_wide(const double* vals,
+                                       mapping::Extent count, std::uint64_t s,
+                                       const ResidueStep<kStampMod>& step,
+                                       std::uint64_t counter_base);
+
+/// The one dispatch of every line: wide when it is long enough and the
+/// CPU has the lanes, narrow otherwise.
+inline bool goes_wide(mapping::Extent count) {
+  return count >= kWideMinLine && wide_lanes();
+}
+#else
+inline bool wide_lanes() { return false; }
+#endif
+
+/// Which bodies a kernel runs its lines through: the dispatch's choice
+/// per line, or the narrow body on every line (all a CPU without the
+/// lanes runs; the microbench's baseline).
+enum class Bodies { dispatch, narrow };
+
+template <Bodies B>
+inline std::uint64_t fold_line(const double* vals, mapping::Extent stride,
+                               mapping::Extent count, std::uint64_t r,
+                               const ResidueStep<kWeightMod>& step) {
+#if HPFC_WIDE_VALUE_KERNELS
+  if (B == Bodies::dispatch && goes_wide(count))
+    return fold_line_wide(vals, stride, count, r, step);
+#endif
+  return fold_line_narrow(vals, stride, count, r, step);
+}
+
+template <Bodies B>
+inline void stamp_line(double* vals, mapping::Extent stride,
+                       mapping::Extent count, std::uint64_t s,
+                       const ResidueStep<kStampMod>& step,
+                       std::uint64_t counter_base) {
+#if HPFC_WIDE_VALUE_KERNELS
+  if (B == Bodies::dispatch && goes_wide(count)) {
+    stamp_line_wide(vals, stride, count, s, step, counter_base);
+    return;
+  }
+#endif
+  stamp_line_narrow(vals, stride, count, s, step, counter_base);
+}
+
+template <Bodies B>
+inline bool stamped_window(const double* vals, mapping::Extent count,
+                           std::uint64_t s, const ResidueStep<kStampMod>& step,
+                           std::uint64_t counter_base) {
+#if HPFC_WIDE_VALUE_KERNELS
+  if (B == Bodies::dispatch && goes_wide(count))
+    return stamped_window_wide(vals, count, s, step, counter_base);
+#endif
+  return stamped_window_narrow(vals, count, s, step, counter_base);
 }
 
 }  // namespace detail
@@ -302,13 +414,14 @@ inline void stamp_line(double* vals, mapping::Extent stride,
 [[nodiscard, gnu::flatten]] inline std::uint64_t fold(
     const double* vals, mapping::Index global_base, mapping::Extent stride,
     mapping::Extent len) {
-  return detail::fold_line(
+  return detail::fold_line<detail::Bodies::dispatch>(
       vals, 1, len, detail::residue(global_base, kWeightMul, kWeightMod),
       detail::ResidueStep<kWeightMod>(stride, kWeightMul));
 }
 
 /// Σ value·weight(global) over every stretch of a rank's ownership
 /// program `prog`, read from the rank's storage `local`.
+template <detail::Bodies B = detail::Bodies::dispatch>
 [[nodiscard, gnu::flatten]] inline std::uint64_t fold(
     const mapping::OwnedProgram& prog, const double* local) {
   std::uint64_t sum = 0;
@@ -316,7 +429,7 @@ inline void stamp_line(double* vals, mapping::Extent stride,
       prog, kWeightMul,
       [&](mapping::Index at, mapping::Extent stride, mapping::Extent count,
           std::uint64_t r, const detail::ResidueStep<kWeightMod>& step) {
-        sum += detail::fold_line(local + at, stride, count, r, step);
+        sum += detail::fold_line<B>(local + at, stride, count, r, step);
       });
   return sum;
 }
@@ -326,13 +439,14 @@ inline void stamp_line(double* vals, mapping::Extent stride,
 [[gnu::flatten]] inline void stamp(double* vals, mapping::Index global_base,
                                    mapping::Extent stride, mapping::Extent len,
                                    std::uint64_t counter) {
-  detail::stamp_line(vals, 1, len, detail::residue(global_base, 1, kStampMod),
-                     detail::ResidueStep<kStampMod>(stride, 1),
-                     counter * kStampMul);
+  detail::stamp_line<detail::Bodies::dispatch>(
+      vals, 1, len, detail::residue(global_base, 1, kStampMod),
+      detail::ResidueStep<kStampMod>(stride, 1), counter * kStampMul);
 }
 
 /// Stamps every stretch of `prog` in the rank's storage `local` with the
 /// `counter`-th write's values.
+template <detail::Bodies B = detail::Bodies::dispatch>
 [[gnu::flatten]] inline void stamp(const mapping::OwnedProgram& prog,
                                    double* local, std::uint64_t counter) {
   const std::uint64_t counter_base = counter * kStampMul;
@@ -340,7 +454,7 @@ inline void stamp_line(double* vals, mapping::Extent stride,
       prog, 1,
       [&](mapping::Index at, mapping::Extent stride, mapping::Extent count,
           std::uint64_t s, const detail::ResidueStep<kStampMod>& step) {
-        detail::stamp_line(local + at, stride, count, s, step, counter_base);
+        detail::stamp_line<B>(local + at, stride, count, s, step, counter_base);
       });
 }
 
@@ -350,6 +464,7 @@ inline void stamp_line(double* vals, mapping::Extent stride,
 /// [j_hi, len) hold 0. Walks stretch by stretch, since the clip is per
 /// stretch, and stops at the first one that differs. The clip divides,
 /// so it runs only when a live region has narrowed the box.
+template <detail::Bodies B = detail::Bodies::dispatch>
 [[nodiscard, gnu::flatten]] inline bool matches(
     const mapping::OwnedProgram& prog, const double* local,
     const mapping::Shape& shape, const ExpectedValues& expected) {
@@ -372,11 +487,8 @@ inline void stamp_line(double* vals, mapping::Extent stride,
                    kStampMod);
         bool ok = true;
         for (mapping::Extent j = 0; j < j_lo; ++j) ok &= vals[j] == 0.0;
-        detail::for_each_residue<kStampMod>(
-            j_hi - j_lo, s_lo, step,
-            [&](auto, mapping::Extent j, std::uint64_t sj) {
-              ok &= vals[j_lo + j] == detail::stamp_value(counter_base, sj);
-            });
+        ok &= detail::stamped_window<B>(vals + j_lo, j_hi - j_lo, s_lo, step,
+                                     counter_base);
         for (mapping::Extent j = j_hi; j < run.len; ++j) ok &= vals[j] == 0.0;
         if (!ok) return false;
         run.local_base += b.src_step;

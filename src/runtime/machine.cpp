@@ -28,6 +28,13 @@ using ir::ArrayId;
 using ir::CfgKind;
 using mapping::ConcreteLayout;
 
+/// Wall milliseconds since `start`.
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 /// One statically mapped version of one array: a local piece per rank.
 struct VersionStorage {
   bool allocated = false;
@@ -166,9 +173,7 @@ class Machine {
     report_.wire_bytes = backend_->wire().wire_bytes;
     report_.wire_msgs = backend_->wire().wire_msgs;
     report_.proc_spawns = backend_->wire().proc_spawns;
-    report_.exec_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
+    report_.exec_ms = ms_since(start);
     return report_;
   }
 
@@ -811,6 +816,7 @@ class Machine {
     // Each rank folds its owned elements into a private partial; the
     // wrapping uint64 sum is order-independent, so reducing the partials
     // afterwards reproduces the sequential signature exactly.
+    const auto start = std::chrono::steady_clock::now();
     std::fill(partials_.begin(), partials_.end(), 0);
     backend_->step([&](int r) {
       if (r >= lay.ranks()) return;
@@ -820,6 +826,7 @@ class Machine {
           fold(ro.runs, vs.locals[static_cast<std::size_t>(r)].data());
     });
     for (const std::uint64_t partial : partials_) report_.signature += partial;
+    report_.values_ms += ms_since(start);
   }
 
   void touch_write(int node, ArrayId a) {
@@ -838,11 +845,13 @@ class Machine {
     const ConcreteLayout& lay = layout(a, version);
     const OwnershipProgram& own = ownership(a, version);
     // One superstep: each rank stamps its own local piece.
+    const auto start = std::chrono::steady_clock::now();
     backend_->step([&](int r) {
       if (r >= lay.ranks()) return;
       stamp(own.per_rank[static_cast<std::size_t>(r)].runs,
             vs.locals[static_cast<std::size_t>(r)].data(), counter);
     });
+    report_.values_ms += ms_since(start);
     vs.dirty = true;
   }
 
@@ -884,6 +893,7 @@ class Machine {
 
   /// Exported dummy arguments must hold the expected values at exit.
   void check_exported() {
+    const auto start = std::chrono::steady_clock::now();
     for (const ArrayId a : program_.mapped_arrays()) {
       const auto& decl = program_.array(a);
       if (!decl.is_dummy || decl.intent == ir::Intent::In) continue;
@@ -891,6 +901,7 @@ class Machine {
           !matches_expected(a, 0))
         report_.exported_values_ok = false;
     }
+    report_.values_ms += ms_since(start);
   }
 
   const ir::Program& program_;
@@ -986,6 +997,7 @@ void write_json_fields(std::ostream& os, const RunReport& report) {
      << ", \"restore_ms\": " << report.restore_ms
      << ", \"sim_time_ms\": " << net.sim_time * 1e3
      << ", \"exec_ms\": " << report.exec_ms
+     << ", \"values_ms\": " << report.values_ms
      << ", \"pack_ms\": " << report.pack_ms
      << ", \"exchange_ms\": " << report.exchange_ms
      << ", \"unpack_ms\": " << report.unpack_ms;

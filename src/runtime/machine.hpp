@@ -135,6 +135,10 @@ struct RunReport {
   double pack_ms = 0.0;
   double exchange_ms = 0.0;
   double unpack_ms = 0.0;
+  // Value-kernel steps: wall-clock of the read folds and write stamps
+  // (each reference's rank step) and of the exported-value checks at
+  // exit, another disjoint share of exec_ms.
+  double values_ms = 0.0;
 
   // Real-socket traffic (exec::WireStats): zero unless the proc backend
   // ran. Deliberately outside NetStats — NetStats stay byte-identical

@@ -393,6 +393,39 @@ TEST(Wire, ScatterReceiveRejectsCorruptedBody) {
   }
 }
 
+/// The checksum folds whole 64-bit words and then the body's sub-word
+/// tail byte by byte; one flipped byte must fail it wherever it sits: at
+/// each offset mod 8 of a payload, and in each byte of the tail.
+TEST(Wire, ChecksumCatchesAFlippedByteAtEveryWordOffset) {
+  const auto messages = wire_test_messages(41, 3);
+  const auto clean = wire::encode_frame(wire::FrameKind::Peer, 0,
+                                        messages.sends, {},
+                                        messages.arena.data());
+  const std::size_t tail = (clean.size() - wire::kHeaderBytes) % 8;
+  ASSERT_NE(tail, 0u) << "the body needs a sub-word tail";
+  // Message 1's payload follows the counts, message 0's record (tag and
+  // element count; its payload is empty) and its own record.
+  const std::size_t payload_at =
+      wire::kHeaderBytes + wire::kCountsBytes + 2 * (4 + 8);
+  ASSERT_GE(messages.sends[1].elements, 1u);
+  std::vector<std::size_t> flips;
+  for (std::size_t k = 0; k < 8; ++k) flips.push_back(payload_at + k);
+  for (std::size_t k = clean.size() - tail; k < clean.size(); ++k)
+    flips.push_back(k);
+  for (const std::size_t at : flips) {
+    SCOPED_TRACE(at);
+    std::vector<std::uint8_t> corrupted = clean;
+    corrupted[at] ^= 0x01;
+    auto [ours, theirs] = wire::make_stream_pair();
+    wire::send_all(ours.fd(), corrupted.data(), corrupted.size(), 1000,
+                   "send");
+    std::vector<double> landed(messages.arena.size());
+    EXPECT_THROW((void)wire::recv_frame(theirs.fd(), 1000, "flip test",
+                                        land_in(landed, messages.sends)),
+                 wire::WireError);
+  }
+}
+
 /// The gather send path must survive a socket whose send buffer is far
 /// smaller than the frame (many partial sendmsg calls) and deliver the
 /// same bytes; the tally must account the whole frame exactly once.

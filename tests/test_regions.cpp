@@ -477,33 +477,47 @@ std::vector<double> random_values(std::mt19937_64& rng, std::size_t n) {
 }
 
 /// fold, stamp and matches over `prog` agree with the per-element
-/// definitions (testing/oracles.hpp), and matches rejects each owned
-/// element corrupted in turn (every position, so first, last, lane and
-/// lane-tail members alike).
+/// definitions (testing/oracles.hpp), as dispatched and with every line
+/// in the narrow body, and matches rejects each owned
+/// element corrupted in turn: every position of storage up to 512
+/// elements, so first, last, lane and lane-tail members alike; past that
+/// the first and last 64 and every 7th between, which still meets every
+/// lane of both bodies (7 is prime to 4 and 8).
 void expect_kernels_match(const mapping::OwnedProgram& prog,
                           std::size_t storage, const Shape& shape,
                           const runtime::ExpectedValues& expected,
                           std::mt19937_64& rng, const std::string& what) {
+  using runtime::detail::Bodies;
   const std::vector<double> values = random_values(rng, storage);
-  ASSERT_EQ(runtime::fold(prog, values.data()),
-            testing::fold_per_element(prog, values.data()))
-      << what;
+  const std::uint64_t sum = testing::fold_per_element(prog, values.data());
+  ASSERT_EQ(runtime::fold(prog, values.data()), sum) << what;
+  ASSERT_EQ(runtime::fold<Bodies::narrow>(prog, values.data()), sum) << what;
 
   std::vector<double> stamped(storage, -1.0);
+  std::vector<double> narrow(storage, -1.0);
   std::vector<double> want(storage, -1.0);
   runtime::stamp(prog, stamped.data(), expected.counter);
+  runtime::stamp<Bodies::narrow>(prog, narrow.data(), expected.counter);
   testing::stamp_per_element(prog, want.data(), expected.counter);
   ASSERT_EQ(stamped, want) << what;
+  ASSERT_EQ(narrow, want) << what;
 
   std::vector<double> local =
       expected_per_element(prog, storage, shape, expected);
   ASSERT_TRUE(runtime::matches(prog, local.data(), shape, expected)) << what;
+  ASSERT_TRUE(runtime::matches<Bodies::narrow>(prog, local.data(), shape,
+                                               expected))
+      << what;
   ASSERT_TRUE(testing::matches_per_element(prog, local.data(), shape,
                                            expected))
       << what;
   for (std::size_t i = 0; i < storage; ++i) {
+    if (storage > 512 && i >= 64 && i + 64 < storage && i % 7 != 0) continue;
     local[i] += 1.0;
     ASSERT_FALSE(runtime::matches(prog, local.data(), shape, expected))
+        << what << " corrupted local " << i;
+    ASSERT_FALSE(
+        runtime::matches<Bodies::narrow>(prog, local.data(), shape, expected))
         << what << " corrupted local " << i;
     local[i] -= 1.0;
   }
@@ -553,15 +567,22 @@ TEST(ValueKernels, MatchTheDefinitionsOnEdgeStretches) {
                                     kP - 1,     kP,          kP + 1,
                                     997 * kP,   kTop};
   const std::vector<Extent> strides = {1, 8, 997, kP + 5, 3 * kP - 1};
-  // reps 1 walks rows; 12 > len walks each member across repetitions.
-  const std::vector<Extent> reps_list = {1, 3, 12};
+  // Lengths around the lanes of both bodies and the wide body's
+  // threshold: every length to 9, then 31-33, 63-65 and 257.
+  const std::vector<Extent> lens = {0,  1,  2,  3,  4,  5,  6,  7,  8,
+                                    9,  31, 32, 33, 63, 64, 65, 257};
+  // reps 1 walks rows; reps > len walks each member across repetitions,
+  // and 41 such repetitions take the wide body.
+  const std::vector<Extent> reps_list = {1, 3, 12, 41};
   for (const Index base : bases) {
     for (const Extent stride : strides) {
-      for (Extent len = 0; len <= 9; ++len) {
+      for (const Extent len : lens) {
         for (const Extent reps : reps_list) {
+          if (reps == 41 && len > 9) continue;  // long lines either way
           const Extent dst_step = stride * len + 997;
           const Index span =
               (len > 0 ? (len - 1) * stride : 0) + (reps - 1) * dst_step;
+          if (span > kTop) continue;  // wider than the exact range
           const Index first = std::min(base, kTop - span);
           const std::string what =
               "base " + std::to_string(first) + " stride " +
@@ -603,6 +624,72 @@ TEST(ValueKernels, MatchTheDefinitionsOnEdgeStretches) {
       }
     }
   }
+}
+
+/// The wide bodies compute exactly what the narrow ones do: the same
+/// fold, the same stores and the same verdict on random lines of every
+/// length to 300, at unit and non-unit local strides, from random
+/// residues and global strides.
+TEST(ValueKernels, WideBodiesMatchTheNarrowOnRandomLines) {
+#if HPFC_WIDE_VALUE_KERNELS
+  if (!runtime::detail::wide_lanes())
+    GTEST_SKIP() << "this CPU lacks AVX-512F/DQ/VL";
+  using mapping::Extent;
+  using runtime::kStampMod;
+  using runtime::kWeightMod;
+  namespace detail = runtime::detail;
+  std::mt19937_64 rng(29);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto count = static_cast<Extent>(rng() % 301);
+    const Extent stride =
+        trial % 2 == 0 ? 1 : 1 + static_cast<Extent>(rng() % 9);
+    const Extent global_stride =
+        1 + static_cast<Extent>(rng() % (3 * kWeightMod));
+    const std::string what = "count " + std::to_string(count) + " stride " +
+                             std::to_string(stride) + " global stride " +
+                             std::to_string(global_stride);
+    const std::vector<double> values = random_values(
+        rng, static_cast<std::size_t>(count * stride + 1));
+    const detail::ResidueStep<kWeightMod> weight_step(global_stride,
+                                                      runtime::kWeightMul);
+    const std::uint64_t r = rng() % kWeightMod;
+    ASSERT_EQ(
+        detail::fold_line_wide(values.data(), stride, count, r, weight_step),
+        detail::fold_line_narrow(values.data(), stride, count, r,
+                                 weight_step))
+        << what;
+
+    const detail::ResidueStep<kStampMod> stamp_step(global_stride, 1);
+    const std::uint64_t s = rng() % kStampMod;
+    const std::uint64_t counter_base = (1 + rng() % 5000) * runtime::kStampMul;
+    std::vector<double> wide(values.size(), -1.0);
+    std::vector<double> narrow(values.size(), -1.0);
+    detail::stamp_line_wide(wide.data(), stride, count, s, stamp_step,
+                            counter_base);
+    detail::stamp_line_narrow(narrow.data(), stride, count, s, stamp_step,
+                              counter_base);
+    ASSERT_EQ(wide, narrow) << what;
+
+    if (stride != 1) continue;  // the window compare reads unit stride
+    ASSERT_TRUE(detail::stamped_window_wide(wide.data(), count, s, stamp_step,
+                                            counter_base))
+        << what;
+    ASSERT_TRUE(detail::stamped_window_narrow(wide.data(), count, s,
+                                              stamp_step, counter_base))
+        << what;
+    if (count == 0) continue;
+    const std::size_t at = static_cast<std::size_t>(rng() % count);
+    wide[at] += 1.0;
+    ASSERT_FALSE(detail::stamped_window_wide(wide.data(), count, s,
+                                             stamp_step, counter_base))
+        << what << " corrupted " << at;
+    ASSERT_FALSE(detail::stamped_window_narrow(wide.data(), count, s,
+                                               stamp_step, counter_base))
+        << what << " corrupted " << at;
+  }
+#else
+  GTEST_SKIP() << "the wide bodies are not compiled on this target";
+#endif
 }
 
 TEST(ValueKernels, ShapesPastTheExactRangeFailLoudly) {
