@@ -479,10 +479,11 @@ std::vector<double> random_values(std::mt19937_64& rng, std::size_t n) {
 /// fold, stamp and matches over `prog` agree with the per-element
 /// definitions (testing/oracles.hpp), as dispatched and with every line
 /// in the narrow body, and matches rejects each owned
-/// element corrupted in turn: every position of storage up to 512
-/// elements, so first, last, lane and lane-tail members alike; past that
-/// the first and last 64 and every 7th between, which still meets every
-/// lane of both bodies (7 is prime to 4 and 8).
+/// element corrupted in turn: every position of storage up to 1024
+/// elements, so first, last, lane and lane-tail members alike. Only the
+/// edge stretches' 257 x 12 lines are longer; there it corrupts the
+/// first and last 64 and every 7th between, which still meets every lane
+/// of both bodies (7 is prime to 4 and 8).
 void expect_kernels_match(const mapping::OwnedProgram& prog,
                           std::size_t storage, const Shape& shape,
                           const runtime::ExpectedValues& expected,
@@ -512,7 +513,7 @@ void expect_kernels_match(const mapping::OwnedProgram& prog,
                                            expected))
       << what;
   for (std::size_t i = 0; i < storage; ++i) {
-    if (storage > 512 && i >= 64 && i + 64 < storage && i % 7 != 0) continue;
+    if (storage > 1024 && i >= 64 && i + 64 < storage && i % 7 != 0) continue;
     local[i] += 1.0;
     ASSERT_FALSE(runtime::matches(prog, local.data(), shape, expected))
         << what << " corrupted local " << i;
