@@ -9,7 +9,11 @@
 // lengths 64 and 4096) — the direct-transfer microbench: ns/element of an
 // off-rank transfer copied straight between two ranks' storage vs packed
 // into and unpacked out of a payload, at segment lengths 64, 4096 and
-// 16384 — and the value-kernel microbench: ns/element of
+// 16384 — the round-replay microbench: ns/element of one in-process
+// fused round (hotpath's block <-> cyclic at n = 2^20 and cyclic_fine's
+// cyclic(2) <-> cyclic(3) at 2^18, P=8) pulled in one step, in cache
+// tiles of 64, 128, 256 and 512 KiB, and on 4 threads — and the value-kernel
+// microbench: ns/element of
 // the read checksum's fold, the write stamp and the expected-value
 // comparison (runtime/expected.hpp), each as the per-element loop over
 // weight()/stamped() and as the residue-stepping kernel, over one long
@@ -300,6 +304,119 @@ void report_direct(Harness& h) {
   for (const Extent len : {64, 4096, 16384}) time_direct(h, len);
 }
 
+// ---- fused round replay --------------------------------------------------
+
+/// The specialized kernels of every transfer of `from -> to`.
+std::vector<hpfc::redist::Kernel> transfer_kernels(const ConcreteLayout& from,
+                                                   const ConcreteLayout& to) {
+  std::vector<hpfc::redist::Kernel> kernels;
+  for (const auto& t : hpfc::redist::build_runs(from, to).transfers) {
+    kernels.push_back(
+        hpfc::redist::specialize(hpfc::redist::compile_transfer(
+            t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst))));
+  }
+  return kernels;
+}
+
+/// Per-rank storage of `layout`, rank r filled with `value(r)`.
+hpfc::runtime::RankLocals rank_storage(const ConcreteLayout& layout,
+                                       const std::function<double(int)>& value) {
+  hpfc::runtime::RankLocals locals(static_cast<std::size_t>(layout.ranks()));
+  for (int r = 0; r < layout.ranks(); ++r)
+    locals[static_cast<std::size_t>(r)].assign(
+        static_cast<std::size_t>(layout.local_count(r)), value(r));
+  return locals;
+}
+
+/// One in-process fused round over `from -> to` on 8 ranks, built once
+/// outside the Machine and replayed with warm storage: the pull in one
+/// step, in the tiles of production's kTileBytes (FusedRound::run on
+/// seq), in the tiles of the other budgets (the rows that pick kTileBytes),
+/// and FusedRound::run on a 4-worker thread backend (one step). The rows
+/// are timed round-robin, so drift hits each alike. Per row: the pull
+/// steps, ns/element over every element the round moves, and remote GB/s
+/// (remote payload bytes over the round's time, as `redist.pack_gb_s`
+/// reads a run).
+void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
+                  DistFormat to_fmt) {
+  using hpfc::runtime::FusedRound;
+  using hpfc::runtime::tile_count;
+  constexpr int kRanks = 8;
+  const ConcreteLayout from = one_dim(n, kRanks, from_fmt);
+  const ConcreteLayout to = one_dim(n, kRanks, to_fmt);
+  const std::vector<hpfc::redist::Kernel> kernels = transfer_kernels(from, to);
+  const hpfc::runtime::RankLocals src =
+      rank_storage(from, [](int r) { return 1.0 + r; });
+  hpfc::runtime::RankLocals dst = rank_storage(to, [](int) { return 0.0; });
+  FusedRound round(kRanks, {{kernels, &src, &dst}}, 0);
+  const std::uint64_t elements = round.local_elements() + round.remote_elements();
+  const std::uint64_t bytes = elements * sizeof(double);
+  const auto seq = hpfc::exec::make_backend(hpfc::exec::BackendKind::Seq, kRanks);
+  const auto thread =
+      hpfc::exec::make_backend(hpfc::exec::BackendKind::Thread, kRanks, 4);
+
+  struct Row {
+    std::string level;
+    int steps;
+    std::function<void()> replay;
+    std::vector<double> ms;
+  };
+  std::vector<Row> rows;
+  rows.push_back({"one-step", 1, [&] { round.pull(*seq, 1); }, {}});
+  rows.push_back({"tiled", round.tiles(), [&] { (void)round.run(*seq); }, {}});
+  for (const std::uint64_t kib : {64, 256, 512}) {
+    const int steps = tile_count(bytes, kib << 10);
+    rows.push_back({"tiled-" + std::to_string(kib) + "k", steps,
+                    [&round, &seq, steps] { round.pull(*seq, steps); }, {}});
+  }
+  rows.push_back({"thread-4", 1, [&] { (void)round.run(*thread); }, {}});
+
+  const int reps = std::max(11, h.options().reps);
+  const int warmup = std::max(2, h.options().warmup);
+  for (int i = 0; i < warmup + reps; ++i) {
+    for (Row& row : rows) {
+      const auto start = std::chrono::steady_clock::now();
+      row.replay();
+      if (i >= warmup)
+        row.ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+    }
+  }
+  for (const auto& local : dst)
+    if (std::find(local.begin(), local.end(), 0.0) != local.end())
+      std::abort();  // an element the round never delivered
+
+  const std::string config = std::string(name) + " P=8 n=" + std::to_string(n);
+  for (Row& row : rows) {
+    std::sort(row.ms.begin(), row.ms.end());
+    const double ms = row.ms[row.ms.size() / 2];
+    std::printf("%-36s %-12s %6d %12.3f %12.3f\n", config.c_str(),
+                row.level.c_str(), row.steps,
+                ms * 1e6 / static_cast<double>(elements),
+                static_cast<double>(round.remote_elements() * sizeof(double)) /
+                    (ms * 1e6));
+    h.record_timing("round", config, row.level, ms);
+  }
+}
+
+void report_rounds(Harness& h) {
+  std::printf("\n=== fused round replay: pull in one step vs in cache tiles "
+              "(kTileBytes = %llu KiB) ===\n",
+              static_cast<unsigned long long>(hpfc::runtime::kTileBytes >> 10));
+  std::printf("%-36s %-12s %6s %12s %12s\n", "round", "pull", "steps",
+              "ns/element", "remote-GB/s");
+  // hotpath's two rounds, then cyclic_fine's.
+  replay_round(h, "block->cyclic", 1 << 20, DistFormat::block(),
+               DistFormat::cyclic());
+  replay_round(h, "cyclic->block", 1 << 20, DistFormat::cyclic(),
+               DistFormat::block());
+  replay_round(h, "cyclic(2)->cyclic(3)", 1 << 18, DistFormat::cyclic(2),
+               DistFormat::cyclic(3));
+  replay_round(h, "cyclic(3)->cyclic(2)", 1 << 18, DistFormat::cyclic(3),
+               DistFormat::cyclic(2));
+}
+
 // ---- value kernels ------------------------------------------------------
 
 using hpfc::testing::fold_per_element;
@@ -527,20 +644,10 @@ void report_proc_round(Harness& h) {
   };
   const ConcreteLayout from = rows_on(0);
   const ConcreteLayout to = rows_on(1);
-  std::vector<hpfc::redist::Kernel> kernels;
-  for (const auto& t : hpfc::redist::build_runs(from, to).transfers) {
-    kernels.push_back(
-        hpfc::redist::specialize(hpfc::redist::compile_transfer(
-            t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst))));
-  }
-  hpfc::runtime::RankLocals src(kRanks);
-  hpfc::runtime::RankLocals dst(kRanks);
-  for (int r = 0; r < kRanks; ++r) {
-    src[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(from.local_count(r)), 1.0 + r);
-    dst[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(to.local_count(r)), 0.0);
-  }
+  const std::vector<hpfc::redist::Kernel> kernels = transfer_kernels(from, to);
+  const hpfc::runtime::RankLocals src =
+      rank_storage(from, [](int r) { return 1.0 + r; });
+  hpfc::runtime::RankLocals dst = rank_storage(to, [](int) { return 0.0; });
   hpfc::runtime::FusedRound round(kRanks, {{kernels, &src, &dst}}, 0);
   hpfc::exec::ProcBackend backend(kRanks, hpfc::exec::ProcConfig{});
 
@@ -622,6 +729,7 @@ int main(int argc, char** argv) {
     report(h);
     report_fragments(h);
     report_direct(h);
+    report_rounds(h);
     report_values(h);
     report_checksums(h);
     report_proc_round(h);

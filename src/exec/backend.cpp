@@ -105,7 +105,7 @@ namespace {
 /// A Seq step runs the ranks in turn on the calling thread; a Thread step
 /// runs them on a StepPool (one persistent worker per rank, or
 /// min(threads, ranks) striped workers). The runtime's remap rounds copy
-/// rank to rank in one step here (runtime/round.hpp).
+/// rank to rank here, building no messages (runtime/round.hpp).
 class InProcessBackend final : public Backend {
  public:
   InProcessBackend(BackendKind kind, int ranks, int threads)

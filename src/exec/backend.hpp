@@ -14,8 +14,8 @@
 //                 calling thread; Thread runs ranks on a StepPool of
 //                 persistent workers (min(threads, ranks) of them when P
 //                 exceeds the host). All ranks share one address space,
-//                 so the runtime's remap rounds copy rank to rank in one
-//                 step and build no messages.
+//                 so the runtime's remap rounds copy rank to rank and
+//                 build no messages.
 //   ProcBackend   one forked worker process per rank; its exchange()
 //                 moves payloads worker to worker through a real socket
 //                 mesh, out of and into a shared payload arena

@@ -1,5 +1,6 @@
 #include "redist/kernelgen.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <sstream>
@@ -238,6 +239,100 @@ void Kernel::copy(std::span<const double> src_local,
                         src_local.data(), dst_local.data());
 }
 
+namespace {
+
+/// One past the payload position of `span`'s last element.
+Extent span_end(const KernelSpan& span) {
+  return span.out_offset + (span.reps - 1) * span.out_step + span.elements;
+}
+
+/// Runs repetition `k` of `span` restricted to [lo, hi), positions
+/// relative to the repetition's first payload position. Whole segments
+/// run through the span's fragment, a maximal run per call; a segment the
+/// range cuts is re-classified, since cutting can change its class (an
+/// unrolled segment cut to one element is a singleton).
+void copy_clipped(const CopySegment* segs, const KernelSpan& span, Extent k,
+                  Extent lo, Extent hi, const double* src, double* dst) {
+  src += k * span.src_step;
+  dst += k * span.dst_step;
+  const CopySegment* run = nullptr;
+  std::size_t run_count = 0;
+  const auto flush = [&] {
+    if (run_count != 0) span.fragment->copy(run, run_count, 1, 0, 0, src, dst);
+    run_count = 0;
+  };
+  Extent at = 0;
+  for (std::uint32_t i = span.first; i < span.first + span.count && at < hi;
+       ++i) {
+    const CopySegment& seg = segs[i];
+    const Extent a = std::max<Extent>(lo - at, 0);
+    const Extent b = std::min<Extent>(hi - at, seg.len);
+    at += seg.len;
+    if (a >= b) continue;
+    if (a == 0 && b == seg.len) {
+      if (run_count == 0) run = &seg;
+      ++run_count;
+      continue;
+    }
+    flush();
+    CopySegment part = seg;
+    part.src_base += a * seg.src_stride;
+    part.dst_base += a * seg.dst_stride;
+    part.len = b - a;
+    classify(part)->copy(&part, 1, 1, 0, 0, src, dst);
+  }
+  flush();
+}
+
+/// Runs `span` restricted to [lo, hi), positions relative to its
+/// out_offset: the repetitions the range holds whole in one fragment
+/// call, the at most two it cuts through copy_clipped.
+void copy_span_range(const CopySegment* segs, const KernelSpan& span,
+                     Extent lo, Extent hi, const double* src, double* dst) {
+  // Repetition k covers [k*step, k*step + elements), and elements <= step
+  // when reps > 1. A reps == 1 span the range touches is repetition 0.
+  const Extent step = span.out_step;
+  const Extent elements = span.elements;
+  Extent first = lo < elements ? 0 : (lo - elements) / step + 1;
+  Extent last = std::min(span.reps, (hi + step - 1) / step);
+  const auto whole = [&](Extent k) {
+    return k * step >= lo && k * step + elements <= hi;
+  };
+  if (first < last && !whole(first)) {
+    copy_clipped(segs, span, first, lo - first * step, hi - first * step, src,
+                 dst);
+    ++first;
+  }
+  const bool clip_last = first < last && !whole(last - 1);
+  if (clip_last) --last;
+  if (first < last)
+    span.fragment->copy(segs + span.first, span.count, last - first,
+                        span.src_step, span.dst_step,
+                        src + first * span.src_step,
+                        dst + first * span.dst_step);
+  if (clip_last)
+    copy_clipped(segs, span, last, lo - last * step, hi - last * step, src,
+                 dst);
+}
+
+}  // namespace
+
+void Kernel::copy_range(std::span<const double> src_local,
+                        std::span<double> dst_local, Extent lo,
+                        Extent hi) const {
+  HPFC_ASSERT(0 <= lo && lo <= hi && hi <= program_.elements);
+  if (lo == 0 && hi == program_.elements) return copy(src_local, dst_local);
+  // Span ends ascend in payload order, so the first span the range
+  // touches is found by bisection; the walk stops at the first span that
+  // starts at or past hi.
+  auto it = std::partition_point(
+      spans_.begin(), spans_.end(),
+      [lo](const KernelSpan& span) { return span_end(span) <= lo; });
+  for (; it != spans_.end() && it->out_offset < hi; ++it)
+    copy_span_range(program_.segments.data(), *it, lo - it->out_offset,
+                    hi - it->out_offset, src_local.data(), dst_local.data());
+}
+
 std::uint64_t Kernel::footprint_bytes() const {
   return static_cast<std::uint64_t>(program_.segments.capacity()) *
              sizeof(CopySegment) +
@@ -282,10 +377,11 @@ Kernel specialize(SegmentProgram program) {
                                   : kernel.spans_.size() > block_spans);
       }
       if (!stitch)
-        kernel.spans_.push_back({fragment, i, 0, offset + inner, block.reps,
-                                 block.src_step, block.dst_step,
+        kernel.spans_.push_back({fragment, i, 0, offset + inner, 0,
+                                 block.reps, block.src_step, block.dst_step,
                                  body_elements});
       ++kernel.spans_.back().count;
+      kernel.spans_.back().elements += segments[i].len;
       inner += segments[i].len;
     }
     offset += body_elements * block.reps;

@@ -61,12 +61,14 @@ struct Fragment {
 /// The fragment's periodic loop runs the span `reps` times: repetition k
 /// reads and writes at k*src_step / k*dst_step local positions and
 /// k*out_step payload elements further on (reps == 1 outside a repeated
-/// block).
+/// block). One repetition moves `elements` elements, at payload positions
+/// [out_offset + k*out_step, out_offset + k*out_step + elements).
 struct KernelSpan {
   const Fragment* fragment = nullptr;
   std::uint32_t first = 0;
   std::uint32_t count = 0;
   Extent out_offset = 0;
+  Extent elements = 0;
   Extent reps = 1;
   Extent src_step = 0;
   Extent dst_step = 0;
@@ -94,6 +96,15 @@ class Kernel {
   /// pull of an off-rank one. The storages must not alias.
   void copy(std::span<const double> src_local,
             std::span<double> dst_local) const;
+  /// copy() restricted to the payload positions [lo, hi), 0 <= lo <= hi
+  /// <= elements(): writes exactly the destination positions of those
+  /// elements, the bytes copy() writes there, and nothing else. A segment
+  /// or repetition the range cuts runs clipped. Costs O(log spans) to
+  /// find the first span, plus O(1) per span touched and, for the at most
+  /// two repetitions of a span the range cuts, a walk over that span's
+  /// body segments.
+  void copy_range(std::span<const double> src_local,
+                  std::span<double> dst_local, Extent lo, Extent hi) const;
 
   [[nodiscard]] Extent elements() const { return program_.elements; }
   /// The owned program: its segment table is the kernel's operand table.

@@ -152,14 +152,14 @@ class Machine {
     if (!options_.snapshot_dir.empty())
       snapshot_writer_ =
           std::make_unique<persist::SnapshotWriter>(options_.snapshot_dir);
-    // Dummy arguments arrive allocated by the caller with the imported
-    // values: zeros initially, matching their dead expected values.
-    for (const ArrayId a : program_.mapped_arrays())
-      if (program_.array(a).is_dummy) allocate(a, 0);
   }
 
   RunReport run() {
     const auto start = std::chrono::steady_clock::now();
+    // Dummy arguments arrive allocated by the caller with the imported
+    // values: zeros initially, matching their dead expected values.
+    for (const ArrayId a : program_.mapped_arrays())
+      if (program_.array(a).is_dummy) allocate(a, 0);
     run_program();
     if (snapshot_writer_ != nullptr) {
       const persist::SnapshotStats& snap = snapshot_writer_->stats();
@@ -309,11 +309,13 @@ class Machine {
       vs.bytes += static_cast<std::uint64_t>(count) * sizeof(double);
     }
     // Each rank zero-fills its own local piece in its execution context.
+    const auto start = std::chrono::steady_clock::now();
     backend_->step([&](int r) {
       if (r >= lay.ranks()) return;
       vs.locals[static_cast<std::size_t>(r)].assign(
           static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]), 0.0);
     });
+    report_.storage_ms += ms_since(start);
     vs.allocated = true;
     vs.dirty = true;
     ++report_.allocations;
@@ -328,7 +330,9 @@ class Machine {
                        [static_cast<std::size_t>(version)];
     if (!vs.allocated) return;
     bytes_in_use_ -= vs.bytes;
+    const auto start = std::chrono::steady_clock::now();
     vs.locals.clear();
+    report_.storage_ms += ms_since(start);
     vs.allocated = false;
     vs.live = false;
     ++report_.frees;
@@ -997,6 +1001,7 @@ void write_json_fields(std::ostream& os, const RunReport& report) {
      << ", \"restore_ms\": " << report.restore_ms
      << ", \"sim_time_ms\": " << net.sim_time * 1e3
      << ", \"exec_ms\": " << report.exec_ms
+     << ", \"storage_ms\": " << report.storage_ms
      << ", \"values_ms\": " << report.values_ms
      << ", \"pack_ms\": " << report.pack_ms
      << ", \"exchange_ms\": " << report.exchange_ms

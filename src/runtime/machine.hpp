@@ -128,10 +128,11 @@ struct RunReport {
 
   // Superstep phase timers: wall-clock accumulated over every exchange
   // superstep's pack / exchange / unpack window (run_benches' timeout
-  // diagnostics read them). On seq and thread a round is one step of
-  // direct copies, booked as pack_ms; exchange_ms and unpack_ms stay 0
-  // there. They sum to less than exec_ms — guard evaluation and plan
-  // compilation run outside the three windows.
+  // diagnostics read them). On seq and thread a round is a pull of
+  // direct copies (one step, or one step per cache tile on one worker),
+  // booked as pack_ms; exchange_ms and unpack_ms stay 0 there. They sum
+  // to less than exec_ms — guard evaluation and plan compilation run
+  // outside the three windows.
   double pack_ms = 0.0;
   double exchange_ms = 0.0;
   double unpack_ms = 0.0;
@@ -139,6 +140,10 @@ struct RunReport {
   // (each reference's rank step) and of the exported-value checks at
   // exit, another disjoint share of exec_ms.
   double values_ms = 0.0;
+  // Storage steps: wall-clock of allocating (each rank zero-fills its
+  // piece in one step) and freeing array versions, evictions included,
+  // another disjoint share of exec_ms.
+  double storage_ms = 0.0;
 
   // Real-socket traffic (exec::WireStats): zero unless the proc backend
   // ran. Deliberately outside NetStats — NetStats stay byte-identical

@@ -1,5 +1,6 @@
 #include "runtime/round.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -26,6 +27,12 @@ std::string pair_name(int src, int dst) {
 }
 
 }  // namespace
+
+int tile_count(std::uint64_t bytes, std::uint64_t tile_bytes) {
+  HPFC_ASSERT(tile_bytes > 0);
+  return static_cast<int>(
+      std::max<std::uint64_t>(1, (bytes + tile_bytes - 1) / tile_bytes));
+}
 
 FusedRound::FusedRound(int ranks, std::vector<RoundMember> members,
                        int group)
@@ -67,6 +74,7 @@ FusedRound::FusedRound(int ranks, std::vector<RoundMember> members,
          static_cast<std::uint64_t>(fm.elements) * sizeof(double),
          static_cast<std::uint64_t>(fm.segments)});
   }
+  tiles_ = tile_count((local_elements_ + remote_elements_) * sizeof(double));
   // The arena layout: out-slots in table order from the arena's start,
   // then the in-slots in the same order.
   slots_.reserve(exchange_.messages.size());
@@ -84,7 +92,10 @@ RoundTimes FusedRound::run(exec::Backend& backend) {
   RoundTimes times;
   auto* proc = dynamic_cast<exec::ProcBackend*>(&backend);
   if (proc == nullptr) {
-    times.pack_ms = timed_ms([&] { pull(backend); });
+    // Each step is a barrier: on more than one worker, the steps a tiled
+    // pull adds cost more than the cache reuse it wins.
+    const int steps = backend.workers() > 1 ? 1 : tiles_;
+    times.pack_ms = timed_ms([&] { pull(backend, steps); });
     return times;
   }
   const std::span<double> arena = proc->arena(arena_elements());
@@ -105,20 +116,35 @@ void FusedRound::copy_local(int r) const {
   }
 }
 
-void FusedRound::pull(exec::Backend& backend) const {
-  backend.step([&](int r) {
-    copy_local(r);
-    const auto rank = static_cast<std::size_t>(r);
-    for (const int mi : exchange_.by_dst[rank]) {
-      const redist::FusedMessage& fm =
-          exchange_.messages[static_cast<std::size_t>(mi)];
-      for (const redist::FusedFrame& fr : fm.frames) {
-        const RoundMember& m = members_[static_cast<std::size_t>(fr.member)];
-        kernel(fr.member, fr.kernel)
-            .copy((*m.src)[static_cast<std::size_t>(fm.src)], (*m.dst)[rank]);
+void FusedRound::pull(exec::Backend& backend, int steps) const {
+  HPFC_ASSERT(steps >= 1);
+  for (int step = 0; step < steps; ++step) {
+    // Step `step`'s slice of a unit or frame of the kernel k.
+    const auto copy_tile = [&](const redist::Kernel& k,
+                               const std::vector<double>& src,
+                               std::vector<double>& dst) {
+      const redist::Extent n = k.elements();
+      k.copy_range(src, dst, n * step / steps, n * (step + 1) / steps);
+    };
+    backend.step([&](int r) {
+      const auto rank = static_cast<std::size_t>(r);
+      for (const redist::FusedLocal& u : exchange_.local_by_rank[rank]) {
+        const RoundMember& m = members_[static_cast<std::size_t>(u.member)];
+        copy_tile(kernel(u.member, u.kernel), (*m.src)[rank], (*m.dst)[rank]);
       }
-    }
-  });
+      for (const int mi : exchange_.by_dst[rank]) {
+        const redist::FusedMessage& fm =
+            exchange_.messages[static_cast<std::size_t>(mi)];
+        for (const redist::FusedFrame& fr : fm.frames) {
+          const RoundMember& m =
+              members_[static_cast<std::size_t>(fr.member)];
+          copy_tile(kernel(fr.member, fr.kernel),
+                    (*m.src)[static_cast<std::size_t>(fm.src)],
+                    (*m.dst)[rank]);
+        }
+      }
+    });
+  }
 }
 
 void FusedRound::pack(exec::Backend& backend, std::span<double> arena) const {

@@ -3,11 +3,19 @@
 // redist::build_fused_exchange over the members' specialized kernels.
 //
 // A round moves its data one of two ways, chosen in FusedRound::run():
-//   pull     (seq, thread) all ranks share one address space, so a round
-//            is one rank step: each destination rank runs its local
-//            fast-path units, then copies every incoming frame with
-//            Kernel::copy straight out of the source rank's storage. No
-//            payload is staged and no message is built.
+//   pull     (seq, thread) all ranks share one address space, so each
+//            destination rank copies its local fast-path units and every
+//            incoming frame straight out of the source ranks' storage with
+//            Kernel::copy_range. No payload is staged and no message is
+//            built. The pull runs as K rank steps, K = tiles(): step k
+//            copies the payload slice [n*k/K, n*(k+1)/K) of every unit and
+//            frame of n elements. Payloads run in ascending global order,
+//            so step k of every frame covers about the same slice of the
+//            array, and the ranks that run one after another find its
+//            source lines still in cache. K is fixed when the round is
+//            built, ceil(bytes / kTileBytes), so a step moves about one
+//            L2-sized tile. A step is a barrier, so a backend that runs a
+//            step on more than one worker pulls in one step (K = 1).
 //   arena    (proc) payloads really cross a socket, once. The round lays
 //            its message table out in the proc backend's shared payload
 //            arena when it is built: each message gets an out-slot and an
@@ -50,13 +58,24 @@ struct RoundMember {
   RankLocals* dst = nullptr;
 };
 
-/// Host wall time of one round's phases. A pull round is one step,
-/// booked as pack_ms.
+/// Host wall time of one round's phases. A pull round's steps are booked
+/// together as pack_ms; it has no exchange or unpack window.
 struct RoundTimes {
   double pack_ms = 0.0;
   double exchange_ms = 0.0;
   double unpack_ms = 0.0;
 };
+
+/// The byte budget of one pull step: the tile a step moves should stay in
+/// a core's L2 while the ranks run one after another. 128 KiB reads
+/// fastest among 128, 256 and 512 KiB on the block <-> cyclic replay rows
+/// of bench_redist_kernels' `round` figure (docs/kernels.md).
+inline constexpr std::uint64_t kTileBytes = std::uint64_t{128} << 10;
+
+/// Pull steps of a round that moves `bytes`: ceil(bytes / tile_bytes), at
+/// least one.
+[[nodiscard]] int tile_count(std::uint64_t bytes,
+                             std::uint64_t tile_bytes = kTileBytes);
 
 class FusedRound {
  public:
@@ -67,11 +86,15 @@ class FusedRound {
   /// destination piece while other ranks read the sources.
   FusedRound(int ranks, std::vector<RoundMember> members, int group);
 
-  /// Moves the round's data on `backend`: the pull step in process, the
-  /// arena path on proc. The one place the transport is chosen.
+  /// Moves the round's data on `backend`: the pull in process, in tiles()
+  /// steps on one worker and in one step on more, the arena path on
+  /// proc. The one place the transport and the step count are chosen.
   RoundTimes run(exec::Backend& backend);
-  /// The in-process pull step (seq and thread).
-  void pull(exec::Backend& backend) const;
+  /// The in-process pull (seq and thread) in `steps` rank steps, step k
+  /// copying the slice [n*k/steps, n*(k+1)/steps) of every local unit
+  /// and incoming frame of n elements. Any steps >= 1 leaves the same
+  /// storage.
+  void pull(exec::Backend& backend, int steps) const;
   /// The arena path's first phase: runs each rank's local units and
   /// packs each of its messages into its out-slot of `arena`, which must
   /// hold at least arena_elements() doubles.
@@ -120,6 +143,9 @@ class FusedRound {
     return remote_elements_;
   }
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
+  /// The pull steps of a one-worker backend: tile_count() of the bytes the
+  /// round moves, local and remote.
+  [[nodiscard]] int tiles() const { return tiles_; }
 
  private:
   [[nodiscard]] const redist::Kernel& kernel(int member, int k) const {
@@ -141,6 +167,7 @@ class FusedRound {
   std::uint64_t local_elements_ = 0;
   std::uint64_t remote_elements_ = 0;
   std::uint64_t dispatches_ = 0;
+  int tiles_ = 1;
   std::vector<exec::ArenaMessage> slots_;
 };
 

@@ -555,10 +555,9 @@ struct RoundArray {
   double base = 0.0;  ///< element values are base + global linear index
 };
 
-RoundArray make_round_array(std::mt19937& rng, const Shape& shape,
-                            double base) {
-  RoundArray a{testing::random_layout(rng, shape),
-               testing::random_layout(rng, shape), {}, {}, base};
+RoundArray round_array(ConcreteLayout from, ConcreteLayout to, double base) {
+  RoundArray a{std::move(from), std::move(to), {}, {}, base};
+  const Shape& shape = a.from.array_shape();
   const redist::RedistPlanV2 plan = redist::build_runs(a.from, a.to);
   for (const auto& transfer : plan.transfers) {
     a.kernels.push_back(redist::specialize(redist::compile_transfer(
@@ -575,6 +574,32 @@ RoundArray make_round_array(std::mt19937& rng, const Shape& shape,
     });
   }
   return a;
+}
+
+RoundArray make_round_array(std::mt19937& rng, const Shape& shape,
+                            double base) {
+  ConcreteLayout from = testing::random_layout(rng, shape);
+  ConcreteLayout to = testing::random_layout(rng, shape);
+  return round_array(std::move(from), std::move(to), base);
+}
+
+/// Every destination element of `dst` holds its source value: the
+/// array's base plus its global linear index.
+void expect_delivered(const std::vector<RoundArray>& arrays,
+                      const std::vector<runtime::RankLocals>& dst,
+                      const std::string& where) {
+  for (std::size_t m = 0; m < arrays.size(); ++m) {
+    const RoundArray& a = arrays[m];
+    for (int r = 0; r < a.to.ranks(); ++r) {
+      a.to.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
+        ASSERT_EQ(
+            dst[m][static_cast<std::size_t>(r)][static_cast<std::size_t>(pos)],
+            a.base +
+                static_cast<double>(a.from.array_shape().linearize(global)))
+            << where << " member " << m << " rank " << r;
+      });
+    }
+  }
 }
 
 /// Zero-filled destination storage for every array of a round.
@@ -666,18 +691,7 @@ TEST(FusedRound, PullStepMatchesMessagePath) {
     };
 
     const auto expected = run(exec::BackendKind::Seq, 0, /*pull=*/false);
-    for (std::size_t m = 0; m < arrays.size(); ++m) {
-      const RoundArray& a = arrays[m];
-      for (int r = 0; r < a.to.ranks(); ++r) {
-        a.to.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
-          ASSERT_EQ(expected[m][static_cast<std::size_t>(r)]
-                            [static_cast<std::size_t>(pos)],
-                    a.base + static_cast<double>(
-                                 a.from.array_shape().linearize(global)))
-              << "trial " << trial << " member " << m << " rank " << r;
-        });
-      }
-    }
+    expect_delivered(arrays, expected, "trial " + std::to_string(trial));
     const auto seq = run(exec::BackendKind::Seq, 0, /*pull=*/true);
     EXPECT_EQ(seq, expected) << "trial " << trial;
     for (int threads = 1; threads <= 8; ++threads) {
@@ -689,6 +703,94 @@ TEST(FusedRound, PullStepMatchesMessagePath) {
   }
   EXPECT_GT(replicated, 0);
   EXPECT_GT(fused_messages, 0);
+}
+
+/// The seq step engine, claiming `workers` workers, counting its steps.
+class CountingBackend final : public exec::Backend {
+ public:
+  CountingBackend(int ranks, int workers) : Backend(ranks), workers_(workers) {}
+  [[nodiscard]] exec::BackendKind kind() const override {
+    return exec::BackendKind::Seq;
+  }
+  [[nodiscard]] int workers() const override { return workers_; }
+  void step(const exec::RankFn& fn) override {
+    ++steps;
+    for (int r = 0; r < ranks_; ++r) fn(r);
+  }
+  int steps = 0;
+
+ private:
+  int workers_;
+};
+
+ConcreteLayout line(Index n, Index ranks, mapping::DistFormat format) {
+  mapping::DimOwner owner;
+  owner.source = mapping::AlignTarget::axis(0);
+  owner.template_extent = n;
+  owner.format = format;
+  owner.format.param = format.resolved_param(n, ranks);
+  return ConcreteLayout::make(Shape{n}, Shape{ranks}, {owner});
+}
+
+/// A round large enough to tile — block <-> cyclic on 8 ranks at n = 2^16
+/// (512 KiB) fused with a cyclic(2) -> cyclic(3) member (32 KiB), so
+/// tiles() is 5 — leaves the same storage pulled in its tiles, in one
+/// step and in uneven step counts, as the arena path through the
+/// reference slot router does, on seq and on thread with 4 workers, in
+/// both directions. run() pulls in tiles() steps on one worker and in one
+/// step on more.
+TEST(FusedRound, TiledPullMatchesOneStepAndTheArenaPath) {
+  using mapping::DistFormat;
+  constexpr Index kN = Index{1} << 16;
+  constexpr int kRanks = 8;
+  const ConcreteLayout block = line(kN, kRanks, DistFormat::block());
+  const ConcreteLayout cyclic = line(kN, kRanks, DistFormat::cyclic());
+  for (const bool to_cyclic : {true, false}) {
+    SCOPED_TRACE(to_cyclic ? "block -> cyclic" : "cyclic -> block");
+    std::vector<RoundArray> arrays;
+    arrays.push_back(to_cyclic ? round_array(block, cyclic, 0.0)
+                               : round_array(cyclic, block, 0.0));
+    arrays.push_back(round_array(line(4096, kRanks, DistFormat::cyclic(2)),
+                                 line(4096, kRanks, DistFormat::cyclic(3)),
+                                 1e6));
+    const auto move = [&](const auto& how) {
+      auto dst = fresh_destinations(arrays);
+      runtime::FusedRound round(kRanks, round_members(arrays, dst), 0);
+      EXPECT_EQ(round.tiles(), 5);
+      how(round);
+      return dst;
+    };
+
+    const auto expected = move([](const runtime::FusedRound& round) {
+      const auto backend = exec::make_backend(exec::BackendKind::Seq, kRanks);
+      std::vector<double> arena(round.arena_elements());
+      round.pack(*backend, arena);
+      round.unpack(*backend, testing::route_slots(round.slots(), kRanks, arena),
+                   arena);
+    });
+    expect_delivered(arrays, expected, "arena path");
+    for (const exec::BackendKind kind :
+         {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
+      const auto backend = exec::make_backend(kind, kRanks, 4);
+      SCOPED_TRACE(backend->name());
+      EXPECT_EQ(move([&](runtime::FusedRound& round) { round.run(*backend); }),
+                expected);
+      for (const int steps : {1, 5, 7, 97}) {
+        EXPECT_EQ(move([&](const runtime::FusedRound& round) {
+                    round.pull(*backend, steps);
+                  }),
+                  expected)
+            << steps << " steps";
+      }
+    }
+    for (const int workers : {1, 4}) {
+      CountingBackend counting(kRanks, workers);
+      EXPECT_EQ(
+          move([&](runtime::FusedRound& round) { round.run(counting); }),
+          expected);
+      EXPECT_EQ(counting.steps, workers == 1 ? 5 : 1) << workers << " workers";
+    }
+  }
 }
 
 /// A pull step writes each destination piece while other ranks read the

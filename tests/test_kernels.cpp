@@ -7,7 +7,9 @@
 // random_layout redistribution programs, (3) plan and ownership sizes
 // that do not grow with the extent, and (4) plan-slot eviction under
 // memory pressure with lazy re-specialization (and fused-slot
-// invalidation) behind it.
+// invalidation) behind it, and (5) copy_range: any cut of a kernel's
+// payload into ranges writes each range's positions only and rebuilds
+// copy() byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -221,6 +224,163 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
   }
   EXPECT_GT(programs_checked, 50);
   EXPECT_GT(periodic_spans, 20);
+}
+
+// ---- copy_range ------------------------------------------------------------
+
+constexpr double kSentinel = -7.5;
+
+/// Checks kernel.copy_range(lo, hi) into a sentinel-filled destination:
+/// the destination position of every payload position in [lo, hi) holds
+/// its source value, and every other position still holds the sentinel.
+/// `at` maps each payload position to its (source, destination) local
+/// positions.
+void expect_range_exact(const redist::Kernel& kernel,
+                        const std::vector<std::pair<Extent, Extent>>& at,
+                        const std::vector<double>& src, std::size_t dst_size,
+                        Extent lo, Extent hi) {
+  std::vector<double> dst(dst_size, kSentinel);
+  kernel.copy_range(src, dst, lo, hi);
+  std::vector<double> expected(dst_size, kSentinel);
+  for (Extent p = lo; p < hi; ++p) {
+    const auto [from, to] = at[static_cast<std::size_t>(p)];
+    expected[static_cast<std::size_t>(to)] =
+        src[static_cast<std::size_t>(from)];
+  }
+  ASSERT_EQ(dst, expected) << "[" << lo << ", " << hi << ") of "
+                           << kernel.elements() << " [" << kernel.describe()
+                           << "]";
+}
+
+/// Each payload position's (source, destination) local positions, from
+/// the program's expansion.
+std::vector<std::pair<Extent, Extent>> positions(const SegmentProgram& p) {
+  std::vector<std::pair<Extent, Extent>> at;
+  p.for_each_segment([&](const CopySegment& seg) {
+    for (Extent j = 0; j < seg.len; ++j)
+      at.emplace_back(seg.src_base + j * seg.src_stride,
+                      seg.dst_base + j * seg.dst_stride);
+  });
+  return at;
+}
+
+/// Payload positions inside a segment and inside a repetition of
+/// `kernel`, one past each span's first element and one before its end.
+std::vector<Extent> interior_cuts(const redist::Kernel& kernel) {
+  std::vector<Extent> cuts;
+  for (const redist::KernelSpan& span : kernel.spans()) {
+    const Extent mid = span.out_offset + (span.reps / 2) * span.out_step;
+    for (const Extent c : {span.out_offset + 1, mid + span.elements / 2,
+                           mid + span.elements - 1})
+      if (c > 0 && c < kernel.elements()) cuts.push_back(c);
+  }
+  return cuts;
+}
+
+/// Cuts `kernel`'s payload at `cuts` (plus 0 and elements(); duplicates
+/// give empty ranges), checks each range against the sentinel, and checks
+/// that the ranges together write exactly what copy() writes.
+void expect_cuts_rebuild_copy(const redist::Kernel& kernel,
+                              std::vector<Extent> cuts,
+                              const std::vector<double>& src,
+                              std::size_t dst_size) {
+  const auto at = positions(kernel.program());
+  ASSERT_EQ(static_cast<Extent>(at.size()), kernel.elements());
+  cuts.push_back(0);
+  cuts.push_back(kernel.elements());
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<double> via_copy(dst_size, kSentinel);
+  kernel.copy(src, via_copy);
+  std::vector<double> via_ranges(dst_size, kSentinel);
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    expect_range_exact(kernel, at, src, dst_size, cuts[i], cuts[i + 1]);
+    kernel.copy_range(src, via_ranges, cuts[i], cuts[i + 1]);
+  }
+  ASSERT_EQ(via_ranges, via_copy) << kernel.describe();
+}
+
+// Property: over the random-layout programs of KernelOracle, every cut of
+// a kernel's payload into ranges (random cuts, cuts inside a segment and
+// inside a repetition, empty ranges, and the whole [0, elements)) writes
+// only each range's destination positions, and the ranges together write
+// exactly what copy() writes.
+TEST(KernelRange, RandomCutsRebuildCopyOnRandomLayoutRedistributions) {
+  std::mt19937 rng(4242);
+  const Shape shapes[] = {Shape{32},  Shape{21},     Shape{10, 12},
+                          Shape{8, 8}, Shape{257},   Shape{6, 70}};
+  int programs_checked = 0;
+  int periodic_cuts = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Shape& shape = shapes[trial % 6];
+    const auto from = testing::random_layout(rng, shape);
+    const auto to = testing::random_layout(rng, shape);
+    for (const auto& t : redist::build_runs(from, to).transfers) {
+      const redist::Kernel kernel =
+          redist::specialize(redist::compile_transfer(
+              t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
+      std::vector<double> src(
+          static_cast<std::size_t>(from.local_count(t.src)));
+      for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<double>(1000 * trial + i);
+      const auto dst_size = static_cast<std::size_t>(to.local_count(t.dst));
+      for (const redist::KernelSpan& span : kernel.spans())
+        periodic_cuts += span.reps > 1 ? 1 : 0;
+
+      std::vector<Extent> cuts = interior_cuts(kernel);
+      std::uniform_int_distribution<Extent> pick(0, kernel.elements());
+      for (int c = 0; c < 6; ++c) cuts.push_back(pick(rng));
+      cuts.push_back(cuts.back());  // an empty range
+      expect_cuts_rebuild_copy(kernel, cuts, src, dst_size);
+      // The whole range alone is copy().
+      expect_cuts_rebuild_copy(kernel, {}, src, dst_size);
+      ++programs_checked;
+    }
+  }
+  EXPECT_GT(programs_checked, 50);
+  EXPECT_GT(periodic_cuts, 20);
+}
+
+// Every range [lo, hi) of hand-built programs whose repeated blocks hold
+// unrolled and strided segments: a range that cuts an unrolled segment to
+// one element must run it as a singleton, and one that cuts a repetition
+// must run the repetitions it holds whole and clip the rest.
+TEST(KernelRange, EveryRangeOfHandBuiltRepeatedBlocks) {
+  SegmentProgram mixed;
+  // A flat singleton, a body of [unrolled, unrolled, singleton] repeated
+  // 5 times, then a flat memcpy (the periodic fragment test's program).
+  mixed.segments = {{0, 1, 0, 1, 1},
+                    {1, 1, 1, 2, 3},
+                    {4, 2, 7, 1, 2},
+                    {9, 1, 9, 1, 1},
+                    {51, 1, 101, 1, 8}};
+  mixed.blocks = {{0, 1, 1, 0, 0}, {1, 3, 5, 10, 20}, {4, 1, 1, 0, 0}};
+  mixed.elements = 1 + 5 * (3 + 2 + 1) + 8;
+  SegmentProgram strided;
+  // A body of [gather of 6, memcpy of 5] repeated 4 times, then a body
+  // of one 4-element unrolled segment repeated 3 times.
+  strided.segments = {{0, 3, 0, 1, 6}, {20, 1, 6, 1, 5}, {100, 2, 60, 3, 4}};
+  strided.blocks = {{0, 2, 4, 30, 11}, {2, 1, 3, 9, 13}};
+  strided.elements = 4 * 11 + 3 * 4;
+  for (const SegmentProgram& program : {mixed, strided}) {
+    const redist::Kernel kernel = redist::specialize(program);
+    SCOPED_TRACE(kernel.describe());
+    const auto at = positions(program);
+    Extent src_size = 0;
+    Extent dst_size = 0;
+    for (const auto& [from, to] : at) {
+      src_size = std::max(src_size, from + 1);
+      dst_size = std::max(dst_size, to + 1);
+    }
+    std::vector<double> src(static_cast<std::size_t>(src_size));
+    for (std::size_t i = 0; i < src.size(); ++i)
+      src[i] = static_cast<double>(i + 1);
+    for (Extent lo = 0; lo <= program.elements; ++lo)
+      for (Extent hi = lo; hi <= program.elements; ++hi)
+        expect_range_exact(kernel, at, src, static_cast<std::size_t>(dst_size),
+                           lo, hi);
+    expect_cuts_rebuild_copy(kernel, interior_cuts(kernel), src,
+                             static_cast<std::size_t>(dst_size));
+  }
 }
 
 hpfc::mapping::ConcreteLayout cyclic_layout(Extent n, Extent k) {

@@ -274,6 +274,34 @@ TEST(Runtime, ReportSummariesAreReadable) {
   EXPECT_NE(text.find("msgs"), std::string::npos);
 }
 
+// storage_ms books the allocate and free steps, apart from the value
+// kernels, the round phases and snapshots: on every backend it is
+// nonzero on a run that allocates, and with the other spans it stays
+// within exec_ms. Dummy arguments are allocated inside the timed run.
+TEST(Runtime, StorageStepsAreADisjointShareOfExecMs) {
+  ProgramBuilder b("storage");
+  b.procs("P", Shape{4});
+  b.array("A", Shape{1 << 14});
+  b.distribute_array("A", {DistFormat::block()}, "P");
+  b.def({"A"});
+  b.redistribute("A", {DistFormat::cyclic()}, "", "1");
+  b.use({"A"});
+  b.redistribute("A", {DistFormat::block()}, "", "2");
+  b.use({"A"});
+  const Compiled c = compile(b, OptLevel::O0);
+  for (const exec::BackendKind backend :
+       {exec::BackendKind::Seq, exec::BackendKind::Thread,
+        exec::BackendKind::Proc}) {
+    const auto report = run_checked(c, 7, backend);
+    SCOPED_TRACE(report.backend);
+    EXPECT_GE(report.allocations, 2);
+    EXPECT_GT(report.storage_ms, 0.0);
+    EXPECT_LE(report.storage_ms, report.exec_ms);
+    EXPECT_LE(report.storage_ms + report.values_ms + report.pack_ms +
+                  report.exchange_ms + report.unpack_ms + report.snapshot_ms,
+              report.exec_ms);
+  }
+}
 
 // ---- golden signatures ---------------------------------------------------
 

@@ -80,6 +80,7 @@ TEST(RunReportJson, WritesBenchKeyNamesInOrder) {
   report.net.sim_time = 0.0025;
   report.unpack_ms = 1.5;
   report.values_ms = 0.75;
+  report.storage_ms = 0.25;
   std::ostringstream os;
   runtime::write_json_fields(os, report);
   const std::string json = os.str();
@@ -89,7 +90,8 @@ TEST(RunReportJson, WritesBenchKeyNamesInOrder) {
       "\"local_copies\": 0, \"pack_segments\": 5, "));
   EXPECT_NE(json.find(", \"skipped_status_guard\": 4, "), std::string::npos);
   EXPECT_NE(json.find(", \"sim_time_ms\": 2.5, "), std::string::npos);
-  EXPECT_NE(json.find(", \"values_ms\": 0.75, \"pack_ms\": "),
+  EXPECT_NE(json.find(", \"storage_ms\": 0.25, \"values_ms\": 0.75, "
+                      "\"pack_ms\": "),
             std::string::npos);
   EXPECT_TRUE(json.ends_with(", \"unpack_ms\": 1.5"));
 }
