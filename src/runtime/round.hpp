@@ -67,8 +67,8 @@ struct RoundTimes {
 };
 
 /// The byte budget of one pull step: the tile a step moves should stay in
-/// a core's L2 while the ranks run one after another. 128 KiB reads
-/// fastest among 128, 256 and 512 KiB on the block <-> cyclic replay rows
+/// a core's L2 while the ranks run one after another. Of 64, 128, 256 and
+/// 512 KiB, 128 KiB has the lowest summed time over the replayed rounds
 /// of bench_redist_kernels' `round` figure (docs/kernels.md).
 inline constexpr std::uint64_t kTileBytes = std::uint64_t{128} << 10;
 

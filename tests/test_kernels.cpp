@@ -148,84 +148,6 @@ TEST(FragmentClassification, EveryCatalogNameIsReachable) {
             "periodic(unrolled)");
 }
 
-// Property: over random_layout redistribution programs, the specialized
-// kernel's pack/unpack/copy write exactly the bytes the interpreted
-// walker writes (pack_into / unpack / copy_local are the oracle). Both
-// run over the same segment table: the one the kernel owns.
-TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
-  std::mt19937 rng(4242);
-  const Shape shapes[] = {Shape{32},  Shape{21},     Shape{10, 12},
-                          Shape{8, 8}, Shape{257},   Shape{6, 70}};
-  int programs_checked = 0;
-  int periodic_spans = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    const Shape& shape = shapes[trial % 6];
-    const auto from = testing::random_layout(rng, shape);
-    const auto to = testing::random_layout(rng, shape);
-    const redist::RedistPlanV2 plan = redist::build_runs(from, to);
-    for (const auto& t : plan.transfers) {
-      const redist::Kernel kernel =
-          redist::specialize(redist::compile_transfer(
-              t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
-      const SegmentProgram& program = kernel.program();
-      ASSERT_EQ(kernel.elements(), program.elements);
-      // The spans tile the body table in order, no gaps or overlaps, and
-      // their repetitions cover the expansion.
-      std::size_t body_covered = 0;
-      std::uint64_t covered = 0;
-      for (const auto& span : kernel.spans()) {
-        const std::string_view name = span.fragment->name;
-        const auto catalog = redist::fragment_catalog();
-        EXPECT_NE(std::find(catalog.begin(), catalog.end(), name),
-                  catalog.end())
-            << "span uses a fragment outside the catalog: " << name;
-        EXPECT_EQ(span.first, body_covered);
-        body_covered += span.count;
-        covered += static_cast<std::uint64_t>(span.count) *
-                   static_cast<std::uint64_t>(span.reps);
-        periodic_spans += span.reps > 1 ? 1 : 0;
-      }
-      ASSERT_EQ(body_covered, program.segments.size());
-      ASSERT_EQ(covered, program.segment_count());
-
-      std::vector<double> src_local(
-          static_cast<std::size_t>(from.local_count(t.src)));
-      for (std::size_t i = 0; i < src_local.size(); ++i)
-        src_local[i] = static_cast<double>(1000 * trial + i);
-
-      // pack: kernel window vs interpreted pack_into.
-      std::vector<double> via_walker(
-          static_cast<std::size_t>(program.elements), -1.0);
-      std::vector<double> via_kernel(
-          static_cast<std::size_t>(program.elements), -2.0);
-      redist::pack_into(program, src_local, via_walker);
-      kernel.pack(src_local, via_kernel);
-      ASSERT_EQ(via_kernel, via_walker)
-          << from.to_string() << " -> " << to.to_string() << " ["
-          << kernel.describe() << "]";
-
-      // unpack: scatter the packed payload both ways.
-      std::vector<double> dst_walker(
-          static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
-      std::vector<double> dst_kernel(dst_walker);
-      redist::unpack(program, via_walker, dst_walker);
-      kernel.unpack(via_walker, dst_kernel);
-      ASSERT_EQ(dst_kernel, dst_walker) << kernel.describe();
-
-      // copy: the local fast path.
-      std::vector<double> copy_walker(
-          static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
-      std::vector<double> copy_kernel(copy_walker);
-      redist::copy_local(program, src_local, copy_walker);
-      kernel.copy(src_local, copy_kernel);
-      ASSERT_EQ(copy_kernel, copy_walker) << kernel.describe();
-      ++programs_checked;
-    }
-  }
-  EXPECT_GT(programs_checked, 50);
-  EXPECT_GT(periodic_spans, 20);
-}
-
 // ---- copy_range ------------------------------------------------------------
 
 constexpr double kSentinel = -7.5;
@@ -299,45 +221,95 @@ void expect_cuts_rebuild_copy(const redist::Kernel& kernel,
   ASSERT_EQ(via_ranges, via_copy) << kernel.describe();
 }
 
-// Property: over the random-layout programs of KernelOracle, every cut of
-// a kernel's payload into ranges (random cuts, cuts inside a segment and
-// inside a repetition, empty ranges, and the whole [0, elements)) writes
-// only each range's destination positions, and the ranges together write
-// exactly what copy() writes.
-TEST(KernelRange, RandomCutsRebuildCopyOnRandomLayoutRedistributions) {
+// Property: over random_layout redistribution programs, the specialized
+// kernel's pack/unpack/copy write exactly the bytes the interpreted
+// walker writes (pack_into / unpack / copy_local are the oracle). Both
+// run over the same segment table: the one the kernel owns. And every
+// cut of a kernel's payload into copy_range ranges (random cuts, cuts
+// inside a segment and inside a repetition, empty ranges, and the whole
+// [0, elements)) writes only each range's destination positions, the
+// ranges together exactly what copy() writes.
+TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
   std::mt19937 rng(4242);
+  std::mt19937 cut_rng(17);  // apart from rng, so the layouts stay put
   const Shape shapes[] = {Shape{32},  Shape{21},     Shape{10, 12},
                           Shape{8, 8}, Shape{257},   Shape{6, 70}};
   int programs_checked = 0;
-  int periodic_cuts = 0;
+  int periodic_spans = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const Shape& shape = shapes[trial % 6];
     const auto from = testing::random_layout(rng, shape);
     const auto to = testing::random_layout(rng, shape);
-    for (const auto& t : redist::build_runs(from, to).transfers) {
+    const redist::RedistPlanV2 plan = redist::build_runs(from, to);
+    for (const auto& t : plan.transfers) {
       const redist::Kernel kernel =
           redist::specialize(redist::compile_transfer(
               t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
-      std::vector<double> src(
-          static_cast<std::size_t>(from.local_count(t.src)));
-      for (std::size_t i = 0; i < src.size(); ++i)
-        src[i] = static_cast<double>(1000 * trial + i);
-      const auto dst_size = static_cast<std::size_t>(to.local_count(t.dst));
-      for (const redist::KernelSpan& span : kernel.spans())
-        periodic_cuts += span.reps > 1 ? 1 : 0;
+      const SegmentProgram& program = kernel.program();
+      ASSERT_EQ(kernel.elements(), program.elements);
+      // The spans tile the body table in order, no gaps or overlaps, and
+      // their repetitions cover the expansion.
+      std::size_t body_covered = 0;
+      std::uint64_t covered = 0;
+      for (const auto& span : kernel.spans()) {
+        const std::string_view name = span.fragment->name;
+        const auto catalog = redist::fragment_catalog();
+        EXPECT_NE(std::find(catalog.begin(), catalog.end(), name),
+                  catalog.end())
+            << "span uses a fragment outside the catalog: " << name;
+        EXPECT_EQ(span.first, body_covered);
+        body_covered += span.count;
+        covered += static_cast<std::uint64_t>(span.count) *
+                   static_cast<std::uint64_t>(span.reps);
+        periodic_spans += span.reps > 1 ? 1 : 0;
+      }
+      ASSERT_EQ(body_covered, program.segments.size());
+      ASSERT_EQ(covered, program.segment_count());
 
+      std::vector<double> src_local(
+          static_cast<std::size_t>(from.local_count(t.src)));
+      for (std::size_t i = 0; i < src_local.size(); ++i)
+        src_local[i] = static_cast<double>(1000 * trial + i);
+
+      // pack: kernel window vs interpreted pack_into.
+      std::vector<double> via_walker(
+          static_cast<std::size_t>(program.elements), -1.0);
+      std::vector<double> via_kernel(
+          static_cast<std::size_t>(program.elements), -2.0);
+      redist::pack_into(program, src_local, via_walker);
+      kernel.pack(src_local, via_kernel);
+      ASSERT_EQ(via_kernel, via_walker)
+          << from.to_string() << " -> " << to.to_string() << " ["
+          << kernel.describe() << "]";
+
+      // unpack: scatter the packed payload both ways.
+      std::vector<double> dst_walker(
+          static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
+      std::vector<double> dst_kernel(dst_walker);
+      redist::unpack(program, via_walker, dst_walker);
+      kernel.unpack(via_walker, dst_kernel);
+      ASSERT_EQ(dst_kernel, dst_walker) << kernel.describe();
+
+      // copy: the local fast path.
+      std::vector<double> copy_walker(
+          static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
+      std::vector<double> copy_kernel(copy_walker);
+      redist::copy_local(program, src_local, copy_walker);
+      kernel.copy(src_local, copy_kernel);
+      ASSERT_EQ(copy_kernel, copy_walker) << kernel.describe();
+
+      // copy_range: cuts anywhere rebuild copy.
       std::vector<Extent> cuts = interior_cuts(kernel);
       std::uniform_int_distribution<Extent> pick(0, kernel.elements());
-      for (int c = 0; c < 6; ++c) cuts.push_back(pick(rng));
+      for (int c = 0; c < 6; ++c) cuts.push_back(pick(cut_rng));
       cuts.push_back(cuts.back());  // an empty range
-      expect_cuts_rebuild_copy(kernel, cuts, src, dst_size);
-      // The whole range alone is copy().
-      expect_cuts_rebuild_copy(kernel, {}, src, dst_size);
+      expect_cuts_rebuild_copy(kernel, cuts, src_local, copy_walker.size());
+      expect_cuts_rebuild_copy(kernel, {}, src_local, copy_walker.size());
       ++programs_checked;
     }
   }
   EXPECT_GT(programs_checked, 50);
-  EXPECT_GT(periodic_cuts, 20);
+  EXPECT_GT(periodic_spans, 20);
 }
 
 // Every range [lo, hi) of hand-built programs whose repeated blocks hold
