@@ -21,7 +21,10 @@
 // and the proc-round microbench: one ADI-sized fused round (a 512x512
 // array remapped from (block, *) to (*, block) on 4 ranks) replayed on a
 // live proc backend, reporting per round its wall ms, remote payload
-// GB/s and wire bytes per remote byte.
+// GB/s and wire bytes per remote byte — and the proc-backend lifetime
+// microbench: ms to bring up and tear down a P=4 proc backend cold
+// (fork the worker mesh, then reap it) and warm (adopt the parked mesh,
+// then park it again).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -694,6 +697,33 @@ void report_proc_round(Harness& h) {
   h.record("proc_round", config, std::move(level));
 }
 
+// ---- proc backend lifetime -----------------------------------------------
+
+/// The per-Machine cost of a P=4 proc backend, brought up and torn down
+/// with no exchange: cold forks the worker mesh and reaps it (what every
+/// backend paid before meshes were parked), warm adopts the parked mesh
+/// and parks it again.
+void report_proc_backend(Harness& h) {
+  constexpr int kRanks = 4;
+  const int reps = std::max(5, h.options().reps);
+  const int warmup = std::max(1, h.options().warmup);
+  const auto bring_up = [] {
+    const hpfc::exec::ProcBackend backend(kRanks, hpfc::exec::ProcConfig{});
+  };
+  const double cold_ms = median_ms(warmup, reps, [&] {
+    bring_up();
+    hpfc::exec::ProcBackend::release_parked();
+  });
+  const double warm_ms = median_ms(warmup, reps, bring_up);
+
+  const std::string config = "P=" + std::to_string(kRanks);
+  std::printf("\n=== proc backend: bring up and tear down (ms) ===\n");
+  std::printf("%-30s %12s %12s\n", "backend", "cold", "warm");
+  std::printf("%-30s %12.3f %12.3f\n", config.c_str(), cold_ms, warm_ms);
+  h.record_timing("proc_backend", config, "cold", cold_ms);
+  h.record_timing("proc_backend", config, "warm", warm_ms);
+}
+
 void BM_plan_oracle(benchmark::State& state) {
   const Extent n = state.range(0);
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
@@ -733,5 +763,6 @@ int main(int argc, char** argv) {
     report_values(h);
     report_checksums(h);
     report_proc_round(h);
+    report_proc_backend(h);
   });
 }

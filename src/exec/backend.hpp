@@ -16,7 +16,8 @@
 //                 exceeds the host). All ranks share one address space,
 //                 so the runtime's remap rounds copy rank to rank and
 //                 build no messages.
-//   ProcBackend   one forked worker process per rank; its exchange()
+//   ProcBackend   one worker process per rank (forked once per process
+//                 and parked between backends); its exchange()
 //                 moves payloads worker to worker through a real socket
 //                 mesh, out of and into a shared payload arena
 //                 (exec/proc_backend.hpp). The only backend that moves
@@ -72,7 +73,9 @@ struct WireStats {
   /// Payload messages written to a real socket: one per off-rank
   /// message, on its one worker-to-worker hop.
   std::uint64_t wire_msgs = 0;
-  /// Worker processes forked over the backend's lifetime.
+  /// Worker processes the backend forked: P when it forked a fresh worker
+  /// mesh, 0 when it adopted the one an earlier backend of the process
+  /// parked.
   std::uint64_t proc_spawns = 0;
 
   friend bool operator==(const WireStats&, const WireStats&) = default;

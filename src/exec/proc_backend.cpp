@@ -30,12 +30,20 @@
 //      It charges no NetStats: the runtime charges the round's traffic
 //      table and checks the inboxes against it.
 //
+// Lifetime: the workers, their channels and the arena form a ProcMesh
+// that outlives the backend. A healthy backend parks it in the process's
+// one parking slot (releasing the controller's arena pages first), and
+// the next backend with the same P and timeout adopts it after a
+// waitpid(WNOHANG) check of every worker. Between supersteps a worker
+// only waits on its control channel, so an adopted mesh is in the state
+// a fresh one starts in.
+//
 // Failure model: any socket error, deadline overrun or bad descriptor in
 // a worker makes it _exit; the controller then sees EOF (or its own
 // deadline) on the next control-channel operation and raises ProcError
-// naming the rank. The destructor always reaps: Shutdown frames first
-// (skipped once the wire broke), then a bounded waitpid loop, then
-// SIGKILL for stragglers.
+// naming the rank. A mesh that failed is never parked. Shutting a mesh
+// down always reaps: Shutdown frames first (skipped once the wire
+// broke), then a bounded waitpid loop, then SIGKILL for stragglers.
 #include "exec/proc_backend.hpp"
 
 #include <poll.h>
@@ -51,6 +59,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -391,10 +400,10 @@ void check_descriptor_budget(int ranks) {
                   "; raise it (ulimit -n) or run fewer ranks");
 }
 
-}  // namespace
-
-void ProcBackend::worker_main(int rank, int ranks, int ctrl_fd, int arena_fd,
-                              std::vector<int> peer_fds, int timeout_ms) {
+/// A worker's whole life: serve Outbox frames on the control channel
+/// until a Shutdown frame or EOF, then _exit.
+[[noreturn]] void worker_main(int rank, int ranks, int ctrl_fd, int arena_fd,
+                             std::vector<int> peer_fds, int timeout_ms) {
   try {
     WorkerArena arena(arena_fd);
     for (;;) {
@@ -430,14 +439,147 @@ void ProcBackend::worker_main(int rank, int ranks, int ctrl_fd, int arena_fd,
   }
 }
 
-ProcBackend::ProcBackend(int ranks, ProcConfig config)
-    : Backend(ranks), config_(config) {
+}  // namespace
+
+/// The worker side of a ProcBackend: the P forked workers (each holding
+/// its row of the socket mesh), the controller ends of their control
+/// channels, and the payload arena.
+struct ProcMesh {
+  struct Worker {
+    pid_t pid = -1;
+    wire::Socket ctrl;  ///< controller end of the control channel
+  };
+
+  ProcMesh(int ranks, int timeout_ms)
+      : ranks(ranks),
+        timeout_ms(timeout_ms),
+        workers(static_cast<std::size_t>(ranks)) {}
+  ProcMesh(const ProcMesh&) = delete;
+  ProcMesh& operator=(const ProcMesh&) = delete;
+  ~ProcMesh() {
+    shutdown(/*graceful=*/true);
+    if (arena_base != nullptr) ::munmap(arena_base, arena_bytes);
+    if (arena_fd >= 0) ::close(arena_fd);
+  }
+
+  /// This process forked the workers (a forked child holds a copy of its
+  /// parent's mesh, and must leave those workers alone).
+  [[nodiscard]] bool owned() const { return owner == ::getpid(); }
+
+  /// Every worker is still running: none was reaped, and a
+  /// waitpid(WNOHANG) finds none exited (one that did is reaped here).
+  [[nodiscard]] bool alive() {
+    for (Worker& worker : workers) {
+      if (worker.pid <= 0) return false;
+      int status = 0;
+      pid_t done = 0;
+      while ((done = ::waitpid(worker.pid, &status, WNOHANG)) < 0 &&
+             errno == EINTR) {
+      }
+      if (done != 0) {
+        worker.pid = -1;
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Reaps every worker of an owned mesh: a Shutdown frame per live
+  /// worker when `graceful` (skipped once the wire failed — the protocol
+  /// state is unknown and frames could block on full buffers), then EOF
+  /// on every control channel, a bounded waitpid loop and SIGKILL for
+  /// stragglers. Idempotent.
+  void shutdown(bool graceful) noexcept {
+    if (!owned()) return;
+    if (graceful) {
+      const auto frame = wire::encode_frame_gather(
+          wire::FrameKind::Shutdown, wire::kControllerRank, {}, {});
+      for (auto& worker : workers) {
+        if (worker.pid <= 0 || !worker.ctrl.valid()) continue;
+        try {
+          wire::send_gather_frame(worker.ctrl.fd(), frame, 200, "shutdown",
+                                  nullptr);
+        } catch (...) {
+          // Already dying; SIGKILL below.
+        }
+      }
+    }
+    // Closing the control sockets is a second exit signal (EOF wakes an
+    // idle worker even if the Shutdown frame was lost).
+    for (auto& worker : workers) worker.ctrl.close();
+
+    const auto deadline =
+        Clock::now() +
+        std::chrono::milliseconds(std::max(200, std::min(timeout_ms, 2000)));
+    for (auto& worker : workers) {
+      while (worker.pid > 0) {
+        int status = 0;
+        const pid_t done = ::waitpid(worker.pid, &status, WNOHANG);
+        if (done == worker.pid || (done < 0 && errno == ECHILD)) {
+          worker.pid = -1;
+          break;
+        }
+        if (done < 0 && errno != EINTR) {
+          worker.pid = -1;
+          break;
+        }
+        if (Clock::now() >= deadline) {
+          ::kill(worker.pid, SIGKILL);
+          while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
+          }
+          worker.pid = -1;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+
+  const int ranks;
+  const int timeout_ms;
+  const pid_t owner = ::getpid();
+  std::vector<Worker> workers;
+  /// The payload arena: a memfd every worker inherits, and the
+  /// controller's MAP_SHARED mapping of all of it.
+  int arena_fd = -1;
+  double* arena_base = nullptr;
+  std::size_t arena_bytes = 0;
+};
+
+namespace {
+
+/// The process's one parking slot: the idle mesh of the last healthy
+/// backend, if any. Destroyed at exit, which reaps a mesh this process
+/// forked; a forked child's inherited copy is only closed.
+struct Parking {
+  std::mutex mutex;
+  std::unique_ptr<ProcMesh> mesh;
+};
+
+Parking& parking() {
+  static Parking slot;
+  return slot;
+}
+
+std::unique_ptr<ProcMesh> take_parked() {
+  Parking& slot = parking();
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  return std::move(slot.mesh);
+}
+
+/// Forks a fresh mesh of `ranks` workers. Every socket pair and the arena
+/// exist before the first fork, so there are no connect/accept races.
+std::unique_ptr<ProcMesh> fork_mesh(int ranks, int timeout_ms) {
   check_descriptor_budget(ranks);
   const auto n = static_cast<std::size_t>(ranks);
+  // Declared first, so it is destroyed last: if a fork fails, the worker
+  // ends below close first and the workers already forked exit on EOF
+  // before this mesh reaps them.
+  auto mesh = std::make_unique<ProcMesh>(ranks, timeout_ms);
   // The arena comes first: every worker inherits its descriptor. It
-  // starts empty; arena() grows it.
-  arena_fd_ = ::memfd_create("hpfc-payload-arena", MFD_CLOEXEC);
-  if (arena_fd_ < 0) {
+  // starts empty; ProcBackend::arena() grows it.
+  mesh->arena_fd = ::memfd_create("hpfc-payload-arena", MFD_CLOEXEC);
+  if (mesh->arena_fd < 0) {
     throw ProcError(std::string("proc backend: memfd_create: ") +
                     std::strerror(errno));
   }
@@ -448,36 +590,35 @@ ProcBackend::ProcBackend(int ranks, ProcConfig config)
   ctrl.reserve(n);
   for (int r = 0; r < ranks; ++r)
     ctrl.push_back(wire::make_stream_pair());
-  // mesh[a][b]: worker a's end of the {a, b} channel (invalid on diagonal).
-  std::vector<std::vector<wire::Socket>> mesh(n);
-  for (auto& row : mesh) row.resize(n);
+  // peers[a][b]: worker a's end of the {a, b} channel (invalid on
+  // diagonal).
+  std::vector<std::vector<wire::Socket>> peers(n);
+  for (auto& row : peers) row.resize(n);
   for (int a = 0; a < ranks; ++a) {
     for (int b = a + 1; b < ranks; ++b) {
       auto pair = wire::make_stream_pair();
-      mesh[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
+      peers[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
           std::move(pair.first);
-      mesh[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] =
+      peers[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] =
           std::move(pair.second);
     }
   }
 
-  workers_.resize(n);
   for (int r = 0; r < ranks; ++r) {
     const pid_t pid = ::fork();
     if (pid < 0) {
-      broken_ = true;  // destructor reaps the workers already forked
       throw ProcError(std::string("proc backend: fork: ") +
                       std::strerror(errno));
     }
     if (pid == 0) {
-      // Child: keep ctrl[r].second, mesh[r][*] and the arena; close
+      // Child: keep ctrl[r].second, peers[r][*] and the arena; close
       // everything else (raw close — the parent's Socket objects still
       // track the fds, but this process only ever leaves through _exit).
       std::vector<int> peer_fds(n, -1);
       for (int p = 0; p < ranks; ++p) {
         if (p != r)
           peer_fds[static_cast<std::size_t>(p)] =
-              mesh[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)]
+              peers[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)]
                   .fd();
       }
       for (int x = 0; x < ranks; ++x) {
@@ -487,22 +628,39 @@ ProcBackend::ProcBackend(int ranks, ProcConfig config)
           ::close(ctrl[static_cast<std::size_t>(x)].first.fd());
         for (int y = 0; y < ranks; ++y) {
           auto& sock =
-              mesh[static_cast<std::size_t>(x)][static_cast<std::size_t>(y)];
+              peers[static_cast<std::size_t>(x)][static_cast<std::size_t>(y)];
           if (x != r && sock.valid()) ::close(sock.fd());
         }
       }
       worker_main(r, ranks, ctrl[static_cast<std::size_t>(r)].second.fd(),
-                  arena_fd_, std::move(peer_fds), config_.timeout_ms);
+                  mesh->arena_fd, std::move(peer_fds), timeout_ms);
     }
-    workers_[static_cast<std::size_t>(r)].pid = pid;
-    wire_.proc_spawns += 1;
+    mesh->workers[static_cast<std::size_t>(r)].pid = pid;
   }
   // Only after every fork: adopt the controller ends (so no child ever
   // inherits a moved-from vector hole) and let the worker ends plus the
   // whole mesh close with this scope — the workers own their copies.
   for (int r = 0; r < ranks; ++r)
-    workers_[static_cast<std::size_t>(r)].ctrl =
+    mesh->workers[static_cast<std::size_t>(r)].ctrl =
         std::move(ctrl[static_cast<std::size_t>(r)].first);
+  return mesh;
+}
+
+}  // namespace
+
+ProcBackend::ProcBackend(int ranks, ProcConfig config)
+    : Backend(ranks), config_(config), mesh_(take_parked()) {
+  // A parked mesh that does not fit, lost a worker, or belongs to the
+  // parent of this (forked) process is dropped before any fork, so no new
+  // worker inherits its descriptors.
+  if (mesh_ != nullptr &&
+      !(mesh_->owned() && mesh_->ranks == ranks &&
+        mesh_->timeout_ms == config.timeout_ms && mesh_->alive()))
+    mesh_.reset();
+  if (mesh_ == nullptr) {
+    mesh_ = fork_mesh(ranks, config.timeout_ms);
+    wire_.proc_spawns = static_cast<std::uint64_t>(ranks);
+  }
   // The step pool comes LAST: forking with pool threads alive would snap
   // a mutex-holding thread into the child. After this line the backend
   // never forks again.
@@ -512,37 +670,53 @@ ProcBackend::ProcBackend(int ranks, ProcConfig config)
 void ProcBackend::step(const RankFn& fn) { pool_->run(fn); }
 
 ProcBackend::~ProcBackend() {
-  shutdown_workers();
-  if (arena_base_ != nullptr) ::munmap(arena_base_, arena_bytes_);
-  if (arena_fd_ >= 0) ::close(arena_fd_);
+  if (broken_ || !mesh_->owned() || !mesh_->alive()) {
+    mesh_->shutdown(/*graceful=*/!broken_);
+    return;
+  }
+  // Park: the controller's arena pages leave its RSS (the memfd keeps
+  // them, so the next adopter re-maps them without zero-filling).
+  if (mesh_->arena_base != nullptr)
+    ::madvise(mesh_->arena_base, mesh_->arena_bytes, MADV_DONTNEED);
+  // A mesh parked meanwhile by another backend is replaced, and shut
+  // down outside the lock.
+  std::unique_ptr<ProcMesh> replaced;
+  {
+    Parking& slot = parking();
+    const std::lock_guard<std::mutex> lock(slot.mutex);
+    replaced = std::exchange(slot.mesh, std::move(mesh_));
+  }
 }
+
+void ProcBackend::release_parked() { (void)take_parked(); }
 
 std::span<double> ProcBackend::arena(std::size_t elements) {
   const std::size_t bytes = elements * sizeof(double);
-  if (bytes > arena_bytes_) {
+  if (bytes > mesh_->arena_bytes) {
     // Grow at least geometrically, in whole pages, so a run of growing
     // rounds remaps a handful of times; a memfd page costs memory only
     // once something writes it.
     const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    std::size_t grown = std::max(bytes, 2 * arena_bytes_);
+    std::size_t grown = std::max(bytes, 2 * mesh_->arena_bytes);
     grown = (grown + page - 1) / page * page;
-    if (::ftruncate(arena_fd_, static_cast<off_t>(grown)) != 0) {
+    if (::ftruncate(mesh_->arena_fd, static_cast<off_t>(grown)) != 0) {
       throw ProcError("proc backend: cannot grow the payload arena to " +
                       std::to_string(grown) + " bytes: " +
                       std::strerror(errno));
     }
     void* base = ::mmap(nullptr, grown, PROT_READ | PROT_WRITE, MAP_SHARED,
-                        arena_fd_, 0);
+                        mesh_->arena_fd, 0);
     if (base == MAP_FAILED) {
       throw ProcError(std::string("proc backend: cannot map the payload "
                                   "arena: ") +
                       std::strerror(errno));
     }
-    if (arena_base_ != nullptr) ::munmap(arena_base_, arena_bytes_);
-    arena_base_ = static_cast<double*>(base);
-    arena_bytes_ = grown;
+    if (mesh_->arena_base != nullptr)
+      ::munmap(mesh_->arena_base, mesh_->arena_bytes);
+    mesh_->arena_base = static_cast<double*>(base);
+    mesh_->arena_bytes = grown;
   }
-  return {arena_base_, arena_bytes_ / sizeof(double)};
+  return {mesh_->arena_base, mesh_->arena_bytes / sizeof(double)};
 }
 
 void ProcBackend::wire_failed(int rank, const std::string& why) {
@@ -560,7 +734,7 @@ void ProcBackend::check_phase(const std::vector<std::string>& errors) {
   for (int r = 0; r < ranks_; ++r) {
     if (errors[static_cast<std::size_t>(r)].empty()) continue;
     if (lowest < 0) lowest = r;
-    Worker& worker = workers_[static_cast<std::size_t>(r)];
+    ProcMesh::Worker& worker = mesh_->workers[static_cast<std::size_t>(r)];
     int status = 0;
     pid_t done = 0;
     while (worker.pid > 0 &&
@@ -606,6 +780,11 @@ Inboxes ProcBackend::exchange(std::span<const ArenaMessage> table) {
     }
   }
 
+  // Until the last inbox is validated the protocol is mid-superstep: a
+  // failure anywhere below leaves the backend broken (and the mesh
+  // unparked).
+  broken_ = true;
+
   // Phase 1: every worker gets its descriptors. Workers drain the frame
   // completely before entering the mesh, so the controller's sends are
   // mutually independent and run concurrently across the pool. Errors are
@@ -620,7 +799,7 @@ Inboxes ProcBackend::exchange(std::span<const ArenaMessage> table) {
                                   wire::kControllerRank, sends[rank],
                                   receives[rank]);
     try {
-      wire::send_gather_frame(workers_[rank].ctrl.fd(), frame,
+      wire::send_gather_frame(mesh_->workers[rank].ctrl.fd(), frame,
                               config_.timeout_ms,
                               "outbox to rank " + std::to_string(r),
                               &tallies[rank]);
@@ -637,7 +816,7 @@ Inboxes ProcBackend::exchange(std::span<const ArenaMessage> table) {
   pool_->run([&](int r) {
     const auto rank = static_cast<std::size_t>(r);
     try {
-      frames[rank] = wire::recv_frame(workers_[rank].ctrl.fd(),
+      frames[rank] = wire::recv_frame(mesh_->workers[rank].ctrl.fd(),
                                       config_.timeout_ms,
                                       "inbox from rank " + std::to_string(r));
     } catch (const wire::WireError& err) {
@@ -670,12 +849,13 @@ Inboxes ProcBackend::exchange(std::span<const ArenaMessage> table) {
   }
   wire_.wire_bytes += tally.bytes;
   wire_.wire_msgs += tally.msgs;
+  broken_ = false;
   return inboxes;
 }
 
 void ProcBackend::kill_worker(int rank) {
   HPFC_ASSERT(rank >= 0 && rank < ranks_);
-  Worker& worker = workers_[static_cast<std::size_t>(rank)];
+  ProcMesh::Worker& worker = mesh_->workers[static_cast<std::size_t>(rank)];
   if (worker.pid > 0) {
     ::kill(worker.pid, SIGKILL);
     // Reap now so the pid cannot linger as a zombie; the socket stays
@@ -687,52 +867,9 @@ void ProcBackend::kill_worker(int rank) {
   }
 }
 
-void ProcBackend::shutdown_workers() noexcept {
-  // Graceful first: a Shutdown frame per live worker — skipped when the
-  // wire already failed (the protocol state is unknown; frames could
-  // block on full buffers).
-  if (!broken_) {
-    const auto frame = wire::encode_frame_gather(
-        wire::FrameKind::Shutdown, wire::kControllerRank, {}, {});
-    for (auto& worker : workers_) {
-      if (worker.pid <= 0 || !worker.ctrl.valid()) continue;
-      try {
-        wire::send_gather_frame(worker.ctrl.fd(), frame, 200, "shutdown",
-                                nullptr);
-      } catch (...) {
-        // Already dying; SIGKILL below.
-      }
-    }
-  }
-  // Closing the control sockets is a second exit signal (EOF wakes an
-  // idle worker even if the Shutdown frame was lost).
-  for (auto& worker : workers_) worker.ctrl.close();
-
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(
-                         std::max(200, std::min(config_.timeout_ms, 2000)));
-  for (auto& worker : workers_) {
-    while (worker.pid > 0) {
-      int status = 0;
-      const pid_t done = ::waitpid(worker.pid, &status, WNOHANG);
-      if (done == worker.pid || (done < 0 && errno == ECHILD)) {
-        worker.pid = -1;
-        break;
-      }
-      if (done < 0 && errno != EINTR) {
-        worker.pid = -1;
-        break;
-      }
-      if (Clock::now() >= deadline) {
-        ::kill(worker.pid, SIGKILL);
-        while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        worker.pid = -1;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
+pid_t ProcBackend::worker_pid(int rank) const {
+  HPFC_ASSERT(rank >= 0 && rank < ranks_);
+  return mesh_->workers[static_cast<std::size_t>(rank)].pid;
 }
 
 std::unique_ptr<Backend> make_proc_backend(int ranks, ProcConfig config) {

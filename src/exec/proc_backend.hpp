@@ -20,13 +20,23 @@
 // order — the order of the reference router in testing/oracles.hpp —
 // and the controller unpacks from the arena.
 //
+// The workers outlive the backend. The worker mesh — the P workers, their
+// control channels and socket mesh, and the payload arena — is parked in
+// one process-wide slot when a healthy backend is destroyed, and the next
+// backend with the same P and timeout adopts it instead of forking. A
+// mesh that broke, does not fit, or lost a worker is shut down instead.
+// Only the process that forked a mesh adopts or reaps it: a forked child
+// leaves its parent's workers alone, and the parked mesh is reaped when
+// its process exits.
+//
 // Robustness is part of the contract: every socket operation carries a
 // deadline (ProcConfig::timeout_ms), a worker checks every descriptor
 // against the arena's size before it touches arena memory, a worker that
 // dies mid-superstep (or rejects a descriptor) surfaces as a ProcError
-// diagnostic naming the rank (never a hang), and the destructor reaps
+// diagnostic naming the rank (never a hang), and every shutdown reaps
 // every worker, escalating to SIGKILL when a shutdown frame goes
-// unanswered.
+// unanswered. A worker whose controller dies sees EOF on its control
+// channel and exits, so no worker outlives its process.
 #pragma once
 
 #include <sys/types.h>
@@ -72,9 +82,19 @@ struct ArenaMessage {
 /// emission) order.
 using Inboxes = std::vector<std::vector<net::wire::Descriptor>>;
 
+/// The workers, control channels and payload arena a ProcBackend runs on
+/// (exec/proc_backend.cpp). It outlives its backend in the parking slot.
+struct ProcMesh;
+
 class ProcBackend final : public Backend {
  public:
+  /// Adopts the parked mesh when it has `ranks` workers, the same
+  /// timeout and every worker alive; otherwise shuts it down and forks a
+  /// fresh one (wire().proc_spawns counts the workers forked: `ranks` or
+  /// 0).
   ProcBackend(int ranks, ProcConfig config);
+  /// Parks the mesh unless an exchange failed or a worker is gone; then
+  /// shuts it down and reaps every worker.
   ~ProcBackend() override;
 
   [[nodiscard]] BackendKind kind() const override {
@@ -107,22 +127,19 @@ class ProcBackend final : public Backend {
   Inboxes exchange(std::span<const ArenaMessage> table);
 
   /// Fault injection for tests: SIGKILLs the worker for `rank`. The next
-  /// exchange must fail with a ProcError within the configured timeout.
+  /// exchange must fail with a ProcError within the configured timeout,
+  /// and the mesh is not parked.
   void kill_worker(int rank);
+  /// The process id of the worker for `rank` (-1 once it was reaped).
+  [[nodiscard]] pid_t worker_pid(int rank) const;
+
+  /// Shuts down and reaps the parked mesh, if this process forked one, so
+  /// that the next backend forks afresh. Process exit does the same.
+  static void release_parked();
 
   [[nodiscard]] const ProcConfig& config() const { return config_; }
 
  private:
-  struct Worker {
-    pid_t pid = -1;
-    net::wire::Socket ctrl;  ///< controller end of the control channel
-  };
-
-  [[noreturn]] static void worker_main(int rank, int ranks, int ctrl_fd,
-                                       int arena_fd,
-                                       std::vector<int> peer_fds,
-                                       int timeout_ms);
-  void shutdown_workers() noexcept;
   [[noreturn]] void wire_failed(int rank, const std::string& why);
   /// Fails the superstep on the per-rank wire errors of one phase
   /// (`errors[r]` empty for a healthy rank), naming the rank whose worker
@@ -132,19 +149,16 @@ class ProcBackend final : public Backend {
   void check_phase(const std::vector<std::string>& errors);
 
   ProcConfig config_;
-  std::vector<Worker> workers_;
-  /// The payload arena: a memfd every worker inherits, and the
-  /// controller's MAP_SHARED mapping of all of it.
-  int arena_fd_ = -1;
-  double* arena_base_ = nullptr;
-  std::size_t arena_bytes_ = 0;
+  std::unique_ptr<ProcMesh> mesh_;
   /// Fork-join pool for step() rank work and the pipelined exchange's
   /// per-rank gather-sends / scatter-receives. Created at the END of the
-  /// constructor, after every fork — so no pool thread is ever alive in
+  /// constructor, after any fork — so no pool thread is ever alive in
   /// a child process.
   std::unique_ptr<StepPool> pool_;
-  /// A wire error occurred; skip graceful shutdown. Atomic because the
-  /// pipelined exchange phases run on pool threads.
+  /// Set while an exchange is in flight and left set when it fails: the
+  /// protocol state is unknown, so the mesh is neither shut down
+  /// gracefully nor parked. Atomic because the pipelined exchange phases
+  /// run on pool threads.
   std::atomic<bool> broken_{false};
 };
 

@@ -308,8 +308,14 @@ class Machine {
       counts[static_cast<std::size_t>(r)] = count;
       vs.bytes += static_cast<std::uint64_t>(count) * sizeof(double);
     }
-    // Each rank zero-fills its own local piece in its execution context.
+    // The controlling thread allocates every rank's piece, so the memory
+    // comes from one malloc arena whatever thread runs the rank; each
+    // rank then zero-fills (first-touches) its own piece in its execution
+    // context.
     const auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < lay.ranks(); ++r)
+      vs.locals[static_cast<std::size_t>(r)].reserve(
+          static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]));
     backend_->step([&](int r) {
       if (r >= lay.ranks()) return;
       vs.locals[static_cast<std::size_t>(r)].assign(

@@ -230,12 +230,27 @@ foreach(field ${counters})
       "proc: ${proc_counts}")
   endif()
 endforeach()
-# ...but the wire counters must be live: each executed level forked real
-# workers and shipped framed payloads through real sockets.
-if(proc_report MATCHES "\"proc_spawns\": 0[,}]")
+# ...but the wire counters must be live: the first executed level forked
+# real workers, each later level adopted the mesh the one before it parked
+# (0 spawns), and every level shipped framed payloads through real sockets.
+string(REGEX MATCHALL "\"proc_spawns\": [0-9]+" proc_spawns "${proc_report}")
+list(LENGTH proc_spawns proc_levels)
+if(proc_levels LESS 2)
   message(FATAL_ERROR
-    "cli_smoke: proc run spawned no workers:\n${proc_report}")
+    "cli_smoke: proc report holds fewer than two levels:\n${proc_report}")
 endif()
+list(POP_FRONT proc_spawns first_spawns)
+if(NOT first_spawns MATCHES ": [1-9]")
+  message(FATAL_ERROR
+    "cli_smoke: the first proc level spawned no workers:\n${proc_report}")
+endif()
+foreach(later ${proc_spawns})
+  if(NOT later MATCHES ": 0$")
+    message(FATAL_ERROR
+      "cli_smoke: a later proc level forked workers instead of adopting "
+      "the parked mesh:\n${proc_report}")
+  endif()
+endforeach()
 if(proc_report MATCHES "\"wire_bytes\": 0[,}]")
   message(FATAL_ERROR
     "cli_smoke: proc run moved no bytes over the wire:\n${proc_report}")

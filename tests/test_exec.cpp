@@ -9,6 +9,8 @@
 // or a descriptor outside the payload arena surfaces as a bounded-time
 // ProcError diagnostic, never a hang or a crash.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -17,6 +19,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <set>
@@ -33,6 +37,7 @@
 #include "redist/segments.hpp"
 #include "runtime/round.hpp"
 #include "support/check.hpp"
+#include "testing/figures.hpp"
 #include "testing/oracles.hpp"
 #include "testing/program_gen.hpp"
 
@@ -75,13 +80,18 @@ TEST(Backend, FactoryReportsKindRanksWorkers) {
   EXPECT_EQ(clamped->workers(), 3);
 
   // Proc: compute stays in the controlling process, spread over a step
-  // pool sized like the thread backend's; one process forked per rank.
-  const auto proc = exec::make_backend(exec::BackendKind::Proc, 3);
+  // pool sized like the thread backend's; one process per rank, forked
+  // by the first backend of the process and adopted by the next.
+  exec::ProcBackend::release_parked();
+  auto proc = exec::make_backend(exec::BackendKind::Proc, 3);
   EXPECT_EQ(proc->kind(), exec::BackendKind::Proc);
   EXPECT_EQ(proc->ranks(), 3);
   EXPECT_GE(proc->workers(), 1);
   EXPECT_LE(proc->workers(), 3);
   EXPECT_EQ(proc->wire().proc_spawns, 3u);
+  proc.reset();  // parks the mesh
+  proc = exec::make_backend(exec::BackendKind::Proc, 3);
+  EXPECT_EQ(proc->wire().proc_spawns, 0u);
   // The in-process backends never touch a real socket.
   EXPECT_EQ(seq->wire(), exec::WireStats{});
 }
@@ -930,6 +940,9 @@ TEST(ProcArena, GrowsBetweenRoundsOnOneBackend) {
   } while (large_elements < 4 * small_elements);
 
   const auto seq = exec::make_backend(exec::BackendKind::Seq, ranks);
+  // A fresh mesh, so the arena starts empty: an adopted one may already
+  // hold the large round.
+  exec::ProcBackend::release_parked();
   exec::ProcBackend proc(ranks, exec::ProcConfig{});
   const auto matches_pull = [&](const std::vector<RoundArray>& arrays) {
     auto pulled = fresh_destinations(arrays);
@@ -1075,18 +1088,28 @@ TEST_P(BackendPrograms, WorkerBackendsMatchSeqBackend) {
                                     << threads << " ranks=" << ranks;
       }
 
+      // The first proc run forks its workers; the second adopts them and
+      // must compute exactly the same.
       run_options.backend = exec::BackendKind::Proc;
+      exec::ProcBackend::release_parked();
       const auto proc = driver::run(compiled, run_options);
+      const auto adopted = driver::run(compiled, run_options);
       EXPECT_EQ(proc.backend, "proc");
       EXPECT_EQ(proc.ranks, seq.ranks);
       EXPECT_EQ(proc.signature, seq.signature) << "ranks=" << ranks;
+      EXPECT_EQ(adopted.signature, seq.signature) << "ranks=" << ranks;
       EXPECT_TRUE(proc.exported_values_ok);
+      EXPECT_TRUE(adopted.exported_values_ok);
       EXPECT_EQ(proc.net, seq.net)
           << "NetStats diverged on the proc backend at ranks=" << ranks;
+      EXPECT_EQ(adopted.net, seq.net)
+          << "NetStats diverged on the adopted mesh at ranks=" << ranks;
       // The wire counters prove payloads physically crossed sockets
       // (whenever the program communicated at all) and stay zero for
       // the in-process backends.
       EXPECT_EQ(proc.proc_spawns, static_cast<std::uint64_t>(proc.ranks));
+      EXPECT_EQ(adopted.proc_spawns, 0u);
+      EXPECT_EQ(adopted.wire_bytes, proc.wire_bytes);
       if (seq.net.messages > 0) {
         EXPECT_GT(proc.wire_bytes, 0u);
       }
@@ -1106,7 +1129,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackendPrograms,
 /// socketpair calls. The limit is lowered
 /// in a forked child so the test process keeps its own.
 TEST(Backend, ProcBackendRefusesMeshBeyondDescriptorLimit) {
+  // The child inherits this process's parked mesh, which it must neither
+  // adopt nor count against the check.
+  {
+    exec::ProcBackend parked(2, exec::ProcConfig{});
+  }
   const auto start = std::chrono::steady_clock::now();
+  std::fflush(nullptr);
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0) << std::strerror(errno);
   if (pid == 0) {
@@ -1137,6 +1166,216 @@ TEST(Backend, ProcBackendRefusesMeshBeyondDescriptorLimit) {
                              std::chrono::steady_clock::now() - start)
                              .count();
   EXPECT_LT(elapsed, 5.0);  // refused before any socket or fork
+}
+
+// ---- worker mesh lifetime --------------------------------------------
+
+/// One message from every rank to every rank: whether `proc` delivers
+/// exactly what the reference router delivers.
+bool exchanges_like_the_router(exec::ProcBackend& proc) {
+  const int ranks = proc.ranks();
+  Mailboxes outboxes(static_cast<std::size_t>(ranks));
+  for (int src = 0; src < ranks; ++src) {
+    for (int dst = 0; dst < ranks; ++dst) {
+      net::Message msg;
+      msg.src = src;
+      msg.dst = dst;
+      msg.tag = dst;
+      msg.segments = 1;
+      msg.payload.assign(static_cast<std::size_t>(4 + dst), 10.0 * src + dst);
+      outboxes[static_cast<std::size_t>(src)].push_back(std::move(msg));
+    }
+  }
+  const Mailboxes routed = testing::route_superstep(outboxes, ranks);
+  const Mailboxes got = testing::exchange_messages(proc, outboxes);
+  if (got.size() != routed.size()) return false;
+  for (std::size_t r = 0; r < routed.size(); ++r) {
+    if (got[r].size() != routed[r].size()) return false;
+    for (std::size_t i = 0; i < routed[r].size(); ++i) {
+      if (got[r][i].src != routed[r][i].src ||
+          got[r][i].tag != routed[r][i].tag ||
+          got[r][i].payload != routed[r][i].payload)
+        return false;
+    }
+  }
+  return true;
+}
+
+std::vector<pid_t> worker_pids(const exec::ProcBackend& proc) {
+  std::vector<pid_t> pids;
+  for (int r = 0; r < proc.ranks(); ++r) pids.push_back(proc.worker_pid(r));
+  return pids;
+}
+
+/// The process is gone and reaped (no zombie left either).
+bool reaped(pid_t pid) { return ::kill(pid, 0) != 0 && errno == ESRCH; }
+
+Compiled compile_adi() {
+  DiagnosticEngine diags;
+  CompileOptions options;
+  options.level = OptLevel::O2;
+  Compiled compiled = driver::compile(testing::fig10(64, 4, 3), options, diags);
+  EXPECT_TRUE(compiled.ok) << diags.to_string();
+  return compiled;
+}
+
+/// A second backend with the same P and timeout adopts the parked mesh:
+/// it forks nothing and talks to the same workers, and a whole program
+/// run on the adopted mesh computes what seq computes, with identical
+/// NetStats.
+TEST(ProcMesh, SecondBackendAdoptsTheParkedMesh) {
+  exec::ProcBackend::release_parked();
+  std::vector<pid_t> pids;
+  {
+    exec::ProcBackend first(4, exec::ProcConfig{});
+    EXPECT_EQ(first.wire().proc_spawns, 4u);
+    EXPECT_TRUE(exchanges_like_the_router(first));
+    pids = worker_pids(first);
+  }
+  {
+    exec::ProcBackend second(4, exec::ProcConfig{});
+    EXPECT_EQ(second.wire().proc_spawns, 0u);
+    EXPECT_EQ(worker_pids(second), pids);
+    EXPECT_TRUE(exchanges_like_the_router(second));
+  }
+
+  const Compiled compiled = compile_adi();
+  runtime::RunOptions options;
+  options.seed = 5;
+  const auto seq = driver::run(compiled, options);
+  options.backend = exec::BackendKind::Proc;
+  const auto proc = driver::run(compiled, options);
+  ASSERT_EQ(proc.ranks, 4);
+  EXPECT_EQ(proc.proc_spawns, 0u);
+  EXPECT_EQ(proc.signature, seq.signature);
+  EXPECT_TRUE(proc.exported_values_ok);
+  EXPECT_EQ(proc.net, seq.net);
+  EXPECT_GT(proc.wire_msgs, 0u);
+}
+
+/// A worker that dies while its mesh is parked fails the next backend's
+/// liveness check: that backend reaps the rest of the old mesh, forks a
+/// fresh one, and its exchanges succeed.
+TEST(ProcMesh, WorkerKilledWhileParkedForcesAFreshMesh) {
+  exec::ProcBackend::release_parked();
+  std::vector<pid_t> old;
+  {
+    exec::ProcBackend first(4, exec::ProcConfig{});
+    old = worker_pids(first);
+  }
+  ASSERT_EQ(::kill(old[1], SIGKILL), 0);
+  // Wait for the death without reaping it: the liveness check must find
+  // the exited worker itself.
+  siginfo_t info{};
+  const auto victim = static_cast<id_t>(old[1]);
+  ASSERT_EQ(::waitid(P_PID, victim, &info, WEXITED | WNOWAIT), 0);
+
+  exec::ProcBackend second(4, exec::ProcConfig{});
+  EXPECT_EQ(second.wire().proc_spawns, 4u);
+  for (const pid_t pid : old) EXPECT_TRUE(reaped(pid)) << pid;
+  EXPECT_TRUE(exchanges_like_the_router(second));
+}
+
+/// A backend whose exchange failed (here through kill_worker) shuts its
+/// mesh down instead of parking it: the next backend forks afresh.
+TEST(ProcMesh, FailedRunIsNeverParked) {
+  exec::ProcBackend::release_parked();
+  const exec::ProcConfig config{.timeout_ms = 2000};
+  std::vector<pid_t> old;
+  {
+    exec::ProcBackend failed(4, config);
+    EXPECT_TRUE(exchanges_like_the_router(failed));
+    old = worker_pids(failed);
+    failed.kill_worker(2);
+    EXPECT_THROW((void)exchanges_like_the_router(failed), exec::ProcError);
+  }
+  for (const pid_t pid : old) EXPECT_TRUE(reaped(pid)) << pid;
+
+  exec::ProcBackend next(4, config);
+  EXPECT_EQ(next.wire().proc_spawns, 4u);
+  EXPECT_TRUE(exchanges_like_the_router(next));
+}
+
+/// A backend with another P, or another timeout, replaces the parked
+/// mesh: the old workers are reaped before the new ones are forked.
+TEST(ProcMesh, DifferentRanksOrTimeoutReplaceTheParkedMesh) {
+  exec::ProcBackend::release_parked();
+  std::vector<pid_t> old;
+  {
+    exec::ProcBackend three(3, exec::ProcConfig{});
+    old = worker_pids(three);
+  }
+  {
+    exec::ProcBackend two(2, exec::ProcConfig{});
+    EXPECT_EQ(two.wire().proc_spawns, 2u);
+    for (const pid_t pid : old) EXPECT_TRUE(reaped(pid)) << pid;
+    EXPECT_TRUE(exchanges_like_the_router(two));
+    old = worker_pids(two);
+  }
+  exec::ProcBackend slower(2, exec::ProcConfig{.timeout_ms = 5000});
+  EXPECT_EQ(slower.wire().proc_spawns, 2u);
+  for (const pid_t pid : old) EXPECT_TRUE(reaped(pid)) << pid;
+  EXPECT_TRUE(exchanges_like_the_router(slower));
+}
+
+/// No worker outlives its process. A forked child runs a proc Machine,
+/// which parks its mesh, and leaves through exit(0). The child must fork
+/// its own workers rather than adopt the parent's parked mesh, and reap
+/// them on the way out. Every process the child forks inherits the write
+/// end of a pipe, so the read end reaches EOF only once the child and all
+/// of its workers are gone. The parent's parked mesh survives untouched.
+TEST(ProcMesh, ForkedChildLeavesNoWorkerBehind) {
+  exec::ProcBackend::release_parked();
+  std::vector<pid_t> parked;
+  {
+    exec::ProcBackend mine(4, exec::ProcConfig{});
+    parked = worker_pids(mine);
+  }
+  const Compiled compiled = compile_adi();
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0) << std::strerror(errno);
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << std::strerror(errno);
+  if (pid == 0) {
+    ::close(fds[0]);
+    int code = 0;
+    try {
+      runtime::RunOptions options;
+      const auto seq = driver::run(compiled, options);
+      options.backend = exec::BackendKind::Proc;
+      const auto proc = driver::run(compiled, options);
+      if (proc.proc_spawns != 4) code = 3;
+      if (proc.signature != seq.signature) code = 4;
+    } catch (...) {
+      code = 5;
+    }
+    std::exit(code);  // static destructors reap the parked mesh
+  }
+  ::close(fds[1]);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool eof = false;
+  while (!eof && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fds[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char byte = 0;
+    eof = ::read(fds[0], &byte, 1) == 0;
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(eof) << "a worker outlived the child that forked it";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "3: the child adopted its parent's mesh, 4: signature mismatch, "
+         "5: the run threw";
+
+  exec::ProcBackend again(4, exec::ProcConfig{});
+  EXPECT_EQ(again.wire().proc_spawns, 0u);
+  EXPECT_EQ(worker_pids(again), parked);
+  EXPECT_TRUE(exchanges_like_the_router(again));
 }
 
 }  // namespace
