@@ -3,7 +3,7 @@
 // polynomial of that shape over CFG size, remap count and array count.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <cstdlib>
 
 #include "common.hpp"
 #include "remap/build.hpp"
@@ -14,35 +14,37 @@ using hpfc::testing::scaling_program;
 
 namespace {
 
-double analyze_ms(int arrays, int remaps, int filler) {
-  auto program = scaling_program(arrays, remaps, filler);
-  hpfc::DiagnosticEngine diags;
-  const auto start = std::chrono::steady_clock::now();
-  const auto analysis = hpfc::remap::analyze(program, diags);
-  const auto stop = std::chrono::steady_clock::now();
-  if (!analysis.ok) std::abort();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
+/// Median analyze() time of one scaling program over the harness reps;
+/// aborts when the analysis fails.
+double analyze_ms(const Harness& h, int arrays, int remaps, int filler) {
+  // analyze() does not mutate the program; every rep reuses it.
+  const auto program = scaling_program(arrays, remaps, filler);
+  return h.median_ms([&] {
+    hpfc::DiagnosticEngine diags;
+    if (!hpfc::remap::analyze(program, diags).ok) std::abort();
+  });
 }
 
 void report(Harness& h) {
   std::printf("\n=== A-B / Appendix B — construction complexity ===\n");
   std::printf("paper: worst case O(n * s * m^2 * p^2) for the propagation "
               "and graph construction\n");
-  std::printf("%-32s %12s\n", "configuration", "analyze-ms");
+  std::printf("%-32s %12s  (median of %d reps)\n", "configuration",
+              "analyze-ms", h.options().reps);
   for (const int remaps : {4, 8, 16, 32}) {
-    const double ms = analyze_ms(4, remaps, 2);
+    const double ms = analyze_ms(h, 4, remaps, 2);
     std::printf("arrays=4 remaps=%-3d filler=2    %12.3f\n", remaps, ms);
     h.record_timing("appB", "arrays=4 remaps=" + std::to_string(remaps),
                     "analyze", ms);
   }
   for (const int arrays : {2, 4, 8, 16}) {
-    const double ms = analyze_ms(arrays, 8, 2);
+    const double ms = analyze_ms(h, arrays, 8, 2);
     std::printf("arrays=%-3d remaps=8 filler=2    %12.3f\n", arrays, ms);
     h.record_timing("appB", "arrays=" + std::to_string(arrays) + " remaps=8",
                     "analyze", ms);
   }
   for (const int filler : {1, 4, 16, 64}) {
-    const double ms = analyze_ms(4, 8, filler);
+    const double ms = analyze_ms(h, 4, 8, filler);
     std::printf("arrays=4 remaps=8 filler=%-3d    %12.3f\n", filler, ms);
     h.record_timing("appB", "arrays=4 remaps=8 filler=" +
                                 std::to_string(filler),

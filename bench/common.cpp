@@ -241,6 +241,17 @@ void Harness::record_timing(const std::string& figure,
   record(figure, config, LevelRecord{level, {}, 0, wall_ms, 0.0});
 }
 
+double Harness::median_ms(const std::function<void()>& timed,
+                          const std::function<void()>& setup) const {
+  std::vector<double> samples;
+  for (int rep = 0; rep < options_.warmup + options_.reps; ++rep) {
+    if (setup) setup();
+    const double ms = wall_ms(timed);
+    if (rep >= options_.warmup) samples.push_back(ms);
+  }
+  return median(std::move(samples));
+}
+
 bool Harness::write_json() const {
   if (options_.json_path.empty()) return true;
   std::ostringstream os;

@@ -123,6 +123,12 @@ class Harness {
   void record_timing(const std::string& figure, const std::string& config,
                      const std::string& level, double wall_ms);
 
+  /// Median wall time of `timed` over the --reps timed runs, after the
+  /// --warmup untimed ones; `setup`, when given, runs untimed before each
+  /// (for timing rows whose work consumes its input).
+  [[nodiscard]] double median_ms(const std::function<void()>& timed,
+                                 const std::function<void()>& setup = {}) const;
+
   /// RunOptions matching the harness flags (backend, threads, seed; a
   /// `seed` of 0 means "use the harness-wide seed") — what measure() uses,
   /// for benches with bespoke measurement loops.

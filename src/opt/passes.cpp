@@ -1,9 +1,11 @@
 #include "opt/passes.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <set>
 #include <utility>
 
+#include "remap/fixpoint.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::opt {
@@ -25,6 +27,46 @@ bool kept(const ArrayLabel& label) {
 bool edge_has(const remap::RemapEdge& edge, ArrayId a) {
   return std::find(edge.arrays.begin(), edge.arrays.end(), a) !=
          edge.arrays.end();
+}
+
+/// A G_R problem's direction: a backward one reads successors' labels.
+constexpr bool kBackward = true;
+constexpr bool kForward = false;
+
+/// Solves a dataflow problem on G_R's labels, visiting vertices in id
+/// order. `step(label, reads)` updates one (vertex, array) label from
+/// the labels of that array across the edges carrying it, and returns
+/// true when it changed the label.
+template <typename Step>
+void solve_labels(RemapGraph& graph, bool backward, Step&& step) {
+  const auto edge = [&](int e) -> const remap::RemapEdge& {
+    return graph.edges()[static_cast<std::size_t>(e)];
+  };
+  // A vertex's dependents are the vertices whose steps read its labels:
+  // its predecessors in a backward problem, its successors in a forward one.
+  const auto dependents = [&](int v) {
+    return (backward ? graph.in_edges(v) : graph.out_edges(v)) |
+           std::views::transform(
+               [&](int e) { return backward ? edge(e).from : edge(e).to; });
+  };
+  std::vector<const ArrayLabel*> reads;
+  const auto visit = [&](int v) {
+    bool changed = false;
+    for (auto& [a, label] : graph.vertex(v).arrays) {
+      reads.clear();
+      for (const int e : backward ? graph.out_edges(v) : graph.in_edges(v)) {
+        if (!edge_has(edge(e), a)) continue;
+        const auto& arrays =
+            graph.vertex(backward ? edge(e).to : edge(e).from).arrays;
+        const auto it = arrays.find(a);
+        if (it != arrays.end()) reads.push_back(&it->second);
+      }
+      changed |= step(label, reads);
+    }
+    return changed;
+  };
+  const int size = static_cast<int>(graph.vertices().size());
+  remap::solve_fixpoint(size, std::views::iota(0, size), dependents, visit);
 }
 
 }  // namespace
@@ -53,32 +95,14 @@ void remove_useless_remappings(remap::Analysis& analysis, OptReport& report) {
   // still carries into a later consumer (the seed-306 divergence).
   for (RemapVertex& v : graph.vertices())
     for (auto& entry : v.arrays) entry.second.value_needed = false;
-  bool needed_changed = true;
-  while (needed_changed) {
-    needed_changed = false;
-    for (RemapVertex& v : graph.vertices()) {
-      for (auto& [a, label] : v.arrays) {
-        if (label.value_needed) continue;
-        bool needed = label.use.may_read;
-        if (!needed && label.use.passes) {
-          for (const int e : graph.out_edges(v.id)) {
-            const auto& edge = graph.edges()[static_cast<std::size_t>(e)];
-            if (!edge_has(edge, a)) continue;
-            const RemapVertex& succ = graph.vertex(edge.to);
-            const auto it = succ.arrays.find(a);
-            if (it != succ.arrays.end() && it->second.value_needed) {
-              needed = true;
-              break;
-            }
-          }
-        }
-        if (needed) {
-          label.value_needed = true;
-          needed_changed = true;
-        }
-      }
-    }
-  }
+  solve_labels(graph, kBackward, [](ArrayLabel& label, const auto& succs) {
+    if (label.value_needed) return false;
+    label.value_needed = label.use.may_read;
+    if (label.use.passes)
+      for (const ArrayLabel* succ : succs)
+        label.value_needed |= succ->value_needed;
+    return label.value_needed;
+  });
 
   // Phase 1 (Appendix C): delete leaving mappings whose use is N. An
   // *origin* label (empty reaching set: the entry materialization of the
@@ -109,31 +133,15 @@ void remove_useless_remappings(remap::Analysis& analysis, OptReport& report) {
   // its leaving copy, so reaching mappings flow through it (transitive
   // closure over unreferenced paths).
   for (RemapVertex& v : graph.vertices())
-    for (auto& [a, label] : v.arrays) {
-      (void)a;
-      label.reaching.clear();
-    }
+    for (auto& entry : v.arrays) entry.second.reaching.clear();
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (RemapVertex& v : graph.vertices()) {
-      for (auto& [a, label] : v.arrays) {
-        for (const int e : graph.in_edges(v.id)) {
-          const auto& edge = graph.edges()[static_cast<std::size_t>(e)];
-          if (!edge_has(edge, a)) continue;
-          const RemapVertex& pred = graph.vertex(edge.from);
-          const auto it = pred.arrays.find(a);
-          if (it == pred.arrays.end()) continue;
-          if (kept(it->second)) {
-            changed |= merge_sorted(label.reaching, it->second.leaving);
-          } else {
-            changed |= merge_sorted(label.reaching, it->second.reaching);
-          }
-        }
-      }
-    }
-  }
+  solve_labels(graph, kForward, [](ArrayLabel& label, const auto& preds) {
+    bool changed = false;
+    for (const ArrayLabel* pred : preds)
+      changed |= merge_sorted(label.reaching,
+                              kept(*pred) ? pred->leaving : pred->reaching);
+    return changed;
+  });
 }
 
 bool validate_theorem1(const remap::Analysis& analysis) {
@@ -172,30 +180,18 @@ void compute_maybe_live(remap::Analysis& analysis) {
   RemapGraph& graph = analysis.graph;
   // Initialization: directly useful mappings — the kept leaving copies.
   for (RemapVertex& v : graph.vertices())
-    for (auto& [a, label] : v.arrays) {
-      (void)a;
+    for (auto& [a, label] : v.arrays)
       label.maybe_live = kept(label) ? label.leaving : std::vector<int>{};
-    }
 
   // Backward propagation along edges where the leaving copy is not
   // modified (U in {N, R}): other copies' values stay valid through v.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (RemapVertex& v : graph.vertices()) {
-      for (auto& [a, label] : v.arrays) {
-        if (label.use.may_write) continue;
-        for (const int e : graph.out_edges(v.id)) {
-          const auto& edge = graph.edges()[static_cast<std::size_t>(e)];
-          if (!edge_has(edge, a)) continue;
-          const RemapVertex& succ = graph.vertex(edge.to);
-          const auto it = succ.arrays.find(a);
-          if (it == succ.arrays.end()) continue;
-          changed |= merge_sorted(label.maybe_live, it->second.maybe_live);
-        }
-      }
-    }
-  }
+  solve_labels(graph, kBackward, [](ArrayLabel& label, const auto& succs) {
+    bool changed = false;
+    if (!label.use.may_write)
+      for (const ArrayLabel* succ : succs)
+        changed |= merge_sorted(label.maybe_live, succ->maybe_live);
+    return changed;
+  });
 }
 
 namespace {

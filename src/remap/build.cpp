@@ -1,9 +1,11 @@
 #include "remap/build.hpp"
 
 #include <algorithm>
-#include <set>
+#include <optional>
+#include <ranges>
 #include <sstream>
 
+#include "remap/fixpoint.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::remap {
@@ -202,24 +204,27 @@ class Builder {
   }
 
   void propagate_mappings() {
-    const auto& rpo = cfg_->rpo();
     out_[static_cast<std::size_t>(cfg_->entry())] = entry_state();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const int n : rpo) {
-        const CfgNode& node = cfg_->node(n);
-        if (n == cfg_->entry()) continue;
-        MapState in = empty_state(static_cast<int>(program_.arrays.size()));
-        for (const int p : node.preds)
-          in.merge_from(out_[static_cast<std::size_t>(p)]);
-        MapState out = transfer(node, in);
-        // merge_from detects growth; states are monotone so replacing with
-        // the merged value is the standard fixpoint step.
-        if (in_[static_cast<std::size_t>(n)].merge_from(in)) changed = true;
-        if (out_[static_cast<std::size_t>(n)].merge_from(out)) changed = true;
-      }
-    }
+    // A CallPost step also reads its CallPre's incoming state, which no
+    // CFG edge carries.
+    const auto dependents = [&](int n) {
+      std::vector<int> nodes = cfg_->node(n).succs;
+      if (cfg_->node(n).kind == CfgKind::CallPre) nodes.push_back(n + 2);
+      return nodes;
+    };
+    solve_fixpoint(cfg_->size(), cfg_->rpo(), dependents, [&](int n) {
+      if (n == cfg_->entry()) return false;
+      const CfgNode& node = cfg_->node(n);
+      MapState in = empty_state(static_cast<int>(program_.arrays.size()));
+      for (const int p : node.preds)
+        in.merge_from(out_[static_cast<std::size_t>(p)]);
+      MapState out = transfer(node, in);
+      // merge_from detects growth; states are monotone so replacing with
+      // the merged value is the standard fixpoint step.
+      const bool in_grew = in_[static_cast<std::size_t>(n)].merge_from(in);
+      const bool out_grew = out_[static_cast<std::size_t>(n)].merge_from(out);
+      return in_grew || out_grew;
+    });
   }
 
   // ---- version interning ----------------------------------------------
@@ -460,40 +465,28 @@ class Builder {
 
     effects_after_.assign(static_cast<std::size_t>(n), {});
     effects_from_.assign(static_cast<std::size_t>(n), {});
-    const auto& rpo = cfg_->rpo();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
-        const CfgNode& node = cfg_->node(*it);
-        // Seed the fold with the first successor's map: ir::merge treats
-        // absent arrays as none()-on-that-path, so an empty accumulator
-        // would wrongly mark every use as passing for single-successor
-        // nodes.
-        ir::EffectMap after;
-        bool first_succ = true;
-        for (const int s : node.succs) {
-          if (first_succ) {
-            after = effects_from_[static_cast<std::size_t>(s)];
-            first_succ = false;
-          } else {
-            after = ir::merge(after, effects_from_[static_cast<std::size_t>(s)]);
-          }
-        }
-        ir::EffectMap from = ir::then(
-            result.effects_of[static_cast<std::size_t>(node.id)], after);
-        for (const ArrayId a : remapped_[static_cast<std::size_t>(node.id)])
-          from.erase(a);
-        if (!(after == effects_after_[static_cast<std::size_t>(node.id)])) {
-          effects_after_[static_cast<std::size_t>(node.id)] = after;
-          changed = true;
-        }
-        if (!(from == effects_from_[static_cast<std::size_t>(node.id)])) {
-          effects_from_[static_cast<std::size_t>(node.id)] = std::move(from);
-          changed = true;
-        }
+    const auto preds = [&](int id) -> const auto& {
+      return cfg_->node(id).preds;
+    };
+    solve_fixpoint(n, std::views::reverse(cfg_->rpo()), preds, [&](int id) {
+      const auto node = static_cast<std::size_t>(id);
+      // Seed the fold with the first successor's map: ir::merge treats
+      // absent arrays as none()-on-that-path, so an empty accumulator
+      // would wrongly mark every use as passing for single-successor
+      // nodes.
+      const auto& succs = cfg_->node(id).succs;
+      ir::EffectMap after;
+      for (std::size_t i = 0; i < succs.size(); ++i) {
+        const auto& next = effects_from_[static_cast<std::size_t>(succs[i])];
+        after = i == 0 ? next : ir::merge(after, next);
       }
-    }
+      ir::EffectMap from = ir::then(result.effects_of[node], after);
+      for (const ArrayId a : remapped_[node]) from.erase(a);
+      effects_after_[node] = std::move(after);
+      if (from == effects_from_[node]) return false;
+      effects_from_[node] = std::move(from);
+      return true;
+    });
   }
 
   ir::Use use_after(int node, ArrayId a) const {
@@ -594,40 +587,29 @@ class Builder {
     std::vector<PairSet> after(static_cast<std::size_t>(n));
     std::vector<PairSet> from(static_cast<std::size_t>(n));
 
-    // Arrays that terminate / originate pairs per node.
-    const auto vertex_sink_arrays = [&](int node_id) -> std::vector<ArrayId> {
-      if (node_id == cfg_->exit()) return program_.mapped_arrays();
-      return remapped_[static_cast<std::size_t>(node_id)];
+    const auto preds = [&](int id) -> const auto& {
+      return cfg_->node(id).preds;
     };
-
-    const auto& rpo = cfg_->rpo();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
-        const int node_id = *it;
-        PairSet new_after;
-        for (const int s : cfg_->node(node_id).succs)
-          for (const auto& [a, vs] : from[static_cast<std::size_t>(s)])
-            merge_sorted(new_after[a], vs);
-        PairSet new_from = new_after;
-        const int v = node_id == cfg_->exit()
-                          ? graph.ve()
-                          : result.vertex_of_node[static_cast<std::size_t>(node_id)];
-        if (v >= 0) {
-          for (const ArrayId a : vertex_sink_arrays(node_id))
-            new_from[a] = {v};
-        }
-        if (!(new_after == after[static_cast<std::size_t>(node_id)])) {
-          after[static_cast<std::size_t>(node_id)] = new_after;
-          changed = true;
-        }
-        if (!(new_from == from[static_cast<std::size_t>(node_id)])) {
-          from[static_cast<std::size_t>(node_id)] = std::move(new_from);
-          changed = true;
-        }
-      }
-    }
+    solve_fixpoint(n, std::views::reverse(cfg_->rpo()), preds, [&](int id) {
+      const auto node = static_cast<std::size_t>(id);
+      PairSet new_after;
+      for (const int s : cfg_->node(id).succs)
+        for (const auto& [a, vs] : from[static_cast<std::size_t>(s)])
+          merge_sorted(new_after[a], vs);
+      // The node's vertex terminates and originates the pairs of the
+      // arrays it remaps (at the exit: of every mapped array).
+      PairSet new_from = new_after;
+      const bool exit = id == cfg_->exit();
+      const int v = exit ? graph.ve() : result.vertex_of_node[node];
+      if (v >= 0)
+        for (const ArrayId a :
+             exit ? program_.mapped_arrays() : remapped_[node])
+          new_from[a] = {v};
+      after[node] = std::move(new_after);
+      if (new_from == from[node]) return false;
+      from[node] = std::move(new_from);
+      return true;
+    });
 
     // Emit edges grouped by (from, to).
     const auto emit = [&](int from_vertex, int anchor_node,
@@ -660,9 +642,9 @@ class Builder {
   /// at joins the region is kept only when every incoming path agrees.
   void propagate_live_regions(Analysis& result) {
     using RegionState = std::map<ArrayId, ir::Region>;
-    const int n = cfg_->size();
-    std::vector<RegionState> out(static_cast<std::size_t>(n));
-    std::vector<char> initialized(static_cast<std::size_t>(n), 0);
+    // Per node, the IN and OUT states; none until the node is reached.
+    const auto size = static_cast<std::size_t>(cfg_->size());
+    std::vector<std::optional<RegionState>> in(size), out(size);
 
     const auto transfer_regions = [&](const CfgNode& node, RegionState state) {
       // Remapped arrays consume their region.
@@ -682,49 +664,46 @@ class Builder {
       return state;
     };
 
-    const auto& rpo = cfg_->rpo();
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const int id : rpo) {
-        const CfgNode& node = cfg_->node(id);
-        RegionState in;
-        bool first = true;
-        bool any_pred = false;
-        for (const int p : node.preds) {
-          if (!initialized[static_cast<std::size_t>(p)]) continue;
-          any_pred = true;
-          if (first) {
-            in = out[static_cast<std::size_t>(p)];
-            first = false;
-            continue;
-          }
-          // Must-intersection: keep only agreeing entries.
-          for (auto it = in.begin(); it != in.end();) {
-            const auto& other = out[static_cast<std::size_t>(p)];
-            const auto found = other.find(it->first);
-            if (found == other.end() || !(found->second == it->second))
-              it = in.erase(it);
-            else
-              ++it;
-          }
+    const auto succs = [&](int id) -> const auto& {
+      return cfg_->node(id).succs;
+    };
+    solve_fixpoint(cfg_->size(), cfg_->rpo(), succs, [&](int id) {
+      // IN is the must-intersection of the reached predecessors' OUT
+      // states, keeping only agreeing entries; the entry starts empty.
+      auto& meet = in[static_cast<std::size_t>(id)];
+      meet.reset();
+      for (const int p : cfg_->node(id).preds) {
+        const auto& other = out[static_cast<std::size_t>(p)];
+        if (!other) continue;
+        if (!meet) {
+          meet = other;
+          continue;
         }
-        if (id != cfg_->entry() && !any_pred) continue;
-        RegionState new_out = transfer_regions(node, in);
-        if (!initialized[static_cast<std::size_t>(id)] ||
-            !(new_out == out[static_cast<std::size_t>(id)])) {
-          out[static_cast<std::size_t>(id)] = std::move(new_out);
-          initialized[static_cast<std::size_t>(id)] = 1;
-          changed = true;
+        for (auto it = meet->begin(); it != meet->end();) {
+          const auto found = other->find(it->first);
+          if (found == other->end() || !(found->second == it->second))
+            it = meet->erase(it);
+          else
+            ++it;
         }
-        // Attach the IN region to the vertex anchored here.
-        const int v = result.vertex_of_node[static_cast<std::size_t>(id)];
-        if (v >= 0) {
-          for (auto& [a, label] : result.graph.vertex(v).arrays) {
-            const auto it = in.find(a);
-            label.live_region = it == in.end() ? ir::Region{} : it->second;
-          }
-        }
+      }
+      if (!meet && id == cfg_->entry()) meet.emplace();
+      if (!meet) return false;
+      RegionState new_out = transfer_regions(cfg_->node(id), *meet);
+      auto& old_out = out[static_cast<std::size_t>(id)];
+      if (old_out && *old_out == new_out) return false;
+      old_out = std::move(new_out);
+      return true;
+    });
+
+    // Attach the converged IN region to the vertex anchored at each node.
+    for (const int id : cfg_->rpo()) {
+      const int v = result.vertex_of_node[static_cast<std::size_t>(id)];
+      const auto& meet = in[static_cast<std::size_t>(id)];
+      if (v < 0 || !meet) continue;
+      for (auto& [a, label] : result.graph.vertex(v).arrays) {
+        const auto it = meet->find(a);
+        label.live_region = it == meet->end() ? ir::Region{} : it->second;
       }
     }
   }

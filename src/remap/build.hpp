@@ -1,5 +1,6 @@
 // Remapping-graph construction (paper §3.2, Appendix B), implemented as
-// the paper's set of dataflow problems over the CFG:
+// the paper's set of dataflow problems over the CFG; remap::solve_fixpoint
+// (fixpoint.hpp) solves the fixpoints among them, 1 and 3-5:
 //
 //  1. may-forward propagation of two-level mapping states — per array the
 //     set of (alignment, distribution) pairs that may hold, per template

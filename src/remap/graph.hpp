@@ -65,8 +65,8 @@ struct ArrayLabel {
   bool removed = false;
   /// The value arriving at this vertex is read at or after it before being
   /// fully redefined on some path, so the leaving copy's data transfer
-  /// cannot be skipped. Defaults to true (always transfer); refined by the
-  /// optimizer's backward value-liveness fixpoint at O1/O2.
+  /// cannot be skipped. Defaults to true; at O1/O2 the useless-remapping
+  /// pass recomputes it first, a backward fixpoint over G_R (fixpoint.hpp).
   bool value_needed = true;
   /// M_A(v): versions that may still be used later (Appendix D); filled by
   /// the live-copy optimization. Before that pass it is empty, meaning

@@ -11,6 +11,7 @@ namespace {
 using driver::Compiled;
 using driver::OptLevel;
 using hpf::ProgramBuilder;
+using mapping::Alignment;
 using mapping::DistFormat;
 using mapping::Shape;
 
@@ -221,6 +222,63 @@ TEST(Calls, ChainedCallsWithMixedIntents) {
     const auto oracle = driver::run_oracle(c, options);
     EXPECT_EQ(report.signature, oracle.signature)
         << driver::to_string(level);
+  }
+}
+
+// A call inside a loop: the mapping restored after the call (v_a) is the
+// one reaching the call (v_b), which grows on the back edge once the loop
+// body has remapped A. The body either redistributes A, which also grows
+// the distribution set of A's template, which flows along the CFG from
+// v_b to v_a; or it realigns A onto a second template, which grows only
+// A's own mapping set at v_b. v_b leaves block either way, so then
+// nothing on the CFG path to v_a changes: the mapping propagation must
+// revisit v_a when v_b's incoming state changes.
+TEST(Calls, CallInLoopRestoresEveryMappingReachingTheCall) {
+  for (const bool realign : {false, true}) {
+    for (const auto level : {OptLevel::O0, OptLevel::O1, OptLevel::O2}) {
+      ProgramBuilder b("callloop");
+      b.procs("P", Shape{4});
+      b.array("A", Shape{32});
+      if (realign) {
+        b.tmpl("T1", Shape{32});
+        b.distribute_template("T1", {DistFormat::cyclic()}, "P");
+        b.tmpl("T2", Shape{32});
+        b.distribute_template("T2", {DistFormat::cyclic(2)}, "P");
+        b.align("A", "T1", Alignment::identity(1));
+      } else {
+        b.distribute_array("A", {DistFormat::cyclic()}, "P");
+      }
+      b.interface("foo");
+      b.interface_dummy("X", Shape{32}, ir::Intent::InOut,
+                        {DistFormat::block()}, "P");
+      b.use({"A"});
+      b.begin_loop(3);
+      b.call("foo", {"A"});
+      if (realign)
+        b.realign("A", "T2", Alignment::identity(1));
+      else
+        b.redistribute("A", {DistFormat::cyclic(2)}, "P");
+      b.use({"A"});
+      b.end_loop();
+      const Compiled c = compile(b, level);
+      SCOPED_TRACE(std::string(realign ? "realign " : "redistribute ") +
+                   driver::to_string(level));
+      // Versions: 0 cyclic, 1 block (the dummy's), 2 cyclic(2).
+      const auto* pre = label_of(c, "b1", "A");
+      const auto* post = label_of(c, "a1", "A");
+      ASSERT_NE(pre, nullptr);
+      ASSERT_NE(post, nullptr);
+      EXPECT_EQ(pre->reaching, (std::vector<int>{0, 2}));
+      EXPECT_EQ(pre->leaving, (std::vector<int>{1}));
+      EXPECT_EQ(pre->use.letter(), 'W');
+      EXPECT_EQ(post->reaching, (std::vector<int>{1}));
+      EXPECT_EQ(post->use.letter(), 'N');
+      if (level == OptLevel::O0)
+        EXPECT_EQ(post->leaving, (std::vector<int>{0, 2}));
+      else
+        EXPECT_TRUE(post->removed);  // U = N: the restore is useless
+      run_checked(c);
+    }
   }
 }
 
