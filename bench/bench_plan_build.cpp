@@ -5,13 +5,16 @@
 // stage measures segment-program compilation plus bulk pack/unpack
 // throughput on a real redistribution. The `symbolic_sweep` figure runs the
 // runtime's PlanCache across an (N, P) grid: a cold lookup builds the
-// plan with build_runs, and a warm lookup is one map find, flat in N.
+// plan with build_runs, and a warm lookup is one map find, flat in N. The
+// `plan_cache` figure is the lookup's own microbench: ns per hit and per
+// miss in a cache of 1 and of 64 plans.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -176,6 +179,66 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
   }
 }
 
+// The plan-cache lookup microbench: ns per PlanCache::acquire that hits
+// (a map find and a reference count, in a cache of `entries` cyclic(2) ->
+// cyclic(3) plans) and per acquire that misses (the find, build_runs and
+// the insert; each sample's entry is released untimed before the next),
+// beside build_runs of the missing plan alone, so `miss` - `build_runs`
+// is the cache's own cost of a miss.
+void measure_plan_cache_lookup(bench_common::Harness& harness) {
+  const int reps = std::max(3, harness.options().reps);
+  constexpr int kHits = 4096;  // inner average; one hit is ~a map find
+  constexpr Extent kProcs = 8;
+  const auto pair_of = [](Extent n) {
+    return std::pair(one_dim(n, kProcs, DistFormat::cyclic(2)),
+                     one_dim(n, kProcs, DistFormat::cyclic(3)));
+  };
+  for (const int entries : {1, 64}) {
+    hpfc::redist::PlanCache cache;
+    std::vector<std::pair<ConcreteLayout, ConcreteLayout>> cached;
+    for (int i = 0; i < entries; ++i) {
+      cached.push_back(pair_of(1024 + Extent{48} * i));
+      (void)cache.acquire(cached.back().first, cached.back().second);
+    }
+    const auto& [from, to] = cached[cached.size() / 2];
+    const double hit_ms =
+        median_ms(reps,
+                  [&] {
+                    for (int i = 0; i < kHits; ++i)
+                      (void)cache.acquire(from, to);
+                  }) /
+        kHits;
+    for (int i = 0; i < reps * kHits; ++i) cache.release(from, to);
+
+    const auto [miss_from, miss_to] = pair_of(1000);
+    std::vector<double> samples;
+    for (int r = 0; r < reps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      const bool hit = cache.acquire(miss_from, miss_to).hit;
+      samples.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+      if (hit || !cache.release(miss_from, miss_to)) {
+        std::fprintf(stderr, "bench_plan_build: the missing plan hit\n");
+        std::exit(1);
+      }
+    }
+    std::sort(samples.begin(), samples.end());
+    const double miss_ms = samples[samples.size() / 2];
+    const double build_ms = median_ms(
+        reps, [&] { (void)hpfc::redist::build_runs(miss_from, miss_to); });
+
+    const std::string config = "entries=" + std::to_string(entries);
+    harness.record_timing("plan_cache", config, "hit", hit_ms);
+    harness.record_timing("plan_cache", config, "miss", miss_ms);
+    harness.record_timing("plan_cache", config, "build_runs", build_ms);
+    bench_common::note("plan cache " + config + ": hit " +
+                       std::to_string(hit_ms * 1e6) + " ns, miss " +
+                       std::to_string(miss_ms * 1e6) + " ns (build_runs " +
+                       std::to_string(build_ms * 1e6) + " ns)");
+  }
+}
+
 void measure_pack_throughput(bench_common::Harness& harness) {
   const int reps = std::max(1, harness.options().reps);
   const Extent procs = 8;
@@ -241,6 +304,7 @@ int main(int argc, char** argv) {
             "run-based plan construction is O(runs), not O(N), for fixed P");
         measure_plan_build(harness);
         measure_symbolic_sweep(harness);
+        measure_plan_cache_lookup(harness);
         measure_pack_throughput(harness);
       });
 }

@@ -11,8 +11,10 @@
 // into and unpacked out of a payload, at segment lengths 64, 4096 and
 // 16384 — the round-replay microbench: ns/element of one in-process
 // fused round (hotpath's block <-> cyclic at n = 2^20 and cyclic_fine's
-// cyclic(2) <-> cyclic(3) at 2^18, P=8) pulled in one step, in cache
-// tiles of 64, 128, 256 and 512 KiB, and on 4 threads — and the value-kernel
+// cyclic(2) <-> cyclic(3) at 2^18, P=8) as production runs it, through
+// the per-pair pull in one step and in cache tiles of 64, 128, 256 and
+// 512 KiB, through its stencil in tiles of 16, 32 and 128 KiB where it
+// has one, and on 4 threads — and the value-kernel
 // microbench: ns/element of
 // the read checksum's fold, the write stamp and the expected-value
 // comparison (runtime/expected.hpp), each as the per-element loop over
@@ -332,14 +334,18 @@ hpfc::runtime::RankLocals rank_storage(const ConcreteLayout& layout,
 }
 
 /// One in-process fused round over `from -> to` on 8 ranks, built once
-/// outside the Machine and replayed with warm storage: the pull in one
-/// step, in the tiles of production's kTileBytes (FusedRound::run on
-/// seq), in the tiles of the other budgets (the rows that pick kTileBytes),
-/// and FusedRound::run on a 4-worker thread backend (one step). The rows
-/// are timed round-robin, so drift hits each alike. Per row: the pull
-/// steps, ns/element over every element the round moves, and remote GB/s
-/// (remote payload bytes over the round's time, as `redist.pack_gb_s`
-/// reads a run).
+/// outside the Machine and replayed with warm storage: FusedRound::run on
+/// seq (`tiled`, production: the stencil in its period-range tiles on a
+/// round with one, else the per-pair pull in the tiles of kTileBytes);
+/// the per-pair pull in one step, in the tiles of kTileBytes (`per-pair`,
+/// the fallback path) and of the other budgets (the rows that pick
+/// kTileBytes); on a round with a stencil, the stencil in the tiles of
+/// two other budgets (the rows that pick kStencilTileBytes); and
+/// FusedRound::run on a 4-worker thread backend. The rows are timed
+/// round-robin, so drift hits each alike. Per row: the steps (the
+/// stencil's tiles), ns/element over every element the round moves, and
+/// remote GB/s (remote payload bytes over the round's time, as
+/// `redist.pack_gb_s` reads a run).
 void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
                   DistFormat to_fmt) {
   using hpfc::runtime::FusedRound;
@@ -366,11 +372,23 @@ void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
   };
   std::vector<Row> rows;
   rows.push_back({"one-step", 1, [&] { round.pull(*seq, 1); }, {}});
-  rows.push_back({"tiled", round.tiles(), [&] { (void)round.run(*seq); }, {}});
+  rows.push_back({"tiled",
+                  round.has_stencil() ? round.stencil_tiles() : round.tiles(),
+                  [&] { (void)round.run(*seq); }, {}});
+  rows.push_back({"per-pair", round.tiles(),
+                  [&] { round.pull(*seq, round.tiles()); }, {}});
   for (const std::uint64_t kib : {64, 256, 512}) {
     const int steps = tile_count(bytes, kib << 10);
     rows.push_back({"tiled-" + std::to_string(kib) + "k", steps,
                     [&round, &seq, steps] { round.pull(*seq, steps); }, {}});
+  }
+  if (round.has_stencil()) {
+    for (const std::uint64_t kib : {16, 128}) {
+      const int tiles = tile_count(bytes, kib << 10);
+      rows.push_back({"stencil-" + std::to_string(kib) + "k", tiles,
+                      [&round, &seq, tiles] { round.gather(*seq, tiles); },
+                      {}});
+    }
   }
   rows.push_back({"thread-4", 1, [&] { (void)round.run(*thread); }, {}});
 
@@ -404,9 +422,12 @@ void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
 }
 
 void report_rounds(Harness& h) {
-  std::printf("\n=== fused round replay: pull in one step vs in cache tiles "
-              "(kTileBytes = %llu KiB) ===\n",
-              static_cast<unsigned long long>(hpfc::runtime::kTileBytes >> 10));
+  std::printf("\n=== fused round replay: stencil and per-pair pull, in one "
+              "step vs in cache tiles (kTileBytes = %llu KiB, "
+              "kStencilTileBytes = %llu KiB) ===\n",
+              static_cast<unsigned long long>(hpfc::runtime::kTileBytes >> 10),
+              static_cast<unsigned long long>(
+                  hpfc::runtime::kStencilTileBytes >> 10));
   std::printf("%-36s %-12s %6s %12s %12s\n", "round", "pull", "steps",
               "ns/element", "remote-GB/s");
   // hotpath's two rounds, then cyclic_fine's.

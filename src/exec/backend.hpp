@@ -4,10 +4,13 @@
 // The runtime's compiled programs are rank-independent: every superstep is
 // "each rank does its local guard/copy/compute work, then data moves
 // between ranks". A Backend is the step engine for the first half:
-// `step()` dispatches a per-rank closure into each rank's execution
-// context and waits for all ranks (a BSP barrier). It charges nothing —
-// runtime::Machine charges every superstep's NetStats from the round's
-// traffic table (net::account_flows).
+// `step()` runs a closure once per task index 0..P-1 (P = ranks()) and
+// waits for all of them (a BSP barrier). A task index is usually a rank,
+// but a step may split other work by it: a round stencil's task t gathers
+// a range of period tiles across every rank's storage
+// (runtime/round.hpp). It charges nothing — runtime::Machine charges
+// every superstep's NetStats from the round's traffic table
+// (net::account_flows).
 //
 // Two implementations serve the three BackendKinds:
 //   in-process    (backend.cpp) Seq runs rank 0..P-1 in turn on the
@@ -81,9 +84,14 @@ struct WireStats {
   friend bool operator==(const WireStats&, const WireStats&) = default;
 };
 
-/// Rank-local work executed inside a backend's rank context.  The closure
-/// must touch only rank-owned state (the rank's local memory, its slot of
-/// a per-rank scratch vector) plus immutable shared data.
+/// The work of one task of a step, called with the task index t in
+/// [0, ranks()). Tasks of one step may run concurrently, so the closure
+/// may write only what no other task of the step reads or writes: its
+/// rank's state (the rank's local memory, its slot of a per-rank scratch
+/// vector) when t is a rank, or slices of any rank's storage that are
+/// disjoint from every other task's by construction (the round stencil's
+/// period ranges). Everything else it touches must stay immutable for
+/// the step.
 ///
 /// A non-owning callable reference (two pointers, no allocation): rank
 /// closures are short-lived lambdas on the controlling thread's stack and
@@ -165,9 +173,11 @@ class Backend {
   /// Real-socket traffic (zero for every backend but Proc).
   [[nodiscard]] const WireStats& wire() const { return wire_; }
 
-  /// Runs fn(r) for every rank r inside the backend's rank execution
-  /// context and returns once all ranks finished (a superstep barrier).
-  /// If rank work throws, one of the exceptions is rethrown here.
+  /// Runs fn(t) for every task index t in [0, ranks()) — task t in rank
+  /// t's execution context — and returns once all tasks finished (a
+  /// superstep barrier). Tasks may run concurrently: see RankFn for what
+  /// they may write. If a task throws, one of the exceptions is rethrown
+  /// here.
   virtual void step(const RankFn& fn) = 0;
 
  protected:

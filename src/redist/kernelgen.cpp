@@ -207,9 +207,45 @@ const Fragment* classify(const CopySegment& seg) {
   return seg.dst_stride == 1 ? &kGather : &kStrided;
 }
 
-constexpr std::array<std::string_view, 7> kCatalog = {
-    "singleton", "unrolled", "memcpy",  "gather",
-    "scatter",   "strided",  "periodic"};
+// ---- round stencil gathers ----------------------------------------------
+//
+// One destination line of W lanes per period, lane j read from its own
+// source pointer at the line's offset: the lanes are a template pack, so
+// the body is W straight-line moves and the W pointers stay in registers.
+
+template <std::size_t... J>
+void gather_lanes(const double* const* src, double* dst, Extent periods,
+                  Extent src_step, std::index_sequence<J...> /*lanes*/) {
+  constexpr auto kWidth = static_cast<Extent>(sizeof...(J));
+  const std::array<const double*, sizeof...(J)> s = {src[J]...};
+  const Extent end = periods * kWidth;
+  for (Extent o = 0, q = 0; o < end; o += kWidth, q += src_step)
+    ((dst[o + static_cast<Extent>(J)] = s[J][q]), ...);
+}
+
+template <int W>
+void gather_w(const double* const* src, double* dst, Extent periods,
+              Extent src_step) {
+  gather_lanes(src, dst, periods, src_step, std::make_index_sequence<W>{});
+}
+
+template <std::size_t... W>
+constexpr std::array<GatherOp, sizeof...(W)> gather_table(
+    std::index_sequence<W...> /*widths*/) {
+  return {&gather_w<static_cast<int>(W) + 2>...};
+}
+
+// Widths 2 ... kMaxGatherWidth: a line one lane wide is a contiguous copy,
+// which the per-pair pull's memcpy runs.
+constexpr auto kGathers =
+    gather_table(std::make_index_sequence<kMaxGatherWidth - 1>{});
+
+constexpr std::array<std::string_view, 6 + kMaxGatherWidth> kCatalog = {
+    "singleton",  "unrolled",   "memcpy",     "gather",     "scatter",
+    "strided",    "periodic",   "gather_w2",  "gather_w3",  "gather_w4",
+    "gather_w5",  "gather_w6",  "gather_w7",  "gather_w8",  "gather_w9",
+    "gather_w10", "gather_w11", "gather_w12", "gather_w13", "gather_w14",
+    "gather_w15", "gather_w16"};
 
 }  // namespace
 
@@ -391,5 +427,10 @@ Kernel specialize(SegmentProgram program) {
 }
 
 std::span<const std::string_view> fragment_catalog() { return kCatalog; }
+
+GatherOp gather_fragment(int width) {
+  HPFC_ASSERT(width >= 2 && width <= kMaxGatherWidth);
+  return kGathers[static_cast<std::size_t>(width - 2)];
+}
 
 }  // namespace hpfc::redist

@@ -19,6 +19,10 @@
 // fragment's precompiled body — which keeps the scheme portable while
 // removing the interpreter's per-segment dispatch from the hot loop.
 //
+// The same catalog holds the round stencils' gather_w<W> bodies
+// (runtime/round.hpp): one destination line of W lanes per period, the
+// lanes' source pointers patched in by the round at every run.
+//
 // The interpreted walkers in redist/segments.hpp remain the test
 // reference (see docs/kernels.md): a specialized kernel must move exactly
 // the bytes pack/unpack/copy_local would.
@@ -135,7 +139,23 @@ Kernel specialize(SegmentProgram program);
 
 /// The names of the precompiled fragments: the segment classes in
 /// classification-priority order, then `periodic`, which wraps any of
-/// them (documented one-for-one in docs/kernels.md).
+/// them, then the round stencils' gather_w2 ... gather_w16 (documented
+/// one-for-one in docs/kernels.md).
 std::span<const std::string_view> fragment_catalog();
+
+/// The widest destination line a round stencil gathers.
+inline constexpr int kMaxGatherWidth = 16;
+
+/// A round stencil's precompiled body (runtime/round.hpp), the
+/// gather_w<W> fragment: `periods` periods of one destination line W
+/// lanes wide, dst[p*W + j] = src[j][p*src_step] for every lane j < W
+/// and period p, unrolled straight-line over the lanes. Its holes are
+/// the W source pointers and the destination pointer, which the caller
+/// patches in.
+using GatherOp = void (*)(const double* const* src, double* dst,
+                          Extent periods, Extent src_step);
+
+/// The gather_w<width> fragment, 2 <= width <= kMaxGatherWidth.
+[[nodiscard]] GatherOp gather_fragment(int width);
 
 }  // namespace hpfc::redist

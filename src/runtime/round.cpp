@@ -1,7 +1,10 @@
 #include "runtime/round.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -24,6 +27,96 @@ double timed_ms(const Fn& fn) {
 /// "(src, dst)" for diagnostics.
 std::string pair_name(int src, int dst) {
   return "(" + std::to_string(src) + ", " + std::to_string(dst) + ")";
+}
+
+using redist::Extent;
+
+/// A kernel normalized to per-period lanes: its payload positions
+/// [payload, payload + periods*per_period) run `per_period` elements in
+/// each of the periods [first, first + periods) of a line `width` wide.
+/// Lane i writes line position lane_at[i] (< width) of each period and
+/// reads source position lane_src[i] + p*step in period p (which lies
+/// outside the source before `first`).
+struct PeriodLanes {
+  Extent width = 0;
+  Extent step = 0;
+  Extent first = 0;
+  Extent periods = 0;
+  Extent payload = 0;
+  Extent per_period = 0;
+  std::array<int, redist::kMaxGatherWidth> lane_at{};
+  std::array<Extent, redist::kMaxGatherWidth> lane_src{};
+};
+
+/// `program`'s per-period lanes, from its largest block: a repeated block
+/// (width: its destination step, step: its source step) whose body, at
+/// most kMaxGatherWidth elements, lands in one period of the destination
+/// line; or a reps == 1 single-segment block (width and step: its two
+/// strides), one lane of one element per period. The other blocks are
+/// the kernel's rests. nullopt when that block is neither, or its width
+/// is outside [2, kMaxGatherWidth]. O(program size).
+std::optional<PeriodLanes> period_lanes(const redist::SegmentProgram& program) {
+  const redist::SegmentBlock* best = nullptr;
+  Extent best_at = 0;
+  Extent best_body = 0;
+  Extent at = 0;
+  for (const redist::SegmentBlock& block : program.blocks) {
+    Extent body = 0;
+    for (std::uint32_t i = block.first; i < block.first + block.count; ++i)
+      body += program.segments[i].len;
+    if (best == nullptr || body * block.reps > best_body * best->reps) {
+      best = &block;
+      best_at = at;
+      best_body = body;
+    }
+    at += body * block.reps;
+  }
+  if (best == nullptr || best_body == 0) return std::nullopt;
+  PeriodLanes lanes;
+  lanes.payload = best_at;
+  std::array<Extent, redist::kMaxGatherWidth> dst{};
+  if (best->reps >= 2) {
+    lanes.width = best->dst_step;
+    lanes.step = best->src_step;
+    if (best_body > redist::kMaxGatherWidth) return std::nullopt;
+    lanes.periods = best->reps;
+    lanes.per_period = best_body;
+    int i = 0;
+    for (std::uint32_t s = best->first; s < best->first + best->count; ++s) {
+      const redist::CopySegment& seg = program.segments[s];
+      for (Extent e = 0; e < seg.len; ++e, ++i) {
+        dst[static_cast<std::size_t>(i)] = seg.dst_base + e * seg.dst_stride;
+        lanes.lane_src[static_cast<std::size_t>(i)] =
+            seg.src_base + e * seg.src_stride;
+      }
+    }
+  } else {
+    const redist::CopySegment& seg = program.segments[best->first];
+    if (best->count != 1 || seg.len < 2) return std::nullopt;
+    lanes.width = seg.dst_stride;
+    lanes.step = seg.src_stride;
+    lanes.periods = seg.len;
+    lanes.per_period = 1;
+    dst[0] = seg.dst_base;
+    lanes.lane_src[0] = seg.src_base;
+  }
+  if (lanes.width < 2 || lanes.width > redist::kMaxGatherWidth)
+    return std::nullopt;
+  // The period of the lanes' first destination position; every lane of
+  // the block must land in it.
+  const auto lanes_end = dst.begin() + lanes.per_period;
+  const Extent low = *std::min_element(dst.begin(), lanes_end);
+  if (low < 0) return std::nullopt;
+  lanes.first = low / lanes.width;
+  const Extent origin = lanes.first * lanes.width;
+  if (*std::max_element(dst.begin(), lanes_end) >= origin + lanes.width)
+    return std::nullopt;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(lanes.per_period);
+       ++i) {
+    lanes.lane_at[i] = static_cast<int>(dst[i] - origin);
+    lanes.lane_src[i] -= lanes.first * lanes.step;
+  }
+  return lanes;
 }
 
 }  // namespace
@@ -86,12 +179,138 @@ FusedRound::FusedRound(int ranks, std::vector<RoundMember> members,
                       elements, at, remote_elements_ + at});
     at += elements;
   }
+  build_stencil(ranks);
+}
+
+void FusedRound::build_stencil(int ranks) {
+  // Every kernel with elements normalizes to lanes, or the round has no
+  // stencil.
+  struct Normalized {
+    int member;
+    int kernel;
+    PeriodLanes lanes;
+  };
+  std::size_t count = 0;
+  for (const RoundMember& m : members_) count += m.kernels.size();
+  std::vector<Normalized> kernels;
+  Extent lane_count = 0;
+  for (std::size_t m = 0; m < members_.size(); ++m) {
+    for (std::size_t k = 0; k < members_[m].kernels.size(); ++k) {
+      const redist::SegmentProgram& program = members_[m].kernels[k].program();
+      if (program.elements == 0) continue;
+      std::optional<PeriodLanes> lanes = period_lanes(program);
+      if (!lanes) return;
+      // A round that fails at its first kernel, the common case,
+      // allocates nothing.
+      if (kernels.empty()) kernels.reserve(count);
+      lane_count += lanes->per_period;
+      kernels.push_back(
+          {static_cast<int>(m), static_cast<int>(k), *lanes});
+    }
+  }
+  if (kernels.empty()) return;
+  const auto dst_of = [&](const Normalized& n) {
+    return kernel(n.member, n.kernel).program().dst;
+  };
+  std::sort(kernels.begin(), kernels.end(),
+            [&](const Normalized& a, const Normalized& b) {
+              return std::pair(dst_of(a), a.member) <
+                     std::pair(dst_of(b), b.member);
+            });
+
+  // One line per (destination rank, member): its kernels' lanes must
+  // share one width and one step and hit each line position once, and
+  // the periods all of them run are the line's. Lines and rests come out
+  // in destination rank order.
+  std::vector<StencilLine> lines;
+  lines.reserve(kernels.size());
+  std::vector<StencilLane> lanes;
+  lanes.reserve(static_cast<std::size_t>(lane_count));
+  std::vector<StencilRest> rests;
+  rests.reserve(2 * kernels.size());
+  std::vector<std::uint32_t> rest_begin(static_cast<std::size_t>(ranks) + 1,
+                                        0);
+  for (std::size_t a = 0; a < kernels.size();) {
+    std::size_t b = a;
+    while (b < kernels.size() && kernels[b].member == kernels[a].member &&
+           dst_of(kernels[b]) == dst_of(kernels[a]))
+      ++b;
+    const Extent width = kernels[a].lanes.width;
+    const Extent step = kernels[a].lanes.step;
+    std::uint32_t hit = 0;
+    Extent lo = 0;
+    Extent hi = std::numeric_limits<Extent>::max();
+    for (std::size_t i = a; i < b; ++i) {
+      const PeriodLanes& pl = kernels[i].lanes;
+      if (pl.width != width || pl.step != step) return;
+      for (std::size_t l = 0; l < static_cast<std::size_t>(pl.per_period);
+           ++l) {
+        const std::uint32_t bit = std::uint32_t{1} << pl.lane_at[l];
+        if ((hit & bit) != 0) return;
+        hit |= bit;
+      }
+      lo = std::max(lo, pl.first);
+      hi = std::min(hi, pl.first + pl.periods);
+    }
+    if (hit != (std::uint32_t{1} << width) - 1 || lo >= hi) return;
+
+    StencilLine line;
+    line.gather = redist::gather_fragment(static_cast<int>(width));
+    line.member = kernels[a].member;
+    line.rank = dst_of(kernels[a]);
+    line.width = static_cast<int>(width);
+    line.step = step;
+    line.first = static_cast<std::uint32_t>(lanes.size());
+    line.base = lo * width;
+    line.periods = hi - lo;
+    lines.push_back(line);
+    lanes.resize(lanes.size() + static_cast<std::size_t>(width));
+    for (std::size_t i = a; i < b; ++i) {
+      const Normalized& n = kernels[i];
+      const PeriodLanes& pl = n.lanes;
+      const redist::SegmentProgram& program =
+          kernel(n.member, n.kernel).program();
+      for (std::size_t l = 0; l < static_cast<std::size_t>(pl.per_period);
+           ++l) {
+        lanes[line.first + static_cast<std::size_t>(pl.lane_at[l])] = {
+            program.src, pl.lane_src[l] + lo * step};
+      }
+      // The payload positions of periods [lo, hi) are one range; the
+      // rest of the kernel runs through copy_range.
+      const Extent gathered_lo = pl.payload + (lo - pl.first) * pl.per_period;
+      const Extent gathered_hi = pl.payload + (hi - pl.first) * pl.per_period;
+      if (gathered_lo > 0)
+        rests.push_back({n.member, n.kernel, 0, gathered_lo});
+      if (gathered_hi < program.elements)
+        rests.push_back({n.member, n.kernel, gathered_hi, program.elements});
+    }
+    rest_begin[static_cast<std::size_t>(line.rank) + 1] =
+        static_cast<std::uint32_t>(rests.size());
+    a = b;
+  }
+  // A rank without a line starts its (empty) rests where the rank before
+  // it ends.
+  for (std::size_t r = 1; r < rest_begin.size(); ++r)
+    rest_begin[r] = std::max(rest_begin[r], rest_begin[r - 1]);
+  stencil_ = std::make_unique<Stencil>();
+  stencil_->lane_src.resize(lanes.size());
+  stencil_->line_dst.resize(lines.size());
+  stencil_->lines = std::move(lines);
+  stencil_->lanes = std::move(lanes);
+  stencil_->rests = std::move(rests);
+  stencil_->rest_begin = std::move(rest_begin);
+  stencil_->tiles = tile_count(
+      (local_elements_ + remote_elements_) * sizeof(double), kStencilTileBytes);
 }
 
 RoundTimes FusedRound::run(exec::Backend& backend) {
   RoundTimes times;
   auto* proc = dynamic_cast<exec::ProcBackend*>(&backend);
   if (proc == nullptr) {
+    if (has_stencil()) {
+      times.pack_ms = timed_ms([&] { gather(backend, stencil_->tiles); });
+      return times;
+    }
     // Each step is a barrier: on more than one worker, the steps a tiled
     // pull adds cost more than the cache reuse it wins.
     const int steps = backend.workers() > 1 ? 1 : tiles_;
@@ -145,6 +364,52 @@ void FusedRound::pull(exec::Backend& backend, int steps) const {
       }
     });
   }
+}
+
+void FusedRound::gather(exec::Backend& backend, int tiles) {
+  HPFC_ASSERT(has_stencil() && tiles >= 1);
+  Stencil& st = *stencil_;
+  HPFC_ASSERT(static_cast<std::size_t>(backend.ranks()) + 1 ==
+              st.rest_begin.size());
+  // Patch the holes: the storage's base pointers as they are now.
+  for (std::size_t i = 0; i < st.lines.size(); ++i) {
+    const StencilLine& line = st.lines[i];
+    const RoundMember& m = members_[static_cast<std::size_t>(line.member)];
+    st.line_dst[i] =
+        (*m.dst)[static_cast<std::size_t>(line.rank)].data() + line.base;
+    for (std::size_t j = 0; j < static_cast<std::size_t>(line.width); ++j) {
+      const StencilLane& lane = st.lanes[line.first + j];
+      st.lane_src[line.first + j] =
+          (*m.src)[static_cast<std::size_t>(lane.rank)].data() + lane.offset;
+    }
+  }
+  const int tasks = backend.ranks();
+  // Task t's tiles, then its rank's rests: every write lands on a
+  // position of its own, so the tasks need no barrier but the step's.
+  backend.step([&](int t) {
+    std::array<const double*, redist::kMaxGatherWidth> src{};
+    for (int k = tiles * t / tasks; k < tiles * (t + 1) / tasks; ++k) {
+      for (std::size_t i = 0; i < st.lines.size(); ++i) {
+        const StencilLine& line = st.lines[i];
+        const Extent lo = line.periods * k / tiles;
+        const Extent hi = line.periods * (k + 1) / tiles;
+        if (lo == hi) continue;
+        for (std::size_t j = 0; j < static_cast<std::size_t>(line.width); ++j)
+          src[j] = st.lane_src[line.first + j] + lo * line.step;
+        line.gather(src.data(), st.line_dst[i] + lo * line.width, hi - lo,
+                    line.step);
+      }
+    }
+    const auto rank = static_cast<std::size_t>(t);
+    for (std::uint32_t i = st.rest_begin[rank]; i < st.rest_begin[rank + 1];
+         ++i) {
+      const StencilRest& rest = st.rests[i];
+      const RoundMember& m = members_[static_cast<std::size_t>(rest.member)];
+      const redist::Kernel& k = kernel(rest.member, rest.kernel);
+      k.copy_range((*m.src)[static_cast<std::size_t>(k.program().src)],
+                   (*m.dst)[rank], rest.lo, rest.hi);
+    }
+  });
 }
 
 void FusedRound::pack(exec::Backend& backend, std::span<double> arena) const {

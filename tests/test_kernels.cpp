@@ -7,13 +7,17 @@
 // random_layout redistribution programs, (3) plan and ownership sizes
 // that do not grow with the extent, and (4) plan-slot eviction under
 // memory pressure with lazy re-specialization (and fused-slot
-// invalidation) behind it, and (5) copy_range: any cut of a kernel's
+// invalidation) behind it, (5) copy_range: any cut of a kernel's
 // payload into ranges writes each range's positions only and rebuilds
-// copy() byte for byte.
+// copy() byte for byte, and (6) round stencils: a round that gathers
+// through its stencil writes exactly the bytes the per-pair pull writes,
+// and patches its storage pointers at every run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <string_view>
@@ -21,9 +25,11 @@
 #include <vector>
 
 #include "common.hpp"
+#include "exec/backend.hpp"
 #include "redist/commsets.hpp"
 #include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
+#include "runtime/round.hpp"
 #include "testing/figures.hpp"
 #include "testing/program_gen.hpp"
 
@@ -127,7 +133,7 @@ TEST(FragmentClassification, RepeatedBlocksRunThroughThePeriodicFragment) {
 }
 
 TEST(FragmentClassification, EveryCatalogNameIsReachable) {
-  // One program per catalog entry, in catalog order: a one-segment
+  // One program per kernel entry, in catalog order: a one-segment
   // program per segment class, then a repeated block for `periodic`. An
   // entry no segment shape classifies to has no program here, so the
   // sizes differ and the test fails.
@@ -140,12 +146,37 @@ TEST(FragmentClassification, EveryCatalogNameIsReachable) {
       one_segment(8, 2, 1), one_segment(8, 1, 2), one_segment(8, 2, 3),
       repeated};
   const auto catalog = redist::fragment_catalog();
-  ASSERT_EQ(catalog.size(), programs.size());
-  for (std::size_t i = 0; i + 1 < catalog.size(); ++i)
+  ASSERT_EQ(catalog.size(), programs.size() + redist::kMaxGatherWidth - 1);
+  for (std::size_t i = 0; i + 1 < programs.size(); ++i)
     EXPECT_EQ(redist::specialize(programs[i]).describe(), catalog[i]);
-  EXPECT_EQ(catalog.back(), "periodic");
+  EXPECT_EQ(catalog[programs.size() - 1], "periodic");
   EXPECT_EQ(redist::specialize(programs.back()).describe(),
             "periodic(unrolled)");
+
+  // Then the round stencils' gathers, one per width: gather_w<W> moves
+  // lane j's element of period p from src[j][p*3] (source step 3) to
+  // dst[p*W + j].
+  constexpr Extent kPeriods = 5;
+  for (int width = 2; width <= redist::kMaxGatherWidth; ++width) {
+    SCOPED_TRACE(width);
+    EXPECT_EQ(catalog[programs.size() + static_cast<std::size_t>(width - 2)],
+              "gather_w" + std::to_string(width));
+    const auto w = static_cast<std::size_t>(width);
+    std::vector<std::vector<double>> lanes(w);
+    std::vector<const double*> src;
+    for (std::size_t j = 0; j < w; ++j) {
+      for (Extent p = 0; p < kPeriods * 3; ++p)
+        lanes[j].push_back(static_cast<double>(1000 * j) +
+                           static_cast<double>(p));
+      src.push_back(lanes[j].data());
+    }
+    std::vector<double> dst(w * kPeriods + 1, -1.0);
+    redist::gather_fragment(width)(src.data(), dst.data(), kPeriods, 3);
+    for (std::size_t p = 0; p < kPeriods; ++p)
+      for (std::size_t j = 0; j < w; ++j)
+        ASSERT_EQ(dst[p * w + j], lanes[j][p * 3]) << p << " " << j;
+    EXPECT_EQ(dst.back(), -1.0);
+  }
 }
 
 // ---- copy_range ------------------------------------------------------------
@@ -401,6 +432,228 @@ TEST(PeriodicFootprint, CyclicTwoToThreeDoesNotGrowWithExtent) {
   // One block of one stretch per rank row, plus the clipped tail window
   // that 2^16 and 2^20 share (both are 16 past a multiple of 24).
   EXPECT_LE(small.stretches, 3u * 16u);
+}
+
+// ---- round stencils --------------------------------------------------------
+
+/// One member of a test round: the kernels of `from -> to`, its source
+/// storage (every element a value unique to the member, rank and
+/// position) and its NaN-sentinel destination storage.
+struct StencilMember {
+  mapping::ConcreteLayout from;
+  mapping::ConcreteLayout to;
+  std::vector<redist::Kernel> kernels;
+  runtime::RankLocals src;
+  runtime::RankLocals dst;
+};
+
+StencilMember stencil_member(mapping::ConcreteLayout from,
+                             mapping::ConcreteLayout to, double base) {
+  StencilMember m{std::move(from), std::move(to), {}, {}, {}};
+  for (const auto& t : redist::build_runs(m.from, m.to).transfers)
+    m.kernels.push_back(redist::specialize(redist::compile_transfer(
+        t, m.from.owned_index_runs(t.src), m.to.owned_index_runs(t.dst))));
+  m.src.resize(static_cast<std::size_t>(m.from.ranks()));
+  for (std::size_t r = 0; r < m.src.size(); ++r)
+    for (Extent i = 0; i < m.from.local_count(static_cast<int>(r)); ++i)
+      m.src[r].push_back(base + 1e4 * static_cast<double>(r) +
+                         static_cast<double>(i));
+  m.dst.resize(static_cast<std::size_t>(m.to.ranks()));
+  for (std::size_t r = 0; r < m.dst.size(); ++r)
+    m.dst[r].resize(
+        static_cast<std::size_t>(m.to.local_count(static_cast<int>(r))));
+  return m;
+}
+
+/// Refills every destination element with a NaN sentinel, in place.
+void fill_sentinel(std::vector<StencilMember>& members) {
+  for (StencilMember& m : members)
+    for (auto& local : m.dst)
+      std::fill(local.begin(), local.end(),
+                std::numeric_limits<double>::quiet_NaN());
+}
+
+/// Every destination byte of the round, member by member and rank by rank.
+std::vector<std::uint64_t> dst_bits(const std::vector<StencilMember>& members) {
+  std::vector<std::uint64_t> bits;
+  for (const StencilMember& m : members) {
+    for (const auto& local : m.dst) {
+      for (const double value : local)
+        bits.push_back(std::bit_cast<std::uint64_t>(value));
+    }
+  }
+  return bits;
+}
+
+/// The round over `members` on the machine of their most ranks.
+runtime::FusedRound stencil_round(std::vector<StencilMember>& members) {
+  int ranks = 1;
+  std::vector<runtime::RoundMember> round_members;
+  for (StencilMember& m : members) {
+    ranks = std::max({ranks, m.from.ranks(), m.to.ranks()});
+    round_members.push_back({m.kernels, &m.src, &m.dst});
+  }
+  return runtime::FusedRound(ranks, std::move(round_members), 0);
+}
+
+mapping::ConcreteLayout cyclic_on(Extent n, Extent k, Extent ranks) {
+  return mapping::ConcreteLayout::make(
+      Shape{n}, Shape{ranks},
+      {{mapping::AlignTarget::axis(0), DistFormat::cyclic(k), n}});
+}
+
+// Property: wherever a round has a stencil, its gathers and rests write
+// exactly the bytes the per-pair pull writes into NaN-sentinel
+// destinations: on seq in one tile and in stencil_tiles() tiles, on a
+// 3-worker thread backend (the period ranges split unevenly over the
+// tasks), and through run() on both. The rounds are KernelOracle's
+// random layout pairs on its shapes and on longer ones, plus one- to
+// three-member rounds of cyclic(a) -> cyclic(b) pairs whose extents clip
+// the last period.
+TEST(RoundStencil, WritesExactlyWhatThePerPairPullWrites) {
+  std::mt19937 rng(4242);
+  const Shape shapes[] = {Shape{32},   Shape{21},   Shape{10, 12},
+                          Shape{8, 8}, Shape{257},  Shape{6, 70},
+                          Shape{480},  Shape{1003}, Shape{24, 96}};
+  int stencils = 0;
+  int fused_stencils = 0;
+  int rounds = 0;
+  const auto check = [&](std::vector<StencilMember>& members,
+                         const std::string& what) {
+    SCOPED_TRACE(what);
+    runtime::FusedRound round = stencil_round(members);
+    const int ranks = static_cast<int>(round.exchange().by_dst.size());
+    const auto seq_backend = exec::make_backend(exec::BackendKind::Seq, ranks);
+    const auto thread =
+        exec::make_backend(exec::BackendKind::Thread, ranks, 3);
+    fill_sentinel(members);
+    round.pull(*seq_backend, 1);
+    const std::vector<std::uint64_t> expected = dst_bits(members);
+    const auto expect_same = [&](const char* how, const auto& move) {
+      fill_sentinel(members);
+      move();
+      EXPECT_EQ(dst_bits(members), expected) << how;
+    };
+    expect_same("per-pair, tiles() steps",
+                [&] { round.pull(*seq_backend, round.tiles()); });
+    expect_same("run on seq", [&] { round.run(*seq_backend); });
+    expect_same("run on thread-3", [&] { round.run(*thread); });
+    ++rounds;
+    if (!round.has_stencil()) return;
+    ++stencils;
+    fused_stencils += members.size() > 1 ? 1 : 0;
+    ASSERT_GE(round.stencil_tiles(), 1);
+    expect_same("seq, one tile", [&] { round.gather(*seq_backend, 1); });
+    expect_same("seq, stencil_tiles()",
+                [&] { round.gather(*seq_backend, round.stencil_tiles()); });
+    for (const int tiles : {2, 5, round.stencil_tiles(), 97}) {
+      expect_same("thread-3", [&] { round.gather(*thread, tiles); });
+    }
+  };
+  for (int trial = 0; trial < 270; ++trial) {
+    const Shape& shape = shapes[trial % 9];
+    std::vector<StencilMember> members;
+    members.push_back(stencil_member(testing::random_layout(rng, shape),
+                                     testing::random_layout(rng, shape), 0.0));
+    check(members, "random layouts, trial " + std::to_string(trial));
+  }
+  const int random_stencils = stencils;
+  std::uniform_int_distribution<int> k(1, 4);
+  std::uniform_int_distribution<int> procs(2, 8);
+  std::uniform_int_distribution<int> extent(40, 700);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int count = 1 + trial % 3;
+    const Extent ranks = procs(rng);
+    std::vector<StencilMember> members;
+    std::string what = "cyclic trial " + std::to_string(trial) + ":";
+    for (int m = 0; m < count; ++m) {
+      const Extent n = extent(rng);
+      const Extent a = k(rng);
+      const Extent b = k(rng);
+      what += " n=" + std::to_string(n) + " cyclic(" + std::to_string(a) +
+              ")->cyclic(" + std::to_string(b) + ")";
+      members.push_back(stencil_member(cyclic_on(n, a, ranks),
+                                       cyclic_on(n, b, ranks), 1e6 * m));
+    }
+    check(members, what);
+  }
+  EXPECT_EQ(rounds, 330);
+  EXPECT_GT(random_stencils, 10);
+  EXPECT_GT(stencils, 40);
+  EXPECT_GT(fused_stencils, 10);
+}
+
+// cyclic_fine's rounds (cyclic(2) <-> cyclic(3) on 8 ranks) pull through
+// the stencil, on an extent that clips the last period too. hotpath's
+// block -> cyclic round does not: each destination element of a line
+// comes from the next source rank, so its lines are one lane wide.
+// cyclic -> block does: a destination line of 8 lanes, one per source
+// rank, each advancing one source position per period.
+TEST(RoundStencil, CyclicTwoThreeIsEligibleBlockToCyclicIsNot) {
+  constexpr Extent kN = 48 * 100 + 16;
+  const auto eligible = [](mapping::ConcreteLayout from,
+                           mapping::ConcreteLayout to) {
+    std::vector<StencilMember> members;
+    members.push_back(stencil_member(std::move(from), std::move(to), 0.0));
+    return stencil_round(members).has_stencil();
+  };
+  EXPECT_TRUE(eligible(cyclic_on(kN, 2, 8), cyclic_on(kN, 3, 8)));
+  EXPECT_TRUE(eligible(cyclic_on(kN, 3, 8), cyclic_on(kN, 2, 8)));
+  const auto block = [](Extent n) {
+    mapping::DimOwner owner;
+    owner.source = mapping::AlignTarget::axis(0);
+    owner.template_extent = n;
+    owner.format = DistFormat::block(n / 8);
+    return mapping::ConcreteLayout::make(Shape{n}, Shape{8}, {owner});
+  };
+  constexpr Extent kBlocks = 8 * 1024;
+  EXPECT_FALSE(eligible(block(kBlocks), cyclic_on(kBlocks, 1, 8)));
+  EXPECT_TRUE(eligible(cyclic_on(kBlocks, 1, 8), block(kBlocks)));
+}
+
+// A cached round outlives its storage: between two runs the machine may
+// free a version and allocate it again elsewhere. Every run patches the
+// storage's current base pointers into the stencil, so the second run
+// reads the new sources and writes the new destinations. The old
+// buffers stay alive here, so a stencil that kept the first run's
+// pointers would read stale values and leave the new destinations
+// holding their sentinel.
+TEST(RoundStencil, PatchesStoragePointersAtEveryRun) {
+  for (const exec::BackendKind kind :
+       {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
+    const auto backend = exec::make_backend(kind, 8, 3);
+    SCOPED_TRACE(backend->name());
+    std::vector<StencilMember> members;
+    members.push_back(stencil_member(cyclic_on(48 * 40 + 5, 2, 8),
+                                     cyclic_on(48 * 40 + 5, 3, 8), 0.0));
+    runtime::FusedRound round = stencil_round(members);
+    ASSERT_TRUE(round.has_stencil());
+    fill_sentinel(members);
+    round.run(*backend);
+
+    // Free and reallocate both versions: new buffers, new source values.
+    StencilMember& m = members[0];
+    const runtime::RankLocals old_src = std::exchange(
+        m.src, stencil_member(m.from, m.to, 5e5).src);
+    runtime::RankLocals fresh_dst;
+    for (const auto& local : m.dst)
+      fresh_dst.emplace_back(local.size(),
+                             std::numeric_limits<double>::quiet_NaN());
+    const runtime::RankLocals old_dst =
+        std::exchange(m.dst, std::move(fresh_dst));
+    const std::vector<std::uint64_t> first = dst_bits(members);
+    round.run(*backend);
+
+    std::vector<StencilMember> expected;
+    expected.push_back(stencil_member(m.from, m.to, 5e5));
+    runtime::FusedRound reference = stencil_round(expected);
+    fill_sentinel(expected);
+    reference.pull(*backend, 1);
+    EXPECT_EQ(dst_bits(members), dst_bits(expected));
+    EXPECT_NE(dst_bits(members), first);
+    (void)old_src;
+    (void)old_dst;
+  }
 }
 
 // Under memory pressure the runtime falls back to evicting compiled plan
