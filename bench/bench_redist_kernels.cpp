@@ -12,9 +12,10 @@
 // 16384 — the round-replay microbench: ns/element of one in-process
 // fused round (hotpath's block <-> cyclic at n = 2^20 and cyclic_fine's
 // cyclic(2) <-> cyclic(3) at 2^18, P=8) as production runs it, through
-// the per-pair pull in one step and in cache tiles of 64, 128, 256 and
+// the per-pair pull in one tile and in cache tiles of 64, 128, 256 and
 // 512 KiB, through its stencil in tiles of 16, 32 and 128 KiB where it
-// has one, and on 4 threads — and the value-kernel
+// has one, and as production runs it on 4 threads, in the same tiles —
+// and the value-kernel
 // microbench: ns/element of
 // the read checksum's fold, the write stamp and the expected-value
 // comparison (runtime/expected.hpp), each as the per-element loop over
@@ -26,11 +27,15 @@
 // GB/s and wire bytes per remote byte — and the proc-backend lifetime
 // microbench: ms to bring up and tear down a P=4 proc backend cold
 // (fork the worker mesh, then reap it) and warm (adopt the parked mesh,
-// then park it again).
+// then park it again) — and the wire-frame microbench: GB/s of
+// gather-encoding a Peer frame (net::wire::encode_frame_gather) and of
+// scatter-decoding it (net::wire::BodyScatterDecoder) at a few message
+// counts over one payload size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -337,15 +342,16 @@ hpfc::runtime::RankLocals rank_storage(const ConcreteLayout& layout,
 /// outside the Machine and replayed with warm storage: FusedRound::run on
 /// seq (`tiled`, production: the stencil in its period-range tiles on a
 /// round with one, else the per-pair pull in the tiles of kTileBytes);
-/// the per-pair pull in one step, in the tiles of kTileBytes (`per-pair`,
-/// the fallback path) and of the other budgets (the rows that pick
-/// kTileBytes); on a round with a stencil, the stencil in the tiles of
-/// two other budgets (the rows that pick kStencilTileBytes); and
-/// FusedRound::run on a 4-worker thread backend. The rows are timed
-/// round-robin, so drift hits each alike. Per row: the steps (the
-/// stencil's tiles), ns/element over every element the round moves, and
-/// remote GB/s (remote payload bytes over the round's time, as
-/// `redist.pack_gb_s` reads a run).
+/// the per-pair pull in one tile, in the tiles of kTileBytes
+/// (`per-pair`, the fallback path) and of the other budgets (the rows
+/// that pick kTileBytes); on a round with a stencil, the stencil in the
+/// tiles of two other budgets (the rows that pick kStencilTileBytes);
+/// and FusedRound::run on a 4-worker thread backend, in the tiles()
+/// tiles it runs on seq. Every row is one backend step. The rows are
+/// timed round-robin, so drift hits each alike. Per row: its tiles (also
+/// recorded, as `tiles`), ns/element over every element the round moves, and remote GB/s
+/// (remote payload bytes over the round's time, as `redist.pack_gb_s`
+/// reads a run).
 void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
                   DistFormat to_fmt) {
   using hpfc::runtime::FusedRound;
@@ -366,21 +372,20 @@ void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
 
   struct Row {
     std::string level;
-    int steps;
+    int tiles;
     std::function<void()> replay;
     std::vector<double> ms;
   };
   std::vector<Row> rows;
+  const int per_pair = tile_count(bytes);
   rows.push_back({"one-step", 1, [&] { round.pull(*seq, 1); }, {}});
-  rows.push_back({"tiled",
-                  round.has_stencil() ? round.stencil_tiles() : round.tiles(),
-                  [&] { (void)round.run(*seq); }, {}});
-  rows.push_back({"per-pair", round.tiles(),
-                  [&] { round.pull(*seq, round.tiles()); }, {}});
+  rows.push_back({"tiled", round.tiles(), [&] { (void)round.run(*seq); }, {}});
+  rows.push_back({"per-pair", per_pair,
+                  [&] { round.pull(*seq, per_pair); }, {}});
   for (const std::uint64_t kib : {64, 256, 512}) {
-    const int steps = tile_count(bytes, kib << 10);
-    rows.push_back({"tiled-" + std::to_string(kib) + "k", steps,
-                    [&round, &seq, steps] { round.pull(*seq, steps); }, {}});
+    const int tiles = tile_count(bytes, kib << 10);
+    rows.push_back({"tiled-" + std::to_string(kib) + "k", tiles,
+                    [&round, &seq, tiles] { round.pull(*seq, tiles); }, {}});
   }
   if (round.has_stencil()) {
     for (const std::uint64_t kib : {16, 128}) {
@@ -390,7 +395,8 @@ void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
                       {}});
     }
   }
-  rows.push_back({"thread-4", 1, [&] { (void)round.run(*thread); }, {}});
+  rows.push_back(
+      {"thread-4", round.tiles(), [&] { (void)round.run(*thread); }, {}});
 
   const int reps = std::max(11, h.options().reps);
   const int warmup = std::max(2, h.options().warmup);
@@ -413,22 +419,22 @@ void replay_round(Harness& h, const char* name, Extent n, DistFormat from_fmt,
     std::sort(row.ms.begin(), row.ms.end());
     const double ms = row.ms[row.ms.size() / 2];
     std::printf("%-36s %-12s %6d %12.3f %12.3f\n", config.c_str(),
-                row.level.c_str(), row.steps,
+                row.level.c_str(), row.tiles,
                 ms * 1e6 / static_cast<double>(elements),
                 static_cast<double>(round.remote_elements() * sizeof(double)) /
                     (ms * 1e6));
-    h.record_timing("round", config, row.level, ms);
+    h.record("round", config, {row.level, {}, 0, ms, 0.0, row.tiles});
   }
 }
 
 void report_rounds(Harness& h) {
   std::printf("\n=== fused round replay: stencil and per-pair pull, in one "
-              "step vs in cache tiles (kTileBytes = %llu KiB, "
+              "tile vs in cache tiles (kTileBytes = %llu KiB, "
               "kStencilTileBytes = %llu KiB) ===\n",
               static_cast<unsigned long long>(hpfc::runtime::kTileBytes >> 10),
               static_cast<unsigned long long>(
                   hpfc::runtime::kStencilTileBytes >> 10));
-  std::printf("%-36s %-12s %6s %12s %12s\n", "round", "pull", "steps",
+  std::printf("%-36s %-12s %6s %12s %12s\n", "round", "pull", "tiles",
               "ns/element", "remote-GB/s");
   // hotpath's two rounds, then cyclic_fine's.
   replay_round(h, "block->cyclic", 1 << 20, DistFormat::block(),
@@ -647,6 +653,90 @@ void report_checksums(Harness& h) {
   for (const Extent elements : {196608, 1 << 20}) time_checksums(h, elements);
 }
 
+// ---- wire frames ---------------------------------------------------------
+
+/// GB/s of one Peer frame of `messages` payloads of `doubles` each, every
+/// payload a slice of one source buffer: gather-encoding it
+/// (net::wire::encode_frame_gather: the records, the iov chunks and the
+/// body checksum over every payload byte) and scatter-decoding it
+/// (net::wire::BodyScatterDecoder, fed the frame's bytes window by
+/// window from memory, as recv_frame feeds it from a socket: each
+/// payload lands in its own destination slice and the checksum folds
+/// every body byte). GB/s is payload bytes over the median time.
+void time_wire_frame(Harness& h, int messages, Extent doubles) {
+  namespace wire = hpfc::net::wire;
+  const auto count = static_cast<std::size_t>(doubles);
+  const std::size_t total = static_cast<std::size_t>(messages) * count;
+  std::vector<double> payloads(total);
+  for (std::size_t i = 0; i < total; ++i)
+    payloads[i] = static_cast<double>(i % 1000);
+  std::vector<wire::Descriptor> sends(static_cast<std::size_t>(messages));
+  for (std::size_t m = 0; m < sends.size(); ++m)
+    sends[m] = {0, 1, static_cast<std::int32_t>(m), 1, count, m * count};
+  const auto encode = [&] {
+    return wire::encode_frame_gather(wire::FrameKind::Peer, 0, sends, {},
+                                     payloads.data());
+  };
+  const int reps = std::max(11, h.options().reps);
+  const int warmup = std::max(1, h.options().warmup);
+  std::uint64_t sink = 0;
+  const double encode_ms =
+      median_ms(warmup, reps, [&] { sink += encode().bytes; });
+
+  // The frame's bytes as they cross the socket: its chunks back to back.
+  const wire::GatherFrame frame = encode();
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(frame.bytes);
+  for (const ::iovec& chunk : frame.iov) {
+    const auto* at = static_cast<const std::uint8_t*>(chunk.iov_base);
+    bytes.insert(bytes.end(), at, at + chunk.iov_len);
+  }
+  std::vector<double> landed(total);
+  const double decode_ms = median_ms(warmup, reps, [&] {
+    wire::FrameKind kind = wire::FrameKind::Shutdown;
+    int src = 0;
+    std::uint64_t body_bytes = 0;
+    std::uint64_t checksum = 0;
+    wire::decode_header(std::span(bytes).first(wire::kHeaderBytes), kind,
+                        src, body_bytes, checksum);
+    wire::BodyScatterDecoder decoder;
+    decoder.reset(kind, src, body_bytes, checksum,
+                  [&](const wire::Descriptor& d) {
+                    return std::span(landed).subspan(
+                        static_cast<std::size_t>(d.tag) * count, d.elements);
+                  });
+    std::size_t at = wire::kHeaderBytes;
+    while (!decoder.done()) {
+      const auto window = decoder.window();
+      std::memcpy(window.data(), bytes.data() + at, window.size());
+      at += window.size();
+      decoder.advance(window.size());
+    }
+    sink += decoder.take("wire_frame").sends.size();
+  });
+  benchmark::DoNotOptimize(sink);
+  if (landed != payloads) std::abort();  // a payload the decoder misplaced
+
+  const auto gb_s = [&](double ms) {
+    return static_cast<double>(total * sizeof(double)) / (ms * 1e6);
+  };
+  const std::string config = "Peer " + std::to_string(messages) + "x" +
+                             std::to_string(doubles);
+  std::printf("%-30s %12.3f %12.3f\n", config.c_str(), gb_s(encode_ms),
+              gb_s(decode_ms));
+  h.record_timing("wire_frame", config, "encode", encode_ms);
+  h.record_timing("wire_frame", config, "decode", decode_ms);
+}
+
+void report_wire_frames(Harness& h) {
+  std::printf("\n=== wire frames: Peer frame gather encode and scatter "
+              "decode (GB/s) ===\n");
+  std::printf("%-30s %12s %12s\n", "frame", "encode", "decode");
+  // 1 MiB of payload, from one message to 4096 messages of 32 doubles.
+  for (const int messages : {1, 16, 256, 4096})
+    time_wire_frame(h, messages, (Extent{1} << 17) / messages);
+}
+
 // ---- proc round ----------------------------------------------------------
 
 /// One fused round the size of the ADI sweep's remaps (Fig. 10): a
@@ -783,6 +873,7 @@ int main(int argc, char** argv) {
     report_rounds(h);
     report_values(h);
     report_checksums(h);
+    report_wire_frames(h);
     report_proc_round(h);
     report_proc_backend(h);
   });

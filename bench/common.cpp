@@ -288,7 +288,9 @@ bool Harness::write_json() const {
       hpfc::runtime::write_json_fields(os, l.report);
       os << ", \"host_allocs\": " << l.host_allocs
          << ", \"compile_wall_ms\": " << l.compile_wall_ms
-         << ", \"run_wall_ms\": " << l.run_wall_ms << "}";
+         << ", \"run_wall_ms\": " << l.run_wall_ms;
+      if (l.tiles > 0) os << ", \"tiles\": " << l.tiles;
+      os << "}";
     }
     os << "\n    ]}";
   }

@@ -50,6 +50,9 @@ struct LevelRecord {
   /// Median host time of the simulated run alone (the sequential oracle
   /// used for cross-checking is executed outside the timed region).
   double run_wall_ms = 0.0;
+  /// The tiles a round-replay row moves its round in (bench_redist_kernels'
+  /// `round` figure); 0, and not written, on every other row.
+  int tiles = 0;
 };
 
 /// One measured configuration of a paper figure ("fig02", "P=4 n=64").

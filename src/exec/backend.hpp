@@ -6,15 +6,15 @@
 // between ranks". A Backend is the step engine for the first half:
 // `step()` runs a closure once per task index 0..P-1 (P = ranks()) and
 // waits for all of them (a BSP barrier). A task index is usually a rank,
-// but a step may split other work by it: a round stencil's task t gathers
-// a range of period tiles across every rank's storage
-// (runtime/round.hpp). It charges nothing — runtime::Machine charges
+// but a step may split other work by it: an in-process round's task t
+// runs a range of (tile, destination rank) items across every rank's
+// storage (runtime/round.hpp). It charges nothing — runtime::Machine charges
 // every superstep's NetStats from the round's traffic table
 // (net::account_flows).
 //
 // Two implementations serve the three BackendKinds:
-//   in-process    (backend.cpp) Seq runs rank 0..P-1 in turn on the
-//                 calling thread; Thread runs ranks on a StepPool of
+//   in-process    (backend.cpp) Seq runs tasks 0..P-1 in turn on the
+//                 calling thread; Thread runs them on a StepPool of
 //                 persistent workers (min(threads, ranks) of them when P
 //                 exceeds the host). All ranks share one address space,
 //                 so the runtime's remap rounds copy rank to rank and
@@ -89,9 +89,9 @@ struct WireStats {
 /// may write only what no other task of the step reads or writes: its
 /// rank's state (the rank's local memory, its slot of a per-rank scratch
 /// vector) when t is a rank, or slices of any rank's storage that are
-/// disjoint from every other task's by construction (the round stencil's
-/// period ranges). Everything else it touches must stay immutable for
-/// the step.
+/// disjoint from every other task's by construction (an in-process
+/// round's (tile, rank) items). Everything else it touches must stay
+/// immutable for the step.
 ///
 /// A non-owning callable reference (two pointers, no allocation): rank
 /// closures are short-lived lambdas on the controlling thread's stack and
@@ -115,16 +115,16 @@ class RankFn {
   void (*call_)(const void*, int);
 };
 
-/// A reusable fork-join rank pool: min(threads, ranks) persistent workers
+/// A reusable fork-join task pool: min(threads, ranks) persistent workers
 /// execute a published RankFn under a generation-counter protocol, with
-/// worker w owning ranks w, w+T, w+2T, ... (static striping — no work
-/// queue, no per-rank locking). The mutex/condition hand-off around each
-/// run() provides the happens-before edges between consecutive runs that
-/// make rank-owned data safely visible across workers.
+/// worker w running task indices w, w+T, w+2T, ... (static striping — no
+/// work queue, no per-task locking). The mutex/condition hand-off around
+/// each run() provides the happens-before edges between consecutive runs
+/// that make task-written data safely visible across workers.
 ///
-/// Runs the Thread kind's rank work, and lets ProcBackend drive its
-/// per-rank wire phases (gather-sends, scatter-receives) through the same
-/// engine that runs pack/unpack rank work.
+/// Runs the Thread kind's steps, and lets ProcBackend drive its per-rank
+/// wire phases (gather-sends, scatter-receives) through the same engine
+/// that runs pack/unpack rank work.
 class StepPool {
  public:
   /// `threads <= 0` picks min(ranks, hardware_concurrency).
@@ -135,9 +135,9 @@ class StepPool {
 
   [[nodiscard]] int threads() const { return threads_; }
 
-  /// Runs fn(r) for every rank r across the pool and returns once all
-  /// ranks finished (a barrier). If rank work throws, the lowest-indexed
-  /// failing worker's exception is rethrown here.
+  /// Runs fn(t) for every task index t in [0, ranks) across the pool and
+  /// returns once all tasks finished (a barrier). If a task throws, the
+  /// lowest-indexed failing worker's exception is rethrown here.
   void run(const RankFn& fn);
 
  private:

@@ -129,8 +129,8 @@ struct RunReport {
   // Superstep phase timers: wall-clock accumulated over every exchange
   // superstep's pack / exchange / unpack window (run_benches' timeout
   // diagnostics read them). On seq and thread a round is a pull of
-  // direct copies (one step, or one step per cache tile on one worker),
-  // booked as pack_ms; exchange_ms and unpack_ms stay 0 there. They sum
+  // direct copies (one step over its (tile, rank) items), booked as
+  // pack_ms; exchange_ms and unpack_ms stay 0 there. They sum
   // to less than exec_ms — guard evaluation and plan compilation run
   // outside the three windows.
   double pack_ms = 0.0;

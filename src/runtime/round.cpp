@@ -119,6 +119,25 @@ std::optional<PeriodLanes> period_lanes(const redist::SegmentProgram& program) {
   return lanes;
 }
 
+/// Runs item(k, r) for every tile k < tiles and rank r < P in one step of
+/// P tasks, task t taking items [tiles*t, tiles*(t+1)) of the tile-major
+/// order k*P + r: the in-process rounds' one schedule (round.hpp).
+template <typename Item>
+void step_items(exec::Backend& backend, int tiles, const Item& item) {
+  const int ranks = backend.ranks();
+  backend.step([&](int t) {
+    int k = tiles * t / ranks;
+    int r = tiles * t % ranks;
+    for (int i = 0; i < tiles; ++i) {
+      item(k, r);
+      if (++r == ranks) {
+        r = 0;
+        ++k;
+      }
+    }
+  });
+}
+
 }  // namespace
 
 int tile_count(std::uint64_t bytes, std::uint64_t tile_bytes) {
@@ -167,7 +186,6 @@ FusedRound::FusedRound(int ranks, std::vector<RoundMember> members,
          static_cast<std::uint64_t>(fm.elements) * sizeof(double),
          static_cast<std::uint64_t>(fm.segments)});
   }
-  tiles_ = tile_count((local_elements_ + remote_elements_) * sizeof(double));
   // The arena layout: out-slots in table order from the arena's start,
   // then the in-slots in the same order.
   slots_.reserve(exchange_.messages.size());
@@ -180,6 +198,8 @@ FusedRound::FusedRound(int ranks, std::vector<RoundMember> members,
     at += elements;
   }
   build_stencil(ranks);
+  tiles_ = tile_count((local_elements_ + remote_elements_) * sizeof(double),
+                      has_stencil() ? kStencilTileBytes : kTileBytes);
 }
 
 void FusedRound::build_stencil(int ranks) {
@@ -228,8 +248,9 @@ void FusedRound::build_stencil(int ranks) {
   lanes.reserve(static_cast<std::size_t>(lane_count));
   std::vector<StencilRest> rests;
   rests.reserve(2 * kernels.size());
-  std::vector<std::uint32_t> rest_begin(static_cast<std::size_t>(ranks) + 1,
+  std::vector<std::uint32_t> line_begin(static_cast<std::size_t>(ranks) + 1,
                                         0);
+  std::vector<std::uint32_t> rest_begin(line_begin.size(), 0);
   for (std::size_t a = 0; a < kernels.size();) {
     std::size_t b = a;
     while (b < kernels.size() && kernels[b].member == kernels[a].member &&
@@ -284,37 +305,35 @@ void FusedRound::build_stencil(int ranks) {
       if (gathered_hi < program.elements)
         rests.push_back({n.member, n.kernel, gathered_hi, program.elements});
     }
+    line_begin[static_cast<std::size_t>(line.rank) + 1] =
+        static_cast<std::uint32_t>(lines.size());
     rest_begin[static_cast<std::size_t>(line.rank) + 1] =
         static_cast<std::uint32_t>(rests.size());
     a = b;
   }
-  // A rank without a line starts its (empty) rests where the rank before
-  // it ends.
-  for (std::size_t r = 1; r < rest_begin.size(); ++r)
+  // A rank without a line starts its (empty) lines and rests where the
+  // rank before it ends.
+  for (std::size_t r = 1; r < rest_begin.size(); ++r) {
+    line_begin[r] = std::max(line_begin[r], line_begin[r - 1]);
     rest_begin[r] = std::max(rest_begin[r], rest_begin[r - 1]);
+  }
   stencil_ = std::make_unique<Stencil>();
   stencil_->lane_src.resize(lanes.size());
   stencil_->line_dst.resize(lines.size());
   stencil_->lines = std::move(lines);
   stencil_->lanes = std::move(lanes);
+  stencil_->line_begin = std::move(line_begin);
   stencil_->rests = std::move(rests);
   stencil_->rest_begin = std::move(rest_begin);
-  stencil_->tiles = tile_count(
-      (local_elements_ + remote_elements_) * sizeof(double), kStencilTileBytes);
 }
 
 RoundTimes FusedRound::run(exec::Backend& backend) {
   RoundTimes times;
   auto* proc = dynamic_cast<exec::ProcBackend*>(&backend);
   if (proc == nullptr) {
-    if (has_stencil()) {
-      times.pack_ms = timed_ms([&] { gather(backend, stencil_->tiles); });
-      return times;
-    }
-    // Each step is a barrier: on more than one worker, the steps a tiled
-    // pull adds cost more than the cache reuse it wins.
-    const int steps = backend.workers() > 1 ? 1 : tiles_;
-    times.pack_ms = timed_ms([&] { pull(backend, steps); });
+    times.pack_ms = timed_ms([&] {
+      has_stencil() ? gather(backend, tiles_) : pull(backend, tiles_);
+    });
     return times;
   }
   const std::span<double> arena = proc->arena(arena_elements());
@@ -327,50 +346,35 @@ RoundTimes FusedRound::run(exec::Backend& backend) {
   return times;
 }
 
-void FusedRound::copy_local(int r) const {
-  const auto rank = static_cast<std::size_t>(r);
-  for (const redist::FusedLocal& u : exchange_.local_by_rank[rank]) {
-    const RoundMember& m = members_[static_cast<std::size_t>(u.member)];
-    kernel(u.member, u.kernel).copy((*m.src)[rank], (*m.dst)[rank]);
-  }
-}
-
-void FusedRound::pull(exec::Backend& backend, int steps) const {
-  HPFC_ASSERT(steps >= 1);
-  for (int step = 0; step < steps; ++step) {
-    // Step `step`'s slice of a unit or frame of the kernel k.
-    const auto copy_tile = [&](const redist::Kernel& k,
-                               const std::vector<double>& src,
-                               std::vector<double>& dst) {
-      const redist::Extent n = k.elements();
-      k.copy_range(src, dst, n * step / steps, n * (step + 1) / steps);
+void FusedRound::pull(exec::Backend& backend, int tiles) const {
+  HPFC_ASSERT(tiles >= 1);
+  step_items(backend, tiles, [&](int k, int r) {
+    const auto rank = static_cast<std::size_t>(r);
+    // Tile k of a unit or frame of a member's kernel, read from rank
+    // `from`.
+    const auto copy_tile = [&](int member, int kern, std::size_t from) {
+      const RoundMember& m = members_[static_cast<std::size_t>(member)];
+      const redist::Kernel& kn = kernel(member, kern);
+      const Extent n = kn.elements();
+      kn.copy_range((*m.src)[from], (*m.dst)[rank], n * k / tiles,
+                    n * (k + 1) / tiles);
     };
-    backend.step([&](int r) {
-      const auto rank = static_cast<std::size_t>(r);
-      for (const redist::FusedLocal& u : exchange_.local_by_rank[rank]) {
-        const RoundMember& m = members_[static_cast<std::size_t>(u.member)];
-        copy_tile(kernel(u.member, u.kernel), (*m.src)[rank], (*m.dst)[rank]);
-      }
-      for (const int mi : exchange_.by_dst[rank]) {
-        const redist::FusedMessage& fm =
-            exchange_.messages[static_cast<std::size_t>(mi)];
-        for (const redist::FusedFrame& fr : fm.frames) {
-          const RoundMember& m =
-              members_[static_cast<std::size_t>(fr.member)];
-          copy_tile(kernel(fr.member, fr.kernel),
-                    (*m.src)[static_cast<std::size_t>(fm.src)],
-                    (*m.dst)[rank]);
-        }
-      }
-    });
-  }
+    for (const redist::FusedLocal& u : exchange_.local_by_rank[rank])
+      copy_tile(u.member, u.kernel, rank);
+    for (const int mi : exchange_.by_dst[rank]) {
+      const redist::FusedMessage& fm =
+          exchange_.messages[static_cast<std::size_t>(mi)];
+      for (const redist::FusedFrame& fr : fm.frames)
+        copy_tile(fr.member, fr.kernel, static_cast<std::size_t>(fm.src));
+    }
+  });
 }
 
 void FusedRound::gather(exec::Backend& backend, int tiles) {
   HPFC_ASSERT(has_stencil() && tiles >= 1);
   Stencil& st = *stencil_;
-  HPFC_ASSERT(static_cast<std::size_t>(backend.ranks()) + 1 ==
-              st.rest_begin.size());
+  const int ranks = backend.ranks();
+  HPFC_ASSERT(static_cast<std::size_t>(ranks) + 1 == st.rest_begin.size());
   // Patch the holes: the storage's base pointers as they are now.
   for (std::size_t i = 0; i < st.lines.size(); ++i) {
     const StencilLine& line = st.lines[i];
@@ -383,31 +387,31 @@ void FusedRound::gather(exec::Backend& backend, int tiles) {
           (*m.src)[static_cast<std::size_t>(lane.rank)].data() + lane.offset;
     }
   }
-  const int tasks = backend.ranks();
-  // Task t's tiles, then its rank's rests: every write lands on a
-  // position of its own, so the tasks need no barrier but the step's.
-  backend.step([&](int t) {
+  step_items(backend, tiles, [&](int k, int r) {
+    const auto rank = static_cast<std::size_t>(r);
     std::array<const double*, redist::kMaxGatherWidth> src{};
-    for (int k = tiles * t / tasks; k < tiles * (t + 1) / tasks; ++k) {
-      for (std::size_t i = 0; i < st.lines.size(); ++i) {
-        const StencilLine& line = st.lines[i];
-        const Extent lo = line.periods * k / tiles;
-        const Extent hi = line.periods * (k + 1) / tiles;
-        if (lo == hi) continue;
-        for (std::size_t j = 0; j < static_cast<std::size_t>(line.width); ++j)
-          src[j] = st.lane_src[line.first + j] + lo * line.step;
-        line.gather(src.data(), st.line_dst[i] + lo * line.width, hi - lo,
-                    line.step);
-      }
+    for (std::uint32_t i = st.line_begin[rank]; i < st.line_begin[rank + 1];
+         ++i) {
+      const StencilLine& line = st.lines[i];
+      const Extent lo = line.periods * k / tiles;
+      const Extent hi = line.periods * (k + 1) / tiles;
+      if (lo == hi) continue;
+      for (std::size_t j = 0; j < static_cast<std::size_t>(line.width); ++j)
+        src[j] = st.lane_src[line.first + j] + lo * line.step;
+      line.gather(src.data(), st.line_dst[i] + lo * line.width, hi - lo,
+                  line.step);
     }
-    const auto rank = static_cast<std::size_t>(t);
+    // Rank r's rests run once, in its one item of [tiles*r, tiles*r + P):
+    // in task r when tiles >= P.
+    const int item = k * ranks + r;
+    if (item < tiles * r || item >= tiles * r + ranks) return;
     for (std::uint32_t i = st.rest_begin[rank]; i < st.rest_begin[rank + 1];
          ++i) {
       const StencilRest& rest = st.rests[i];
       const RoundMember& m = members_[static_cast<std::size_t>(rest.member)];
-      const redist::Kernel& k = kernel(rest.member, rest.kernel);
-      k.copy_range((*m.src)[static_cast<std::size_t>(k.program().src)],
-                   (*m.dst)[rank], rest.lo, rest.hi);
+      const redist::Kernel& kern = kernel(rest.member, rest.kernel);
+      kern.copy_range((*m.src)[static_cast<std::size_t>(kern.program().src)],
+                      (*m.dst)[rank], rest.lo, rest.hi);
     }
   });
 }
@@ -415,8 +419,11 @@ void FusedRound::gather(exec::Backend& backend, int tiles) {
 void FusedRound::pack(exec::Backend& backend, std::span<double> arena) const {
   HPFC_ASSERT(arena.size() >= arena_elements());
   backend.step([&](int r) {
-    copy_local(r);
     const auto rank = static_cast<std::size_t>(r);
+    for (const redist::FusedLocal& u : exchange_.local_by_rank[rank]) {
+      const RoundMember& m = members_[static_cast<std::size_t>(u.member)];
+      kernel(u.member, u.kernel).copy((*m.src)[rank], (*m.dst)[rank]);
+    }
     for (const int mi : exchange_.by_src[rank]) {
       const auto i = static_cast<std::size_t>(mi);
       const auto out = arena.subspan(slots_[i].out_offset, slots_[i].elements);

@@ -2,7 +2,14 @@
 // every copy a remapping vertex fires, as built by
 // redist::build_fused_exchange over the members' specialized kernels.
 //
-// A round moves its data one of three ways, chosen in FusedRound::run():
+// A round moves its data one of three ways, chosen in FusedRound::run().
+// The two in-process ones share one schedule on seq and thread alike: one
+// Backend::step of P tasks over the K*P (tile k, destination rank r)
+// items, K = tiles(), task t running items [K*t, K*(t+1)) of the
+// tile-major order k*P + r. Items write disjoint positions, so the round
+// needs no barrier but its step's. Seq runs the tiles in order across the
+// ranks, which find a tile's source lines still in cache; at K >= P each
+// thread worker gets whole tile ranges.
 //   stencil  (seq, thread) all ranks share one address space, and every
 //            kernel of the round normalizes to per-period lanes: a
 //            repeated block's body elements, or the elements of a
@@ -17,25 +24,17 @@
 //            Kernel::copy_range. The holes — each lane's source pointer,
 //            each line's destination pointer — are patched at every run,
 //            because a cached round outlives frees and reallocations of
-//            its storage. Tiles are ranges of periods, about
-//            kStencilTileBytes of lines each; one step of P tasks gathers
-//            them, task t the tiles [K*t/P, K*(t+1)/P) of every line and
-//            then its rank's rests, so writes are disjoint across tasks
-//            by construction and seq runs the tiles in order.
+//            its storage. A tile is a range of periods of every line,
+//            about kStencilTileBytes; rank r's rests run in one of its
+//            items.
 //   pull     (seq, thread) any other in-process round, per rank pair:
 //            each destination rank copies its local fast-path units and
 //            every incoming frame straight out of the source ranks'
 //            storage with Kernel::copy_range. No payload is staged and no
-//            message is built. The pull runs as K rank steps, K = tiles():
-//            step k copies the payload slice [n*k/K, n*(k+1)/K) of every
-//            unit and frame of n elements. Payloads run in ascending
-//            global order, so step k of every frame covers about the same
-//            slice of the array, and the ranks that run one after another
-//            find its source lines still in cache. K is fixed when the
-//            round is built, ceil(bytes / kTileBytes), so a step moves
-//            about one L2-sized tile. A step is a barrier, so a backend
-//            that runs a step on more than one worker pulls in one step
-//            (K = 1).
+//            message is built. Tile k is the payload slice
+//            [n*k/K, n*(k+1)/K) of every unit and frame of n elements,
+//            about kTileBytes of the round; payloads run in ascending
+//            global order, so it is about one slice of the array.
 //   arena    (proc) payloads really cross a socket, once. The round lays
 //            its message table out in the proc backend's shared payload
 //            arena when it is built: each message gets an out-slot and an
@@ -87,7 +86,7 @@ struct RoundTimes {
   double unpack_ms = 0.0;
 };
 
-/// The byte budget of one pull step: the tile a step moves should stay in
+/// The byte budget of one pull tile: a tile's source lines should stay in
 /// a core's L2 while the ranks run one after another. Of 64, 128, 256 and
 /// 512 KiB, 128 KiB has the lowest summed time over the replayed rounds
 /// of bench_redist_kernels' `round` figure (docs/kernels.md).
@@ -100,7 +99,7 @@ inline constexpr std::uint64_t kTileBytes = std::uint64_t{128} << 10;
 /// `round` figure (docs/kernels.md).
 inline constexpr std::uint64_t kStencilTileBytes = std::uint64_t{32} << 10;
 
-/// Pull steps of a round that moves `bytes`: ceil(bytes / tile_bytes), at
+/// Tiles of a round that moves `bytes`: ceil(bytes / tile_bytes), at
 /// least one.
 [[nodiscard]] int tile_count(std::uint64_t bytes,
                              std::uint64_t tile_bytes = kTileBytes);
@@ -110,27 +109,24 @@ class FusedRound {
   /// Builds the round's framing and traffic table over `members` for a
   /// machine of `ranks` ranks. `group` is the codegen copy group the round
   /// belongs to (named by diagnostics). Asserts that no member's
-  /// destination storage is a member's source: a pull step writes each
-  /// destination piece while other ranks read the sources.
+  /// destination storage is a member's source: a pull's tasks write
+  /// destination pieces while other tasks read the sources.
   FusedRound(int ranks, std::vector<RoundMember> members, int group);
 
-  /// Moves the round's data on `backend`: in process, the stencil in
-  /// stencil_tiles() tiles when the round has one, else the per-pair pull
-  /// in tiles() steps on one worker and in one step on more; the arena
-  /// path on proc. The one place the transport and the step count are
-  /// chosen.
+  /// Moves the round's data on `backend`: in process, the stencil when
+  /// the round has one, else the per-pair pull, either in tiles() tiles;
+  /// the arena path on proc. The one place the transport is chosen.
   RoundTimes run(exec::Backend& backend);
-  /// The per-pair in-process pull (seq and thread) in `steps` rank steps,
-  /// step k copying the slice [n*k/steps, n*(k+1)/steps) of every local
-  /// unit and incoming frame of n elements. Any steps >= 1 leaves the
+  /// The per-pair in-process pull in `tiles` tiles: item (k, r) copies
+  /// the slice [n*k/tiles, n*(k+1)/tiles) of every local unit and
+  /// incoming frame of n elements of rank r. Any tiles >= 1 leaves the
   /// same storage. run() takes it for a round without a stencil.
-  void pull(exec::Backend& backend, int steps) const;
-  /// The stencil pull of a round with has_stencil(), in one step of
-  /// ranks() tasks over `tiles` period-range tiles: task t gathers tiles
-  /// [tiles*t/P, tiles*(t+1)/P) of every line, tile k holding periods
-  /// [n*k/tiles, n*(k+1)/tiles) of a line of n, then runs the rests of
-  /// destination rank t. Patches the storage's current base pointers in
-  /// first. Any tiles >= 1 leaves the storage pull() leaves.
+  void pull(exec::Backend& backend, int tiles) const;
+  /// The stencil pull of a round with has_stencil() in `tiles` tiles:
+  /// item (k, r) gathers periods [n*k/tiles, n*(k+1)/tiles) of rank r's
+  /// lines of n periods, and rank r's rests run in its one item of
+  /// [tiles*r, tiles*r + P). Patches the storage's current base pointers
+  /// in first. Any tiles >= 1 leaves the storage pull() leaves.
   void gather(exec::Backend& backend, int tiles);
   /// The arena path's first phase: runs each rank's local units and
   /// packs each of its messages into its out-slot of `arena`, which must
@@ -180,26 +176,20 @@ class FusedRound {
     return remote_elements_;
   }
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
-  /// The per-pair pull's steps on a one-worker backend: tile_count() of
-  /// the bytes the round moves, local and remote.
+  /// The tiles run() moves the round in on seq and thread: tile_count()
+  /// of the bytes the round moves, local and remote, at kStencilTileBytes
+  /// with a stencil and at kTileBytes without.
   [[nodiscard]] int tiles() const { return tiles_; }
   /// Whether the round pulls through its stencil: every destination line
   /// of every member is filled period by period by 2 to kMaxGatherWidth
   /// lanes that share one source step.
   [[nodiscard]] bool has_stencil() const { return stencil_ != nullptr; }
-  /// The stencil's period-range tiles run() gathers in: tile_count() of
-  /// the round's bytes at kStencilTileBytes (0 without a stencil).
-  [[nodiscard]] int stencil_tiles() const {
-    return stencil_ ? stencil_->tiles : 0;
-  }
 
  private:
   [[nodiscard]] const redist::Kernel& kernel(int member, int k) const {
     return members_[static_cast<std::size_t>(member)]
         .kernels[static_cast<std::size_t>(k)];
   }
-  /// Runs rank r's local fast-path units.
-  void copy_local(int r) const;
   /// Raises an InternalError when rank r's returned inbox differs from
   /// the messages the table delivers to it.
   void check_inbox(int r,
@@ -253,13 +243,15 @@ class FusedRound {
   /// The round's stencil; null without one. Held apart so a round
   /// without a stencil, the common case, stays the size it was.
   struct Stencil {
+    /// The lines in destination rank order: rank r's are
+    /// lines[line_begin[r], line_begin[r + 1]).
     std::vector<StencilLine> lines;
+    std::vector<std::uint32_t> line_begin;
     std::vector<StencilLane> lanes;
     /// The rests in destination rank order: rank r's are
     /// rests[rest_begin[r], rest_begin[r + 1]).
     std::vector<StencilRest> rests;
     std::vector<std::uint32_t> rest_begin;
-    int tiles = 1;
     /// The patched holes, rewritten by every gather(): each lane's source
     /// pointer and each line's destination pointer at period 0. A cached
     /// round outlives frees and reallocations of its storage, so no

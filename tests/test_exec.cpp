@@ -744,12 +744,13 @@ ConcreteLayout line(Index n, Index ranks, mapping::DistFormat format) {
 
 /// A round large enough to tile — block <-> cyclic on 8 ranks at n = 2^16
 /// (512 KiB) fused with a cyclic(2) -> cyclic(3) member (32 KiB), so
-/// tiles() is 5 — leaves the same storage pulled in its tiles, in one
-/// step and in uneven step counts, as the arena path through the
-/// reference slot router does, on seq and on thread with 4 workers, in
-/// both directions. Without a stencil (block -> cyclic) run() pulls in
-/// tiles() steps on one worker and in one step on more; with one
-/// (cyclic -> block) it gathers in one step on any backend.
+/// tiles() is 5 at kTileBytes and 17 at kStencilTileBytes — leaves the
+/// same storage pulled in its tiles, in one tile and in uneven tile
+/// counts, as the arena path through the reference slot router does, on
+/// seq and on thread with 4 workers, in both directions. run() moves the
+/// round in one step on any in-process backend: the per-pair pull
+/// without a stencil (block -> cyclic), the stencil with one
+/// (cyclic -> block).
 TEST(FusedRound, TiledPullMatchesOneStepAndTheArenaPath) {
   using mapping::DistFormat;
   constexpr Index kN = Index{1} << 16;
@@ -767,7 +768,7 @@ TEST(FusedRound, TiledPullMatchesOneStepAndTheArenaPath) {
     const auto move = [&](const auto& how) {
       auto dst = fresh_destinations(arrays);
       runtime::FusedRound round(kRanks, round_members(arrays, dst), 0);
-      EXPECT_EQ(round.tiles(), 5);
+      EXPECT_EQ(round.tiles(), to_cyclic ? 5 : 17);
       EXPECT_EQ(round.has_stencil(), !to_cyclic);
       how(round);
       return dst;
@@ -787,12 +788,12 @@ TEST(FusedRound, TiledPullMatchesOneStepAndTheArenaPath) {
       SCOPED_TRACE(backend->name());
       EXPECT_EQ(move([&](runtime::FusedRound& round) { round.run(*backend); }),
                 expected);
-      for (const int steps : {1, 5, 7, 97}) {
+      for (const int tiles : {1, 5, 7, 97}) {
         EXPECT_EQ(move([&](const runtime::FusedRound& round) {
-                    round.pull(*backend, steps);
+                    round.pull(*backend, tiles);
                   }),
                   expected)
-            << steps << " steps";
+            << tiles << " tiles";
       }
     }
     for (const int workers : {1, 4}) {
@@ -800,8 +801,7 @@ TEST(FusedRound, TiledPullMatchesOneStepAndTheArenaPath) {
       EXPECT_EQ(
           move([&](runtime::FusedRound& round) { round.run(counting); }),
           expected);
-      EXPECT_EQ(counting.steps, workers == 1 && to_cyclic ? 5 : 1)
-          << workers << " workers";
+      EXPECT_EQ(counting.steps, 1) << workers << " workers";
     }
   }
 }

@@ -502,11 +502,13 @@ mapping::ConcreteLayout cyclic_on(Extent n, Extent k, Extent ranks) {
       {{mapping::AlignTarget::axis(0), DistFormat::cyclic(k), n}});
 }
 
-// Property: wherever a round has a stencil, its gathers and rests write
-// exactly the bytes the per-pair pull writes into NaN-sentinel
-// destinations: on seq in one tile and in stencil_tiles() tiles, on a
-// 3-worker thread backend (the period ranges split unevenly over the
-// tasks), and through run() on both. The rounds are KernelOracle's
+// Property: the per-pair pull writes the same bytes into NaN-sentinel
+// destinations in any tile count, on seq and on a 3-worker thread
+// backend (one tile, fewer tiles than ranks, more tiles than elements,
+// uneven splits), and wherever a round has a stencil, its gathers and
+// rests write exactly those bytes: on seq in one tile and in tiles()
+// tiles, on the thread backend (the (tile, rank) items split unevenly
+// over the tasks), and through run() on both. The rounds are KernelOracle's
 // random layout pairs on its shapes and on longer ones, plus one- to
 // three-member rounds of cyclic(a) -> cyclic(b) pairs whose extents clip
 // the last period.
@@ -534,21 +536,24 @@ TEST(RoundStencil, WritesExactlyWhatThePerPairPullWrites) {
       move();
       EXPECT_EQ(dst_bits(members), expected) << how;
     };
-    expect_same("per-pair, tiles() steps",
+    expect_same("per-pair, tiles() tiles",
                 [&] { round.pull(*seq_backend, round.tiles()); });
     expect_same("run on seq", [&] { round.run(*seq_backend); });
     expect_same("run on thread-3", [&] { round.run(*thread); });
     ++rounds;
+    ASSERT_GE(round.tiles(), 1);
+    for (const int tiles : {1, 2, 5, round.tiles(), 97}) {
+      SCOPED_TRACE(std::to_string(tiles) + " tiles");
+      expect_same("per-pair, thread-3", [&] { round.pull(*thread, tiles); });
+      if (round.has_stencil())
+        expect_same("stencil, thread-3", [&] { round.gather(*thread, tiles); });
+    }
     if (!round.has_stencil()) return;
     ++stencils;
     fused_stencils += members.size() > 1 ? 1 : 0;
-    ASSERT_GE(round.stencil_tiles(), 1);
     expect_same("seq, one tile", [&] { round.gather(*seq_backend, 1); });
-    expect_same("seq, stencil_tiles()",
-                [&] { round.gather(*seq_backend, round.stencil_tiles()); });
-    for (const int tiles : {2, 5, round.stencil_tiles(), 97}) {
-      expect_same("thread-3", [&] { round.gather(*thread, tiles); });
-    }
+    expect_same("seq, tiles()",
+                [&] { round.gather(*seq_backend, round.tiles()); });
   };
   for (int trial = 0; trial < 270; ++trial) {
     const Shape& shape = shapes[trial % 9];
