@@ -22,6 +22,7 @@
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
 #include "redist/plan_cache.hpp"
+#include "support/piece.hpp"
 
 namespace {
 
@@ -258,10 +259,8 @@ void measure_pack_throughput(bench_common::Harness& harness) {
   });
   harness.record_timing("pack", config, "compile", compile_ms);
 
-  std::vector<std::vector<double>> src_locals(
-      static_cast<std::size_t>(from.ranks()));
-  std::vector<std::vector<double>> dst_locals(
-      static_cast<std::size_t>(to.ranks()));
+  std::vector<hpfc::Piece> src_locals(static_cast<std::size_t>(from.ranks()));
+  std::vector<hpfc::Piece> dst_locals(static_cast<std::size_t>(to.ranks()));
   for (int r = 0; r < from.ranks(); ++r)
     src_locals[static_cast<std::size_t>(r)].assign(
         static_cast<std::size_t>(from.local_count(r)), 1.0);

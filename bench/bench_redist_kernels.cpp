@@ -148,8 +148,8 @@ double median_ms(int warmup, int reps, const std::function<void()>& fn) {
 /// destination storage.
 struct ShapeCase {
   std::vector<hpfc::redist::SegmentProgram> programs;
-  std::vector<std::vector<double>> src;
-  std::vector<std::vector<double>> dst;
+  hpfc::runtime::RankLocals src;
+  hpfc::runtime::RankLocals dst;
   Extent elements = 0;
 };
 
@@ -166,10 +166,8 @@ ShapeCase flat_shape(Extent count, Extent len, Extent src_gap,
         {i * src_gap, src_stride, i * dst_gap, dst_stride, len});
   c.programs.push_back(
       hpfc::redist::SegmentProgram::flat(0, 0, std::move(segments)));
-  c.src.assign(1, std::vector<double>(
-                      static_cast<std::size_t>(count * src_gap), 1.0));
-  c.dst.assign(1, std::vector<double>(
-                      static_cast<std::size_t>(count * dst_gap), 0.0));
+  c.src.assign(1, hpfc::Piece(static_cast<std::size_t>(count * src_gap), 1.0));
+  c.dst.assign(1, hpfc::Piece(static_cast<std::size_t>(count * dst_gap), 0.0));
   c.elements = count * len;
   return c;
 }

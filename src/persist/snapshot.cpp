@@ -236,7 +236,7 @@ void SnapshotWriter::snapshot(const StoreView& view) {
       const bool force = fresh || rank_cache.size() != leaves;
       if (force) rank_cache.assign(leaves, {});
       if (!force && !v.dirty) continue;
-      const std::vector<double>& local = (*v.locals)[rank];
+      const Piece& local = (*v.locals)[rank];
       // One leaf per body entry per block, in program order: the block's
       // repetitions of that entry, hashed and journaled unexpanded.
       std::size_t index = 0;

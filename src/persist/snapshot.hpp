@@ -30,6 +30,7 @@
 
 #include "mapping/layout.hpp"
 #include "persist/journal.hpp"
+#include "support/piece.hpp"
 
 namespace hpfc::persist {
 
@@ -46,7 +47,7 @@ struct VersionView {
   /// Runtime hint: the version may have been written since the last
   /// snapshot. Clean versions skip re-hashing entirely.
   bool dirty = true;
-  const std::vector<std::vector<double>>* locals = nullptr;
+  const std::vector<Piece>* locals = nullptr;
   std::vector<const mapping::OwnedProgram*> runs;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -38,13 +40,18 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 /// One statically mapped version of one array: a local piece per rank.
 struct VersionStorage {
   bool allocated = false;
+  /// The pieces hold the version's values. Allocating only sizes them
+  /// (support/piece.hpp), so until a fill or a covering copy round has
+  /// written every position, the version reads as zeros but its storage
+  /// holds whatever the heap left there.
+  bool filled = false;
   bool live = false;
   /// May have been written since the last snapshot: the snapshot writer
   /// re-hashes dirty versions' owned runs (and only those) to find the
   /// changed leaves. Conservative — a no-op write leaves clean leaves
   /// and costs a re-hash, never a journal record.
   bool dirty = false;
-  std::vector<std::vector<double>> locals;  ///< per layout rank
+  RankLocals locals;  ///< per layout rank
   std::uint64_t bytes = 0;
 };
 
@@ -158,8 +165,11 @@ class Machine {
     const auto start = std::chrono::steady_clock::now();
     // Dummy arguments arrive allocated by the caller with the imported
     // values: zeros initially, matching their dead expected values.
-    for (const ArrayId a : program_.mapped_arrays())
-      if (program_.array(a).is_dummy) allocate(a, 0);
+    for (const ArrayId a : program_.mapped_arrays()) {
+      if (!program_.array(a).is_dummy) continue;
+      allocate(a, 0);
+      fill(a, 0);
+    }
     run_program();
     if (snapshot_writer_ != nullptr) {
       const persist::SnapshotStats& snap = snapshot_writer_->stats();
@@ -295,32 +305,30 @@ class Machine {
 
   // ---- storage management ------------------------------------------------
 
+  VersionStorage& storage(ArrayId a, int version) {
+    return storage_[static_cast<std::size_t>(a)]
+                   [static_cast<std::size_t>(version)];
+  }
+
+  /// Sizes every rank's piece of (a, version) without writing it: the
+  /// version is allocated but not filled.
   void allocate(ArrayId a, int version) {
-    auto& vs = storage_[static_cast<std::size_t>(a)]
-                       [static_cast<std::size_t>(version)];
+    auto& vs = storage(a, version);
     if (vs.allocated) return;
     const ConcreteLayout& lay = layout(a, version);
+    // The controlling thread allocates every rank's piece, so the memory
+    // comes from one malloc arena whatever thread runs the rank. The
+    // first writer first-touches it in the rank's execution context: the
+    // fill's rank step, or a covering round's (tile, rank) items.
+    const auto start = std::chrono::steady_clock::now();
     vs.locals.resize(static_cast<std::size_t>(lay.ranks()));
     vs.bytes = 0;
-    std::vector<mapping::Extent> counts(static_cast<std::size_t>(lay.ranks()));
     for (int r = 0; r < lay.ranks(); ++r) {
       const mapping::Extent count = lay.local_count(r);
-      counts[static_cast<std::size_t>(r)] = count;
+      vs.locals[static_cast<std::size_t>(r)].resize(
+          static_cast<std::size_t>(count));
       vs.bytes += static_cast<std::uint64_t>(count) * sizeof(double);
     }
-    // The controlling thread allocates every rank's piece, so the memory
-    // comes from one malloc arena whatever thread runs the rank; each
-    // rank then zero-fills (first-touches) its own piece in its execution
-    // context.
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < lay.ranks(); ++r)
-      vs.locals[static_cast<std::size_t>(r)].reserve(
-          static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]));
-    backend_->step([&](int r) {
-      if (r >= lay.ranks()) return;
-      vs.locals[static_cast<std::size_t>(r)].assign(
-          static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]), 0.0);
-    });
     report_.storage_ms += ms_since(start);
     vs.allocated = true;
     vs.dirty = true;
@@ -331,15 +339,39 @@ class Machine {
     report_.peak_bytes = std::max(report_.peak_bytes, bytes_in_use_);
   }
 
+  /// Zero-fills the pieces of an allocated version that is not filled
+  /// yet. Every path that reads a version, or writes only part of it,
+  /// fills it first; a copy round fills only the destinations its
+  /// members do not cover (run_fused).
+  void fill(ArrayId a, int version) {
+    auto& vs = storage(a, version);
+    HPFC_ASSERT(vs.allocated);
+    if (vs.filled) return;
+    set_pieces(vs, 0.0);
+    vs.filled = true;
+  }
+
+  /// Writes `value` to every position of vs's pieces, each rank its own
+  /// piece in one step.
+  void set_pieces(VersionStorage& vs, double value) {
+    const auto start = std::chrono::steady_clock::now();
+    backend_->step([&](int r) {
+      if (r >= static_cast<int>(vs.locals.size())) return;
+      auto& local = vs.locals[static_cast<std::size_t>(r)];
+      std::fill(local.begin(), local.end(), value);
+    });
+    report_.storage_ms += ms_since(start);
+  }
+
   void deallocate(ArrayId a, int version) {
-    auto& vs = storage_[static_cast<std::size_t>(a)]
-                       [static_cast<std::size_t>(version)];
+    auto& vs = storage(a, version);
     if (!vs.allocated) return;
     bytes_in_use_ -= vs.bytes;
     const auto start = std::chrono::steady_clock::now();
     vs.locals.clear();
     report_.storage_ms += ms_since(start);
     vs.allocated = false;
+    vs.filled = false;
     vs.live = false;
     ++report_.frees;
   }
@@ -522,6 +554,7 @@ class Machine {
     for (std::size_t v = 0; v < versions.size(); ++v) {
       auto& vs = versions[v];
       if (!vs.allocated) continue;
+      fill(live.array, static_cast<int>(v));
       const ConcreteLayout& lay = layout(live.array, static_cast<int>(v));
       const OwnershipProgram& own = ownership(live.array, static_cast<int>(v));
       backend_->step([&](int r) {
@@ -544,20 +577,18 @@ class Machine {
   /// §4.3 kill semantics: the whole array is dead and reads as zero from
   /// here on — the full-array case of execute_live_region. The dead value
   /// must be deterministic: O0 still moves killed data at the next remap
-  /// while O1/O2 skip the transfer (fresh allocations are zero-filled), so
+  /// while O1/O2 skip the transfer (a fresh allocation reads as zeros), so
   /// a program that reads an array after killing it only stays
   /// oracle-identical across levels if every dead element reads as zero.
+  /// The zero-fill leaves every allocated version filled.
   void execute_kill(const ir::KillStmt& kill) {
     if (!program_.array(kill.array).has_mapping) return;
     expected_[static_cast<std::size_t>(kill.array)].kill();
     auto& versions = storage_[static_cast<std::size_t>(kill.array)];
     for (auto& vs : versions) {
       if (!vs.allocated) continue;
-      backend_->step([&](int r) {
-        if (r >= static_cast<int>(vs.locals.size())) return;
-        auto& local = vs.locals[static_cast<std::size_t>(r)];
-        std::fill(local.begin(), local.end(), 0.0);
-      });
+      set_pieces(vs, 0.0);
+      vs.filled = true;
       vs.dirty = true;
     }
   }
@@ -709,7 +740,9 @@ class Machine {
   void run_fused() {
     FusedSlot& slot = fused_slot();
     FusedRound& round = *slot.round;
+    fill_round_storage(round);
     const RoundTimes times = round.run(*backend_);
+    if (options_.paranoid) check_round_filled(slot);
     net::account_flows(report_.net, options_.cost, backend_->ranks(),
                        round.traffic());
     report_.net.specialized_dispatches += round.dispatches();
@@ -721,10 +754,45 @@ class Machine {
         round.local_elements() + round.remote_elements();
     report_.packed_bytes += round.remote_elements() * sizeof(double);
 
-    for (VersionStorage* to : slot.destinations) to->dirty = true;
+    for (VersionStorage* to : slot.destinations) {
+      to->filled = true;
+      to->dirty = true;
+    }
     const std::size_t members = slot.destinations.size();
     report_.copies_performed += static_cast<int>(members);
     if (members >= 2) report_.net.fused_copies += members;
+  }
+
+  /// Readies the pending round's storage: every source filled, and every
+  /// destination not filled yet zero-filled when its member writes only
+  /// part of it, or left to the round when the member covers it (the
+  /// skipped fill). Under --paranoid a skipped fill writes NaN instead,
+  /// so an element the round missed cannot pass for a zero.
+  void fill_round_storage(const FusedRound& round) {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      const PendingCopy& m = pending_[i];
+      fill(m.array, m.src);
+      VersionStorage& to = storage(m.array, m.dst);
+      if (to.filled) continue;
+      if (!round.covers(static_cast<int>(i))) {
+        fill(m.array, m.dst);
+        continue;
+      }
+      ++report_.fills_skipped;
+      if (options_.paranoid)
+        set_pieces(to, std::numeric_limits<double>::quiet_NaN());
+    }
+  }
+
+  /// --paranoid: no destination of the round still holds a skipped fill's
+  /// NaN. Stored values are stamped integers or zeros, never NaN.
+  static void check_round_filled(const FusedSlot& slot) {
+    for (const VersionStorage* to : slot.destinations)
+      for (const Piece& piece : to->locals)
+        HPFC_ASSERT_MSG(std::none_of(piece.begin(), piece.end(),
+                                     [](double v) { return std::isnan(v); }),
+                        "a copy round left part of a destination it "
+                        "covers unwritten");
   }
 
   // ---- crash-consistent snapshots ---------------------------------------
@@ -757,6 +825,7 @@ class Machine {
         vv.live = vs.live;
         vv.dirty = vs.dirty;
         if (vs.allocated) {
+          fill(a, static_cast<int>(v));
           vv.locals = &vs.locals;
           const OwnershipProgram& own = ownership(a, static_cast<int>(v));
           vv.runs.reserve(own.per_rank.size());
@@ -818,8 +887,8 @@ class Machine {
     HPFC_ASSERT_MSG(status_[static_cast<std::size_t>(a)] == version,
                     "runtime status disagrees with the static version");
     allocate(a, version);
-    auto& vs =
-        storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(version)];
+    fill(a, version);
+    auto& vs = storage(a, version);
     vs.live = true;
     const ConcreteLayout& lay = layout(a, version);
     const OwnershipProgram& own = ownership(a, version);
@@ -849,8 +918,8 @@ class Machine {
     HPFC_ASSERT_MSG(status_[static_cast<std::size_t>(a)] == version,
                     "runtime status disagrees with the static version");
     allocate(a, version);
-    auto& vs =
-        storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(version)];
+    fill(a, version);
+    auto& vs = storage(a, version);
     vs.live = true;
     const ConcreteLayout& lay = layout(a, version);
     const OwnershipProgram& own = ownership(a, version);
@@ -885,13 +954,15 @@ class Machine {
 
   /// Whether every rank's owned elements of (a, version) hold the
   /// expected values: each stretch's stamped members, clipped in closed
-  /// form from the array's descriptor, and zeros around them.
+  /// form from the array's descriptor, and zeros around them. A version
+  /// not filled yet reads as zeros, which match only a dead array.
   [[nodiscard]] bool matches_expected(ArrayId a, int version) const {
     const auto& vs =
         storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(version)];
+    const ExpectedValues& expected = expected_[static_cast<std::size_t>(a)];
+    if (!vs.filled) return expected.dead;
     const ConcreteLayout& lay = layout(a, version);
     const OwnershipProgram& own = ownership(a, version);
-    const ExpectedValues& expected = expected_[static_cast<std::size_t>(a)];
     const mapping::Shape& shape = program_.array(a).shape;
     for (int r = 0; r < lay.ranks(); ++r)
       if (!matches(own.per_rank[static_cast<std::size_t>(r)].runs,
@@ -969,7 +1040,8 @@ std::string RunReport::summary() const {
   std::ostringstream os;
   os << copies_performed << " copies (" << elements_copied << " elems), "
      << skipped_already_mapped << " already-mapped, " << skipped_live_copy
-     << " live-reuse, " << local_fastpath_copies << " local-fastpath, "
+     << " live-reuse, " << fills_skipped << " fills-skipped, "
+     << local_fastpath_copies << " local-fastpath, "
      << packed_bytes << " packed bytes, " << net.summary();
   if (!backend.empty())
     os << " [" << backend << " x" << threads << ", " << exec_ms
@@ -998,6 +1070,7 @@ void write_json_fields(std::ostream& os, const RunReport& report) {
      << ", \"plan_evictions\": " << report.plan_evictions
      << ", \"skipped_status_guard\": " << report.skipped_already_mapped
      << ", \"skipped_live_copy\": " << report.skipped_live_copy
+     << ", \"fills_skipped\": " << report.fills_skipped
      << ", \"wire_bytes\": " << report.wire_bytes
      << ", \"wire_msgs\": " << report.wire_msgs
      << ", \"proc_spawns\": " << report.proc_spawns

@@ -90,6 +90,11 @@ struct RunReport {
   /// communication (the live-copy optimization paying off).
   int skipped_live_copy = 0;
   int allocations = 0;
+  /// Copy destinations left unfilled before their round because the
+  /// round's kernels write every position of them: zero-fills the run did
+  /// not need. Fixed by the program and the opt level, like the copy
+  /// counters.
+  int fills_skipped = 0;
   int frees = 0;
   int evictions = 0;
   /// Compiled plan slots (specialized kernels with their segment tables)
@@ -140,9 +145,10 @@ struct RunReport {
   // (each reference's rank step) and of the exported-value checks at
   // exit, another disjoint share of exec_ms.
   double values_ms = 0.0;
-  // Storage steps: wall-clock of allocating (each rank zero-fills its
-  // piece in one step) and freeing array versions, evictions included,
-  // another disjoint share of exec_ms.
+  // Storage steps: wall-clock of sizing array versions' pieces, of the
+  // zero-fills a run needs (each rank fills its piece in one step) and of
+  // freeing versions, evictions included, another disjoint share of
+  // exec_ms.
   double storage_ms = 0.0;
 
   // Real-socket traffic (exec::WireStats): zero unless the proc backend

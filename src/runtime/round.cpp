@@ -158,6 +158,22 @@ FusedRound::FusedRound(int ranks, std::vector<RoundMember> members,
                           " reads");
     }
   }
+  // A member covers its destination when its kernels' elements add up to
+  // every destination piece's size.
+  covers_.reserve(members_.size());
+  std::vector<std::size_t> written;
+  for (const RoundMember& m : members_) {
+    written.assign(m.dst->size(), 0);
+    for (const redist::Kernel& kn : m.kernels) {
+      const auto r = static_cast<std::size_t>(kn.program().dst);
+      HPFC_ASSERT(r < written.size());
+      written[r] += static_cast<std::size_t>(kn.elements());
+    }
+    bool covered = true;
+    for (std::size_t r = 0; r < written.size(); ++r)
+      covered = covered && written[r] == (*m.dst)[r].size();
+    covers_.push_back(covered);
+  }
   std::vector<std::span<const redist::Kernel>> kernels;
   kernels.reserve(members_.size());
   for (const RoundMember& m : members_) kernels.push_back(m.kernels);

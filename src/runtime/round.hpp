@@ -63,15 +63,17 @@
 #include "net/network.hpp"
 #include "redist/fused.hpp"
 #include "redist/kernelgen.hpp"
+#include "support/piece.hpp"
 
 namespace hpfc::runtime {
 
 /// Per-rank local storage of one array version, indexed by layout rank.
-using RankLocals = std::vector<std::vector<double>>;
+using RankLocals = std::vector<Piece>;
 
 /// One member copy of a round: its per-pair kernels and the storage of
 /// its source and destination versions. The pointers must stay valid
-/// (and the outer vectors unresized) for as long as the round runs.
+/// (and the outer vectors unresized) for as long as the round runs, and
+/// the destination's pieces must be sized when the round is built.
 struct RoundMember {
   std::span<const redist::Kernel> kernels;
   const RankLocals* src = nullptr;
@@ -176,6 +178,15 @@ class FusedRound {
     return remote_elements_;
   }
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
+  /// Whether member `member`'s kernels write every position of its
+  /// destination: for every destination rank r, the elements of the
+  /// kernels with program().dst == r sum to the size of piece r. A
+  /// plan's transfers write each destination position at most once, so
+  /// the count is the cover. A covered destination needs no fill before
+  /// the round; a live-region-restricted copy does not cover.
+  [[nodiscard]] bool covers(int member) const {
+    return covers_[static_cast<std::size_t>(member)];
+  }
   /// The tiles run() moves the round in on seq and thread: tile_count()
   /// of the bytes the round moves, local and remote, at kStencilTileBytes
   /// with a stencil and at kTileBytes without.
@@ -238,6 +249,7 @@ class FusedRound {
   std::uint64_t remote_elements_ = 0;
   std::uint64_t dispatches_ = 0;
   int tiles_ = 1;
+  std::vector<bool> covers_;
   std::vector<exec::ArenaMessage> slots_;
 
   /// The round's stencil; null without one. Held apart so a round

@@ -496,8 +496,7 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
           to.owned_index_runs(transfer.dst)));
     }
 
-    std::vector<std::vector<double>> src_locals(
-        static_cast<std::size_t>(from.ranks()));
+    runtime::RankLocals src_locals(static_cast<std::size_t>(from.ranks()));
     for (int r = 0; r < from.ranks(); ++r) {
       auto& local = src_locals[static_cast<std::size_t>(r)];
       local.assign(static_cast<std::size_t>(from.local_count(r)), 0.0);
@@ -511,8 +510,7 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
       return testing::route_superstep(std::move(outboxes), ranks);
     };
     const auto run = [&](exec::Backend& backend, const auto& exchange) {
-      std::vector<std::vector<double>> dst_locals(
-          static_cast<std::size_t>(to.ranks()));
+      runtime::RankLocals dst_locals(static_cast<std::size_t>(to.ranks()));
       for (int r = 0; r < to.ranks(); ++r)
         dst_locals[static_cast<std::size_t>(r)].assign(
             static_cast<std::size_t>(to.local_count(r)), 0.0);
@@ -824,6 +822,70 @@ TEST(FusedRound, RejectsDestinationAliasingAMemberSource) {
     EXPECT_NE(std::string(err.what()).find("copy group 4"), std::string::npos)
         << err.what();
   }
+}
+
+/// The count argument behind a skipped fill (FusedRound::covers): over
+/// random layout pairs (block, cyclic(k), 2-D, replicated; P <= 8), a
+/// full-box copy's kernels write every position of every destination
+/// piece exactly once, checked against a per-position hit map, and its
+/// member covers; the same copy restricted to a live region that leaves
+/// an element out does not.
+TEST(FusedRound, FullCopiesCoverTheirDestinationExactlyOnce) {
+  std::mt19937 rng(11);
+  int replicated = 0;
+  int two_d = 0;  // 2-D processor grids
+  for (int trial = 0; trial < 60; ++trial) {
+    const Shape shape = (trial % 2 == 0) ? Shape{48} : Shape{12, 10};
+    std::vector<RoundArray> arrays;
+    arrays.push_back(make_round_array(rng, shape, 0.0));
+    const RoundArray& a = arrays[0];
+    const int ranks = std::max(a.from.ranks(), a.to.ranks());
+    if (a.from.replicated() || a.to.replicated()) ++replicated;
+    if (a.from.proc_shape().rank() > 1 || a.to.proc_shape().rank() > 1)
+      ++two_d;
+
+    std::vector<std::vector<int>> hits(static_cast<std::size_t>(a.to.ranks()));
+    for (int r = 0; r < a.to.ranks(); ++r)
+      hits[static_cast<std::size_t>(r)].assign(
+          static_cast<std::size_t>(a.to.local_count(r)), 0);
+    for (const redist::Kernel& k : a.kernels) {
+      auto& rank_hits = hits[static_cast<std::size_t>(k.program().dst)];
+      k.program().for_each_segment([&](const redist::CopySegment& s) {
+        for (Index e = 0; e < s.len; ++e)
+          ++rank_hits.at(static_cast<std::size_t>(s.dst_base +
+                                                  e * s.dst_stride));
+      });
+    }
+    for (std::size_t r = 0; r < hits.size(); ++r)
+      for (std::size_t p = 0; p < hits[r].size(); ++p)
+        ASSERT_EQ(hits[r][p], 1)
+            << "trial " << trial << " rank " << r << " position " << p;
+    auto dst = fresh_destinations(arrays);
+    EXPECT_TRUE(
+        runtime::FusedRound(ranks, round_members(arrays, dst), 0).covers(0))
+        << "trial " << trial;
+
+    // A live region one element short of the shape in a random dimension.
+    ir::Region region;
+    for (int d = 0; d < shape.rank(); ++d)
+      region.push_back({0, shape.extent(d)});
+    const auto cut = static_cast<std::size_t>(rng() % region.size());
+    if (rng() % 2 == 0)
+      ++region[cut].first;
+    else
+      --region[cut].second;
+    std::vector<redist::Kernel> restricted;
+    for (redist::TransferV2 t : redist::build_runs(a.from, a.to).transfers) {
+      if (!t.restrict_to(region)) continue;
+      restricted.push_back(redist::specialize(redist::compile_transfer(
+          t, a.from.owned_index_runs(t.src), a.to.owned_index_runs(t.dst))));
+    }
+    std::vector<runtime::RoundMember> members{{restricted, &a.src, &dst[0]}};
+    EXPECT_FALSE(runtime::FusedRound(ranks, std::move(members), 1).covers(0))
+        << "trial " << trial;
+  }
+  EXPECT_GT(replicated, 0);
+  EXPECT_GT(two_d, 0);
 }
 
 /// A random round over one 48-element array that ships at least two

@@ -24,6 +24,7 @@
 #include "persist/hash.hpp"
 #include "persist/journal.hpp"
 #include "persist/snapshot.hpp"
+#include "support/piece.hpp"
 #include "testing/oracles.hpp"
 #include "testing/program_gen.hpp"
 
@@ -233,7 +234,7 @@ TEST(PersistSnapshot, DeltaWritesOnlyChangedRuns) {
   persist::SnapshotWriter writer(dir);
   std::vector<int> status{0};
   std::vector<int> saved;
-  std::vector<std::vector<double>> locals{{1.0, 2.0}, {3.0, 4.0}};
+  std::vector<Piece> locals{{1.0, 2.0}, {3.0, 4.0}};
   const auto runs0 = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
   const auto runs1 = mapping::OwnedProgram::flat({{0, 2, 1, 2}});
   persist::StoreView view;
@@ -282,7 +283,7 @@ TEST(PersistSnapshot, RanksWithoutRunsRoundTrip) {
   persist::SnapshotWriter writer(dir);
   std::vector<int> status{0};
   std::vector<int> saved;
-  std::vector<std::vector<double>> locals{{1.0, 2.0}, {}, {3.0, 4.0}};
+  std::vector<Piece> locals{{1.0, 2.0}, {}, {3.0, 4.0}};
   const auto runs = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
   const mapping::OwnedProgram none;
   persist::StoreView view;
@@ -311,7 +312,7 @@ TEST(PersistSnapshot, RanksWithoutRunsRoundTrip) {
   // same values but must seal a DIFFERENT root: rank identity matters.
   const std::string mirror_dir = fresh_dir("empty_rank_mirror");
   persist::SnapshotWriter mirror_writer(mirror_dir);
-  std::vector<std::vector<double>> mirror_locals{{1.0, 2.0}, {3.0, 4.0}, {}};
+  std::vector<Piece> mirror_locals{{1.0, 2.0}, {3.0, 4.0}, {}};
   view.versions[0].locals = &mirror_locals;
   view.versions[0].runs = {&runs, &runs, &none};
   mirror_writer.snapshot(view);
@@ -330,13 +331,14 @@ std::vector<std::size_t> check_leaves_of(const mapping::ConcreteLayout& lay,
                                          const std::string& tag) {
   const auto ranks = static_cast<std::size_t>(lay.ranks());
   std::vector<mapping::OwnedProgram> programs(ranks);
-  std::vector<std::vector<double>> locals(ranks);
+  std::vector<Piece> locals(ranks);
   std::vector<std::size_t> leaves(ranks, 0);
   std::uint64_t total_leaves = 0;
   for (std::size_t r = 0; r < ranks; ++r) {
     programs[r] = lay.owned_program(static_cast<int>(r));
     for (const auto& run : programs[r].expand()) {
-      locals[r].resize(static_cast<std::size_t>(run.local_base + run.len));
+      locals[r].resize(static_cast<std::size_t>(run.local_base + run.len),
+                       0.0);
       for (Extent j = 0; j < run.len; ++j)
         locals[r][static_cast<std::size_t>(run.local_base + j)] =
             static_cast<double>(run.global_base + j * run.global_stride);
@@ -639,7 +641,7 @@ TEST(PersistFaultInjection, CorruptSealedByteIsDetected) {
     persist::SnapshotWriter writer(dir);
     std::vector<int> status{0};
     std::vector<int> saved;
-    std::vector<std::vector<double>> locals{{1.0, 2.0}, {3.0, 4.0}};
+    std::vector<Piece> locals{{1.0, 2.0}, {3.0, 4.0}};
     const auto runs = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
     persist::StoreView view;
     view.status = &status;
@@ -723,7 +725,7 @@ TEST(PersistFaultInjection, HostileLeafRecordsArePersistErrors) {
     persist::SnapshotWriter writer(source);
     std::vector<int> status{0};
     std::vector<int> saved;
-    std::vector<std::vector<double>> locals{{1.0, 2.0}};
+    std::vector<Piece> locals{{1.0, 2.0}};
     const auto runs = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
     persist::StoreView view;
     view.status = &status;
@@ -882,7 +884,7 @@ TEST(PersistFaultInjection, KilledProcWorkerKeepsSealedSnapshots) {
   persist::SnapshotWriter writer(dir);
   std::vector<int> status{0};
   std::vector<int> saved;
-  std::vector<std::vector<double>> locals{{0, 0}, {0, 0}, {0, 0}, {0, 0}};
+  std::vector<Piece> locals{{0, 0}, {0, 0}, {0, 0}, {0, 0}};
   const auto run_geometry = mapping::OwnedProgram::flat({{0, 0, 1, 2}});
   persist::StoreView view;
   view.status = &status;

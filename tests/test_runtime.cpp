@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "common.hpp"
 
@@ -300,6 +303,83 @@ TEST(Runtime, StorageStepsAreADisjointShareOfExecMs) {
     EXPECT_LE(report.storage_ms + report.values_ms + report.pack_ms +
                   report.exchange_ms + report.unpack_ms + report.snapshot_ms,
               report.exec_ms);
+  }
+}
+
+/// Compiles routine `source` at `level`; the compile must succeed.
+Compiled compile_text(const std::string& source, OptLevel level) {
+  DiagnosticEngine diags;
+  driver::CompileOptions options;
+  options.level = level;
+  Compiled c = driver::compile_source(source, options, diags);
+  EXPECT_TRUE(c.ok) << diags.to_string();
+  return c;
+}
+
+/// A copy round whose kernels write every position of a fresh
+/// destination skips its zero-fill. At O0 every remap of the hotpath and
+/// cyclic_fine benchmark programs copies the whole array into a version
+/// it has just allocated, so every copy skips one: 12 and 96 per run, on
+/// every backend. run_checked's --paranoid writes NaN into each skipped
+/// piece first, and the runs still match the oracle.
+TEST(Runtime, FullCopyDestinationsSkipTheirFill) {
+  const std::pair<const char*, int> programs[] = {{"hotpath.hpf", 12},
+                                                  {"cyclic_fine.hpf", 96}};
+  for (const auto& [name, skipped] : programs) {
+    std::ifstream in(std::string(HPFC_SOURCE_DIR) + "/benchmark/programs/" +
+                     name);
+    ASSERT_TRUE(in) << name;
+    std::ostringstream source;
+    source << in.rdbuf();
+    const Compiled c = compile_text(source.str(), OptLevel::O0);
+    for (const exec::BackendKind backend :
+         {exec::BackendKind::Seq, exec::BackendKind::Thread,
+          exec::BackendKind::Proc}) {
+      const auto report = run_checked(c, 7, backend);
+      SCOPED_TRACE(std::string(name) + " " + report.backend);
+      EXPECT_EQ(report.fills_skipped, skipped);
+      EXPECT_EQ(report.copies_performed, skipped);
+    }
+  }
+}
+
+/// A copy restricted to a live region writes part of its destination, so
+/// the destination is zero-filled before the round: the elements outside
+/// the region read 0.0 afterwards, as the oracle's do. Each of the eight
+/// remaps allocates its destination afresh after the previous version
+/// was freed, so a skipped fill would read that version's recycled
+/// stamped values instead of zeros.
+TEST(Runtime, LiveRegionCopiesZeroTheirUnwrittenPositions) {
+  const char* source = R"(
+routine region_loop
+processors P(4)
+real A(64)
+distribute A(block) onto P
+begin
+  loop 4
+    def(A)
+    live A(8:24)
+    redistribute A(cyclic)
+    use(A)
+    def(A)
+    live A(40:56)
+    redistribute A(block)
+    use(A)
+  endloop
+end
+)";
+  for (const OptLevel level : {OptLevel::O1, OptLevel::O2}) {
+    const Compiled c = compile_text(source, level);
+    for (const exec::BackendKind backend :
+         {exec::BackendKind::Seq, exec::BackendKind::Thread,
+          exec::BackendKind::Proc}) {
+      const auto report = run_checked(c, 7, backend);
+      SCOPED_TRACE(report.backend);
+      EXPECT_EQ(report.copies_performed, 8);
+      EXPECT_EQ(report.elements_copied, 8u * 16u);  // the live regions only
+      EXPECT_EQ(report.allocations, 1 + 8);
+      EXPECT_EQ(report.fills_skipped, 0);
+    }
   }
 }
 
