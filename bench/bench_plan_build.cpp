@@ -23,6 +23,7 @@
 #include "redist/segments.hpp"
 #include "redist/plan_cache.hpp"
 #include "support/piece.hpp"
+#include "testing/oracles.hpp"
 
 namespace {
 
@@ -79,9 +80,9 @@ void measure_plan_build(bench_common::Harness& harness) {
           pair.name + " N=" + std::to_string(n) + " P=" +
           std::to_string(procs);
 
-      hpfc::redist::RedistPlan list_plan;
+      hpfc::testing::RedistPlan list_plan;
       const double list_ms = median_ms(
-          reps, [&] { list_plan = hpfc::redist::build(from, to); });
+          reps, [&] { list_plan = hpfc::testing::build(from, to); });
       hpfc::redist::RedistPlanV2 runs_plan;
       const double runs_ms = median_ms(
           reps, [&] { runs_plan = hpfc::redist::build_runs(from, to); });
@@ -275,9 +276,9 @@ void measure_pack_throughput(bench_common::Harness& harness) {
     moved = 0;
     segments = 0;
     for (const auto& p : programs) {
-      hpfc::redist::pack(p, src_locals[static_cast<std::size_t>(p.src)],
+      hpfc::testing::pack(p, src_locals[static_cast<std::size_t>(p.src)],
                          payload);
-      hpfc::redist::unpack(p, payload,
+      hpfc::testing::unpack(p, payload,
                            dst_locals[static_cast<std::size_t>(p.dst)]);
       moved += static_cast<std::uint64_t>(p.elements);
       segments += p.segment_count();

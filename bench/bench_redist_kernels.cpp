@@ -101,9 +101,10 @@ void report(Harness& h) {
         const auto from = one_dim(n, p, c.from);
         const auto to = one_dim(n, p, c.to);
         const auto t0 = std::chrono::steady_clock::now();
-        const auto oracle = hpfc::redist::build(from, to);
+        const auto oracle = hpfc::testing::build(from, to);
         const auto t1 = std::chrono::steady_clock::now();
-        const auto fast = hpfc::redist::build_runs(from, to).materialize();
+        const auto fast =
+            hpfc::testing::materialize(hpfc::redist::build_runs(from, to));
         const auto t2 = std::chrono::steady_clock::now();
         if (oracle.transfers.size() != fast.transfers.size() ||
             oracle.total_elements() != fast.total_elements())
@@ -211,8 +212,8 @@ void time_shape(Harness& h, const char* shape, ShapeCase c) {
         kernels[i].pack(src, payload);
         kernels[i].unpack(payload, dst);
       } else {
-        hpfc::redist::pack_into(p, src, payload);
-        hpfc::redist::unpack(p, payload, dst);
+        hpfc::testing::pack_into(p, src, payload);
+        hpfc::testing::unpack(p, payload, dst);
       }
     }
   };
@@ -838,7 +839,7 @@ void BM_plan_oracle(benchmark::State& state) {
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
   const auto to = one_dim(n, 16, DistFormat::cyclic(3));
   for (auto _ : state) {
-    auto plan = hpfc::redist::build(from, to);
+    auto plan = hpfc::testing::build(from, to);
     benchmark::DoNotOptimize(&plan);
   }
   state.SetComplexityN(n);
@@ -850,7 +851,7 @@ void BM_plan_periodic(benchmark::State& state) {
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
   const auto to = one_dim(n, 16, DistFormat::cyclic(3));
   for (auto _ : state) {
-    auto plan = hpfc::redist::build_runs(from, to).materialize();
+    auto plan = hpfc::testing::materialize(hpfc::redist::build_runs(from, to));
     benchmark::DoNotOptimize(&plan);
   }
   state.SetComplexityN(n);

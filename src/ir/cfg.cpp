@@ -1,27 +1,10 @@
 #include "ir/cfg.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/check.hpp"
 
 namespace hpfc::ir {
-
-const char* to_string(CfgKind kind) {
-  switch (kind) {
-    case CfgKind::Entry: return "entry";
-    case CfgKind::Exit: return "exit";
-    case CfgKind::Plain: return "stmt";
-    case CfgKind::Branch: return "branch";
-    case CfgKind::Join: return "join";
-    case CfgKind::LoopHead: return "loop-head";
-    case CfgKind::LoopLatch: return "loop-latch";
-    case CfgKind::CallPre: return "call-pre";
-    case CfgKind::Call: return "call";
-    case CfgKind::CallPost: return "call-post";
-  }
-  return "?";
-}
 
 const CfgNode& Cfg::node(int id) const {
   HPFC_ASSERT(id >= 0 && id < size());
@@ -145,22 +128,6 @@ void Cfg::compute_rpo() {
     }
   }
   rpo_.assign(postorder.rbegin(), postorder.rend());
-}
-
-std::string Cfg::to_string(const Program& program) const {
-  std::ostringstream os;
-  for (const CfgNode& n : nodes_) {
-    os << "n" << n.id << " [" << hpfc::ir::to_string(n.kind);
-    if (n.stmt != nullptr) {
-      os << " s" << n.stmt->id;
-      if (!n.stmt->label.empty()) os << " '" << n.stmt->label << "'";
-    }
-    os << "] ->";
-    for (const int s : n.succs) os << " n" << s;
-    os << "\n";
-  }
-  (void)program;
-  return os.str();
 }
 
 }  // namespace hpfc::ir

@@ -4,7 +4,6 @@
 // have CFG anchors; Entry and Exit nodes bracket the routine.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "ir/program.hpp"
@@ -23,8 +22,6 @@ enum class CfgKind {
   Call,      ///< the call itself (argument effects per intent, Figure 25)
   CallPost,  ///< v_a: restore the reaching mapping (Figure 18)
 };
-
-const char* to_string(CfgKind kind);
 
 struct CfgNode {
   int id = -1;
@@ -47,8 +44,6 @@ class Cfg {
   /// Node ids in reverse post-order (good order for forward dataflow);
   /// iterate it backwards for backward dataflow.
   [[nodiscard]] const std::vector<int>& rpo() const { return rpo_; }
-
-  [[nodiscard]] std::string to_string(const Program& program) const;
 
  private:
   int add_node(CfgKind kind, const Stmt* stmt);

@@ -1,7 +1,5 @@
 #include "ir/effects.hpp"
 
-#include <sstream>
-
 namespace hpfc::ir {
 
 EffectMap merge(const EffectMap& a, const EffectMap& b) {
@@ -26,20 +24,6 @@ EffectMap then(const EffectMap& first, const EffectMap& after) {
     result[array] = use.then(tail);
   }
   return result;
-}
-
-std::string to_string(const EffectMap& effects) {
-  std::ostringstream os;
-  os << "{";
-  bool sep = false;
-  for (const auto& [array, use] : effects) {
-    if (use.is_none()) continue;
-    if (sep) os << ", ";
-    sep = true;
-    os << "a" << array << ":" << use.letter();
-  }
-  os << "}";
-  return os.str();
 }
 
 }  // namespace hpfc::ir

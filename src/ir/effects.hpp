@@ -19,7 +19,6 @@
 #pragma once
 
 #include <map>
-#include <string>
 
 namespace hpfc::ir {
 
@@ -75,7 +74,5 @@ EffectMap merge(const EffectMap& a, const EffectMap& b);
 
 /// Sequential composition: `first` happens, then `after`.
 EffectMap then(const EffectMap& first, const EffectMap& after);
-
-std::string to_string(const EffectMap& effects);
 
 }  // namespace hpfc::ir

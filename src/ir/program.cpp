@@ -73,11 +73,6 @@ std::vector<ArrayId> Program::mapped_arrays() const {
   return result;
 }
 
-const Stmt& Program::stmt(int id) const {
-  HPFC_ASSERT(id >= 0 && id < stmt_count_);
-  return *stmts_[static_cast<std::size_t>(id)];
-}
-
 bool Program::finalize(DiagnosticEngine& diags) {
   stmt_count_ = 0;
   stmts_.clear();

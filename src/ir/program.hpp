@@ -47,7 +47,6 @@ class Program {
   [[nodiscard]] const std::vector<const Stmt*>& statements() const {
     return stmts_;
   }
-  [[nodiscard]] const Stmt& stmt(int id) const;
 
   /// Multi-line listing of the routine (declarations + body).
   [[nodiscard]] std::string to_string() const;

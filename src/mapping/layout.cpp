@@ -1,7 +1,6 @@
 #include "mapping/layout.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "mapping/periodic.hpp"
@@ -116,18 +115,6 @@ Extent ConcreteLayout::coord_of_template(int p, Extent t) const {
   return 0;
 }
 
-std::vector<Index> ConcreteLayout::axis_indices(int p, Extent coord) const {
-  const DimOwner& owner = owners_[static_cast<std::size_t>(p)];
-  HPFC_ASSERT(owner.source.kind == AlignTarget::Kind::Axis);
-  const Extent n = array_shape_.extent(owner.source.array_dim);
-  std::vector<Index> indices;
-  for (Extent i = 0; i < n; ++i) {
-    if (coord_of_template(p, owner.source.apply(i)) == coord)
-      indices.push_back(i);
-  }
-  return indices;
-}
-
 IndexRuns ConcreteLayout::axis_runs(int p, Extent coord) const {
   const DimOwner& owner = owners_[static_cast<std::size_t>(p)];
   HPFC_ASSERT(owner.source.kind == AlignTarget::Kind::Axis);
@@ -211,119 +198,11 @@ std::vector<IndexRuns> ConcreteLayout::owned_index_runs(
   return runs;
 }
 
-std::vector<std::vector<Index>> ConcreteLayout::owned_index_lists(
-    int rank, bool for_sending) const {
-  HPFC_ASSERT(rank >= 0 && rank < ranks());
-  const IndexVec coords = proc_shape_.delinearize(rank);
-
-  // Start unconstrained: each array dim owns its full range.
-  std::vector<std::vector<Index>> lists(
-      static_cast<std::size_t>(array_shape_.rank()));
-  for (int d = 0; d < array_shape_.rank(); ++d) {
-    auto& list = lists[static_cast<std::size_t>(d)];
-    list.resize(static_cast<std::size_t>(array_shape_.extent(d)));
-    std::iota(list.begin(), list.end(), Index{0});
-  }
-
-  for (int p = 0; p < proc_shape_.rank(); ++p) {
-    const DimOwner& owner = owners_[static_cast<std::size_t>(p)];
-    const Extent coord = coords[static_cast<std::size_t>(p)];
-    switch (owner.source.kind) {
-      case AlignTarget::Kind::Replicated:
-        if (for_sending && coord != 0) {
-          for (auto& list : lists) list.clear();
-          return lists;
-        }
-        break;
-      case AlignTarget::Kind::Constant:
-        if (coord_of_template(p, owner.source.offset) != coord) {
-          for (auto& list : lists) list.clear();
-          return lists;
-        }
-        break;
-      case AlignTarget::Kind::Axis: {
-        // Each array dim feeds at most one grid dim, so this replaces the
-        // unconstrained list exactly once.
-        lists[static_cast<std::size_t>(owner.source.array_dim)] =
-            axis_indices(p, coord);
-        break;
-      }
-    }
-  }
-  // Empty on any dim means the rank owns nothing: normalize all-empty.
-  for (const auto& list : lists) {
-    if (list.empty()) {
-      for (auto& l : lists) l.clear();
-      break;
-    }
-  }
-  return lists;
-}
-
 Extent ConcreteLayout::local_count(int rank) const {
   const auto runs = owned_index_runs(rank);
   Extent count = 1;
   for (const auto& r : runs) count *= r.count();
   return array_shape_.rank() == 0 ? 1 : count;
-}
-
-bool ConcreteLayout::owns(int rank, std::span<const Index> global) const {
-  HPFC_ASSERT(array_shape_.contains(global));
-  const IndexVec coords = proc_shape_.delinearize(rank);
-  for (int p = 0; p < proc_shape_.rank(); ++p) {
-    const DimOwner& owner = owners_[static_cast<std::size_t>(p)];
-    const Extent coord = coords[static_cast<std::size_t>(p)];
-    switch (owner.source.kind) {
-      case AlignTarget::Kind::Replicated:
-        break;
-      case AlignTarget::Kind::Constant:
-        if (coord_of_template(p, owner.source.offset) != coord) return false;
-        break;
-      case AlignTarget::Kind::Axis: {
-        const Extent t = owner.source.apply(
-            global[static_cast<std::size_t>(owner.source.array_dim)]);
-        if (coord_of_template(p, t) != coord) return false;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-std::vector<int> ConcreteLayout::owners_of(
-    std::span<const Index> global) const {
-  std::vector<int> result;
-  for (int r = 0; r < ranks(); ++r)
-    if (owns(r, global)) result.push_back(r);
-  return result;
-}
-
-int ConcreteLayout::primary_owner(std::span<const Index> global) const {
-  HPFC_ASSERT(array_shape_.contains(global));
-  IndexVec coords(static_cast<std::size_t>(proc_shape_.rank()), 0);
-  for (int p = 0; p < proc_shape_.rank(); ++p) {
-    const DimOwner& owner = owners_[static_cast<std::size_t>(p)];
-    switch (owner.source.kind) {
-      case AlignTarget::Kind::Replicated:
-        coords[static_cast<std::size_t>(p)] = 0;  // lowest replica
-        break;
-      case AlignTarget::Kind::Constant:
-        coords[static_cast<std::size_t>(p)] =
-            coord_of_template(p, owner.source.offset);
-        break;
-      case AlignTarget::Kind::Axis:
-        coords[static_cast<std::size_t>(p)] = coord_of_template(
-            p, owner.source.apply(
-                   global[static_cast<std::size_t>(owner.source.array_dim)]));
-        break;
-    }
-  }
-  return static_cast<int>(proc_shape_.linearize(coords));
-}
-
-Index ConcreteLayout::local_position(int rank,
-                                     std::span<const Index> global) const {
-  return position_in_lists(owned_index_lists(rank), global);
 }
 
 OwnedProgram OwnedProgram::flat(std::vector<OwnedRun> runs) {
@@ -418,21 +297,6 @@ OwnedProgram ConcreteLayout::owned_program(int rank) const {
     if (d < 0) break;
   }
   return program;
-}
-
-Index ConcreteLayout::position_in_lists(
-    const std::vector<std::vector<Index>>& lists,
-    std::span<const Index> global) {
-  HPFC_ASSERT(lists.size() == global.size());
-  Index position = 0;
-  for (std::size_t d = 0; d < lists.size(); ++d) {
-    const auto& list = lists[d];
-    const auto it = std::lower_bound(list.begin(), list.end(), global[d]);
-    if (it == list.end() || *it != global[d]) return -1;
-    position = position * static_cast<Index>(list.size()) +
-               static_cast<Index>(it - list.begin());
-  }
-  return position;
 }
 
 std::string ConcreteLayout::to_string() const {

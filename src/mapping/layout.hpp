@@ -13,13 +13,11 @@
 //
 // Because each array dimension feeds at most one template dimension (HPF
 // rule, enforced by Alignment::validate), the element set owned by a rank
-// is a cartesian product of per-array-dimension index lists; every
+// is a cartesian product of per-array-dimension index sets; every
 // ownership query below exploits that structure.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -87,11 +85,6 @@ struct OwnedProgram {
     for_each_expanded(body, blocks, fn);
   }
 
-  /// The expanded stretch list (tests).
-  [[nodiscard]] std::vector<OwnedRun> expand() const {
-    return expanded(body, blocks);
-  }
-
   friend bool operator==(const OwnedProgram&, const OwnedProgram&) = default;
 };
 
@@ -118,80 +111,28 @@ class ConcreteLayout {
   /// Processor coordinate along grid dim `p` holding template coordinate t.
   [[nodiscard]] Extent coord_of_template(int p, Extent t) const;
 
-  /// Per-array-dimension sorted index lists whose cartesian product is the
-  /// element set owned by `rank`. When `for_sending` is true, replicated
-  /// grid dimensions are restricted to coordinate 0 so that each element
-  /// has exactly one sending owner.
-  [[nodiscard]] std::vector<std::vector<Index>> owned_index_lists(
-      int rank, bool for_sending = false) const;
-
-  /// The same per-dimension ownership sets as owned_index_lists, but in
-  /// closed form: a BLOCK dimension is one interval, a CYCLIC(k) dimension
-  /// a periodic run pattern whose size is independent of the array extent.
-  /// Materializing each dimension yields exactly owned_index_lists.
+  /// Per-array-dimension index sets whose cartesian product is the
+  /// element set owned by `rank`, in closed form: a BLOCK dimension is one
+  /// interval, a CYCLIC(k) dimension a periodic run pattern whose size is
+  /// independent of the array extent. When `for_sending` is true,
+  /// replicated grid dimensions are restricted to coordinate 0 so that
+  /// each element has exactly one sending owner. Materializing each
+  /// dimension yields the element-list oracle
+  /// (testing::owned_index_lists).
   [[nodiscard]] std::vector<IndexRuns> owned_index_runs(
       int rank, bool for_sending = false) const;
 
   [[nodiscard]] Extent local_count(int rank) const;
-  [[nodiscard]] bool owns(int rank, std::span<const Index> global) const;
-  /// All ranks owning `global` (more than one under replication).
-  [[nodiscard]] std::vector<int> owners_of(std::span<const Index> global) const;
-  /// Lowest-numbered owning rank.
-  [[nodiscard]] int primary_owner(std::span<const Index> global) const;
 
-  /// Row-major position of `global` within rank's owned product set, or -1.
-  /// Recomputes the rank's owned lists; for repeated queries use
-  /// position_in_lists with lists obtained once from owned_index_lists.
-  [[nodiscard]] Index local_position(int rank,
-                                     std::span<const Index> global) const;
-
-  /// Row-major position of `global` within the product of `lists`
-  /// (as returned by owned_index_lists), or -1 when not a member.
-  static Index position_in_lists(const std::vector<std::vector<Index>>& lists,
-                                 std::span<const Index> global);
-
-  /// Calls fn(global_index, local_position) for each element owned by rank,
-  /// in local (row-major product) order. Templated so tight per-element
-  /// loops inline the visitor (pass any callable; std::function still
-  /// binds here when a caller needs type erasure).
-  template <typename Fn>
-  void for_each_owned(int rank, Fn&& fn) const {
-    const auto lists = owned_index_lists(rank);
-    for (const auto& list : lists)
-      if (list.empty()) return;
-
-    const int rank_dims = array_shape_.rank();
-    IndexVec positions(static_cast<std::size_t>(rank_dims), 0);
-    IndexVec global(static_cast<std::size_t>(rank_dims), 0);
-    Extent count = 1;
-    for (const auto& list : lists) count *= static_cast<Extent>(list.size());
-
-    for (Extent local = 0; local < count; ++local) {
-      for (int d = 0; d < rank_dims; ++d) {
-        global[static_cast<std::size_t>(d)] =
-            lists[static_cast<std::size_t>(d)][static_cast<std::size_t>(
-                positions[static_cast<std::size_t>(d)])];
-      }
-      fn(std::span<const Index>(global), local);
-      for (int d = rank_dims - 1; d >= 0; --d) {
-        auto& pos = positions[static_cast<std::size_t>(d)];
-        if (++pos <
-            static_cast<Index>(lists[static_cast<std::size_t>(d)].size()))
-          break;
-        pos = 0;
-      }
-    }
-  }
-
-  /// The compiled form of for_each_owned: the rank's owned set as a
-  /// periodic program of maximal strided stretches, built in closed form
-  /// from the innermost dimension's period window. Its expansion tiles the
-  /// local index space exactly (local_base advances by len) and covers
-  /// the same elements as for_each_owned in the same order; a rank-0
-  /// array yields one singleton stretch. A stretch varies only the
-  /// innermost array dimension, and within one outer row no two
-  /// consecutive stretches form one progression. Its size is O(rows):
-  /// a CYCLIC(1) row is one stretch and a CYCLIC(k) row one block.
+  /// The rank's owned set as a periodic program of maximal strided
+  /// stretches, built in closed form from the innermost dimension's
+  /// period window. Its expansion tiles the local index space exactly
+  /// (local_base advances by len) and covers the owned elements in local
+  /// (row-major product) order; a rank-0 array yields one singleton
+  /// stretch. A stretch varies only the innermost array dimension, and
+  /// within one outer row no two consecutive stretches form one
+  /// progression. Its size is O(rows): a CYCLIC(1) row is one stretch and
+  /// a CYCLIC(k) row one block.
   [[nodiscard]] OwnedProgram owned_program(int rank) const;
 
   [[nodiscard]] std::string to_string() const;
@@ -199,12 +140,9 @@ class ConcreteLayout {
       default;
 
  private:
-  /// Sorted array indices along `array_dim` constrained by grid dim p at
-  /// coordinate `coord` (Axis sources only).
-  [[nodiscard]] std::vector<Index> axis_indices(int p, Extent coord) const;
-
-  /// Closed-form run set equivalent to axis_indices: O(1) intervals for
-  /// Block formats, per-period runs for Cyclic formats.
+  /// The array indices along the axis that grid dim p constrains, owned
+  /// at coordinate `coord` (Axis sources only): O(1) intervals for Block
+  /// formats, per-period runs for Cyclic formats.
   [[nodiscard]] IndexRuns axis_runs(int p, Extent coord) const;
 
   Shape array_shape_;

@@ -1,7 +1,5 @@
 #include "mapping/mapping.hpp"
 
-#include <sstream>
-
 #include "support/check.hpp"
 
 namespace hpfc::mapping {
@@ -32,13 +30,6 @@ std::string FullMapping::validate(const Shape& array_shape) const {
       !err.empty())
     return err;
   return dist.validate(template_shape);
-}
-
-std::string FullMapping::to_string() const {
-  std::ostringstream os;
-  os << "align" << align.to_string() << " with T" << template_id
-     << template_shape.to_string() << " distribute" << dist.to_string();
-  return os.str();
 }
 
 int VersionTable::intern(const ConcreteLayout& layout,

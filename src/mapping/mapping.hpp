@@ -33,7 +33,6 @@ struct FullMapping {
   /// Validates both levels; returns an error message or empty.
   [[nodiscard]] std::string validate(const Shape& array_shape) const;
 
-  [[nodiscard]] std::string to_string() const;
   friend bool operator==(const FullMapping&, const FullMapping&) = default;
 };
 

@@ -87,16 +87,6 @@ void for_each_expanded(const std::vector<Entry>& body,
         fn(shifted(body[i], k, b.src_step, b.dst_step));
 }
 
-/// The expansion of `blocks` over `body` as a flat list (tests).
-template <typename Entry>
-[[nodiscard]] std::vector<Entry> expanded(
-    const std::vector<Entry>& body, std::span<const SegmentBlock> blocks) {
-  std::vector<Entry> out;
-  out.reserve(static_cast<std::size_t>(expanded_count(blocks)));
-  for_each_expanded(body, blocks, [&](const Entry& e) { out.push_back(e); });
-  return out;
-}
-
 /// A periodic program: the body table and the blocks that expand it.
 struct PeriodicSegments {
   std::vector<CopySegment> segments;

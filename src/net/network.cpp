@@ -18,20 +18,6 @@ std::string NetStats::summary() const {
   return os.str();
 }
 
-std::vector<std::size_t> check_outboxes(
-    const std::vector<std::vector<Message>>& outboxes, int ranks) {
-  HPFC_ASSERT(static_cast<int>(outboxes.size()) == ranks);
-  std::vector<std::size_t> counts(static_cast<std::size_t>(ranks), 0);
-  for (int src = 0; src < ranks; ++src) {
-    for (const auto& msg : outboxes[static_cast<std::size_t>(src)]) {
-      HPFC_ASSERT_MSG(msg.src == src, "message src must match its outbox");
-      HPFC_ASSERT_MSG(msg.dst >= 0 && msg.dst < ranks, "bad destination");
-      ++counts[static_cast<std::size_t>(msg.dst)];
-    }
-  }
-  return counts;
-}
-
 void account_flows(NetStats& stats, const CostModel& cost, int ranks,
                    std::span<const Flow> flows) {
   // Per-rank accounting for the superstep clock (one scratch vector).

@@ -15,11 +15,9 @@
 // and cost no network time.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "net/cost_model.hpp"
 #include "net/message.hpp"
@@ -65,12 +63,6 @@ struct NetStats {
   friend bool operator==(const NetStats&, const NetStats&) = default;
   [[nodiscard]] std::string summary() const;
 };
-
-/// Validates one superstep's outboxes — one per rank, every message's src
-/// equal to its outbox's rank and its dst in [0, ranks) — and returns how
-/// many messages each rank receives. Every router runs this check.
-std::vector<std::size_t> check_outboxes(
-    const std::vector<std::vector<Message>>& outboxes, int ranks);
 
 /// One transfer of a superstep's traffic table: what the superstep charges
 /// for one message or local copy, without its payload.

@@ -5,8 +5,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <span>
-#include <tuple>
 
 #include "persist/hash.hpp"
 
@@ -37,8 +37,8 @@ struct CommitBody {
   std::vector<std::pair<int, std::uint64_t>> roots;
   /// Replay directory: for every rank owning leaves of an allocated
   /// version, the journal location of each leaf's winning RunBlock
-  /// record, in leaf-index order. Restore with an intact manifest reads
-  /// exactly these windows instead of scanning the whole journal.
+  /// record, in leaf-index order. Restore replays exactly these windows,
+  /// whatever dead delta history surrounds them.
   struct DirRank {
     int array = 0;
     int version = 0;
@@ -354,7 +354,7 @@ struct Replay {
 
 /// Rebuilds the store from a commit plus its replayed winning runs, and
 /// verifies every recomputed version hash and array root against the
-/// sealed values — shared by the directory fast path and the scan path.
+/// sealed values.
 RestoredStore rebuild_store(const CommitBody& commit, const Replay& replay,
                             bool torn_tail) {
   RestoredStore out;
@@ -533,18 +533,24 @@ Replay replay_directory(std::ifstream& in, const CommitBody& commit,
   return replay;
 }
 
-/// Manifest-guided restore: read the sealing commit directly, check the
-/// short unsealed suffix for a newer sealed-but-unpublished commit, then
-/// replay only the directory's winning records.
-RestoredStore fast_restore(const std::string& dir, const Manifest& manifest) {
+/// The one restore path. With a manifest, read its sealing commit
+/// directly; without one (a crash can hit before the very first seal's
+/// rename), there is no published commit and the sealed prefix is empty.
+/// Either way, scan the unsealed suffix for the last intact commit — a
+/// crash between the journal fsync and the manifest rename leaves a
+/// newer sealed commit past the manifest — and replay exactly the
+/// winning records its directory names.
+RestoredStore restore_journal(const std::string& dir,
+                              const std::optional<Manifest>& manifest) {
   std::ifstream in(JournalWriter::journal_path(dir), std::ios::binary);
   std::uint64_t size = 0;
   if (in) {
     in.seekg(0, std::ios::end);
     size = static_cast<std::uint64_t>(in.tellg());
   }
-  if (!in || manifest.sealed_bytes > size ||
-      manifest.commit_offset >= manifest.sealed_bytes)
+  const std::uint64_t sealed_bytes = manifest ? manifest->sealed_bytes : 0;
+  if (manifest && (!in || sealed_bytes > size ||
+                   manifest->commit_offset >= sealed_bytes))
     throw PersistError(
         "persist: manifest points past the intact journal (sealed data "
         "corrupted) in " +
@@ -561,45 +567,52 @@ RestoredStore fast_restore(const std::string& dir, const Manifest& manifest) {
     return bytes;
   };
 
-  const auto commit_window = read_window(
-      manifest.commit_offset, manifest.sealed_bytes - manifest.commit_offset);
-  const auto sealed_frame =
-      parse_frame(commit_window.data(), commit_window.size());
-  if (!sealed_frame || sealed_frame->type != RecordType::kCommit ||
-      sealed_frame->frame_len != commit_window.size())
-    throw PersistError(
-        "persist: manifest commit record is corrupt (sealed data corrupted) "
-        "in " +
-        dir);
-  const CommitBody sealed_commit = decode_commit(
-      ByteReader(sealed_frame->payload, sealed_frame->payload_len));
-  if (sealed_commit.epoch != manifest.epoch)
-    throw PersistError("persist: manifest epoch " +
-                       std::to_string(manifest.epoch) +
-                       " does not match its commit record (epoch " +
-                       std::to_string(sealed_commit.epoch) + ") in " + dir);
+  std::optional<CommitBody> sealed_commit;
+  if (manifest) {
+    const auto commit_window = read_window(
+        manifest->commit_offset, sealed_bytes - manifest->commit_offset);
+    const auto sealed_frame =
+        parse_frame(commit_window.data(), commit_window.size());
+    if (!sealed_frame || sealed_frame->type != RecordType::kCommit ||
+        sealed_frame->frame_len != commit_window.size())
+      throw PersistError(
+          "persist: manifest commit record is corrupt (sealed data "
+          "corrupted) in " +
+          dir);
+    sealed_commit = decode_commit(
+        ByteReader(sealed_frame->payload, sealed_frame->payload_len));
+    if (sealed_commit->epoch != manifest->epoch)
+      throw PersistError("persist: manifest epoch " +
+                         std::to_string(manifest->epoch) +
+                         " does not match its commit record (epoch " +
+                         std::to_string(sealed_commit->epoch) + ") in " +
+                         dir);
+  }
 
-  // A crash between the journal fsync and the manifest rename leaves a
-  // newer sealed commit past the manifest — the last intact one in the
-  // (short) suffix wins, exactly as in the full scan.
+  // The last intact commit of the suffix wins; the scan stops at the
+  // first record that does not parse (the torn tail).
   std::optional<CommitBody> suffix_commit;
   std::uint64_t suffix_commit_start = 0;
   std::uint64_t suffix_commit_end = 0;
-  if (size > manifest.sealed_bytes) {
-    const auto suffix =
-        read_window(manifest.sealed_bytes, size - manifest.sealed_bytes);
+  if (size > sealed_bytes) {
+    const auto suffix = read_window(sealed_bytes, size - sealed_bytes);
+    std::optional<FrameView> last;
+    std::size_t last_pos = 0;
     std::size_t pos = 0;
     while (pos < suffix.size()) {
-      const auto frame =
-          parse_frame(suffix.data() + pos, suffix.size() - pos);
+      const auto frame = parse_frame(suffix.data() + pos, suffix.size() - pos);
       if (!frame) break;
       if (frame->type == RecordType::kCommit) {
-        suffix_commit = decode_commit(
-            ByteReader(frame->payload, frame->payload_len));
-        suffix_commit_start = manifest.sealed_bytes + pos;
-        suffix_commit_end = suffix_commit_start + frame->frame_len;
+        last = frame;
+        last_pos = pos;
       }
       pos += frame->frame_len;
+    }
+    if (last) {
+      suffix_commit =
+          decode_commit(ByteReader(last->payload, last->payload_len));
+      suffix_commit_start = sealed_bytes + last_pos;
+      suffix_commit_end = suffix_commit_start + last->frame_len;
     }
   }
 
@@ -607,93 +620,30 @@ RestoredStore fast_restore(const std::string& dir, const Manifest& manifest) {
     try {
       const Replay replay =
           replay_directory(in, *suffix_commit, suffix_commit_start, dir);
-      return rebuild_store(*suffix_commit, replay,
-                           suffix_commit_end < size);
+      return rebuild_store(*suffix_commit, replay, suffix_commit_end < size);
     } catch (const PersistError&) {
       // The newer epoch's referenced records did not all survive the
       // crash, so it was never durably sealed — it is a torn tail, and
-      // the manifest's epoch below remains the recovery point.
+      // the manifest's epoch below remains the recovery point. Without
+      // a manifest there is none to fall back to.
+      if (!sealed_commit) throw;
     }
   }
-  const Replay replay =
-      replay_directory(in, sealed_commit, manifest.commit_offset, dir);
-  return rebuild_store(sealed_commit, replay, manifest.sealed_bytes < size);
-}
-
-/// Manifest-less restore (a crash can hit before the very first seal's
-/// rename): scan the whole journal, keep the consistent prefix, and
-/// replay every RunBlock record before the last commit, latest record
-/// per (array, version, rank, leaf index) slot winning. The slots are
-/// the last commit's directory: a record naming a slot it does not list
-/// is dead history and is skipped. Only each slot's winner is decoded,
-/// hashed, and copied.
-RestoredStore scan_restore(const std::string& dir) {
-  ScanResult scan = scan_journal(JournalWriter::journal_path(dir));
-  std::size_t last_commit = scan.records.size();
-  for (std::size_t i = scan.records.size(); i-- > 0;) {
-    if (scan.records[i].type == RecordType::kCommit) {
-      last_commit = i;
-      break;
-    }
-  }
-  if (last_commit == scan.records.size()) {
+  if (!sealed_commit) {
     RestoredStore out;
-    out.torn_tail = scan.torn_tail || !scan.records.empty();
+    out.torn_tail = size > 0;
     return out;
   }
-  const CommitBody commit =
-      decode_commit(scan.reader(scan.records[last_commit]));
-  const bool torn_tail =
-      scan.torn_tail ||
-      scan.records[last_commit].end_offset < scan.consistent_bytes;
-
-  constexpr std::uint32_t kNoWinner = 0xffff'ffffu;
-  std::map<std::tuple<int, int, int>, std::vector<std::uint32_t>> winners;
-  for (const auto& e : commit.directory)
-    winners.try_emplace({e.array, e.version, e.rank}, e.records.size(),
-                        kNoWinner);
-  for (std::size_t i = 0; i < last_commit; ++i) {
-    const Record& record = scan.records[i];
-    reject_retired(record.type, dir);
-    if (record.type != RecordType::kRunBlock) continue;
-    ByteReader r = scan.reader(record);
-    const int array = static_cast<int>(r.u32());
-    const int version = static_cast<int>(r.u32());
-    const int rank = static_cast<int>(r.u32());
-    const std::uint32_t run_index = r.u32();
-    const auto found = winners.find({array, version, rank});
-    if (found == winners.end() || run_index >= found->second.size()) continue;
-    found->second[run_index] = static_cast<std::uint32_t>(i);
-  }
-
-  Replay replay;
-  replay.buffers.push_back(std::move(scan.bytes));
-  const auto& bytes = replay.buffers.back();
-  for (const auto& e : commit.directory) {
-    const auto& slots = winners.at({e.array, e.version, e.rank});
-    std::vector<RunRef> winning;
-    winning.reserve(slots.size());
-    for (const std::uint32_t rec : slots) {
-      if (rec == kNoWinner)
-        throw PersistError("persist: sealed run sequence has a gap");
-      const Record& record = scan.records[rec];
-      winning.push_back(
-          decode_run(bytes.data() + record.payload_offset,
-                     static_cast<std::size_t>(record.payload_len)));
-    }
-    replay.runs[{e.array, e.version}].emplace_back(
-        static_cast<std::size_t>(e.rank), std::move(winning));
-  }
-  return rebuild_store(commit, replay, torn_tail);
+  const Replay replay =
+      replay_directory(in, *sealed_commit, manifest->commit_offset, dir);
+  return rebuild_store(*sealed_commit, replay, sealed_bytes < size);
 }
 
 }  // namespace
 
 RestoredStore restore(const std::string& dir) {
   const auto start = Clock::now();
-  const auto manifest = read_manifest(dir);
-  RestoredStore out = manifest ? fast_restore(dir, *manifest)
-                               : scan_restore(dir);
+  RestoredStore out = restore_journal(dir, read_manifest(dir));
   out.restore_ms = ms_since(start);
   return out;
 }

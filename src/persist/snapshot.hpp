@@ -12,14 +12,17 @@
 //
 // Each Commit also carries a replay directory — the journal location of
 // every live leaf's winning record — and the manifest points at the
-// sealing Commit, so restore with an intact manifest reads O(live data):
-// it parses the commit, checks the short unsealed suffix for a newer
-// seal, and replays exactly the directory's records. Without a manifest
-// it falls back to a full scan. Either way the hash tree is recomputed
-// from the rebuilt bytes and verified against the sealed roots. A
-// mismatch inside the sealed prefix (or a manifest pointing past the
-// intact journal) is sealed-data corruption and throws PersistError;
-// a torn tail is an expected crash artifact and is reported, not thrown.
+// sealing Commit. Restore has one path: it parses the manifest's commit,
+// scans the unsealed suffix for a newer intact commit, and replays
+// exactly the winning commit's directory records, so with an intact
+// manifest it reads O(live data). A missing manifest (a crash before the
+// first seal's rename) is the same path with an empty sealed prefix: the
+// suffix is the whole journal, and a record no directory names is dead
+// history. The hash tree is recomputed from the rebuilt bytes and
+// verified against the sealed roots. A mismatch inside the sealed prefix
+// (or a manifest pointing past the intact journal) is sealed-data
+// corruption and throws PersistError; a torn tail is an expected crash
+// artifact and is reported, not thrown.
 #pragma once
 
 #include <cstdint>

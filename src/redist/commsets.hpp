@@ -4,14 +4,12 @@
 // product of per-array-dimension index sets under both layouts, each
 // pairwise set is the product of per-dimension intersections.
 //
-// Two implementations are provided:
-//  - build(): sorted-list intersections (the oracle; O(P_s * P_d * N)),
-//  - build_runs(): closed-form interval-run intersections per dimension
-//    in O(runs) via lcm-window arithmetic (the efficient method of the
-//    paper's reference [19]) — the hot path, producing a RedistPlanV2
-//    whose transfers stay symbolic (materialize() lists them explicitly).
-// Tests assert both produce identical element sets in identical pack
-// order.
+// build_runs() intersects closed-form interval runs per dimension in
+// O(runs) via lcm-window arithmetic (the efficient method of the paper's
+// reference [19]), producing a RedistPlanV2 whose transfers stay
+// symbolic. The tests check it against the sorted-list oracle
+// testing::build (src/testing/oracles.hpp): identical element sets in
+// identical pack order.
 #pragma once
 
 #include <cstdint>
@@ -28,33 +26,10 @@ using mapping::Extent;
 using mapping::Index;
 using mapping::IndexRuns;
 
-/// One source->destination transfer manifest. Elements are the cartesian
-/// product of `dim_indices`, enumerated in row-major product order (the
-/// shared pack/unpack order of both end points).
-struct Transfer {
-  int src = 0;
-  int dst = 0;
-  std::vector<std::vector<Index>> dim_indices;
-
-  [[nodiscard]] Extent count() const;
-};
-
-struct RedistPlan {
-  std::vector<Transfer> transfers;
-
-  [[nodiscard]] Extent total_elements() const;
-  [[nodiscard]] std::uint64_t total_bytes() const {
-    return static_cast<std::uint64_t>(total_elements()) * sizeof(double);
-  }
-  /// Number of off-rank transfers (src != dst).
-  [[nodiscard]] int remote_transfers() const;
-  [[nodiscard]] std::string summary() const;
-};
-
 /// One source->destination transfer in closed form: the element set is the
 /// cartesian product of per-dimension interval-run sets, enumerated in
-/// row-major product order (each dimension ascending — the same pack order
-/// as the materialized Transfer).
+/// row-major product order (each dimension ascending — the pack order of
+/// both end points).
 struct TransferV2 {
   int src = 0;
   int dst = 0;
@@ -64,7 +39,6 @@ struct TransferV2 {
   /// Restricts every dimension to its live-region slice; returns false
   /// when the restriction empties the transfer.
   bool restrict_to(const std::vector<std::pair<Index, Index>>& region);
-  [[nodiscard]] Transfer materialize() const;
 };
 
 struct RedistPlanV2 {
@@ -75,12 +49,8 @@ struct RedistPlanV2 {
     return static_cast<std::uint64_t>(total_elements()) * sizeof(double);
   }
   [[nodiscard]] int remote_transfers() const;
-  [[nodiscard]] RedistPlan materialize() const;
   [[nodiscard]] std::string summary() const;
 };
-
-/// Oracle communication sets via explicit sorted-list intersection.
-RedistPlan build(const ConcreteLayout& from, const ConcreteLayout& to);
 
 /// Efficient communication sets: per-dimension interval-run intersection
 /// of the two block-cyclic ownerships, O(runs) per (src, dst) pair via

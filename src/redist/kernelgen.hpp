@@ -23,9 +23,9 @@
 // (runtime/round.hpp): one destination line of W lanes per period, the
 // lanes' source pointers patched in by the round at every run.
 //
-// The interpreted walkers in redist/segments.hpp remain the test
-// reference (see docs/kernels.md): a specialized kernel must move exactly
-// the bytes pack/unpack/copy_local would.
+// The interpreted walkers testing::pack_into / unpack / copy_local
+// (src/testing/oracles.hpp) are the test reference (see docs/kernels.md):
+// a specialized kernel must move exactly the bytes they would.
 #pragma once
 
 #include <cstddef>
@@ -83,13 +83,13 @@ struct KernelSpan {
 /// from (the single compiled form of the transfer) plus the stitched span
 /// list over its blocks. Equivalent by construction to interpreting
 /// that program — pack/unpack/copy produce byte-identical results to
-/// redist::pack_into / redist::unpack / redist::copy_local (asserted by
-/// the property tests).
+/// the walkers testing::pack_into / unpack / copy_local (asserted by the
+/// property tests).
 class Kernel {
  public:
   /// Packs the program's elements from `src_local` into the caller-sized
   /// window `out` of exactly elements() doubles (the fused-framing
-  /// primitive, like redist::pack_into).
+  /// primitive).
   void pack(std::span<const double> src_local, std::span<double> out) const;
   /// Scatters a payload window of exactly elements() doubles into the
   /// destination rank's local storage.

@@ -1,7 +1,5 @@
 #include "redist/segments.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace hpfc::redist {
@@ -131,19 +129,6 @@ std::uint64_t SegmentProgram::segment_count() const {
   return mapping::expanded_count(blocks);
 }
 
-std::uint64_t SegmentProgram::contiguous_segments() const {
-  std::uint64_t count = 0;
-  for (const SegmentBlock& b : blocks)
-    for (std::uint32_t i = b.first; i < b.first + b.count; ++i)
-      if (segments[i].src_stride == 1 && segments[i].dst_stride == 1)
-        count += static_cast<std::uint64_t>(b.reps);
-  return count;
-}
-
-std::vector<CopySegment> SegmentProgram::expand() const {
-  return mapping::expanded(segments, blocks);
-}
-
 SegmentProgram compile_transfer(const TransferV2& transfer,
                                 std::span<const IndexRuns> src_owned,
                                 std::span<const IndexRuns> dst_owned) {
@@ -226,57 +211,6 @@ SegmentProgram compile_transfer(const TransferV2& transfer,
                   "segment program does not cover the transfer");
 #endif
   return program;
-}
-
-void pack(const SegmentProgram& program, std::span<const double> src_local,
-          std::vector<double>& payload) {
-  payload.resize(static_cast<std::size_t>(program.elements));
-  pack_into(program, src_local, payload);
-}
-
-void pack_into(const SegmentProgram& program, std::span<const double> src_local,
-               std::span<double> window) {
-  HPFC_ASSERT(static_cast<Extent>(window.size()) == program.elements);
-  double* out = window.data();
-  program.for_each_segment([&](const CopySegment& seg) {
-    const double* in = src_local.data() + seg.src_base;
-    if (seg.src_stride == 1) {
-      std::copy_n(in, seg.len, out);
-    } else {
-      for (Extent j = 0; j < seg.len; ++j) out[j] = in[j * seg.src_stride];
-    }
-    out += seg.len;
-  });
-}
-
-void unpack(const SegmentProgram& program, std::span<const double> payload,
-            std::span<double> dst_local) {
-  HPFC_ASSERT(static_cast<Extent>(payload.size()) == program.elements);
-  const double* in = payload.data();
-  program.for_each_segment([&](const CopySegment& seg) {
-    double* out = dst_local.data() + seg.dst_base;
-    if (seg.dst_stride == 1) {
-      std::copy_n(in, seg.len, out);
-    } else {
-      for (Extent j = 0; j < seg.len; ++j) out[j * seg.dst_stride] = in[j];
-    }
-    in += seg.len;
-  });
-}
-
-void copy_local(const SegmentProgram& program,
-                std::span<const double> src_local,
-                std::span<double> dst_local) {
-  program.for_each_segment([&](const CopySegment& seg) {
-    const double* in = src_local.data() + seg.src_base;
-    double* out = dst_local.data() + seg.dst_base;
-    if (seg.src_stride == 1 && seg.dst_stride == 1) {
-      std::copy_n(in, seg.len, out);
-    } else {
-      for (Extent j = 0; j < seg.len; ++j)
-        out[j * seg.dst_stride] = in[j * seg.src_stride];
-    }
-  });
 }
 
 }  // namespace hpfc::redist

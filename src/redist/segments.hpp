@@ -15,12 +15,12 @@
 // the clipped first/last windows as reps == 1 blocks. The program size is
 // O(pattern) per row, never O(elements) nor O(windows).
 //
-// The pack/unpack/copy_local walkers below interpret a SegmentProgram
-// segment by segment over its expansion. The runtime executes the
-// specialized kernels of redist/kernelgen.hpp instead (redist::specialize
-// lowers a program to precompiled unit- and runtime-stride fragments); the
-// walkers remain the test reference a kernel must reproduce byte for byte
-// (see docs/kernels.md).
+// The runtime executes a program through the specialized kernels of
+// redist/kernelgen.hpp (redist::specialize lowers it to precompiled unit-
+// and runtime-stride fragments). The segment walkers that interpret a
+// program segment by segment (testing::pack_into, unpack, copy_local in
+// src/testing/oracles.hpp) are the reference a kernel must reproduce byte
+// for byte (see docs/kernels.md).
 #pragma once
 
 #include <cstdint>
@@ -52,17 +52,12 @@ struct SegmentProgram {
   /// Number of segments in the expansion — closed form. This is what
   /// the `pack_segments` counter sums.
   [[nodiscard]] std::uint64_t segment_count() const;
-  /// Expanded segments whose source and destination are both contiguous.
-  [[nodiscard]] std::uint64_t contiguous_segments() const;
 
   /// Calls fn(CopySegment) for every expanded segment, in payload order.
   template <typename Fn>
   void for_each_segment(Fn&& fn) const {
     mapping::for_each_expanded(segments, blocks, fn);
   }
-
-  /// The expanded segment list (tests).
-  [[nodiscard]] std::vector<CopySegment> expand() const;
 };
 
 /// Compiles `transfer` against the owned run sets of its two end-point
@@ -80,29 +75,5 @@ struct SegmentProgram {
 SegmentProgram compile_transfer(const TransferV2& transfer,
                                 std::span<const IndexRuns> src_owned,
                                 std::span<const IndexRuns> dst_owned);
-
-/// Packs the program's elements from the source rank's local storage into
-/// `payload` (sized up front, then bulk-copied).
-void pack(const SegmentProgram& program, std::span<const double> src_local,
-          std::vector<double>& payload);
-
-/// Packs into a caller-provided window of exactly `program.elements`
-/// doubles — the framing primitive for fused multi-array payloads, where
-/// several programs pack into disjoint slices of one combined buffer.
-void pack_into(const SegmentProgram& program, std::span<const double> src_local,
-               std::span<double> out);
-
-/// Scatters `payload` into the destination rank's local storage.
-void unpack(const SegmentProgram& program, std::span<const double> payload,
-            std::span<double> dst_local);
-
-/// Executes a src == dst program as direct strided copies between the two
-/// local storages, without materializing a payload (the runtime's local
-/// fast path). Equivalent to pack() into a scratch buffer followed by
-/// unpack(); the storages must not alias (they belong to two different
-/// array versions).
-void copy_local(const SegmentProgram& program,
-                std::span<const double> src_local,
-                std::span<double> dst_local);
 
 }  // namespace hpfc::redist

@@ -62,20 +62,6 @@ void RemapGraph::set_special(int vc, int v0, int ve) {
   ve_ = ve;
 }
 
-int RemapGraph::active_remap_count() const {
-  int count = 0;
-  for (const auto& v : vertices_) {
-    if (v.kind == VertexKind::CallCtx || v.kind == VertexKind::Entry) continue;
-    for (const auto& [a, label] : v.arrays) {
-      if (!label.leaving.empty() && !label.removed) {
-        ++count;
-        break;
-      }
-    }
-  }
-  return count;
-}
-
 namespace {
 
 std::string label_text(const ir::Program& program, ir::ArrayId a,

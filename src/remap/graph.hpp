@@ -122,9 +122,6 @@ class RemapGraph {
   [[nodiscard]] int ve() const { return ve_; }
   void set_special(int vc, int v0, int ve);
 
-  /// Vertices that still remap at least one array (post-optimization view).
-  [[nodiscard]] int active_remap_count() const;
-
   [[nodiscard]] std::string to_text(const ir::Program& program) const;
   [[nodiscard]] std::string to_dot(const ir::Program& program) const;
 

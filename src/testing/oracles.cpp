@@ -3,18 +3,273 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/network.hpp"
 #include "support/check.hpp"
 
 namespace hpfc::testing {
 
-using mapping::Extent;
-using mapping::Index;
+using mapping::AlignTarget;
+using mapping::DistFormat;
 using mapping::IndexRun;
 using mapping::IndexRuns;
 using mapping::OwnedRun;
 using redist::CopySegment;
+using redist::SegmentProgram;
 using redist::TransferV2;
+
+namespace {
+
+/// Whether index `i` of array dimension `dim` lies on grid coordinate
+/// `coords[p]` along every grid dimension p whose owner reads `dim`.
+bool axis_owns(const ConcreteLayout& layout, const mapping::IndexVec& coords,
+               int dim, Index i) {
+  for (int p = 0; p < layout.proc_shape().rank(); ++p) {
+    const AlignTarget& source =
+        layout.owners()[static_cast<std::size_t>(p)].source;
+    if (source.kind == AlignTarget::Kind::Axis && source.array_dim == dim &&
+        layout.coord_of_template(p, source.apply(i)) !=
+            coords[static_cast<std::size_t>(p)])
+      return false;
+  }
+  return true;
+}
+
+/// Whether the grid coordinates `coords` hold the array at all: every
+/// Constant owner's template cell lies on them, and under `for_sending`
+/// every Replicated grid dimension is at coordinate 0.
+bool grid_owns(const ConcreteLayout& layout, const mapping::IndexVec& coords,
+               bool for_sending) {
+  for (int p = 0; p < layout.proc_shape().rank(); ++p) {
+    const AlignTarget& source =
+        layout.owners()[static_cast<std::size_t>(p)].source;
+    const Extent coord = coords[static_cast<std::size_t>(p)];
+    if (source.kind == AlignTarget::Kind::Replicated && for_sending &&
+        coord != 0)
+      return false;
+    if (source.kind == AlignTarget::Kind::Constant &&
+        layout.coord_of_template(p, source.offset) != coord)
+      return false;
+  }
+  return true;
+}
+
+/// The list form of a transfer: each dimension's run set member by member.
+Transfer materialize(const TransferV2& transfer) {
+  Transfer out;
+  out.src = transfer.src;
+  out.dst = transfer.dst;
+  for (const IndexRuns& runs : transfer.dim_runs)
+    out.dim_indices.push_back(runs.materialize());
+  return out;
+}
+
+/// The expansion of `blocks` over `body` as a flat list.
+template <typename Entry>
+std::vector<Entry> expanded(const std::vector<Entry>& body,
+                            std::span<const mapping::SegmentBlock> blocks) {
+  std::vector<Entry> out;
+  out.reserve(static_cast<std::size_t>(mapping::expanded_count(blocks)));
+  mapping::for_each_expanded(body, blocks,
+                             [&](const Entry& e) { out.push_back(e); });
+  return out;
+}
+
+}  // namespace
+
+ConcreteLayout random_layout(std::mt19937& rng,
+                             const mapping::Shape& array_shape,
+                             int max_procs) {
+  using mapping::DimOwner;
+
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<unsigned>(n));
+  };
+
+  std::vector<Extent> proc_extents;
+  if (array_shape.rank() > 1 && pick(3) == 0)
+    proc_extents = {1 + pick(3), 1 + pick(3)};
+  else
+    proc_extents = {1 + pick(max_procs)};
+
+  std::vector<int> free_dims;
+  for (int d = 0; d < array_shape.rank(); ++d) free_dims.push_back(d);
+
+  std::vector<DimOwner> owners;
+  for (const Extent procs : proc_extents) {
+    DimOwner owner;
+    const int kind = pick(10);
+    if (kind < 6 && !free_dims.empty()) {
+      // Each array dimension feeds at most one grid dimension (HPF rule).
+      const int slot = pick(static_cast<int>(free_dims.size()));
+      const int dim = free_dims[static_cast<std::size_t>(slot)];
+      free_dims.erase(free_dims.begin() + slot);
+      const Extent n = array_shape.extent(dim);
+      static constexpr Extent kStrides[] = {1, 1, 2, -1, -2};
+      const Extent s = kStrides[pick(5)];
+      const Extent extra = pick(3);
+      // Keep the affine image s*i + extra within [0, template_extent).
+      const Extent o = s > 0 ? extra : (-s) * (n - 1) + extra;
+      owner.source = AlignTarget::axis(dim, s, o);
+      owner.template_extent = (s > 0 ? s * (n - 1) + o : o) + 1;
+    } else if (kind < 8) {
+      const Extent m = 1 + pick(6);
+      owner.source = AlignTarget::constant(pick(static_cast<int>(m)));
+      owner.template_extent = m;
+    } else {
+      owner.source = AlignTarget::replicated();
+      owner.template_extent = 1 + pick(4);
+    }
+    const Extent m = owner.template_extent;
+    if (pick(2) == 0) {
+      // BLOCK(b) needs b >= ceil(m / procs) so every template cell maps to
+      // a valid grid coordinate.
+      const Extent min_b = (m + procs - 1) / procs;
+      owner.format = DistFormat::block(min_b + pick(3));
+    } else {
+      owner.format = DistFormat::cyclic(1 + pick(4));
+    }
+    owners.push_back(owner);
+  }
+  return ConcreteLayout::make(array_shape, mapping::Shape{proc_extents},
+                              std::move(owners));
+}
+
+std::vector<std::vector<Index>> owned_index_lists(const ConcreteLayout& layout,
+                                                  int rank, bool for_sending) {
+  HPFC_ASSERT(rank >= 0 && rank < layout.ranks());
+  const mapping::Shape& shape = layout.array_shape();
+  const mapping::IndexVec coords = layout.proc_shape().delinearize(rank);
+  std::vector<std::vector<Index>> lists(static_cast<std::size_t>(shape.rank()));
+  if (!grid_owns(layout, coords, for_sending)) return lists;
+  for (int d = 0; d < shape.rank(); ++d) {
+    auto& list = lists[static_cast<std::size_t>(d)];
+    for (Index i = 0; i < shape.extent(d); ++i)
+      if (axis_owns(layout, coords, d, i)) list.push_back(i);
+  }
+  // Empty on any dim means the rank owns nothing: normalize all-empty.
+  for (const auto& list : lists) {
+    if (list.empty()) {
+      for (auto& l : lists) l.clear();
+      break;
+    }
+  }
+  return lists;
+}
+
+bool owns(const ConcreteLayout& layout, int rank,
+          std::span<const Index> global) {
+  HPFC_ASSERT(layout.array_shape().contains(global));
+  const mapping::IndexVec coords = layout.proc_shape().delinearize(rank);
+  if (!grid_owns(layout, coords, /*for_sending=*/false)) return false;
+  for (std::size_t d = 0; d < global.size(); ++d)
+    if (!axis_owns(layout, coords, static_cast<int>(d), global[d]))
+      return false;
+  return true;
+}
+
+std::vector<int> owners_of(const ConcreteLayout& layout,
+                           std::span<const Index> global) {
+  std::vector<int> result;
+  for (int r = 0; r < layout.ranks(); ++r)
+    if (owns(layout, r, global)) result.push_back(r);
+  return result;
+}
+
+int primary_owner(const ConcreteLayout& layout,
+                  std::span<const Index> global) {
+  const std::vector<int> owners = owners_of(layout, global);
+  HPFC_ASSERT_MSG(!owners.empty(), "every element has an owner");
+  return owners.front();
+}
+
+Index position_in_lists(const std::vector<std::vector<Index>>& lists,
+                        std::span<const Index> global) {
+  HPFC_ASSERT(lists.size() == global.size());
+  Index position = 0;
+  for (std::size_t d = 0; d < lists.size(); ++d) {
+    const auto& list = lists[d];
+    const auto it = std::lower_bound(list.begin(), list.end(), global[d]);
+    if (it == list.end() || *it != global[d]) return -1;
+    position = position * static_cast<Index>(list.size()) +
+               static_cast<Index>(it - list.begin());
+  }
+  return position;
+}
+
+Index local_position(const ConcreteLayout& layout, int rank,
+                     std::span<const Index> global) {
+  return position_in_lists(owned_index_lists(layout, rank), global);
+}
+
+Extent Transfer::count() const {
+  Extent product = 1;
+  for (const auto& list : dim_indices)
+    product *= static_cast<Extent>(list.size());
+  return product;
+}
+
+Extent RedistPlan::total_elements() const {
+  Extent total = 0;
+  for (const auto& t : transfers) total += t.count();
+  return total;
+}
+
+int RedistPlan::remote_transfers() const {
+  int count = 0;
+  for (const auto& t : transfers)
+    if (t.src != t.dst) ++count;
+  return count;
+}
+
+RedistPlan build(const ConcreteLayout& from, const ConcreteLayout& to) {
+  HPFC_ASSERT_MSG(from.array_shape() == to.array_shape(),
+                  "redistribution requires identical array shapes");
+  // A rank owning nothing sends/receives nothing; a scalar array (no
+  // dimensions) is owned by every rank its grid checks admit.
+  const auto alive = [](const std::vector<std::vector<Index>>& lists) {
+    return lists.empty() || !lists.front().empty();
+  };
+  RedistPlan plan;
+  std::vector<std::vector<std::vector<Index>>> dst_lists;
+  for (int dst = 0; dst < to.ranks(); ++dst)
+    dst_lists.push_back(owned_index_lists(to, dst));
+  for (int src = 0; src < from.ranks(); ++src) {
+    const auto src_lists = owned_index_lists(from, src, /*for_sending=*/true);
+    if (!alive(src_lists)) continue;
+    for (int dst = 0; dst < to.ranks(); ++dst) {
+      const auto& dst_list = dst_lists[static_cast<std::size_t>(dst)];
+      if (!alive(dst_list)) continue;
+      Transfer transfer;
+      transfer.src = src;
+      transfer.dst = dst;
+      bool empty = false;
+      for (std::size_t d = 0; d < src_lists.size() && !empty; ++d) {
+        std::vector<Index> common;
+        std::set_intersection(src_lists[d].begin(), src_lists[d].end(),
+                              dst_list[d].begin(), dst_list[d].end(),
+                              std::back_inserter(common));
+        empty = common.empty();
+        transfer.dim_indices.push_back(std::move(common));
+      }
+      if (!empty) plan.transfers.push_back(std::move(transfer));
+    }
+  }
+  return plan;
+}
+
+RedistPlan materialize(const redist::RedistPlanV2& plan) {
+  RedistPlan out;
+  for (const TransferV2& t : plan.transfers)
+    out.transfers.push_back(materialize(t));
+  return out;
+}
+
+std::vector<CopySegment> expand(const SegmentProgram& program) {
+  return expanded(program.segments, program.blocks);
+}
+
+std::vector<OwnedRun> expand(const mapping::OwnedProgram& program) {
+  return expanded(program.body, program.blocks);
+}
 
 std::vector<IndexRun> stretches_of(const IndexRuns& runs) {
   std::vector<IndexRun> out;
@@ -84,7 +339,6 @@ std::vector<OwnedRun> owned_stretches(const mapping::ConcreteLayout& layout,
 
 namespace {
 
-
 /// One stretch of a dimension's member sequence over which the positions
 /// within both owners' run sets advance with constant per-dimension steps.
 struct DimPiece {
@@ -147,7 +401,6 @@ std::vector<DimPiece> decompose(const mapping::IndexRuns& x,
   });
   return pieces;
 }
-
 
 }  // namespace
 
@@ -275,11 +528,76 @@ bool matches_per_element(const mapping::OwnedProgram& prog,
   return match;
 }
 
+void pack(const SegmentProgram& program, std::span<const double> src_local,
+          std::vector<double>& payload) {
+  payload.resize(static_cast<std::size_t>(program.elements));
+  pack_into(program, src_local, payload);
+}
+
+void pack_into(const SegmentProgram& program, std::span<const double> src_local,
+               std::span<double> window) {
+  HPFC_ASSERT(static_cast<Extent>(window.size()) == program.elements);
+  double* out = window.data();
+  program.for_each_segment([&](const CopySegment& seg) {
+    const double* in = src_local.data() + seg.src_base;
+    if (seg.src_stride == 1) {
+      std::copy_n(in, seg.len, out);
+    } else {
+      for (Extent j = 0; j < seg.len; ++j) out[j] = in[j * seg.src_stride];
+    }
+    out += seg.len;
+  });
+}
+
+void unpack(const SegmentProgram& program, std::span<const double> payload,
+            std::span<double> dst_local) {
+  HPFC_ASSERT(static_cast<Extent>(payload.size()) == program.elements);
+  const double* in = payload.data();
+  program.for_each_segment([&](const CopySegment& seg) {
+    double* out = dst_local.data() + seg.dst_base;
+    if (seg.dst_stride == 1) {
+      std::copy_n(in, seg.len, out);
+    } else {
+      for (Extent j = 0; j < seg.len; ++j) out[j * seg.dst_stride] = in[j];
+    }
+    in += seg.len;
+  });
+}
+
+void copy_local(const SegmentProgram& program,
+                std::span<const double> src_local,
+                std::span<double> dst_local) {
+  program.for_each_segment([&](const CopySegment& seg) {
+    const double* in = src_local.data() + seg.src_base;
+    double* out = dst_local.data() + seg.dst_base;
+    if (seg.src_stride == 1 && seg.dst_stride == 1) {
+      std::copy_n(in, seg.len, out);
+    } else {
+      for (Extent j = 0; j < seg.len; ++j)
+        out[j * seg.dst_stride] = in[j * seg.src_stride];
+    }
+  });
+}
+
+std::vector<std::size_t> check_outboxes(
+    const std::vector<std::vector<net::Message>>& outboxes, int ranks) {
+  HPFC_ASSERT(static_cast<int>(outboxes.size()) == ranks);
+  std::vector<std::size_t> counts(static_cast<std::size_t>(ranks), 0);
+  for (int src = 0; src < ranks; ++src) {
+    for (const auto& msg : outboxes[static_cast<std::size_t>(src)]) {
+      HPFC_ASSERT_MSG(msg.src == src, "message src must match its outbox");
+      HPFC_ASSERT_MSG(msg.dst >= 0 && msg.dst < ranks, "bad destination");
+      ++counts[static_cast<std::size_t>(msg.dst)];
+    }
+  }
+  return counts;
+}
+
 std::vector<std::vector<net::Message>> route_superstep(
     std::vector<std::vector<net::Message>> outboxes, int ranks) {
   // Count first so every inbox is reserved exactly once (no growth
   // reallocations while routing).
-  const auto counts = net::check_outboxes(outboxes, ranks);
+  const auto counts = check_outboxes(outboxes, ranks);
   std::vector<std::vector<net::Message>> inboxes(
       static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r)
@@ -314,7 +632,7 @@ exec::Inboxes route_slots(std::span<const exec::ArenaMessage> table,
 std::vector<std::vector<net::Message>> exchange_messages(
     exec::ProcBackend& backend,
     const std::vector<std::vector<net::Message>>& outboxes) {
-  (void)net::check_outboxes(outboxes, backend.ranks());
+  (void)check_outboxes(outboxes, backend.ranks());
   std::vector<exec::ArenaMessage> table;
   std::uint64_t total = 0;
   for (const auto& outbox : outboxes) {

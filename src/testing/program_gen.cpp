@@ -184,65 +184,4 @@ std::optional<std::pair<ir::Program, unsigned>> generate_compilable(
   return std::nullopt;
 }
 
-mapping::ConcreteLayout random_layout(std::mt19937& rng,
-                                      const mapping::Shape& array_shape,
-                                      int max_procs) {
-  using mapping::AlignTarget;
-  using mapping::DimOwner;
-  using mapping::Extent;
-
-  const auto pick = [&rng](int n) {
-    return static_cast<int>(rng() % static_cast<unsigned>(n));
-  };
-
-  std::vector<Extent> proc_extents;
-  if (array_shape.rank() > 1 && pick(3) == 0)
-    proc_extents = {1 + pick(3), 1 + pick(3)};
-  else
-    proc_extents = {1 + pick(max_procs)};
-
-  std::vector<int> free_dims;
-  for (int d = 0; d < array_shape.rank(); ++d) free_dims.push_back(d);
-
-  std::vector<DimOwner> owners;
-  for (const Extent procs : proc_extents) {
-    DimOwner owner;
-    const int kind = pick(10);
-    if (kind < 6 && !free_dims.empty()) {
-      // Each array dimension feeds at most one grid dimension (HPF rule).
-      const int slot = pick(static_cast<int>(free_dims.size()));
-      const int dim = free_dims[static_cast<std::size_t>(slot)];
-      free_dims.erase(free_dims.begin() + slot);
-      const Extent n = array_shape.extent(dim);
-      static constexpr Extent kStrides[] = {1, 1, 2, -1, -2};
-      const Extent s = kStrides[pick(5)];
-      const Extent extra = pick(3);
-      // Keep the affine image s*i + extra within [0, template_extent).
-      const Extent o = s > 0 ? extra : (-s) * (n - 1) + extra;
-      owner.source = AlignTarget::axis(dim, s, o);
-      owner.template_extent = (s > 0 ? s * (n - 1) + o : o) + 1;
-    } else if (kind < 8) {
-      const Extent m = 1 + pick(6);
-      owner.source = AlignTarget::constant(pick(static_cast<int>(m)));
-      owner.template_extent = m;
-    } else {
-      owner.source = AlignTarget::replicated();
-      owner.template_extent = 1 + pick(4);
-    }
-    const Extent m = owner.template_extent;
-    if (pick(2) == 0) {
-      // BLOCK(b) needs b >= ceil(m / procs) so every template cell maps to
-      // a valid grid coordinate.
-      const Extent min_b = (m + procs - 1) / procs;
-      owner.format = DistFormat::block(min_b + pick(3));
-    } else {
-      owner.format = DistFormat::cyclic(1 + pick(4));
-    }
-    owners.push_back(owner);
-  }
-  return mapping::ConcreteLayout::make(array_shape,
-                                       mapping::Shape{proc_extents},
-                                       std::move(owners));
-}
-
 }  // namespace hpfc::testing

@@ -7,10 +7,9 @@
 #pragma once
 
 #include <optional>
-#include <random>
+#include <utility>
 
 #include "ir/program.hpp"
-#include "mapping/layout.hpp"
 
 namespace hpfc::testing {
 
@@ -30,14 +29,5 @@ ir::Program generate(const GenConfig& config);
 /// Returns nullopt when `attempts` seeds all fail.
 std::optional<std::pair<ir::Program, unsigned>> generate_compilable(
     GenConfig config, int attempts = 50);
-
-/// A random normalized layout of `array_shape` for layout-level property
-/// tests: a 1-D or 2-D processor grid (total ranks within [1, max_procs])
-/// whose grid dimensions draw from replicated / constant / axis sources
-/// (axis with strides in {1, 2, -1, -2} and small offsets) and block /
-/// cyclic(k) distribution formats.
-mapping::ConcreteLayout random_layout(std::mt19937& rng,
-                                      const mapping::Shape& array_shape,
-                                      int max_procs = 8);
 
 }  // namespace hpfc::testing

@@ -500,10 +500,11 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
     for (int r = 0; r < from.ranks(); ++r) {
       auto& local = src_locals[static_cast<std::size_t>(r)];
       local.assign(static_cast<std::size_t>(from.local_count(r)), 0.0);
-      from.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
-        local[static_cast<std::size_t>(pos)] =
-            static_cast<double>(shape.linearize(global) + 1);
-      });
+      testing::for_each_owned(
+          from, r, [&](std::span<const Index> global, Index pos) {
+            local[static_cast<std::size_t>(pos)] =
+                static_cast<double>(shape.linearize(global) + 1);
+          });
     }
 
     const auto route = [&](Mailboxes outboxes) {
@@ -524,7 +525,7 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
           msg.dst = programs[t].dst;
           msg.tag = static_cast<int>(t);
           msg.segments = narrow<int>(programs[t].segment_count());
-          redist::pack(programs[t], src_locals[static_cast<std::size_t>(r)],
+          testing::pack(programs[t], src_locals[static_cast<std::size_t>(r)],
                        msg.payload);
           outboxes[static_cast<std::size_t>(r)].push_back(std::move(msg));
         }
@@ -532,7 +533,7 @@ TEST(Backend, RandomLayoutRedistributionMatchesAcrossBackends) {
       const Mailboxes inboxes = exchange(std::move(outboxes));
       backend.step([&](int r) {
         for (const auto& msg : inboxes[static_cast<std::size_t>(r)])
-          redist::unpack(programs[static_cast<std::size_t>(msg.tag)],
+          testing::unpack(programs[static_cast<std::size_t>(msg.tag)],
                          msg.payload,
                          dst_locals[static_cast<std::size_t>(r)]);
       });
@@ -576,10 +577,11 @@ RoundArray round_array(ConcreteLayout from, ConcreteLayout to, double base) {
   for (int r = 0; r < a.from.ranks(); ++r) {
     auto& local = a.src[static_cast<std::size_t>(r)];
     local.assign(static_cast<std::size_t>(a.from.local_count(r)), 0.0);
-    a.from.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
-      local[static_cast<std::size_t>(pos)] =
-          base + static_cast<double>(shape.linearize(global));
-    });
+    testing::for_each_owned(
+        a.from, r, [&](std::span<const Index> global, Index pos) {
+          local[static_cast<std::size_t>(pos)] =
+              base + static_cast<double>(shape.linearize(global));
+        });
   }
   return a;
 }
@@ -599,13 +601,14 @@ void expect_delivered(const std::vector<RoundArray>& arrays,
   for (std::size_t m = 0; m < arrays.size(); ++m) {
     const RoundArray& a = arrays[m];
     for (int r = 0; r < a.to.ranks(); ++r) {
-      a.to.for_each_owned(r, [&](std::span<const Index> global, Index pos) {
-        ASSERT_EQ(
-            dst[m][static_cast<std::size_t>(r)][static_cast<std::size_t>(pos)],
-            a.base +
-                static_cast<double>(a.from.array_shape().linearize(global)))
-            << where << " member " << m << " rank " << r;
-      });
+      testing::for_each_owned(
+          a.to, r, [&](std::span<const Index> global, Index pos) {
+            const auto& local = dst[m][static_cast<std::size_t>(r)];
+            ASSERT_EQ(local[static_cast<std::size_t>(pos)],
+                      a.base + static_cast<double>(
+                                   a.from.array_shape().linearize(global)))
+                << where << " member " << m << " rank " << r;
+          });
     }
   }
 }

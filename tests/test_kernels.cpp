@@ -31,7 +31,7 @@
 #include "redist/segments.hpp"
 #include "runtime/round.hpp"
 #include "testing/figures.hpp"
-#include "testing/program_gen.hpp"
+#include "testing/oracles.hpp"
 
 namespace hpfc {
 namespace {
@@ -117,17 +117,17 @@ TEST(FragmentClassification, RepeatedBlocksRunThroughThePeriodicFragment) {
   for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<double>(i);
   std::vector<double> via_walker(static_cast<std::size_t>(program.elements));
   std::vector<double> via_kernel(via_walker.size());
-  redist::pack_into(program, src, via_walker);
+  testing::pack_into(program, src, via_walker);
   kernel.pack(src, via_kernel);
   EXPECT_EQ(via_kernel, via_walker);
   std::vector<double> dst_walker(128, -1.0);
   std::vector<double> dst_kernel(dst_walker);
-  redist::unpack(program, via_walker, dst_walker);
+  testing::unpack(program, via_walker, dst_walker);
   kernel.unpack(via_walker, dst_kernel);
   EXPECT_EQ(dst_kernel, dst_walker);
   std::vector<double> copy_walker(128, -1.0);
   std::vector<double> copy_kernel(copy_walker);
-  redist::copy_local(program, src, copy_walker);
+  testing::copy_local(program, src, copy_walker);
   kernel.copy(src, copy_kernel);
   EXPECT_EQ(copy_kernel, copy_walker);
 }
@@ -307,7 +307,7 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
           static_cast<std::size_t>(program.elements), -1.0);
       std::vector<double> via_kernel(
           static_cast<std::size_t>(program.elements), -2.0);
-      redist::pack_into(program, src_local, via_walker);
+      testing::pack_into(program, src_local, via_walker);
       kernel.pack(src_local, via_kernel);
       ASSERT_EQ(via_kernel, via_walker)
           << from.to_string() << " -> " << to.to_string() << " ["
@@ -317,7 +317,7 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
       std::vector<double> dst_walker(
           static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
       std::vector<double> dst_kernel(dst_walker);
-      redist::unpack(program, via_walker, dst_walker);
+      testing::unpack(program, via_walker, dst_walker);
       kernel.unpack(via_walker, dst_kernel);
       ASSERT_EQ(dst_kernel, dst_walker) << kernel.describe();
 
@@ -325,7 +325,7 @@ TEST(KernelOracle, MatchesInterpreterOnRandomLayoutRedistributions) {
       std::vector<double> copy_walker(
           static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
       std::vector<double> copy_kernel(copy_walker);
-      redist::copy_local(program, src_local, copy_walker);
+      testing::copy_local(program, src_local, copy_walker);
       kernel.copy(src_local, copy_kernel);
       ASSERT_EQ(copy_kernel, copy_walker) << kernel.describe();
 

@@ -8,6 +8,7 @@
 
 #include "mapping/layout.hpp"
 #include "mapping/mapping.hpp"
+#include "testing/oracles.hpp"
 
 namespace hpfc::mapping {
 namespace {
@@ -30,7 +31,7 @@ TEST(Layout, BlockOwnership) {
   const auto lay = one_dim(16, 4, DistFormat::block());
   // ceil(16/4) = 4: rank r owns [4r, 4r+4).
   for (int r = 0; r < 4; ++r) {
-    const auto lists = lay.owned_index_lists(r);
+    const auto lists = testing::owned_index_lists(lay, r);
     ASSERT_EQ(lists.size(), 1u);
     ASSERT_EQ(lists[0].size(), 4u);
     EXPECT_EQ(lists[0].front(), 4 * r);
@@ -42,7 +43,7 @@ TEST(Layout, CyclicOwnership) {
   const auto lay = one_dim(12, 3, DistFormat::cyclic());
   for (Index i = 0; i < 12; ++i) {
     const IndexVec idx{i};
-    EXPECT_EQ(lay.primary_owner(idx), static_cast<int>(i % 3));
+    EXPECT_EQ(testing::primary_owner(lay, idx), static_cast<int>(i % 3));
   }
 }
 
@@ -50,7 +51,7 @@ TEST(Layout, BlockCyclicOwnership) {
   const auto lay = one_dim(20, 2, DistFormat::cyclic(3));
   for (Index i = 0; i < 20; ++i) {
     const IndexVec idx{i};
-    EXPECT_EQ(lay.primary_owner(idx), static_cast<int>((i / 3) % 2));
+    EXPECT_EQ(testing::primary_owner(lay, idx), static_cast<int>((i / 3) % 2));
   }
 }
 
@@ -59,7 +60,7 @@ TEST(Layout, StridedAlignmentShiftsOwnership) {
   const auto lay = one_dim(8, 2, DistFormat::cyclic(), 2, 1);
   for (Index i = 0; i < 8; ++i) {
     const IndexVec idx{i};
-    EXPECT_EQ(lay.primary_owner(idx), 1);
+    EXPECT_EQ(testing::primary_owner(lay, idx), 1);
   }
   EXPECT_EQ(lay.local_count(0), 0);
   EXPECT_EQ(lay.local_count(1), 8);
@@ -70,7 +71,7 @@ TEST(Layout, ReversedAlignment) {
   const auto lay = one_dim(8, 4, DistFormat::block(2), -1, 7);
   for (Index i = 0; i < 8; ++i) {
     const IndexVec idx{i};
-    EXPECT_EQ(lay.primary_owner(idx), static_cast<int>((7 - i) / 2));
+    EXPECT_EQ(testing::primary_owner(lay, idx), static_cast<int>((7 - i) / 2));
   }
 }
 
@@ -88,11 +89,11 @@ TEST(Layout, ReplicatedLayoutHasMultipleOwners) {
   const auto lay = ConcreteLayout::make(Shape{6}, Shape{4}, {owner});
   EXPECT_TRUE(lay.replicated());
   const IndexVec idx{2};
-  EXPECT_EQ(lay.owners_of(idx).size(), 4u);
-  EXPECT_EQ(lay.primary_owner(idx), 0);
+  EXPECT_EQ(testing::owners_of(lay, idx).size(), 4u);
+  EXPECT_EQ(testing::primary_owner(lay, idx), 0);
   // But for sending, only rank 0 owns.
   for (int r = 1; r < 4; ++r) {
-    const auto lists = lay.owned_index_lists(r, /*for_sending=*/true);
+    const auto lists = testing::owned_index_lists(lay, r, /*for_sending=*/true);
     EXPECT_TRUE(lists[0].empty());
   }
 }
@@ -111,8 +112,8 @@ TEST(Layout, ConstantAlignmentPinsOneCoordinate) {
   const auto lay = ConcreteLayout::make(Shape{6}, Shape{4, 2}, {rows, cols});
   const IndexVec idx{4};
   // coords = (2, 4/3=1) -> rank 2*2+1 = 5.
-  EXPECT_EQ(lay.primary_owner(idx), 5);
-  EXPECT_EQ(lay.owners_of(idx).size(), 1u);
+  EXPECT_EQ(testing::primary_owner(lay, idx), 5);
+  EXPECT_EQ(testing::owners_of(lay, idx).size(), 1u);
 }
 
 // ---- canonicalization / equality -------------------------------------
@@ -159,9 +160,10 @@ TEST_P(LayoutSweep, EveryElementOwnedExactlyOnce) {
   const auto lay = one_dim(p.n, p.procs, p.fmt, p.stride, p.offset);
   std::vector<int> owners(static_cast<std::size_t>(p.n), 0);
   for (int r = 0; r < lay.ranks(); ++r) {
-    lay.for_each_owned(r, [&](std::span<const Index> global, Index) {
-      owners[static_cast<std::size_t>(global[0])]++;
-    });
+    testing::for_each_owned(
+        lay, r, [&](std::span<const Index> global, Index) {
+          owners[static_cast<std::size_t>(global[0])]++;
+        });
   }
   for (Index i = 0; i < p.n; ++i)
     EXPECT_EQ(owners[static_cast<std::size_t>(i)], 1) << "element " << i;
@@ -171,9 +173,10 @@ TEST_P(LayoutSweep, LocalPositionMatchesEnumeration) {
   const auto& p = GetParam();
   const auto lay = one_dim(p.n, p.procs, p.fmt, p.stride, p.offset);
   for (int r = 0; r < lay.ranks(); ++r) {
-    lay.for_each_owned(r, [&](std::span<const Index> global, Index local) {
-      EXPECT_EQ(lay.local_position(r, global), local);
-    });
+    testing::for_each_owned(
+        lay, r, [&](std::span<const Index> global, Index local) {
+          EXPECT_EQ(testing::local_position(lay, r, global), local);
+        });
   }
 }
 
@@ -216,7 +219,7 @@ TEST(Layout2D, TransposedAlignment) {
       ConcreteLayout::make(Shape{8, 8}, Shape{2, 2}, {d0, d1});
   // Element (i,j) lives at grid (j/4, i/4).
   const IndexVec idx{6, 1};
-  EXPECT_EQ(lay.primary_owner(idx), 0 * 2 + 1);  // coords (0, 1)
+  EXPECT_EQ(testing::primary_owner(lay, idx), 0 * 2 + 1);  // coords (0, 1)
   Extent total = 0;
   for (int r = 0; r < 4; ++r) total += lay.local_count(r);
   EXPECT_EQ(total, 64);

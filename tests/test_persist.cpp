@@ -26,7 +26,6 @@
 #include "persist/snapshot.hpp"
 #include "support/piece.hpp"
 #include "testing/oracles.hpp"
-#include "testing/program_gen.hpp"
 
 namespace hpfc {
 namespace {
@@ -336,7 +335,7 @@ std::vector<std::size_t> check_leaves_of(const mapping::ConcreteLayout& lay,
   std::uint64_t total_leaves = 0;
   for (std::size_t r = 0; r < ranks; ++r) {
     programs[r] = lay.owned_program(static_cast<int>(r));
-    for (const auto& run : programs[r].expand()) {
+    for (const auto& run : testing::expand(programs[r])) {
       locals[r].resize(static_cast<std::size_t>(run.local_base + run.len),
                        0.0);
       for (Extent j = 0; j < run.len; ++j)
@@ -566,6 +565,66 @@ TEST(PersistRestore, RootsAndCountersAreBackendInvariant) {
   }
 }
 
+TEST(PersistRestore, ManifestlessRestoreMatchesTheManifest) {
+  // Restore has one path: without a manifest the sealed prefix is empty
+  // and the whole journal is the unsealed suffix. Both entry states must
+  // rebuild the same store from one journal, intact or with a torn
+  // half-record appended.
+  const auto expect_same = [](const persist::RestoredStore& manifest,
+                              const persist::RestoredStore& manifestless) {
+    EXPECT_EQ(manifestless.valid, manifest.valid);
+    EXPECT_EQ(manifestless.epoch, manifest.epoch);
+    EXPECT_EQ(manifestless.torn_tail, manifest.torn_tail);
+    EXPECT_EQ(manifestless.roots, manifest.roots);
+    ASSERT_EQ(manifestless.versions.size(), manifest.versions.size());
+    for (std::size_t i = 0; i < manifest.versions.size(); ++i) {
+      EXPECT_EQ(manifestless.versions[i].array, manifest.versions[i].array);
+      EXPECT_EQ(manifestless.versions[i].version,
+                manifest.versions[i].version);
+      EXPECT_EQ(manifestless.versions[i].locals, manifest.versions[i].locals)
+          << "version entry " << i;
+    }
+  };
+  for (const DistFormat format :
+       {DistFormat::cyclic(), DistFormat::cyclic(2)}) {
+    SCOPED_TRACE(format.to_string());
+    const Compiled compiled = compile_loop(OptLevel::O0, 64, 4, 3, format);
+    const std::string dir = fresh_dir("entry_states");
+    runtime::RunOptions options;
+    options.seed = 11;
+    options.snapshot_dir = dir;
+    (void)driver::run(compiled, options);
+    const std::string journal_path =
+        persist::JournalWriter::journal_path(dir);
+    const std::string manifest_path =
+        persist::JournalWriter::manifest_path(dir);
+    const auto journal = read_bytes(journal_path);
+    const auto manifest = read_bytes(manifest_path);
+    ASSERT_FALSE(manifest.empty());
+    const auto sealed = persist::sealed_epochs(dir);
+    ASSERT_GE(sealed.size(), 2u);
+
+    // The first half of the journal's first record: a torn append.
+    auto torn = journal;
+    const auto first = persist::scan_journal(journal_path).records.at(0);
+    torn.insert(torn.end(), journal.begin(),
+                journal.begin() +
+                    static_cast<std::ptrdiff_t>(first.end_offset / 2));
+
+    for (const bool torn_tail : {false, true}) {
+      SCOPED_TRACE(torn_tail ? "torn half-record appended" : "intact");
+      write_bytes(journal_path, torn_tail ? torn : journal);
+      write_bytes(manifest_path, manifest);
+      const auto with_manifest = persist::restore(dir);
+      ASSERT_TRUE(with_manifest.valid);
+      EXPECT_EQ(with_manifest.epoch, sealed.back().epoch);
+      EXPECT_EQ(with_manifest.torn_tail, torn_tail);
+      fs::remove(manifest_path);
+      expect_same(with_manifest, persist::restore(dir));
+    }
+  }
+}
+
 // ---- fault injection ---------------------------------------------------
 
 TEST(PersistFaultInjection, EveryPrefixRestoresTheLastSealedEpoch) {
@@ -587,8 +646,9 @@ TEST(PersistFaultInjection, EveryPrefixRestoresTheLastSealedEpoch) {
     ASSERT_EQ(sealed.back().end_offset, journal.size());
 
     // Simulate kill -9 after every possible journal byte count (the
-    // manifest is absent, as after a crash before the first seal — restore
-    // is scan-based and must recover the last fully committed epoch).
+    // manifest is absent, as after a crash before the first seal — the
+    // whole journal is the unsealed suffix, and restore must recover the
+    // last fully committed epoch).
     const std::string work = fresh_dir("sweep_work");
     const std::string work_journal = persist::JournalWriter::journal_path(work);
     for (std::size_t len = 0; len <= journal.size(); ++len) {
@@ -714,11 +774,11 @@ std::vector<std::uint8_t> leaf_header(std::uint32_t rank, std::uint32_t index,
 }
 
 TEST(PersistFaultInjection, HostileLeafRecordsArePersistErrors) {
-  // Hand-built journals with valid checksums and no manifest (the scan
-  // path): the seal of a one-rank, one-leaf store {1.0, 2.0}, preceded
-  // by a crafted leaf record in that leaf's slot, or the valid leaf
-  // sealed by a crafted Commit. Every malformed field
-  // must surface as PersistError — not as a wrapped size, an allocation
+  // Hand-built journals with valid checksums and no manifest (the whole
+  // journal is the unsealed suffix): the seal of a one-rank, one-leaf
+  // store {1.0, 2.0}, preceded by a crafted leaf record in that leaf's
+  // slot, or the valid leaf sealed by a crafted Commit. Every malformed
+  // field must surface as PersistError — not as a wrapped size, an allocation
   // failure or an out-of-bounds write.
   const std::string source = fresh_dir("hostile_src");
   {

@@ -19,7 +19,7 @@
 #include "hpf/builder.hpp"
 #include "redist/commsets.hpp"
 #include "redist/plan_cache.hpp"
-#include "testing/program_gen.hpp"
+#include "testing/oracles.hpp"
 
 namespace hpfc {
 namespace {
@@ -74,8 +74,9 @@ TEST(PlanCacheTest, MatchesBothConcreteBuildersOnRandomLayouts) {
               redist::plan_footprint_bytes(cold.instance->plan));
 
     // Pack order against the oracle: materialized per-dimension lists.
-    const redist::RedistPlan oracle = redist::build(from, to);
-    const redist::RedistPlan materialized = cold.instance->plan.materialize();
+    const testing::RedistPlan oracle = testing::build(from, to);
+    const testing::RedistPlan materialized =
+        testing::materialize(cold.instance->plan);
     ASSERT_EQ(materialized.transfers.size(), oracle.transfers.size()) << label;
     for (std::size_t i = 0; i < oracle.transfers.size(); ++i) {
       EXPECT_EQ(materialized.transfers[i].src, oracle.transfers[i].src);

@@ -9,7 +9,7 @@
 
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
-#include "testing/program_gen.hpp"
+#include "testing/oracles.hpp"
 
 namespace hpfc::redist {
 namespace {
@@ -68,12 +68,13 @@ TEST(OwnedRuns, StridedNegativeAlignment) {
   for (Index i = 0; i < 10; ++i)
     if (((20 - 2 * i) / 3) % 2 == 0) expected.push_back(i);
   EXPECT_EQ(lay.owned_index_runs(0)[0].materialize(), expected);
-  EXPECT_EQ(lay.owned_index_lists(0)[0], expected);
+  EXPECT_EQ(testing::owned_index_lists(lay, 0)[0], expected);
 }
 
 // ---- plan-level properties -------------------------------------------
 
-void expect_partition(const RedistPlan& plan, const ConcreteLayout& to) {
+void expect_partition(const testing::RedistPlan& plan,
+                      const ConcreteLayout& to) {
   // Every destination element is delivered exactly once.
   std::map<std::pair<int, Index>, int> delivered;
   for (const auto& t : plan.transfers) {
@@ -112,8 +113,8 @@ TEST_P(RedistSweep, OracleAndPeriodicAgree) {
   const auto& p = GetParam();
   const auto from = one_dim(p.n, p.p_from, p.from);
   const auto to = one_dim(p.n, p.p_to, p.to);
-  const RedistPlan oracle = build(from, to);
-  const RedistPlan fast = build_runs(from, to).materialize();
+  const testing::RedistPlan oracle = testing::build(from, to);
+  const testing::RedistPlan fast = testing::materialize(build_runs(from, to));
   ASSERT_EQ(oracle.transfers.size(), fast.transfers.size());
   for (std::size_t i = 0; i < oracle.transfers.size(); ++i) {
     EXPECT_EQ(oracle.transfers[i].src, fast.transfers[i].src);
@@ -126,8 +127,8 @@ TEST_P(RedistSweep, TransfersPartitionTheArray) {
   const auto& p = GetParam();
   const auto from = one_dim(p.n, p.p_from, p.from);
   const auto to = one_dim(p.n, p.p_to, p.to);
-  expect_partition(build(from, to), to);
-  expect_partition(build_runs(from, to).materialize(), to);
+  expect_partition(testing::build(from, to), to);
+  expect_partition(testing::materialize(build_runs(from, to)), to);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Redist, IdentityPlanIsAllLocal) {
   const auto lay = one_dim(16, 4, DistFormat::block());
-  const RedistPlan plan = build(lay, lay);
+  const testing::RedistPlan plan = testing::build(lay, lay);
   EXPECT_EQ(plan.remote_transfers(), 0);
   EXPECT_EQ(plan.total_elements(), 16);
 }
@@ -152,7 +153,7 @@ TEST(Redist, IdentityPlanIsAllLocal) {
 TEST(Redist, BlockToCyclicMovesMostElements) {
   const auto from = one_dim(64, 4, DistFormat::block());
   const auto to = one_dim(64, 4, DistFormat::cyclic());
-  const RedistPlan plan = build(from, to);
+  const testing::RedistPlan plan = testing::build(from, to);
   // Each source rank keeps exactly a quarter of its block.
   Extent local = 0;
   for (const auto& t : plan.transfers)
@@ -174,8 +175,8 @@ TEST(Redist2D, TransposeRedistribution) {
   cols.format = DistFormat::block(2);
   const auto to = ConcreteLayout::make(Shape{8, 8}, Shape{4}, {cols});
 
-  const RedistPlan oracle = build(from, to);
-  const RedistPlan fast = build_runs(from, to).materialize();
+  const testing::RedistPlan oracle = testing::build(from, to);
+  const testing::RedistPlan fast = testing::materialize(build_runs(from, to));
   expect_partition(oracle, to);
   ASSERT_EQ(oracle.transfers.size(), fast.transfers.size());
   // All-to-all: 4x4 = 16 transfers of a 2x2 tile each.
@@ -194,7 +195,7 @@ std::vector<double> pack_order(const SegmentProgram& program,
   for (std::size_t i = 0; i < src_local.size(); ++i)
     src_local[i] = static_cast<double>(i);
   std::vector<double> payload;
-  pack(program, src_local, payload);
+  testing::pack(program, src_local, payload);
   return payload;
 }
 
@@ -221,8 +222,11 @@ TEST(SegmentCoalescing, MergesContiguousRowsIntoOneSegment) {
     const auto program = compile_transfer(t, from.owned_index_runs(t.src),
                                           to.owned_index_runs(t.dst));
     EXPECT_EQ(program.elements, 16);
+    const auto segments = testing::expand(program);
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_EQ(segments[0].src_stride, 1);
+    EXPECT_EQ(segments[0].dst_stride, 1);
     EXPECT_EQ(program.segment_count(), 1u);
-    EXPECT_EQ(program.contiguous_segments(), 1u);
     checked = true;
   }
   EXPECT_TRUE(checked);
@@ -248,22 +252,23 @@ TEST(SegmentCoalescing, PreservesPackOrderAndCoverage) {
       });
       EXPECT_EQ(covered, program.elements);
 
-      // The oracle pack order: enumerate the materialized transfer in
+      // The oracle pack order: enumerate the transfer's member lists in
       // row-major product order and resolve source local positions.
-      const Transfer oracle = t.materialize();
-      const auto src_lists = from.owned_index_lists(t.src);
+      std::vector<std::vector<Index>> members;
+      for (const auto& runs : t.dim_runs) members.push_back(runs.materialize());
+      const auto src_lists = testing::owned_index_lists(from, t.src);
       std::vector<double> expected;
-      std::vector<std::size_t> pos(oracle.dim_indices.size(), 0);
-      mapping::IndexVec global(oracle.dim_indices.size(), 0);
-      for (Extent e = 0; e < oracle.count(); ++e) {
-        for (std::size_t d = 0; d < oracle.dim_indices.size(); ++d)
-          global[d] = oracle.dim_indices[d][pos[d]];
+      std::vector<std::size_t> pos(members.size(), 0);
+      mapping::IndexVec global(members.size(), 0);
+      for (Extent e = 0; e < t.count(); ++e) {
+        for (std::size_t d = 0; d < members.size(); ++d)
+          global[d] = members[d][pos[d]];
         expected.push_back(static_cast<double>(
-            ConcreteLayout::position_in_lists(src_lists, global)));
-        for (int d = static_cast<int>(oracle.dim_indices.size()) - 1; d >= 0;
+            testing::position_in_lists(src_lists, global)));
+        for (int d = static_cast<int>(members.size()) - 1; d >= 0;
              --d) {
           auto& p = pos[static_cast<std::size_t>(d)];
-          if (++p < oracle.dim_indices[static_cast<std::size_t>(d)].size())
+          if (++p < members[static_cast<std::size_t>(d)].size())
             break;
           p = 0;
         }
@@ -296,12 +301,12 @@ TEST(CopyLocal, MatchesPackUnpackOnRandomLayoutRedistributions) {
       std::vector<double> via_payload(
           static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
       std::vector<double> payload;
-      pack(program, src_local, payload);
-      unpack(program, payload, via_payload);
+      testing::pack(program, src_local, payload);
+      testing::unpack(program, payload, via_payload);
 
       std::vector<double> via_local(
           static_cast<std::size_t>(to.local_count(t.dst)), -1.0);
-      copy_local(program, src_local, via_local);
+      testing::copy_local(program, src_local, via_local);
 
       EXPECT_EQ(via_local, via_payload)
           << from.to_string() << " -> " << to.to_string();
@@ -316,7 +321,7 @@ TEST(Redist, ReplicatedDestinationReceivesEverywhere) {
   owner.template_extent = 4;
   owner.format = DistFormat::block(1);
   const auto to = ConcreteLayout::make(Shape{8}, Shape{4}, {owner});
-  const RedistPlan plan = build(from, to);
+  const testing::RedistPlan plan = testing::build(from, to);
   // Each of 4 destinations receives all 8 elements.
   EXPECT_EQ(plan.total_elements(), 32);
   expect_partition(plan, to);

@@ -16,7 +16,6 @@
 #include "hpf/parser.hpp"
 #include "runtime/expected.hpp"
 #include "testing/oracles.hpp"
-#include "testing/program_gen.hpp"
 
 namespace hpfc {
 namespace {
