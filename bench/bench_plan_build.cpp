@@ -43,10 +43,14 @@ ConcreteLayout one_dim(Extent n, Extent procs, DistFormat fmt) {
   return ConcreteLayout::make(Shape{n}, Shape{procs}, {owner});
 }
 
-double median_ms(int reps, const std::function<void()>& fn) {
+/// Median wall time of `reps` calls of `fn`, each after an untimed call
+/// of `setup`.
+double median_ms(int reps, const std::function<void()>& setup,
+                 const std::function<void()>& fn) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
+    setup();
     const auto start = std::chrono::steady_clock::now();
     fn();
     const auto stop = std::chrono::steady_clock::now();
@@ -55,6 +59,10 @@ double median_ms(int reps, const std::function<void()>& fn) {
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+double median_ms(int reps, const std::function<void()>& fn) {
+  return median_ms(reps, [] {}, fn);
 }
 
 struct LayoutPair {
@@ -106,9 +114,10 @@ void measure_plan_build(bench_common::Harness& harness) {
 
 // One PlanCache per layout pair, looked up across the whole (N, P) grid
 // (the figure keeps its historical name): `build_runs` builds the plan
-// directly, `instantiate_cold` is a release-then-acquire — a miss that
-// rebuilds the cached plan — and `instantiate` is the warm path, the cache
-// hit every later plan slot with the same layout pair pays.
+// directly, `instantiate_cold` is an acquire on a fresh cache — a miss
+// that builds the plan and inserts it — and `instantiate` is the warm
+// path, the cache hit every later plan slot with the same layout pair
+// pays.
 void measure_symbolic_sweep(bench_common::Harness& harness) {
   const int reps = std::max(1, harness.options().reps);
   constexpr int kWarmCalls = 4096;  // inner average; one call is ~a map find
@@ -134,21 +143,19 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
         const double concrete_ms = median_ms(
             reps, [&] { concrete = hpfc::redist::build_runs(from, to); });
 
-        // The grid point keeps one reference across the sweep; each cold
-        // sample drops it (erasing the entry) and re-acquires it.
-        const hpfc::redist::PlanInstance* instance =
-            cache.acquire(from, to).instance;
-        const double cold_ms = median_ms(reps, [&] {
-          cache.release(from, to);
-          instance = cache.acquire(from, to).instance;
-        });
-        if (instance->plan.total_elements() != concrete.total_elements()) {
+        // Each cold sample misses in a fresh cache, emptied untimed.
+        hpfc::redist::PlanCache cold_cache;
+        const double cold_ms = median_ms(
+            reps, [&] { cold_cache = {}; },
+            [&] { (void)cold_cache.acquire(from, to); });
+        const hpfc::redist::RedistPlanV2* plan = cache.acquire(from, to).plan;
+        if (plan->total_elements() != concrete.total_elements()) {
           std::fprintf(
               stderr,
               "bench_plan_build: cached/concrete mismatch on %s (%lld vs "
               "%lld)\n",
               config.c_str(),
-              static_cast<long long>(instance->plan.total_elements()),
+              static_cast<long long>(plan->total_elements()),
               static_cast<long long>(concrete.total_elements()));
           std::exit(1);
         }
@@ -157,11 +164,9 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
             median_ms(reps,
                       [&] {
                         for (int i = 0; i < kWarmCalls; ++i)
-                          instance = cache.acquire(from, to).instance;
+                          plan = cache.acquire(from, to).plan;
                       }) /
             kWarmCalls;
-        for (int r = 0; r < reps; ++r)
-          for (int i = 0; i < kWarmCalls; ++i) cache.release(from, to);
         warm_min_ms = std::min(warm_min_ms, warm_ms);
         warm_max_ms = std::max(warm_max_ms, warm_ms);
 
@@ -182,11 +187,11 @@ void measure_symbolic_sweep(bench_common::Harness& harness) {
 }
 
 // The plan-cache lookup microbench: ns per PlanCache::acquire that hits
-// (a map find and a reference count, in a cache of `entries` cyclic(2) ->
-// cyclic(3) plans) and per acquire that misses (the find, build_runs and
-// the insert; each sample's entry is released untimed before the next),
-// beside build_runs of the missing plan alone, so `miss` - `build_runs`
-// is the cache's own cost of a miss.
+// (a map find in a cache of `entries` cyclic(2) -> cyclic(3) plans) and
+// per acquire that misses (the find, build_runs and the insert, each
+// sample on a copy of the cache made untimed), beside build_runs of the
+// missing plan alone, so `miss` - `build_runs` is the cache's own cost of
+// a miss.
 void measure_plan_cache_lookup(bench_common::Harness& harness) {
   const int reps = std::max(3, harness.options().reps);
   constexpr int kHits = 4096;  // inner average; one hit is ~a map find
@@ -210,23 +215,17 @@ void measure_plan_cache_lookup(bench_common::Harness& harness) {
                       (void)cache.acquire(from, to);
                   }) /
         kHits;
-    for (int i = 0; i < reps * kHits; ++i) cache.release(from, to);
 
     const auto [miss_from, miss_to] = pair_of(1000);
-    std::vector<double> samples;
-    for (int r = 0; r < reps; ++r) {
-      const auto start = std::chrono::steady_clock::now();
-      const bool hit = cache.acquire(miss_from, miss_to).hit;
-      samples.push_back(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count());
-      if (hit || !cache.release(miss_from, miss_to)) {
-        std::fprintf(stderr, "bench_plan_build: the missing plan hit\n");
-        std::exit(1);
-      }
+    hpfc::redist::PlanCache copy;
+    bool hit = false;
+    const double miss_ms = median_ms(
+        reps, [&] { copy = cache; },
+        [&] { hit = copy.acquire(miss_from, miss_to).hit || hit; });
+    if (hit) {
+      std::fprintf(stderr, "bench_plan_build: the missing plan hit\n");
+      std::exit(1);
     }
-    std::sort(samples.begin(), samples.end());
-    const double miss_ms = samples[samples.size() / 2];
     const double build_ms = median_ms(
         reps, [&] { (void)hpfc::redist::build_runs(miss_from, miss_to); });
 

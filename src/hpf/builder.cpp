@@ -72,6 +72,10 @@ ArrayId ProgramBuilder::array(const std::string& name, Shape shape) {
     fail(DiagId::Redefinition, "array " + name + " already declared");
     return -1;
   }
+  if (shape.rank() == 0) {
+    fail(DiagId::BadMapping, "array " + name + " has no dimensions");
+    return -1;
+  }
   ir::ArrayDecl decl;
   decl.name = name;
   decl.shape = std::move(shape);
@@ -152,6 +156,10 @@ void ProgramBuilder::interface_dummy(const std::string& name, Shape shape,
                                      Alignment align) {
   if (program_.interfaces.empty()) {
     fail(DiagId::BadDirective, "interface_dummy outside an interface");
+    return;
+  }
+  if (shape.rank() == 0) {
+    fail(DiagId::BadMapping, "dummy " + name + " has no dimensions");
     return;
   }
   ir::DummySpec spec;

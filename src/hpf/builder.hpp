@@ -27,6 +27,8 @@ class ProgramBuilder {
                            std::vector<mapping::DistFormat> formats,
                            const std::string& procs_name);
 
+  /// Declares an array (a dummy argument with dummy()). Every array has at
+  /// least one dimension: an empty shape is reported as BadMapping.
   ir::ArrayId array(const std::string& name, mapping::Shape shape);
   ir::ArrayId dummy(const std::string& name, mapping::Shape shape,
                     ir::Intent intent);

@@ -61,6 +61,8 @@ ConcreteLayout ConcreteLayout::make(Shape array_shape, Shape proc_shape,
                                     std::vector<DimOwner> owners) {
   HPFC_ASSERT_MSG(static_cast<int>(owners.size()) == proc_shape.rank(),
                   "one owner rule per processor-grid dimension");
+  HPFC_ASSERT_MSG(array_shape.rank() >= 1,
+                  "a mapped array has at least one dimension");
   ConcreteLayout layout;
   layout.array_shape_ = std::move(array_shape);
   layout.proc_shape_ = std::move(proc_shape);
@@ -202,7 +204,7 @@ Extent ConcreteLayout::local_count(int rank) const {
   const auto runs = owned_index_runs(rank);
   Extent count = 1;
   for (const auto& r : runs) count *= r.count();
-  return array_shape_.rank() == 0 ? 1 : count;
+  return count;
 }
 
 OwnedProgram OwnedProgram::flat(std::vector<OwnedRun> runs) {
@@ -214,7 +216,6 @@ OwnedProgram OwnedProgram::flat(std::vector<OwnedRun> runs) {
 
 OwnedProgram ConcreteLayout::owned_program(int rank) const {
   const int dims = array_shape_.rank();
-  if (dims == 0) return OwnedProgram::flat({OwnedRun{0, 0, 1, 1}});
   OwnedProgram program;
   const auto runs = owned_index_runs(rank);
   for (const auto& r : runs)

@@ -128,11 +128,10 @@ class ConcreteLayout {
   /// stretches, built in closed form from the innermost dimension's
   /// period window. Its expansion tiles the local index space exactly
   /// (local_base advances by len) and covers the owned elements in local
-  /// (row-major product) order; a rank-0 array yields one singleton
-  /// stretch. A stretch varies only the innermost array dimension, and
-  /// within one outer row no two consecutive stretches form one
-  /// progression. Its size is O(rows): a CYCLIC(1) row is one stretch and
-  /// a CYCLIC(k) row one block.
+  /// (row-major product) order. A stretch varies only the innermost
+  /// array dimension, and within one outer row no two consecutive
+  /// stretches form one progression. Its size is O(rows): a CYCLIC(1) row
+  /// is one stretch and a CYCLIC(k) row one block.
   [[nodiscard]] OwnedProgram owned_program(int rank) const;
 
   [[nodiscard]] std::string to_string() const;

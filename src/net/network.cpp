@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/strings.hpp"

@@ -20,9 +20,10 @@
 #include <string>
 
 #include "net/cost_model.hpp"
-#include "net/message.hpp"
 
 namespace hpfc::net {
+
+using Rank = int;
 
 struct NetStats {
   std::uint64_t messages = 0;      ///< off-rank messages delivered
@@ -39,8 +40,8 @@ struct NetStats {
   /// fires a single copy.
   std::uint64_t fused_copies = 0;
   /// Specialized pack/unpack kernels installed by the runtime's plan
-  /// cache (one per SegmentProgram when a plan slot compiles; rises again
-  /// when an evicted slot recompiles — see docs/kernels.md).
+  /// cache (one per SegmentProgram when a plan slot compiles, at most once
+  /// per slot and run — see docs/kernels.md).
   std::uint64_t specialized_kernels = 0;
   /// Transfers executed through a specialized kernel, counted once per
   /// transfer at the producing site (pack or local copy), so the count
@@ -54,9 +55,8 @@ struct NetStats {
   /// Plan-slot compilations that found no cached plan for their layout
   /// pair (each is followed by one build_runs).
   std::uint64_t plan_cache_misses = 0;
-  /// Plan instances built by build_runs — one per cache miss; rises again
-  /// when a dropped instance is rebuilt after plan-slot eviction. (The
-  /// name predates the single-level cache; reports keep it.)
+  /// Plan instances built by build_runs — one per cache miss. (The name
+  /// predates the single-level cache; reports keep it.)
   std::uint64_t symbolic_instantiations = 0;
   double sim_time = 0.0;  ///< seconds under the cost model
 

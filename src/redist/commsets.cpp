@@ -8,11 +8,9 @@ namespace hpfc::redist {
 
 namespace {
 
-/// A rank owning nothing sends/receives nothing; with dims == 0 (scalar
-/// arrays) ownership is decided by the grid-dim checks alone, which the
-/// per-dimension sets cannot express — treat the rank as alive.
+/// A rank owning nothing sends/receives nothing.
 bool alive(const std::vector<IndexRuns>& runs) {
-  return runs.empty() || !runs.front().empty();
+  return !runs.front().empty();
 }
 
 }  // namespace

@@ -369,14 +369,6 @@ void Kernel::copy_range(std::span<const double> src_local,
                     hi - it->out_offset, src_local.data(), dst_local.data());
 }
 
-std::uint64_t Kernel::footprint_bytes() const {
-  return static_cast<std::uint64_t>(program_.segments.capacity()) *
-             sizeof(CopySegment) +
-         static_cast<std::uint64_t>(program_.blocks.capacity()) *
-             sizeof(SegmentBlock) +
-         static_cast<std::uint64_t>(spans_.capacity()) * sizeof(KernelSpan);
-}
-
 std::string Kernel::describe() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < spans_.size(); ++i) {

@@ -114,9 +114,6 @@ class Kernel {
   /// The owned program: its segment table is the kernel's operand table.
   [[nodiscard]] const SegmentProgram& program() const { return program_; }
   [[nodiscard]] std::span<const KernelSpan> spans() const { return spans_; }
-  /// Heap footprint of the segment table, the block list and the span
-  /// list (the plan-cache eviction unit). O(pattern), not O(n).
-  [[nodiscard]] std::uint64_t footprint_bytes() const;
   /// "memcpy" for a single-span kernel, "memcpy+gather" style
   /// summaries for stitched ones, "periodic(unrolled)" for a repeated
   /// span (tests and dumps).

@@ -135,9 +135,6 @@ SegmentProgram compile_transfer(const TransferV2& transfer,
   const int dims = static_cast<int>(transfer.dim_runs.size());
   HPFC_ASSERT(static_cast<int>(src_owned.size()) == dims &&
               static_cast<int>(dst_owned.size()) == dims);
-  if (dims == 0)
-    return SegmentProgram::flat(transfer.src, transfer.dst,
-                                {{0, 1, 0, 1, 1}});
   SegmentProgram program;
   program.src = transfer.src;
   program.dst = transfer.dst;

@@ -102,8 +102,7 @@ using Box = std::vector<std::pair<mapping::Extent, mapping::Extent>>;
 /// The members [j_lo, j_hi) of `run` whose coordinates lie inside `box`.
 /// A stretch varies only the innermost dimension (mapping::OwnedRun), so
 /// the outer coordinates are peeled off global_base once and the inner
-/// window is clipped in closed form. A scalar is always inside.
-/// Allocates nothing.
+/// window is clipped in closed form. Allocates nothing.
 [[nodiscard]] inline std::pair<mapping::Extent, mapping::Extent> clip_stretch(
     const mapping::Shape& shape,
     std::span<const std::pair<mapping::Extent, mapping::Extent>> box,
@@ -111,7 +110,6 @@ using Box = std::vector<std::pair<mapping::Extent, mapping::Extent>>;
   using mapping::Extent;
   const std::vector<Extent>& extents = shape.extents();
   const auto dims = extents.size();
-  if (dims == 0) return {0, run.len};
   mapping::Index rest = run.global_base;
   const mapping::Index c0 = rest % extents[dims - 1];
   rest /= extents[dims - 1];

@@ -73,32 +73,22 @@ struct RankOwnership {
 /// program's two levels (block repetitions, then body stretches). Its
 /// size is O(rows): a CYCLIC(1) row is one stretch and a CYCLIC(k) row
 /// one block (repetitions one window apart) over a one-window body,
-/// however many windows the row spans. Unlike plan slots it is not
-/// charged against memory_limit, so it is neither counted in peak_bytes
-/// nor evicted.
+/// however many windows the row spans. Like plan slots it is not charged
+/// against memory_limit, which budgets array storage (§5.2), and it lives
+/// for the run.
 struct OwnershipProgram {
   std::vector<RankOwnership> per_rank;  ///< indexed by layout rank
 };
 
 /// Per copy-site compiled transfers: one specialized kernel per transfer,
-/// each owning its compiled SegmentProgram, built once per codegen plan
-/// slot and borrowed by every fused round the slot's copy joins.
+/// each owning its compiled SegmentProgram, built at most once per run on
+/// the site's first Copy and borrowed by every fused round the slot's
+/// copy joins.
 struct PlanSlot {
   bool compiled = false;
   /// Installed at compile time; the vector never reallocates afterwards,
   /// so FusedSlot may point into it.
   std::vector<redist::Kernel> kernels;
-  /// The cached plan this slot compiled from and its (from, to) layout
-  /// pair, the cache key. Instances are shared across slots; the machine
-  /// charges a shared instance once and it survives until its last slot
-  /// is evicted.
-  const redist::PlanInstance* instance = nullptr;
-  const ConcreteLayout* from = nullptr;
-  const ConcreteLayout* to = nullptr;
-  /// Heap footprint of the kernels (segment tables + spans), charged
-  /// against the memory limit (plan slots are evictable like array copies). The
-  /// shared instance's bytes are accounted separately (refcounted).
-  std::uint64_t plan_bytes = 0;
 };
 
 /// One Copy op recorded while its vertex's guard code runs: the data
@@ -121,9 +111,7 @@ struct FusedSlot {
   /// VersionStorage objects are allocated once at machine construction,
   /// so the pointers are stable for the whole run.
   std::vector<VersionStorage*> destinations;
-  /// Borrows the member plan slots' kernels: cached fused slots are
-  /// invalidated whenever a member plan slot is evicted, so these never
-  /// dangle.
+  /// Borrows the member plan slots' kernels, which live for the run.
   std::optional<FusedRound> round;
 };
 
@@ -410,76 +398,12 @@ class Machine {
       deallocate(static_cast<ArrayId>(id.first), static_cast<int>(id.second));
       ++report_.evictions;
     }
-    // Storage eviction alone may not reach the budget (everything left is
-    // current, pinned, or a dummy origin): fall back to dropping compiled
-    // plan slots, which recompile — and re-specialize — lazily on their
-    // next Copy.
-    if (bytes_in_use_ > options_.memory_limit) evict_plan_slots(-1);
   }
 
   [[nodiscard]] bool pinned(ArrayId a, int v) const {
     for (const PendingCopy& m : pending_)
       if (m.array == a && (m.src == v || m.dst == v)) return true;
     return false;
-  }
-
-  /// Second-phase eviction (the plan-cache analogue of §5.2): drops
-  /// compiled plan slots — their kernels and segment tables — largest
-  /// first until the budget fits. An evicted slot is
-  /// recompiled on its next use, so specialized_kernels rises while every
-  /// data-volume counter stays put.
-  void evict_plan_slots(int keep_slot) {
-    std::vector<std::pair<std::uint64_t, std::size_t>> victims;
-    for (std::size_t s = 0; s < plan_slots_.size(); ++s) {
-      const PlanSlot& slot = plan_slots_[s];
-      if (!slot.compiled || slot.plan_bytes == 0) continue;
-      if (static_cast<int>(s) == keep_slot) continue;
-      if (plan_pinned(static_cast<int>(s))) continue;
-      victims.push_back({slot.plan_bytes, s});
-    }
-    std::sort(victims.begin(), victims.end(),
-              [](const auto& x, const auto& y) {
-                if (x.first != y.first) return x.first > y.first;
-                return x.second < y.second;  // deterministic tie-break
-              });
-    for (const auto& [bytes, s] : victims) {
-      if (bytes_in_use_ <= options_.memory_limit) break;
-      drop_plan_slot(s);
-    }
-  }
-
-  /// A plan slot referenced by the open fused round must survive until its
-  /// flush: pending_ members' kernels are already borrowed by the round
-  /// being assembled.
-  [[nodiscard]] bool plan_pinned(int slot) const {
-    for (const PendingCopy& m : pending_)
-      if (m.plan_slot == slot) return true;
-    return false;
-  }
-
-  void drop_plan_slot(std::size_t s) {
-    bytes_in_use_ -= plan_slots_[s].plan_bytes;
-    // The slot's reference on its shared plan instance goes with it; the
-    // instance itself is only un-charged when the last slot using it is
-    // dropped (release_instance refcounts).
-    release_instance(plan_slots_[s]);
-    plan_slots_[s] = PlanSlot{};
-    // Cached fused rounds borrow pointers to their member plan slots'
-    // kernels; invalidate every round that references this slot so the
-    // pointers can never dangle.
-    std::erase_if(fused_slots_, [&](const auto& kv) {
-      return std::find(kv.first.begin(), kv.first.end(),
-                       static_cast<int>(s)) != kv.first.end();
-    });
-    ++report_.plan_evictions;
-  }
-
-  /// Heap footprint of a compiled slot: its kernels' segment tables and
-  /// span lists.
-  static std::uint64_t plan_slot_bytes(const PlanSlot& slot) {
-    std::uint64_t bytes = 0;
-    for (const auto& kernel : slot.kernels) bytes += kernel.footprint_bytes();
-    return bytes;
   }
 
   // ---- generated code execution -----------------------------------------
@@ -548,7 +472,6 @@ class Machine {
   void execute_live_region(const ir::LiveRegionStmt& live) {
     if (!program_.array(live.array).has_mapping) return;
     const auto& shape = program_.array(live.array).shape;
-    if (shape.rank() == 0) return;  // a scalar has no region to clip
     expected_[static_cast<std::size_t>(live.array)].live(live.region);
     auto& versions = storage_[static_cast<std::size_t>(live.array)];
     for (std::size_t v = 0; v < versions.size(); ++v) {
@@ -593,25 +516,24 @@ class Machine {
     }
   }
 
-  PlanSlot& transfer_plan(ArrayId a, int src, int dst,
-                          const ir::Region& region, int plan_slot) {
+  void transfer_plan(ArrayId a, int src, int dst, const ir::Region& region,
+                     int plan_slot) {
     HPFC_ASSERT_MSG(plan_slot >= 0 &&
                         plan_slot < static_cast<int>(plan_slots_.size()),
                     "Copy op without an assigned plan slot");
     PlanSlot& slot = plan_slots_[static_cast<std::size_t>(plan_slot)];
-    if (slot.compiled) return slot;
+    if (slot.compiled) return;
 
     const ConcreteLayout& from = layout(a, src);
     const ConcreteLayout& to = layout(a, dst);
-    acquire_instance(slot, from, to);
-    const redist::RedistPlanV2& plan = slot.instance->plan;
+    const redist::RedistPlanV2& plan = acquire_plan(from, to);
     slot.kernels.reserve(plan.transfers.size());
     // Owned run sets are shared across a rank's transfers: one per
     // endpoint rank, never per element.
     std::map<int, std::vector<mapping::IndexRuns>> src_owned;
     std::map<int, std::vector<mapping::IndexRuns>> dst_owned;
     for (const auto& transfer : plan.transfers) {
-      // Cached instances are shared across plan slots, so live-region
+      // Cached plans are shared across plan slots, so live-region
       // refinement restricts a copy rather than the cached transfer.
       redist::TransferV2 restricted;
       const redist::TransferV2* t = &transfer;
@@ -624,53 +546,25 @@ class Machine {
           src_owned.try_emplace(t->src, from.owned_index_runs(t->src)).first;
       const auto dit =
           dst_owned.try_emplace(t->dst, to.owned_index_runs(t->dst)).first;
-      // Each compiled program moves into the kernel specialized from it.
-      // Installed once per compile; an evicted slot re-installs on
-      // recompilation, so specialized_kernels counts both.
+      // Each compiled program moves into the kernel specialized from it,
+      // installed once per run.
       slot.kernels.push_back(redist::specialize(
           redist::compile_transfer(*t, sit->second, dit->second)));
     }
     report_.net.specialized_kernels += slot.kernels.size();
     slot.compiled = true;
-    // The compiled tables are memory like any copy: charge them against
-    // the budget and fall back to evicting *other* plan slots when the
-    // arrays alone no longer leave room.
-    slot.plan_bytes = plan_slot_bytes(slot);
-    bytes_in_use_ += slot.plan_bytes;
-    if (options_.memory_limit != 0 && bytes_in_use_ > options_.memory_limit)
-      evict_plan_slots(plan_slot);
-    report_.peak_bytes = std::max(report_.peak_bytes, bytes_in_use_);
-    return slot;
   }
 
   /// Plan-cache lookup for a compiling plan slot, keyed by its (from, to)
   /// layout pair. One hit-or-miss is accounted per call — the producing
-  /// site — so the counters are backend-invariant. The instance's run
-  /// sets are charged against the memory limit once however many slots
-  /// share them: on the miss that builds it, until the release that
-  /// drops it.
-  void acquire_instance(PlanSlot& slot, const ConcreteLayout& from,
-                        const ConcreteLayout& to) {
-    const auto [instance, hit] = plans_.acquire(from, to);
+  /// site — so the counters are backend-invariant.
+  const redist::RedistPlanV2& acquire_plan(const ConcreteLayout& from,
+                                           const ConcreteLayout& to) {
+    const auto [plan, hit] = plans_.acquire(from, to);
     report_.net.plan_cache_hits += hit ? 1 : 0;
     report_.net.plan_cache_misses += hit ? 0 : 1;
     report_.net.symbolic_instantiations += hit ? 0 : 1;
-    if (!hit) bytes_in_use_ += instance->bytes;
-    slot.instance = instance;
-    slot.from = &from;
-    slot.to = &to;
-  }
-
-  /// Releases one plan slot's reference on its shared instance. The last
-  /// release un-charges the instance and drops it from the cache so its
-  /// memory is actually reclaimable; a later compile of the same pair
-  /// rebuilds it (and re-counts a miss). Slots evicted while other
-  /// referencing slots live leave the instance cached — their recompile
-  /// is a cache hit.
-  void release_instance(const PlanSlot& slot) {
-    if (slot.instance == nullptr) return;
-    const std::uint64_t bytes = slot.instance->bytes;
-    if (plans_.release(*slot.from, *slot.to)) bytes_in_use_ -= bytes;
+    return *plan;
   }
 
   // ---- fused copy groups -------------------------------------------------
@@ -689,8 +583,8 @@ class Machine {
     pending_.push_back({op.array, op.src_version, op.version, op.plan_slot});
     allocate(op.array, op.src_version);
     allocate(op.array, op.version);
-    (void)transfer_plan(op.array, op.src_version, op.version, op.region,
-                        op.plan_slot);
+    transfer_plan(op.array, op.src_version, op.version, op.region,
+                  op.plan_slot);
   }
 
   /// Runs the pending vertex's fused communication round, then the frees
@@ -852,14 +746,11 @@ class Machine {
     for (int r = 0; r < lay.ranks(); ++r) {
       RankOwnership& ro = prog.per_rank[static_cast<std::size_t>(r)];
       ro.runs = lay.owned_program(r);
-      if (lay.array_shape().rank() > 0) {
-        // The sending set is full-or-empty per rank: for_sending only
-        // excludes ranks sitting on a non-zero replicated coordinate.
-        const auto send = lay.owned_index_runs(r, /*for_sending=*/true);
-        bool excluded = send.empty();
-        for (const auto& s : send) excluded = excluded || s.empty();
-        ro.sends = !excluded;
-      }
+      // The sending set is full-or-empty per rank: for_sending only
+      // excludes ranks sitting on a non-zero replicated coordinate.
+      const auto send = lay.owned_index_runs(r, /*for_sending=*/true);
+      ro.sends = std::none_of(send.begin(), send.end(),
+                              [](const auto& s) { return s.empty(); });
     }
     cached.emplace(std::move(prog));
     return *cached;
@@ -1067,7 +958,6 @@ void write_json_fields(std::ostream& os, const RunReport& report) {
      << ", \"plan_cache_hits\": " << net.plan_cache_hits
      << ", \"plan_cache_misses\": " << net.plan_cache_misses
      << ", \"symbolic_instantiations\": " << net.symbolic_instantiations
-     << ", \"plan_evictions\": " << report.plan_evictions
      << ", \"skipped_status_guard\": " << report.skipped_already_mapped
      << ", \"skipped_live_copy\": " << report.skipped_live_copy
      << ", \"fills_skipped\": " << report.fills_skipped

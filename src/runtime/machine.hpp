@@ -45,9 +45,11 @@ struct RunOptions {
   /// Seed for branch decisions (if conditions). The same seed makes the
   /// oracle and the parallel run follow the same path.
   unsigned seed = 1;
-  /// Total distributed-memory budget in bytes; 0 = unlimited. When an
-  /// allocation would exceed it, the runtime evicts live non-current
-  /// copies (they are regenerated later with communication, §5.2).
+  /// Budget for array storage in bytes, all versions on all ranks;
+  /// 0 = unlimited. When an allocation would exceed it, the runtime evicts
+  /// live non-current copies (they are regenerated later with
+  /// communication, §5.2). Compiled plans and ownership programs are
+  /// O(pattern), live for the run and are not charged.
   std::uint64_t memory_limit = 0;
   /// Validate, after every step, that every live non-current copy holds
   /// its array's expected values — the closed form of the last write and
@@ -97,11 +99,6 @@ struct RunReport {
   int fills_skipped = 0;
   int frees = 0;
   int evictions = 0;
-  /// Compiled plan slots (specialized kernels with their segment tables)
-  /// dropped under memory pressure after storage eviction alone could not
-  /// satisfy the limit; each one is re-compiled — and re-specialized — on
-  /// its next use.
-  int plan_evictions = 0;
   std::uint64_t peak_bytes = 0;
   /// Bytes of the remote (off-rank) transfers: packed into message
   /// buffers on proc, copied straight between ranks' storage on seq and

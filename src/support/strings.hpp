@@ -5,7 +5,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace hpfc {
 
@@ -21,10 +20,6 @@ std::string join(const Range& items, std::string_view sep) {
   }
   return os.str();
 }
-
-std::vector<std::string> split(std::string_view text, char sep);
-std::string trim(std::string_view text);
-bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Renders a byte count as a human-friendly string ("1.5 KiB").
 std::string format_bytes(std::uint64_t bytes);

@@ -223,10 +223,9 @@ int RedistPlan::remote_transfers() const {
 RedistPlan build(const ConcreteLayout& from, const ConcreteLayout& to) {
   HPFC_ASSERT_MSG(from.array_shape() == to.array_shape(),
                   "redistribution requires identical array shapes");
-  // A rank owning nothing sends/receives nothing; a scalar array (no
-  // dimensions) is owned by every rank its grid checks admit.
+  // A rank owning nothing sends/receives nothing.
   const auto alive = [](const std::vector<std::vector<Index>>& lists) {
-    return lists.empty() || !lists.front().empty();
+    return !lists.front().empty();
   };
   RedistPlan plan;
   std::vector<std::vector<std::vector<Index>>> dst_lists;
@@ -299,7 +298,6 @@ std::vector<OwnedRun> owned_stretches(const mapping::ConcreteLayout& layout,
                                       int rank) {
   const mapping::Shape& shape = layout.array_shape();
   const int dims = shape.rank();
-  if (dims == 0) return {OwnedRun{0, 0, 1, 1}};
   std::vector<OwnedRun> out;
   const auto runs = layout.owned_index_runs(rank);
   for (const auto& r : runs)
@@ -411,7 +409,6 @@ std::vector<CopySegment> flat_segments(const TransferV2& transfer,
   HPFC_ASSERT(static_cast<int>(src_owned.size()) == dims &&
               static_cast<int>(dst_owned.size()) == dims);
   std::vector<CopySegment> segments;
-  if (dims == 0) return {{0, 1, 0, 1, 1}};
   if (transfer.count() == 0) return segments;
 
   std::vector<std::vector<DimPiece>> pieces(static_cast<std::size_t>(dims));

@@ -32,10 +32,31 @@
 #include "exec/proc_backend.hpp"
 #include "mapping/layout.hpp"
 #include "mapping/runs.hpp"
-#include "net/message.hpp"
+#include "net/network.hpp"
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
 #include "runtime/expected.hpp"
+
+namespace hpfc::net {
+
+/// One message of a reference superstep: a payload of doubles from `src`
+/// to `dst`, the unit the reference routers move. The runtime moves
+/// rounds through the backends' arena and storage, never as Messages.
+struct Message {
+  Rank src = 0;
+  Rank dst = 0;
+  int tag = 0;
+  std::vector<double> payload;
+  /// Number of bulk-copy segments the sender packed the payload with
+  /// (pack granularity; 0 when the producer does not track segments).
+  int segments = 0;
+
+  [[nodiscard]] std::uint64_t bytes() const {
+    return static_cast<std::uint64_t>(payload.size()) * sizeof(double);
+  }
+};
+
+}  // namespace hpfc::net
 
 namespace hpfc::testing {
 

@@ -149,7 +149,7 @@ class Reference {
     const mapping::Shape& shape = program_.array(live.array).shape;
     const int dims = shape.rank();
     auto& values = array(live.array);
-    if (dims == 0 || values.empty()) return;
+    if (values.empty()) return;
     const auto inner = static_cast<std::size_t>(dims - 1);
     const Extent row = shape.extent(dims - 1);
     const auto [lo, hi] = live.region[inner];

@@ -26,9 +26,8 @@ get_filename_component(_bin_dir "${HPFC_BIN}" DIRECTORY)
 set(counters copies_performed elements_copied remote_messages remote_bytes
     local_copies pack_segments packed_bytes local_fastpath_copies supersteps
     fused_copies specialized_kernels specialized_dispatches plan_cache_hits
-    plan_cache_misses symbolic_instantiations plan_evictions
-    skipped_status_guard skipped_live_copy fills_skipped snapshot_bytes
-    snapshot_runs_written)
+    plan_cache_misses symbolic_instantiations skipped_status_guard
+    skipped_live_copy fills_skipped snapshot_bytes snapshot_runs_written)
 set(wire_counters wire_bytes wire_msgs proc_spawns)
 
 # Member names, in order, of the JSON object at path ARGN in `json`.

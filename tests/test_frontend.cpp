@@ -213,6 +213,34 @@ TEST(Builder, MisnestedBlocksAreRejected) {
   EXPECT_TRUE(diags.has(DiagId::BadDirective));
 }
 
+// Every array has at least one dimension, so no layout of a scalar can
+// exist: the builder reports an empty shape for an array, a dummy and an
+// interface dummy alike, and declares nothing.
+TEST(Builder, ScalarArraysAreRejected) {
+  const auto rejects = [](const auto& declare) {
+    hpf::ProgramBuilder b("r");
+    b.procs("P", mapping::Shape{4});
+    declare(b);
+    DiagnosticEngine diags;
+    const ir::Program program = b.finish(diags);
+    EXPECT_TRUE(diags.has(DiagId::BadMapping)) << diags.to_string();
+    EXPECT_EQ(program.find_array("S"), -1);
+    for (const auto& interface : program.interfaces)
+      EXPECT_TRUE(interface.dummies.empty());
+  };
+  rejects([](hpf::ProgramBuilder& b) {
+    EXPECT_EQ(b.array("S", mapping::Shape{}), -1);
+  });
+  rejects([](hpf::ProgramBuilder& b) {
+    EXPECT_EQ(b.dummy("S", mapping::Shape{}, ir::Intent::In), -1);
+  });
+  rejects([](hpf::ProgramBuilder& b) {
+    b.interface("callee");
+    b.interface_dummy("S", mapping::Shape{}, ir::Intent::In,
+                      {mapping::DistFormat::block()}, "P");
+  });
+}
+
 TEST(Builder, AlignWithArrayComposes) {
   hpf::ProgramBuilder b("r");
   b.procs("P", mapping::Shape{4});

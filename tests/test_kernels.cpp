@@ -5,13 +5,11 @@
 // tests pin (1) the fragment classification and span stitching, the
 // periodic fragment included, (2) the byte-equality property over
 // random_layout redistribution programs, (3) plan and ownership sizes
-// that do not grow with the extent, and (4) plan-slot eviction under
-// memory pressure with lazy re-specialization (and fused-slot
-// invalidation) behind it, (5) copy_range: any cut of a kernel's
-// payload into ranges writes each range's positions only and rebuilds
-// copy() byte for byte, and (6) round stencils: a round that gathers
-// through its stencil writes exactly the bytes the per-pair pull writes,
-// and patches its storage pointers at every run.
+// that do not grow with the extent, (4) copy_range: any cut of a
+// kernel's payload into ranges writes each range's positions only and
+// rebuilds copy() byte for byte, and (5) round stencils: a round that
+// gathers through its stencil writes exactly the bytes the per-pair pull
+// writes, and patches its storage pointers at every run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,20 +22,16 @@
 #include <utility>
 #include <vector>
 
-#include "common.hpp"
 #include "exec/backend.hpp"
 #include "redist/commsets.hpp"
 #include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
 #include "runtime/round.hpp"
-#include "testing/figures.hpp"
 #include "testing/oracles.hpp"
 
 namespace hpfc {
 namespace {
 
-using driver::Compiled;
-using driver::OptLevel;
 using mapping::DistFormat;
 using mapping::Extent;
 using mapping::Shape;
@@ -85,7 +79,6 @@ TEST(FragmentClassification, StitchesSameFragmentRunsIntoOneSpan) {
   EXPECT_EQ(kernel.spans()[1].out_offset, 32);
   EXPECT_EQ(kernel.describe(), "memcpy+gather");
   EXPECT_EQ(kernel.elements(), program.elements);
-  EXPECT_GT(kernel.footprint_bytes(), 0u);
 }
 
 TEST(FragmentClassification, RepeatedBlocksRunThroughThePeriodicFragment) {
@@ -393,12 +386,14 @@ hpfc::mapping::ConcreteLayout cyclic_layout(Extent n, Extent k) {
 }
 
 // cyclic(2) -> cyclic(3) on 8 ranks: the plan tables (the kernels'
-// footprint) and the ownership programs are sized by the lcm window, not
-// by the extent, so 16x more elements cost no more plan or ownership
-// entries.
+// stored segments, blocks and spans) and the ownership programs are sized
+// by the lcm window, not by the extent, so 16x more elements cost no more
+// plan or ownership entries.
 TEST(PeriodicFootprint, CyclicTwoToThreeDoesNotGrowWithExtent) {
   struct Size {
-    std::uint64_t kernel_bytes = 0;
+    std::size_t kernel_segments = 0;  // stored segment table entries
+    std::size_t kernel_blocks = 0;
+    std::size_t kernel_spans = 0;
     std::uint64_t segments = 0;  // expanded: grows with n
     std::size_t stretches = 0;   // stored ownership stretches
     std::size_t blocks = 0;
@@ -410,7 +405,9 @@ TEST(PeriodicFootprint, CyclicTwoToThreeDoesNotGrowWithExtent) {
     for (const auto& t : redist::build_runs(from, to).transfers) {
       const redist::Kernel kernel = redist::specialize(redist::compile_transfer(
           t, from.owned_index_runs(t.src), to.owned_index_runs(t.dst)));
-      size.kernel_bytes += kernel.footprint_bytes();
+      size.kernel_segments += kernel.program().segments.size();
+      size.kernel_blocks += kernel.program().blocks.size();
+      size.kernel_spans += kernel.spans().size();
       size.segments += kernel.program().segment_count();
     }
     for (const auto* lay : {&from, &to}) {
@@ -424,7 +421,9 @@ TEST(PeriodicFootprint, CyclicTwoToThreeDoesNotGrowWithExtent) {
   };
   const Size small = measure(Extent{1} << 16);
   const Size large = measure(Extent{1} << 20);
-  EXPECT_EQ(small.kernel_bytes, large.kernel_bytes);
+  EXPECT_EQ(small.kernel_segments, large.kernel_segments);
+  EXPECT_EQ(small.kernel_blocks, large.kernel_blocks);
+  EXPECT_EQ(small.kernel_spans, large.kernel_spans);
   EXPECT_EQ(small.stretches, large.stretches);
   EXPECT_EQ(small.blocks, large.blocks);
   // The expansion (what pack_segments counts) does grow with n.
@@ -659,47 +658,6 @@ TEST(RoundStencil, PatchesStoragePointersAtEveryRun) {
     (void)old_src;
     (void)old_dst;
   }
-}
-
-// Under memory pressure the runtime falls back to evicting compiled plan
-// slots (their kernels and segment tables); the evicted slots recompile and
-// re-specialize on their next use, so specialized_kernels rises past the
-// unlimited run's install count while the results stay exact.
-TEST(PlanEviction, EvictedSlotsReSpecializeLazily) {
-  const Compiled compiled =
-      compile(testing::fig16_multi(96, 4, 3, 3), OptLevel::O0);
-  runtime::RunOptions options;
-  options.seed = 11;
-  const runtime::RunReport oracle = driver::run_oracle(compiled, options);
-  const runtime::RunReport unlimited = driver::run(compiled, options);
-  EXPECT_EQ(unlimited.signature, oracle.signature);
-  EXPECT_EQ(unlimited.plan_evictions, 0);
-  ASSERT_GT(unlimited.net.specialized_kernels, 0u);
-
-  // Squeeze the limit down until plan slots get evicted AND re-installed
-  // (deterministic: the run sequence is a pure function of the limit).
-  runtime::RunReport squeezed;
-  bool found = false;
-  for (std::uint64_t limit = unlimited.peak_bytes; limit > 0 && !found;
-       limit -= limit / 8 + 1) {
-    options.memory_limit = limit;
-    squeezed = driver::run(compiled, options);
-    found = squeezed.plan_evictions > 0 &&
-            squeezed.net.specialized_kernels > unlimited.net.specialized_kernels;
-  }
-  ASSERT_TRUE(found) << "no memory limit forced a plan-slot eviction";
-  // Re-specialization changed no result and no dispatch accounting rule:
-  // the squeezed run still matches the oracle exactly.
-  EXPECT_EQ(squeezed.signature, oracle.signature);
-  EXPECT_TRUE(squeezed.exported_values_ok);
-
-  // The fused path survives member-plan eviction (cached fused rounds are
-  // invalidated, not left dangling): re-running the same squeezed limit
-  // reproduces the run exactly.
-  const runtime::RunReport squeezed_again = driver::run(compiled, options);
-  EXPECT_EQ(squeezed_again.signature, oracle.signature);
-  EXPECT_EQ(squeezed_again.plan_evictions, squeezed.plan_evictions);
-  EXPECT_EQ(squeezed_again.net, squeezed.net);
 }
 
 }  // namespace

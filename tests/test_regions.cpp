@@ -397,10 +397,10 @@ ir::Region random_region(std::mt19937& rng, const Shape& shape) {
 
 TEST(ExpectedValues, ClosedFormMatchesThePerElementShadow) {
   std::mt19937 rng(20261017);
-  const std::vector<Shape> shapes = {Shape{},        Shape{1},
-                                     Shape{37},      Shape{64},
-                                     Shape{7, 9},    Shape{16, 16},
-                                     Shape{5, 4, 6}, Shape{3, 8, 5}};
+  const std::vector<Shape> shapes = {Shape{1},       Shape{37},
+                                     Shape{64},      Shape{7, 9},
+                                     Shape{16, 16},  Shape{5, 4, 6},
+                                     Shape{3, 8, 5}};
   int empty_intersections = 0;
   int live_after_kill = 0;
   int write_after_live = 0;
@@ -527,7 +527,7 @@ TEST(ValueKernels, MatchTheDefinitionsOnRandomLayouts) {
   std::mt19937 rng(20261017);
   std::mt19937_64 values(7);
   const std::vector<Shape> shapes = {
-      Shape{},       Shape{1},    Shape{37},      Shape{64},     Shape{7, 9},
+      Shape{1},      Shape{37},   Shape{64},      Shape{7, 9},
       Shape{16, 16}, Shape{1000}, Shape{5, 4, 6}, Shape{3, 8, 5}};
   int column_walks = 0;
   for (std::size_t trial = 0; trial < 200; ++trial) {

@@ -39,13 +39,6 @@ TEST(Diagnostics, CollectsAndCounts) {
 }
 
 TEST(Strings, SplitTrimJoin) {
-  EXPECT_EQ(split("a,b,,c", ','),
-            (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(trim("  x y\t\n"), "x y");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_TRUE(starts_with("hello", "he"));
-  EXPECT_FALSE(starts_with("he", "hello"));
   EXPECT_EQ(join(std::vector<int>{1, 2, 3}, "-"), "1-2-3");
   EXPECT_EQ(join(std::vector<int>{}, "-"), "");
 }
